@@ -189,7 +189,9 @@ def difficulty_split(problems: list, proxy_runs: int, rng: np.random.Generator,
     return tagged
 
 
-def _load_net_barrier(checkpoint_path: str, arm: ArmModel):
+def _load_net_barrier(checkpoint_path: str, arm: ArmModel, alpha: float):
+    """Load a barrier network; its training alpha_h must be the QP's alpha,
+    since the net was trained to satisfy the condition with that rate."""
     variant, net, hyper_doc = load_checkpoint(checkpoint_path)
     if hyper_doc:
         from .cbf import CbfHyper
@@ -197,6 +199,9 @@ def _load_net_barrier(checkpoint_path: str, arm: ArmModel):
         hyper = CbfHyper.from_json(hyper_doc)
     else:
         hyper = default_hyper(variant)
+    if hyper.alpha_h != alpha:
+        raise ValueError(f"checkpoint {checkpoint_path} was trained with alpha_h="
+                         f"{hyper.alpha_h}, but controller.alpha is {alpha}")
     return NeuralBarrier(net, arm, hyper)
 
 
@@ -221,7 +226,7 @@ def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
         return SteerHandCbf(bundle=bundle)
     key = method["checkpoint"]
     if key not in barrier_cache:
-        barrier_cache[key] = _load_net_barrier(key, arm)
+        barrier_cache[key] = _load_net_barrier(key, arm, ctrl["alpha"])
     barrier = barrier_cache[key]
     if barrier.kind == "cloud":
         cloud_rng = seed_stream(root_seed, "problem-cloud", problem.id)
@@ -287,7 +292,7 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
             path = Path(method["checkpoint"])
             if not path.exists():
                 raise FileNotFoundError(f"checkpoint for {method['name']} not found: {path}")
-            cache[str(path)] = _load_net_barrier(str(path), arm)
+            cache[str(path)] = _load_net_barrier(str(path), arm, cfg["controller"]["alpha"])
 
     tasks = [(p.to_json(), m, s) for m in methods for p in problems for s in seeds]
     workers = int(cfg["bench"].get("workers", 1))
@@ -412,7 +417,7 @@ def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, c
     if name == "hand-cbf":
         barrier = HandcraftedBarrier(arm, margin=method.get("margin", cfg["controller"]["hand_margin"]))
     else:
-        barrier = _load_net_barrier(method["checkpoint"], arm)
+        barrier = _load_net_barrier(method["checkpoint"], arm, cfg["controller"]["alpha"])
     limits = make_rollout_limits(cfg, **({"horizon_s": horizon_s} if horizon_s else {}))
     policy = make_policy(cfg)
     qp_cfg = make_qp_cfg(cfg)

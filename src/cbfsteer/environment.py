@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry
-from .kinematics import ArmModel, batch_link_frames, joint_positions
+from .kinematics import ArmModel, batch_joint_positions, joint_positions
 
 
 class SafetyLabel(str, enum.Enum):
@@ -136,6 +136,10 @@ class Workspace:
         return cls(center=tuple(doc["center"]), half_extents=tuple(doc["half_extents"]))
 
 
+_CORNER_X = np.array([-1.0, 1.0, 1.0, -1.0])
+_CORNER_Y = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
 @dataclass(frozen=True)
 class Environment:
     obstacles: tuple[Obstacle, ...] = ()
@@ -146,8 +150,13 @@ class Environment:
     _rect_halves: np.ndarray = field(init=False, repr=False, compare=False)
     _circle_centers: np.ndarray = field(init=False, repr=False, compare=False)
     _circle_radii: np.ndarray = field(init=False, repr=False, compare=False)
-    _edge_starts: np.ndarray = field(init=False, repr=False, compare=False)
-    _edge_ends: np.ndarray = field(init=False, repr=False, compare=False)
+    # clearance-kernel packing (complex x + iy): circle centres then the four
+    # corners of each rectangle, each point's circle radius (0 for corners),
+    # and the rectangle centres and half extents
+    _points: np.ndarray = field(init=False, repr=False, compare=False)
+    _point_offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    _rect_cz: np.ndarray = field(init=False, repr=False, compare=False)
+    _rect_hz: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
@@ -163,23 +172,14 @@ class Environment:
         object.__setattr__(
             self, "_circle_radii", np.array([o.radius for o in circles], dtype=float)
         )
-        if centers.shape[0]:
-            hx = halves[:, 0]
-            hy = halves[:, 1]
-            corners = np.stack(
-                [
-                    centers + np.stack([-hx, -hy], axis=1),
-                    centers + np.stack([hx, -hy], axis=1),
-                    centers + np.stack([hx, hy], axis=1),
-                    centers + np.stack([-hx, hy], axis=1),
-                ],
-                axis=1,
-            )  # (K, 4, 2)
-            object.__setattr__(self, "_edge_starts", corners.reshape(-1, 2))
-            object.__setattr__(self, "_edge_ends", np.roll(corners, -1, axis=1).reshape(-1, 2))
-        else:
-            object.__setattr__(self, "_edge_starts", np.empty((0, 2)))
-            object.__setattr__(self, "_edge_ends", np.empty((0, 2)))
+        cz = centers[:, 0] + 1j * centers[:, 1]
+        corners = cz[:, None] + (halves[:, :1] * _CORNER_X + 1j * (halves[:, 1:] * _CORNER_Y))
+        object.__setattr__(self, "_rect_cz", cz)
+        object.__setattr__(self, "_rect_hz", halves[:, 0] + 1j * halves[:, 1])
+        object.__setattr__(self, "_points", np.concatenate(
+            [self._circle_centers[:, 0] + 1j * self._circle_centers[:, 1], corners.ravel()]))
+        object.__setattr__(self, "_point_offsets", np.concatenate(
+            [self._circle_radii, np.zeros(corners.size)]))
 
     @property
     def is_dynamic(self) -> bool:
@@ -205,59 +205,48 @@ class Environment:
         )
 
 
-def _workspace_clearance_batch(env: Environment, pts: np.ndarray, radius: float) -> np.ndarray:
+def _workspace_clearance_batch(env: Environment, joints: np.ndarray, radius: float) -> np.ndarray:
     """Clearance of the link capsules to the workspace boundary from inside.
 
     The rectangle SDF is convex, so its maximum along each link sits at a
-    joint; clearance = -max(sdf over joints) - link radius. pts: (B, n+1, 2).
+    joint; clearance = -max(sdf over joints) - link radius. joints: (B, n+1)
+    complex.
     """
     c = np.array(env.workspace.center)
     h = np.array(env.workspace.half_extents)
-    sd = geometry.point_rect_sdf(pts, c, h)  # (B, n+1)
+    sd = geometry.point_rect_sdf(np.stack([joints.real, joints.imag], axis=2), c, h)
     return -(sd.max(axis=1) + radius)
+
+
+# Rows per kernel call. Per-row cost stops falling well before this, and wider
+# temporaries only add memory.
+ROW_BLOCK = 256
 
 
 def signed_distance_batch(env: Environment, arm: ArmModel, qs: np.ndarray) -> np.ndarray:
     """Vectorized minimum clearance for a batch of configurations (B, n).
 
     Minimum over (link, obstacle) capsule distances and non-adjacent link
-    pairs; negative iff something penetrates. Disjoint capsule/rectangle pairs
-    reduce to edge distances; overlapping pairs get the exact interior depth.
+    pairs; negative iff something penetrates. The joint positions are computed
+    once and go to `geometry.capsule_world_min`, a fixed sequence of numpy
+    operations whatever the overlaps: one point-to-link pass over circle
+    centres, rectangle corners and the arm's own joints, a separating-axis
+    overlap test, and the exact interior depth of the overlapping (link,
+    rectangle) pairs, gathered. Batches run in blocks of ROW_BLOCK rows.
     """
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != arm.n_links:
         raise ValueError(f"configurations have shape {qs.shape}, expected (B, {arm.n_links})")
-    b = qs.shape[0]
-    n = arm.n_links
-    origins, angles = batch_link_frames(arm, qs)
-    pts = np.empty((b, n + 1, 2))
-    pts[:, :n] = origins
-    lengths = np.array(arm.link_lengths)
-    pts[:, n] = origins[:, n - 1] + lengths[n - 1] * np.stack(
-        [np.cos(angles[:, n - 1]), np.sin(angles[:, n - 1])], axis=1
-    )
-    seg_a = pts[:, :-1, :].reshape(b * n, 2)
-    seg_b = pts[:, 1:, :].reshape(b * n, 2)
+    joints, _ = batch_joint_positions(arm, qs)
     r = arm.link_radius
-    if env.obstacles:
-        best = geometry.capsule_world_min(
-            seg_a, seg_b,
-            env._circle_centers, env._circle_radii,
-            env._rect_centers, env._rect_halves,
-            env._edge_starts, env._edge_ends,
-        ) - r
-        best = best.reshape(b, n).min(axis=1)
-    else:
-        best = np.full(b, np.inf)
-    for i in range(n):
-        for j in range(i + 2, n):
-            d = geometry.seg_seg_distance_paired(
-                pts[:, i, :], pts[:, i + 1, :], pts[:, j, :], pts[:, j + 1, :]) - 2.0 * r
-            best = np.minimum(best, d)
-    if n < 3 and not env.obstacles:
+    if arm.n_links < 3 and not env.obstacles:
         # 2-link arm in an empty world: report workspace-boundary clearance.
-        best = _workspace_clearance_batch(env, pts, r)
-    return best
+        return _workspace_clearance_batch(env, joints, r)
+    world = (env._points, env._point_offsets, env._rect_cz, env._rect_hz)
+    if qs.shape[0] <= ROW_BLOCK:
+        return geometry.capsule_world_min(joints, r, *world)
+    return np.concatenate([geometry.capsule_world_min(joints[lo:lo + ROW_BLOCK], r, *world)
+                           for lo in range(0, qs.shape[0], ROW_BLOCK)])
 
 
 def signed_distance(env: Environment, arm: ArmModel, q: np.ndarray) -> float:

@@ -3,9 +3,20 @@
 All rectangles are axis-aligned and given by (center, half_extents). Signed
 distances are negative iff the shapes overlap. Functions are exact (no
 sampling); vectorized variants operate on stacked obstacle arrays.
+
+`capsule_world_min` is the clearance kernel behind
+`environment.signed_distance_batch`: a short, fixed sequence of numpy
+operations over complex x + iy coordinates that does not depend on how many
+pairs overlap. One point-to-segment pass takes every circle centre, rectangle
+corner and arm joint against every link; a separating-axis test (x, y and the
+link normal, no division) finds the links that meet a rectangle, and those
+pairs get their exact interior depth in closed form, gathered. The caller
+feeds it row blocks of bounded size.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -258,135 +269,116 @@ def segment_circles_signed_distance(
     )
 
 
-def capsule_world_min(seg_a: np.ndarray, seg_b: np.ndarray,
-                      circle_c: np.ndarray, circle_r: np.ndarray,
-                      rect_c: np.ndarray, rect_h: np.ndarray,
-                      edge_s: np.ndarray, edge_e: np.ndarray) -> np.ndarray:
-    """Fused min distance from R segments to all obstacles (before radius offsets).
+@functools.lru_cache(maxsize=None)
+def _self_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Self pairs of an n-link chain: (n, n+1) radius multiples, 2 where joint j
+    ends a link not adjacent to link l and -inf elsewhere; and (n, n) bool,
+    links l and j are not adjacent."""
+    idx = np.arange(n)
+    nonadj = np.abs(idx[:, None] - idx[None, :]) >= 2
+    ends = np.zeros((n, n + 1), dtype=bool)
+    ends[:, :-1] |= nonadj
+    ends[:, 1:] |= nonadj
+    ends = np.where(ends, 2.0, -np.inf)
+    ends.flags.writeable = nonadj.flags.writeable = False  # shared by every caller
+    return ends, nonadj
 
-    Returns (R,) of min over circles of (dist - radius) and over rectangles of
-    the signed rect distance (edge distances for disjoint pairs, exact interior
-    depth for overlapping ones). Flat component arithmetic keeps the per-call
-    overhead low; this is the planner's innermost kernel.
+
+_S1 = np.array([-1.0, -1.0, 1.0, 1.0])[:, None]
+_S2 = np.array([-1.0, 1.0, -1.0, 1.0])[:, None]
+
+
+def _interior_depth(rel: np.ndarray, d: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Deepest rectangle SDF along H segments that meet their rectangle, (H,).
+
+    Segment h is rel_h + t d_h, t in [0, 1], relative to the rectangle centre,
+    with half extents half_h; all complex x + iy. The interior SDF
+    max(|x| - hx, |y| - hy) is convex and piecewise linear along the segment
+    and nonpositive exactly where it is inside, so its minimum over [0, 1]
+    sits at an end, an |x| or |y| kink, or a crossing of the two terms: eight
+    candidates, clamped into [0, 1].
     """
-    ax = seg_a[:, 0]
-    ay = seg_a[:, 1]
-    dx = seg_b[:, 0] - ax
-    dy = seg_b[:, 1] - ay
-    r = ax.shape[0]
-    best = np.full(r, np.inf)
+    rx, ry, dx, dy = rel.real, rel.imag, d.real, d.imag
+    hx, hy = half.real, half.imag
+    ts = np.empty((8, d.shape[0]))
+    ts[0] = 0.0
+    ts[1] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(-rx, dx, out=ts[2])
+        np.divide(-ry, dy, out=ts[3])
+        np.divide(hx - hy - _S1 * rx + _S2 * ry, _S1 * dx - _S2 * dy, out=ts[4:])
+    ts = np.fmin(np.fmax(ts, 0.0), 1.0)  # nan (0/0) becomes 0
+    p = rel + ts * d
+    return np.maximum(np.abs(p.real) - hx, np.abs(p.imag) - hy).min(axis=0)
 
-    if circle_c.shape[0]:
-        dd = np.maximum(dx * dx + dy * dy, _EPS)
-        relx = circle_c[None, :, 0] - ax[:, None]
-        rely = circle_c[None, :, 1] - ay[:, None]
-        t = (relx * dx[:, None] + rely * dy[:, None]) / dd[:, None]
-        np.clip(t, 0.0, 1.0, out=t)
-        gx = relx - t * dx[:, None]
-        gy = rely - t * dy[:, None]
-        dist = np.sqrt(gx * gx + gy * gy) - circle_r[None, :]
-        best = np.minimum(best, dist.min(axis=1))
 
+def capsule_world_min(joints: np.ndarray, radius: float, points: np.ndarray,
+                      offsets: np.ndarray, rect_c: np.ndarray, rect_h: np.ndarray) -> np.ndarray:
+    """Clearance of R capsule chains in one world, in one fused pass, (R,).
+
+    All positions are complex x + iy. joints: (R, n+1) joint positions of
+    chains of n links with capsule radius `radius`; points: (P,) the circle
+    centres and the four corners of each rectangle; offsets: (P,) each
+    point's circle radius, 0 for corners; rect_c, rect_h: (K,) rectangle
+    centres and half extents hx + i hy. Returns, per row, the minimum over
+    links of the capsule's signed distance to every obstacle and to every
+    non-adjacent link of its own chain; negative iff something penetrates.
+
+    One point-to-segment pass takes every point and every joint against every
+    link; `rel * conj(d)` gives the projection on the link (real part) and the
+    side of it (imaginary part). Every candidate bounds some true distance
+    from above, and their minimum is exact for disjoint pairs: a link is as
+    far from a rectangle as the nearer of its joints' box distances and the
+    corners' distances to it. Overlap is the separating-axis test on x, y and
+    the link normal; overlapping pairs are gathered and add their exact
+    interior depth. A non-adjacent self pair is as far apart as its nearest
+    joint-to-link distance, or zero where each link strictly straddles the
+    other's line.
+    """
+    b, m = joints.shape
+    n = m - 1
+    a = joints[:, :-1, None]
+    d = joints[:, 1:, None] - a  # (R, n, 1)
+    dc = d.conj()
+    pts = np.empty((b, 1, points.shape[0] + m), dtype=complex)
+    pts[:, 0, :-m] = points
+    pts[:, 0, -m:] = joints
+    rel = pts - a  # (R, n, P + n + 1)
+    w = rel * dc
+    t = np.minimum(np.maximum(w.real / np.maximum((d * dc).real, _EPS), 0.0), 1.0)
+    ends, nonadj = _self_pairs(n)
+    off = np.empty((n, points.shape[0] + m))
+    off[:, :-m] = offsets + radius
+    off[:, -m:] = ends * radius  # 2 radius at joints of non-adjacent links, else -inf
+    best = (np.abs(rel - t * d) - off).min(axis=(1, 2))
     k = rect_c.shape[0]
     if k:
-        # endpoint-of-link to rect edges and rect corners to link, componentwise
-        sx = edge_s[:, 0][None, :]
-        sy = edge_s[:, 1][None, :]
-        exx = edge_e[:, 0][None, :]
-        eyy = edge_e[:, 1][None, :]
-        edx = exx - sx
-        edy = eyy - sy
-        edd = np.maximum(edx * edx + edy * edy, _EPS)
-
-        def p2e(px, py):
-            t = ((px - sx) * edx + (py - sy) * edy) / edd
-            np.clip(t, 0.0, 1.0, out=t)
-            cx = sx + t * edx - px
-            cy = sy + t * edy - py
-            return cx * cx + cy * cy
-
-        bx = seg_b[:, 0]
-        by = seg_b[:, 1]
-        d2 = np.minimum(p2e(ax[:, None], ay[:, None]), p2e(bx[:, None], by[:, None]))
-        ldd = np.maximum(dx * dx + dy * dy, _EPS)[:, None]
-
-        def c2s(px, py):
-            t = ((px - ax[:, None]) * dx[:, None] + (py - ay[:, None]) * dy[:, None]) / ldd
-            np.clip(t, 0.0, 1.0, out=t)
-            cx = ax[:, None] + t * dx[:, None] - px
-            cy = ay[:, None] + t * dy[:, None] - py
-            return cx * cx + cy * cy
-
-        d2 = np.minimum(d2, c2s(sx, sy))
-        d2 = np.minimum(d2, c2s(exx, eyy))
-        rect_d = np.sqrt(d2.reshape(r, k, 4).min(axis=2))
-
-        # overlap detection via slab clipping, componentwise
-        with np.errstate(divide="ignore", invalid="ignore"):
-            invx = 1.0 / dx
-            invy = 1.0 / dy
-        rcx = rect_c[None, :, 0] - ax[:, None]
-        rcy = rect_c[None, :, 1] - ay[:, None]
-        hx = rect_h[None, :, 0]
-        hy = rect_h[None, :, 1]
-        t1x = (rcx - hx) * invx[:, None]
-        t2x = (rcx + hx) * invx[:, None]
-        t1y = (rcy - hy) * invy[:, None]
-        t2y = (rcy + hy) * invy[:, None]
-        tminx = np.minimum(t1x, t2x)
-        tmaxx = np.maximum(t1x, t2x)
-        tminy = np.minimum(t1y, t2y)
-        tmaxy = np.maximum(t1y, t2y)
-        par_x = np.abs(dx) < _EPS
-        par_y = np.abs(dy) < _EPS
-        if par_x.any():
-            inside = np.abs(rcx) <= hx
-            tminx = np.where(par_x[:, None], np.where(inside, -np.inf, np.inf), tminx)
-            tmaxx = np.where(par_x[:, None], np.where(inside, np.inf, -np.inf), tmaxx)
-        if par_y.any():
-            inside = np.abs(rcy) <= hy
-            tminy = np.where(par_y[:, None], np.where(inside, -np.inf, np.inf), tminy)
-            tmaxy = np.where(par_y[:, None], np.where(inside, np.inf, -np.inf), tmaxy)
-        t0 = np.maximum(np.maximum(tminx, tminy), 0.0)
-        t1 = np.minimum(np.minimum(tmaxx, tmaxy), 1.0)
-        overlap = t0 <= t1
-        if overlap.any():
-            for ri, ki in zip(*np.nonzero(overlap)):
-                rect_d[ri, ki] = segment_rect_signed_distance(
-                    seg_a[ri], seg_b[ri], rect_c[ki], rect_h[ki])
-        best = np.minimum(best, rect_d.min(axis=1))
+        q = np.abs((joints[:, :, None] - rect_c).view(float)).view(complex) - rect_h
+        box = np.abs(np.maximum(q.view(float), 0.0).view(complex))  # (R, n+1, K)
+        best = np.minimum(best, box.min(axis=(1, 2)) - radius)
+        # separating axes of a segment and a box: |c - mid| <= h + |d|/2 on x
+        # and on y, and |d x (c - mid)| <= hx |dy| + hy |dx| on the link normal
+        mc = rect_c - (a + 0.5 * d)  # (R, n, K)
+        ad = np.abs(d.view(float)).view(complex)  # |dx| + i |dy|
+        axes = (np.abs(mc.view(float)).view(complex) - (rect_h + 0.5 * ad)).view(float)
+        sep = np.maximum(np.maximum(axes[..., 0::2], axes[..., 1::2]),
+                         np.abs((mc * dc).imag) - (ad * rect_h).imag)
+        hit = np.flatnonzero(sep <= 0.0)
+        if hit.size:
+            link, rk = np.divmod(hit, k)
+            depth = _interior_depth(a.reshape(-1)[link] - rect_c[rk], d.reshape(-1)[link],
+                                    rect_h[rk])
+            np.minimum.at(best, link // n, depth - radius)
+    if n >= 3:
+        # side of link l that joint j lies on, 0 within the roundoff tolerance
+        # of _strict_sign_flip; link j straddles the line of link l iff its
+        # joints' sides multiply to a negative number
+        side = w.imag[:, :, -m:]
+        side = np.where(np.abs(side) > _EPS, side, 0.0)
+        straddle = side[:, :, :-1] * side[:, :, 1:]
+        crossed = ((np.maximum(straddle, straddle.transpose(0, 2, 1)) < 0.0) & nonadj)
+        best = np.where(crossed.any(axis=(1, 2)), np.minimum(best, -2.0 * radius), best)
     return best
-
-
-def seg_seg_distance_grid(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray
-                          ) -> np.ndarray:
-    """Pairwise endpoint-based segment distances: (R,) segments vs (E,) segments.
-
-    Valid as the true distance whenever the pairs do not cross (the caller
-    handles crossing/containment separately). Returns (R, E).
-    """
-    a1 = np.asarray(a1, dtype=float)
-    b1 = np.asarray(b1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-
-    def pts_to_segs(p, s, e):
-        # p: (..., 2) points; s, e: (..., 2) segments; broadcast leading dims
-        d = e - s
-        dd = np.maximum(np.einsum("...i,...i->...", d, d), _EPS)
-        t = np.clip(np.einsum("...i,...i->...", p - s, d) / dd, 0.0, 1.0)
-        closest = s + t[..., None] * d
-        return np.linalg.norm(p - closest, axis=-1)
-
-    s2 = a2[None, :, :]
-    e2 = b2[None, :, :]
-    d_a1 = pts_to_segs(a1[:, None, :], s2, e2)
-    d_b1 = pts_to_segs(b1[:, None, :], s2, e2)
-    s1 = a1[:, None, :]
-    e1 = b1[:, None, :]
-    d_a2 = pts_to_segs(a2[None, :, :], s1, e1)
-    d_b2 = pts_to_segs(b2[None, :, :], s1, e1)
-    return np.minimum.reduce([d_a1, d_b1, d_a2, d_b2])
 
 
 def seg_seg_distance_paired(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray
@@ -416,25 +408,6 @@ def seg_seg_distance_paired(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: 
     d4 = _orient(a1, b1, b2)
     proper = _strict_sign_flip(d1, d2) & _strict_sign_flip(d3, d4)
     return np.where(proper, 0.0, dist)
-
-
-def segs_rects_overlap(a: np.ndarray, d: np.ndarray, centers: np.ndarray, halves: np.ndarray
-                       ) -> np.ndarray:
-    """Boolean (R, K): does segment r (start a, direction d, t in [0,1]) meet rect k?"""
-    rel = centers[None, :, :] - a[:, None, :]  # (R, K, 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / d
-    t_lo = (rel - halves[None, :, :]) * inv[:, None, :]
-    t_hi = (rel + halves[None, :, :]) * inv[:, None, :]
-    t_min = np.minimum(t_lo, t_hi)
-    t_max = np.maximum(t_lo, t_hi)
-    parallel = np.abs(d)[:, None, :] < _EPS
-    inside_slab = np.abs(rel) <= halves[None, :, :]
-    t_min = np.where(parallel, np.where(inside_slab, -np.inf, np.inf), t_min)
-    t_max = np.where(parallel, np.where(inside_slab, np.inf, -np.inf), t_max)
-    t0 = np.maximum(t_min.max(axis=2), 0.0)
-    t1 = np.minimum(t_max.min(axis=2), 1.0)
-    return t0 <= t1
 
 
 def ray_circles(

@@ -184,13 +184,21 @@ def sample_config(arm: ArmModel, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(arm.lower, arm.upper)
 
 
-def batch_link_frames(arm: ArmModel, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Link-frame origins (R, n, 2) and absolute angles (R, n) for R configurations."""
+def batch_joint_positions(arm: ArmModel, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Base, joint and tip positions (R, n+1) as complex x + iy, and the
+    absolute link angles (R, n), for R configurations."""
     qs = np.asarray(qs, dtype=float)
     angles = np.cumsum(qs, axis=1)
     lengths = np.array(arm.link_lengths)
-    steps = lengths[None, :, None] * np.stack([np.cos(angles), np.sin(angles)], axis=2)
-    origins = np.zeros_like(steps)
-    origins[:, 1:, :] = np.cumsum(steps[:, :-1, :], axis=1)
-    origins += np.asarray(arm.base_position, dtype=float)
-    return origins, angles
+    joints = np.zeros((qs.shape[0], arm.n_links + 1), dtype=complex)
+    np.multiply(lengths, np.cos(angles), out=joints.real[:, 1:])
+    np.multiply(lengths, np.sin(angles), out=joints.imag[:, 1:])
+    np.cumsum(joints, axis=1, out=joints)
+    joints += complex(*arm.base_position)
+    return joints, angles
+
+
+def batch_link_frames(arm: ArmModel, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Link-frame origins (R, n, 2) and absolute angles (R, n) for R configurations."""
+    joints, angles = batch_joint_positions(arm, qs)
+    return np.stack([joints.real[:, :-1], joints.imag[:, :-1]], axis=2), angles

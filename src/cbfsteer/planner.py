@@ -185,12 +185,10 @@ def validate_and_truncate(env: Environment, arm: ArmModel, configs: list,
     resolution along every inter-waypoint segment (endpoints included)."""
     if not configs:
         return []
-    if signed_distance(env, arm, configs[0]) < 0.0:
-        return []
-    # Build the full check-point ladder, then find the first violation in one
-    # batched geometry query.
-    check_pts: list[np.ndarray] = []
-    owner: list[int] = []  # waypoint index each check point belongs to
+    # Build the full check-point ladder, start included, then find the first
+    # violation in one batched geometry query.
+    check_pts: list[np.ndarray] = [np.asarray(configs[0], float)]
+    owner: list[int] = [0]  # waypoint index each check point belongs to
     for w, nxt in enumerate(configs[1:], start=1):
         prev = np.asarray(configs[w - 1], float)
         seg = np.asarray(nxt, float) - prev
@@ -199,8 +197,6 @@ def validate_and_truncate(env: Environment, arm: ArmModel, configs: list,
         for k in range(1, n_checks + 1):
             check_pts.append(prev + seg * (k / n_checks))
             owner.append(w)
-    if not check_pts:
-        return list(configs)
     d = signed_distance_batch(env, arm, np.stack(check_pts))
     bad = np.nonzero(d < 0.0)[0]
     if bad.size == 0:
@@ -293,7 +289,7 @@ def steer_filter_lqr(arm: ArmModel, env: Environment, q_from: np.ndarray, q_towa
     """Accept nominal actions only while the barrier's derivative condition and
     sign both hold; the first rejection terminates the edge (no modification)."""
     barrier = bundle.barrier
-    alpha_h = barrier.hyper.alpha_h if isinstance(barrier, NeuralBarrier) else bundle.qp_cfg.alpha
+    alpha = bundle.qp_cfg.alpha
     substeps = bundle.sim_hz // bundle.ctrl_hz
     dt_sim = 1.0 / bundle.sim_hz
     q = np.asarray(q_from, dtype=float).copy()
@@ -306,7 +302,7 @@ def steer_filter_lqr(arm: ArmModel, env: Environment, q_from: np.ndarray, q_towa
                if bundle.observe is not None and barrier.needs_observation else None)
         h, grad = barrier.value_and_grad(q, obs, env)
         u_nom = bundle.policy.control(q, q_toward, arm.action_lower, arm.action_upper)
-        if h > 0.0 or float(grad @ u_nom) + alpha_h * h > 0.0:
+        if h > 0.0 or float(grad @ u_nom) + alpha * h > 0.0:
             break
         controls.append(u_nom.copy())
         states = np.clip(q[None, :] + u_nom[None, :] * _substep_dts(substeps, dt_sim),

@@ -195,6 +195,32 @@ class TestEvalController:
             for o in p.environment.obstacles:
                 assert np.hypot(*o.velocity) == pytest.approx(0.05)
 
+    @pytest.mark.parametrize("entry", ["build_steer", "eval_controller"])
+    def test_checkpoint_alpha_must_match_controller_alpha(self, cfg, arm, tmp_path, entry):
+        from dataclasses import replace
+
+        from cbfsteer.cbf import default_hyper
+        from cbfsteer.neural import Mlp, save_checkpoint
+
+        probs = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 1,
+                                   np.random.default_rng(16), arm, 0.025)
+        net = Mlp.create((arm.n_links + 1, 4, 1), np.random.default_rng(17))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, "state", net,
+                        replace(default_hyper("state"), alpha_h=2.0).to_json())
+        method = {"name": "cbf-state", "checkpoint": str(path)}
+
+        def run(cfg_):
+            if entry == "build_steer":
+                return bench.build_steer(method, arm, probs[0], cfg_, 0, {})
+            return bench.eval_controller(probs, method, "static_full", arm, cfg_, horizon_s=0.2)
+
+        assert cfg["controller"]["alpha"] == 1.0
+        with pytest.raises(ValueError, match="alpha"):
+            run(cfg)
+        cfg["controller"]["alpha"] = 2.0
+        run(cfg)  # matching alphas load
+
     def test_unknown_setting_rejected(self, cfg, arm):
         with pytest.raises(ValueError):
             bench.eval_controller([], {"name": "hand-cbf"}, "bogus", arm, cfg)

@@ -5,6 +5,8 @@ import pytest
 
 from cbfsteer import geometry
 
+import geometry_oracle
+
 
 def dense_rect_sdf_min(a, b, center, half, n=4001):
     """Sampling oracle: min rect SDF over many points of the segment."""
@@ -131,6 +133,7 @@ class TestRayCasts:
 
 class TestFusedKernel:
     def test_matches_componentwise_primitives(self):
+        # the reference kernel the fast clearance pass is checked against
         rng = np.random.default_rng(7)
         for _ in range(20):
             seg_a = rng.uniform(-1.5, 1.5, (6, 2))
@@ -139,17 +142,8 @@ class TestFusedKernel:
             cr = rng.uniform(0.1, 0.4, 3)
             rc = rng.uniform(-1, 1, (3, 2))
             rh = rng.uniform(0.1, 0.4, (3, 2))
-            hx = rh[:, 0]
-            hy = rh[:, 1]
-            corners = np.stack([
-                rc + np.stack([-hx, -hy], axis=1),
-                rc + np.stack([hx, -hy], axis=1),
-                rc + np.stack([hx, hy], axis=1),
-                rc + np.stack([-hx, hy], axis=1),
-            ], axis=1)
-            es = corners.reshape(-1, 2)
-            ee = np.roll(corners, -1, axis=1).reshape(-1, 2)
-            fused = geometry.capsule_world_min(seg_a, seg_b, cc, cr, rc, rh, es, ee)
+            es, ee = geometry_oracle.rect_edge_arrays(rc, rh)
+            fused = geometry_oracle.capsule_world_min(seg_a, seg_b, cc, cr, rc, rh, es, ee)
             for i in range(6):
                 circ = (geometry.segment_circles_signed_distance(seg_a[i], seg_b[i], cc, cr)).min()
                 rect = (geometry.segment_rects_signed_distance(seg_a[i], seg_b[i], rc, rh)).min()

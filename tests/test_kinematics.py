@@ -6,6 +6,8 @@ import pytest
 
 from cbfsteer.kinematics import (
     ArmModel,
+    batch_joint_positions,
+    batch_link_frames,
     clamp_to_limits,
     forward_kinematics,
     integrate,
@@ -85,6 +87,26 @@ class TestForwardKinematics:
             dq_eff = clamp_to_limits(arm, q + dq) - q
             disp = np.linalg.norm(p2 - p1, axis=1).max()
             assert disp <= bound * np.linalg.norm(dq_eff, 1) + 1e-9
+
+
+class TestBatchJointPositions:
+    def test_rows_match_joint_positions(self):
+        arm = ArmModel(link_lengths=(0.5, 0.4, 0.3, 0.2), base_position=(0.3, -0.2))
+        qs = np.random.default_rng(8).uniform(arm.lower, arm.upper, (7, 4))
+        joints, angles = batch_joint_positions(arm, qs)
+        assert joints.shape == (7, 5) and joints.dtype == complex
+        for row, q in zip(joints, qs):
+            np.testing.assert_allclose(np.stack([row.real, row.imag], axis=1),
+                                       joint_positions(arm, q), atol=1e-15)
+        np.testing.assert_allclose(angles, np.cumsum(qs, axis=1), atol=1e-15)
+
+    def test_link_frames_are_the_first_n_joints(self, arm):
+        qs = np.random.default_rng(9).uniform(arm.lower, arm.upper, (5, 3))
+        joints, angles = batch_joint_positions(arm, qs)
+        origins, frame_angles = batch_link_frames(arm, qs)
+        np.testing.assert_array_equal(origins[..., 0], joints.real[:, :-1])
+        np.testing.assert_array_equal(origins[..., 1], joints.imag[:, :-1])
+        np.testing.assert_array_equal(frame_angles, angles)
 
 
 class TestTipJacobian:

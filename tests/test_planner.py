@@ -314,6 +314,48 @@ def _free_config(env, arm, rng):
             return q
 
 
+class TestValidateAndTruncate:
+    def test_one_geometry_query_per_edge(self, arm, monkeypatch):
+        import cbfsteer.planner as planner
+
+        calls = []
+        real = planner.signed_distance_batch
+
+        def counting(env, arm_, qs):
+            calls.append(len(qs))
+            return real(env, arm_, qs)
+
+        monkeypatch.setattr(planner, "signed_distance_batch", counting)
+        configs = [np.zeros(3), np.array([0.05, 0.0, 0.0]), np.array([0.1, 0.0, 0.0])]
+        assert len(validate_and_truncate(Environment(), arm, configs, 0.02)) == 3
+        assert calls == [1 + 3 + 3]  # the start plus each segment's ladder
+
+    def test_colliding_start_gives_empty_prefix(self, arm):
+        env = Environment(obstacles=(
+            Obstacle(kind="circle", center=(0.25, 0.0), radius=0.1),))
+        configs = [np.zeros(3), np.array([0.0, 0.0, 1.0])]
+        assert signed_distance(env, arm, configs[0]) < 0
+        assert validate_and_truncate(env, arm, configs, 0.02) == []
+        assert validate_and_truncate(env, arm, configs[:1], 0.02) == []
+
+    def test_truncates_before_first_colliding_waypoint(self, arm):
+        env = blocked_env()
+        rng = np.random.default_rng(12)
+        configs = [np.zeros(3)]
+        for _ in range(12):
+            configs.append(configs[-1] + rng.uniform(-0.2, 0.3, 3))
+        kept = validate_and_truncate(env, arm, configs, 0.02)
+        # the kept prefix is the longest one whose ladders are all free
+        for w in range(1, len(configs)):
+            seg_free = all(
+                signed_distance(env, arm, configs[w - 1] + (configs[w] - configs[w - 1]) * s) >= 0
+                for s in np.linspace(0.0, 1.0, 200))
+            if not seg_free:
+                assert len(kept) <= w
+                break
+        assert len(kept) >= 1
+
+
 class TestEdgeSafetyContract:
     @pytest.mark.parametrize("kind", ["straight", "hand", "cbf", "filter"])
     def test_all_stored_edges_validate(self, arm, kind):
