@@ -22,9 +22,9 @@ from .environment import (
     ray_cast_scan,
     signed_distance,
     signed_distance_batch,
-    step_obstacles,
+    signed_distance_stepped,
 )
-from .kinematics import ArmModel, integrate
+from .kinematics import ArmModel
 
 
 @dataclass(frozen=True)
@@ -258,6 +258,13 @@ def make_raycast_observer(spec: ScanSpec):
     return observe
 
 
+def check_rates(sim_hz: int, ctrl_hz: int) -> None:
+    """Reject simulation/control rates that do not give a whole number of
+    simulation substeps per control tick."""
+    if sim_hz <= 0 or ctrl_hz <= 0 or sim_hz % ctrl_hz != 0:
+        raise ValueError("sim_hz must be an integer multiple of ctrl_hz")
+
+
 def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,
                  q0: np.ndarray, q_goal: np.ndarray, env: Environment,
                  limits: RolloutLimits, observe) -> RolloutRecord:
@@ -266,10 +273,11 @@ def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,
 
     Terminates on goal (joint-space ball), collision (ground-truth signed
     distance), or horizon. The barrier object supplies value_and_grad; the
-    observation closure supplies what it sees.
+    observation closure supplies what it sees. Among moving obstacles a
+    tick's substeps are checked in one clearance call, each against the
+    obstacles at its own simulation step.
     """
-    if limits.sim_hz % limits.ctrl_hz != 0:
-        raise ValueError("sim_hz must be an integer multiple of ctrl_hz")
+    check_rates(limits.sim_hz, limits.ctrl_hz)
     arm = barrier.arm
     substeps = limits.sim_hz // limits.ctrl_hz
     dt_sim = 1.0 / limits.sim_hz
@@ -303,27 +311,27 @@ def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,
         rec.controls.append(u.copy())
         rec.steps_used += 1
         if dynamic:
-            for _ in range(substeps):
-                q, _ = integrate(arm, q, u, dt_sim)
-                env = step_obstacles(env, dt_sim)
-                d = signed_distance(env, arm, q)
-                rec.configs.append(q.copy())
-                rec.min_signed_distance.append(d)
-                if d < 0.0:
-                    rec.collided = True
-                    return rec
+            # iterated clamped Euler steps, bit for bit: the first step brings
+            # q inside the limits, and from there each joint moves one way, so
+            # clamping the running sums once equals clamping every step
+            tick_configs = np.empty((substeps, arm.n_links))
+            tick_configs[0] = np.clip(q + u * dt_sim, arm.lower, arm.upper)
+            tick_configs[1:] = u * dt_sim
+            np.add.accumulate(tick_configs, axis=0, out=tick_configs)
+            np.clip(tick_configs, arm.lower, arm.upper, out=tick_configs)
+            ds, env = signed_distance_stepped(env, arm, tick_configs, dt_sim)
         else:
             # exact zero-order hold: one-shot clamp equals iterated clamped steps
             dts = (np.arange(1, substeps + 1) * dt_sim)[:, None]
             tick_configs = np.clip(q[None, :] + u[None, :] * dts, arm.lower, arm.upper)
             ds = signed_distance_batch(env, arm, tick_configs)
-            for qk, d in zip(tick_configs, ds):
-                rec.configs.append(qk)
-                rec.min_signed_distance.append(float(d))
-                if d < 0.0:
-                    rec.collided = True
-                    return rec
-            q = tick_configs[-1].copy()
+        for qk, d in zip(tick_configs, ds):
+            rec.configs.append(qk)
+            rec.min_signed_distance.append(float(d))
+            if d < 0.0:
+                rec.collided = True
+                return rec
+        q = tick_configs[-1].copy()
         if np.linalg.norm(q - q_goal) <= limits.r_goal:
             rec.reached_goal = True
             return rec

@@ -1,12 +1,15 @@
 """Obstacle worlds: collision and signed-distance queries, safety labels, and
 the two observation models (minimum signed distance; surface/ray-cast point
 clouds). Environments are immutable snapshots; stepping returns a new one.
+Moving obstacles advance on packed arrays: `signed_distance_stepped` checks
+a run of configurations against the obstacle snapshots of successive time
+steps in one clearance call.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,6 +78,8 @@ class Obstacle:
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
         object.__setattr__(self, "velocity", tuple(float(v) for v in self.velocity))
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("obstacle center must be finite")
         if not np.all(np.isfinite(self.velocity)):
             raise ValueError("obstacle velocity must be finite")
         if self.kind == "rect":
@@ -82,14 +87,20 @@ class Obstacle:
                 raise ValueError("rect obstacle needs half_extents")
             he = tuple(float(v) for v in self.half_extents)
             object.__setattr__(self, "half_extents", he)
-            if he[0] <= 0 or he[1] <= 0:
-                raise ValueError("rect half extents must be positive")
+            if not all(0.0 < v < np.inf for v in he):
+                raise ValueError("rect half extents must be positive and finite")
         elif self.kind == "circle":
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("circle obstacle needs a positive radius")
+            if self.radius is None or not 0.0 < self.radius < np.inf:
+                raise ValueError("circle obstacle needs a positive, finite radius")
             object.__setattr__(self, "radius", float(self.radius))
         else:
             raise ValueError(f"unknown obstacle kind {self.kind!r}")
+
+    def _at(self, center: tuple[float, float]) -> "Obstacle":
+        """This obstacle at `center` (floats), without re-validating its shape."""
+        moved = object.__new__(Obstacle)
+        moved.__dict__.update(self.__dict__, center=center)
+        return moved
 
     @property
     def perimeter(self) -> float:
@@ -140,6 +151,17 @@ _CORNER_X = np.array([-1.0, 1.0, 1.0, -1.0])
 _CORNER_Y = np.array([-1.0, -1.0, 1.0, 1.0])
 
 
+def _kernel_points(circle_centers: np.ndarray, rect_cz: np.ndarray, halves: np.ndarray
+                   ) -> np.ndarray:
+    """Clearance-kernel points: circle centres (..., C, 2), then the four
+    corners of each rectangle from complex centres (..., K) and half extents
+    (K, 2); complex (..., C + 4K). Leading axes index obstacle snapshots."""
+    corners = rect_cz[..., None] + (halves[:, :1] * _CORNER_X + 1j * (halves[:, 1:] * _CORNER_Y))
+    return np.concatenate([circle_centers[..., 0] + 1j * circle_centers[..., 1],
+                           corners.reshape(rect_cz.shape[:-1] + (4 * rect_cz.shape[-1],))],
+                          axis=-1)
+
+
 @dataclass(frozen=True)
 class Environment:
     obstacles: tuple[Obstacle, ...] = ()
@@ -173,13 +195,11 @@ class Environment:
             self, "_circle_radii", np.array([o.radius for o in circles], dtype=float)
         )
         cz = centers[:, 0] + 1j * centers[:, 1]
-        corners = cz[:, None] + (halves[:, :1] * _CORNER_X + 1j * (halves[:, 1:] * _CORNER_Y))
         object.__setattr__(self, "_rect_cz", cz)
         object.__setattr__(self, "_rect_hz", halves[:, 0] + 1j * halves[:, 1])
-        object.__setattr__(self, "_points", np.concatenate(
-            [self._circle_centers[:, 0] + 1j * self._circle_centers[:, 1], corners.ravel()]))
+        object.__setattr__(self, "_points", _kernel_points(self._circle_centers, cz, halves))
         object.__setattr__(self, "_point_offsets", np.concatenate(
-            [self._circle_radii, np.zeros(corners.size)]))
+            [self._circle_radii, np.zeros(4 * cz.size)]))
 
     @property
     def is_dynamic(self) -> bool:
@@ -223,6 +243,14 @@ def _workspace_clearance_batch(env: Environment, joints: np.ndarray, radius: flo
 ROW_BLOCK = 256
 
 
+def _joints(arm: ArmModel, qs: np.ndarray) -> np.ndarray:
+    """Joint positions (B, n+1), complex, of a batch of configurations (B, n)."""
+    qs = np.asarray(qs, dtype=float)
+    if qs.ndim != 2 or qs.shape[1] != arm.n_links:
+        raise ValueError(f"configurations have shape {qs.shape}, expected (B, {arm.n_links})")
+    return batch_joint_positions(arm, qs)[0]
+
+
 def signed_distance_batch(env: Environment, arm: ArmModel, qs: np.ndarray) -> np.ndarray:
     """Vectorized minimum clearance for a batch of configurations (B, n).
 
@@ -234,19 +262,39 @@ def signed_distance_batch(env: Environment, arm: ArmModel, qs: np.ndarray) -> np
     overlap test, and the exact interior depth of the overlapping (link,
     rectangle) pairs, gathered. Batches run in blocks of ROW_BLOCK rows.
     """
-    qs = np.asarray(qs, dtype=float)
-    if qs.ndim != 2 or qs.shape[1] != arm.n_links:
-        raise ValueError(f"configurations have shape {qs.shape}, expected (B, {arm.n_links})")
-    joints, _ = batch_joint_positions(arm, qs)
+    joints = _joints(arm, qs)
     r = arm.link_radius
     if arm.n_links < 3 and not env.obstacles:
         # 2-link arm in an empty world: report workspace-boundary clearance.
         return _workspace_clearance_batch(env, joints, r)
     world = (env._points, env._point_offsets, env._rect_cz, env._rect_hz)
-    if qs.shape[0] <= ROW_BLOCK:
+    if joints.shape[0] <= ROW_BLOCK:
         return geometry.capsule_world_min(joints, r, *world)
     return np.concatenate([geometry.capsule_world_min(joints[lo:lo + ROW_BLOCK], r, *world)
-                           for lo in range(0, qs.shape[0], ROW_BLOCK)])
+                           for lo in range(0, joints.shape[0], ROW_BLOCK)])
+
+
+def signed_distance_stepped(env: Environment, arm: ArmModel, qs: np.ndarray, dt: float
+                            ) -> tuple[np.ndarray, Environment]:
+    """Clearance of configuration k of qs (S, n) against the obstacles after
+    k + 1 steps of dt, (S,), and the environment after S steps.
+
+    Bit for bit the same as S rounds of `step_obstacles` then
+    `signed_distance`, in one clearance call: each kernel row carries its own
+    obstacle snapshot. Meant for the few substeps of one control tick (no row
+    blocks).
+    """
+    joints = _joints(arm, qs)
+    centers, times = _advance(env, dt, joints.shape[0])
+    after = _environment_at(env, centers[-1], times[-1]) if times.size else env
+    r = arm.link_radius
+    if arm.n_links < 3 and not env.obstacles:
+        return _workspace_clearance_batch(env, joints, r), after
+    circle = np.array([o.kind == "circle" for o in env.obstacles], dtype=bool)
+    rect_cz = centers[:, ~circle, 0] + 1j * centers[:, ~circle, 1]
+    points = _kernel_points(centers[:, circle], rect_cz, env._rect_halves)
+    return geometry.capsule_world_min(joints, r, points, env._point_offsets, rect_cz,
+                                      env._rect_hz), after
 
 
 def signed_distance(env: Environment, arm: ArmModel, q: np.ndarray) -> float:
@@ -321,6 +369,14 @@ class ScanSpec:
     rays_per_mount: int = 32
     max_range: float = 2.0
 
+    def __post_init__(self):
+        if not self.mount_links:
+            raise ValueError("a scan needs at least one mount link")
+        if self.rays_per_mount < 1:
+            raise ValueError("a scan needs at least one ray per mount")
+        if not 0.0 < self.max_range < np.inf:
+            raise ValueError("scan max_range must be positive and finite")
+
 
 def ray_cast_scan(env: Environment, arm: ArmModel, q: np.ndarray, spec: ScanSpec) -> CloudObservation:
     """Cast evenly spaced full-circle ray fans from the mounted link midpoints.
@@ -328,21 +384,16 @@ def ray_cast_scan(env: Environment, arm: ArmModel, q: np.ndarray, spec: ScanSpec
     Hits return (hit point, outward surface normal); misses return the
     max-range sentinel point with normal opposite the ray direction.
     """
-    pts = joint_positions(arm, q)
-    cum = np.cumsum(np.asarray(q, dtype=float))
-    origins = []
-    dirs = []
     for link in spec.mount_links:
         if not 0 <= link < arm.n_links:
             raise ValueError(f"mount link {link} out of range")
-        mid = 0.5 * (pts[link] + pts[link + 1])
-        base_angle = cum[link]
-        angles = base_angle + 2.0 * np.pi * np.arange(spec.rays_per_mount) / spec.rays_per_mount
-        for ang in angles:
-            origins.append(mid)
-            dirs.append((np.cos(ang), np.sin(ang)))
-    origins = np.array(origins)
-    dirs = np.array(dirs)
+    links = np.array(spec.mount_links)
+    pts = joint_positions(arm, q)
+    cum = np.cumsum(np.asarray(q, dtype=float))
+    fan = 2.0 * np.pi * np.arange(spec.rays_per_mount) / spec.rays_per_mount
+    angles = (cum[links][:, None] + fan).ravel()
+    origins = np.repeat(0.5 * (pts[links] + pts[links + 1]), spec.rays_per_mount, axis=0)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     n_rays = origins.shape[0]
     best_t = np.full(n_rays, np.inf)
     best_n = np.zeros((n_rays, 2))
@@ -367,15 +418,34 @@ def ray_cast_scan(env: Environment, arm: ArmModel, q: np.ndarray, spec: ScanSpec
     return CloudObservation(points=points, normals=normals, source=CloudSource.RAY_CAST)
 
 
+def _advance(env: Environment, dt: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Obstacle centres (steps, O, 2) and clock times (steps,) after 1 to
+    `steps` steps of dt. Each step adds velocity*dt to the previous centre and
+    dt to the previous time, the float order of single steps taken in turn."""
+    if not 0.0 <= dt < np.inf:
+        raise ValueError("dt must be finite and non-negative")
+    obstacles = env.obstacles
+    centers = np.empty((steps + 1, len(obstacles), 2))
+    centers[0] = np.reshape([o.center for o in obstacles], (-1, 2))
+    centers[1:] = np.reshape([o.velocity for o in obstacles], (-1, 2)) * dt
+    np.add.accumulate(centers, axis=0, out=centers)
+    times = np.full(steps + 1, float(dt))
+    times[0] = env.time
+    np.add.accumulate(times, out=times)
+    return centers[1:], times[1:]
+
+
+def _environment_at(env: Environment, centers: np.ndarray, time: float) -> Environment:
+    """`env` with its obstacles at `centers` (O, 2) and its clock at `time`."""
+    return Environment(
+        obstacles=tuple(o._at(tuple(c)) for o, c in zip(env.obstacles, centers.tolist())),
+        workspace=env.workspace, time=float(time))
+
+
 def step_obstacles(env: Environment, dt: float) -> Environment:
     """Advance obstacle centers by velocity*dt; shapes unchanged, time accumulates."""
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    moved = tuple(
-        replace(o, center=(o.center[0] + o.velocity[0] * dt, o.center[1] + o.velocity[1] * dt))
-        for o in env.obstacles
-    )
-    return Environment(obstacles=moved, workspace=env.workspace, time=env.time + dt)
+    centers, times = _advance(env, dt, 1)
+    return _environment_at(env, centers[0], times[0])
 
 
 @dataclass(frozen=True)

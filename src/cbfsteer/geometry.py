@@ -314,13 +314,15 @@ def _interior_depth(rel: np.ndarray, d: np.ndarray, half: np.ndarray) -> np.ndar
 
 def capsule_world_min(joints: np.ndarray, radius: float, points: np.ndarray,
                       offsets: np.ndarray, rect_c: np.ndarray, rect_h: np.ndarray) -> np.ndarray:
-    """Clearance of R capsule chains in one world, in one fused pass, (R,).
+    """Clearance of R capsule chains, in one fused pass, (R,).
 
     All positions are complex x + iy. joints: (R, n+1) joint positions of
     chains of n links with capsule radius `radius`; points: (P,) the circle
     centres and the four corners of each rectangle; offsets: (P,) each
     point's circle radius, 0 for corners; rect_c, rect_h: (K,) rectangle
-    centres and half extents hx + i hy. Returns, per row, the minimum over
+    centres and half extents hx + i hy. With `points` (R, P) and `rect_c`
+    (R, K) instead, row r is checked against its own obstacle positions
+    (offsets and half extents stay shared). Returns, per row, the minimum over
     links of the capsule's signed distance to every obstacle and to every
     non-adjacent link of its own chain; negative iff something penetrates.
 
@@ -340,25 +342,26 @@ def capsule_world_min(joints: np.ndarray, radius: float, points: np.ndarray,
     a = joints[:, :-1, None]
     d = joints[:, 1:, None] - a  # (R, n, 1)
     dc = d.conj()
-    pts = np.empty((b, 1, points.shape[0] + m), dtype=complex)
+    pts = np.empty((b, 1, points.shape[-1] + m), dtype=complex)
     pts[:, 0, :-m] = points
     pts[:, 0, -m:] = joints
     rel = pts - a  # (R, n, P + n + 1)
     w = rel * dc
     t = np.minimum(np.maximum(w.real / np.maximum((d * dc).real, _EPS), 0.0), 1.0)
     ends, nonadj = _self_pairs(n)
-    off = np.empty((n, points.shape[0] + m))
+    off = np.empty((n, points.shape[-1] + m))
     off[:, :-m] = offsets + radius
     off[:, -m:] = ends * radius  # 2 radius at joints of non-adjacent links, else -inf
     best = (np.abs(rel - t * d) - off).min(axis=(1, 2))
-    k = rect_c.shape[0]
+    k = rect_c.shape[-1]
     if k:
-        q = np.abs((joints[:, :, None] - rect_c).view(float)).view(complex) - rect_h
+        rc = rect_c[..., None, :]  # (1, K) or (R, 1, K)
+        q = np.abs((joints[:, :, None] - rc).view(float)).view(complex) - rect_h
         box = np.abs(np.maximum(q.view(float), 0.0).view(complex))  # (R, n+1, K)
         best = np.minimum(best, box.min(axis=(1, 2)) - radius)
         # separating axes of a segment and a box: |c - mid| <= h + |d|/2 on x
         # and on y, and |d x (c - mid)| <= hx |dy| + hy |dx| on the link normal
-        mc = rect_c - (a + 0.5 * d)  # (R, n, K)
+        mc = rc - (a + 0.5 * d)  # (R, n, K)
         ad = np.abs(d.view(float)).view(complex)  # |dx| + i |dy|
         axes = (np.abs(mc.view(float)).view(complex) - (rect_h + 0.5 * ad)).view(float)
         sep = np.maximum(np.maximum(axes[..., 0::2], axes[..., 1::2]),
@@ -366,9 +369,10 @@ def capsule_world_min(joints: np.ndarray, radius: float, points: np.ndarray,
         hit = np.flatnonzero(sep <= 0.0)
         if hit.size:
             link, rk = np.divmod(hit, k)
-            depth = _interior_depth(a.reshape(-1)[link] - rect_c[rk], d.reshape(-1)[link],
-                                    rect_h[rk])
-            np.minimum.at(best, link // n, depth - radius)
+            row = link // n
+            ctr = rect_c[rk] if rect_c.ndim == 1 else rect_c[row, rk]
+            depth = _interior_depth(a.reshape(-1)[link] - ctr, d.reshape(-1)[link], rect_h[rk])
+            np.minimum.at(best, row, depth - radius)
     if n >= 3:
         # side of link l that joint j lies on, 0 within the roundoff tolerance
         # of _strict_sign_flip; link j straddles the line of link l iff its

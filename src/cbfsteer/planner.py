@@ -20,6 +20,7 @@ from .cbf import HandcraftedBarrier, NeuralBarrier
 from .controller import (
     NominalPolicy,
     SafeControllerConfig,
+    check_rates,
     make_state_observer,
     solve_safety_qp,
 )
@@ -76,6 +77,9 @@ class ControllerBundle:
     qp_cfg: SafeControllerConfig = SafeControllerConfig()
     sim_hz: int = 120
     ctrl_hz: int = 30
+
+    def __post_init__(self):
+        check_rates(self.sim_hz, self.ctrl_hz)
 
 
 @dataclass(frozen=True)

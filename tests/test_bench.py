@@ -157,6 +157,21 @@ class TestRunBench:
         for fname in ("metrics.csv", "metrics.json", "runs.jsonl", "metrics.svg"):
             assert (outputs[0] / fname).read_bytes() == (outputs[1] / fname).read_bytes(), fname
 
+    def test_worker_pool_matches_single_process_bytes(self, cfg, arm, tmp_path):
+        gen = make_env_gen(cfg, num_obstacles=3)
+        probs = bench.gen_problems(gen, 2, np.random.default_rng(12), arm, 0.025)
+        outputs = []
+        for workers in (1, 2):
+            cfg_w = dict(cfg, bench=dict(cfg["bench"], workers=workers),
+                         planner=dict(cfg["planner"], max_nodes=12))
+            out = tmp_path / f"workers{workers}"
+            bench.run_bench(probs, [{"name": "straight"}, {"name": "hand-cbf"}], [0], arm,
+                            cfg_w, out, root_seed=3, report_timing=False)
+            outputs.append(out)
+        assert len((outputs[1] / "runs.jsonl").read_text().splitlines()) == 2 * 2
+        for fname in ("runs.jsonl", "metrics.json"):
+            assert (outputs[0] / fname).read_bytes() == (outputs[1] / fname).read_bytes(), fname
+
     def test_missing_checkpoint_fails_before_running(self, cfg, arm, tmp_path):
         with pytest.raises(FileNotFoundError):
             bench.run_bench([], [{"name": "cbf-state", "checkpoint": "/nonexistent.json"}],

@@ -1,22 +1,34 @@
 """Safety-filter tests: the box-and-halfspace QP against grid-search oracles,
 nominal policy behavior, and closed-loop rollouts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cbfsteer.cbf import HandcraftedBarrier
+import rollout_oracle
+from cbfsteer.cbf import CbfHyper, FdMode, HandcraftedBarrier, NeuralBarrier
 from cbfsteer.controller import (
     NominalPolicy,
     QpMode,
     RolloutLimits,
     SafeControllerConfig,
+    make_raycast_observer,
     make_state_observer,
     nominal_control,
     safe_rollout,
     solve_safety_qp,
 )
-from cbfsteer.environment import Environment, Obstacle
-from cbfsteer.kinematics import ArmModel
+from cbfsteer.environment import (
+    EnvGenConfig,
+    Environment,
+    Obstacle,
+    ScanSpec,
+    random_environment,
+    signed_distance,
+)
+from cbfsteer.kinematics import ArmModel, sample_config
+from cbfsteer.neural import PointSetEncoder
 
 
 def hyperplane_grid_oracle(u_nom, a, b, lo, hi, coarse=15, zooms=8):
@@ -291,3 +303,110 @@ class TestSafeRollout:
                      np.zeros(3), np.array([0.3, 0.0, 0.0]), far_world(),
                      RolloutLimits(horizon_s=1.0), observe=observe)
         assert calls == []  # handcrafted barrier regenerates its own view
+
+
+def assert_same_record(got, ref):
+    """Records equal bit for bit: configs, controls, distances and flags."""
+    def bits(xs):
+        return np.asarray(xs, dtype=float).tobytes()
+
+    assert len(got.configs) == len(ref.configs)
+    assert bits(got.configs) == bits(ref.configs)
+    assert bits(got.controls) == bits(ref.controls)
+    assert bits(got.min_signed_distance) == bits(ref.min_signed_distance)
+    assert (got.collided, got.reached_goal, got.steps_used, got.qp_infeasible_count) == (
+        ref.collided, ref.reached_goal, ref.steps_used, ref.qp_infeasible_count)
+
+
+def collision_substep(rec, substeps=4):
+    """Substep (1-based) of its tick at which a rollout ended in collision."""
+    assert rec.collided and rec.steps_used > 0
+    return (len(rec.configs) - 2) % substeps + 1
+
+
+def both_rollouts(barrier, q0, q_goal, env, limits=RolloutLimits(horizon_s=2.0), observe=None,
+                  ref_observe=None, policy=NominalPolicy(), cfg=SafeControllerConfig()):
+    got = safe_rollout(barrier, policy, cfg, q0, q_goal, env, limits, observe)
+    ref = rollout_oracle.safe_rollout(barrier, policy, cfg, q0, q_goal, env, limits,
+                                      ref_observe or observe)
+    return got, ref
+
+
+def crossing_world(x0: float) -> Environment:
+    """A circle sweeping in along the x axis through moving and static clutter."""
+    return Environment(obstacles=(
+        Obstacle(kind="circle", center=(x0, 0.05), radius=0.1, velocity=(-1.5, 0.0)),
+        Obstacle(kind="rect", center=(-0.8, 0.9), half_extents=(0.1, 0.2)),
+        Obstacle(kind="rect", center=(0.2, -1.0), half_extents=(0.15, 0.1), velocity=(0.0, 0.2)),
+        Obstacle(kind="circle", center=(-1.0, -0.6), radius=0.15)))
+
+
+class TestDynamicRolloutOracle:
+    """`safe_rollout` among moving obstacles against the per-substep loop
+    (`integrate`, `step_obstacles`, `signed_distance` once per substep)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_mixed_worlds(self, seed):
+        arm = ArmModel()
+        rng = np.random.default_rng(300 + seed)
+        world = random_environment(
+            EnvGenConfig(num_obstacles=6, shapes=("rect", "circle"), obstacle_speed=0.3), rng)
+        env = Environment(obstacles=tuple(
+            replace(o, velocity=(0.0, 0.0)) if i % 2 else o
+            for i, o in enumerate(world.obstacles)), workspace=world.workspace)
+        q0 = sample_config(arm, rng)
+        while signed_distance(env, arm, q0) <= 0.05:
+            q0 = sample_config(arm, rng)
+        barrier = HandcraftedBarrier(arm, margin=0.05)
+        got, ref = both_rollouts(barrier, q0, sample_config(arm, rng), env)
+        assert ref.steps_used > 0
+        assert_same_record(got, ref)
+
+    @pytest.mark.parametrize("x0, substep", [(1.6, 1), (1.655, 2), (1.62, 3), (1.68, 4)])
+    def test_collision_at_each_substep_of_a_tick(self, x0, substep):
+        arm = ArmModel()
+        barrier = HandcraftedBarrier(arm, margin=0.0)
+        cfg = SafeControllerConfig(mode=QpMode.RELAXED, relax_penalty=1e-4)
+        got, ref = both_rollouts(barrier, np.zeros(3), np.array([0.3, -0.2, 0.4]),
+                                 crossing_world(x0), cfg=cfg)
+        assert collision_substep(ref) == substep
+        assert_same_record(got, ref)
+
+    @pytest.mark.parametrize("upper, substep", [(0.3125, 2), (0.32, 3)])
+    def test_joint_limit_clamp_inside_a_tick(self, upper, substep):
+        arm = ArmModel(joint_lower=(-2.8, -upper, -2.8), joint_upper=(2.8, upper, 2.8))
+        env = Environment(obstacles=(
+            Obstacle(kind="circle", center=(-1.0, 0.3), radius=0.1, velocity=(0.05, -0.1)),
+            Obstacle(kind="rect", center=(0.2, -1.0), half_extents=(0.15, 0.1),
+                     velocity=(0.0, 0.2)),
+            Obstacle(kind="rect", center=(-0.8, 0.9), half_extents=(0.1, 0.2))))
+        got, ref = both_rollouts(HandcraftedBarrier(arm, margin=0.05), np.zeros(3),
+                                 np.array([0.5, 1.0, -0.4]), env, RolloutLimits(horizon_s=1.0),
+                                 policy=NominalPolicy(gain=3.0))
+        first = int(np.flatnonzero(np.array(ref.configs)[:, 1] == upper)[0])
+        assert (first - 1) % 4 + 1 == substep
+        assert_same_record(got, ref)
+
+    def test_start_outside_joint_limits(self):
+        # the first substep clamps; later ones move back inside
+        arm = ArmModel(joint_lower=(-2.8, -0.3, -2.8), joint_upper=(2.8, 0.3, 2.8))
+        env = crossing_world(3.0)
+        got, ref = both_rollouts(HandcraftedBarrier(arm, margin=0.05),
+                                 np.array([0.2, 0.5, -0.1]), np.array([0.4, 0.0, 0.2]), env,
+                                 RolloutLimits(horizon_s=0.5))
+        assert ref.configs[1][1] == 0.3 and ref.configs[2][1] < 0.3
+        assert_same_record(got, ref)
+
+    def test_cloud_barrier_with_ray_cast_observer(self):
+        arm = ArmModel()
+        rng = np.random.default_rng(11)
+        enc = PointSetEncoder.create(3, per_point_widths=(7, 5, 4), trunk_widths=(7, 5, 1),
+                                     rng=rng)
+        barrier = NeuralBarrier(enc, arm, CbfHyper(fd_mode=FdMode.FIXED_OBSERVATION))
+        spec = ScanSpec(rays_per_mount=8)
+        got, ref = both_rollouts(
+            barrier, np.zeros(3), np.array([0.6, -0.4, 0.5]), crossing_world(2.5),
+            RolloutLimits(horizon_s=1.0), observe=make_raycast_observer(spec),
+            ref_observe=lambda env, a, q: rollout_oracle.ray_cast_scan(env, a, q, spec))
+        assert ref.steps_used > 0
+        assert_same_record(got, ref)

@@ -1,9 +1,13 @@
 """Obstacle-world tests: signed distance against closed forms and sampling
 oracles, labels, observation models, stepping and generation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import rollout_oracle
+from cbfsteer import geometry
 from cbfsteer.environment import (
     CloudSource,
     EnvGenConfig,
@@ -19,11 +23,18 @@ from cbfsteer.environment import (
     sample_surface_points,
     signed_distance,
     signed_distance_batch,
+    signed_distance_stepped,
     step_obstacles,
 )
 from cbfsteer.geometry import point_segment_distance
 from cbfsteer.jsonio import canonical_dumps
-from cbfsteer.kinematics import ArmModel, forward_kinematics, sample_config
+from cbfsteer.kinematics import (
+    ArmModel,
+    batch_joint_positions,
+    forward_kinematics,
+    joint_positions,
+    sample_config,
+)
 
 
 @pytest.fixture
@@ -33,6 +44,47 @@ def arm():
 
 def far_circle_env(center=(1.0, 0.8), radius=0.2):
     return Environment(obstacles=(Obstacle(kind="circle", center=center, radius=radius),))
+
+
+def same_bits(a, b) -> bool:
+    """Exact equality, down to the sign of zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def mixed_moving_env(seed: int) -> Environment:
+    """Eight rectangles and circles; every third one stands still, the rest drift."""
+    env = random_environment(
+        EnvGenConfig(num_obstacles=8, shapes=("rect", "circle"), obstacle_speed=0.4),
+        np.random.default_rng(seed))
+    return Environment(obstacles=tuple(
+        replace(o, velocity=(0.0, 0.0)) if i % 3 == 0 else o
+        for i, o in enumerate(env.obstacles)), workspace=env.workspace, time=0.25 * seed)
+
+
+class TestObstacleValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_center_rejected(self, bad):
+        with pytest.raises(ValueError, match="center"):
+            Obstacle(kind="circle", center=(0.3, bad), radius=0.1)
+        with pytest.raises(ValueError, match="center"):
+            Obstacle(kind="rect", center=(bad, 0.3), half_extents=(0.1, 0.1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.1])
+    def test_bad_radius_rejected(self, bad):
+        with pytest.raises(ValueError, match="radius"):
+            Obstacle(kind="circle", center=(0.3, 0.3), radius=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.1])
+    def test_bad_half_extents_rejected(self, bad):
+        with pytest.raises(ValueError, match="half extents"):
+            Obstacle(kind="rect", center=(0.3, 0.3), half_extents=(0.1, bad))
+        with pytest.raises(ValueError, match="half extents"):
+            Obstacle(kind="rect", center=(0.3, 0.3), half_extents=(bad, 0.1))
+
+    def test_non_finite_velocity_rejected(self):
+        with pytest.raises(ValueError, match="velocity"):
+            Obstacle(kind="circle", center=(0.3, 0.3), radius=0.1, velocity=(np.nan, 0.0))
 
 
 class TestSignedDistance:
@@ -199,6 +251,31 @@ class TestSurfaceSampling:
 
 
 class TestRayCast:
+    @pytest.mark.parametrize("kwargs", [
+        {"mount_links": ()}, {"rays_per_mount": 0}, {"rays_per_mount": -3},
+        {"max_range": 0.0}, {"max_range": -1.0}, {"max_range": np.nan}, {"max_range": np.inf}])
+    def test_scan_spec_rejects_empty_or_degenerate_fans(self, kwargs):
+        with pytest.raises(ValueError):
+            ScanSpec(**kwargs)
+
+    @pytest.mark.parametrize("links", [(3,), (0, -1)])
+    def test_mount_link_out_of_range(self, arm, links):
+        with pytest.raises(ValueError, match="mount link"):
+            ray_cast_scan(Environment(), arm, np.zeros(3), ScanSpec(mount_links=links))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vectorized_fan_equals_ray_by_ray_reference(self, arm, seed):
+        rng = np.random.default_rng(100 + seed)
+        env = mixed_moving_env(seed)
+        spec = ScanSpec(mount_links=((0, 2), (1,), (2, 0, 1))[seed % 3],
+                        rays_per_mount=(32, 12, 1)[seed % 3], max_range=(2.0, 0.6, 1.1)[seed % 3])
+        for _ in range(20):
+            q = sample_config(arm, rng)
+            cloud = ray_cast_scan(env, arm, q, spec)
+            ref = rollout_oracle.ray_cast_scan(env, arm, q, spec)
+            assert same_bits(cloud.points, ref.points)
+            assert same_bits(cloud.normals, ref.normals)
+
     def test_no_obstacles_all_sentinels(self, arm):
         spec = ScanSpec(mount_links=(0, 2), rays_per_mount=8, max_range=2.0)
         cloud = ray_cast_scan(Environment(), arm, np.zeros(3), spec)
@@ -249,8 +326,6 @@ class TestRayCast:
 
 
 def _mounts(arm, q, spec):
-    from cbfsteer.kinematics import joint_positions
-
     pts = joint_positions(arm, q)
     return [0.5 * (pts[l] + pts[l + 1]) for l in spec.mount_links]
 
@@ -280,6 +355,74 @@ class TestStepObstacles:
     def test_negative_dt_rejected(self):
         with pytest.raises(ValueError):
             step_obstacles(Environment(), -0.1)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError):
+            step_obstacles(far_circle_env(), dt)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_array_steps_equal_iterated_reference_steps(self, arm, seed):
+        env = mixed_moving_env(seed)
+        dt = (1.0 / 120, 0.01, 1.0 / 7, 0.3)[seed]
+        steps = (1, 4, 9, 30)[seed]
+        ref = env
+        for _ in range(steps):
+            ref = rollout_oracle.step_obstacles(ref, dt)
+        iterated = env
+        for _ in range(steps):
+            iterated = step_obstacles(iterated, dt)
+        qs = np.zeros((steps, 3))
+        _, swept = signed_distance_stepped(env, arm, qs, dt)
+        for got in (iterated, swept):
+            assert same_bits([o.center for o in got.obstacles], [o.center for o in ref.obstacles])
+            assert same_bits(got.time, ref.time)
+            assert got.obstacles == ref.obstacles
+            assert same_bits(got._points, ref._points)
+            assert same_bits(got._rect_cz, ref._rect_cz)
+
+
+class TestSignedDistanceStepped:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_equal_per_snapshot_calls(self, arm, seed):
+        rng = np.random.default_rng(200 + seed)
+        env = mixed_moving_env(seed)
+        dt = 1.0 / 120
+        steps = (1, 4, 4, 12)[seed % 4]
+        for _ in range(10):
+            qs = np.stack([sample_config(arm, rng) for _ in range(steps)])
+            ds, after = signed_distance_stepped(env, arm, qs, dt)
+            ref = env
+            expected = []
+            for q in qs:
+                ref = rollout_oracle.step_obstacles(ref, dt)
+                expected.append(signed_distance_batch(ref, arm, q[None, :])[0])
+            assert same_bits(ds, expected)
+            assert after == ref and same_bits(after.time, ref.time)
+            env = after
+
+    def test_kernel_rows_see_their_own_world(self, arm):
+        # Worlds share shapes and differ in where the obstacles are; a
+        # rectangle parked on a joint in half of them makes overlap rows.
+        rng = np.random.default_rng(7)
+        base = mixed_moving_env(3)
+        qs = np.stack([sample_config(arm, rng) for _ in range(64)])
+        joints = [joint_positions(arm, q)[1 + i % 3] for i, q in enumerate(qs)]
+        worlds = []
+        for i, q in enumerate(qs):
+            shift = rng.uniform(-0.4, 0.4, size=2)
+            moved = [replace(o, center=tuple(np.add(o.center, shift))) for o in base.obstacles]
+            if i % 2:
+                k = next(j for j, o in enumerate(moved) if o.kind == "rect")
+                moved[k] = replace(moved[k], center=tuple(joints[i]))
+            worlds.append(Environment(obstacles=tuple(moved)))
+        expected = np.array([signed_distance_batch(w, arm, q[None, :])[0]
+                             for w, q in zip(worlds, qs)])
+        assert (expected < 0).sum() >= 32
+        got = geometry.capsule_world_min(
+            batch_joint_positions(arm, qs)[0], arm.link_radius, np.stack([w._points for w in worlds]), base._point_offsets,
+            np.stack([w._rect_cz for w in worlds]), base._rect_hz)
+        assert same_bits(got, expected)
 
 
 class TestRandomEnvironment:

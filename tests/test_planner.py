@@ -53,6 +53,22 @@ def hand_bundle(arm, margin=0.08):
     return ControllerBundle(barrier=HandcraftedBarrier(arm, margin=margin), observe=None)
 
 
+class TestControllerBundle:
+    @pytest.mark.parametrize("sim_hz, ctrl_hz", [(100, 30), (20, 30), (0, 30), (120, 0)])
+    def test_rates_must_give_whole_substeps(self, arm, sim_hz, ctrl_hz):
+        # the same rule, and message, as safe_rollout
+        with pytest.raises(ValueError, match="integer multiple"):
+            ControllerBundle(barrier=HandcraftedBarrier(arm), observe=None,
+                             sim_hz=sim_hz, ctrl_hz=ctrl_hz)
+
+    def test_multiple_rates_accepted(self, arm):
+        bundle = ControllerBundle(barrier=HandcraftedBarrier(arm), observe=None,
+                                  sim_hz=90, ctrl_hz=30)
+        edge = steer_cbf_inc(arm, Environment(), np.zeros(3), np.array([0.3, 0.0, 0.0]),
+                             bundle, max_ctrl_steps=2)
+        assert len(edge.configs) == 1 + 2 * 3
+
+
 class TestSteerStraight:
     def test_free_segment_full_step(self, arm):
         edge = steer_straight(arm, Environment(), np.zeros(3), np.array([1.0, 0.0, 0.0]),
