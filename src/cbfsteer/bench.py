@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cbf import HandcraftedBarrier, NeuralBarrier, default_hyper
+from .cbf import HandcraftedBarrier, NeuralBarrier
 from .config import (
+    checkpoint_hyper,
     make_env_gen,
     make_planner_limits,
     make_policy,
@@ -44,8 +45,7 @@ from .planner import (
     PlanProblem,
     PlanResult,
     SteerCbfFilterLqr,
-    SteerCbfInc,
-    SteerHandCbf,
+    SteerRollout,
     SteerStraightLine,
     rrt_plan,
 )
@@ -189,20 +189,36 @@ def difficulty_split(problems: list, proxy_runs: int, rng: np.random.Generator,
     return tagged
 
 
-def _load_net_barrier(checkpoint_path: str, arm: ArmModel, alpha: float):
+def _load_net_barrier(checkpoint_path: str, arm: ArmModel, cfg: dict):
     """Load a barrier network; its training alpha_h must be the QP's alpha,
     since the net was trained to satisfy the condition with that rate."""
     variant, net, hyper_doc = load_checkpoint(checkpoint_path)
-    if hyper_doc:
-        from .cbf import CbfHyper
-
-        hyper = CbfHyper.from_json(hyper_doc)
-    else:
-        hyper = default_hyper(variant)
+    hyper = checkpoint_hyper(cfg, variant, hyper_doc)
+    alpha = cfg["controller"]["alpha"]
     if hyper.alpha_h != alpha:
         raise ValueError(f"checkpoint {checkpoint_path} was trained with alpha_h="
                          f"{hyper.alpha_h}, but controller.alpha is {alpha}")
     return NeuralBarrier(net, arm, hyper)
+
+
+def _method_barrier(method: dict, arm: ArmModel, cfg: dict, barrier_cache: dict):
+    """The hand-crafted barrier, or the method's network, loaded once per checkpoint."""
+    if method["name"] == "hand-cbf":
+        return HandcraftedBarrier(arm, margin=method.get("margin", cfg["controller"]["hand_margin"]))
+    key = method["checkpoint"]
+    if key not in barrier_cache:
+        barrier_cache[key] = _load_net_barrier(key, arm, cfg)
+    return barrier_cache[key]
+
+
+def _surface_cloud_observer(barrier, problem: ProblemSpec, cfg: dict, root_seed: int):
+    """Cloud barriers observe the problem's pre-sampled surface cloud (seeded
+    by problem id); other barriers need no observer."""
+    if barrier.kind != "cloud":
+        return None
+    cloud_rng = seed_stream(root_seed, "problem-cloud", problem.id)
+    return make_fixed_cloud_observer(
+        sample_surface_points(problem.environment, cfg["cloud"]["num_points"], cloud_rng))
 
 
 def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
@@ -212,31 +228,14 @@ def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
     name = method["name"]
     if name == "straight":
         return SteerStraightLine()
+    barrier = _method_barrier(method, arm, cfg, barrier_cache)
     ctrl = cfg["controller"]
-    common = dict(
-        policy=make_policy(cfg),
-        qp_cfg=make_qp_cfg(cfg),
-        sim_hz=ctrl["sim_hz"],
-        ctrl_hz=ctrl["ctrl_hz"],
-    )
-    if name == "hand-cbf":
-        margin = method.get("margin", ctrl["hand_margin"])
-        bundle = ControllerBundle(
-            barrier=HandcraftedBarrier(arm, margin=margin), observe=None, **common)
-        return SteerHandCbf(bundle=bundle)
-    key = method["checkpoint"]
-    if key not in barrier_cache:
-        barrier_cache[key] = _load_net_barrier(key, arm, ctrl["alpha"])
-    barrier = barrier_cache[key]
-    if barrier.kind == "cloud":
-        cloud_rng = seed_stream(root_seed, "problem-cloud", problem.id)
-        cloud = sample_surface_points(problem.environment, cfg["cloud"]["num_points"], cloud_rng)
-        observe = make_fixed_cloud_observer(cloud)
-    else:
-        observe = None
-    bundle = ControllerBundle(barrier=barrier, observe=observe, **common)
-    if name in ("cbf-state", "cbf-cloud", "cbf-inc"):
-        return SteerCbfInc(bundle=bundle)
+    bundle = ControllerBundle(
+        barrier=barrier, observe=_surface_cloud_observer(barrier, problem, cfg, root_seed),
+        policy=make_policy(cfg), qp_cfg=make_qp_cfg(cfg),
+        sim_hz=ctrl["sim_hz"], ctrl_hz=ctrl["ctrl_hz"])
+    if name in ("hand-cbf", "cbf-state", "cbf-cloud", "cbf-inc"):
+        return SteerRollout(bundle=bundle)
     if name == "filter-lqr":
         # negative threshold selects the hybrid default: switch to the
         # discard-style steer halfway through the node budget
@@ -292,7 +291,7 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
             path = Path(method["checkpoint"])
             if not path.exists():
                 raise FileNotFoundError(f"checkpoint for {method['name']} not found: {path}")
-            cache[str(path)] = _load_net_barrier(str(path), arm, cfg["controller"]["alpha"])
+            cache[str(path)] = _load_net_barrier(str(path), arm, cfg)
 
     tasks = [(p.to_json(), m, s) for m in methods for p in problems for s in seeds]
     workers = int(cfg["bench"].get("workers", 1))
@@ -413,11 +412,7 @@ def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, c
     """
     if setting not in ("static_full", "dynamic_partial"):
         raise ValueError(f"unknown setting {setting!r}")
-    name = method["name"]
-    if name == "hand-cbf":
-        barrier = HandcraftedBarrier(arm, margin=method.get("margin", cfg["controller"]["hand_margin"]))
-    else:
-        barrier = _load_net_barrier(method["checkpoint"], arm, cfg["controller"]["alpha"])
+    barrier = _method_barrier(method, arm, cfg, {})
     limits = make_rollout_limits(cfg, **({"horizon_s": horizon_s} if horizon_s else {}))
     policy = make_policy(cfg)
     qp_cfg = make_qp_cfg(cfg)
@@ -426,14 +421,10 @@ def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, c
     safety = []
     makespans = []
     for prob in problems:
-        if setting == "static_full" and getattr(barrier, "kind", "") == "cloud":
-            cloud_rng = seed_stream(root_seed, "problem-cloud", prob.id)
-            cloud = sample_surface_points(prob.environment, cfg["cloud"]["num_points"], cloud_rng)
-            observe = make_fixed_cloud_observer(cloud)
-        elif setting == "dynamic_partial" and getattr(barrier, "kind", "") == "cloud":
+        if setting == "dynamic_partial" and barrier.kind == "cloud":
             observe = make_raycast_observer(make_scan_spec(cfg))
         else:
-            observe = None
+            observe = _surface_cloud_observer(barrier, prob, cfg, root_seed)
         rec = safe_rollout(barrier, policy, qp_cfg, prob.q0, prob.qg,
                            prob.environment, limits, observe)
         ok_states = float(np.mean(np.asarray(rec.min_signed_distance) >= 0.0))

@@ -1,7 +1,7 @@
 """Barrier-function machinery: dataset collection, barrier value and numerical
-Lie derivatives, the closed-form control infimum over a box, the three-term
-hinge loss, the training loop, constraint auditing, and the hand-crafted
-signed-distance baseline.
+Lie derivatives, the three-term hinge loss (with the closed-form control
+infimum over the action box), the training loop, constraint auditing, and
+the hand-crafted signed-distance baseline.
 
 Sign convention: h is negative on the safe side. Safe states need h <= -gamma,
 unsafe states h > gamma, and everywhere a control must exist with
@@ -23,6 +23,7 @@ from .environment import (
     SafetyLabel,
     StateObservation,
     random_environment,
+    safety_label,
     sample_surface_points,
     signed_distance,
     signed_distance_batch,
@@ -35,7 +36,6 @@ from .neural import (
     adam_step,
     AdamState,
     encoder_backward_batch,
-    encoder_forward,
     encoder_forward_batch,
     mlp_backward,
     mlp_forward,
@@ -87,14 +87,6 @@ class CbfHyper:
             fd_mode=FdMode(doc["fd_mode"]),
             r_thres=doc["r_thres"],
         )
-
-
-def default_hyper(kind: str) -> CbfHyper:
-    """State nets refresh the scalar observation at stencil points; cloud nets
-    hold the cloud fixed (re-scanning inside a finite difference is neither
-    needed nor cheap)."""
-    mode = FdMode.REFRESHED_OBSERVATION if kind == "state" else FdMode.FIXED_OBSERVATION
-    return CbfHyper(fd_mode=mode)
 
 
 @dataclass
@@ -216,7 +208,8 @@ def collect_dataset(
     Part one rolls out the nominal goal-seeking policy between random
     collision-free start/goal pairs at the control rate (a fresh environment
     per trajectory); part two samples configurations uniformly in the joint
-    limits. Every sample gets a safety label from the true signed distance.
+    limits. Every sample gets a safety label from the true signed distance
+    (`environment.safety_label`, which rejects r_thres <= 0).
     """
     if counts.rollout_trajs < 0 or counts.uniform_samples < 0:
         raise ValueError("counts must be non-negative")
@@ -238,14 +231,9 @@ def collect_dataset(
     def add_samples(env_id: int, qs: np.ndarray) -> None:
         ds = signed_distance_batch(envs[env_id], arm, qs)
         for q, d in zip(qs, ds):
-            if d <= 0.0:
-                label = SafetyLabel.UNSAFE
-            elif d >= r_thres:
-                label = SafetyLabel.SAFE
-            else:
-                label = SafetyLabel.BOUNDARY
             obs = StateObservation(float(d)) if observation_kind == "state" else clouds[env_id]
-            samples.append(LabeledSample(q=q, observation=obs, label=label, env_id=env_id))
+            samples.append(LabeledSample(q=q, observation=obs, label=safety_label(d, r_thres),
+                                         env_id=env_id))
 
     for _ in range(counts.rollout_trajs):
         env_id = new_env()
@@ -284,22 +272,6 @@ def _sample_free_config(env: Environment, arm: ArmModel, rng: np.random.Generato
     raise RuntimeError("could not sample a collision-free configuration")
 
 
-def h_value(net, q: np.ndarray, observation, arm: ArmModel) -> float:
-    """Scalar barrier value; the network variant must match the observation."""
-    if isinstance(net, Mlp):
-        if not isinstance(observation, StateObservation):
-            raise TypeError("state-variant net needs a StateObservation")
-        x = np.concatenate([np.asarray(q, float), [observation.min_signed_distance]])
-        y, _ = mlp_forward(net, x)
-        return float(y[0])
-    if isinstance(net, PointSetEncoder):
-        if not isinstance(observation, CloudObservation):
-            raise TypeError("cloud-variant net needs a CloudObservation")
-        h, _ = encoder_forward(net, np.asarray(q, float), observation, arm)
-        return h
-    raise TypeError(f"unsupported network type {type(net).__name__}")
-
-
 def _stencil_configs(q: np.ndarray, fd_step: float) -> np.ndarray:
     """(n+1, n): row 0 is q, row i is q with joint i-1 advanced by fd_step."""
     q = np.asarray(q, dtype=float)
@@ -321,6 +293,8 @@ def h_and_grad(net, q: np.ndarray, env: Environment | None, arm: ArmModel,
     n = q.shape[0]
     qs = _stencil_configs(q, hyper.fd_step)
     if isinstance(net, Mlp):
+        if observation is not None and not isinstance(observation, StateObservation):
+            raise TypeError("state-variant net needs a StateObservation")
         if hyper.fd_mode is FdMode.REFRESHED_OBSERVATION:
             if env is None:
                 raise ValueError("refreshed-observation mode needs the environment")
@@ -351,28 +325,6 @@ def h_and_grad(net, q: np.ndarray, env: Environment | None, arm: ArmModel,
         raise TypeError(f"unsupported network type {type(net).__name__}")
     grad = (h[1:] - h[0]) / hyper.fd_step
     return float(h[0]), grad
-
-
-def grad_h_q(net, q: np.ndarray, env: Environment | None, arm: ArmModel,
-             hyper: CbfHyper, observation=None) -> np.ndarray:
-    _, grad = h_and_grad(net, q, env, arm, hyper, observation=observation)
-    return grad
-
-
-def inf_control_term(grad: np.ndarray, action_lower: np.ndarray, action_upper: np.ndarray
-                     ) -> tuple[float, np.ndarray]:
-    """Minimum of grad . u over the action box, with its argmin.
-
-    The objective is separable: per dimension take the bound whose sign
-    opposes the coefficient; zero coefficients take the lower bound.
-    """
-    grad = np.asarray(grad, dtype=float)
-    lo = np.asarray(action_lower, dtype=float)
-    hi = np.asarray(action_upper, dtype=float)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("action box must be finite")
-    argmin = np.where(grad > 0.0, lo, np.where(grad < 0.0, hi, lo))
-    return float(grad @ argmin), argmin
 
 
 def _stencil_records(arm: ArmModel, qs: np.ndarray, points: np.ndarray, normals: np.ndarray

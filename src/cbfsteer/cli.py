@@ -16,6 +16,7 @@ import numpy as np
 from . import bench as bench_mod
 from .cbf import Dataset, DatasetCounts, collect_dataset, evaluate_constraints, train
 from .config import (
+    checkpoint_hyper,
     cloud_widths,
     load_config,
     make_arm,
@@ -130,6 +131,12 @@ def _method_spec(name: str, args) -> dict:
     raise _UsageError(f"unknown method {name!r}")
 
 
+def _single_checkpoint_method(args) -> dict:
+    """Method spec for the commands that take one --checkpoint for any method."""
+    return _method_spec(args.method, argparse.Namespace(
+        checkpoint_state=args.checkpoint, checkpoint_cloud=args.checkpoint, activation_after=0))
+
+
 def _cmd_gen_problems(args, cfg, out_dir):
     arm = make_arm(cfg)
     overrides = {}
@@ -214,14 +221,13 @@ def _cmd_train(args, cfg, out_dir):
 
 def _cmd_eval_cbf(args, cfg, out_dir):
     from .neural import load_checkpoint
-    from .cbf import CbfHyper
 
     dataset = Dataset.load(args.data)
     variant, net, hyper_doc = load_checkpoint(args.checkpoint)
     if variant != dataset.kind:
         raise RuntimeError(f"checkpoint variant {variant!r} does not match dataset "
                            f"kind {dataset.kind!r}")
-    hyper = CbfHyper.from_json(hyper_doc) if hyper_doc else make_hyper(cfg, variant)
+    hyper = checkpoint_hyper(cfg, variant, hyper_doc)
     rates = evaluate_constraints(net, dataset, hyper=hyper)
     out = {"checkpoint": str(args.checkpoint), "data": str(args.data), **rates}
     print(f"safe={rates['safe_rate']:.4f} unsafe={rates['unsafe_rate']:.4f} "
@@ -238,13 +244,7 @@ def _cmd_plan(args, cfg, out_dir):
     if not 0 <= args.index < len(problems):
         raise _UsageError(f"problem index {args.index} out of range (0..{len(problems) - 1})")
     prob = problems[args.index]
-
-    class _Shim:
-        checkpoint_state = args.checkpoint
-        checkpoint_cloud = args.checkpoint
-        activation_after = 0
-
-    method = _method_spec(args.method, _Shim)
+    method = _single_checkpoint_method(args)
     steer = bench_mod.build_steer(method, arm, prob, cfg, args.seed, {})
     rng = seed_stream(args.seed, "planner", prob.id, 0)
     result = rrt_plan(
@@ -281,13 +281,7 @@ def _cmd_eval_controller(args, cfg, out_dir):
             p.environment.is_dynamic for p in problems):
         dyn_rng = seed_stream(args.seed, "dynamics")
         problems = bench_mod.dynamicize_problems(problems, args.obstacle_speed, dyn_rng)
-
-    class _Shim:
-        checkpoint_state = args.checkpoint
-        checkpoint_cloud = args.checkpoint
-        activation_after = 0
-
-    method = _method_spec(args.method, _Shim) if args.method != "hand-cbf" else {"name": "hand-cbf"}
+    method = _single_checkpoint_method(args)
     row, records = bench_mod.eval_controller(
         problems, method, setting, arm, cfg, root_seed=args.seed, horizon_s=args.horizon)
     print(f"{row.method} [{row.setting}] goal={row.goal_reaching_rate:.3f} "

@@ -166,6 +166,12 @@ def make_hyper(cfg: dict, kind: str) -> CbfHyper:
     )
 
 
+def checkpoint_hyper(cfg: dict, variant: str, hyper_doc: dict) -> CbfHyper:
+    """A checkpoint's barrier hyperparameters; one saved without them gets
+    the config's, as `make_hyper` builds them for its variant."""
+    return CbfHyper.from_json(hyper_doc) if hyper_doc else make_hyper(cfg, variant)
+
+
 def make_policy(cfg: dict) -> NominalPolicy:
     return NominalPolicy(gain=cfg["controller"]["kp"])
 

@@ -18,7 +18,6 @@ import numpy as np
 from .environment import (
     Environment,
     ScanSpec,
-    StateObservation,
     ray_cast_scan,
     signed_distance,
     signed_distance_batch,
@@ -36,11 +35,6 @@ class NominalPolicy:
     def control(self, q: np.ndarray, q_goal: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         u = -self.gain * (np.asarray(q, float) - np.asarray(q_goal, float))
         return np.clip(u, lo, hi)
-
-
-def nominal_control(policy: NominalPolicy, q: np.ndarray, q_goal: np.ndarray,
-                    lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return policy.control(q, q_goal, lo, hi)
 
 
 class QpMode(str, enum.Enum):
@@ -66,64 +60,23 @@ class QpDiagnostics:
     violation: float
 
 
-def _project_halfspace_box(u_nom: np.ndarray, a: np.ndarray, c: float,
-                           lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Exact projection of u_nom onto {a.u = c} intersect box.
+def _breakpoint_walk(u_nom: np.ndarray, a: np.ndarray, b: float, k: float, k0: float,
+                     lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Exact filtered control u = clip(u_nom - mu*a) at the root of
+    k0*mu = k*phi(mu), where phi(mu) = a.clip(u_nom - mu*a) + b.
 
-    Works on the dual scalar: u(lam) = clip(u_nom - lam*a) has a.u(lam)
-    piecewise linear and non-increasing in lam; walk its breakpoints (the
-    coordinate clamping events, i.e. the active-set changes) to the exact
-    crossing. Assumes a.u_nom > c and that the intersection is nonempty.
+    (k, k0) = (1, 0) is the strict projection onto {a.u + b = 0} intersect
+    box (phi = 0); (k, k0) = (rho, 1) is the relaxed minimizer of
+    ||u - u_nom||^2 + rho*[a.u + b]_+^2 (KKT: mu = rho*phi). phi is piecewise
+    linear and non-increasing in mu, with a breakpoint wherever a coordinate
+    clamps; on the piece phi = P - s*mu the root is mu = k*P/(k0 + k*s), so
+    walking the breakpoints in order finds it exactly. Assumes
+    a.u_nom + b > 0 and, in strict mode, a nonempty intersection.
     """
     n = u_nom.shape[0]
-    lam_clamp = np.full(n, np.inf)
-    bound_at_clamp = np.empty(n)
-    for i in range(n):
-        if a[i] > 0:
-            lam_clamp[i] = (u_nom[i] - lo[i]) / a[i]
-            bound_at_clamp[i] = lo[i]
-        elif a[i] < 0:
-            lam_clamp[i] = (u_nom[i] - hi[i]) / a[i]
-            bound_at_clamp[i] = hi[i]
-    order = np.argsort(lam_clamp)
-    free = np.ones(n, dtype=bool)
-    lam_prev = 0.0
-    c_clamped = 0.0  # sum over clamped coords of a_i * bound_i
-    for k in range(n + 1):
-        s_free = float(np.sum(a[free] ** 2))
-        c_free = float(a[free] @ u_nom[free])
-        lam_next = lam_clamp[order[k]] if k < n else np.inf
-        if s_free > 0.0:
-            lam = (c_free + c_clamped - c) / s_free
-            # phi is monotone, so a computed lam below the interval start is
-            # roundoff; crossing beyond lam_next means clamp another coordinate.
-            tol = 1e-12 * max(1.0, abs(lam))
-            if lam <= lam_next + tol:
-                return np.clip(u_nom - max(lam, lam_prev) * a, lo, hi)
-        if k == n:
-            break
-        i = order[k]
-        lam_prev = lam_clamp[i]
-        if np.isfinite(lam_prev):
-            free[i] = False
-            c_clamped += a[i] * bound_at_clamp[i]
-    # Feasible-by-precondition: the walk only falls through at the tangent point.
-    return np.clip(u_nom - lam_prev * a, lo, hi)
-
-
-def _relaxed_penalty_min(u_nom: np.ndarray, a: np.ndarray, b: float, rho: float,
-                         lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Exact minimizer of ||u-u_nom||^2 + rho*[a.u+b]_+^2 over the box.
-
-    The KKT point is u = clip(u_nom - mu*a) with mu = rho*[a.u+b]_+; the scalar
-    fixpoint mu/rho = a.clip(u_nom - mu*a) + b pairs an increasing line with a
-    non-increasing piecewise-linear curve, so walking the clamping breakpoints
-    finds the unique crossing exactly. Assumes a.u_nom + b > 0 on entry.
-    """
-    n = u_nom.shape[0]
-    mu_clamp = np.full(n, np.inf)
+    mu_clamp = np.full(n, np.inf)  # where coordinate i reaches the bound it moves to
     bound_at_clamp = np.zeros(n)
-    for i in range(n):
+    for i in range(n):  # scalar steps: cheaper than array ops at these sizes
         if a[i] > 0:
             mu_clamp[i] = (u_nom[i] - lo[i]) / a[i]
             bound_at_clamp[i] = lo[i]
@@ -133,23 +86,26 @@ def _relaxed_penalty_min(u_nom: np.ndarray, a: np.ndarray, b: float, rho: float,
     order = np.argsort(mu_clamp)
     free = np.ones(n, dtype=bool)
     mu_prev = 0.0
-    c_clamped = 0.0
-    for k in range(n + 1):
+    c_clamped = 0.0  # sum over clamped coords of a_i * bound_i
+    for j in range(n + 1):
         s_free = float(np.sum(a[free] ** 2))
-        c_free = float(a[free] @ u_nom[free])
-        phi_const = c_free + c_clamped + b  # phi(mu) = phi_const - s_free*mu
-        mu_next = mu_clamp[order[k]] if k < n else np.inf
-        mu = rho * phi_const / (1.0 + rho * s_free)
-        tol = 1e-12 * max(1.0, abs(mu))
-        if mu <= mu_next + tol:
-            return np.clip(u_nom - max(mu, mu_prev) * a, lo, hi)
-        if k == n:
+        phi_const = float(a[free] @ u_nom[free]) + c_clamped + b  # phi = phi_const - s_free*mu
+        mu_next = mu_clamp[order[j]] if j < n else np.inf
+        den = k0 + k * s_free
+        if den > 0.0:
+            mu = k * phi_const / den
+            # phi is monotone, so a root below the piece's start is roundoff;
+            # a root beyond mu_next means another coordinate clamps first
+            if mu <= mu_next + 1e-12 * max(1.0, abs(mu)):
+                return np.clip(u_nom - max(mu, mu_prev) * a, lo, hi)
+        if j == n:
             break
-        i = order[k]
+        i = order[j]
         mu_prev = mu_clamp[i]
         if np.isfinite(mu_prev):
             free[i] = False
             c_clamped += a[i] * bound_at_clamp[i]
+    # Feasible-by-precondition: the walk only falls through at the tangent point.
     return np.clip(u_nom - mu_prev * a, lo, hi)
 
 
@@ -186,14 +142,14 @@ def solve_safety_qp(u_nom: np.ndarray, grad_h: np.ndarray, h_val: float,
         if infeasible:
             return best_u, QpDiagnostics(
                 constraint_active=True, infeasible=True, violation=inf_box + b)
-        u = _project_halfspace_box(u_nom, a, -b, lo, hi)
+        u = _breakpoint_walk(u_nom, a, b, 1.0, 0.0, lo, hi)
         viol = max(0.0, float(a @ u) + b)
         return u, QpDiagnostics(constraint_active=True, infeasible=False, violation=viol)
 
     if np.all(a == 0.0):
         u = u_nom
     else:
-        u = _relaxed_penalty_min(u_nom, a, b, cfg.relax_penalty, lo, hi)
+        u = _breakpoint_walk(u_nom, a, b, cfg.relax_penalty, 1.0, lo, hi)
     viol = max(0.0, float(a @ u) + b)
     return u, QpDiagnostics(constraint_active=True, infeasible=infeasible, violation=viol)
 
@@ -231,15 +187,6 @@ class RolloutRecord:
         }
 
 
-def make_state_observer():
-    """Observation closure for the scalar signed-distance model."""
-
-    def observe(env: Environment, arm: ArmModel, q: np.ndarray) -> StateObservation:
-        return StateObservation(signed_distance(env, arm, q))
-
-    return observe
-
-
 def make_fixed_cloud_observer(cloud):
     """Closure returning one pre-sampled surface cloud (static full observation)."""
 
@@ -263,6 +210,35 @@ def check_rates(sim_hz: int, ctrl_hz: int) -> None:
     simulation substeps per control tick."""
     if sim_hz <= 0 or ctrl_hz <= 0 or sim_hz % ctrl_hz != 0:
         raise ValueError("sim_hz must be an integer multiple of ctrl_hz")
+
+
+def control_tick(barrier, observe, policy: NominalPolicy, qp_cfg: SafeControllerConfig,
+                 env: Environment, q: np.ndarray, q_goal: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, float, QpDiagnostics]:
+    """One control tick of the barrier-filtered controller: observe (only if
+    the barrier asks for observations), barrier value and gradient, nominal
+    control toward q_goal, safety QP. Returns (u, u_nom, h, diagnostics)."""
+    arm = barrier.arm
+    obs = observe(env, arm, q) if (observe is not None and barrier.needs_observation) else None
+    h, grad = barrier.value_and_grad(q, obs, env)
+    u_nom = policy.control(q, q_goal, arm.action_lower, arm.action_upper)
+    u, diag = solve_safety_qp(u_nom, grad, h, qp_cfg, arm.action_lower, arm.action_upper)
+    return u, u_nom, h, diag
+
+
+def hold(arm: ArmModel, q: np.ndarray, u: np.ndarray, substeps: int, dt_sim: float
+         ) -> np.ndarray:
+    """Zero-order hold on a static world: the configurations (substeps, n)
+    after 1..substeps simulation steps of dt_sim with u held.
+
+    Each row is the one-shot clip(q + u*(k*dt_sim)) to the joint limits. That
+    is the same point as k iterated clamped Euler steps (`integrate`) up to
+    rounding only: the iterated sums round differently in the last bits (a
+    few ulp). Planning and static rollouts use this form; the dynamic branch
+    of `safe_rollout` accumulates the steps and is bit-equal to `integrate`.
+    """
+    dts = (np.arange(1, substeps + 1) * dt_sim)[:, None]
+    return np.clip(q[None, :] + u[None, :] * dts, arm.lower, arm.upper)
 
 
 def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,
@@ -298,10 +274,7 @@ def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,
 
     stalled = 0
     for _ in range(n_ticks):
-        obs = observe(env, arm, q) if (observe is not None and barrier.needs_observation) else None
-        h, grad = barrier.value_and_grad(q, obs, env)
-        u_nom = policy.control(q, q_goal, arm.action_lower, arm.action_upper)
-        u, diag = solve_safety_qp(u_nom, grad, h, cfg, arm.action_lower, arm.action_upper)
+        u, _, _, diag = control_tick(barrier, observe, policy, cfg, env, q, q_goal)
         if diag.infeasible:
             rec.qp_infeasible_count += 1
         if limits.stall_threshold is not None:
@@ -321,9 +294,7 @@ def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,
             np.clip(tick_configs, arm.lower, arm.upper, out=tick_configs)
             ds, env = signed_distance_stepped(env, arm, tick_configs, dt_sim)
         else:
-            # exact zero-order hold: one-shot clamp equals iterated clamped steps
-            dts = (np.arange(1, substeps + 1) * dt_sim)[:, None]
-            tick_configs = np.clip(q[None, :] + u[None, :] * dts, arm.lower, arm.upper)
+            tick_configs = hold(arm, q, u, substeps, dt_sim)
             ds = signed_distance_batch(env, arm, tick_configs)
         for qk, d in zip(tick_configs, ds):
             rec.configs.append(qk)

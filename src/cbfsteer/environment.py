@@ -48,6 +48,8 @@ class CloudObservation:
         object.__setattr__(self, "normals", np.asarray(self.normals, dtype=float))
         if self.points.shape != self.normals.shape or self.points.ndim != 2:
             raise ValueError("points and normals must both be (N, 2)")
+        if self.points.shape[0] == 0:
+            raise ValueError("a cloud observation needs at least one point")
 
     def to_json(self) -> dict:
         return {
@@ -307,11 +309,10 @@ def signed_distance(env: Environment, arm: ArmModel, q: np.ndarray) -> float:
     return float(signed_distance_batch(env, arm, np.asarray(q, dtype=float)[None, :])[0])
 
 
-def classify(env: Environment, arm: ArmModel, q: np.ndarray, r_thres: float) -> SafetyLabel:
-    """Partition by signed distance: d <= 0 unsafe, d >= r_thres safe, else boundary."""
+def safety_label(d: float, r_thres: float) -> SafetyLabel:
+    """Partition by signed distance d: d <= 0 unsafe, d >= r_thres safe, else boundary."""
     if r_thres <= 0:
         raise ValueError("r_thres must be positive")
-    d = signed_distance(env, arm, q)
     if d <= 0.0:
         return SafetyLabel.UNSAFE
     if d >= r_thres:

@@ -36,18 +36,6 @@ def point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> 
     return np.linalg.norm(points - closest, axis=-1)
 
 
-def segment_point_distances(p: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Distance from one point p to many segments (starts/ends shaped (K, 2))."""
-    p = np.asarray(p, dtype=float)
-    starts = np.asarray(starts, dtype=float)
-    d = np.asarray(ends, dtype=float) - starts
-    dd = np.einsum("ki,ki->k", d, d)
-    t = np.einsum("ki,ki->k", p - starts, d) / np.maximum(dd, _EPS)
-    np.clip(t, 0.0, 1.0, out=t)
-    closest = starts + t[:, None] * d
-    return np.linalg.norm(p - closest, axis=-1)
-
-
 def _orient(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Cross product (q-p) x (r-p); broadcasts over leading axes."""
     return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (
@@ -191,82 +179,6 @@ def segment_rect_signed_distance(a: np.ndarray, b: np.ndarray, center: np.ndarra
                 cands.append(t)
     vals = [f(t) for t in cands if t0 - _EPS <= t <= t1 + _EPS]
     return min(vals)
-
-
-def segment_rects_signed_distance(
-    a: np.ndarray, b: np.ndarray, centers: np.ndarray, halves: np.ndarray
-) -> np.ndarray:
-    """Vectorized segment-vs-rectangles signed distance over K rectangles.
-
-    Disjoint pairs are handled with one batched segment/edge pass; overlapping
-    pairs (detected by clipping) fall back to the exact scalar routine.
-    """
-    centers = np.asarray(centers, dtype=float)
-    halves = np.asarray(halves, dtype=float)
-    k = centers.shape[0]
-    if k == 0:
-        return np.empty(0)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    # Edge segments for all rects: (K*4, 2)
-    hx = halves[:, 0]
-    hy = halves[:, 1]
-    corners = np.stack(
-        [
-            centers + np.stack([-hx, -hy], axis=1),
-            centers + np.stack([hx, -hy], axis=1),
-            centers + np.stack([hx, hy], axis=1),
-            centers + np.stack([-hx, hy], axis=1),
-        ],
-        axis=1,
-    )  # (K, 4, 2)
-    starts = corners.reshape(-1, 2)
-    ends = np.roll(corners, -1, axis=1).reshape(-1, 2)
-    # endpoint-to-edge and corner-to-segment distances
-    p2e_a = _points_to_segments(a, starts, ends)
-    p2e_b = _points_to_segments(b, starts, ends)
-    c2s_1 = point_segment_distance(starts, a, b)
-    c2s_2 = point_segment_distance(ends, a, b)
-    edge_min = np.minimum.reduce([p2e_a, p2e_b, c2s_1, c2s_2]).reshape(k, 4).min(axis=1)
-
-    # Vectorized overlap test (Liang-Barsky over all rects at once); overlapping
-    # pairs get the exact interior minimum from the scalar routine.
-    d = b - a
-    rel = centers - a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / d
-    t_lo = (rel - halves) * inv
-    t_hi = (rel + halves) * inv
-    t_min = np.minimum(t_lo, t_hi)
-    t_max = np.maximum(t_lo, t_hi)
-    parallel = np.abs(d) < _EPS
-    inside_slab = np.abs(rel) <= halves
-    t_min = np.where(parallel, np.where(inside_slab, -np.inf, np.inf), t_min)
-    t_max = np.where(parallel, np.where(inside_slab, np.inf, -np.inf), t_max)
-    t0 = np.maximum(t_min.max(axis=1), 0.0)
-    t1 = np.minimum(t_max.min(axis=1), 1.0)
-    overlap = t0 <= t1
-
-    out = edge_min
-    for i in np.flatnonzero(overlap):
-        out[i] = segment_rect_signed_distance(a, b, centers[i], halves[i])
-    return out
-
-
-def _points_to_segments(p: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    return segment_point_distances(p, starts, ends)
-
-
-def segment_circles_signed_distance(
-    a: np.ndarray, b: np.ndarray, centers: np.ndarray, radii: np.ndarray
-) -> np.ndarray:
-    """Vectorized segment-vs-circles signed distance: |seg - center| - radius."""
-    centers = np.asarray(centers, dtype=float)
-    if centers.shape[0] == 0:
-        return np.empty(0)
-    return point_segment_distance(centers, np.asarray(a, float), np.asarray(b, float)) - np.asarray(
-        radii, dtype=float
-    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,19 +8,8 @@ float arrays of length n. Links are capsules (segment plus radius).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LinkSegment:
-    """World-frame capsule axis of one link."""
-
-    endpoint_a: np.ndarray
-    endpoint_b: np.ndarray
-    radius: float
-    link_index: int
 
 
 @dataclass(frozen=True)
@@ -59,16 +48,12 @@ class ArmModel:
             raise ValueError("per-joint bounds must match the number of links")
         if any(lo >= hi for lo, hi in zip(self.joint_lower, self.joint_upper)):
             raise ValueError("joint_lower must be strictly below joint_upper")
-        if any(u <= 0 for u in self.action_bound):
-            raise ValueError("action box must have nonempty interior")
+        if not all(0.0 < u < np.inf for u in self.action_bound):
+            raise ValueError("action box must be finite with nonempty interior")
 
     @property
     def n_links(self) -> int:
         return len(self.link_lengths)
-
-    @property
-    def reach(self) -> float:
-        return float(sum(self.link_lengths))
 
     @property
     def lower(self) -> np.ndarray:
@@ -127,33 +112,6 @@ def joint_positions(arm: ArmModel, q: np.ndarray) -> np.ndarray:
     np.cumsum(steps, axis=0, out=pts[1:])
     pts[1:] += pts[0]
     return pts
-
-
-def forward_kinematics(arm: ArmModel, q: np.ndarray) -> list[LinkSegment]:
-    """Capsule axes of all links at configuration q."""
-    pts = joint_positions(arm, q)
-    return [
-        LinkSegment(pts[i], pts[i + 1], arm.link_radius, i) for i in range(arm.n_links)
-    ]
-
-
-def tip_position(arm: ArmModel, q: np.ndarray) -> np.ndarray:
-    return joint_positions(arm, q)[-1]
-
-
-def tip_jacobian(arm: ArmModel, q: np.ndarray) -> np.ndarray:
-    """2 x n Jacobian of the tip position: column i = d(tip)/d(q_i).
-
-    Under the cumulative convention, d(tip)/d(q_i) = sum_{k>=i} L_k * (-sin S_k, cos S_k)
-    with S_k = sum(q[0..k]).
-    """
-    q = _check_config(arm, q)
-    angles = np.cumsum(q)
-    lengths = np.array(arm.link_lengths)
-    terms = lengths[None, :] * np.stack([-np.sin(angles), np.cos(angles)], axis=0)  # (2, n)
-    # suffix sums over k >= i
-    jac = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
-    return jac
 
 
 def clamp_to_limits(arm: ArmModel, q: np.ndarray) -> np.ndarray:

@@ -54,9 +54,6 @@ class Mlp:
     def out_width(self) -> int:
         return self.layer_widths[-1]
 
-    def zero_like_grads(self) -> Params:
-        return [(np.zeros_like(w), np.zeros_like(b)) for w, b in self.params]
-
 
 @dataclass
 class MlpTape:
@@ -165,45 +162,8 @@ class PointSetEncoder:
     def feature_width(self) -> int:
         return self.per_point.out_width
 
-    @property
-    def record_width(self) -> int:
-        return self.per_point.in_width
-
     def all_params(self) -> Params:
         return self.per_point.params + self.trunk.params
-
-    def split_grads(self, grads: Params):
-        k = len(self.per_point.params)
-        return grads[:k], grads[k:]
-
-
-def link_frames(arm, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-link frame origins (n, 2) and absolute angles (n,) for a configuration."""
-    from .kinematics import joint_positions  # local import avoids a cycle at module load
-
-    pts = joint_positions(arm, q)
-    return pts[:-1], np.cumsum(np.asarray(q, dtype=float))
-
-
-def build_point_records(arm, q: np.ndarray, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Transform a cloud into every link frame: records (n_links * N, 4 + n_links).
-
-    Each record is [p_local, n_local, one_hot(link)]; points rotate and
-    translate into the link frame, normals only rotate.
-    """
-    origins, angles = link_frames(arm, q)
-    n = origins.shape[0]
-    n_pts = points.shape[0]
-    recs = np.zeros((n, n_pts, 4 + n))
-    cos = np.cos(angles)
-    sin = np.sin(angles)
-    for ell in range(n):
-        # rotation by -angle maps world to link frame
-        rot = np.array([[cos[ell], sin[ell]], [-sin[ell], cos[ell]]])
-        recs[ell, :, 0:2] = (points - origins[ell]) @ rot.T
-        recs[ell, :, 2:4] = normals @ rot.T
-        recs[ell, :, 4 + ell] = 1.0
-    return recs.reshape(n * n_pts, 4 + n)
 
 
 @dataclass
@@ -213,7 +173,6 @@ class EncoderTape:
     trunk_tape: MlpTape
     argmax: np.ndarray  # (B, F) winning record index per pooled coordinate
     n_records: int
-    single: bool
 
 
 def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, records: np.ndarray,
@@ -234,7 +193,7 @@ def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, records: np.ndar
     y, trunk_tape = mlp_forward(enc.trunk, trunk_in, dtype=dtype)
     tape = EncoderTape(
         enc=enc, point_tape=point_tape, trunk_tape=trunk_tape,
-        argmax=argmax, n_records=m, single=False,
+        argmax=argmax, n_records=m,
     )
     return y[:, 0], tape
 
@@ -260,23 +219,6 @@ def encoder_backward_batch(tape: EncoderTape, upstream) -> tuple[Params, np.ndar
     point_grads, rec_grad_flat = mlp_backward(tape.point_tape, d_phi.reshape(b * m, f))
     rec_grads = rec_grad_flat.reshape(b, m, -1)
     return point_grads + trunk_grads, rec_grads, d_q
-
-
-def encoder_forward(enc: PointSetEncoder, q: np.ndarray, cloud, arm) -> tuple[float, EncoderTape]:
-    """Scalar encoder evaluation for one configuration and one cloud observation."""
-    if cloud.points.shape[0] == 0:
-        raise ValueError("empty cloud; caller must pad observations")
-    records = build_point_records(arm, q, cloud.points, cloud.normals)
-    h, tape = encoder_forward_batch(enc, np.asarray(q, float)[None, :], records[None, :, :])
-    tape.single = True
-    return float(h[0]), tape
-
-
-def encoder_backward(tape: EncoderTape, upstream=1.0) -> tuple[Params, np.ndarray, np.ndarray]:
-    grads, rec_grads, d_q = encoder_backward_batch(tape, upstream)
-    if tape.single:
-        return grads, rec_grads[0], d_q[0]
-    return grads, rec_grads, d_q
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """RRT with pluggable steer functions: straight-line, barrier-filtered rollout
-steering, the completeness-preserving filtered-LQR variant, and the
-hand-crafted barrier baseline.
+steering (learned or hand-crafted barrier), and the completeness-preserving
+filtered-LQR variant.
 
 Tree edges always pass geometric collision validation at the configured
 resolution before they are stored; the learned barrier is never trusted for
@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cbf import HandcraftedBarrier, NeuralBarrier
-from .controller import (
-    NominalPolicy,
-    SafeControllerConfig,
-    check_rates,
-    make_state_observer,
-    solve_safety_qp,
-)
+from .controller import NominalPolicy, SafeControllerConfig, check_rates, control_tick, hold
 from .environment import Environment, signed_distance, signed_distance_batch
 from .kinematics import ArmModel
 
@@ -84,30 +78,15 @@ class ControllerBundle:
 
 @dataclass(frozen=True)
 class SteerStraightLine:
-    name: str = "straight"
+    """Straight joint-space segments, truncated before the first collision."""
 
 
 @dataclass(frozen=True)
-class SteerCbfInc:
-    bundle: ControllerBundle
-    name: str = "cbf-inc"
-
-
-@dataclass(frozen=True)
-class SteerHandCbf:
-    """Rollout steering with the signed-distance baseline barrier."""
+class SteerRollout:
+    """Barrier-filtered rollout steering (CBF-INC) with the bundle's barrier,
+    learned or hand-crafted."""
 
     bundle: ControllerBundle
-    name: str = "hand-cbf"
-
-    @classmethod
-    def from_margin(cls, arm: ArmModel, margin: float = 0.15, **kwargs) -> "SteerHandCbf":
-        bundle = ControllerBundle(
-            barrier=HandcraftedBarrier(arm, margin=margin),
-            observe=make_state_observer(),
-            **kwargs,
-        )
-        return cls(bundle=bundle)
 
 
 @dataclass(frozen=True)
@@ -118,14 +97,13 @@ class SteerCbfFilterLqr:
 
     bundle: ControllerBundle
     activation_after: int = 0
-    name: str = "filter-lqr"
 
     def __post_init__(self):
         if self.activation_after < 0:
             raise ValueError("activation threshold must be >= 0")
 
 
-SteerKind = SteerStraightLine | SteerCbfInc | SteerHandCbf | SteerCbfFilterLqr
+SteerKind = SteerStraightLine | SteerRollout | SteerCbfFilterLqr
 
 
 @dataclass(frozen=True)
@@ -235,13 +213,24 @@ def steer_straight(arm: ArmModel, env: Environment, q_from: np.ndarray, q_toward
     return Edge(configs=[q_from, samples[last_ok]], controls=[])
 
 
-def _rollout_edge(arm: ArmModel, env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
-                  bundle: ControllerBundle, max_ctrl_steps: int, limits: PlannerLimits,
-                  r_goal: float) -> Edge:
-    """Optimistic filtered rollout: geometry is not checked tick by tick (the
-    barrier is doing that job online); one batched validation pass afterwards
-    truncates the trajectory at the last collision-free state."""
-    barrier = bundle.barrier
+def _edge_from_rollout(arm: ArmModel, env: Environment, q_from: np.ndarray, configs: list,
+                       controls: list, substeps: int, check_resolution: float) -> Edge:
+    """Optimistic rollouts are not checked tick by tick (the barrier does that
+    job online); one batched validation pass truncates the trajectory at the
+    last collision-free state and keeps the controls of the ticks it reaches."""
+    kept = validate_and_truncate(env, arm, configs, check_resolution)
+    if len(kept) <= 1:
+        return Edge(configs=list(kept) or [np.asarray(q_from, float)])
+    n_ticks_kept = (len(kept) - 1 + substeps - 1) // substeps
+    return Edge(configs=list(kept), controls=controls[:n_ticks_kept])
+
+
+def steer_cbf_inc(arm: ArmModel, env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
+                  bundle: ControllerBundle, max_ctrl_steps: int,
+                  limits: PlannerLimits = PlannerLimits(), r_goal: float = 0.1) -> Edge:
+    """Roll the filtered controller toward the sampled point; the visited
+    trajectory (possibly truncated at the last collision-free state) is the
+    edge. Stalls cut the edge short so QP-pinned states do not burn the budget."""
     substeps = bundle.sim_hz // bundle.ctrl_hz
     dt_sim = 1.0 / bundle.sim_hz
     q = np.asarray(q_from, dtype=float).copy()
@@ -251,49 +240,25 @@ def _rollout_edge(arm: ArmModel, env: Environment, q_from: np.ndarray, q_toward:
     for _ in range(max_ctrl_steps):
         if np.linalg.norm(q - q_toward) <= r_goal:
             break
-        obs = (bundle.observe(env, arm, q)
-               if bundle.observe is not None and barrier.needs_observation else None)
-        h, grad = barrier.value_and_grad(q, obs, env)
-        u_nom = bundle.policy.control(q, q_toward, arm.action_lower, arm.action_upper)
-        u, _ = solve_safety_qp(u_nom, grad, h, bundle.qp_cfg,
-                               arm.action_lower, arm.action_upper)
+        u, _, _, _ = control_tick(bundle.barrier, bundle.observe, bundle.policy, bundle.qp_cfg,
+                                  env, q, q_toward)
         stalled = stalled + 1 if float(np.linalg.norm(u)) < limits.stall_threshold else 0
         if stalled >= limits.stall_ticks:
             break
         controls.append(u.copy())
-        # exact zero-order-hold substeps: per-joint motion is monotone, so the
-        # one-shot clamp equals iterated clamped Euler steps
-        states = np.clip(q[None, :] + u[None, :] * _substep_dts(substeps, dt_sim),
-                         arm.lower, arm.upper)
+        states = hold(arm, q, u, substeps, dt_sim)
         configs.extend(states)
         q = states[-1].copy()
-    kept = validate_and_truncate(env, arm, configs, limits.check_resolution)
-    if len(kept) <= 1:
-        return Edge(configs=list(kept) or [np.asarray(q_from, float)])
-    n_ticks_kept = (len(kept) - 1 + substeps - 1) // substeps
-    return Edge(configs=list(kept), controls=controls[:n_ticks_kept])
-
-
-def _substep_dts(substeps: int, dt_sim: float) -> np.ndarray:
-    return (np.arange(1, substeps + 1) * dt_sim)[:, None]
-
-
-def steer_cbf_inc(arm: ArmModel, env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
-                  bundle: ControllerBundle, max_ctrl_steps: int,
-                  limits: PlannerLimits = PlannerLimits(), r_goal: float = 0.1) -> Edge:
-    """Roll the filtered controller toward the sampled point; the visited
-    trajectory (possibly truncated at the last collision-free state) is the
-    edge. Stalls cut the edge short so QP-pinned states do not burn the budget."""
-    return _rollout_edge(arm, env, q_from, q_toward, bundle, max_ctrl_steps, limits, r_goal)
+    return _edge_from_rollout(arm, env, q_from, configs, controls, substeps,
+                              limits.check_resolution)
 
 
 def steer_filter_lqr(arm: ArmModel, env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
                      bundle: ControllerBundle, max_ctrl_steps: int,
                      limits: PlannerLimits = PlannerLimits(), r_goal: float = 0.1) -> Edge:
     """Accept nominal actions only while the barrier's derivative condition and
-    sign both hold; the first rejection terminates the edge (no modification)."""
-    barrier = bundle.barrier
-    alpha = bundle.qp_cfg.alpha
+    sign both hold (h <= 0 and an inactive safety constraint); the first
+    rejection terminates the edge (no modification)."""
     substeps = bundle.sim_hz // bundle.ctrl_hz
     dt_sim = 1.0 / bundle.sim_hz
     q = np.asarray(q_from, dtype=float).copy()
@@ -302,24 +267,18 @@ def steer_filter_lqr(arm: ArmModel, env: Environment, q_from: np.ndarray, q_towa
     for _ in range(max_ctrl_steps):
         if np.linalg.norm(q - q_toward) <= r_goal:
             break
-        obs = (bundle.observe(env, arm, q)
-               if bundle.observe is not None and barrier.needs_observation else None)
-        h, grad = barrier.value_and_grad(q, obs, env)
-        u_nom = bundle.policy.control(q, q_toward, arm.action_lower, arm.action_upper)
-        if h > 0.0 or float(grad @ u_nom) + alpha * h > 0.0:
+        _, u_nom, h, diag = control_tick(bundle.barrier, bundle.observe, bundle.policy,
+                                         bundle.qp_cfg, env, q, q_toward)
+        if h > 0.0 or diag.constraint_active:
             break
         controls.append(u_nom.copy())
-        states = np.clip(q[None, :] + u_nom[None, :] * _substep_dts(substeps, dt_sim),
-                         arm.lower, arm.upper)
+        states = hold(arm, q, u_nom, substeps, dt_sim)
         configs.extend(states)
         q = states[-1].copy()
         if float(np.linalg.norm(u_nom)) < limits.stall_threshold:
             break
-    kept = validate_and_truncate(env, arm, configs, limits.check_resolution)
-    if len(kept) <= 1:
-        return Edge(configs=list(kept) or [np.asarray(q_from, float)])
-    n_ticks_kept = (len(kept) - 1 + substeps - 1) // substeps
-    return Edge(configs=list(kept), controls=controls[:n_ticks_kept])
+    return _edge_from_rollout(arm, env, q_from, configs, controls, substeps,
+                              limits.check_resolution)
 
 
 def _dispatch_steer(steer: SteerKind, arm: ArmModel, env: Environment, q_from: np.ndarray,
@@ -328,7 +287,7 @@ def _dispatch_steer(steer: SteerKind, arm: ArmModel, env: Environment, q_from: n
     if isinstance(steer, SteerStraightLine):
         return steer_straight(arm, env, q_from, q_toward, limits.step_size,
                               limits.check_resolution)
-    if isinstance(steer, (SteerCbfInc, SteerHandCbf)):
+    if isinstance(steer, SteerRollout):
         return steer_cbf_inc(arm, env, q_from, q_toward, steer.bundle,
                              limits.max_ctrl_steps, limits, r_goal)
     if isinstance(steer, SteerCbfFilterLqr):

@@ -214,7 +214,7 @@ class TestEvalController:
     def test_checkpoint_alpha_must_match_controller_alpha(self, cfg, arm, tmp_path, entry):
         from dataclasses import replace
 
-        from cbfsteer.cbf import default_hyper
+        from cbfsteer.config import make_hyper
         from cbfsteer.neural import Mlp, save_checkpoint
 
         probs = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 1,
@@ -222,7 +222,7 @@ class TestEvalController:
         net = Mlp.create((arm.n_links + 1, 4, 1), np.random.default_rng(17))
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, "state", net,
-                        replace(default_hyper("state"), alpha_h=2.0).to_json())
+                        replace(make_hyper(load_config(), "state"), alpha_h=2.0).to_json())
         method = {"name": "cbf-state", "checkpoint": str(path)}
 
         def run(cfg_):

@@ -14,18 +14,15 @@ from cbfsteer.cbf import (
     NeuralBarrier,
     TrainSchedule,
     collect_dataset,
-    default_hyper,
     evaluate_constraints,
-    grad_h_q,
     h_and_grad,
-    h_value,
     handcrafted_h,
-    inf_control_term,
     loss,
     stencil_distances,
     train,
 )
-from cbfsteer.controller import NominalPolicy
+from cbfsteer.config import load_config, make_hyper
+from cbfsteer.controller import NominalPolicy, QpMode, SafeControllerConfig, solve_safety_qp
 from cbfsteer.environment import (
     CloudObservation,
     CloudSource,
@@ -34,11 +31,23 @@ from cbfsteer.environment import (
     Obstacle,
     SafetyLabel,
     StateObservation,
+    safety_label,
     sample_surface_points,
     signed_distance,
 )
 from cbfsteer.kinematics import ArmModel, sample_config
-from cbfsteer.neural import Mlp, PointSetEncoder, encoder_forward, mlp_forward
+from cbfsteer.neural import Mlp, PointSetEncoder, encoder_forward_batch, mlp_forward
+from test_neural import encode, reference_point_records
+
+
+def h_value(net, q, observation, arm):
+    """Barrier value alone, through h_and_grad with the observation held fixed."""
+    return h_and_grad(net, q, None, arm, CbfHyper(fd_mode=FdMode.FIXED_OBSERVATION),
+                      observation=observation)[0]
+
+
+def grad_h_q(net, q, env, arm, hyper, observation=None):
+    return h_and_grad(net, q, env, arm, hyper, observation=observation)[1]
 
 
 @pytest.fixture
@@ -90,7 +99,14 @@ class TestCollectDataset:
             d = signed_distance(ds.environments[s.env_id], arm, s.q)
             expected = (SafetyLabel.UNSAFE if d <= 0
                         else SafetyLabel.SAFE if d >= ds.r_thres else SafetyLabel.BOUNDARY)
-            assert s.label is expected
+            assert s.label is expected is safety_label(d, ds.r_thres)
+
+    @pytest.mark.parametrize("r_thres", [0.0, -0.05])
+    def test_non_positive_threshold_rejected(self, arm, r_thres):
+        # a threshold <= 0 would never label anything BOUNDARY
+        with pytest.raises(ValueError, match="r_thres"):
+            collect_dataset(arm, EnvGenConfig(), DatasetCounts(0, 10), NominalPolicy(),
+                            np.random.default_rng(0), r_thres=r_thres)
 
     def test_determinism_byte_identical(self, arm, tmp_path):
         for name in ("a", "b"):
@@ -143,8 +159,9 @@ class TestHValue:
         nrm = rng.normal(size=(8, 2))
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
         cloud = CloudObservation(points=pts, normals=nrm, source=CloudSource.SURFACE_SAMPLED)
-        expected2, _ = encoder_forward(enc, q, cloud, arm)
-        assert h_value(enc, q, cloud, arm) == pytest.approx(expected2, abs=1e-15)
+        recs = reference_point_records(arm, q, pts, nrm)
+        expected2, _ = encoder_forward_batch(enc, q[None, :], recs[None])
+        assert h_value(enc, q, cloud, arm) == pytest.approx(float(expected2[0]), abs=1e-15)
 
     def test_variant_mismatch_raises(self, arm):
         net = constant_net(4, 0.0)
@@ -206,7 +223,7 @@ class TestGradHq:
         nrm = rng.normal(size=(12, 2))
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
         cloud = CloudObservation(points=pts, normals=nrm, source=CloudSource.SURFACE_SAMPLED)
-        hyper = default_hyper("cloud")
+        hyper = make_hyper(load_config(), "cloud")
         h, g = h_and_grad(enc, np.zeros(3), None, arm, hyper, observation=cloud)
         assert np.isfinite(h)
         assert g.shape == (3,)
@@ -214,8 +231,20 @@ class TestGradHq:
         for i in range(3):
             qi = np.zeros(3)
             qi[i] += hyper.fd_step
-            hi, _ = encoder_forward(enc, qi, cloud, arm)
+            hi, _ = encode(enc, qi, cloud, arm)
             assert g[i] == pytest.approx((hi - h) / hyper.fd_step, abs=1e-9)
+
+
+def inf_control_term(grad, lo, hi):
+    """Minimum of grad . u over the action box, with its argmin, read off the
+    safety QP: an infeasible strict instance returns the box control that
+    minimizes the constraint."""
+    h = 1.0 + float(np.abs(grad) @ np.maximum(np.abs(lo), np.abs(hi)))
+    u_nom = np.clip(np.zeros_like(grad), lo, hi)
+    argmin, diag = solve_safety_qp(u_nom, grad, h, SafeControllerConfig(mode=QpMode.STRICT),
+                                   lo, hi)
+    assert diag.infeasible
+    return float(grad @ argmin), argmin
 
 
 class TestInfControlTerm:
@@ -254,8 +283,9 @@ class TestInfControlTerm:
             assert value <= g @ u + 1e-12
 
     def test_infinite_box_rejected(self):
-        with pytest.raises(ValueError):
-            inf_control_term(np.ones(2), np.array([-np.inf, -1.0]), np.ones(2))
+        # the action box comes from the arm, which must be finite
+        with pytest.raises(ValueError, match="finite"):
+            ArmModel(link_lengths=(1.0, 1.0), action_bound=(np.inf, 1.0))
 
 
 def synthetic_state_batch(arm, hyper, rng, n=60):
@@ -321,7 +351,7 @@ class TestLoss:
         assert max_rel_err(grads, fd) < 1e-3
 
     def test_cloud_variant_grads_match_finite_differences(self, arm):
-        hyper = default_hyper("cloud")
+        hyper = make_hyper(load_config(), "cloud")
         rng = np.random.default_rng(11)
         env = Environment(obstacles=(Obstacle(kind="rect", center=(0.7, 0.5),
                                               half_extents=(0.25, 0.25)),))
@@ -403,7 +433,7 @@ class TestEvaluateConstraints:
 class TestTrain:
     def test_zero_epochs_identity(self, arm):
         ds = small_dataset(arm, uniform=60)
-        hyper = default_hyper("state")
+        hyper = make_hyper(load_config(), "state")
         net = Mlp.create((4, 8, 1), np.random.default_rng(16))
         before = [(w.copy(), b.copy()) for w, b in net.params]
         net2, report = train(ds, net, hyper, TrainSchedule(epochs=0), np.random.default_rng(0))
@@ -417,7 +447,7 @@ class TestTrain:
         paths = []
         for name in ("a", "b"):
             ds = small_dataset(arm, seed=3, uniform=300)
-            hyper = default_hyper("state")
+            hyper = make_hyper(load_config(), "state")
             net = Mlp.create((4, 16, 1), np.random.default_rng(17))
             net, _ = train(ds, net, hyper, TrainSchedule(epochs=3, batch_size=64),
                            np.random.default_rng(99))
@@ -428,7 +458,7 @@ class TestTrain:
 
     def test_training_improves_rates(self, arm):
         ds = small_dataset(arm, seed=5, uniform=2000, rollouts=4)
-        hyper = default_hyper("state")
+        hyper = make_hyper(load_config(), "state")
         net = Mlp.create((4, 32, 32, 1), np.random.default_rng(18))
         net, report = train(ds, net, hyper, TrainSchedule(epochs=12, batch_size=128, lr=3e-3),
                             np.random.default_rng(5))
@@ -492,7 +522,7 @@ class TestHandcrafted:
 
 class TestStencilDistances:
     def test_matches_direct_computation(self, arm):
-        hyper = default_hyper("state")
+        hyper = make_hyper(load_config(), "state")
         rng = np.random.default_rng(20)
         samples, envs = synthetic_state_batch(arm, hyper, rng, n=10)
         table = stencil_distances(samples, arm, hyper, envs)

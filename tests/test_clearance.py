@@ -22,7 +22,7 @@ from cbfsteer.environment import (
     signed_distance_batch,
 )
 from cbfsteer.geometry import point_segment_distance, segments_intersect
-from cbfsteer.kinematics import ArmModel, forward_kinematics
+from cbfsteer.kinematics import ArmModel, joint_positions
 
 import geometry_oracle
 
@@ -145,9 +145,8 @@ class TestEdgeCases:
 
     def test_self_crossing_arm(self, arm):
         q = np.array([0.0, 2.5, 2.0])
-        segs = forward_kinematics(arm, q)
-        assert segments_intersect(segs[0].endpoint_a, segs[0].endpoint_b,
-                                  segs[2].endpoint_a[None], segs[2].endpoint_b[None])[0]
+        pts = joint_positions(arm, q)
+        assert segments_intersect(pts[0], pts[1], pts[2][None], pts[3][None])[0]
         d = assert_matches_oracle(Environment(), arm, q[None])
         assert d[0] == pytest.approx(-2 * arm.link_radius, abs=1e-12)
 

@@ -126,3 +126,47 @@ class TestPipeline:
                 row = load_json(fname)
         assert row is not None
         assert 0.0 <= row["row"]["safety_rate"] <= 1.0
+
+
+class TestCheckpointWithoutHyper:
+    @pytest.mark.parametrize("kind", ["state", "cloud"])
+    def test_eval_cbf_and_build_steer_load_the_same_hyper(self, kind, tmp_path, monkeypatch):
+        # a checkpoint saved without its hyperparameters gets the config's,
+        # the same way in eval-cbf and in the planners' steer
+        from cbfsteer import bench, cli
+        from cbfsteer.cbf import CbfHyper, DatasetCounts, FdMode, collect_dataset
+        from cbfsteer.config import cloud_widths, load_config, make_arm, make_hyper, state_widths
+        from cbfsteer.controller import NominalPolicy
+        from cbfsteer.environment import EnvGenConfig
+        from cbfsteer.neural import Mlp, PointSetEncoder, save_checkpoint
+
+        cfg = load_config()
+        arm = make_arm(cfg)
+        rng = np.random.default_rng(0)
+        dataset = collect_dataset(arm, EnvGenConfig(), DatasetCounts(0, 20), NominalPolicy(), rng,
+                                  observation_kind=kind, cloud_points=8)
+        dataset.save(tmp_path / "data.jsonl")
+        if kind == "state":
+            net = Mlp.create(state_widths(cfg, arm), rng)
+        else:
+            net = PointSetEncoder.create(arm.n_links, *cloud_widths(cfg, arm), rng=rng)
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, kind, net, {})
+
+        seen = []
+        real = cli.evaluate_constraints
+
+        def recording(net_, data, hyper):
+            seen.append(hyper)
+            return real(net_, data, hyper=hyper)
+
+        monkeypatch.setattr(cli, "evaluate_constraints", recording)
+        assert run(["--out", str(tmp_path), "eval-cbf", "--checkpoint", str(ckpt),
+                    "--data", str(tmp_path / "data.jsonl")]) == 0
+        problem = bench.gen_problems(EnvGenConfig(), 1, rng, arm, 0.025)[0]
+        method = {"name": f"cbf-{kind}", "checkpoint": str(ckpt)}
+        steer = bench.build_steer(method, arm, problem, cfg, 0, {})
+        assert seen == [steer.bundle.barrier.hyper] == [make_hyper(cfg, kind)]
+        # the default config holds the CbfHyper defaults
+        mode = FdMode.REFRESHED_OBSERVATION if kind == "state" else FdMode.FIXED_OBSERVATION
+        assert seen[0] == CbfHyper(fd_mode=mode)

@@ -13,9 +13,10 @@ from cbfsteer.controller import (
     QpMode,
     RolloutLimits,
     SafeControllerConfig,
+    _breakpoint_walk,
+    hold,
+    make_fixed_cloud_observer,
     make_raycast_observer,
-    make_state_observer,
-    nominal_control,
     safe_rollout,
     solve_safety_qp,
 )
@@ -24,10 +25,12 @@ from cbfsteer.environment import (
     Environment,
     Obstacle,
     ScanSpec,
+    StateObservation,
     random_environment,
+    sample_surface_points,
     signed_distance,
 )
-from cbfsteer.kinematics import ArmModel, sample_config
+from cbfsteer.kinematics import ArmModel, integrate, sample_config
 from cbfsteer.neural import PointSetEncoder
 
 
@@ -86,12 +89,12 @@ def box2():
 class TestNominalPolicy:
     def test_at_goal_zero(self, box2):
         lo, hi = box2
-        u = nominal_control(NominalPolicy(), np.ones(2), np.ones(2), lo, hi)
+        u = NominalPolicy().control(np.ones(2), np.ones(2), lo, hi)
         np.testing.assert_array_equal(u, np.zeros(2))
 
     def test_saturation(self, box2):
         lo, hi = box2
-        u = nominal_control(NominalPolicy(gain=1.0), np.array([2.0, 0.0]), np.zeros(2), lo, hi)
+        u = NominalPolicy(gain=1.0).control(np.array([2.0, 0.0]), np.zeros(2), lo, hi)
         np.testing.assert_array_equal(u, [-1.0, 0.0])
 
     def test_empty_space_distance_decreases(self):
@@ -199,6 +202,75 @@ class TestQpRelaxed:
         assert diag.infeasible  # separability diagnostic still reported
 
 
+class TestBreakpointWalk:
+    """The one walk against the strict-projection and relaxed-penalty walks
+    it replaced, bit for bit, on random active instances."""
+
+    @staticmethod
+    def active_instances(seed, count=3000):
+        rng = np.random.default_rng(seed)
+        done = 0
+        while done < count:
+            n = int(rng.integers(1, 7))
+            lo = -rng.uniform(0.2, 2.0, n)
+            hi = rng.uniform(0.2, 2.0, n)
+            u_nom = rng.uniform(lo, hi)
+            a = rng.normal(size=n) * (rng.random(n) > 0.15)  # some zero coefficients
+            b = float(rng.normal(scale=1.5))
+            if float(a @ u_nom) + b <= 0.0 or not np.any(a):
+                continue
+            done += 1
+            yield u_nom, a, b, lo, hi
+
+    def test_strict_matches_projection_walk(self):
+        checked = 0
+        for u_nom, a, b, lo, hi in self.active_instances(40):
+            inf_box = float(a @ np.where(a > 0.0, lo, np.where(a < 0.0, hi, lo)))
+            if inf_box + b > 0.0:
+                continue  # the strict walk needs a nonempty intersection
+            got = _breakpoint_walk(u_nom, a, b, 1.0, 0.0, lo, hi)
+            ref = rollout_oracle.project_halfspace_box(u_nom, a, -b, lo, hi)
+            assert got.tobytes() == ref.tobytes()
+            checked += 1
+        assert checked > 1500
+
+    @pytest.mark.parametrize("rho", [1e-4, 1.0, 100.0, 1e6])
+    def test_relaxed_matches_penalty_walk(self, rho):
+        for u_nom, a, b, lo, hi in self.active_instances(41):
+            got = _breakpoint_walk(u_nom, a, b, rho, 1.0, lo, hi)
+            ref = rollout_oracle.relaxed_penalty_min(u_nom, a, b, rho, lo, hi)
+            assert got.tobytes() == ref.tobytes()
+
+
+class TestHold:
+    def test_one_shot_hold_within_four_ulp_of_iterated_steps(self):
+        # clip(q + u*k*dt) and k clamped Euler steps round differently; the
+        # static hold keeps the one-shot form, so pin how far apart they get
+        arm = ArmModel()
+        rng = np.random.default_rng(50)
+        substeps, dt = 4, 1.0 / 120
+        differ = 0
+        for _ in range(1000):
+            q = sample_config(arm, rng)
+            u = rng.uniform(arm.action_lower, arm.action_upper)
+            shot = hold(arm, q, u, substeps, dt)
+            it = q
+            for k in range(substeps):
+                it, _ = integrate(arm, it, u, dt)
+                # rounding happens at the size of the operands, start included
+                ulp = np.spacing(np.maximum(np.abs(q), np.maximum(np.abs(shot[k]), np.abs(it))))
+                assert np.all(np.abs(shot[k] - it) <= 4 * ulp)
+                differ += int(np.any(shot[k] != it))
+        assert differ > 0  # the forms are not bit-equal
+
+    def test_clamps_at_joint_limits(self):
+        arm = ArmModel()
+        q = np.array([2.79, 0.0, -2.79])
+        states = hold(arm, q, np.array([1.0, 0.5, -1.0]), 4, 1.0 / 120)
+        assert states.shape == (4, 3)
+        np.testing.assert_array_equal(states[-1, [0, 2]], [2.8, -2.8])
+
+
 def far_world():
     return Environment(obstacles=(Obstacle(kind="circle", center=(5.0, 5.0), radius=0.2),))
 
@@ -292,11 +364,10 @@ class TestSafeRollout:
         # only queries it when the barrier asks for observations
         arm = ArmModel()
         calls = []
-        base = make_state_observer()
 
         def observe(env, a, q):
             calls.append(1)
-            return base(env, a, q)
+            return StateObservation(signed_distance(env, a, q))
 
         barrier = HandcraftedBarrier(arm, margin=0.1)
         safe_rollout(barrier, NominalPolicy(), SafeControllerConfig(),
@@ -410,3 +481,61 @@ class TestDynamicRolloutOracle:
             ref_observe=lambda env, a, q: rollout_oracle.ray_cast_scan(env, a, q, spec))
         assert ref.steps_used > 0
         assert_same_record(got, ref)
+
+
+class TestStaticRolloutOracle:
+    """`safe_rollout` in static worlds against the loop with the tick and the
+    one-shot hold written out."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_worlds_hand_barrier(self, seed):
+        arm = ArmModel()
+        rng = np.random.default_rng(500 + seed)
+        env = random_environment(EnvGenConfig(num_obstacles=6, shapes=("rect", "circle")), rng)
+        q0 = sample_config(arm, rng)
+        while signed_distance(env, arm, q0) <= 0.05:
+            q0 = sample_config(arm, rng)
+        limits = RolloutLimits(horizon_s=2.0, stall_threshold=1e-3 if seed % 2 else None)
+        mode = QpMode.STRICT if seed == 4 else QpMode.RELAXED
+        args = (HandcraftedBarrier(arm, margin=0.1), NominalPolicy(),
+                SafeControllerConfig(mode=mode), q0, sample_config(arm, rng), env, limits, None)
+        got = safe_rollout(*args)
+        ref = rollout_oracle.safe_rollout_static(*args)
+        assert ref.steps_used > 0
+        assert_same_record(got, ref)
+
+    def test_collision_and_stall_exits(self):
+        arm = ArmModel()
+        env = Environment(obstacles=(Obstacle(kind="rect", center=(0.9, 0.35),
+                                              half_extents=(0.12, 0.12)),))
+        nearly_unfiltered = SafeControllerConfig(mode=QpMode.RELAXED, relax_penalty=1e-4)
+        args = (HandcraftedBarrier(arm, margin=0.0), NominalPolicy(), nearly_unfiltered,
+                np.zeros(3), np.array([0.9, 0.0, 0.0]), env, RolloutLimits(horizon_s=6.0), None)
+        ref = rollout_oracle.safe_rollout_static(*args)
+        assert ref.collided
+        assert_same_record(safe_rollout(*args), ref)
+        # goal barely outside a tiny goal ball: the controls shrink below the
+        # stall threshold before the rollout arrives
+        limits = RolloutLimits(horizon_s=5.0, r_goal=1e-4, stall_threshold=1e-3, stall_ticks=5)
+        args = (HandcraftedBarrier(arm, margin=0.1), NominalPolicy(), SafeControllerConfig(),
+                np.zeros(3), np.full(3, 2e-4), far_world(), limits, None)
+        ref = rollout_oracle.safe_rollout_static(*args)
+        assert 0 < ref.steps_used < 150 and not ref.reached_goal
+        assert_same_record(safe_rollout(*args), ref)
+
+    def test_cloud_barrier_with_fixed_observer(self):
+        arm = ArmModel()
+        rng = np.random.default_rng(12)
+        env = random_environment(EnvGenConfig(num_obstacles=5, shapes=("rect", "circle")), rng)
+        enc = PointSetEncoder.create(3, per_point_widths=(7, 5, 4), trunk_widths=(7, 5, 1),
+                                     rng=rng)
+        barrier = NeuralBarrier(enc, arm, CbfHyper(fd_mode=FdMode.FIXED_OBSERVATION))
+        observe = make_fixed_cloud_observer(sample_surface_points(env, 24, rng))
+        q0 = sample_config(arm, rng)
+        while signed_distance(env, arm, q0) <= 0.05:
+            q0 = sample_config(arm, rng)
+        args = (barrier, NominalPolicy(), SafeControllerConfig(), q0, sample_config(arm, rng),
+                env, RolloutLimits(horizon_s=1.0), observe)
+        ref = rollout_oracle.safe_rollout_static(*args)
+        assert ref.steps_used > 0
+        assert_same_record(safe_rollout(*args), ref)

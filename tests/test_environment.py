@@ -17,9 +17,9 @@ from cbfsteer.environment import (
     SafetyLabel,
     ScanSpec,
     Workspace,
-    classify,
     random_environment,
     ray_cast_scan,
+    safety_label,
     sample_surface_points,
     signed_distance,
     signed_distance_batch,
@@ -31,7 +31,6 @@ from cbfsteer.jsonio import canonical_dumps
 from cbfsteer.kinematics import (
     ArmModel,
     batch_joint_positions,
-    forward_kinematics,
     joint_positions,
     sample_config,
 )
@@ -92,10 +91,10 @@ class TestSignedDistance:
         # close enough that the circle, not a self pair, attains the minimum
         env = far_circle_env(center=(1.0, 0.3))
         q = np.zeros(3)
-        segs = forward_kinematics(arm, q)
+        pts = joint_positions(arm, q)
         expected = min(
-            float(point_segment_distance(np.array([1.0, 0.3]), s.endpoint_a, s.endpoint_b))
-            for s in segs
+            float(point_segment_distance(np.array([1.0, 0.3]), pts[i], pts[i + 1]))
+            for i in range(arm.n_links)
         ) - 0.2 - arm.link_radius
         assert expected == pytest.approx(0.3 - 0.2 - arm.link_radius)
         assert signed_distance(env, arm, q) == pytest.approx(expected, abs=1e-12)
@@ -110,8 +109,9 @@ class TestSignedDistance:
         # dense point-sampling penetration oracle agrees on the sign
         ts = np.linspace(0, 1, 2000)
         inside = False
-        for seg in forward_kinematics(arm, q):
-            pts = seg.endpoint_a[None, :] + ts[:, None] * (seg.endpoint_b - seg.endpoint_a)[None, :]
+        joints = joint_positions(arm, q)
+        for a, b in zip(joints[:-1], joints[1:]):
+            pts = a[None, :] + ts[:, None] * (b - a)[None, :]
             q_rel = np.abs(pts - np.array([1.2, 0.0])) - np.array([0.1, 0.1])
             inside |= bool(np.any(np.maximum(q_rel, 0).sum(axis=1) == 0))
         assert inside
@@ -143,12 +143,10 @@ class TestSignedDistance:
         q = np.array([0.0, 2.8, 2.8])
         d = signed_distance(env, arm, q)
         assert np.isfinite(d)
-        segs = forward_kinematics(arm, q)
+        pts = joint_positions(arm, q)
         from cbfsteer.geometry import segment_segment_distance
 
-        expected = segment_segment_distance(
-            segs[0].endpoint_a, segs[0].endpoint_b, segs[2].endpoint_a, segs[2].endpoint_b
-        ) - 2 * arm.link_radius
+        expected = segment_segment_distance(pts[0], pts[1], pts[2], pts[3]) - 2 * arm.link_radius
         assert d == pytest.approx(expected, abs=1e-12)
 
     def test_two_link_empty_world_uses_workspace(self):
@@ -170,6 +168,10 @@ class TestSignedDistance:
             d1 = signed_distance(env, arm, q)
             d2 = signed_distance(env, arm, q2)
             assert abs(d2 - d1) <= lipschitz * np.linalg.norm(q2 - q, 1) + 1e-9
+
+
+def classify(env, arm, q, r_thres):
+    return safety_label(signed_distance(env, arm, q), r_thres)
 
 
 class TestClassify:
@@ -196,6 +198,9 @@ class TestClassify:
             expected = (SafetyLabel.UNSAFE if d <= 0
                         else SafetyLabel.SAFE if d >= 0.05 else SafetyLabel.BOUNDARY)
             assert label is expected
+        # the band edges: d = 0 is unsafe, d = r_thres is safe
+        assert safety_label(0.0, 0.05) is SafetyLabel.UNSAFE
+        assert safety_label(0.05, 0.05) is SafetyLabel.SAFE
 
     def test_requires_positive_threshold(self, arm):
         with pytest.raises(ValueError):

@@ -65,15 +65,22 @@ class TestSegmentRect:
             np.array([-0.1, 0.0]), np.array([0.1, 0.0]), np.array([0.0, 0.0]), np.array([1.0, 1.0]))
         assert d == pytest.approx(-1.0)
 
+
     def test_vectorized_matches_scalar(self):
+        # the fused kernel on a one-link chain, one rectangle at a time; it
+        # reports capsule clearance, so add the radius back
         rng = np.random.default_rng(5)
         a = rng.uniform(-1, 1, 2)
         b = rng.uniform(-1, 1, 2)
         centers = rng.uniform(-1, 1, (8, 2))
         halves = rng.uniform(0.05, 0.5, (8, 2))
-        vec = geometry.segment_rects_signed_distance(a, b, centers, halves)
+        joints = np.array([[complex(*a), complex(*b)]])
         for k in range(8):
-            assert vec[k] == pytest.approx(
+            cz, (hx, hy) = complex(*centers[k]), halves[k]
+            corners = cz + np.array([-hx - 1j * hy, hx - 1j * hy, hx + 1j * hy, -hx + 1j * hy])
+            vec = geometry.capsule_world_min(joints, 0.04, corners, np.zeros(4), np.array([cz]),
+                                             np.array([complex(hx, hy)]))
+            assert vec[0] + 0.04 == pytest.approx(
                 geometry.segment_rect_signed_distance(a, b, centers[k], halves[k]), abs=1e-12)
 
 
@@ -145,6 +152,7 @@ class TestFusedKernel:
             es, ee = geometry_oracle.rect_edge_arrays(rc, rh)
             fused = geometry_oracle.capsule_world_min(seg_a, seg_b, cc, cr, rc, rh, es, ee)
             for i in range(6):
-                circ = (geometry.segment_circles_signed_distance(seg_a[i], seg_b[i], cc, cr)).min()
-                rect = (geometry.segment_rects_signed_distance(seg_a[i], seg_b[i], rc, rh)).min()
+                circ = (geometry.point_segment_distance(cc, seg_a[i], seg_b[i]) - cr).min()
+                rect = min(geometry.segment_rect_signed_distance(seg_a[i], seg_b[i], c, h)
+                           for c, h in zip(rc, rh))
                 assert fused[i] == pytest.approx(min(circ, rect), abs=1e-12)

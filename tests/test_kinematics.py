@@ -1,5 +1,5 @@
-"""Arm model tests: FK against a phasor oracle, Jacobian against finite
-differences, limit clamping and exact integration."""
+"""Arm model tests: joint positions against a phasor oracle, limit clamping
+and exact integration."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,9 @@ from cbfsteer.kinematics import (
     batch_joint_positions,
     batch_link_frames,
     clamp_to_limits,
-    forward_kinematics,
     integrate,
     joint_positions,
     sample_config,
-    tip_jacobian,
 )
 
 
@@ -40,40 +38,39 @@ def wide_arm():
 
 class TestForwardKinematics:
     def test_zero_chain_along_x(self, wide_arm):
-        segs = forward_kinematics(wide_arm, np.zeros(2))
-        np.testing.assert_allclose(segs[-1].endpoint_b, [2.0, 0.0], atol=1e-15)
+        tip = joint_positions(wide_arm, np.zeros(2))[-1]
+        np.testing.assert_allclose(tip, [2.0, 0.0], atol=1e-15)
 
     def test_quarter_turn(self, wide_arm):
-        segs = forward_kinematics(wide_arm, np.array([np.pi / 2, 0.0]))
-        np.testing.assert_allclose(segs[-1].endpoint_b, [0.0, 2.0], atol=1e-12)
+        tip = joint_positions(wide_arm, np.array([np.pi / 2, 0.0]))[-1]
+        np.testing.assert_allclose(tip, [0.0, 2.0], atol=1e-12)
 
     def test_tip_matches_phasor_oracle(self):
         arm = ArmModel(link_lengths=(0.5, 0.4, 0.3))
         q = np.array([0.3, -0.2, 0.1])
-        tip = forward_kinematics(arm, q)[-1].endpoint_b
+        tip = joint_positions(arm, q)[-1]
         np.testing.assert_allclose(tip, phasor_tip(arm.link_lengths, q), atol=1e-12)
 
     def test_random_configs_match_phasor(self, arm):
         rng = np.random.default_rng(0)
         for _ in range(50):
             q = sample_config(arm, rng)
-            tip = forward_kinematics(arm, q)[-1].endpoint_b
+            tip = joint_positions(arm, q)[-1]
             np.testing.assert_allclose(tip, phasor_tip(arm.link_lengths, q), atol=1e-12)
 
     def test_segments_chain_and_lengths(self, arm):
         rng = np.random.default_rng(1)
         q = sample_config(arm, rng)
-        segs = forward_kinematics(arm, q)
-        assert len(segs) == arm.n_links
-        for i, seg in enumerate(segs):
-            length = np.linalg.norm(seg.endpoint_b - seg.endpoint_a)
+        pts = joint_positions(arm, q)
+        assert pts.shape == (arm.n_links + 1, 2)
+        np.testing.assert_array_equal(pts[0], arm.base_position)
+        for i in range(arm.n_links):
+            length = np.linalg.norm(pts[i + 1] - pts[i])
             assert length == pytest.approx(arm.link_lengths[i], rel=1e-9)
-            if i:
-                np.testing.assert_allclose(seg.endpoint_a, segs[i - 1].endpoint_b)
 
     def test_dimension_mismatch_raises(self, arm):
         with pytest.raises(ValueError):
-            forward_kinematics(arm, np.zeros(2))
+            joint_positions(arm, np.zeros(2))
 
     def test_lipschitz_bound(self, arm):
         # per-endpoint displacement is bounded by (sum of lengths) * |dq|
@@ -107,33 +104,6 @@ class TestBatchJointPositions:
         np.testing.assert_array_equal(origins[..., 0], joints.real[:, :-1])
         np.testing.assert_array_equal(origins[..., 1], joints.imag[:, :-1])
         np.testing.assert_array_equal(frame_angles, angles)
-
-
-class TestTipJacobian:
-    def test_all_links_along_x(self, wide_arm):
-        jac = tip_jacobian(wide_arm, np.zeros(2))
-        np.testing.assert_allclose(jac[:, 0], [0.0, 2.0], atol=1e-15)
-        np.testing.assert_allclose(jac[:, 1], [0.0, 1.0], atol=1e-15)
-
-    def test_single_link_quarter_turn(self):
-        arm = ArmModel(link_lengths=(1.0, 1.0))
-        jac = tip_jacobian(arm, np.array([np.pi / 2, 0.0]))
-        np.testing.assert_allclose(jac[:, 0], [-2.0, 0.0], atol=1e-12)
-
-    def test_matches_finite_differences(self, arm):
-        rng = np.random.default_rng(3)
-        h = 1e-6
-        for _ in range(100):
-            q = sample_config(arm, rng) * 0.9  # keep the stencil inside the limits
-            jac = tip_jacobian(arm, q)
-            fd = np.zeros_like(jac)
-            for i in range(arm.n_links):
-                qp = q.copy()
-                qp[i] += h
-                qm = q.copy()
-                qm[i] -= h
-                fd[:, i] = (joint_positions(arm, qp)[-1] - joint_positions(arm, qm)[-1]) / (2 * h)
-            np.testing.assert_allclose(jac, fd, atol=1e-6)
 
 
 class TestClamp:

@@ -7,16 +7,16 @@ import math
 import numpy as np
 import pytest
 
+from cbfsteer.cbf import _stencil_records
 from cbfsteer.environment import CloudObservation, CloudSource
-from cbfsteer.kinematics import ArmModel
+from cbfsteer.kinematics import ArmModel, joint_positions
 from cbfsteer.neural import (
     AdamState,
     Mlp,
     PointSetEncoder,
     adam_step,
-    build_point_records,
-    encoder_backward,
-    encoder_forward,
+    encoder_backward_batch,
+    encoder_forward_batch,
     init_params,
     load_checkpoint,
     mlp_backward,
@@ -169,6 +169,32 @@ def random_cloud(rng, n_points):
     return CloudObservation(points=pts, normals=nrm, source=CloudSource.SURFACE_SAMPLED)
 
 
+def reference_point_records(arm, q, points, normals):
+    """Cloud in every link frame, one rotation matrix per link: records
+    (n_links * N, 4 + n_links), each [p_local, n_local, one_hot(link)]."""
+    origins = joint_positions(arm, q)[:-1]
+    angles = np.cumsum(np.asarray(q, dtype=float))
+    n = origins.shape[0]
+    recs = np.zeros((n, points.shape[0], 4 + n))
+    for ell in range(n):
+        # rotation by -angle maps world to link frame
+        c, s = np.cos(angles[ell]), np.sin(angles[ell])
+        rot = np.array([[c, s], [-s, c]])
+        recs[ell, :, 0:2] = (points - origins[ell]) @ rot.T
+        recs[ell, :, 2:4] = normals @ rot.T
+        recs[ell, :, 4 + ell] = 1.0
+    return recs.reshape(n * points.shape[0], 4 + n)
+
+
+def encode(enc, q, cloud, arm):
+    """Encoder value at one configuration for one cloud, through the records
+    and the batched pass the barrier uses: (h, tape)."""
+    q = np.asarray(q, dtype=float)
+    recs = _stencil_records(arm, q[None, None, :], cloud.points[None], cloud.normals[None])
+    h, tape = encoder_forward_batch(enc, q[None, :], recs[0])
+    return float(h[0]), tape
+
+
 @pytest.fixture
 def arm():
     return ArmModel()
@@ -181,13 +207,13 @@ class TestEncoder:
         q = rng.uniform(-1, 1, 3)
         for n_points in (4, 8):
             cloud = random_cloud(rng, n_points)
-            h0, _ = encoder_forward(enc, q, cloud, arm)
+            h0, _ = encode(enc, q, cloud, arm)
             values = set()
             for perm in itertools.permutations(range(n_points)):
                 c2 = CloudObservation(points=cloud.points[list(perm)],
                                       normals=cloud.normals[list(perm)],
                                       source=cloud.source)
-                h, _ = encoder_forward(enc, q, c2, arm)
+                h, _ = encode(enc, q, c2, arm)
                 values.add(h)
             assert values == {h0}
 
@@ -199,8 +225,8 @@ class TestEncoder:
         doubled = CloudObservation(points=np.vstack([cloud.points, cloud.points]),
                                    normals=np.vstack([cloud.normals, cloud.normals]),
                                    source=cloud.source)
-        h1, _ = encoder_forward(enc, q, cloud, arm)
-        h2, _ = encoder_forward(enc, q, doubled, arm)
+        h1, _ = encode(enc, q, cloud, arm)
+        h2, _ = encode(enc, q, doubled, arm)
         assert h1 == h2
 
     def test_world_translation_invariance(self):
@@ -215,21 +241,20 @@ class TestEncoder:
         arm1 = ArmModel(base_position=tuple(shift))
         moved = CloudObservation(points=cloud.points + shift, normals=cloud.normals,
                                  source=cloud.source)
-        h0, _ = encoder_forward(enc, q, cloud, arm0)
-        h1, _ = encoder_forward(enc, q, moved, arm1)
+        h0, _ = encode(enc, q, cloud, arm0)
+        h1, _ = encode(enc, q, moved, arm1)
         assert h0 == pytest.approx(h1, abs=1e-12)
 
     def test_empty_cloud_rejected(self, arm):
-        enc = PointSetEncoder.create(3, rng=np.random.default_rng(12))
-        empty = CloudObservation(points=np.empty((0, 2)), normals=np.empty((0, 2)),
-                                 source=CloudSource.SURFACE_SAMPLED)
-        with pytest.raises(ValueError):
-            encoder_forward(enc, np.zeros(3), empty, arm)
+        with pytest.raises(ValueError, match="at least one point"):
+            CloudObservation(points=np.empty((0, 2)), normals=np.empty((0, 2)),
+                             source=CloudSource.SURFACE_SAMPLED)
 
     def test_record_layout(self, arm):
         rng = np.random.default_rng(13)
         cloud = random_cloud(rng, 5)
-        recs = build_point_records(arm, np.zeros(3), cloud.points, cloud.normals)
+        recs = _stencil_records(arm, np.zeros((1, 1, 3)), cloud.points[None],
+                                cloud.normals[None])[0, 0]
         assert recs.shape == (15, 7)
         # at q=0 link frames are axis-aligned; link 0 origin is the base
         np.testing.assert_allclose(recs[:5, 0:2], cloud.points, atol=1e-12)
@@ -237,6 +262,18 @@ class TestEncoder:
         assert np.all(recs[:5, 4] == 1.0)
         # link 1 records are shifted by its origin (0.5, 0)
         np.testing.assert_allclose(recs[5:10, 0], cloud.points[:, 0] - 0.5, atol=1e-12)
+
+    def test_records_match_per_link_rotation(self, arm):
+        rng = np.random.default_rng(19)
+        qs = rng.uniform(arm.lower, arm.upper, (4, 5, 3))
+        clouds = [random_cloud(rng, 7) for _ in range(4)]
+        recs = _stencil_records(arm, qs, np.stack([c.points for c in clouds]),
+                                np.stack([c.normals for c in clouds]))
+        for b, cloud in enumerate(clouds):
+            for s_ in range(5):
+                np.testing.assert_allclose(
+                    recs[b, s_], reference_point_records(arm, qs[b, s_], cloud.points,
+                                                         cloud.normals), atol=1e-12)
 
     def test_encoder_param_grads_match_finite_differences(self, arm):
         rng = np.random.default_rng(14)
@@ -246,10 +283,10 @@ class TestEncoder:
         cloud = random_cloud(rng, 6)
 
         def run():
-            return encoder_forward(enc, q, cloud, arm)[0]
+            return encode(enc, q, cloud, arm)[0]
 
-        _, tape = encoder_forward(enc, q, cloud, arm)
-        grads, _, _ = encoder_backward(tape)
+        _, tape = encode(enc, q, cloud, arm)
+        grads, _, _ = encoder_backward_batch(tape, 1.0)
         fd = param_fd_grads(run, enc.all_params())
         assert max_rel_err(grads, fd) < 1e-4
 

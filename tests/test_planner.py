@@ -5,20 +5,32 @@ independent reference RRT built from the documented sampling contract."""
 import numpy as np
 import pytest
 
+import rollout_oracle
+from cbfsteer import planner
 from cbfsteer.cbf import CbfHyper, FdMode, HandcraftedBarrier, NeuralBarrier
-from cbfsteer.controller import NominalPolicy, SafeControllerConfig
-from cbfsteer.environment import EnvGenConfig, Environment, Obstacle, random_environment, signed_distance
+from cbfsteer.controller import (
+    NominalPolicy,
+    QpMode,
+    SafeControllerConfig,
+    make_fixed_cloud_observer,
+)
+from cbfsteer.environment import (
+    EnvGenConfig,
+    Environment,
+    Obstacle,
+    random_environment,
+    sample_surface_points,
+    signed_distance,
+)
 from cbfsteer.kinematics import ArmModel, sample_config
-from cbfsteer.neural import Mlp
+from cbfsteer.neural import Mlp, PointSetEncoder
 from cbfsteer.planner import (
     ControllerBundle,
-    Edge,
     PlannerLimits,
     PlanProblem,
     PlanResult,
     SteerCbfFilterLqr,
-    SteerCbfInc,
-    SteerHandCbf,
+    SteerRollout,
     SteerStraightLine,
     rrt_plan,
     rrt_plan_with_tree,
@@ -383,9 +395,9 @@ class TestEdgeSafetyContract:
         if kind == "straight":
             steer = SteerStraightLine()
         elif kind == "hand":
-            steer = SteerHandCbf(bundle=hand_bundle(arm))
+            steer = SteerRollout(bundle=hand_bundle(arm))
         elif kind == "cbf":
-            steer = SteerCbfInc(bundle=ControllerBundle(
+            steer = SteerRollout(bundle=ControllerBundle(
                 barrier=distance_barrier(arm), observe=None))
         else:
             steer = SteerCbfFilterLqr(bundle=ControllerBundle(
@@ -410,3 +422,102 @@ class TestEdgeSafetyContract:
             PlannerLimits(max_nodes=60), np.random.default_rng(13))
         for i, node in enumerate(tree.nodes):
             assert node.parent < i  # parents precede children: acyclic
+
+
+def assert_same_edge(got, ref):
+    """Edges equal bit for bit: every config and every control."""
+    assert len(got.configs) == len(ref.configs)
+    assert len(got.controls) == len(ref.controls)
+    assert np.asarray(got.configs).tobytes() == np.asarray(ref.configs).tobytes()
+    assert np.asarray(got.controls).tobytes() == np.asarray(ref.controls).tobytes()
+
+
+def cloud_bundle(arm, env, rng):
+    enc = PointSetEncoder.create(3, per_point_widths=(7, 5, 4), trunk_widths=(7, 5, 1), rng=rng)
+    barrier = NeuralBarrier(enc, arm, CbfHyper(fd_mode=FdMode.FIXED_OBSERVATION))
+    return ControllerBundle(barrier=barrier,
+                            observe=make_fixed_cloud_observer(sample_surface_points(env, 24, rng)))
+
+
+class TestSteerOracle:
+    """Rollout steers against the loops with the tick and the hold written
+    out (`rollout_oracle`), bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_worlds(self, arm, seed):
+        rng = np.random.default_rng(700 + seed)
+        env = random_environment(EnvGenConfig(num_obstacles=6, shapes=("rect", "circle")), rng)
+        bundles = {
+            "hand": hand_bundle(arm, margin=0.15),
+            "state": ControllerBundle(barrier=distance_barrier(arm, offset=0.05), observe=None,
+                                      qp_cfg=SafeControllerConfig(mode=QpMode.STRICT)),
+            "cloud": cloud_bundle(arm, env, rng),
+        }
+        limits = PlannerLimits()
+        pairs = [(steer, ref) for steer, ref in (
+            (steer_cbf_inc, rollout_oracle.rollout_edge),
+            (steer_filter_lqr, rollout_oracle.steer_filter_lqr))]
+        for _ in range(4):
+            q_from = _free_config(env, arm, rng)
+            q_toward = sample_config(arm, rng)
+            for bundle in bundles.values():
+                for steer, ref in pairs:
+                    args = (arm, env, q_from, q_toward, bundle, 30, limits, 0.1)
+                    assert_same_edge(steer(*args), ref(*args))
+
+    def test_stall_exits(self, arm):
+        # a tiny goal ball right next to the start: the controls fall below
+        # the stall threshold before the rollout arrives
+        env = Environment(obstacles=(Obstacle(kind="circle", center=(4.0, 4.0), radius=0.1),))
+        limits = PlannerLimits()
+        q_toward = np.full(3, 2e-4)
+        for steer, ref in ((steer_cbf_inc, rollout_oracle.rollout_edge),
+                           (steer_filter_lqr, rollout_oracle.steer_filter_lqr)):
+            args = (arm, env, np.zeros(3), q_toward, hand_bundle(arm), 90, limits, 1e-5)
+            edge = ref(*args)
+            assert 0 < len(edge.controls) < 90
+            assert np.linalg.norm(edge.endpoint - q_toward) > 1e-5
+            assert_same_edge(steer(*args), edge)
+
+    def test_rejection_and_truncation_exits(self, arm):
+        env = blocked_env()
+        limits = PlannerLimits()
+        target = np.array([1.2, 0.4, 0.0])
+        # the first tick that fails h <= 0 or the derivative condition ends it
+        bundle = ControllerBundle(barrier=distance_barrier(arm, offset=0.2), observe=None)
+        args = (arm, env, np.array([-0.8, 0.0, 0.0]), target, bundle, 90, limits, 0.1)
+        edge = rollout_oracle.steer_filter_lqr(*args)
+        assert 0 < len(edge.controls) < 90 and not edge.empty
+        assert_same_edge(steer_filter_lqr(*args), edge)
+        # a barrier that barely filters drives into the rectangle: the edge
+        # is cut at the last collision-free state
+        loose = ControllerBundle(barrier=HandcraftedBarrier(arm, margin=0.0), observe=None,
+                                 qp_cfg=SafeControllerConfig(relax_penalty=1e-4))
+        args = (arm, env, np.zeros(3), target, loose, 90, limits, 0.1)
+        edge = rollout_oracle.rollout_edge(*args)
+        # short of the target with full-speed controls: neither goal, stall
+        # nor the tick budget ended it
+        assert 0 < len(edge.controls) < 90
+        assert np.linalg.norm(edge.controls[-1]) > 0.1
+        assert np.linalg.norm(edge.endpoint - target) > 0.1
+        assert_same_edge(steer_cbf_inc(*args), edge)
+
+    def test_filter_lqr_plan_with_activation_switch(self, arm, monkeypatch):
+        # whole plans, switching from filtered rollouts to discard-style
+        # steering at node 3, equal those built from the reference steers
+        rng = np.random.default_rng(22)
+        env = random_environment(EnvGenConfig(num_obstacles=5), rng)
+        problem = PlanProblem(arm=arm, env=env, q0=_free_config(env, arm, rng),
+                              qg=_free_config(env, arm, rng))
+        steer = SteerCbfFilterLqr(bundle=hand_bundle(arm), activation_after=3)
+        limits = PlannerLimits(max_nodes=30, max_ctrl_steps=30)
+        res, tree = rrt_plan_with_tree(problem, steer, limits, np.random.default_rng(23))
+        monkeypatch.setattr(planner, "steer_cbf_inc", rollout_oracle.rollout_edge)
+        monkeypatch.setattr(planner, "steer_filter_lqr", rollout_oracle.steer_filter_lqr)
+        ref, ref_tree = rrt_plan_with_tree(problem, steer, limits, np.random.default_rng(23))
+        assert len(tree) > 3 + 1  # nodes added on both sides of the switch
+        assert (res.status, res.explored_nodes) == (ref.status, ref.explored_nodes)
+        assert len(tree) == len(ref_tree)
+        for node, ref_node in zip(tree.nodes[1:], ref_tree.nodes[1:]):
+            assert node.parent == ref_node.parent
+            assert_same_edge(node.edge, ref_node.edge)
