@@ -19,7 +19,6 @@ import numpy as np
 from .cbf import HandcraftedBarrier, NeuralBarrier
 from .config import (
     checkpoint_hyper,
-    make_env_gen,
     make_planner_limits,
     make_policy,
     make_qp_cfg,
@@ -36,7 +35,7 @@ from .environment import (
     sample_surface_points,
     signed_distance,
 )
-from .jsonio import canonical_dumps, dump_json
+from .jsonio import Record, canonical_dumps, dump_json, load_json
 from .kinematics import ArmModel, sample_config
 from .neural import load_checkpoint
 from .planner import (
@@ -54,31 +53,12 @@ DIFFICULTIES = ("easy", "hard", "untagged")
 
 
 @dataclass
-class ProblemSpec:
+class ProblemSpec(Record):
     id: int
     environment: Environment
     q0: np.ndarray
     qg: np.ndarray
     difficulty: str = "untagged"
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "environment": self.environment.to_json(),
-            "q0": np.asarray(self.q0).tolist(),
-            "qg": np.asarray(self.qg).tolist(),
-            "difficulty": self.difficulty,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ProblemSpec":
-        return cls(
-            id=int(doc["id"]),
-            environment=Environment.from_json(doc["environment"]),
-            q0=np.array(doc["q0"], dtype=float),
-            qg=np.array(doc["qg"], dtype=float),
-            difficulty=doc.get("difficulty", "untagged"),
-        )
 
 
 def save_problems(path, problems: list) -> None:
@@ -86,13 +66,11 @@ def save_problems(path, problems: list) -> None:
 
 
 def load_problems(path) -> list:
-    from .jsonio import load_json
-
     return [ProblemSpec.from_json(doc) for doc in load_json(path)]
 
 
 @dataclass
-class MetricsRow:
+class MetricsRow(Record):
     method: str
     difficulty: str
     sr: float
@@ -100,35 +78,15 @@ class MetricsRow:
     time_s_mean: float
     n_runs: int
 
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "difficulty": self.difficulty,
-            "sr": self.sr,
-            "nodes_mean": self.nodes_mean,
-            "time_s_mean": self.time_s_mean,
-            "n_runs": self.n_runs,
-        }
-
 
 @dataclass
-class ControllerMetricsRow:
+class ControllerMetricsRow(Record):
     method: str
     setting: str
     goal_reaching_rate: float
     safety_rate: float
     mean_makespan: float | None
     n_problems: int
-
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "setting": self.setting,
-            "goal_reaching_rate": self.goal_reaching_rate,
-            "safety_rate": self.safety_rate,
-            "mean_makespan": self.mean_makespan,
-            "n_problems": self.n_problems,
-        }
 
 
 MAX_ENDPOINT_ATTEMPTS = 10_000
@@ -189,26 +147,24 @@ def difficulty_split(problems: list, proxy_runs: int, rng: np.random.Generator,
     return tagged
 
 
-def _load_net_barrier(checkpoint_path: str, arm: ArmModel, cfg: dict):
-    """Load a barrier network; its training alpha_h must be the QP's alpha,
-    since the net was trained to satisfy the condition with that rate."""
-    variant, net, hyper_doc = load_checkpoint(checkpoint_path)
-    hyper = checkpoint_hyper(cfg, variant, hyper_doc)
-    alpha = cfg["controller"]["alpha"]
-    if hyper.alpha_h != alpha:
-        raise ValueError(f"checkpoint {checkpoint_path} was trained with alpha_h="
-                         f"{hyper.alpha_h}, but controller.alpha is {alpha}")
-    return NeuralBarrier(net, arm, hyper)
-
-
 def _method_barrier(method: dict, arm: ArmModel, cfg: dict, barrier_cache: dict):
-    """The hand-crafted barrier, or the method's network, loaded once per checkpoint."""
+    """The hand-crafted barrier (with the neural barriers' finite-difference
+    step), or the method's network, loaded once per checkpoint path. A
+    network's training alpha_h must be the QP's alpha, since it was trained
+    to satisfy the barrier condition with that rate."""
     if method["name"] == "hand-cbf":
-        return HandcraftedBarrier(arm, margin=method.get("margin", cfg["controller"]["hand_margin"]))
-    key = method["checkpoint"]
-    if key not in barrier_cache:
-        barrier_cache[key] = _load_net_barrier(key, arm, cfg)
-    return barrier_cache[key]
+        return HandcraftedBarrier(arm, margin=cfg["controller"]["hand_margin"],
+                                  fd_step=cfg["hyper"]["fd_step"])
+    path = method["checkpoint"]
+    if path not in barrier_cache:
+        variant, net, hyper_doc = load_checkpoint(path)
+        hyper = checkpoint_hyper(cfg, variant, hyper_doc)
+        alpha = cfg["controller"]["alpha"]
+        if hyper.alpha_h != alpha:
+            raise ValueError(f"checkpoint {path} was trained with alpha_h="
+                             f"{hyper.alpha_h}, but controller.alpha is {alpha}")
+        barrier_cache[path] = NeuralBarrier(net, arm, hyper)
+    return barrier_cache[path]
 
 
 def _surface_cloud_observer(barrier, problem: ProblemSpec, cfg: dict, root_seed: int):
@@ -234,7 +190,7 @@ def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
         barrier=barrier, observe=_surface_cloud_observer(barrier, problem, cfg, root_seed),
         policy=make_policy(cfg), qp_cfg=make_qp_cfg(cfg),
         sim_hz=ctrl["sim_hz"], ctrl_hz=ctrl["ctrl_hz"])
-    if name in ("hand-cbf", "cbf-state", "cbf-cloud", "cbf-inc"):
+    if name in ("hand-cbf", "cbf-state", "cbf-cloud"):
         return SteerRollout(bundle=bundle)
     if name == "filter-lqr":
         # negative threshold selects the hybrid default: switch to the
@@ -244,10 +200,6 @@ def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
             act = int(cfg["planner"]["max_nodes"]) // 2
         return SteerCbfFilterLqr(bundle=bundle, activation_after=act)
     raise ValueError(f"unknown method {name!r}")
-
-
-def _method_label(method: dict) -> str:
-    return method.get("label", method["name"])
 
 
 _WORKER_STATE: dict = {}
@@ -273,7 +225,7 @@ def _run_task(task):
         PlanProblem(arm=arm, env=prob.environment, q0=prob.q0, qg=prob.qg,
                     r_goal=cfg["controller"]["r_goal"]),
         steer, limits, rng, seed=seed)
-    return prob.id, prob.difficulty, _method_label(method), seed, res.to_json()
+    return prob.id, prob.difficulty, method["name"], seed, res.to_json()
 
 
 def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: dict,
@@ -284,14 +236,14 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
     bar-chart SVG into out_dir; returns the MetricsRow list."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # fail early on missing checkpoints
+    # fail early on missing checkpoints, and load each one once
     cache: dict = {}
     for method in methods:
         if "checkpoint" in method:
             path = Path(method["checkpoint"])
             if not path.exists():
                 raise FileNotFoundError(f"checkpoint for {method['name']} not found: {path}")
-            cache[str(path)] = _load_net_barrier(str(path), arm, cfg)
+            _method_barrier(method, arm, cfg, cache)
 
     tasks = [(p.to_json(), m, s) for m in methods for p in problems for s in seeds]
     workers = int(cfg["bench"].get("workers", 1))
@@ -306,13 +258,13 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
 
     results.sort(key=lambda r: (r[2], r[0], r[3]))  # canonical order: method, problem, seed
     run_rows = []
-    for pid, difficulty, label, seed, res in results:
+    for pid, difficulty, name, seed, res in results:
         if not report_timing:
             res = dict(res, planning_seconds=0.0)
         run_rows.append({
             "problem_id": pid,
             "difficulty": difficulty,
-            "method": label,
+            "method": name,
             "seed": seed,
             "result": res,
         })
@@ -321,18 +273,17 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
             f.write(canonical_dumps(row) + "\n")
 
     rows = []
-    labels = [_method_label(m) for m in methods]
     present = [d for d in DIFFICULTIES if any(p.difficulty == d for p in problems)]
-    for label in labels:
+    for name in [m["name"] for m in methods]:
         for diff in present:
-            sel = [r for r in run_rows if r["method"] == label and r["difficulty"] == diff]
+            sel = [r for r in run_rows if r["method"] == name and r["difficulty"] == diff]
             if not sel:
                 continue
             solved = [1.0 if r["result"]["status"] == "solved" else 0.0 for r in sel]
             nodes = [r["result"]["explored_nodes"] for r in sel]
             times = [r["result"]["planning_seconds"] for r in sel]
             rows.append(MetricsRow(
-                method=label,
+                method=name,
                 difficulty=diff,
                 sr=float(np.mean(solved)),
                 nodes_mean=float(np.mean(nodes)),
@@ -413,7 +364,7 @@ def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, c
     if setting not in ("static_full", "dynamic_partial"):
         raise ValueError(f"unknown setting {setting!r}")
     barrier = _method_barrier(method, arm, cfg, {})
-    limits = make_rollout_limits(cfg, **({"horizon_s": horizon_s} if horizon_s else {}))
+    limits = make_rollout_limits(cfg, **({} if horizon_s is None else {"horizon_s": horizon_s}))
     policy = make_policy(cfg)
     qp_cfg = make_qp_cfg(cfg)
     records = []
@@ -441,7 +392,7 @@ def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, c
             "qp_infeasible_count": rec.qp_infeasible_count,
         })
     row = ControllerMetricsRow(
-        method=_method_label(method),
+        method=method["name"],
         setting=setting,
         goal_reaching_rate=float(np.mean(reached)) if reached else 0.0,
         safety_rate=float(np.mean(safety)) if safety else 1.0,

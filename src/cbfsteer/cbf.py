@@ -28,7 +28,7 @@ from .environment import (
     signed_distance,
     signed_distance_batch,
 )
-from .jsonio import canonical_dumps, dump_json, load_json, load_jsonl
+from .jsonio import Record, canonical_dumps, dump_json, load_json, load_jsonl
 from .kinematics import ArmModel, batch_link_frames, integrate, sample_config
 from .neural import (
     Mlp,
@@ -50,7 +50,7 @@ class FdMode(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class CbfHyper:
+class CbfHyper(Record):
     gamma: float = 0.05
     eps_margin: float = 0.02
     alpha_h: float = 1.0
@@ -64,29 +64,6 @@ class CbfHyper:
                 self.fd_step, self.r_thres)
         if any(v <= 0 for v in vals):
             raise ValueError("all barrier hyperparameters must be positive")
-
-    def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "eps_margin": self.eps_margin,
-            "alpha_h": self.alpha_h,
-            "loss_weights": list(self.loss_weights),
-            "fd_step": self.fd_step,
-            "fd_mode": self.fd_mode.value,
-            "r_thres": self.r_thres,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "CbfHyper":
-        return cls(
-            gamma=doc["gamma"],
-            eps_margin=doc["eps_margin"],
-            alpha_h=doc["alpha_h"],
-            loss_weights=tuple(doc["loss_weights"]),
-            fd_step=doc["fd_step"],
-            fd_mode=FdMode(doc["fd_mode"]),
-            r_thres=doc["r_thres"],
-        )
 
 
 @dataclass
@@ -174,13 +151,10 @@ class Dataset:
 
 
 @dataclass
-class TrainReport:
+class TrainReport(Record):
     epochs: list = field(default_factory=list)  # per-epoch dicts
     wall_seconds: float = 0.0
     aborted: bool = False
-
-    def to_json(self) -> dict:
-        return {"epochs": self.epochs, "wall_seconds": self.wall_seconds, "aborted": self.aborted}
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench as bench_mod
 from .cbf import Dataset, DatasetCounts, collect_dataset, evaluate_constraints, train
 from .config import (
@@ -117,11 +115,11 @@ def _method_spec(name: str, args) -> dict:
     if name == "cbf-state":
         if not args.checkpoint_state:
             raise _UsageError("method cbf-state needs --checkpoint-state")
-        return {"name": "cbf-state", "checkpoint": args.checkpoint_state, "label": "cbf-state"}
+        return {"name": "cbf-state", "checkpoint": args.checkpoint_state}
     if name == "cbf-cloud":
         if not args.checkpoint_cloud:
             raise _UsageError("method cbf-cloud needs --checkpoint-cloud")
-        return {"name": "cbf-cloud", "checkpoint": args.checkpoint_cloud, "label": "cbf-cloud"}
+        return {"name": "cbf-cloud", "checkpoint": args.checkpoint_cloud}
     if name == "filter-lqr":
         ckpt = args.checkpoint_state or args.checkpoint_cloud
         if not ckpt:

@@ -164,6 +164,10 @@ class RolloutLimits:
     stall_threshold: float | None = None
     stall_ticks: int = 5
 
+    def __post_init__(self):
+        if not 0.0 < self.horizon_s < math.inf:
+            raise ValueError("rollout horizon must be positive and finite")
+
 
 @dataclass
 class RolloutRecord:
@@ -174,17 +178,6 @@ class RolloutRecord:
     collided: bool = False
     qp_infeasible_count: int = 0
     steps_used: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "configs": [np.asarray(q).tolist() for q in self.configs],
-            "controls": [np.asarray(u).tolist() for u in self.controls],
-            "min_signed_distance": list(self.min_signed_distance),
-            "reached_goal": self.reached_goal,
-            "collided": self.collided,
-            "qp_infeasible_count": self.qp_infeasible_count,
-            "steps_used": self.steps_used,
-        }
 
 
 def make_fixed_cloud_observer(cloud):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
+from .jsonio import Record
 from .kinematics import ArmModel, batch_joint_positions, joint_positions
 
 
@@ -36,7 +37,7 @@ class StateObservation:
 
 
 @dataclass(frozen=True)
-class CloudObservation:
+class CloudObservation(Record):
     """Fixed-size set of (point, unit normal) records in the world frame."""
 
     points: np.ndarray  # (N, 2)
@@ -51,24 +52,9 @@ class CloudObservation:
         if self.points.shape[0] == 0:
             raise ValueError("a cloud observation needs at least one point")
 
-    def to_json(self) -> dict:
-        return {
-            "points": self.points.tolist(),
-            "normals": self.normals.tolist(),
-            "source": self.source.value,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "CloudObservation":
-        return cls(
-            points=np.array(doc["points"], dtype=float),
-            normals=np.array(doc["normals"], dtype=float),
-            source=CloudSource(doc["source"]),
-        )
-
 
 @dataclass(frozen=True)
-class Obstacle:
+class Obstacle(Record):
     """Axis-aligned rectangle or circle, optionally drifting at constant velocity."""
 
     kind: str  # "rect" | "circle"
@@ -117,36 +103,11 @@ class Obstacle:
             return float(geometry.point_rect_sdf(p, np.array(self.center), np.array(self.half_extents)))
         return float(np.linalg.norm(p - np.array(self.center)) - self.radius)
 
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind, "center": list(self.center), "velocity": list(self.velocity)}
-        if self.kind == "rect":
-            doc["half_extents"] = list(self.half_extents)
-        else:
-            doc["radius"] = self.radius
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Obstacle":
-        return cls(
-            kind=doc["kind"],
-            center=tuple(doc["center"]),
-            half_extents=tuple(doc["half_extents"]) if "half_extents" in doc else None,
-            radius=doc.get("radius"),
-            velocity=tuple(doc.get("velocity", (0.0, 0.0))),
-        )
-
 
 @dataclass(frozen=True)
-class Workspace:
+class Workspace(Record):
     center: tuple[float, float] = (0.0, 0.0)
     half_extents: tuple[float, float] = (1.5, 1.5)
-
-    def to_json(self) -> dict:
-        return {"center": list(self.center), "half_extents": list(self.half_extents)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Workspace":
-        return cls(center=tuple(doc["center"]), half_extents=tuple(doc["half_extents"]))
 
 
 _CORNER_X = np.array([-1.0, 1.0, 1.0, -1.0])
@@ -165,7 +126,7 @@ def _kernel_points(circle_centers: np.ndarray, rect_cz: np.ndarray, halves: np.n
 
 
 @dataclass(frozen=True)
-class Environment:
+class Environment(Record):
     obstacles: tuple[Obstacle, ...] = ()
     workspace: Workspace = Workspace()
     time: float = 0.0
@@ -210,21 +171,6 @@ class Environment:
     @property
     def num_obstacles(self) -> int:
         return len(self.obstacles)
-
-    def to_json(self) -> dict:
-        return {
-            "obstacles": [o.to_json() for o in self.obstacles],
-            "workspace": self.workspace.to_json(),
-            "time": self.time,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Environment":
-        return cls(
-            obstacles=tuple(Obstacle.from_json(o) for o in doc["obstacles"]),
-            workspace=Workspace.from_json(doc["workspace"]),
-            time=float(doc.get("time", 0.0)),
-        )
 
 
 def _workspace_clearance_batch(env: Environment, joints: np.ndarray, radius: float) -> np.ndarray:
@@ -396,22 +342,19 @@ def ray_cast_scan(env: Environment, arm: ArmModel, q: np.ndarray, spec: ScanSpec
     origins = np.repeat(0.5 * (pts[links] + pts[links + 1]), spec.rays_per_mount, axis=0)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     n_rays = origins.shape[0]
+    hits = []  # (t (R, K), normals (R, K, 2)), circles first so they win ties
+    if env._circle_centers.shape[0]:
+        hits.append(geometry.ray_circles(origins, dirs, env._circle_centers, env._circle_radii))
+    if env._rect_centers.shape[0]:
+        hits.append(geometry.ray_rects(origins, dirs, env._rect_centers, env._rect_halves))
     best_t = np.full(n_rays, np.inf)
     best_n = np.zeros((n_rays, 2))
-    if env._circle_centers.shape[0]:
-        t, nrm = geometry.ray_circles(origins, dirs, env._circle_centers, env._circle_radii)
+    if hits:
+        t = np.concatenate([h[0] for h in hits], axis=1)
         idx = np.argmin(t, axis=1)
-        tc = t[np.arange(n_rays), idx]
-        take = tc < best_t
-        best_n[take] = nrm[np.arange(n_rays), idx][take]
-        best_t = np.where(take, tc, best_t)
-    if env._rect_centers.shape[0]:
-        t, nrm = geometry.ray_rects(origins, dirs, env._rect_centers, env._rect_halves)
-        idx = np.argmin(t, axis=1)
-        tr = t[np.arange(n_rays), idx]
-        take = tr < best_t
-        best_n[take] = nrm[np.arange(n_rays), idx][take]
-        best_t = np.where(take, tr, best_t)
+        rows = np.arange(n_rays)
+        best_t = t[rows, idx]
+        best_n = np.concatenate([h[1] for h in hits], axis=1)[rows, idx]
     miss = ~(best_t <= spec.max_range)
     t_hit = np.where(miss, spec.max_range, best_t)
     points = origins + t_hit[:, None] * dirs
@@ -460,29 +403,6 @@ class EnvGenConfig:
     obstacle_speed: float = 0.0
     shapes: tuple[str, ...] = ("rect",)
     fixed_size: float | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "num_obstacles": self.num_obstacles,
-            "size_range": list(self.size_range),
-            "workspace": self.workspace.to_json(),
-            "min_clearance_from_base": self.min_clearance_from_base,
-            "obstacle_speed": self.obstacle_speed,
-            "shapes": list(self.shapes),
-            "fixed_size": self.fixed_size,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "EnvGenConfig":
-        return cls(
-            num_obstacles=int(doc["num_obstacles"]),
-            size_range=tuple(doc["size_range"]),
-            workspace=Workspace.from_json(doc["workspace"]),
-            min_clearance_from_base=float(doc["min_clearance_from_base"]),
-            obstacle_speed=float(doc.get("obstacle_speed", 0.0)),
-            shapes=tuple(doc.get("shapes", ("rect",))),
-            fixed_size=doc.get("fixed_size"),
-        )
 
 
 MAX_GEN_ATTEMPTS = 10_000

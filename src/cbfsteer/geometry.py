@@ -380,17 +380,14 @@ def ray_rects(
     inside_slab = np.abs(rel) <= halves[None, :, :]
     t_min = np.where(parallel, np.where(inside_slab, -np.inf, np.inf), t_min)
     t_max = np.where(parallel, np.where(inside_slab, np.inf, -np.inf), t_max)
-    near_axis = np.argmax(t_min, axis=-1)  # (R, K)
+    near_x = np.argmax(t_min, axis=-1) == 0  # (R, K): entry through an x face
     t_near = np.max(t_min, axis=-1)
     t_far = np.min(t_max, axis=-1)
     hit = (t_near <= t_far) & (t_far >= 0.0)
     t = np.where(t_near >= 0.0, t_near, t_far)
     t = np.where(hit & np.isfinite(t), t, np.inf)
     # Outward normal on the entry face: axis-aligned, sign opposite ray direction component.
-    dirs_b = np.broadcast_to(dirs[:, None, :], t.shape + (2,))
-    comp = np.take_along_axis(dirs_b, near_axis[..., None], axis=2)[..., 0]
-    sign = -np.sign(comp)
+    sign = -np.sign(np.where(near_x, dirs[:, None, 0], dirs[:, None, 1]))
     sign = np.where(sign == 0.0, 1.0, sign)
-    normals = np.zeros(t.shape + (2,))
-    np.put_along_axis(normals, near_axis[..., None], sign[..., None], axis=2)
+    normals = np.stack([np.where(near_x, sign, 0.0), np.where(near_x, 0.0, sign)], axis=-1)
     return t, normals

@@ -11,9 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonio import Record
+
 
 @dataclass(frozen=True)
-class ArmModel:
+class ArmModel(Record):
     """Kinematic chain with joint limits and a symmetric box action space.
 
     Dynamics are a pure integrator (q_dot = u), with per-joint speed bounds
@@ -70,27 +72,6 @@ class ArmModel:
     @property
     def action_upper(self) -> np.ndarray:
         return np.array(self.action_bound)
-
-    def to_json(self) -> dict:
-        return {
-            "link_lengths": list(self.link_lengths),
-            "link_radius": self.link_radius,
-            "joint_lower": list(self.joint_lower),
-            "joint_upper": list(self.joint_upper),
-            "action_bound": list(self.action_bound),
-            "base_position": list(self.base_position),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ArmModel":
-        return cls(
-            link_lengths=tuple(doc["link_lengths"]),
-            link_radius=float(doc["link_radius"]),
-            joint_lower=tuple(doc["joint_lower"]),
-            joint_upper=tuple(doc["joint_upper"]),
-            action_bound=tuple(doc["action_bound"]),
-            base_position=tuple(doc["base_position"]),
-        )
 
 
 def _check_config(arm: ArmModel, q: np.ndarray) -> np.ndarray:

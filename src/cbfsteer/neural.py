@@ -66,13 +66,9 @@ class MlpTape:
     single: bool
 
 
-def mlp_forward(net: Mlp, x: np.ndarray, dtype=None) -> tuple[np.ndarray, MlpTape]:
-    """Evaluate the net on one input (in,) or a batch (B, in).
-
-    dtype selects the compute precision (training uses float32 on the hot
-    cloud path); parameters stay float64 and are cast per call.
-    """
-    x = np.asarray(x, dtype=dtype or float)
+def mlp_forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
+    """Evaluate the net on one input (in,) or a batch (B, in)."""
+    x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     x2 = x[None, :] if single else x
     if x2.shape[1] != net.in_width:
@@ -83,9 +79,6 @@ def mlp_forward(net: Mlp, x: np.ndarray, dtype=None) -> tuple[np.ndarray, MlpTap
     a = x2
     n_layers = len(net.params)
     for i, (w, b) in enumerate(net.params):
-        if dtype is not None:
-            w = w.astype(dtype)
-            b = b.astype(dtype)
         z = a @ w.T + b
         if i < n_layers - 1:
             a = np.tanh(z)
@@ -101,21 +94,17 @@ def mlp_backward(tape: MlpTape, upstream=1.0) -> tuple[Params, np.ndarray]:
     """Reverse pass: (parameter gradients summed over the batch, input gradient)."""
     net = tape.net
     b_size, out_w = tape.y.shape
-    up = np.asarray(upstream, dtype=float)
-    if up.ndim == 0:
-        up = np.full((b_size, out_w), float(up))
-    elif up.ndim == 1:
-        up = up.reshape(b_size, out_w) if up.size == b_size * out_w else np.broadcast_to(
-            up, (b_size, out_w)
+    delta = np.asarray(upstream, dtype=float)
+    if delta.ndim == 0:
+        delta = np.full((b_size, out_w), float(delta))
+    elif delta.ndim == 1:
+        delta = delta.reshape(b_size, out_w) if delta.size == b_size * out_w else np.broadcast_to(
+            delta, (b_size, out_w)
         ).copy()
-    dtype = tape.x.dtype
-    delta = up.astype(dtype, copy=False)
     param_grads: list = [None] * len(net.params)
     acts = [tape.x] + tape.hidden  # inputs to each layer
     for i in range(len(net.params) - 1, -1, -1):
         w, _ = net.params[i]
-        if w.dtype != dtype:
-            w = w.astype(dtype)
         a_in = acts[i]
         dw = delta.T @ a_in
         db = delta.sum(axis=0)
@@ -175,22 +164,22 @@ class EncoderTape:
     n_records: int
 
 
-def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, records: np.ndarray,
-                          dtype=None) -> tuple[np.ndarray, EncoderTape]:
+def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, records: np.ndarray
+                          ) -> tuple[np.ndarray, EncoderTape]:
     """Batched encoder pass on prebuilt records.
 
     qs: (B, n); records: (B, M, 4+n) with M records per sample. Returns h (B,).
     """
-    qs = np.asarray(qs, dtype=dtype or float)
-    records = np.asarray(records, dtype=dtype or float)
+    qs = np.asarray(qs, dtype=float)
+    records = np.asarray(records, dtype=float)
     b, m, din = records.shape
-    phi_flat, point_tape = mlp_forward(enc.per_point, records.reshape(b * m, din), dtype=dtype)
+    phi_flat, point_tape = mlp_forward(enc.per_point, records.reshape(b * m, din))
     f = enc.feature_width
     phi = phi_flat.reshape(b, m, f)
     argmax = np.argmax(phi, axis=1)  # (B, F)
     feature = np.take_along_axis(phi, argmax[:, None, :], axis=1)[:, 0, :]
     trunk_in = np.concatenate([feature, qs], axis=1)
-    y, trunk_tape = mlp_forward(enc.trunk, trunk_in, dtype=dtype)
+    y, trunk_tape = mlp_forward(enc.trunk, trunk_in)
     tape = EncoderTape(
         enc=enc, point_tape=point_tape, trunk_tape=trunk_tape,
         argmax=argmax, n_records=m,
@@ -214,7 +203,7 @@ def encoder_backward_batch(tape: EncoderTape, upstream) -> tuple[Params, np.ndar
     d_feature = trunk_in_grad[:, :f]
     d_q = trunk_in_grad[:, f:]
     m = tape.n_records
-    d_phi = np.zeros((b, m, f), dtype=tape.point_tape.x.dtype)
+    d_phi = np.zeros((b, m, f))
     np.put_along_axis(d_phi, tape.argmax[:, None, :], d_feature[:, None, :], axis=1)
     point_grads, rec_grad_flat = mlp_backward(tape.point_tape, d_phi.reshape(b * m, f))
     rec_grads = rec_grad_flat.reshape(b, m, -1)

@@ -19,6 +19,7 @@ import numpy as np
 from .cbf import HandcraftedBarrier, NeuralBarrier
 from .controller import NominalPolicy, SafeControllerConfig, check_rates, control_tick, hold
 from .environment import Environment, signed_distance, signed_distance_batch
+from .jsonio import Record
 from .kinematics import ArmModel
 
 
@@ -128,37 +129,14 @@ class PlanProblem:
 
 
 @dataclass
-class PlanResult:
+class PlanResult(Record):
     status: str  # "solved" | "node_limit"
-    path: list
-    controls: list
+    path: list[np.ndarray]
+    controls: list[np.ndarray]
     explored_nodes: int
     planning_seconds: float
     seed: int | None
-    tree_size: int
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "path": [np.asarray(q).tolist() for q in self.path],
-            "controls": [np.asarray(u).tolist() for u in self.controls],
-            "explored_nodes": self.explored_nodes,
-            "planning_seconds": self.planning_seconds,
-            "seed": self.seed,
-            "tree_size": self.tree_size,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "PlanResult":
-        return cls(
-            status=doc["status"],
-            path=[np.array(q, dtype=float) for q in doc["path"]],
-            controls=[np.array(u, dtype=float) for u in doc["controls"]],
-            explored_nodes=int(doc["explored_nodes"]),
-            planning_seconds=float(doc["planning_seconds"]),
-            seed=doc.get("seed"),
-            tree_size=int(doc.get("tree_size", 0)),
-        )
+    tree_size: int = 0
 
 
 def validate_and_truncate(env: Environment, arm: ArmModel, configs: list,

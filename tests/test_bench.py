@@ -177,6 +177,32 @@ class TestRunBench:
             bench.run_bench([], [{"name": "cbf-state", "checkpoint": "/nonexistent.json"}],
                             [0], arm, cfg, tmp_path)
 
+    def test_checkpoint_shared_by_methods_loads_once(self, cfg, arm, tmp_path, monkeypatch):
+        from cbfsteer.config import make_hyper
+        from cbfsteer.neural import Mlp, load_checkpoint, save_checkpoint
+
+        (tmp_path / "out").mkdir()
+        net = Mlp.create((arm.n_links + 1, 4, 1), np.random.default_rng(18))
+        save_checkpoint(tmp_path / "out" / "checkpoint-state.json", "state", net,
+                        make_hyper(cfg, "state").to_json())
+        monkeypatch.chdir(tmp_path)
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return load_checkpoint(path)
+
+        monkeypatch.setattr(bench, "load_checkpoint", counting_load)
+        probs = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 1,
+                                   np.random.default_rng(19), arm, 0.025)
+        ckpt = "./out/checkpoint-state.json"  # not the normalized form of the path
+        methods = [{"name": "cbf-state", "checkpoint": ckpt},
+                   {"name": "filter-lqr", "checkpoint": ckpt, "activation_after": 0}]
+        small = dict(cfg, planner=dict(cfg["planner"], max_nodes=4))
+        bench.run_bench(probs, methods, [0, 1], arm, small, tmp_path / "bench",
+                        report_timing=False)
+        assert loads == [ckpt]
+
 
 class TestEvalController:
     def test_empty_environments_perfect_rates(self, cfg):
@@ -235,6 +261,30 @@ class TestEvalController:
             run(cfg)
         cfg["controller"]["alpha"] = 2.0
         run(cfg)  # matching alphas load
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf])
+    def test_non_positive_or_non_finite_horizon_rejected(self, cfg, arm, horizon):
+        probs = bench.gen_problems(EnvGenConfig(num_obstacles=0), 1,
+                                   np.random.default_rng(20), arm, 0.025)
+        with pytest.raises(ValueError, match="horizon"):
+            bench.eval_controller(probs, {"name": "hand-cbf"}, "static_full", arm, cfg,
+                                  horizon_s=horizon)
+
+    def test_hand_cbf_uses_the_configured_fd_step(self, cfg, arm):
+        from cbfsteer.cbf import handcrafted_h
+
+        cfg["hyper"]["fd_step"] = 2.5e-4
+        prob = bench.gen_problems(make_env_gen(cfg, num_obstacles=3), 1,
+                                  np.random.default_rng(21), arm, 0.025)[0]
+        barrier = bench.build_steer({"name": "hand-cbf"}, arm, prob, cfg, 0, {}).bundle.barrier
+        assert barrier.fd_step == 2.5e-4
+        h, grad = barrier.value_and_grad(prob.q0, None, prob.environment)
+        h_ref, grad_ref = handcrafted_h(prob.environment, arm, prob.q0,
+                                        cfg["controller"]["hand_margin"], fd_step=2.5e-4)
+        assert h == h_ref
+        np.testing.assert_array_equal(grad, grad_ref)
+        assert not np.array_equal(grad, handcrafted_h(
+            prob.environment, arm, prob.q0, cfg["controller"]["hand_margin"])[1])
 
     def test_unknown_setting_rejected(self, cfg, arm):
         with pytest.raises(ValueError):

@@ -127,6 +127,13 @@ class TestPipeline:
         assert row is not None
         assert 0.0 <= row["row"]["safety_rate"] <= 1.0
 
+    def test_eval_controller_zero_horizon_fails(self, pipeline_dir, mini_config, capsys):
+        rc = run(["--config", mini_config, "--out", str(pipeline_dir),
+                  "eval-controller", "--problems", str(pipeline_dir / "problems.json"),
+                  "--method", "hand-cbf", "--horizon", "0"])
+        assert rc == 2
+        assert "horizon" in capsys.readouterr().err
+
 
 class TestCheckpointWithoutHyper:
     @pytest.mark.parametrize("kind", ["state", "cloud"])

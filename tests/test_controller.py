@@ -275,6 +275,13 @@ def far_world():
     return Environment(obstacles=(Obstacle(kind="circle", center=(5.0, 5.0), radius=0.2),))
 
 
+class TestRolloutLimits:
+    @pytest.mark.parametrize("horizon", [0.0, -0.5, np.nan, np.inf])
+    def test_non_positive_or_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            RolloutLimits(horizon_s=horizon)
+
+
 class TestSafeRollout:
     def test_empty_env_reaches_goal(self):
         arm = ArmModel()

@@ -281,6 +281,21 @@ class TestRayCast:
             assert same_bits(cloud.points, ref.points)
             assert same_bits(cloud.normals, ref.normals)
 
+    @pytest.mark.parametrize("shapes", ["rect", "circle", "none"])
+    def test_one_shape_or_empty_worlds_equal_ray_by_ray_reference(self, arm, shapes):
+        rng = np.random.default_rng(200)
+        mixed = mixed_moving_env(3)
+        kept = tuple(o for o in mixed.obstacles if o.kind == shapes)
+        assert kept or shapes == "none"
+        env = Environment(obstacles=kept, workspace=mixed.workspace, time=mixed.time)
+        spec = ScanSpec(mount_links=(0, 2), rays_per_mount=16, max_range=1.5)
+        for _ in range(10):
+            q = sample_config(arm, rng)
+            cloud = ray_cast_scan(env, arm, q, spec)
+            ref = rollout_oracle.ray_cast_scan(env, arm, q, spec)
+            assert same_bits(cloud.points, ref.points)
+            assert same_bits(cloud.normals, ref.normals)
+
     def test_no_obstacles_all_sentinels(self, arm):
         spec = ScanSpec(mount_links=(0, 2), rays_per_mount=8, max_range=2.0)
         cloud = ray_cast_scan(Environment(), arm, np.zeros(3), spec)

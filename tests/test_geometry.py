@@ -137,6 +137,32 @@ class TestRayCasts:
             np.array([[3.0, 0.0]]), np.array([[1.0, 0.5]]))
         assert np.isinf(t[0, 0])
 
+    def test_ray_rect_entry_normals_match_pairwise_rule(self):
+        # per (ray, rectangle): the entry axis is the one whose slab is entered
+        # last (x on ties), and the normal points against the ray along it
+        rng = np.random.default_rng(8)
+        ang = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 40), 0.5 * np.pi * np.arange(4)])
+        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        dirs[-4:] = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        origins = rng.uniform(-1.0, 1.0, (ang.size, 2))
+        centers = rng.uniform(-1.0, 1.0, (6, 2))
+        halves = rng.uniform(0.05, 0.5, (6, 2))
+        _, normals = geometry.ray_rects(origins, dirs, centers, halves)
+        for r in range(ang.size):
+            for k in range(6):
+                rel = centers[k] - origins[r]
+                t_min = []
+                for ax in range(2):
+                    if abs(dirs[r, ax]) < geometry._EPS:
+                        t_min.append(-np.inf if abs(rel[ax]) <= halves[k, ax] else np.inf)
+                    else:
+                        t_min.append(min((rel[ax] - halves[k, ax]) / dirs[r, ax],
+                                         (rel[ax] + halves[k, ax]) / dirs[r, ax]))
+                ax = 0 if t_min[0] >= t_min[1] else 1
+                expect = np.zeros(2)
+                expect[ax] = -np.sign(dirs[r, ax]) or 1.0
+                assert normals[r, k].tobytes() == expect.tobytes(), (r, k)
+
 
 class TestFusedKernel:
     def test_matches_componentwise_primitives(self):
