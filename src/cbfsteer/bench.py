@@ -157,8 +157,8 @@ def _method_barrier(method: dict, arm: ArmModel, cfg: dict, barrier_cache: dict)
                                   fd_step=cfg["hyper"]["fd_step"])
     path = method["checkpoint"]
     if path not in barrier_cache:
-        variant, net, hyper_doc = load_checkpoint(path)
-        hyper = checkpoint_hyper(cfg, variant, hyper_doc)
+        _, net, hyper_doc = load_checkpoint(path)
+        hyper = checkpoint_hyper(cfg, hyper_doc)
         alpha = cfg["controller"]["alpha"]
         if hyper.alpha_h != alpha:
             raise ValueError(f"checkpoint {path} was trained with alpha_h="

@@ -10,7 +10,6 @@ grad_h . u + alpha_h * h <= -eps (drift-free system, so the drift term drops).
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass, field
 
@@ -42,13 +41,6 @@ from .neural import (
 )
 
 
-class FdMode(str, enum.Enum):
-    """How stencil observations are produced for the numerical q-gradient."""
-
-    FIXED_OBSERVATION = "fixed_observation"
-    REFRESHED_OBSERVATION = "refreshed_observation"
-
-
 @dataclass(frozen=True)
 class CbfHyper(Record):
     gamma: float = 0.05
@@ -56,7 +48,6 @@ class CbfHyper(Record):
     alpha_h: float = 1.0
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 0.5)
     fd_step: float = 1e-3
-    fd_mode: FdMode = FdMode.REFRESHED_OBSERVATION
     r_thres: float = 0.05
 
     def __post_init__(self):
@@ -257,48 +248,35 @@ def _stencil_configs(q: np.ndarray, fd_step: float) -> np.ndarray:
 
 def h_and_grad(net, q: np.ndarray, env: Environment | None, arm: ArmModel,
                hyper: CbfHyper, observation=None) -> tuple[float, np.ndarray]:
-    """Barrier value and forward-difference q-gradient.
+    """Barrier value and forward-difference q-gradient, through the training
+    forward pass on a one-sample stencil batch.
 
-    Fixed mode evaluates every stencil point with the same observation (the
-    one passed in); refreshed mode recomputes the scalar observation at each
-    stencil configuration from the environment.
+    A state net refreshes the signed distance at every stencil configuration
+    from the environment; a given `StateObservation` supplies slot 0. A cloud
+    net holds its observed cloud fixed across the stencil.
     """
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
     qs = _stencil_configs(q, hyper.fd_step)
     if isinstance(net, Mlp):
         if observation is not None and not isinstance(observation, StateObservation):
             raise TypeError("state-variant net needs a StateObservation")
-        if hyper.fd_mode is FdMode.REFRESHED_OBSERVATION:
-            if env is None:
-                raise ValueError("refreshed-observation mode needs the environment")
-            if observation is not None:
-                ds = np.empty(n + 1)
-                ds[0] = observation.min_signed_distance
-                ds[1:] = signed_distance_batch(env, arm, qs[1:])
-            else:
-                ds = signed_distance_batch(env, arm, qs)
-        else:
-            if observation is None:
-                raise ValueError("fixed-observation mode needs the observation")
-            ds = np.full(n + 1, observation.min_signed_distance)
-        x = np.concatenate([qs, ds[:, None]], axis=1)
-        y, _ = mlp_forward(net, x)
-        h = y[:, 0]
-    elif isinstance(net, PointSetEncoder):
-        if hyper.fd_mode is not FdMode.FIXED_OBSERVATION:
-            raise ValueError("cloud-variant gradients support fixed-observation mode only")
+        if env is None:
+            raise ValueError("a state barrier needs the environment")
         if observation is None:
-            raise ValueError("fixed-observation mode needs the observation")
-        recs = _stencil_records(arm, qs[None, :, :], observation.points[None, :, :],
-                                observation.normals[None, :, :])
-        hvals, _ = encoder_forward_batch(
-            net, qs, recs.reshape((n + 1,) + recs.shape[2:]))
-        h = hvals
+            ds = signed_distance_batch(env, arm, qs)
+        else:
+            ds = np.empty(qs.shape[0])
+            ds[0] = observation.min_signed_distance
+            ds[1:] = signed_distance_batch(env, arm, qs[1:])
+        prep = _Prepared(x=np.concatenate([qs, ds[:, None]], axis=1)[None])
+    elif isinstance(net, PointSetEncoder):
+        if observation is None:
+            raise ValueError("a cloud barrier needs its observed cloud")
+        prep = _Prepared(qs=qs[None], points=observation.points[None],
+                         normals=observation.normals[None])
     else:
         raise TypeError(f"unsupported network type {type(net).__name__}")
-    grad = (h[1:] - h[0]) / hyper.fd_step
-    return float(h[0]), grad
+    h, _ = _forward_stencil(net, prep, arm)
+    return float(h[0, 0]), (h[0, 1:] - h[0, 0]) / hyper.fd_step
 
 
 def _stencil_records(arm: ArmModel, qs: np.ndarray, points: np.ndarray, normals: np.ndarray
@@ -333,17 +311,17 @@ def _stencil_records(arm: ArmModel, qs: np.ndarray, points: np.ndarray, normals:
 
 @dataclass
 class _Prepared:
-    """Batch tensors shared by loss, training and constraint evaluation."""
+    """Stencil inputs of a batch, shared by inference, loss, training and
+    constraint evaluation; the label masks only where labels exist."""
 
-    kind: str
-    safe_mask: np.ndarray
-    unsafe_mask: np.ndarray
     # state variant: stencil network inputs (B, S, n+1)
     x: np.ndarray | None = None
     # cloud variant: stencil configs and the per-sample cloud arrays
     qs: np.ndarray | None = None  # (B, S, n)
     points: np.ndarray | None = None  # (B, N, 2)
     normals: np.ndarray | None = None
+    safe_mask: np.ndarray | None = None
+    unsafe_mask: np.ndarray | None = None
 
 
 def stencil_distances(samples, arm: ArmModel, hyper: CbfHyper, envs) -> np.ndarray:
@@ -351,15 +329,12 @@ def stencil_distances(samples, arm: ArmModel, hyper: CbfHyper, envs) -> np.ndarr
     stored observation in column 0 and signed distances at the perturbed
     configurations after it. Groups samples by environment so the geometric
     queries run batched."""
+    if envs is None:
+        raise ValueError("state samples need their environments")
     n = arm.n_links
     b = len(samples)
     out = np.empty((b, n + 1))
     out[:, 0] = [s.observation.min_signed_distance for s in samples]
-    if hyper.fd_mode is not FdMode.REFRESHED_OBSERVATION:
-        out[:, 1:] = out[:, :1]
-        return out
-    if envs is None:
-        raise ValueError("refreshed-observation mode needs environments")
     by_env: dict[int, list[int]] = {}
     for i, s in enumerate(samples):
         by_env.setdefault(s.env_id, []).append(i)
@@ -386,16 +361,16 @@ def _prepare_batch(batch, arm: ArmModel, hyper: CbfHyper, envs=None,
         if stencil_d is None:
             stencil_d = stencil_distances(batch, arm, hyper, envs)
         x = np.concatenate([qs, stencil_d[:, :, None]], axis=2)
-        return _Prepared(kind="state", safe_mask=safe_mask, unsafe_mask=unsafe_mask, x=x)
+        return _Prepared(x=x, safe_mask=safe_mask, unsafe_mask=unsafe_mask)
     points = np.stack([s.observation.points for s in batch])
     normals = np.stack([s.observation.normals for s in batch])
-    return _Prepared(kind="cloud", safe_mask=safe_mask, unsafe_mask=unsafe_mask,
-                     qs=qs, points=points, normals=normals)
+    return _Prepared(qs=qs, points=points, normals=normals, safe_mask=safe_mask,
+                     unsafe_mask=unsafe_mask)
 
 
 def _forward_stencil(net, prep: _Prepared, arm: ArmModel):
     """Barrier values on all stencil slots: h (B, S) plus the tape."""
-    if prep.kind == "state":
+    if isinstance(net, Mlp):
         b, s, d_in = prep.x.shape
         y, tape = mlp_forward(net, prep.x.reshape(b * s, d_in))
         return y[:, 0].reshape(b, s), tape
@@ -470,7 +445,7 @@ def _loss_prepared(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper,
     up[:, 1:] += active3[:, None] * stencil_w
     up[:, 0] += active3 * (hyper.alpha_h - stencil_w.sum(axis=1))
 
-    if prep.kind == "state":
+    if isinstance(net, Mlp):
         grads, _ = mlp_backward(tape, up.reshape(b * s, 1))
     else:
         grads, _, _ = encoder_backward_batch(tape, up.reshape(b * s))
@@ -569,10 +544,7 @@ def train(dataset: Dataset, net_init, hyper: CbfHyper, schedule: TrainSchedule,
                 report.aborted = True
                 report.wall_seconds = time.perf_counter() - t0
                 return net, report
-            if isinstance(net, Mlp):
-                adam_step(net.params, grads, state, lr=schedule.lr)
-            else:
-                adam_step(params, grads, state, lr=schedule.lr)
+            adam_step(params, grads, state, lr=schedule.lr)
             w = len(chunk)
             epoch_loss += total * w
             for k in epoch_comps:
@@ -621,8 +593,8 @@ class NeuralBarrier:
     @property
     def needs_observation(self) -> bool:
         """Whether rollouts must fetch an observation for this barrier (a
-        refreshed state barrier regenerates its own scalar observation)."""
-        return self.kind == "cloud" or self.hyper.fd_mode is FdMode.FIXED_OBSERVATION
+        state barrier regenerates its own scalar observation)."""
+        return self.kind == "cloud"
 
     def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray]:
         return h_and_grad(self.net, q, env, self.arm, self.hyper, observation=observation)

@@ -225,7 +225,7 @@ def _cmd_eval_cbf(args, cfg, out_dir):
     if variant != dataset.kind:
         raise RuntimeError(f"checkpoint variant {variant!r} does not match dataset "
                            f"kind {dataset.kind!r}")
-    hyper = checkpoint_hyper(cfg, variant, hyper_doc)
+    hyper = checkpoint_hyper(cfg, hyper_doc)
     rates = evaluate_constraints(net, dataset, hyper=hyper)
     out = {"checkpoint": str(args.checkpoint), "data": str(args.data), **rates}
     print(f"safe={rates['safe_rate']:.4f} unsafe={rates['unsafe_rate']:.4f} "

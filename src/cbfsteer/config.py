@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-from .cbf import CbfHyper, FdMode, TrainSchedule
+from .cbf import CbfHyper, TrainSchedule
 from .controller import NominalPolicy, QpMode, RolloutLimits, SafeControllerConfig
 from .environment import EnvGenConfig, ScanSpec, Workspace
 from .jsonio import load_json
@@ -152,24 +152,25 @@ def make_env_gen(cfg: dict, **overrides) -> EnvGenConfig:
     )
 
 
-def make_hyper(cfg: dict, kind: str) -> CbfHyper:
+def make_hyper(cfg: dict, kind: str | None = None) -> CbfHyper:
+    """The barrier hyperparameters of the config's `hyper` block, which both
+    variants share. `kind` is not read; callers such as the benchmark
+    workloads pass the variant, as they do to `make_schedule`."""
     h = cfg["hyper"]
-    mode = FdMode.REFRESHED_OBSERVATION if kind == "state" else FdMode.FIXED_OBSERVATION
     return CbfHyper(
         gamma=h["gamma"],
         eps_margin=h["eps_margin"],
         alpha_h=h["alpha_h"],
         loss_weights=tuple(h["loss_weights"]),
         fd_step=h["fd_step"],
-        fd_mode=mode,
         r_thres=h["r_thres"],
     )
 
 
-def checkpoint_hyper(cfg: dict, variant: str, hyper_doc: dict) -> CbfHyper:
+def checkpoint_hyper(cfg: dict, hyper_doc: dict) -> CbfHyper:
     """A checkpoint's barrier hyperparameters; one saved without them gets
-    the config's, as `make_hyper` builds them for its variant."""
-    return CbfHyper.from_json(hyper_doc) if hyper_doc else make_hyper(cfg, variant)
+    the config's."""
+    return CbfHyper.from_json(hyper_doc) if hyper_doc else make_hyper(cfg)
 
 
 def make_policy(cfg: dict) -> NominalPolicy:

@@ -167,6 +167,14 @@ class RolloutLimits:
     def __post_init__(self):
         if not 0.0 < self.horizon_s < math.inf:
             raise ValueError("rollout horizon must be positive and finite")
+        check_rates(self.sim_hz, self.ctrl_hz)
+        if self.n_ticks < 1:
+            raise ValueError(f"rollout horizon {self.horizon_s} s is shorter than half a "
+                             f"control period at {self.ctrl_hz} Hz, so it runs no tick")
+
+    @property
+    def n_ticks(self) -> int:
+        return int(round(self.horizon_s * self.ctrl_hz))
 
 
 @dataclass
@@ -246,11 +254,9 @@ def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,
     tick's substeps are checked in one clearance call, each against the
     obstacles at its own simulation step.
     """
-    check_rates(limits.sim_hz, limits.ctrl_hz)
     arm = barrier.arm
     substeps = limits.sim_hz // limits.ctrl_hz
     dt_sim = 1.0 / limits.sim_hz
-    n_ticks = int(round(limits.horizon_s * limits.ctrl_hz))
     dynamic = env.is_dynamic
 
     q = np.asarray(q0, dtype=float).copy()
@@ -266,7 +272,7 @@ def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,
         return rec
 
     stalled = 0
-    for _ in range(n_ticks):
+    for _ in range(limits.n_ticks):
         u, _, _, diag = control_tick(barrier, observe, policy, cfg, env, q, q_goal)
         if diag.infeasible:
             rec.qp_infeasible_count += 1

@@ -335,8 +335,7 @@ def ray_cast_scan(env: Environment, arm: ArmModel, q: np.ndarray, spec: ScanSpec
         if not 0 <= link < arm.n_links:
             raise ValueError(f"mount link {link} out of range")
     links = np.array(spec.mount_links)
-    pts = joint_positions(arm, q)
-    cum = np.cumsum(np.asarray(q, dtype=float))
+    pts, cum = joint_positions(arm, q)
     fan = 2.0 * np.pi * np.arange(spec.rays_per_mount) / spec.rays_per_mount
     angles = (cum[links][:, None] + fan).ravel()
     origins = np.repeat(0.5 * (pts[links] + pts[links + 1]), spec.rays_per_mount, axis=0)

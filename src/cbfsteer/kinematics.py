@@ -81,20 +81,6 @@ def _check_config(arm: ArmModel, q: np.ndarray) -> np.ndarray:
     return q
 
 
-def joint_positions(arm: ArmModel, q: np.ndarray) -> np.ndarray:
-    """World positions of the base and every joint/tip: array (n+1, 2)."""
-    q = _check_config(arm, q)
-    angles = np.cumsum(q)
-    steps = np.array(arm.link_lengths)[:, None] * np.stack(
-        [np.cos(angles), np.sin(angles)], axis=1
-    )
-    pts = np.empty((arm.n_links + 1, 2))
-    pts[0] = arm.base_position
-    np.cumsum(steps, axis=0, out=pts[1:])
-    pts[1:] += pts[0]
-    return pts
-
-
 def clamp_to_limits(arm: ArmModel, q: np.ndarray) -> np.ndarray:
     """Clamp each joint into its limit interval (idempotent)."""
     q = _check_config(arm, q)
@@ -135,6 +121,14 @@ def batch_joint_positions(arm: ArmModel, qs: np.ndarray) -> tuple[np.ndarray, np
     np.cumsum(joints, axis=1, out=joints)
     joints += complex(*arm.base_position)
     return joints, angles
+
+
+def joint_positions(arm: ArmModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """World positions of the base and every joint/tip (n+1, 2) and the
+    absolute link angles (n,) of one configuration: the real view of one
+    `batch_joint_positions` row."""
+    joints, angles = batch_joint_positions(arm, _check_config(arm, q)[None])
+    return joints[0].view(float).reshape(-1, 2), angles[0]
 
 
 def batch_link_frames(arm: ArmModel, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

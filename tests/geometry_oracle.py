@@ -19,6 +19,19 @@ from cbfsteer.kinematics import ArmModel, joint_positions
 _EPS = 1e-12
 
 
+def real_chain_joint_positions(arm: ArmModel, q: np.ndarray) -> np.ndarray:
+    """World positions of the base and every joint/tip of one configuration,
+    (n+1, 2), summed link by link in real arithmetic."""
+    angles = np.cumsum(q)
+    steps = np.array(arm.link_lengths)[:, None] * np.stack(
+        [np.cos(angles), np.sin(angles)], axis=1)
+    pts = np.empty((arm.n_links + 1, 2))
+    pts[0] = arm.base_position
+    np.cumsum(steps, axis=0, out=pts[1:])
+    pts[1:] += pts[0]
+    return pts
+
+
 def rect_edge_arrays(centers: np.ndarray, halves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Corner-to-corner edges of K rectangles as (starts (4K, 2), ends (4K, 2))."""
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
@@ -131,7 +144,7 @@ def signed_distance_batch(env: Environment, arm: ArmModel, qs: np.ndarray) -> np
     """Reference clearance of a batch of configurations (B, n)."""
     qs = np.asarray(qs, dtype=float)
     b, n = qs.shape
-    pts = np.stack([joint_positions(arm, q) for q in qs]).reshape(b, n + 1, 2)
+    pts = np.stack([joint_positions(arm, q)[0] for q in qs]).reshape(b, n + 1, 2)
     seg_a = pts[:, :-1, :].reshape(b * n, 2)
     seg_b = pts[:, 1:, :].reshape(b * n, 2)
     r = arm.link_radius

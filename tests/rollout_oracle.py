@@ -45,7 +45,7 @@ def step_obstacles(env: Environment, dt: float) -> Environment:
 
 def ray_cast_scan(env, arm, q, spec) -> CloudObservation:
     """Ray fans built one ray at a time, then the nearest circle or rectangle hit."""
-    pts = joint_positions(arm, q)
+    pts = joint_positions(arm, q)[0]
     cum = np.cumsum(np.asarray(q, dtype=float))
     origins = []
     dirs = []

@@ -270,6 +270,14 @@ class TestEvalController:
             bench.eval_controller(probs, {"name": "hand-cbf"}, "static_full", arm, cfg,
                                   horizon_s=horizon)
 
+    def test_horizon_without_a_control_tick_rejected(self, cfg, arm):
+        # 0.01 s is under half a 30 Hz control period: no tick would run
+        probs = bench.gen_problems(EnvGenConfig(num_obstacles=0), 1,
+                                   np.random.default_rng(20), arm, 0.025)
+        with pytest.raises(ValueError, match="horizon"):
+            bench.eval_controller(probs, {"name": "hand-cbf"}, "static_full", arm, cfg,
+                                  horizon_s=0.01)
+
     def test_hand_cbf_uses_the_configured_fd_step(self, cfg, arm):
         from cbfsteer.cbf import handcrafted_h
 

@@ -8,11 +8,14 @@ from cbfsteer.cbf import (
     CbfHyper,
     Dataset,
     DatasetCounts,
-    FdMode,
     HandcraftedBarrier,
     LabeledSample,
     NeuralBarrier,
     TrainSchedule,
+    _condition_values,
+    _forward_stencil,
+    _prepare_batch,
+    _stencil_records,
     collect_dataset,
     evaluate_constraints,
     h_and_grad,
@@ -31,9 +34,11 @@ from cbfsteer.environment import (
     Obstacle,
     SafetyLabel,
     StateObservation,
+    random_environment,
     safety_label,
     sample_surface_points,
     signed_distance,
+    signed_distance_batch,
 )
 from cbfsteer.kinematics import ArmModel, sample_config
 from cbfsteer.neural import Mlp, PointSetEncoder, encoder_forward_batch, mlp_forward
@@ -41,9 +46,9 @@ from test_neural import encode, reference_point_records
 
 
 def h_value(net, q, observation, arm):
-    """Barrier value alone, through h_and_grad with the observation held fixed."""
-    return h_and_grad(net, q, None, arm, CbfHyper(fd_mode=FdMode.FIXED_OBSERVATION),
-                      observation=observation)[0]
+    """Barrier value alone, through h_and_grad: a state observation supplies
+    slot 0, so the (empty) world only feeds the stencil slots."""
+    return h_and_grad(net, q, Environment(), arm, CbfHyper(), observation=observation)[0]
 
 
 def grad_h_q(net, q, env, arm, hyper, observation=None):
@@ -175,10 +180,8 @@ class TestGradHq:
     def test_constant_network_zero_gradient(self, arm):
         env = Environment(obstacles=(Obstacle(kind="circle", center=(1.0, 0.5), radius=0.2),))
         net = constant_net(4, 3.0)
-        for mode in FdMode:
-            hyper = CbfHyper(fd_mode=mode)
-            g = grad_h_q(net, np.zeros(3), env, arm, hyper,
-                         observation=StateObservation(0.26))
+        for obs in (StateObservation(0.26), None):
+            g = grad_h_q(net, np.zeros(3), env, arm, CbfHyper(), observation=obs)
             np.testing.assert_array_equal(g, np.zeros(3))
 
     def test_identity_net_matches_distance_fd(self, arm):
@@ -186,7 +189,7 @@ class TestGradHq:
         # difference of the signed distance itself
         env = Environment(obstacles=(Obstacle(kind="circle", center=(0.9, 0.4), radius=0.2),))
         net = distance_net(3)
-        hyper = CbfHyper(fd_step=1e-4, fd_mode=FdMode.REFRESHED_OBSERVATION)
+        hyper = CbfHyper(fd_step=1e-4)
         rng = np.random.default_rng(4)
         checked = 0
         for _ in range(20):
@@ -203,18 +206,42 @@ class TestGradHq:
         assert checked == 20
 
     def test_fixed_mode_matches_reverse_mode_input_grad(self, arm):
+        # forward differences of the net in q with d held fixed (a local
+        # reference: the package always refreshes d for a state net)
         rng = np.random.default_rng(5)
         net = Mlp.create((4, 16, 1), rng)
-        hyper = CbfHyper(fd_step=1e-3, fd_mode=FdMode.FIXED_OBSERVATION)
+        fd_step = 1e-3
         from cbfsteer.neural import mlp_backward
 
         for _ in range(10):
             q = rng.uniform(-1, 1, 3)
-            obs = StateObservation(float(rng.uniform(-0.2, 0.5)))
-            g = grad_h_q(net, q, None, arm, hyper, observation=obs)
-            _, tape = mlp_forward(net, np.concatenate([q, [obs.min_signed_distance]]))
+            d = float(rng.uniform(-0.2, 0.5))
+            qs = q + np.vstack([np.zeros(3), np.eye(3) * fd_step])
+            y, _ = mlp_forward(net, np.column_stack([qs, np.full(4, d)]))
+            g = (y[1:, 0] - y[0, 0]) / fd_step
+            _, tape = mlp_forward(net, np.concatenate([q, [d]]))
             _, input_grad = mlp_backward(tape)
-            np.testing.assert_allclose(g, input_grad[:3], atol=20 * hyper.fd_step)
+            np.testing.assert_allclose(g, input_grad[:3], atol=20 * fd_step)
+
+    def test_refreshed_gradient_follows_the_chain_rule(self, arm):
+        # the stencil slots see the signed distance move with q:
+        # grad = dh/dq + dh/dd * (forward difference of d)
+        rng = np.random.default_rng(5)
+        net = Mlp.create((4, 16, 1), rng)
+        hyper = CbfHyper(fd_step=1e-3)
+        env = Environment(obstacles=(Obstacle(kind="circle", center=(0.9, 0.4), radius=0.2),))
+        from cbfsteer.neural import mlp_backward
+
+        for _ in range(10):
+            q = sample_config(arm, rng)
+            d0 = signed_distance(env, arm, q)
+            d_fd = np.array([signed_distance(env, arm, q + np.eye(3)[i] * hyper.fd_step) - d0
+                             for i in range(3)]) / hyper.fd_step
+            _, tape = mlp_forward(net, np.concatenate([q, [d0]]))
+            _, input_grad = mlp_backward(tape)
+            g = grad_h_q(net, q, env, arm, hyper)
+            np.testing.assert_allclose(g, input_grad[:3] + input_grad[3] * d_fd,
+                                       atol=20 * hyper.fd_step)
 
     def test_cloud_variant_gradient_runs(self, arm):
         rng = np.random.default_rng(6)
@@ -305,8 +332,7 @@ def synthetic_state_batch(arm, hyper, rng, n=60):
 
 class TestLoss:
     def test_zero_network_exact_components(self, arm):
-        hyper = CbfHyper(gamma=0.1, eps_margin=0.02, loss_weights=(2.0, 3.0, 4.0),
-                         fd_mode=FdMode.FIXED_OBSERVATION)
+        hyper = CbfHyper(gamma=0.1, eps_margin=0.02, loss_weights=(2.0, 3.0, 4.0))
         rng = np.random.default_rng(9)
         samples, envs = synthetic_state_batch(arm, hyper, rng, n=90)
         # force a balanced batch with all classes present
@@ -320,12 +346,12 @@ class TestLoss:
         assert total == pytest.approx(0.2 + 0.3 + 0.08)
 
     def test_empty_class_terms_zero(self, arm):
-        hyper = CbfHyper(fd_mode=FdMode.FIXED_OBSERVATION)
+        hyper = CbfHyper()
         # only Safe samples, network far below -gamma
         samples = [LabeledSample(q=np.zeros(3), observation=StateObservation(1.0),
                                  label=SafetyLabel.SAFE, env_id=0)] * 8
         net = constant_net(4, -1.0)
-        total, comps, _ = loss(net, samples, arm, hyper)
+        total, comps, _ = loss(net, samples, arm, hyper, envs=[Environment()])
         assert comps["safe"] == 0.0
         assert comps["unsafe"] == 0.0  # no unsafe samples at all
         assert comps["deriv"] == 0.0  # eps + alpha_h * (-1) < 0
@@ -335,7 +361,7 @@ class TestLoss:
             loss(constant_net(4, 0.0), [], arm, CbfHyper())
 
     def test_param_grads_match_finite_differences(self, arm):
-        hyper = CbfHyper(fd_mode=FdMode.FIXED_OBSERVATION, loss_weights=(1.0, 1.0, 0.7))
+        hyper = CbfHyper(loss_weights=(1.0, 1.0, 0.7))
         rng = np.random.default_rng(10)
         samples, envs = synthetic_state_batch(arm, hyper, rng, n=24)
         net = Mlp.create((4, 6, 1), rng)
@@ -379,7 +405,7 @@ class TestLoss:
     def test_overfit_smoke(self, arm):
         from cbfsteer.neural import AdamState, adam_step
 
-        hyper = CbfHyper(fd_mode=FdMode.FIXED_OBSERVATION)
+        hyper = CbfHyper()
         rng = np.random.default_rng(12)
         samples, envs = synthetic_state_batch(arm, hyper, rng, n=64)
         net = Mlp.create((4, 16, 1), rng)
@@ -397,7 +423,7 @@ class TestLoss:
 
 class TestEvaluateConstraints:
     def test_zero_network_all_rates_zero(self, arm):
-        hyper = CbfHyper(fd_mode=FdMode.FIXED_OBSERVATION)
+        hyper = CbfHyper()
         rng = np.random.default_rng(13)
         samples, envs = synthetic_state_batch(arm, hyper, rng, n=100)
         rates = evaluate_constraints(constant_net(4, 0.0), samples, arm, hyper, envs=envs)
@@ -408,7 +434,7 @@ class TestEvaluateConstraints:
 
     def test_synthetic_perfect_h(self, arm):
         # h = r_thres/2 - d satisfies the margin conditions once gamma <= r_thres/2
-        hyper = CbfHyper(gamma=0.02, r_thres=0.05, fd_mode=FdMode.REFRESHED_OBSERVATION)
+        hyper = CbfHyper(gamma=0.02, r_thres=0.05)
         rng = np.random.default_rng(14)
         samples, envs = synthetic_state_batch(arm, hyper, rng, n=200)
         net = distance_net(3, scale=-1.0, offset=hyper.r_thres / 2)
@@ -417,7 +443,7 @@ class TestEvaluateConstraints:
         assert rates["unsafe_rate"] == 1.0
 
     def test_order_independent(self, arm):
-        hyper = CbfHyper(fd_mode=FdMode.FIXED_OBSERVATION)
+        hyper = CbfHyper()
         rng = np.random.default_rng(15)
         samples, envs = synthetic_state_batch(arm, hyper, rng, n=80)
         net = Mlp.create((4, 8, 1), rng)
@@ -533,3 +559,84 @@ class TestStencilDistances:
                 qj[j] += hyper.fd_step
                 assert table[i, 1 + j] == pytest.approx(
                     signed_distance(envs[0], arm, qj), abs=1e-12)
+
+
+def parent_h_and_grad(net, q, env, arm, fd_step, observation=None):
+    """The barrier value and gradient as computed before inference shared
+    the training forward pass: refreshed signed distances for a state net
+    (slot 0 from the observation when one is given), the observed cloud held
+    fixed for a cloud net."""
+    q = np.asarray(q, dtype=float)
+    n = q.shape[0]
+    qs = np.tile(q, (n + 1, 1))
+    qs[1:] += np.eye(n) * fd_step
+    if isinstance(net, Mlp):
+        if observation is not None:
+            ds = np.empty(n + 1)
+            ds[0] = observation.min_signed_distance
+            ds[1:] = signed_distance_batch(env, arm, qs[1:])
+        else:
+            ds = signed_distance_batch(env, arm, qs)
+        y, _ = mlp_forward(net, np.concatenate([qs, ds[:, None]], axis=1))
+        h = y[:, 0]
+    else:
+        recs = _stencil_records(arm, qs[None, :, :], observation.points[None, :, :],
+                                observation.normals[None, :, :])
+        h, _ = encoder_forward_batch(net, qs, recs.reshape((n + 1,) + recs.shape[2:]))
+    return float(h[0]), (h[1:] - h[0]) / fd_step
+
+
+def random_world_samples(arm, rng, kind, count):
+    """`count` labeled samples of one random 6-obstacle world, with a state
+    observation or the world's surface cloud."""
+    env = random_environment(EnvGenConfig(num_obstacles=6, shapes=("rect", "circle")), rng)
+    cloud = sample_surface_points(env, 24, rng)
+    samples = []
+    for _ in range(count):
+        q = sample_config(arm, rng)
+        d = signed_distance(env, arm, q)
+        obs = StateObservation(d) if kind == "state" else cloud
+        samples.append(LabeledSample(q=q, observation=obs, label=safety_label(d, 0.05),
+                                     env_id=0))
+    return env, samples
+
+
+class TestSharedStencilForwardPass:
+    """`h_and_grad` runs the training forward pass on a one-sample batch."""
+
+    @pytest.mark.parametrize("case", ["state-observed", "state-unobserved", "cloud"])
+    def test_bit_equal_to_the_parent_implementation(self, arm, case):
+        rng = np.random.default_rng(30)
+        if case == "cloud":
+            net = PointSetEncoder.create(3, per_point_widths=(7, 8, 6), trunk_widths=(9, 8, 1),
+                                         rng=rng)
+        else:
+            net = Mlp.create((4, 16, 16, 1), rng)
+        hyper = CbfHyper()
+        for _ in range(60):
+            env, samples = random_world_samples(arm, rng, case[:5], 3)
+            for s in samples:
+                obs = None if case == "state-unobserved" else s.observation
+                h, g = h_and_grad(net, s.q, env, arm, hyper, observation=obs)
+                h_ref, g_ref = parent_h_and_grad(net, s.q, env, arm, hyper.fd_step, obs)
+                assert h == h_ref
+                assert g.tobytes() == g_ref.tobytes()
+
+    @pytest.mark.parametrize("kind", ["state", "cloud"])
+    def test_equal_to_the_batched_training_pass(self, arm, kind):
+        rng = np.random.default_rng(31)
+        if kind == "cloud":
+            net = PointSetEncoder.create(3, per_point_widths=(7, 8, 6), trunk_widths=(9, 8, 1),
+                                         rng=rng)
+        else:
+            net = Mlp.create((4, 16, 16, 1), rng)
+        hyper = CbfHyper()
+        for _ in range(5):
+            env, samples = random_world_samples(arm, rng, kind, 40)
+            prep = _prepare_batch(samples, arm, hyper, envs=[env])
+            h_batch, _ = _forward_stencil(net, prep, arm)
+            h0, grad, _, _ = _condition_values(h_batch, prep, arm, hyper)
+            for i, s in enumerate(samples):
+                h, g = h_and_grad(net, s.q, env, arm, hyper, observation=s.observation)
+                assert h == h0[i]
+                assert g.tobytes() == grad[i].tobytes()

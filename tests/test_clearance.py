@@ -145,7 +145,7 @@ class TestEdgeCases:
 
     def test_self_crossing_arm(self, arm):
         q = np.array([0.0, 2.5, 2.0])
-        pts = joint_positions(arm, q)
+        pts = joint_positions(arm, q)[0]
         assert segments_intersect(pts[0], pts[1], pts[2][None], pts[3][None])[0]
         d = assert_matches_oracle(Environment(), arm, q[None])
         assert d[0] == pytest.approx(-2 * arm.link_radius, abs=1e-12)

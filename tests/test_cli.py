@@ -134,6 +134,15 @@ class TestPipeline:
         assert rc == 2
         assert "horizon" in capsys.readouterr().err
 
+    def test_eval_controller_horizon_without_a_tick_fails(self, pipeline_dir, mini_config,
+                                                          capsys):
+        # 0.01 s is under half a 30 Hz control period
+        rc = run(["--config", mini_config, "--out", str(pipeline_dir),
+                  "eval-controller", "--problems", str(pipeline_dir / "problems.json"),
+                  "--method", "hand-cbf", "--horizon", "0.01"])
+        assert rc == 2
+        assert "horizon" in capsys.readouterr().err
+
 
 class TestCheckpointWithoutHyper:
     @pytest.mark.parametrize("kind", ["state", "cloud"])
@@ -141,7 +150,7 @@ class TestCheckpointWithoutHyper:
         # a checkpoint saved without its hyperparameters gets the config's,
         # the same way in eval-cbf and in the planners' steer
         from cbfsteer import bench, cli
-        from cbfsteer.cbf import CbfHyper, DatasetCounts, FdMode, collect_dataset
+        from cbfsteer.cbf import CbfHyper, DatasetCounts, collect_dataset
         from cbfsteer.config import cloud_widths, load_config, make_arm, make_hyper, state_widths
         from cbfsteer.controller import NominalPolicy
         from cbfsteer.environment import EnvGenConfig
@@ -175,5 +184,4 @@ class TestCheckpointWithoutHyper:
         steer = bench.build_steer(method, arm, problem, cfg, 0, {})
         assert seen == [steer.bundle.barrier.hyper] == [make_hyper(cfg, kind)]
         # the default config holds the CbfHyper defaults
-        mode = FdMode.REFRESHED_OBSERVATION if kind == "state" else FdMode.FIXED_OBSERVATION
-        assert seen[0] == CbfHyper(fd_mode=mode)
+        assert seen[0] == CbfHyper()

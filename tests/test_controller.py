@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rollout_oracle
-from cbfsteer.cbf import CbfHyper, FdMode, HandcraftedBarrier, NeuralBarrier
+from cbfsteer.cbf import CbfHyper, HandcraftedBarrier, NeuralBarrier
 from cbfsteer.controller import (
     NominalPolicy,
     QpMode,
@@ -281,6 +281,18 @@ class TestRolloutLimits:
         with pytest.raises(ValueError, match="horizon"):
             RolloutLimits(horizon_s=horizon)
 
+    @pytest.mark.parametrize("horizon", [0.01, 1 / 60])
+    def test_horizon_without_a_control_tick_rejected(self, horizon):
+        # at 30 Hz, 0.01 s rounds to 0 ticks, and so does half a period
+        with pytest.raises(ValueError, match="horizon"):
+            RolloutLimits(horizon_s=horizon)
+        assert RolloutLimits(horizon_s=0.02).n_ticks == 1
+
+    @pytest.mark.parametrize("sim_hz, ctrl_hz", [(100, 30), (0, 30), (120, 0)])
+    def test_rates_must_give_whole_substeps(self, sim_hz, ctrl_hz):
+        with pytest.raises(ValueError, match="sim_hz"):
+            RolloutLimits(sim_hz=sim_hz, ctrl_hz=ctrl_hz)
+
 
 class TestSafeRollout:
     def test_empty_env_reaches_goal(self):
@@ -367,8 +379,8 @@ class TestSafeRollout:
                          RolloutLimits(sim_hz=100, ctrl_hz=30), observe=None)
 
     def test_observer_closure_used_for_state_barrier(self):
-        # a state observer exists for fixed-observation barriers; the rollout
-        # only queries it when the barrier asks for observations
+        # the rollout only queries an observer when the barrier asks for
+        # observations, and a barrier on the signed distance never does
         arm = ArmModel()
         calls = []
 
@@ -480,7 +492,7 @@ class TestDynamicRolloutOracle:
         rng = np.random.default_rng(11)
         enc = PointSetEncoder.create(3, per_point_widths=(7, 5, 4), trunk_widths=(7, 5, 1),
                                      rng=rng)
-        barrier = NeuralBarrier(enc, arm, CbfHyper(fd_mode=FdMode.FIXED_OBSERVATION))
+        barrier = NeuralBarrier(enc, arm, CbfHyper())
         spec = ScanSpec(rays_per_mount=8)
         got, ref = both_rollouts(
             barrier, np.zeros(3), np.array([0.6, -0.4, 0.5]), crossing_world(2.5),
@@ -536,7 +548,7 @@ class TestStaticRolloutOracle:
         env = random_environment(EnvGenConfig(num_obstacles=5, shapes=("rect", "circle")), rng)
         enc = PointSetEncoder.create(3, per_point_widths=(7, 5, 4), trunk_widths=(7, 5, 1),
                                      rng=rng)
-        barrier = NeuralBarrier(enc, arm, CbfHyper(fd_mode=FdMode.FIXED_OBSERVATION))
+        barrier = NeuralBarrier(enc, arm, CbfHyper())
         observe = make_fixed_cloud_observer(sample_surface_points(env, 24, rng))
         q0 = sample_config(arm, rng)
         while signed_distance(env, arm, q0) <= 0.05:

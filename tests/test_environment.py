@@ -91,7 +91,7 @@ class TestSignedDistance:
         # close enough that the circle, not a self pair, attains the minimum
         env = far_circle_env(center=(1.0, 0.3))
         q = np.zeros(3)
-        pts = joint_positions(arm, q)
+        pts = joint_positions(arm, q)[0]
         expected = min(
             float(point_segment_distance(np.array([1.0, 0.3]), pts[i], pts[i + 1]))
             for i in range(arm.n_links)
@@ -109,7 +109,7 @@ class TestSignedDistance:
         # dense point-sampling penetration oracle agrees on the sign
         ts = np.linspace(0, 1, 2000)
         inside = False
-        joints = joint_positions(arm, q)
+        joints = joint_positions(arm, q)[0]
         for a, b in zip(joints[:-1], joints[1:]):
             pts = a[None, :] + ts[:, None] * (b - a)[None, :]
             q_rel = np.abs(pts - np.array([1.2, 0.0])) - np.array([0.1, 0.1])
@@ -143,7 +143,7 @@ class TestSignedDistance:
         q = np.array([0.0, 2.8, 2.8])
         d = signed_distance(env, arm, q)
         assert np.isfinite(d)
-        pts = joint_positions(arm, q)
+        pts = joint_positions(arm, q)[0]
         from cbfsteer.geometry import segment_segment_distance
 
         expected = segment_segment_distance(pts[0], pts[1], pts[2], pts[3]) - 2 * arm.link_radius
@@ -346,7 +346,7 @@ class TestRayCast:
 
 
 def _mounts(arm, q, spec):
-    pts = joint_positions(arm, q)
+    pts = joint_positions(arm, q)[0]
     return [0.5 * (pts[l] + pts[l + 1]) for l in spec.mount_links]
 
 
@@ -427,7 +427,7 @@ class TestSignedDistanceStepped:
         rng = np.random.default_rng(7)
         base = mixed_moving_env(3)
         qs = np.stack([sample_config(arm, rng) for _ in range(64)])
-        joints = [joint_positions(arm, q)[1 + i % 3] for i, q in enumerate(qs)]
+        joints = [joint_positions(arm, q)[0][1 + i % 3] for i, q in enumerate(qs)]
         worlds = []
         for i, q in enumerate(qs):
             shift = rng.uniform(-0.4, 0.4, size=2)

@@ -1,5 +1,6 @@
-"""Arm model tests: joint positions against a phasor oracle, limit clamping
-and exact integration."""
+"""Arm model tests: joint positions against a phasor oracle and, bit for
+bit, against a real-arithmetic chain; limit clamping and exact
+integration."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cbfsteer.kinematics import (
     joint_positions,
     sample_config,
 )
+from geometry_oracle import real_chain_joint_positions
 
 
 def phasor_tip(lengths, q, base=(0.0, 0.0)):
@@ -38,30 +40,30 @@ def wide_arm():
 
 class TestForwardKinematics:
     def test_zero_chain_along_x(self, wide_arm):
-        tip = joint_positions(wide_arm, np.zeros(2))[-1]
+        tip = joint_positions(wide_arm, np.zeros(2))[0][-1]
         np.testing.assert_allclose(tip, [2.0, 0.0], atol=1e-15)
 
     def test_quarter_turn(self, wide_arm):
-        tip = joint_positions(wide_arm, np.array([np.pi / 2, 0.0]))[-1]
+        tip = joint_positions(wide_arm, np.array([np.pi / 2, 0.0]))[0][-1]
         np.testing.assert_allclose(tip, [0.0, 2.0], atol=1e-12)
 
     def test_tip_matches_phasor_oracle(self):
         arm = ArmModel(link_lengths=(0.5, 0.4, 0.3))
         q = np.array([0.3, -0.2, 0.1])
-        tip = joint_positions(arm, q)[-1]
+        tip = joint_positions(arm, q)[0][-1]
         np.testing.assert_allclose(tip, phasor_tip(arm.link_lengths, q), atol=1e-12)
 
     def test_random_configs_match_phasor(self, arm):
         rng = np.random.default_rng(0)
         for _ in range(50):
             q = sample_config(arm, rng)
-            tip = joint_positions(arm, q)[-1]
+            tip = joint_positions(arm, q)[0][-1]
             np.testing.assert_allclose(tip, phasor_tip(arm.link_lengths, q), atol=1e-12)
 
     def test_segments_chain_and_lengths(self, arm):
         rng = np.random.default_rng(1)
         q = sample_config(arm, rng)
-        pts = joint_positions(arm, q)
+        pts = joint_positions(arm, q)[0]
         assert pts.shape == (arm.n_links + 1, 2)
         np.testing.assert_array_equal(pts[0], arm.base_position)
         for i in range(arm.n_links):
@@ -79,8 +81,8 @@ class TestForwardKinematics:
         for _ in range(200):
             q = sample_config(arm, rng)
             dq = rng.normal(scale=0.1, size=arm.n_links)
-            p1 = joint_positions(arm, q)
-            p2 = joint_positions(arm, np.clip(q + dq, arm.lower, arm.upper))
+            p1 = joint_positions(arm, q)[0]
+            p2 = joint_positions(arm, np.clip(q + dq, arm.lower, arm.upper))[0]
             dq_eff = clamp_to_limits(arm, q + dq) - q
             disp = np.linalg.norm(p2 - p1, axis=1).max()
             assert disp <= bound * np.linalg.norm(dq_eff, 1) + 1e-9
@@ -94,8 +96,23 @@ class TestBatchJointPositions:
         assert joints.shape == (7, 5) and joints.dtype == complex
         for row, q in zip(joints, qs):
             np.testing.assert_allclose(np.stack([row.real, row.imag], axis=1),
-                                       joint_positions(arm, q), atol=1e-15)
+                                       joint_positions(arm, q)[0], atol=1e-15)
         np.testing.assert_allclose(angles, np.cumsum(qs, axis=1), atol=1e-15)
+
+    @pytest.mark.parametrize("lengths, base", [((0.5, 0.4, 0.3), (0.25, -0.4)),
+                                               ((0.5, 0.4, 0.3, 0.2, 0.15), (-0.3, 0.7))],
+                             ids=["3-link", "5-link"])
+    def test_one_row_view_equals_the_real_arithmetic_chain_bit_for_bit(self, lengths, base):
+        # joint_positions is one complex batch row seen as reals; its points
+        # keep the values of a link-by-link real sum and its angles are the
+        # configuration's cumulative sum
+        arm = ArmModel(link_lengths=lengths, base_position=base)
+        qs = np.random.default_rng(10).uniform(arm.lower, arm.upper, (10_000, arm.n_links))
+        for q in qs:
+            pts, angles = joint_positions(arm, q)
+            assert pts.shape == (arm.n_links + 1, 2)
+            assert pts.tobytes() == real_chain_joint_positions(arm, q).tobytes()
+            assert angles.tobytes() == np.cumsum(q).tobytes()
 
     def test_link_frames_are_the_first_n_joints(self, arm):
         qs = np.random.default_rng(9).uniform(arm.lower, arm.upper, (5, 3))

@@ -172,7 +172,7 @@ def random_cloud(rng, n_points):
 def reference_point_records(arm, q, points, normals):
     """Cloud in every link frame, one rotation matrix per link: records
     (n_links * N, 4 + n_links), each [p_local, n_local, one_hot(link)]."""
-    origins = joint_positions(arm, q)[:-1]
+    origins = joint_positions(arm, q)[0][:-1]
     angles = np.cumsum(np.asarray(q, dtype=float))
     n = origins.shape[0]
     recs = np.zeros((n, points.shape[0], 4 + n))

@@ -7,7 +7,7 @@ import pytest
 
 import rollout_oracle
 from cbfsteer import planner
-from cbfsteer.cbf import CbfHyper, FdMode, HandcraftedBarrier, NeuralBarrier
+from cbfsteer.cbf import CbfHyper, HandcraftedBarrier, NeuralBarrier
 from cbfsteer.controller import (
     NominalPolicy,
     QpMode,
@@ -57,8 +57,7 @@ def distance_barrier(arm, offset=0.025):
     w = np.zeros((1, arm.n_links + 1))
     w[0, -1] = -1.0
     net.params = [(w, np.array([offset]))]
-    hyper = CbfHyper(fd_mode=FdMode.REFRESHED_OBSERVATION)
-    return NeuralBarrier(net, arm, hyper)
+    return NeuralBarrier(net, arm, CbfHyper())
 
 
 def hand_bundle(arm, margin=0.08):
@@ -434,7 +433,7 @@ def assert_same_edge(got, ref):
 
 def cloud_bundle(arm, env, rng):
     enc = PointSetEncoder.create(3, per_point_widths=(7, 5, 4), trunk_widths=(7, 5, 1), rng=rng)
-    barrier = NeuralBarrier(enc, arm, CbfHyper(fd_mode=FdMode.FIXED_OBSERVATION))
+    barrier = NeuralBarrier(enc, arm, CbfHyper())
     return ControllerBundle(barrier=barrier,
                             observe=make_fixed_cloud_observer(sample_surface_points(env, 24, rng)))
 

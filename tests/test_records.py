@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cbfsteer.bench import ControllerMetricsRow, MetricsRow, ProblemSpec
-from cbfsteer.cbf import CbfHyper, FdMode, TrainReport
+from cbfsteer.cbf import CbfHyper, TrainReport
 from cbfsteer.environment import CloudObservation, CloudSource, Environment, Obstacle, Workspace
 from cbfsteer.jsonio import canonical_dumps
 from cbfsteer.kinematics import ArmModel
@@ -40,9 +40,9 @@ GOLDEN = {
         '{"action_bound":[1.0,1.0],"base_position":[0.125,-0.5],"joint_lower":[-2.8,-2.8],'
         '"joint_upper":[2.8,2.8],"link_lengths":[0.5,0.25],"link_radius":0.03}'),
     "hyper": (
-        CbfHyper(alpha_h=2.0, fd_mode=FdMode.FIXED_OBSERVATION, loss_weights=(1.0, 0.5, 0.25)),
-        '{"alpha_h":2.0,"eps_margin":0.02,"fd_mode":"fixed_observation","fd_step":0.001,'
-        '"gamma":0.05,"loss_weights":[1.0,0.5,0.25],"r_thres":0.05}'),
+        CbfHyper(alpha_h=2.0, loss_weights=(1.0, 0.5, 0.25)),
+        '{"alpha_h":2.0,"eps_margin":0.02,"fd_step":0.001,"gamma":0.05,'
+        '"loss_weights":[1.0,0.5,0.25],"r_thres":0.05}'),
     "train-report": (
         TrainReport(epochs=[{"epoch": 0, "loss": 0.5}], wall_seconds=1.25, aborted=True),
         '{"aborted":true,"epochs":[{"epoch":0,"loss":0.5}],"wall_seconds":1.25}'),
@@ -116,7 +116,6 @@ def test_fields_come_back_with_their_annotated_types():
     assert cloud.source is CloudSource.RAY_CAST
     assert cloud.points.dtype == float and cloud.points.shape == (2, 2)
     hyper = CbfHyper.from_json(json.loads(GOLDEN["hyper"][1]))
-    assert hyper.fd_mode is FdMode.FIXED_OBSERVATION
     assert hyper.loss_weights == (1.0, 0.5, 0.25)
     ws = Workspace.from_json({"center": [0, 1], "half_extents": [2, 2]})
     assert ws.center == (0.0, 1.0) and all(type(v) is float for v in ws.center + ws.half_extents)
@@ -148,6 +147,16 @@ class TestOldFiles:
         doc = json.loads(GOLDEN["problem"][1])
         del doc["difficulty"]
         assert ProblemSpec.from_json(doc).difficulty == "untagged"
+
+    @pytest.mark.parametrize("mode", ["fixed_observation", "refreshed_observation"])
+    def test_hyper_with_an_observation_mode_loads(self, mode):
+        # checkpoints written while the stencil observation mode was a
+        # setting carry an `fd_mode` key; the net type decides it now
+        doc = json.loads(GOLDEN["hyper"][1])
+        doc["fd_mode"] = mode
+        hyper = CbfHyper.from_json(doc)
+        assert hyper == GOLDEN["hyper"][0]
+        assert canonical_dumps(hyper.to_json()) == GOLDEN["hyper"][1]
 
     def test_plan_without_tree_size(self):
         doc = json.loads(GOLDEN["plan"][1])
