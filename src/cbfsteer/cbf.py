@@ -241,8 +241,12 @@ def _stencil_configs(q: np.ndarray, fd_step: float) -> np.ndarray:
     """(n+1, n): row 0 is q, row i is q with joint i-1 advanced by fd_step."""
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
-    out = np.tile(q, (n + 1, 1))
-    out[1:] += np.eye(n) * fd_step
+    out = np.empty((n + 1, n))
+    out[0] = q
+    # row i+1 is q + e_i*fd_step elementwise: q + 0*fd_step off the diagonal
+    # (which turns -0.0 into 0.0) and q + fd_step on it
+    out[1:] = q + 0.0 * fd_step
+    out.reshape(-1)[n::n + 1] = q + fd_step
     return out
 
 

@@ -300,6 +300,10 @@ def _cmd_replay(args, cfg, out_dir):
     prob = next((p for p in problems if p.id == pid), None)
     if prob is None:
         raise _UsageError(f"problem id {pid} not found in {args.problems}")
+    if plan.status != "solved":
+        print(f"plan for problem {pid}: not solved (status {plan.status})")
+        raise RuntimeError(f"plan not solved (status {plan.status}); there is no path to "
+                           "re-validate")
     ok = bench_mod.validate_plan(
         prob, plan, arm, cfg["planner"]["check_resolution"], cfg["controller"]["r_goal"])
     print(f"plan for problem {pid}: {'valid (collision-free, reaches goal)' if ok else 'INVALID'}")

@@ -34,7 +34,7 @@ class NominalPolicy:
 
     def control(self, q: np.ndarray, q_goal: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         u = -self.gain * (np.asarray(q, float) - np.asarray(q_goal, float))
-        return np.clip(u, lo, hi)
+        return u.clip(lo, hi, out=u)
 
 
 class QpMode(str, enum.Enum):
@@ -72,41 +72,50 @@ def _breakpoint_walk(u_nom: np.ndarray, a: np.ndarray, b: float, k: float, k0: f
     clamps; on the piece phi = P - s*mu the root is mu = k*P/(k0 + k*s), so
     walking the breakpoints in order finds it exactly. Assumes
     a.u_nom + b > 0 and, in strict mode, a nonempty intersection.
+
+    The scalar steps run on Python floats, which cost far less than numpy
+    calls on vectors of a few joints. The free part of phi stays a numpy dot
+    (it rounds as a chain of fused multiply-adds, which plain float sums do
+    not reproduce), and the free sum of squares stays numpy's sum.
     """
     n = u_nom.shape[0]
-    mu_clamp = np.full(n, np.inf)  # where coordinate i reaches the bound it moves to
-    bound_at_clamp = np.zeros(n)
-    for i in range(n):  # scalar steps: cheaper than array ops at these sizes
-        if a[i] > 0:
-            mu_clamp[i] = (u_nom[i] - lo[i]) / a[i]
-            bound_at_clamp[i] = lo[i]
-        elif a[i] < 0:
-            mu_clamp[i] = (u_nom[i] - hi[i]) / a[i]
-            bound_at_clamp[i] = hi[i]
-    order = np.argsort(mu_clamp)
+    a_l, u_l = a.tolist(), u_nom.tolist()
+    sq = a * a
+    mu_clamp = [math.inf] * n  # where coordinate i reaches the bound it moves to
+    bound_at_clamp = [0.0] * n
+    for i, (ai, ui, li, hi_i) in enumerate(zip(a_l, u_l, lo.tolist(), hi.tolist())):
+        if ai > 0.0:
+            mu_clamp[i] = (ui - li) / ai
+            bound_at_clamp[i] = li
+        elif ai < 0.0:
+            mu_clamp[i] = (ui - hi_i) / ai
+            bound_at_clamp[i] = hi_i
+    order = np.array(mu_clamp).argsort().tolist()  # np.argsort's order, ties included
     free = np.ones(n, dtype=bool)
     mu_prev = 0.0
     c_clamped = 0.0  # sum over clamped coords of a_i * bound_i
     for j in range(n + 1):
-        s_free = float(np.sum(a[free] ** 2))
+        s_free = float(np.add.reduce(sq[free]))
         phi_const = float(a[free] @ u_nom[free]) + c_clamped + b  # phi = phi_const - s_free*mu
-        mu_next = mu_clamp[order[j]] if j < n else np.inf
+        mu_next = mu_clamp[order[j]] if j < n else math.inf
         den = k0 + k * s_free
         if den > 0.0:
             mu = k * phi_const / den
             # phi is monotone, so a root below the piece's start is roundoff;
             # a root beyond mu_next means another coordinate clamps first
             if mu <= mu_next + 1e-12 * max(1.0, abs(mu)):
-                return np.clip(u_nom - max(mu, mu_prev) * a, lo, hi)
+                u = u_nom - max(mu, mu_prev) * a
+                return u.clip(lo, hi, out=u)
         if j == n:
             break
         i = order[j]
         mu_prev = mu_clamp[i]
-        if np.isfinite(mu_prev):
+        if math.isfinite(mu_prev):
             free[i] = False
-            c_clamped += a[i] * bound_at_clamp[i]
+            c_clamped += a_l[i] * bound_at_clamp[i]
     # Feasible-by-precondition: the walk only falls through at the tangent point.
-    return np.clip(u_nom - mu_prev * a, lo, hi)
+    u = u_nom - mu_prev * a
+    return u.clip(lo, hi, out=u)
 
 
 def solve_safety_qp(u_nom: np.ndarray, grad_h: np.ndarray, h_val: float,
@@ -120,18 +129,22 @@ def solve_safety_qp(u_nom: np.ndarray, grad_h: np.ndarray, h_val: float,
     constraint. Relaxed mode always returns a control, trading violation
     against deviation. Diagnostics carry the closed-form infeasibility test in
     both modes. u_nom is expected inside the box (the nominal policy clips).
+    Checks and the best box control run on Python floats; the dot products
+    stay numpy calls, as in `_breakpoint_walk`.
     """
     u_nom = np.asarray(u_nom, dtype=float)
     a = np.asarray(grad_h, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if not (np.all(np.isfinite(u_nom)) and np.all(np.isfinite(a)) and math.isfinite(h_val)):
+    a_l, lo_l, hi_l = a.tolist(), lo.tolist(), hi.tolist()
+    if not (all(map(math.isfinite, u_nom.tolist())) and all(map(math.isfinite, a_l))
+            and math.isfinite(h_val)):
         raise ValueError("non-finite QP inputs")
-    if np.any(lo > hi):
+    if any(l > h for l, h in zip(lo_l, hi_l)):
         raise ValueError("empty action box")
     b = cfg.alpha * float(h_val)
     # Closed-form separability: the least achievable a.u over the box.
-    best_u = np.where(a > 0.0, lo, np.where(a < 0.0, hi, lo))
+    best_u = np.array([h if ai < 0.0 else l for ai, l, h in zip(a_l, lo_l, hi_l)])
     inf_box = float(a @ best_u)
     infeasible = inf_box + b > 0.0
 
@@ -146,7 +159,7 @@ def solve_safety_qp(u_nom: np.ndarray, grad_h: np.ndarray, h_val: float,
         viol = max(0.0, float(a @ u) + b)
         return u, QpDiagnostics(constraint_active=True, infeasible=False, violation=viol)
 
-    if np.all(a == 0.0):
+    if not any(a_l):
         u = u_nom
     else:
         u = _breakpoint_walk(u_nom, a, b, cfg.relax_penalty, 1.0, lo, hi)
@@ -238,8 +251,9 @@ def hold(arm: ArmModel, q: np.ndarray, u: np.ndarray, substeps: int, dt_sim: flo
     few ulp). Planning and static rollouts use this form; the dynamic branch
     of `safe_rollout` accumulates the steps and is bit-equal to `integrate`.
     """
-    dts = (np.arange(1, substeps + 1) * dt_sim)[:, None]
-    return np.clip(q[None, :] + u[None, :] * dts, arm.lower, arm.upper)
+    configs = np.multiply.outer(np.arange(1, substeps + 1) * dt_sim, u)
+    configs += q
+    return configs.clip(arm.lower, arm.upper, out=configs)
 
 
 def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,
@@ -267,7 +281,8 @@ def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,
     if d0 < 0.0:
         rec.collided = True
         return rec
-    if np.linalg.norm(q - q_goal) <= limits.r_goal:
+    dq = q - q_goal
+    if math.sqrt(dq @ dq) <= limits.r_goal:
         rec.reached_goal = True
         return rec
 
@@ -277,20 +292,20 @@ def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,
         if diag.infeasible:
             rec.qp_infeasible_count += 1
         if limits.stall_threshold is not None:
-            stalled = stalled + 1 if float(np.linalg.norm(u)) < limits.stall_threshold else 0
+            stalled = stalled + 1 if math.sqrt(u @ u) < limits.stall_threshold else 0
             if stalled >= limits.stall_ticks:
                 break
-        rec.controls.append(u.copy())
+        rec.controls.append(u)
         rec.steps_used += 1
         if dynamic:
             # iterated clamped Euler steps, bit for bit: the first step brings
             # q inside the limits, and from there each joint moves one way, so
             # clamping the running sums once equals clamping every step
             tick_configs = np.empty((substeps, arm.n_links))
-            tick_configs[0] = np.clip(q + u * dt_sim, arm.lower, arm.upper)
+            tick_configs[0] = (q + u * dt_sim).clip(arm.lower, arm.upper)
             tick_configs[1:] = u * dt_sim
             np.add.accumulate(tick_configs, axis=0, out=tick_configs)
-            np.clip(tick_configs, arm.lower, arm.upper, out=tick_configs)
+            tick_configs.clip(arm.lower, arm.upper, out=tick_configs)
             ds, env = signed_distance_stepped(env, arm, tick_configs, dt_sim)
         else:
             tick_configs = hold(arm, q, u, substeps, dt_sim)
@@ -301,8 +316,9 @@ def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,
             if d < 0.0:
                 rec.collided = True
                 return rec
-        q = tick_configs[-1].copy()
-        if np.linalg.norm(q - q_goal) <= limits.r_goal:
+        q = tick_configs[-1]
+        dq = q - q_goal
+        if math.sqrt(dq @ dq) <= limits.r_goal:
             rec.reached_goal = True
             return rec
     return rec

@@ -233,14 +233,10 @@ def signed_distance_stepped(env: Environment, arm: ArmModel, qs: np.ndarray, dt:
     blocks).
     """
     joints = _joints(arm, qs)
-    centers, times = _advance(env, dt, joints.shape[0])
-    after = _environment_at(env, centers[-1], times[-1]) if times.size else env
+    after, rect_cz, points = _environment_at(env, dt, joints.shape[0])
     r = arm.link_radius
     if arm.n_links < 3 and not env.obstacles:
         return _workspace_clearance_batch(env, joints, r), after
-    circle = np.array([o.kind == "circle" for o in env.obstacles], dtype=bool)
-    rect_cz = centers[:, ~circle, 0] + 1j * centers[:, ~circle, 1]
-    points = _kernel_points(centers[:, circle], rect_cz, env._rect_halves)
     return geometry.capsule_world_min(joints, r, points, env._point_offsets, rect_cz,
                                       env._rect_hz), after
 
@@ -378,17 +374,35 @@ def _advance(env: Environment, dt: float, steps: int) -> tuple[np.ndarray, np.nd
     return centers[1:], times[1:]
 
 
-def _environment_at(env: Environment, centers: np.ndarray, time: float) -> Environment:
-    """`env` with its obstacles at `centers` (O, 2) and its clock at `time`."""
-    return Environment(
-        obstacles=tuple(o._at(tuple(c)) for o, c in zip(env.obstacles, centers.tolist())),
-        workspace=env.workspace, time=float(time))
+def _environment_at(env: Environment, dt: float, steps: int
+                    ) -> tuple[Environment, np.ndarray, np.ndarray]:
+    """The environment after `steps` steps of dt, and the packed obstacle
+    arrays of every step: complex rectangle centres (steps, K) and clearance
+    kernel points (steps, P), by the expressions of `Environment.__post_init__`.
+
+    The last step's snapshot is built from those arrays: shapes do not move,
+    so what depends only on them is shared with `env`, and no obstacle is
+    re-validated.
+    """
+    centers, times = _advance(env, dt, steps)
+    circle = np.array([o.kind == "circle" for o in env.obstacles], dtype=bool)
+    rect_cz = centers[:, ~circle, 0] + 1j * centers[:, ~circle, 1]
+    points = _kernel_points(centers[:, circle], rect_cz, env._rect_halves)
+    if not steps:
+        return env, rect_cz, points
+    last = centers[-1]
+    after = object.__new__(Environment)
+    after.__dict__.update(
+        env.__dict__,
+        obstacles=tuple(o._at(tuple(c)) for o, c in zip(env.obstacles, last.tolist())),
+        time=float(times[-1]), _rect_centers=last[~circle], _circle_centers=last[circle],
+        _rect_cz=rect_cz[-1], _points=points[-1])
+    return after, rect_cz, points
 
 
 def step_obstacles(env: Environment, dt: float) -> Environment:
     """Advance obstacle centers by velocity*dt; shapes unchanged, time accumulates."""
-    centers, times = _advance(env, dt, 1)
-    return _environment_at(env, centers[0], times[0])
+    return _environment_at(env, dt, 1)[0]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ float arrays of length n. Links are capsules (segment plus radius).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,21 +58,28 @@ class ArmModel(Record):
     def n_links(self) -> int:
         return len(self.link_lengths)
 
-    @property
+    # Bounds as arrays, built on first use and read-only: rollouts read them
+    # every control tick.
+    @cached_property
     def lower(self) -> np.ndarray:
-        return np.array(self.joint_lower)
+        return _read_only(np.array(self.joint_lower))
 
-    @property
+    @cached_property
     def upper(self) -> np.ndarray:
-        return np.array(self.joint_upper)
+        return _read_only(np.array(self.joint_upper))
 
-    @property
+    @cached_property
     def action_lower(self) -> np.ndarray:
-        return -np.array(self.action_bound)
+        return _read_only(-np.array(self.action_bound))
 
-    @property
+    @cached_property
     def action_upper(self) -> np.ndarray:
-        return np.array(self.action_bound)
+        return _read_only(np.array(self.action_bound))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _check_config(arm: ArmModel, q: np.ndarray) -> np.ndarray:

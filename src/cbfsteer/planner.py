@@ -11,6 +11,7 @@ configuration.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -145,23 +146,25 @@ def validate_and_truncate(env: Environment, arm: ArmModel, configs: list,
     resolution along every inter-waypoint segment (endpoints included)."""
     if not configs:
         return []
-    # Build the full check-point ladder, start included, then find the first
-    # violation in one batched geometry query.
-    check_pts: list[np.ndarray] = [np.asarray(configs[0], float)]
-    owner: list[int] = [0]  # waypoint index each check point belongs to
-    for w, nxt in enumerate(configs[1:], start=1):
-        prev = np.asarray(configs[w - 1], float)
-        seg = np.asarray(nxt, float) - prev
-        dist = float(np.linalg.norm(seg))
-        n_checks = max(1, int(np.ceil(dist / check_resolution)))
-        for k in range(1, n_checks + 1):
-            check_pts.append(prev + seg * (k / n_checks))
-            owner.append(w)
-    d = signed_distance_batch(env, arm, np.stack(check_pts))
-    bad = np.nonzero(d < 0.0)[0]
+    # The check-point ladder in one set of array expressions: segment w
+    # (waypoint w-1 to w) gets the points prev + seg * (k / n_w), k = 1..n_w.
+    # Row 0 of the one batched geometry query is the start.
+    pts = np.asarray(configs, dtype=float)
+    prev = pts[:-1]
+    seg = pts[1:] - prev
+    dist = np.sqrt(np.vecdot(seg, seg))  # np.linalg.norm of each segment, bit for bit
+    if not np.all(np.isfinite(dist)):
+        raise ValueError("waypoints must be finite")
+    n_checks = np.maximum(1, np.ceil(dist / check_resolution).astype(np.int64))
+    owner = np.repeat(np.arange(1, pts.shape[0]), n_checks)  # waypoint w of each ladder point
+    k = np.arange(1, owner.size + 1) - np.repeat(np.cumsum(n_checks) - n_checks, n_checks)
+    w = owner - 1
+    ladder = prev[w] + seg[w] * (k / n_checks[w])[:, None]
+    d = signed_distance_batch(env, arm, np.concatenate([pts[:1], ladder]))
+    bad = np.flatnonzero(d < 0.0)
     if bad.size == 0:
         return list(configs)
-    first_bad_waypoint = owner[int(bad[0])]
+    first_bad_waypoint = int(owner[bad[0] - 1]) if bad[0] > 0 else 0
     return list(configs[:first_bad_waypoint])
 
 
@@ -212,21 +215,22 @@ def steer_cbf_inc(arm: ArmModel, env: Environment, q_from: np.ndarray, q_toward:
     substeps = bundle.sim_hz // bundle.ctrl_hz
     dt_sim = 1.0 / bundle.sim_hz
     q = np.asarray(q_from, dtype=float).copy()
-    configs = [q.copy()]
+    configs = [q]
     controls: list = []
     stalled = 0
     for _ in range(max_ctrl_steps):
-        if np.linalg.norm(q - q_toward) <= r_goal:
+        dq = q - q_toward
+        if math.sqrt(dq @ dq) <= r_goal:
             break
         u, _, _, _ = control_tick(bundle.barrier, bundle.observe, bundle.policy, bundle.qp_cfg,
                                   env, q, q_toward)
-        stalled = stalled + 1 if float(np.linalg.norm(u)) < limits.stall_threshold else 0
+        stalled = stalled + 1 if math.sqrt(u @ u) < limits.stall_threshold else 0
         if stalled >= limits.stall_ticks:
             break
-        controls.append(u.copy())
+        controls.append(u)
         states = hold(arm, q, u, substeps, dt_sim)
         configs.extend(states)
-        q = states[-1].copy()
+        q = states[-1]
     return _edge_from_rollout(arm, env, q_from, configs, controls, substeps,
                               limits.check_resolution)
 
@@ -240,20 +244,21 @@ def steer_filter_lqr(arm: ArmModel, env: Environment, q_from: np.ndarray, q_towa
     substeps = bundle.sim_hz // bundle.ctrl_hz
     dt_sim = 1.0 / bundle.sim_hz
     q = np.asarray(q_from, dtype=float).copy()
-    configs = [q.copy()]
+    configs = [q]
     controls = []
     for _ in range(max_ctrl_steps):
-        if np.linalg.norm(q - q_toward) <= r_goal:
+        dq = q - q_toward
+        if math.sqrt(dq @ dq) <= r_goal:
             break
         _, u_nom, h, diag = control_tick(bundle.barrier, bundle.observe, bundle.policy,
                                          bundle.qp_cfg, env, q, q_toward)
         if h > 0.0 or diag.constraint_active:
             break
-        controls.append(u_nom.copy())
+        controls.append(u_nom)
         states = hold(arm, q, u_nom, substeps, dt_sim)
         configs.extend(states)
-        q = states[-1].copy()
-        if float(np.linalg.norm(u_nom)) < limits.stall_threshold:
+        q = states[-1]
+        if math.sqrt(u_nom @ u_nom) < limits.stall_threshold:
             break
     return _edge_from_rollout(arm, env, q_from, configs, controls, substeps,
                               limits.check_resolution)

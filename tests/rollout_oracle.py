@@ -7,9 +7,10 @@ clearance once per simulation substep.
 
 Control ticks: the hand-written loops that `controller.control_tick` and
 `controller.hold` replaced (the static-world rollout, the barrier-filtered
-rollout steer and the filtered-LQR steer), and the two breakpoint walks
+rollout steer and the filtered-LQR steer), the two breakpoint walks
 (strict projection, relaxed penalty) that `controller._breakpoint_walk`
-merges.
+merges, and the safety QP and its walk as numpy array code, before their
+scalar steps moved to Python floats.
 
 They are slow and simple, and the tests hold the fast paths to them bit for
 bit.
@@ -17,12 +18,13 @@ bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from cbfsteer import geometry
-from cbfsteer.controller import RolloutRecord, solve_safety_qp
+from cbfsteer.controller import QpDiagnostics, QpMode, RolloutRecord, solve_safety_qp
 from cbfsteer.environment import (
     CloudObservation,
     CloudSource,
@@ -313,3 +315,69 @@ def relaxed_penalty_min(u_nom, a, b, rho, lo, hi):
             free[i] = False
             c_clamped += a[i] * bound_at_clamp[i]
     return np.clip(u_nom - mu_prev * a, lo, hi)
+
+
+def breakpoint_walk(u_nom, a, b, k, k0, lo, hi):
+    """`controller._breakpoint_walk` on numpy arrays and numpy scalars."""
+    n = u_nom.shape[0]
+    mu_clamp = np.full(n, np.inf)
+    bound_at_clamp = np.zeros(n)
+    for i in range(n):
+        if a[i] > 0:
+            mu_clamp[i] = (u_nom[i] - lo[i]) / a[i]
+            bound_at_clamp[i] = lo[i]
+        elif a[i] < 0:
+            mu_clamp[i] = (u_nom[i] - hi[i]) / a[i]
+            bound_at_clamp[i] = hi[i]
+    order = np.argsort(mu_clamp)
+    free = np.ones(n, dtype=bool)
+    mu_prev = 0.0
+    c_clamped = 0.0
+    for j in range(n + 1):
+        s_free = float(np.sum(a[free] ** 2))
+        phi_const = float(a[free] @ u_nom[free]) + c_clamped + b
+        mu_next = mu_clamp[order[j]] if j < n else np.inf
+        den = k0 + k * s_free
+        if den > 0.0:
+            mu = k * phi_const / den
+            if mu <= mu_next + 1e-12 * max(1.0, abs(mu)):
+                return np.clip(u_nom - max(mu, mu_prev) * a, lo, hi)
+        if j == n:
+            break
+        i = order[j]
+        mu_prev = mu_clamp[i]
+        if np.isfinite(mu_prev):
+            free[i] = False
+            c_clamped += a[i] * bound_at_clamp[i]
+    return np.clip(u_nom - mu_prev * a, lo, hi)
+
+
+def safety_qp(u_nom, grad_h, h_val, cfg, lo, hi):
+    """`controller.solve_safety_qp` on numpy arrays, with `breakpoint_walk`."""
+    u_nom = np.asarray(u_nom, dtype=float)
+    a = np.asarray(grad_h, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if not (np.all(np.isfinite(u_nom)) and np.all(np.isfinite(a)) and math.isfinite(h_val)):
+        raise ValueError("non-finite QP inputs")
+    if np.any(lo > hi):
+        raise ValueError("empty action box")
+    b = cfg.alpha * float(h_val)
+    best_u = np.where(a > 0.0, lo, np.where(a < 0.0, hi, lo))
+    inf_box = float(a @ best_u)
+    infeasible = inf_box + b > 0.0
+    if float(a @ u_nom) + b <= 0.0:
+        return u_nom, QpDiagnostics(constraint_active=False, infeasible=infeasible, violation=0.0)
+    if cfg.mode is QpMode.STRICT:
+        if infeasible:
+            return best_u, QpDiagnostics(
+                constraint_active=True, infeasible=True, violation=inf_box + b)
+        u = breakpoint_walk(u_nom, a, b, 1.0, 0.0, lo, hi)
+        viol = max(0.0, float(a @ u) + b)
+        return u, QpDiagnostics(constraint_active=True, infeasible=False, violation=viol)
+    if np.all(a == 0.0):
+        u = u_nom
+    else:
+        u = breakpoint_walk(u_nom, a, b, cfg.relax_penalty, 1.0, lo, hi)
+    viol = max(0.0, float(a @ u) + b)
+    return u, QpDiagnostics(constraint_active=True, infeasible=infeasible, violation=viol)

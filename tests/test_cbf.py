@@ -15,6 +15,7 @@ from cbfsteer.cbf import (
     _condition_values,
     _forward_stencil,
     _prepare_batch,
+    _stencil_configs,
     _stencil_records,
     collect_dataset,
     evaluate_constraints,
@@ -491,6 +492,29 @@ class TestTrain:
         first, last = report.epochs[0], report.epochs[-1]
         assert last["val_deriv_rate"] >= 0.9
         assert last["loss"] <= first["loss"]
+
+
+def tile_eye_stencil(q, fd_step):
+    q = np.asarray(q, dtype=float)
+    n = q.shape[0]
+    out = np.tile(q, (n + 1, 1))
+    out[1:] += np.eye(n) * fd_step
+    return out
+
+
+class TestStencilConfigs:
+    def test_equals_tile_eye_form_bit_for_bit(self):
+        # includes -0.0 joints (q + 0*fd_step turns them into 0.0 off the
+        # diagonal) and negative and zero steps
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            n = int(rng.integers(1, 8))
+            if rng.random() < 0.5:
+                q = rng.choice([-0.0, 0.0, 1e-300, -2.8, 1.25], size=n)
+            else:
+                q = rng.normal(size=n)
+            fd = float(rng.choice([1e-3, 1e-6, 0.5, -1e-3, 0.0, -0.0]))
+            assert _stencil_configs(q, fd).tobytes() == tile_eye_stencil(q, fd).tobytes()
 
 
 class TestHandcrafted:

@@ -93,6 +93,23 @@ class TestPipeline:
                         "replay", "--problems", str(pipeline_dir / "problems.json"),
                         "--plan", str(pipeline_dir / "plan.json")]) == 0
 
+    def test_replay_of_unsolved_plan_reports_its_status(self, pipeline_dir, mini_config,
+                                                         tmp_path, capsys):
+        assert run(["--seed", "5", "--config", mini_config, "--out", str(tmp_path),
+                    "plan", "--problems", str(pipeline_dir / "problems.json"),
+                    "--index", "0", "--method", "straight"]) == 0
+        doc = load_json(tmp_path / "plan.json")
+        doc["plan"].update(status="node_limit", path=[], controls=[])
+        dump_json(tmp_path / "plan.json", doc)
+        capsys.readouterr()
+        assert run(["--config", mini_config, "--out", str(tmp_path),
+                    "replay", "--problems", str(pipeline_dir / "problems.json"),
+                    "--plan", str(tmp_path / "plan.json")]) == 2
+        captured = capsys.readouterr()
+        assert "not solved (status node_limit)" in captured.out
+        assert "not solved (status node_limit)" in captured.err
+        assert "INVALID" not in captured.out and "geometric" not in captured.err
+
     def test_bench_deterministic_rerun(self, pipeline_dir, mini_config, tmp_path):
         csvs = []
         for name in ("r1", "r2"):

@@ -242,6 +242,94 @@ class TestBreakpointWalk:
             assert got.tobytes() == ref.tobytes()
 
 
+def qp_instances(seed, count):
+    """Random safety-QP inputs, n = 1..6: zero and -0.0 gradient entries,
+    u_nom coordinates on a bound, coordinate pairs whose breakpoints tie, and
+    u_nom exactly on the constraint boundary at alpha = 1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        lo = -rng.uniform(0.2, 2.0, n)
+        hi = rng.uniform(0.2, 2.0, n)
+        u_nom = rng.uniform(lo, hi)
+        a = rng.normal(size=n)
+        zero = rng.random(n) < 0.15
+        a[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+        on_bound = rng.random(n) < 0.15
+        u_nom[on_bound] = np.where(rng.random(int(on_bound.sum())) < 0.5,
+                                   lo[on_bound], hi[on_bound])
+        if n >= 2 and rng.random() < 0.3:  # coordinate 1 clamps where coordinate 0 does
+            for v in (lo, hi, u_nom, a):
+                v[1] = v[0]
+        h = float(rng.normal(scale=1.0)) if rng.random() < 0.9 else -float(a @ u_nom)
+        yield u_nom, a, h, lo, hi
+
+
+def diag_bits(d):
+    return d.constraint_active, d.infeasible, np.float64(d.violation).tobytes()
+
+
+class TestSafetyQpOracle:
+    """`solve_safety_qp`, whose scalar steps run on Python floats, against the
+    numpy array QP it replaced: the same control bytes and diagnostics."""
+
+    CONFIGS = [SafeControllerConfig(alpha=1.0, mode=QpMode.STRICT),
+               SafeControllerConfig(alpha=2.5, mode=QpMode.STRICT),
+               SafeControllerConfig(alpha=1.0, relax_penalty=100.0),
+               SafeControllerConfig(alpha=0.5, relax_penalty=1e-3),
+               SafeControllerConfig(alpha=1.0, relax_penalty=1e6)]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.mode.value}-{c.relax_penalty}")
+    def test_random_instances_bit_equal(self, cfg):
+        seen = {"inactive": 0, "walk": 0, "infeasible": 0, "zero_grad": 0}
+        for u_nom, a, h, lo, hi in qp_instances(60, 3000):
+            got_u, got = solve_safety_qp(u_nom, a, h, cfg, lo, hi)
+            ref_u, ref = rollout_oracle.safety_qp(u_nom, a, h, cfg, lo, hi)
+            assert got_u.tobytes() == ref_u.tobytes()
+            assert diag_bits(got) == diag_bits(ref)
+            if not got.constraint_active:
+                seen["inactive"] += 1
+            elif cfg.mode is QpMode.STRICT and got.infeasible:
+                seen["infeasible"] += 1
+            else:
+                seen["walk"] += 1
+            seen["zero_grad"] += int(not np.all(a))
+        assert seen["inactive"] > 300 and seen["walk"] > 300 and seen["zero_grad"] > 300
+        if cfg.mode is QpMode.STRICT:
+            assert seen["infeasible"] > 100
+
+    def test_all_zero_gradient(self):
+        lo, hi = -np.ones(3), np.ones(3)
+        u_nom = np.array([0.5, -1.0, 1.0])
+        for cfg in self.CONFIGS:
+            for h in (-0.5, 0.0, 0.5):
+                for a in (np.zeros(3), np.array([-0.0, 0.0, -0.0])):
+                    got_u, got = solve_safety_qp(u_nom, a, h, cfg, lo, hi)
+                    ref_u, ref = rollout_oracle.safety_qp(u_nom, a, h, cfg, lo, hi)
+                    assert got_u.tobytes() == ref_u.tobytes()
+                    assert diag_bits(got) == diag_bits(ref)
+
+    @pytest.mark.parametrize("u_nom, a, h", [
+        ([np.nan, 0.0], [1.0, 0.0], 0.1),
+        ([0.0, 0.0], [np.inf, 0.0], 0.1),
+        ([0.0, 0.0], [1.0, -np.inf], 0.1),
+        ([0.0, 0.0], [1.0, 0.0], np.nan),
+        ([0.0, 0.0], [1.0, 0.0], -np.inf),
+    ])
+    def test_non_finite_inputs_rejected_by_both(self, u_nom, a, h):
+        cfg = SafeControllerConfig()
+        lo, hi = -np.ones(2), np.ones(2)
+        for solve in (solve_safety_qp, rollout_oracle.safety_qp):
+            with pytest.raises(ValueError, match="non-finite"):
+                solve(np.array(u_nom), np.array(a), h, cfg, lo, hi)
+
+    def test_empty_box_rejected_by_both(self):
+        for solve in (solve_safety_qp, rollout_oracle.safety_qp):
+            with pytest.raises(ValueError, match="empty action box"):
+                solve(np.zeros(2), np.ones(2), 0.1, SafeControllerConfig(),
+                      np.array([-1.0, 0.5]), np.array([1.0, 0.25]))
+
+
 class TestHold:
     def test_one_shot_hold_within_four_ulp_of_iterated_steps(self):
         # clip(q + u*k*dt) and k clamped Euler steps round differently; the

@@ -1,7 +1,7 @@
 """Obstacle-world tests: signed distance against closed forms and sampling
 oracles, labels, observation models, stepping and generation."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -400,6 +400,44 @@ class TestStepObstacles:
             assert got.obstacles == ref.obstacles
             assert same_bits(got._points, ref._points)
             assert same_bits(got._rect_cz, ref._rect_cz)
+
+
+def packed_fields_equal(got: Environment, ref: Environment) -> bool:
+    """Every cached array of two environments, bit for bit."""
+    return all(same_bits(getattr(got, f.name), getattr(ref, f.name))
+               for f in fields(Environment) if not f.init)
+
+
+class TestSteppedSnapshot:
+    """The snapshot after a tick is assembled from the stepped arrays, not
+    rebuilt; its packed fields must equal a freshly built Environment's."""
+
+    @pytest.mark.parametrize("shapes", [("rect", "circle"), ("rect",), ("circle",)])
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_packed_fields_equal_a_fresh_build(self, arm, shapes, steps):
+        rng = np.random.default_rng(len(shapes) + steps)
+        env = random_environment(
+            EnvGenConfig(num_obstacles=6, shapes=shapes, obstacle_speed=0.4), rng)
+        for _ in range(20):
+            qs = np.stack([sample_config(arm, rng) for _ in range(steps)])
+            _, after = signed_distance_stepped(env, arm, qs, 1.0 / 120)
+            fresh = Environment(obstacles=tuple(Obstacle.from_json(o.to_json())
+                                                for o in after.obstacles),
+                                workspace=after.workspace, time=after.time)
+            assert after == fresh and same_bits(after.time, fresh.time)
+            assert packed_fields_equal(after, fresh)
+            stepped = step_obstacles(env, 1.0 / 120)
+            assert packed_fields_equal(stepped, Environment(
+                obstacles=stepped.obstacles, workspace=stepped.workspace, time=stepped.time))
+            env = after
+
+    def test_empty_world_and_zero_steps(self, arm):
+        env = Environment(time=0.5)
+        _, after = signed_distance_stepped(env, arm, np.zeros((2, 3)), 0.25)
+        assert after.time == 1.0 and packed_fields_equal(after, Environment(time=1.0))
+        moving = mixed_moving_env(1)
+        ds, same = signed_distance_stepped(moving, arm, np.zeros((0, 3)), 0.25)
+        assert ds.shape == (0,) and same is moving
 
 
 class TestSignedDistanceStepped:

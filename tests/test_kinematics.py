@@ -192,3 +192,18 @@ class TestArmModel:
             ArmModel(link_lengths=(1.0, 1.0), joint_lower=(1.0, 0.0), joint_upper=(0.5, 1.0))
         with pytest.raises(ValueError):
             ArmModel(link_lengths=(1.0, 1.0), action_bound=(0.0, 1.0))
+
+    def test_bound_arrays_cached_and_read_only(self):
+        arm = ArmModel(joint_lower=(-2.0, -1.0, -0.5), joint_upper=(2.0, 1.0, 0.5),
+                       action_bound=(1.5, 1.0, 0.5))
+        expect = {"lower": arm.joint_lower, "upper": arm.joint_upper,
+                  "action_lower": tuple(-b for b in arm.action_bound),
+                  "action_upper": arm.action_bound}
+        for name, values in expect.items():
+            got = getattr(arm, name)
+            assert got is getattr(arm, name)  # built once
+            assert got.dtype == float and tuple(got) == values
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+        assert arm == ArmModel.from_json(arm.to_json())

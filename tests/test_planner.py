@@ -383,6 +383,88 @@ class TestValidateAndTruncate:
         assert len(kept) >= 1
 
 
+def loop_ladder(configs, check_resolution):
+    """The check-point ladder built one point at a time, start included,
+    with the waypoint each point belongs to."""
+    check_pts = [np.asarray(configs[0], float)]
+    owner = [0]
+    for w, nxt in enumerate(configs[1:], start=1):
+        prev = np.asarray(configs[w - 1], float)
+        seg = np.asarray(nxt, float) - prev
+        dist = float(np.linalg.norm(seg))
+        n_checks = max(1, int(np.ceil(dist / check_resolution)))
+        for k in range(1, n_checks + 1):
+            check_pts.append(prev + seg * (k / n_checks))
+            owner.append(w)
+    return np.stack(check_pts), owner
+
+
+def ladder_edges(seed, count):
+    """Random waypoint lists: single waypoints, repeated (zero-length)
+    segments, and on a binary grid, segments whose length is an exact
+    multiple of the resolution (axis steps and 3-4-5 steps)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        grid = rng.random() < 0.4
+        res = float(rng.choice([0.0625, 0.125] if grid else [0.02, 0.05]))
+        configs = [rng.integers(-32, 32, n) / 16.0 if grid else rng.uniform(-2.0, 2.0, n)]
+        for _ in range(int(rng.integers(0, 8))):
+            step = np.zeros(n)
+            i, j = rng.choice(n, size=2, replace=False)
+            if rng.random() < 0.2:
+                pass  # zero length
+            elif grid and rng.random() < 0.5:
+                step[i] = res * int(rng.integers(1, 6)) * rng.choice([-1, 1])
+            elif grid:
+                step[i], step[j] = 3 * res * rng.choice([-1, 1]), 4 * res * rng.choice([-1, 1])
+            else:
+                step = rng.normal(scale=rng.choice([0.01, 0.1, 0.5]), size=n)
+            configs.append(configs[-1] + step)
+        yield configs, res
+
+
+def segment_lengths(configs):
+    return [float(np.linalg.norm(b - a)) for a, b in zip(configs, configs[1:])]
+
+
+class TestLadderOracle:
+    """The array ladder of validate_and_truncate against the loop it
+    replaced: the same check points, owners and truncation, bit for bit."""
+
+    def test_random_edges(self, monkeypatch):
+        arms = {n: ArmModel(link_lengths=(0.3,) * n) for n in range(2, 6)}
+        seen_zero = seen_exact = seen_single = 0
+        for configs, res in ladder_edges(70, 400):
+            ref_pts, ref_owner = loop_ladder(configs, res)
+            lengths = segment_lengths(configs)
+            seen_single += len(configs) == 1
+            seen_zero += 0.0 in lengths
+            seen_exact += any(d > 0 and (d / res).is_integer() and d / res > 1 for d in lengths)
+            for first_bad in [None, *range(len(ref_owner))]:
+                queries = []
+
+                def fake(env, arm_, qs, first_bad=first_bad):
+                    queries.append(np.array(qs))
+                    d = np.ones(len(qs))
+                    if first_bad is not None:
+                        d[first_bad:] = -1.0
+                    return d
+
+                monkeypatch.setattr(planner, "signed_distance_batch", fake)
+                kept = validate_and_truncate(Environment(), arms[len(configs[0])], configs, res)
+                assert len(queries) == 1 and queries[0].tobytes() == ref_pts.tobytes()
+                expect = len(configs) if first_bad is None else ref_owner[first_bad]
+                assert len(kept) == expect
+                assert all(k is c for k, c in zip(kept, configs))
+        assert seen_zero > 20 and seen_exact > 20 and seen_single > 20
+
+    def test_non_finite_waypoint_rejected(self, arm):
+        configs = [np.zeros(3), np.array([0.1, np.nan, 0.0])]
+        with pytest.raises(ValueError, match="finite"):
+            validate_and_truncate(Environment(), arm, configs, 0.02)
+
+
 class TestEdgeSafetyContract:
     @pytest.mark.parametrize("kind", ["straight", "hand", "cbf", "filter"])
     def test_all_stored_edges_validate(self, arm, kind):
