@@ -10,6 +10,7 @@ grad_h . u + alpha_h * h <= -eps (drift-free system, so the drift term drops).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -283,34 +284,77 @@ def h_and_grad(net, q: np.ndarray, env: Environment | None, arm: ArmModel,
     return float(h[0, 0]), (h[0, 1:] - h[0, 0]) / hyper.fd_step
 
 
-def _stencil_records(arm: ArmModel, qs: np.ndarray, points: np.ndarray, normals: np.ndarray
-                     ) -> np.ndarray:
-    """Link-frame records for stencil batches.
+# Fewest per-point rows (samples x points x blocks) at which a stencil shares
+# its unmoved link frames. Below a size BLAS libraries switch to small-matrix
+# kernels that sum in another order (OpenBLAS on AVX-512: below about 1200
+# output entries), so a smaller call keeps the full stencil's row count and
+# with it the full stencil's values.
+SHARED_ROWS_MIN = 256
 
-    qs: (B, S, n) stencil configurations; points/normals: (B, N, 2) shared
-    across a sample's stencil. Returns (B, S, n*N, 4+n), link-major.
+
+@functools.cache
+def _stencil_blocks(n: int, shared: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The link frames an n-link stencil computes, as blocks.
+
+    Stencil row j+1 moves joint j only, so its links before j keep row 0's
+    frames. Shared, the n(n+3)/2 blocks are slot 0's n links, then links
+    j..n-1 of slot j+1; unshared, every slot's n links. Returns each block's
+    frame index slot*n + link (K,), its one-hot link (K, n), and the block
+    holding each slot's link frame (n+1, n).
+    """
+    if shared:
+        slots = [0] * n + [j + 1 for j in range(n) for _ in range(j, n)]
+        links = list(range(n)) + [ell for j in range(n) for ell in range(j, n)]
+    else:
+        slots = [s for s in range(n + 1) for _ in range(n)]
+        links = list(range(n)) * (n + 1)
+    table = np.tile(np.arange(n), (n + 1, 1))
+    table[slots, links] = np.arange(len(links))
+    blocks = (np.array(slots) * n + np.array(links), np.eye(n)[links], table)
+    for a in blocks:
+        a.flags.writeable = False  # shared by every call
+    return blocks
+
+
+def _block_records(arm: ArmModel, qs: np.ndarray, points: np.ndarray, normals: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Link-frame records of stencil batches at the stencil's distinct frames.
+
+    qs: (B, n+1, n) stencil configurations (`_stencil_configs` rows);
+    points/normals: (B, N, 2), shared across a sample's stencil. Returns the
+    records (B, N, K, 4+n), point-major, each [point and normal in the
+    block's link frame, one-hot link], and the slot-to-block table (n+1, n).
+    The records are a view of field-major storage, so each field is built
+    with contiguous array operations.
     """
     b, s, n = qs.shape
     n_pts = points.shape[1]
-    flat = qs.reshape(b * s, n)
-    origins, angles = batch_link_frames(arm, flat)
-    origins = origins.reshape(b, s, n, 2)
-    angles = angles.reshape(b, s, n)
-    cos = np.cos(angles)
-    sin = np.sin(angles)
-    recs = np.zeros((b, s, n, n_pts, 4 + n))
-    pts_b = points[:, None, None, :, :]  # (B, 1, 1, N, 2)
-    nrm_b = normals[:, None, None, :, :]
-    rel = pts_b - origins[:, :, :, None, :]  # (B, S, n, N, 2)
-    c = cos[:, :, :, None]
-    sn = sin[:, :, :, None]
-    recs[..., 0] = c * rel[..., 0] + sn * rel[..., 1]
-    recs[..., 1] = -sn * rel[..., 0] + c * rel[..., 1]
-    recs[..., 2] = c * nrm_b[..., 0] + sn * nrm_b[..., 1]
-    recs[..., 3] = -sn * nrm_b[..., 0] + c * nrm_b[..., 1]
-    for ell in range(n):
-        recs[:, :, ell, :, 4 + ell] = 1.0
-    return recs.reshape(b, s, n * n_pts, 4 + n)
+    if s != n + 1:
+        raise ValueError(f"stencil has {s} slots, expected {n + 1}")
+    shared = b * n_pts * n * (n + 3) // 2 >= SHARED_ROWS_MIN
+    frames, one_hot, table = _stencil_blocks(n, shared)
+    k = frames.size
+    origins, angles = batch_link_frames(arm, qs.reshape(b * s, n))
+    # [point, normal] x [world x, world y] relative to each block's frame
+    # origin (normals are directions: origin 0), (2, 2, B, N, K)
+    shift = np.zeros((2, 2, b, 1, k))
+    shift[0, :, :, 0] = origins.reshape(b, s * n, 2)[:, frames].transpose(2, 0, 1)
+    rel = np.concatenate([points[None], normals[None]]).transpose(0, 3, 1, 2)[..., None] - shift
+    # rotation into each frame: rot[i, j] multiplies world axis i for frame axis j
+    angles = angles.reshape(b, 1, s * n)[..., frames]
+    rot = np.empty((2, 2, b, 1, k))
+    np.cos(angles, out=rot[0, 0])
+    np.sin(angles, out=rot[1, 0])
+    np.negative(rot[1, 0], out=rot[0, 1])
+    rot[1, 1] = rot[0, 0]
+    # field-major storage: each record field is one contiguous (B, N, K) array
+    fields = np.empty((4 + n, b, n_pts, k))
+    local = fields[:4].reshape(2, 2, b, n_pts, k)  # [point, normal] x [frame x, frame y]
+    np.multiply(rot[0], rel[:, :1], out=local)
+    local += rot[1] * rel[:, 1:]
+    fields[4:] = one_hot.T[:, None, None, :]
+    recs = fields.transpose(1, 2, 3, 0)
+    return recs, table
 
 
 @dataclass
@@ -378,9 +422,9 @@ def _forward_stencil(net, prep: _Prepared, arm: ArmModel):
         b, s, d_in = prep.x.shape
         y, tape = mlp_forward(net, prep.x.reshape(b * s, d_in))
         return y[:, 0].reshape(b, s), tape
-    recs = _stencil_records(arm, prep.qs, prep.points, prep.normals)
-    b, s, m, din = recs.shape
-    h, tape = encoder_forward_batch(net, prep.qs.reshape(b * s, -1), recs.reshape(b * s, m, din))
+    recs, slot_blocks = _block_records(arm, prep.qs, prep.points, prep.normals)
+    b, s, n = prep.qs.shape
+    h, tape = encoder_forward_batch(net, prep.qs.reshape(b * s, n), recs, slot_blocks)
     return h.reshape(b, s), tape
 
 

@@ -130,7 +130,12 @@ class Environment(Record):
     obstacles: tuple[Obstacle, ...] = ()
     workspace: Workspace = Workspace()
     time: float = 0.0
-    # cached stacked geometry, rebuilt on construction
+    # cached stacked geometry, rebuilt on construction: every obstacle's
+    # centre and velocity (O, 2) and which obstacles are circles (O,), then
+    # the rectangles' and circles' own arrays
+    _centers: np.ndarray = field(init=False, repr=False, compare=False)
+    _velocities: np.ndarray = field(init=False, repr=False, compare=False)
+    _circle_mask: np.ndarray = field(init=False, repr=False, compare=False)
     _rect_centers: np.ndarray = field(init=False, repr=False, compare=False)
     _rect_halves: np.ndarray = field(init=False, repr=False, compare=False)
     _circle_centers: np.ndarray = field(init=False, repr=False, compare=False)
@@ -147,13 +152,17 @@ class Environment(Record):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         rects = [o for o in self.obstacles if o.kind == "rect"]
         circles = [o for o in self.obstacles if o.kind == "circle"]
-        centers = np.array([o.center for o in rects]).reshape(-1, 2)
+        every = np.array([o.center for o in self.obstacles], dtype=float).reshape(-1, 2)
+        circle = np.array([o.kind == "circle" for o in self.obstacles], dtype=bool)
+        object.__setattr__(self, "_centers", every)
+        object.__setattr__(self, "_velocities", np.array(
+            [o.velocity for o in self.obstacles], dtype=float).reshape(-1, 2))
+        object.__setattr__(self, "_circle_mask", circle)
+        centers = every[~circle]
         halves = np.array([o.half_extents for o in rects]).reshape(-1, 2)
         object.__setattr__(self, "_rect_centers", centers)
         object.__setattr__(self, "_rect_halves", halves)
-        object.__setattr__(
-            self, "_circle_centers", np.array([o.center for o in circles]).reshape(-1, 2)
-        )
+        object.__setattr__(self, "_circle_centers", every[circle])
         object.__setattr__(
             self, "_circle_radii", np.array([o.radius for o in circles], dtype=float)
         )
@@ -363,10 +372,9 @@ def _advance(env: Environment, dt: float, steps: int) -> tuple[np.ndarray, np.nd
     dt to the previous time, the float order of single steps taken in turn."""
     if not 0.0 <= dt < np.inf:
         raise ValueError("dt must be finite and non-negative")
-    obstacles = env.obstacles
-    centers = np.empty((steps + 1, len(obstacles), 2))
-    centers[0] = np.reshape([o.center for o in obstacles], (-1, 2))
-    centers[1:] = np.reshape([o.velocity for o in obstacles], (-1, 2)) * dt
+    centers = np.empty((steps + 1,) + env._centers.shape)
+    centers[0] = env._centers
+    centers[1:] = env._velocities * dt
     np.add.accumulate(centers, axis=0, out=centers)
     times = np.full(steps + 1, float(dt))
     times[0] = env.time
@@ -385,8 +393,9 @@ def _environment_at(env: Environment, dt: float, steps: int
     re-validated.
     """
     centers, times = _advance(env, dt, steps)
-    circle = np.array([o.kind == "circle" for o in env.obstacles], dtype=bool)
-    rect_cz = centers[:, ~circle, 0] + 1j * centers[:, ~circle, 1]
+    circle = env._circle_mask
+    rect = ~circle
+    rect_cz = centers[:, rect, 0] + 1j * centers[:, rect, 1]
     points = _kernel_points(centers[:, circle], rect_cz, env._rect_halves)
     if not steps:
         return env, rect_cz, points
@@ -395,7 +404,8 @@ def _environment_at(env: Environment, dt: float, steps: int
     after.__dict__.update(
         env.__dict__,
         obstacles=tuple(o._at(tuple(c)) for o, c in zip(env.obstacles, last.tolist())),
-        time=float(times[-1]), _rect_centers=last[~circle], _circle_centers=last[circle],
+        time=float(times[-1]), _centers=last, _rect_centers=last[rect],
+        _circle_centers=last[circle],
         _rect_cz=rect_cz[-1], _points=points[-1])
     return after, rect_cz, points
 

@@ -140,6 +140,7 @@ def joint_positions(arm: ArmModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def batch_link_frames(arm: ArmModel, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Link-frame origins (R, n, 2) and absolute angles (R, n) for R configurations."""
+    """Link-frame origins (R, n, 2) and absolute angles (R, n) for R
+    configurations; the origins are a real view of the joint positions."""
     joints, angles = batch_joint_positions(arm, qs)
-    return np.stack([joints.real[:, :-1], joints.imag[:, :-1]], axis=2), angles
+    return joints[:, :-1].view(float).reshape(joints.shape[0], -1, 2), angles

@@ -73,27 +73,33 @@ def mlp_forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
     x2 = x[None, :] if single else x
     if x2.shape[1] != net.in_width:
         raise ValueError(f"input width {x2.shape[1]}, expected {net.in_width}")
-    if not np.all(np.isfinite(x2)):
+    if not np.isfinite(x2).all():
         raise ValueError("non-finite network input")
     hidden = []
     a = x2
     n_layers = len(net.params)
     for i, (w, b) in enumerate(net.params):
-        z = a @ w.T + b
+        # one array per layer: the bias and tanh go into the product's storage
+        a = a @ w.T
+        a += b
         if i < n_layers - 1:
-            a = np.tanh(z)
+            np.tanh(a, out=a)
             hidden.append(a)
-        else:
-            a = z
-    y = a
-    tape = MlpTape(net=net, x=x2, hidden=hidden, y=y, single=single)
-    return (y[0] if single else y), tape
+    tape = MlpTape(net=net, x=x2, hidden=hidden, y=a, single=single)
+    return (a[0] if single else a), tape
 
 
-def mlp_backward(tape: MlpTape, upstream=1.0) -> tuple[Params, np.ndarray]:
-    """Reverse pass: (parameter gradients summed over the batch, input gradient)."""
+def mlp_backward(tape: MlpTape, upstream=1.0, rows=None) -> tuple[Params, np.ndarray]:
+    """Reverse pass: (parameter gradients summed over the batch, input gradient).
+
+    `rows` (optional) is an index array into the tape's rows: the pass then
+    runs on those rows, in that order, exactly as on the tape of a forward
+    pass over the gathered inputs. Each layer's activations are gathered when
+    that layer is reached.
+    """
     net = tape.net
-    b_size, out_w = tape.y.shape
+    b_size = tape.y.shape[0] if rows is None else len(rows)
+    out_w = net.out_width
     delta = np.asarray(upstream, dtype=float)
     if delta.ndim == 0:
         delta = np.full((b_size, out_w), float(delta))
@@ -105,13 +111,16 @@ def mlp_backward(tape: MlpTape, upstream=1.0) -> tuple[Params, np.ndarray]:
     acts = [tape.x] + tape.hidden  # inputs to each layer
     for i in range(len(net.params) - 1, -1, -1):
         w, _ = net.params[i]
-        a_in = acts[i]
+        a_in = acts[i] if rows is None else acts[i].take(rows, axis=0)
         dw = delta.T @ a_in
         db = delta.sum(axis=0)
         param_grads[i] = (dw, db)
         delta = delta @ w
         if i > 0:
-            delta = delta * (1.0 - tape.hidden[i - 1] ** 2)
+            # tanh' = 1 - a^2; a gathered copy is overwritten, the tape is not
+            slope = np.square(a_in, out=None if rows is None else a_in)
+            np.subtract(1.0, slope, out=slope)
+            delta *= slope
     input_grad = delta[0] if tape.single else delta
     return param_grads, input_grad
 
@@ -120,8 +129,8 @@ def mlp_backward(tape: MlpTape, upstream=1.0) -> tuple[Params, np.ndarray]:
 class PointSetEncoder:
     """Shared per-point MLP, coordinate-wise max pool, trunk MLP on (feature, q).
 
-    Per-point input: point and normal expressed in each link frame plus a
-    one-hot link index, so one cloud yields n_links * N records.
+    Per-point input: point and normal expressed in a link frame plus a
+    one-hot link index; a configuration sees its cloud in all n_links frames.
     """
 
     per_point: Mlp
@@ -158,40 +167,64 @@ class PointSetEncoder:
 @dataclass
 class EncoderTape:
     enc: PointSetEncoder
-    point_tape: MlpTape
+    point_tape: MlpTape  # per-point net on the block records, rows (B, N, K)
     trunk_tape: MlpTape
-    argmax: np.ndarray  # (B, F) winning record index per pooled coordinate
-    n_records: int
+    block_max: np.ndarray  # (B, K, F) each block's pooled features
+    slot_blocks: np.ndarray  # (S, n) the block of each slot's link
 
 
-def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, records: np.ndarray
-                          ) -> tuple[np.ndarray, EncoderTape]:
-    """Batched encoder pass on prebuilt records.
+def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, records: np.ndarray,
+                          slot_blocks: np.ndarray) -> tuple[np.ndarray, EncoderTape]:
+    """Batched encoder pass on prebuilt block records.
 
-    qs: (B, n); records: (B, M, 4+n) with M records per sample. Returns h (B,).
+    records: (B, N, K, 4+n), point-major: each of a sample's N points seen
+    from K link frames (blocks). Slot s of a sample pools the n blocks
+    `slot_blocks[s]` (S, n), one per link; qs (B*S, n) are the slots'
+    configurations. Returns h (B*S,). The max pool runs over each block's
+    points, then over a slot's blocks, so it equals one max over the slot's
+    n*N records.
     """
     qs = np.asarray(qs, dtype=float)
     records = np.asarray(records, dtype=float)
-    b, m, din = records.shape
-    phi_flat, point_tape = mlp_forward(enc.per_point, records.reshape(b * m, din))
+    b, n_pts, k, din = records.shape
+    phi, point_tape = mlp_forward(enc.per_point, records.reshape(b * n_pts * k, din))
     f = enc.feature_width
-    phi = phi_flat.reshape(b, m, f)
-    argmax = np.argmax(phi, axis=1)  # (B, F)
-    feature = np.take_along_axis(phi, argmax[:, None, :], axis=1)[:, 0, :]
-    trunk_in = np.concatenate([feature, qs], axis=1)
+    block_max = phi.reshape(b, n_pts, k * f).max(axis=1).reshape(b, k, f)
+    feature = block_max[:, slot_blocks].max(axis=2)  # (B, S, F)
+    trunk_in = np.concatenate([feature.reshape(-1, f), qs], axis=1)
     y, trunk_tape = mlp_forward(enc.trunk, trunk_in)
-    tape = EncoderTape(
-        enc=enc, point_tape=point_tape, trunk_tape=trunk_tape,
-        argmax=argmax, n_records=m,
-    )
+    tape = EncoderTape(enc=enc, point_tape=point_tape, trunk_tape=trunk_tape,
+                       block_max=block_max, slot_blocks=slot_blocks)
     return y[:, 0], tape
+
+
+def _slot_rows(tape: EncoderTape) -> tuple[np.ndarray, np.ndarray]:
+    """The per-slot record layout of a block tape: each slot's n*N records,
+    link-major, as rows of the block records (B*S*n*N,), and the record that
+    wins each pooled coordinate (B*S, F), the first one on ties."""
+    b, k, f = tape.block_max.shape
+    s, n = tape.slot_blocks.shape
+    n_pts = tape.point_tape.y.shape[0] // (b * k)
+    phi = tape.point_tape.y.reshape(b, n_pts, k, f)
+    first_point = np.argmax(phi == tape.block_max[:, None], axis=1)  # (B, K, F)
+    feature = tape.trunk_tape.x[:, :f].reshape(b, s, 1, f)
+    first_link = np.argmax(tape.block_max[:, tape.slot_blocks] == feature, axis=2)  # (B, S, F)
+    block = tape.slot_blocks[np.arange(s)[:, None], first_link]
+    point = first_point[np.arange(b)[:, None, None], block, np.arange(f)]
+    argmax = (first_link * n_pts + point).reshape(b * s, f)
+    rows = ((np.arange(b)[:, None, None, None] * n_pts + np.arange(n_pts)) * k
+            + tape.slot_blocks[:, :, None]).reshape(-1)
+    return rows, argmax
 
 
 def encoder_backward_batch(tape: EncoderTape, upstream) -> tuple[Params, np.ndarray, np.ndarray]:
     """Reverse pass for the batched encoder.
 
-    upstream: scalar or (B,). Returns (parameter grads with the per-point
-    layers first, record input grads (B, M, din), q input grads (B, n)).
+    upstream: scalar or (B*S,). Returns (parameter grads with the per-point
+    layers first, record input grads (B*S, n*N, din) with each slot's records
+    link-major, q input grads (B*S, n)). The per-point pass runs on every
+    slot's records, gathered from the blocks, so its sums run over the same
+    rows in the same order as a forward pass on all of them would give.
     """
     enc = tape.enc
     b = tape.trunk_tape.y.shape[0]
@@ -202,10 +235,11 @@ def encoder_backward_batch(tape: EncoderTape, upstream) -> tuple[Params, np.ndar
     f = enc.feature_width
     d_feature = trunk_in_grad[:, :f]
     d_q = trunk_in_grad[:, f:]
-    m = tape.n_records
+    rows, argmax = _slot_rows(tape)
+    m = rows.size // b
     d_phi = np.zeros((b, m, f))
-    np.put_along_axis(d_phi, tape.argmax[:, None, :], d_feature[:, None, :], axis=1)
-    point_grads, rec_grad_flat = mlp_backward(tape.point_tape, d_phi.reshape(b * m, f))
+    np.put_along_axis(d_phi, argmax[:, None, :], d_feature[:, None, :], axis=1)
+    point_grads, rec_grad_flat = mlp_backward(tape.point_tape, d_phi.reshape(b * m, f), rows=rows)
     rec_grads = rec_grad_flat.reshape(b, m, -1)
     return point_grads + trunk_grads, rec_grads, d_q
 

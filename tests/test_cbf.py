@@ -4,6 +4,7 @@ the control-term infimum against brute force, loss plumbing and training."""
 import numpy as np
 import pytest
 
+from cbfsteer import cbf as cbf_module
 from cbfsteer.cbf import (
     CbfHyper,
     Dataset,
@@ -14,9 +15,10 @@ from cbfsteer.cbf import (
     TrainSchedule,
     _condition_values,
     _forward_stencil,
+    _block_records,
     _prepare_batch,
+    _stencil_blocks,
     _stencil_configs,
-    _stencil_records,
     collect_dataset,
     evaluate_constraints,
     h_and_grad,
@@ -34,15 +36,25 @@ from cbfsteer.environment import (
     Environment,
     Obstacle,
     SafetyLabel,
+    ScanSpec,
     StateObservation,
     random_environment,
+    ray_cast_scan,
     safety_label,
     sample_surface_points,
     signed_distance,
     signed_distance_batch,
 )
-from cbfsteer.kinematics import ArmModel, sample_config
-from cbfsteer.neural import Mlp, PointSetEncoder, encoder_forward_batch, mlp_forward
+from cbfsteer.kinematics import ArmModel, joint_positions, sample_config
+from cbfsteer.neural import (
+    Mlp,
+    PointSetEncoder,
+    _slot_rows,
+    encoder_backward_batch,
+    mlp_forward,
+    save_checkpoint,
+)
+import encoder_oracle
 from test_neural import encode, reference_point_records
 
 
@@ -166,7 +178,7 @@ class TestHValue:
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
         cloud = CloudObservation(points=pts, normals=nrm, source=CloudSource.SURFACE_SAMPLED)
         recs = reference_point_records(arm, q, pts, nrm)
-        expected2, _ = encoder_forward_batch(enc, q[None, :], recs[None])
+        expected2, _ = encoder_oracle.encoder_forward(enc, q[None, :], recs[None])
         assert h_value(enc, q, cloud, arm) == pytest.approx(float(expected2[0]), abs=1e-15)
 
     def test_variant_mismatch_raises(self, arm):
@@ -601,12 +613,12 @@ def parent_h_and_grad(net, q, env, arm, fd_step, observation=None):
             ds[1:] = signed_distance_batch(env, arm, qs[1:])
         else:
             ds = signed_distance_batch(env, arm, qs)
-        y, _ = mlp_forward(net, np.concatenate([qs, ds[:, None]], axis=1))
+        y, _ = encoder_oracle.mlp_forward(net, np.concatenate([qs, ds[:, None]], axis=1))
         h = y[:, 0]
     else:
-        recs = _stencil_records(arm, qs[None, :, :], observation.points[None, :, :],
-                                observation.normals[None, :, :])
-        h, _ = encoder_forward_batch(net, qs, recs.reshape((n + 1,) + recs.shape[2:]))
+        recs = encoder_oracle.stencil_records(arm, qs[None, :, :], observation.points[None, :, :],
+                                              observation.normals[None, :, :])
+        h, _ = encoder_oracle.encoder_forward(net, qs, recs.reshape((n + 1,) + recs.shape[2:]))
     return float(h[0]), (h[1:] - h[0]) / fd_step
 
 
@@ -664,3 +676,222 @@ class TestSharedStencilForwardPass:
                 h, g = h_and_grad(net, s.q, env, arm, hyper, observation=s.observation)
                 assert h == h0[i]
                 assert g.tobytes() == grad[i].tobytes()
+
+
+# -- the block forward against the full-row stencil forward ------------------
+
+# arms of 2, 3 and 5 links, none based at the origin
+ORACLE_ARMS = {
+    2: ArmModel(link_lengths=(0.6, 0.5), base_position=(0.2, -0.3)),
+    3: ArmModel(base_position=(-0.4, 0.25)),
+    5: ArmModel(link_lengths=(0.35, 0.3, 0.25, 0.2, 0.15), base_position=(0.1, 0.4)),
+}
+
+
+def oracle_cloud(kind, env, arm, n_points, rng):
+    """A cloud of `n_points` points, and how many of them are ray misses:
+    surface samples, a ray-cast scan (misses sit at the range sentinel), or
+    surface samples each taken twice."""
+    if kind == "raycast":
+        mounts = (0,) if n_points < 64 else (0, arm.n_links - 1)
+        spec = ScanSpec(mount_links=mounts, rays_per_mount=n_points // len(mounts),
+                        max_range=1.2)
+        q = sample_config(arm, rng)
+        cloud = ray_cast_scan(env, arm, q, spec)
+        joints = joint_positions(arm, q)[0]
+        origins = np.repeat(0.5 * (joints[list(mounts)] + joints[[m + 1 for m in mounts]]),
+                            spec.rays_per_mount, axis=0)
+        ranges = np.linalg.norm(cloud.points - origins, axis=1)
+        return cloud, int(np.sum(np.isclose(ranges, spec.max_range)))
+    if kind == "duplicated":
+        half = sample_surface_points(env, max(1, n_points // 2), rng)
+        reps = n_points // half.points.shape[0]
+        cloud = CloudObservation(points=np.tile(half.points, (reps, 1)),
+                                 normals=np.tile(half.normals, (reps, 1)), source=half.source)
+        return cloud, 0
+    return sample_surface_points(env, n_points, rng), 0
+
+
+def oracle_world(rng):
+    return random_environment(EnvGenConfig(num_obstacles=3, shapes=("rect", "circle")), rng)
+
+
+def oracle_h_and_grad(net, q, arm, hyper, cloud):
+    """h and grad h through the full-row stencil forward."""
+    prep = _prepare_batch([LabeledSample(q=q, observation=cloud, label=SafetyLabel.SAFE,
+                                         env_id=0)], arm, hyper)
+    h, _ = encoder_oracle.forward_stencil(net, prep, arm)
+    return float(h[0, 0]), (h[0, 1:] - h[0, 0]) / hyper.fd_step
+
+
+def full_row_training(monkeypatch):
+    """Route training and auditing through the full-row forward and its
+    reverse pass."""
+    shared = _forward_stencil
+
+    def forward(net, prep, arm):
+        if isinstance(net, PointSetEncoder):
+            return encoder_oracle.forward_stencil(net, prep, arm)
+        return shared(net, prep, arm)
+
+    monkeypatch.setattr(cbf_module, "_forward_stencil", forward)
+    monkeypatch.setattr(cbf_module, "encoder_backward_batch", encoder_oracle.encoder_backward)
+
+
+def same_grads(got, ref) -> bool:
+    return all(gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
+               for (gw, gb), (rw, rb) in zip(got, ref))
+
+
+class TestBlockForwardOracle:
+    """The cloud encoder computes each (stencil slot, link) frame once; the
+    full-row forward in `encoder_oracle` builds all S*n*N records. They must
+    agree bit for bit."""
+
+    @pytest.mark.parametrize("n_links", [2, 3, 5])
+    @pytest.mark.parametrize("n_points", [1, 2, 64])
+    @pytest.mark.parametrize("kind", ["surface", "raycast", "duplicated"])
+    def test_h_and_grad(self, n_links, n_points, kind):
+        arm = ORACLE_ARMS[n_links]
+        rng = np.random.default_rng(100 * n_links + n_points)
+        net = PointSetEncoder.create(n_links, rng=rng)
+        hyper = CbfHyper()
+        misses = 0
+        for trial in range(12):
+            env = oracle_world(rng)
+            cloud, n_miss = oracle_cloud(kind, env, arm, n_points, rng)
+            misses += n_miss
+            q = sample_config(arm, rng)
+            if trial == 0:
+                q[::2] = -0.0  # signed zeros: the stencil rows turn them into +0.0
+                q[1::2] = 0.0
+            h, g = h_and_grad(net, q, None, arm, hyper, observation=cloud)
+            h_ref, g_ref = oracle_h_and_grad(net, q, arm, hyper, cloud)
+            assert h == h_ref
+            assert g.tobytes() == g_ref.tobytes()
+        if kind == "raycast":
+            assert misses > 0
+
+    @pytest.mark.parametrize("n_links", [2, 3, 5])
+    def test_row_counts_around_the_sharing_floor(self, n_links):
+        # below the floor the stencil keeps every frame; the GEMM sizes either
+        # side of it must still give the full-row values
+        arm = ORACLE_ARMS[n_links]
+        rng = np.random.default_rng(7 + n_links)
+        net = PointSetEncoder.create(n_links, rng=rng)
+        hyper = CbfHyper()
+        blocks = n_links * (n_links + 3) // 2
+        for n_points in range(1, 256 // blocks + 4):
+            cloud = sample_surface_points(oracle_world(rng), n_points, rng)
+            q = sample_config(arm, rng)
+            h, g = h_and_grad(net, q, None, arm, hyper, observation=cloud)
+            h_ref, g_ref = oracle_h_and_grad(net, q, arm, hyper, cloud)
+            assert h == h_ref and g.tobytes() == g_ref.tobytes(), n_points
+
+    @pytest.mark.parametrize("n_links", [2, 3, 5])
+    @pytest.mark.parametrize("n_points", [1, 2, 64])
+    def test_block_records_are_the_full_records(self, n_links, n_points):
+        arm = ORACLE_ARMS[n_links]
+        rng = np.random.default_rng(n_links + 10 * n_points)
+        b = 3
+        qs = np.stack([_stencil_configs(sample_config(arm, rng), 1e-3) for _ in range(b)])
+        points = rng.uniform(-1, 1, (b, n_points, 2))
+        normals = rng.normal(size=(b, n_points, 2))
+        recs, table = _block_records(arm, qs, points, normals)
+        full = encoder_oracle.stencil_records(arm, qs, points, normals)
+        s, n = table.shape
+        full = full.reshape(b, s, n, n_points, 4 + n_links)
+        for slot in range(s):
+            for link in range(n):
+                got = recs[:, :, table[slot, link]]  # (B, N, 4+n)
+                assert got.tobytes() == np.ascontiguousarray(full[:, slot, link]).tobytes()
+
+    def test_block_table(self):
+        frames, one_hot, table = _stencil_blocks(3, True)
+        assert frames.tolist() == [0, 1, 2, 3, 4, 5, 7, 8, 11]
+        assert table.tolist() == [[0, 1, 2], [3, 4, 5], [0, 6, 7], [0, 1, 8]]
+        assert one_hot.argmax(axis=1).tolist() == [0, 1, 2, 0, 1, 2, 1, 2, 2]
+        frames, _, table = _stencil_blocks(3, False)
+        assert frames.tolist() == list(range(12))
+        assert table.tolist() == np.arange(12).reshape(4, 3).tolist()
+        for n in (2, 3, 5, 7):
+            assert _stencil_blocks(n, True)[0].size == n * (n + 3) // 2
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+
+    @pytest.mark.parametrize("n_links", [2, 3, 5])
+    @pytest.mark.parametrize("n_points,kind", [(1, "surface"), (2, "duplicated"),
+                                               (64, "raycast"), (64, "duplicated")])
+    def test_batch_forward_backward_and_loss(self, n_links, n_points, kind, monkeypatch):
+        arm = ORACLE_ARMS[n_links]
+        rng = np.random.default_rng(1000 + 10 * n_links + n_points)
+        net = PointSetEncoder.create(n_links, rng=rng)
+        hyper = CbfHyper()
+        batch = []
+        for i in range(17):
+            env = oracle_world(rng)
+            cloud, _ = oracle_cloud(kind, env, arm, n_points, rng)
+            q = sample_config(arm, rng)
+            d = signed_distance(env, arm, q)
+            batch.append(LabeledSample(q=q, observation=cloud, label=safety_label(d, 0.05),
+                                       env_id=0))
+        prep = _prepare_batch(batch, arm, hyper)
+        h, tape = _forward_stencil(net, prep, arm)
+        h_ref, tape_ref = encoder_oracle.forward_stencil(net, prep, arm)
+        assert h.tobytes() == h_ref.tobytes()
+        # the rebuilt winners are the first record reaching each max
+        assert np.array_equal(_slot_rows(tape)[1], tape_ref.argmax)
+        up = rng.normal(size=h.size)
+        grads, rec_grads, q_grads = encoder_backward_batch(tape, up)
+        grads_ref, rec_ref, q_ref = encoder_oracle.encoder_backward(tape_ref, up)
+        assert same_grads(grads, grads_ref)
+        assert rec_grads.tobytes() == rec_ref.tobytes()
+        assert q_grads.tobytes() == q_ref.tobytes()
+
+        total, comps, grads = loss(net, batch, arm, hyper)
+        full_row_training(monkeypatch)
+        total_ref, comps_ref, grads_ref = loss(net, batch, arm, hyper)
+        assert total == total_ref and comps == comps_ref
+        assert same_grads(grads, grads_ref)
+
+    def test_ties_take_the_first_record(self):
+        # every point twice and a zero-weight feature: each pooled coordinate
+        # is tied, within a block and (for the constant feature) across links
+        arm = ORACLE_ARMS[3]
+        rng = np.random.default_rng(5)
+        net = PointSetEncoder.create(3, rng=rng)
+        w, b = net.per_point.params[-1]
+        w[:8] = 0.0
+        b[:8] = np.linspace(-1.0, 1.0, 8)
+        pts = rng.uniform(-1, 1, (32, 2))
+        nrm = rng.normal(size=(32, 2))
+        cloud = CloudObservation(points=np.vstack([pts, pts]), normals=np.vstack([nrm, nrm]),
+                                 source=CloudSource.SURFACE_SAMPLED)
+        batch = [LabeledSample(q=sample_config(arm, rng), observation=cloud,
+                               label=SafetyLabel.UNSAFE, env_id=0) for _ in range(3)]
+        prep = _prepare_batch(batch, arm, CbfHyper())
+        _, tape = _forward_stencil(net, prep, arm)
+        _, tape_ref = encoder_oracle.forward_stencil(net, prep, arm)
+        argmax = _slot_rows(tape)[1]
+        assert np.array_equal(argmax, tape_ref.argmax)
+        assert np.all(argmax[:, :8] == 0)  # first link, first point
+        assert np.all(argmax[:, 8:] % 64 < 32)  # first copy of a point
+
+    def test_training_and_audit_bytes(self, arm, tmp_path, monkeypatch):
+        ds = collect_dataset(arm, EnvGenConfig(), DatasetCounts(rollout_trajs=1, uniform_samples=90),
+                             NominalPolicy(), np.random.default_rng(8), observation_kind="cloud",
+                             cloud_points=64)
+        hyper = make_hyper(load_config(), "cloud")
+        schedule = TrainSchedule(epochs=2, batch_size=32)
+        outputs = []
+        for run in ("block", "full-row"):
+            if run == "full-row":
+                full_row_training(monkeypatch)
+            net = PointSetEncoder.create(3, rng=np.random.default_rng(4))
+            net, report = train(ds, net, hyper, schedule, np.random.default_rng(6))
+            rates = evaluate_constraints(net, ds, hyper=hyper, batch_size=40)
+            path = tmp_path / f"{run}.json"
+            save_checkpoint(path, "cloud", net, hyper.to_json())
+            outputs.append((path.read_bytes(), report.epochs, rates))
+        assert len(outputs[0][1]) == 2
+        assert outputs[0] == outputs[1]

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from cbfsteer.cbf import _stencil_records
 from cbfsteer.environment import CloudObservation, CloudSource
 from cbfsteer.kinematics import ArmModel, joint_positions
 from cbfsteer.neural import (
@@ -23,6 +22,7 @@ from cbfsteer.neural import (
     mlp_forward,
     save_checkpoint,
 )
+from encoder_oracle import stencil_records
 
 
 def reference_forward(net, x):
@@ -187,11 +187,13 @@ def reference_point_records(arm, q, points, normals):
 
 
 def encode(enc, q, cloud, arm):
-    """Encoder value at one configuration for one cloud, through the records
-    and the batched pass the barrier uses: (h, tape)."""
+    """Encoder value at one configuration for one cloud, through the batched
+    pass the barrier uses, with one slot that pools one block per link: (h, tape)."""
     q = np.asarray(q, dtype=float)
-    recs = _stencil_records(arm, q[None, None, :], cloud.points[None], cloud.normals[None])
-    h, tape = encoder_forward_batch(enc, q[None, :], recs[0])
+    n = q.shape[0]
+    recs = reference_point_records(arm, q, cloud.points, cloud.normals)
+    blocks = recs.reshape(n, -1, 4 + n).transpose(1, 0, 2)[None]  # (1, N, n, 4+n)
+    h, tape = encoder_forward_batch(enc, q[None, :], blocks, np.arange(n)[None])
     return float(h[0]), tape
 
 
@@ -253,8 +255,8 @@ class TestEncoder:
     def test_record_layout(self, arm):
         rng = np.random.default_rng(13)
         cloud = random_cloud(rng, 5)
-        recs = _stencil_records(arm, np.zeros((1, 1, 3)), cloud.points[None],
-                                cloud.normals[None])[0, 0]
+        recs = stencil_records(arm, np.zeros((1, 1, 3)), cloud.points[None],
+                               cloud.normals[None])[0, 0]
         assert recs.shape == (15, 7)
         # at q=0 link frames are axis-aligned; link 0 origin is the base
         np.testing.assert_allclose(recs[:5, 0:2], cloud.points, atol=1e-12)
@@ -267,8 +269,8 @@ class TestEncoder:
         rng = np.random.default_rng(19)
         qs = rng.uniform(arm.lower, arm.upper, (4, 5, 3))
         clouds = [random_cloud(rng, 7) for _ in range(4)]
-        recs = _stencil_records(arm, qs, np.stack([c.points for c in clouds]),
-                                np.stack([c.normals for c in clouds]))
+        recs = stencil_records(arm, qs, np.stack([c.points for c in clouds]),
+                               np.stack([c.normals for c in clouds]))
         for b, cloud in enumerate(clouds):
             for s_ in range(5):
                 np.testing.assert_allclose(
