@@ -193,9 +193,9 @@ def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
     if name in ("hand-cbf", "cbf-state", "cbf-cloud"):
         return SteerRollout(bundle=bundle)
     if name == "filter-lqr":
-        # negative threshold selects the hybrid default: switch to the
-        # discard-style steer halfway through the node budget
-        act = int(method.get("activation_after", 0))
+        # a spec without a switch point (or with a negative one) switches to
+        # the discard-style steer halfway through the node budget
+        act = int(method.get("activation_after", -1))
         if act < 0:
             act = int(cfg["planner"]["max_nodes"]) // 2
         return SteerCbfFilterLqr(bundle=bundle, activation_after=act)

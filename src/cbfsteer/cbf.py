@@ -259,6 +259,11 @@ def h_and_grad(net, q: np.ndarray, env: Environment | None, arm: ArmModel,
     A state net refreshes the signed distance at every stencil configuration
     from the environment; a given `StateObservation` supplies slot 0. A cloud
     net holds its observed cloud fixed across the stencil.
+
+    With layers 32 or more wide the values match the same sample's in a
+    batched pass to rounding, not bit for bit: BLAS libraries run the small
+    products of a one-sample stencil through kernels that sum in another
+    order (OpenBLAS does so for the default 64-wide state net).
     """
     qs = _stencil_configs(q, hyper.fd_step)
     if isinstance(net, Mlp):
@@ -538,7 +543,7 @@ def evaluate_constraints(net, samples, arm: ArmModel = None, hyper: CbfHyper = N
 
 
 @dataclass(frozen=True)
-class TrainSchedule:
+class TrainSchedule(Record):
     epochs: int = 60
     batch_size: int = 256
     lr: float = 2e-3

@@ -84,8 +84,9 @@ def _build_parser() -> _Parser:
                    help="comma-separated: straight,cbf-state,cbf-cloud,hand-cbf,filter-lqr")
     p.add_argument("--checkpoint-state", type=str, default=None)
     p.add_argument("--checkpoint-cloud", type=str, default=None)
-    p.add_argument("--activation-after", type=int, default=-1,
-                   help="filter-lqr switch point in tree nodes (-1: half the node budget)")
+    p.add_argument("--activation-after", type=int, default=None,
+                   help="filter-lqr switch point in tree nodes (default or -1: half the "
+                        "node budget)")
     p.add_argument("--no-timing", action="store_true",
                    help="zero timing fields for byte-reproducible outputs")
     p.add_argument("--svg", action="store_true")
@@ -124,15 +125,17 @@ def _method_spec(name: str, args) -> dict:
         ckpt = args.checkpoint_state or args.checkpoint_cloud
         if not ckpt:
             raise _UsageError("method filter-lqr needs a checkpoint flag")
-        return {"name": "filter-lqr", "checkpoint": ckpt,
-                "activation_after": args.activation_after}
+        spec = {"name": "filter-lqr", "checkpoint": ckpt}
+        if args.activation_after is not None:
+            spec["activation_after"] = args.activation_after
+        return spec
     raise _UsageError(f"unknown method {name!r}")
 
 
 def _single_checkpoint_method(args) -> dict:
     """Method spec for the commands that take one --checkpoint for any method."""
     return _method_spec(args.method, argparse.Namespace(
-        checkpoint_state=args.checkpoint, checkpoint_cloud=args.checkpoint, activation_after=0))
+        checkpoint_state=args.checkpoint, checkpoint_cloud=args.checkpoint, activation_after=None))
 
 
 def _cmd_gen_problems(args, cfg, out_dir):

@@ -23,6 +23,7 @@ from .environment import (
     signed_distance_batch,
     signed_distance_stepped,
 )
+from .jsonio import Record
 from .kinematics import ArmModel
 
 
@@ -43,7 +44,7 @@ class QpMode(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class SafeControllerConfig:
+class SafeControllerConfig(Record):
     alpha: float = 1.0
     relax_penalty: float = 100.0
     mode: QpMode = QpMode.RELAXED
@@ -168,14 +169,11 @@ def solve_safety_qp(u_nom: np.ndarray, grad_h: np.ndarray, h_val: float,
 
 
 @dataclass(frozen=True)
-class RolloutLimits:
+class RolloutLimits(Record):
     horizon_s: float = 10.0
     sim_hz: int = 120
     ctrl_hz: int = 30
     r_goal: float = 0.1
-    # stop after this many consecutive ticks with ||u|| below the threshold
-    stall_threshold: float | None = None
-    stall_ticks: int = 5
 
     def __post_init__(self):
         if not 0.0 < self.horizon_s < math.inf:
@@ -286,15 +284,10 @@ def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,
         rec.reached_goal = True
         return rec
 
-    stalled = 0
     for _ in range(limits.n_ticks):
         u, _, _, diag = control_tick(barrier, observe, policy, cfg, env, q, q_goal)
         if diag.infeasible:
             rec.qp_infeasible_count += 1
-        if limits.stall_threshold is not None:
-            stalled = stalled + 1 if math.sqrt(u @ u) < limits.stall_threshold else 0
-            if stalled >= limits.stall_ticks:
-                break
         rec.controls.append(u)
         rec.steps_used += 1
         if dynamic:

@@ -314,7 +314,7 @@ def sample_surface_points(env: Environment, n_points: int, rng: np.random.Genera
 
 
 @dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(Record):
     """Ray fans cast from link midpoints, directions fixed in each link frame."""
 
     mount_links: tuple[int, ...] = (0, 2)
@@ -416,7 +416,7 @@ def step_obstacles(env: Environment, dt: float) -> Environment:
 
 
 @dataclass(frozen=True)
-class EnvGenConfig:
+class EnvGenConfig(Record):
     """Random-world parameters: obstacle count, size range, placement rules."""
 
     num_obstacles: int = 4

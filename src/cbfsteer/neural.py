@@ -63,20 +63,17 @@ class MlpTape:
     x: np.ndarray  # (B, in)
     hidden: list  # post-tanh activations per hidden layer, each (B, w)
     y: np.ndarray  # (B, out)
-    single: bool
 
 
 def mlp_forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
-    """Evaluate the net on one input (in,) or a batch (B, in)."""
+    """Evaluate the net on a batch (B, in); returns (B, out)."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x2 = x[None, :] if single else x
-    if x2.shape[1] != net.in_width:
-        raise ValueError(f"input width {x2.shape[1]}, expected {net.in_width}")
-    if not np.isfinite(x2).all():
+    if x.ndim != 2 or x.shape[1] != net.in_width:
+        raise ValueError(f"input shape {x.shape}, expected (B, {net.in_width})")
+    if not np.isfinite(x).all():
         raise ValueError("non-finite network input")
     hidden = []
-    a = x2
+    a = x
     n_layers = len(net.params)
     for i, (w, b) in enumerate(net.params):
         # one array per layer: the bias and tanh go into the product's storage
@@ -85,12 +82,12 @@ def mlp_forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
         if i < n_layers - 1:
             np.tanh(a, out=a)
             hidden.append(a)
-    tape = MlpTape(net=net, x=x2, hidden=hidden, y=a, single=single)
-    return (a[0] if single else a), tape
+    return a, MlpTape(net=net, x=x, hidden=hidden, y=a)
 
 
-def mlp_backward(tape: MlpTape, upstream=1.0, rows=None) -> tuple[Params, np.ndarray]:
-    """Reverse pass: (parameter gradients summed over the batch, input gradient).
+def mlp_backward(tape: MlpTape, upstream: np.ndarray, rows=None) -> tuple[Params, np.ndarray]:
+    """Reverse pass from the output gradients `upstream` (B, out): (parameter
+    gradients summed over the batch, input gradients (B, in)).
 
     `rows` (optional) is an index array into the tape's rows: the pass then
     runs on those rows, in that order, exactly as on the tape of a forward
@@ -98,15 +95,7 @@ def mlp_backward(tape: MlpTape, upstream=1.0, rows=None) -> tuple[Params, np.nda
     that layer is reached.
     """
     net = tape.net
-    b_size = tape.y.shape[0] if rows is None else len(rows)
-    out_w = net.out_width
     delta = np.asarray(upstream, dtype=float)
-    if delta.ndim == 0:
-        delta = np.full((b_size, out_w), float(delta))
-    elif delta.ndim == 1:
-        delta = delta.reshape(b_size, out_w) if delta.size == b_size * out_w else np.broadcast_to(
-            delta, (b_size, out_w)
-        ).copy()
     param_grads: list = [None] * len(net.params)
     acts = [tape.x] + tape.hidden  # inputs to each layer
     for i in range(len(net.params) - 1, -1, -1):
@@ -121,8 +110,7 @@ def mlp_backward(tape: MlpTape, upstream=1.0, rows=None) -> tuple[Params, np.nda
             slope = np.square(a_in, out=None if rows is None else a_in)
             np.subtract(1.0, slope, out=slope)
             delta *= slope
-    input_grad = delta[0] if tape.single else delta
-    return param_grads, input_grad
+    return param_grads, delta
 
 
 @dataclass
@@ -220,7 +208,7 @@ def _slot_rows(tape: EncoderTape) -> tuple[np.ndarray, np.ndarray]:
 def encoder_backward_batch(tape: EncoderTape, upstream) -> tuple[Params, np.ndarray, np.ndarray]:
     """Reverse pass for the batched encoder.
 
-    upstream: scalar or (B*S,). Returns (parameter grads with the per-point
+    upstream: array (B*S,). Returns (parameter grads with the per-point
     layers first, record input grads (B*S, n*N, din) with each slot's records
     link-major, q input grads (B*S, n)). The per-point pass runs on every
     slot's records, gathered from the blocks, so its sums run over the same
@@ -228,10 +216,7 @@ def encoder_backward_batch(tape: EncoderTape, upstream) -> tuple[Params, np.ndar
     """
     enc = tape.enc
     b = tape.trunk_tape.y.shape[0]
-    up = np.asarray(upstream, dtype=float)
-    if up.ndim == 0:
-        up = np.full(b, float(up))
-    trunk_grads, trunk_in_grad = mlp_backward(tape.trunk_tape, up[:, None])
+    trunk_grads, trunk_in_grad = mlp_backward(tape.trunk_tape, upstream[:, None])
     f = enc.feature_width
     d_feature = trunk_in_grad[:, :f]
     d_q = trunk_in_grad[:, f:]

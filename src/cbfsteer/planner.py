@@ -109,7 +109,7 @@ SteerKind = SteerStraightLine | SteerRollout | SteerCbfFilterLqr
 
 
 @dataclass(frozen=True)
-class PlannerLimits:
+class PlannerLimits(Record):
     max_nodes: int = 200
     goal_bias: float = 0.1
     step_size: float = 0.5

@@ -67,7 +67,7 @@ def mlp_forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
             hidden.append(a)
         else:
             a = z
-    return a, MlpTape(net=net, x=x, hidden=hidden, y=a, single=False)
+    return a, MlpTape(net=net, x=x, hidden=hidden, y=a)
 
 
 def mlp_backward(tape: MlpTape, delta: np.ndarray) -> tuple[list, np.ndarray]:

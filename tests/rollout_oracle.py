@@ -95,7 +95,6 @@ def safe_rollout(barrier, policy, cfg, q0, q_goal, env, limits, observe) -> Roll
     if np.linalg.norm(q - q_goal) <= limits.r_goal:
         rec.reached_goal = True
         return rec
-    stalled = 0
     for _ in range(int(round(limits.horizon_s * limits.ctrl_hz))):
         obs = observe(env, arm, q) if (observe is not None and barrier.needs_observation) else None
         h, grad = barrier.value_and_grad(q, obs, env)
@@ -103,10 +102,6 @@ def safe_rollout(barrier, policy, cfg, q0, q_goal, env, limits, observe) -> Roll
         u, diag = solve_safety_qp(u_nom, grad, h, cfg, arm.action_lower, arm.action_upper)
         if diag.infeasible:
             rec.qp_infeasible_count += 1
-        if limits.stall_threshold is not None:
-            stalled = stalled + 1 if float(np.linalg.norm(u)) < limits.stall_threshold else 0
-            if stalled >= limits.stall_ticks:
-                break
         rec.controls.append(u.copy())
         rec.steps_used += 1
         for _ in range(substeps):
@@ -142,7 +137,6 @@ def safe_rollout_static(barrier, policy, cfg, q0, q_goal, env, limits, observe) 
     if np.linalg.norm(q - q_goal) <= limits.r_goal:
         rec.reached_goal = True
         return rec
-    stalled = 0
     for _ in range(int(round(limits.horizon_s * limits.ctrl_hz))):
         obs = observe(env, arm, q) if (observe is not None and barrier.needs_observation) else None
         h, grad = barrier.value_and_grad(q, obs, env)
@@ -150,10 +144,6 @@ def safe_rollout_static(barrier, policy, cfg, q0, q_goal, env, limits, observe) 
         u, diag = solve_safety_qp(u_nom, grad, h, cfg, arm.action_lower, arm.action_upper)
         if diag.infeasible:
             rec.qp_infeasible_count += 1
-        if limits.stall_threshold is not None:
-            stalled = stalled + 1 if float(np.linalg.norm(u)) < limits.stall_threshold else 0
-            if stalled >= limits.stall_ticks:
-                break
         rec.controls.append(u.copy())
         rec.steps_used += 1
         dts = (np.arange(1, substeps + 1) * dt_sim)[:, None]

@@ -27,7 +27,7 @@ from cbfsteer.cbf import (
     stencil_distances,
     train,
 )
-from cbfsteer.config import load_config, make_hyper
+from cbfsteer.config import load_config, make_hyper, state_widths
 from cbfsteer.controller import NominalPolicy, QpMode, SafeControllerConfig, solve_safety_qp
 from cbfsteer.environment import (
     CloudObservation,
@@ -170,8 +170,8 @@ class TestHValue:
         net = Mlp.create((4, 8, 1), rng)
         q = rng.uniform(-1, 1, 3)
         obs = StateObservation(-0.2)
-        expected, _ = mlp_forward(net, np.concatenate([q, [-0.2]]))
-        assert h_value(net, q, obs, arm) == pytest.approx(float(expected[0]), abs=1e-15)
+        expected, _ = mlp_forward(net, np.concatenate([q, [-0.2]])[None])
+        assert h_value(net, q, obs, arm) == pytest.approx(float(expected[0, 0]), abs=1e-15)
         enc = PointSetEncoder.create(3, rng=rng)
         pts = rng.uniform(-1, 1, (8, 2))
         nrm = rng.normal(size=(8, 2))
@@ -232,8 +232,8 @@ class TestGradHq:
             qs = q + np.vstack([np.zeros(3), np.eye(3) * fd_step])
             y, _ = mlp_forward(net, np.column_stack([qs, np.full(4, d)]))
             g = (y[1:, 0] - y[0, 0]) / fd_step
-            _, tape = mlp_forward(net, np.concatenate([q, [d]]))
-            _, input_grad = mlp_backward(tape)
+            _, tape = mlp_forward(net, np.concatenate([q, [d]])[None])
+            _, (input_grad,) = mlp_backward(tape, np.ones((1, 1)))
             np.testing.assert_allclose(g, input_grad[:3], atol=20 * fd_step)
 
     def test_refreshed_gradient_follows_the_chain_rule(self, arm):
@@ -250,8 +250,8 @@ class TestGradHq:
             d0 = signed_distance(env, arm, q)
             d_fd = np.array([signed_distance(env, arm, q + np.eye(3)[i] * hyper.fd_step) - d0
                              for i in range(3)]) / hyper.fd_step
-            _, tape = mlp_forward(net, np.concatenate([q, [d0]]))
-            _, input_grad = mlp_backward(tape)
+            _, tape = mlp_forward(net, np.concatenate([q, [d0]])[None])
+            _, (input_grad,) = mlp_backward(tape, np.ones((1, 1)))
             g = grad_h_q(net, q, env, arm, hyper)
             np.testing.assert_allclose(g, input_grad[:3] + input_grad[3] * d_fd,
                                        atol=20 * hyper.fd_step)
@@ -676,6 +676,25 @@ class TestSharedStencilForwardPass:
                 h, g = h_and_grad(net, s.q, env, arm, hyper, observation=s.observation)
                 assert h == h0[i]
                 assert g.tobytes() == grad[i].tobytes()
+
+    def test_default_widths_match_the_batched_training_pass_to_rounding(self, arm):
+        # the one-sample stencil's 64-wide products may go through a BLAS
+        # small-matrix kernel that sums in another order, so the values agree
+        # to rounding: relative 1e-12 at the scale of the batch's values, and
+        # the forward differences to that over the step
+        rng = np.random.default_rng(0)
+        net = Mlp.create(state_widths(load_config(), arm), rng)
+        hyper = CbfHyper()
+        env, samples = random_world_samples(arm, rng, "state", 300)
+        prep = _prepare_batch(samples, arm, hyper, envs=[env])
+        h_batch, _ = _forward_stencil(net, prep, arm)
+        h0, grad, _, _ = _condition_values(h_batch, prep, arm, hyper)
+        one = [h_and_grad(net, s.q, env, arm, hyper, observation=s.observation)
+               for s in samples]
+        scale = float(np.abs(h_batch).max())
+        np.testing.assert_allclose([h for h, _ in one], h0, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(np.array([g for _, g in one]), grad, rtol=1e-12,
+                                   atol=2e-12 * scale / hyper.fd_step)
 
 
 # -- the block forward against the full-row stencil forward ------------------

@@ -124,6 +124,41 @@ class TestPipeline:
             assert (out / "metrics.svg").exists()
         assert csvs[0] == csvs[1]
 
+    def test_plan_and_bench_build_the_same_filter_lqr_steer(self, pipeline_dir, mini_config,
+                                                            tmp_path, monkeypatch):
+        # without --activation-after both commands switch to the discard-style
+        # steer halfway through the node budget (60 nodes in the mini config)
+        from dataclasses import replace
+
+        from cbfsteer import bench
+        from cbfsteer.planner import SteerCbfFilterLqr
+
+        built = []
+        real = bench.build_steer
+
+        def recording(method, *args):
+            built.append(real(method, *args))
+            return built[-1]
+
+        monkeypatch.setattr(bench, "build_steer", recording)
+        problems = str(pipeline_dir / "problems.json")
+        ckpt = str(pipeline_dir / "checkpoint-state.json")
+        assert run(["--config", mini_config, "--out", str(tmp_path), "plan",
+                    "--problems", problems, "--index", "0", "--method", "filter-lqr",
+                    "--checkpoint", ckpt]) == 0
+        assert run(["--config", mini_config, "--out", str(tmp_path), "bench",
+                    "--problems", problems, "--methods", "filter-lqr",
+                    "--checkpoint-state", ckpt, "--no-timing"]) == 0
+        plan_steer, bench_steer = built[0], built[1]  # both on problem 0
+        assert type(plan_steer) is type(bench_steer) is SteerCbfFilterLqr
+        assert plan_steer.activation_after == bench_steer.activation_after == 30
+        assert replace(plan_steer.bundle, barrier=None) == replace(bench_steer.bundle,
+                                                                   barrier=None)
+        plan_barrier, bench_barrier = plan_steer.bundle.barrier, bench_steer.bundle.barrier
+        assert plan_barrier.hyper == bench_barrier.hyper
+        for (w0, b0), (w1, b1) in zip(plan_barrier.net.params, bench_barrier.net.params):
+            assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
+
     def test_eval_controller_dynamic_partial(self, pipeline_dir, mini_config, capsys):
         # cloud checkpoint: train a tiny one first
         out = pipeline_dir

@@ -1,0 +1,115 @@
+"""Config sections and the settings records they build: every key of a
+record-backed section reaches its record field through a `--config` file,
+and the defaults are the records' own."""
+
+import dataclasses
+
+import pytest
+
+from cbfsteer import config
+from cbfsteer.cbf import CbfHyper, TrainSchedule
+from cbfsteer.controller import RolloutLimits, SafeControllerConfig
+from cbfsteer.environment import EnvGenConfig, ScanSpec, Workspace
+from cbfsteer.jsonio import dump_json
+from cbfsteer.kinematics import ArmModel
+from cbfsteer.planner import PlannerLimits
+
+# (section path, record, factory, a valid non-default value for every key the
+# record reads from the section)
+SECTIONS = [
+    (("arm",), ArmModel, config.make_arm, {
+        "link_lengths": [0.6, 0.5, 0.4], "link_radius": 0.05,
+        "joint_lower": [-2.0, -2.0, -2.0], "joint_upper": [2.5, 2.5, 2.5],
+        "action_bound": [0.5, 0.5, 0.5], "base_position": [0.25, -0.5]}),
+    (("workspace",), Workspace, lambda cfg: config.make_env_gen(cfg).workspace, {
+        "center": [0.5, -0.25], "half_extents": [2.0, 1.0]}),
+    (("env_gen",), EnvGenConfig, config.make_env_gen, {
+        "num_obstacles": 7, "size_range": [0.05, 0.1], "min_clearance_from_base": 0.3,
+        "obstacle_speed": 0.05, "shapes": ["rect", "circle"], "fixed_size": 0.125}),
+    (("cloud",), ScanSpec, config.make_scan_spec, {
+        "mount_links": [1], "rays_per_mount": 8, "max_range": 1.5}),
+    (("hyper",), CbfHyper, lambda cfg: config.make_hyper(cfg, "state"), {
+        "gamma": 0.1, "eps_margin": 0.03, "alpha_h": 2.0, "loss_weights": [1.0, 0.5, 0.25],
+        "fd_step": 1e-4, "r_thres": 0.04}),
+    (("controller",), SafeControllerConfig, config.make_qp_cfg, {
+        "alpha": 2.0, "relax_penalty": 50.0, "mode": "strict"}),
+    (("controller",), RolloutLimits, config.make_rollout_limits, {
+        "horizon_s": 3.0, "sim_hz": 60, "ctrl_hz": 20, "r_goal": 0.05}),
+    (("planner",), PlannerLimits, config.make_planner_limits, {
+        "max_nodes": 60, "goal_bias": 0.2, "step_size": 0.25, "check_resolution": 0.01,
+        "connect_radius": 0.5, "max_ctrl_steps": 30, "stall_threshold": 1e-4,
+        "stall_ticks": 3}),
+    (("train", "state"), TrainSchedule, lambda cfg: config.make_schedule(cfg, "state"), {
+        "epochs": 5, "batch_size": 32, "lr": 1e-3}),
+    (("train", "cloud"), TrainSchedule, lambda cfg: config.make_schedule(cfg, "cloud"), {
+        "epochs": 5, "batch_size": 32, "lr": 1e-3}),
+]
+
+# keys of record-backed sections that no record reads
+LITERAL_KEYS = {("cloud", "num_points"), ("controller", "kp"), ("controller", "hand_margin")}
+
+KEY_CASES = [(path, record, build, key, value)
+             for path, record, build, values in SECTIONS for key, value in values.items()]
+
+
+def nested(path: tuple, doc: dict) -> dict:
+    for name in reversed(path):
+        doc = {name: doc}
+    return doc
+
+
+def section(cfg: dict, path: tuple) -> dict:
+    for name in path:
+        cfg = cfg[name]
+    return cfg
+
+
+def test_the_configurable_keys_are_the_records_fields():
+    # the table holds every field of each record, except that the env_gen
+    # section takes its workspace from the top-level one; every other key
+    # of those sections is one no record reads
+    for path, record, _, values in SECTIONS:
+        fields = {f.name for f in dataclasses.fields(record) if f.init} - {"workspace"}
+        assert set(values) == fields, record.__name__
+    owned = {(path, key) for path, _, _, key, _ in KEY_CASES}
+    for path, _, _, _ in SECTIONS:
+        for key in section(config.DEFAULTS, path):
+            assert (path, key) in owned or (path[0], key) in LITERAL_KEYS, (path, key)
+
+
+@pytest.mark.parametrize("path, record, build, key, value", KEY_CASES,
+                         ids=[".".join(c[0]) + "." + c[3] for c in KEY_CASES])
+def test_a_config_file_key_reaches_its_record_field(path, record, build, key, value,
+                                                   tmp_path):
+    cfg_path = tmp_path / "config.json"
+    dump_json(cfg_path, nested(path, {key: value}))
+    built = build(config.load_config(cfg_path))
+    assert isinstance(built, record)
+    assert built.to_json() == {**build(config.load_config()).to_json(), key: value}
+
+
+@pytest.mark.parametrize("path, record, build, _values", SECTIONS,
+                         ids=[r.__name__ + ":" + ".".join(p) for p, r, _, _ in SECTIONS])
+def test_the_default_config_builds_the_record_defaults(path, record, build, _values):
+    if path == ("train", "cloud"):  # the cloud schedule is its own literal section
+        assert build(config.load_config()) == TrainSchedule(epochs=25, batch_size=128)
+    else:
+        assert build(config.load_config()) == record()
+
+
+def test_env_gen_cannot_override_the_workspace(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    dump_json(cfg_path, {"env_gen": {"workspace": {"center": [1.0, 1.0],
+                                                   "half_extents": [0.5, 0.5]}},
+                         "workspace": {"center": [0.0, 0.5], "half_extents": [2.0, 1.5]}})
+    cfg = config.load_config(cfg_path)
+    top = Workspace(center=(0.0, 0.5), half_extents=(2.0, 1.5))
+    assert config.make_env_gen(cfg).workspace == top
+    assert config.make_env_gen(cfg, workspace={"center": [1.0, 1.0]}).workspace == top
+
+
+def test_factory_overrides_win_over_the_section():
+    cfg = config.load_config()
+    assert config.make_planner_limits(cfg, max_nodes=60) == PlannerLimits(max_nodes=60)
+    assert config.make_rollout_limits(cfg, horizon_s=3.0) == RolloutLimits(horizon_s=3.0)
+    assert config.make_env_gen(cfg, num_obstacles=8).num_obstacles == 8

@@ -75,16 +75,16 @@ class TestMlpForward:
         rng = np.random.default_rng(0)
         net = Mlp.create((3, 5, 1), rng)
         net.params = [(np.zeros_like(w), np.zeros_like(b)) for w, b in net.params]
-        y, _ = mlp_forward(net, np.array([0.3, -1.0, 2.0]))
-        assert y[0] == 0.0
+        y, _ = mlp_forward(net, np.array([[0.3, -1.0, 2.0]]))
+        assert y[0, 0] == 0.0
 
     def test_single_linear_layer(self):
         rng = np.random.default_rng(1)
         net = Mlp.create((3, 2), rng)
         w, b = net.params[0]
-        x = rng.normal(size=3)
+        x = rng.normal(size=(5, 3))
         y, _ = mlp_forward(net, x)
-        np.testing.assert_allclose(y, w @ x + b, atol=1e-15)
+        np.testing.assert_allclose(y, x @ w.T + b, atol=1e-15)
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(2)
@@ -92,57 +92,63 @@ class TestMlpForward:
             widths = (4, 8, 6, 1)
             net = Mlp.create(widths, rng)
             x = rng.normal(size=4)
-            y, _ = mlp_forward(net, x)
-            np.testing.assert_allclose(y, reference_forward(net, x), atol=1e-12)
+            y, _ = mlp_forward(net, x[None])
+            np.testing.assert_allclose(y[0], reference_forward(net, x), atol=1e-12)
 
     def test_nonfinite_input_rejected(self):
         net = Mlp.create((2, 1), np.random.default_rng(3))
         with pytest.raises(ValueError):
-            mlp_forward(net, np.array([np.inf, 0.0]))
+            mlp_forward(net, np.array([[np.inf, 0.0]]))
 
     def test_width_mismatch_rejected(self):
         net = Mlp.create((2, 1), np.random.default_rng(3))
         with pytest.raises(ValueError):
-            mlp_forward(net, np.zeros(3))
+            mlp_forward(net, np.zeros((1, 3)))
+
+    def test_unbatched_input_rejected(self):
+        net = Mlp.create((2, 1), np.random.default_rng(3))
+        with pytest.raises(ValueError):
+            mlp_forward(net, np.zeros(2))
 
 
 class TestMlpBackward:
     def test_linear_input_grad_is_weight_row(self):
         rng = np.random.default_rng(4)
         net = Mlp.create((3, 1), rng)
-        _, tape = mlp_forward(net, rng.normal(size=3))
-        _, input_grad = mlp_backward(tape)
-        np.testing.assert_allclose(input_grad, net.params[0][0][0], atol=1e-15)
+        _, tape = mlp_forward(net, rng.normal(size=(2, 3)))
+        _, input_grad = mlp_backward(tape, np.ones((2, 1)))
+        np.testing.assert_allclose(input_grad, net.params[0][0][[0, 0]], atol=1e-15)
 
     def test_param_grads_match_finite_differences(self):
         rng = np.random.default_rng(5)
         net = Mlp.create((3, 6, 5, 1), rng)
-        x = rng.normal(size=3)
+        x = rng.normal(size=(1, 3))
         _, tape = mlp_forward(net, x)
-        grads, _ = mlp_backward(tape)
-        fd = param_fd_grads(lambda: float(mlp_forward(net, x)[0][0]), net.params)
+        grads, _ = mlp_backward(tape, np.ones((1, 1)))
+        fd = param_fd_grads(lambda: float(mlp_forward(net, x)[0][0, 0]), net.params)
         assert max_rel_err(grads, fd) < 1e-4
 
     def test_input_grads_match_finite_differences(self):
         rng = np.random.default_rng(6)
         net = Mlp.create((4, 7, 1), rng)
         x = rng.normal(size=4)
-        _, tape = mlp_forward(net, x)
-        _, input_grad = mlp_backward(tape)
+        _, tape = mlp_forward(net, x[None])
+        _, (input_grad,) = mlp_backward(tape, np.ones((1, 1)))
         step = 1e-6
         for i in range(4):
             xp = x.copy()
             xp[i] += step
             xm = x.copy()
             xm[i] -= step
-            fd = (mlp_forward(net, xp)[0][0] - mlp_forward(net, xm)[0][0]) / (2 * step)
+            fd = (mlp_forward(net, xp[None])[0][0, 0]
+                  - mlp_forward(net, xm[None])[0][0, 0]) / (2 * step)
             assert input_grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_zero_upstream_zero_grads(self):
         rng = np.random.default_rng(7)
         net = Mlp.create((3, 4, 1), rng)
-        _, tape = mlp_forward(net, rng.normal(size=3))
-        grads, input_grad = mlp_backward(tape, 0.0)
+        _, tape = mlp_forward(net, rng.normal(size=(3, 3)))
+        grads, input_grad = mlp_backward(tape, np.zeros((3, 1)))
         assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
         assert np.all(input_grad == 0)
 
@@ -154,8 +160,8 @@ class TestMlpBackward:
         grads, _ = mlp_backward(tape, np.ones((4, 1)))
         singles = []
         for x in xs:
-            _, t = mlp_forward(net, x)
-            g, _ = mlp_backward(t)
+            _, t = mlp_forward(net, x[None])
+            g, _ = mlp_backward(t, np.ones((1, 1)))
             singles.append(g)
         for li in range(len(net.params)):
             np.testing.assert_allclose(
@@ -288,7 +294,7 @@ class TestEncoder:
             return encode(enc, q, cloud, arm)[0]
 
         _, tape = encode(enc, q, cloud, arm)
-        grads, _, _ = encoder_backward_batch(tape, 1.0)
+        grads, _, _ = encoder_backward_batch(tape, np.ones(1))
         fd = param_fd_grads(run, enc.all_params())
         assert max_rel_err(grads, fd) < 1e-4
 

@@ -8,11 +8,20 @@ import numpy as np
 import pytest
 
 from cbfsteer.bench import ControllerMetricsRow, MetricsRow, ProblemSpec
-from cbfsteer.cbf import CbfHyper, TrainReport
-from cbfsteer.environment import CloudObservation, CloudSource, Environment, Obstacle, Workspace
+from cbfsteer.cbf import CbfHyper, TrainReport, TrainSchedule
+from cbfsteer.controller import RolloutLimits, SafeControllerConfig
+from cbfsteer.environment import (
+    CloudObservation,
+    CloudSource,
+    EnvGenConfig,
+    Environment,
+    Obstacle,
+    ScanSpec,
+    Workspace,
+)
 from cbfsteer.jsonio import canonical_dumps
 from cbfsteer.kinematics import ArmModel
-from cbfsteer.planner import PlanResult
+from cbfsteer.planner import PlannerLimits, PlanResult
 
 RECT = Obstacle(kind="rect", center=(0.5, -0.25), half_extents=(0.1, 0.2))
 CIRCLE = Obstacle(kind="circle", center=(-0.75, 1), radius=0.125, velocity=(0.03125, -0.5))
@@ -80,6 +89,22 @@ GOLDEN = {
                    seed=2, tree_size=2),
         '{"controls":[[1.0,0.0,-1.0]],"explored_nodes":3,"path":[[0.0,0.5,-0.5],[0.25,0.5,-0.75]],'
         '"planning_seconds":0.0,"seed":2,"status":"solved","tree_size":2}'),
+    # the settings records at their defaults: the config's sections of the
+    # same name (`env_gen` with the top-level `workspace`, `cloud` without
+    # `num_points`, `train.state`, `controller` split between the QP and
+    # the rollout limits)
+    "planner-limits": (
+        PlannerLimits(),
+        '{"check_resolution":0.02,"connect_radius":1.0,"goal_bias":0.1,"max_ctrl_steps":90,'
+        '"max_nodes":200,"stall_threshold":0.001,"stall_ticks":5,"step_size":0.5}'),
+    "qp-config": (SafeControllerConfig(), '{"alpha":1.0,"mode":"relaxed","relax_penalty":100.0}'),
+    "rollout-limits": (RolloutLimits(), '{"ctrl_hz":30,"horizon_s":10.0,"r_goal":0.1,"sim_hz":120}'),
+    "scan-spec": (ScanSpec(), '{"max_range":2.0,"mount_links":[0,2],"rays_per_mount":32}'),
+    "env-gen": (
+        EnvGenConfig(),
+        '{"min_clearance_from_base":0.25,"num_obstacles":4,"obstacle_speed":0.0,'
+        '"shapes":["rect"],"size_range":[0.08,0.16],"workspace":' + DEFAULT_WORKSPACE_DOC + '}'),
+    "train-schedule": (TrainSchedule(), '{"batch_size":256,"epochs":60,"lr":0.002}'),
 }
 
 
@@ -98,7 +123,8 @@ def test_golden_bytes_round_trip(name):
 
 @pytest.mark.parametrize("name", ["rect", "circle", "workspace", "environment", "arm", "hyper",
                                   "train-report", "metrics-row", "controller-row-no-makespan",
-                                  "controller-row"])
+                                  "controller-row", "planner-limits", "qp-config",
+                                  "rollout-limits", "scan-spec", "env-gen", "train-schedule"])
 def test_reads_back_an_equal_record(name):
     record, golden = GOLDEN[name]
     assert type(record).from_json(json.loads(golden)) == record
