@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -82,11 +83,8 @@ class Dataset:
     def save(self, path) -> None:
         """JSONL of samples plus a companion <stem>.envs.json with the
         environment table, arm, and any shared clouds."""
-        from pathlib import Path
-
         path = Path(path)
-        sidecar = path.with_suffix(".envs.json")
-        dump_json(sidecar, {
+        dump_json(path.with_suffix(".envs.json"), {
             "kind": self.kind,
             "arm": self.arm.to_json(),
             "r_thres": self.r_thres,
@@ -101,18 +99,12 @@ class Dataset:
                     obs = {"cloud_env": s.env_id}
                 else:
                     obs = {"cloud": s.observation.to_json()}
-                row = {
-                    "q": np.asarray(s.q).tolist(),
-                    "label": s.label.value,
-                    "env_id": s.env_id,
-                    "obs": obs,
-                }
+                row = {"q": np.asarray(s.q).tolist(), "label": s.label.value,
+                       "env_id": s.env_id, "obs": obs}
                 f.write(canonical_dumps(row) + "\n")
 
     @classmethod
     def load(cls, path) -> "Dataset":
-        from pathlib import Path
-
         path = Path(path)
         meta = load_json(path.with_suffix(".envs.json"))
         envs = [Environment.from_json(e) for e in meta["environments"]]
@@ -126,20 +118,11 @@ class Dataset:
                 obs = clouds[int(obs_doc["cloud_env"])]
             else:
                 obs = CloudObservation.from_json(obs_doc["cloud"])
-            samples.append(LabeledSample(
-                q=np.array(row["q"], dtype=float),
-                observation=obs,
-                label=SafetyLabel(row["label"]),
-                env_id=int(row["env_id"]),
-            ))
-        return cls(
-            kind=meta["kind"],
-            arm=ArmModel.from_json(meta["arm"]),
-            environments=envs,
-            samples=samples,
-            r_thres=float(meta["r_thres"]),
-            clouds=clouds,
-        )
+            samples.append(LabeledSample(q=np.array(row["q"], dtype=float), observation=obs,
+                                         label=SafetyLabel(row["label"]),
+                                         env_id=int(row["env_id"])))
+        return cls(kind=meta["kind"], arm=ArmModel.from_json(meta["arm"]), environments=envs,
+                   samples=samples, r_thres=float(meta["r_thres"]), clouds=clouds)
 
 
 @dataclass
@@ -239,15 +222,18 @@ def _sample_free_config(env: Environment, arm: ArmModel, rng: np.random.Generato
 
 
 def _stencil_configs(q: np.ndarray, fd_step: float) -> np.ndarray:
-    """(n+1, n): row 0 is q, row i is q with joint i-1 advanced by fd_step."""
+    """(..., n) -> (..., n+1, n): slot 0 is q, slot i is q with joint i-1
+    advanced by fd_step. Every stencil in the package is built here."""
     q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    out = np.empty((n + 1, n))
-    out[0] = q
-    # row i+1 is q + e_i*fd_step elementwise: q + 0*fd_step off the diagonal
+    n = q.shape[-1]
+    out = np.empty(q.shape[:-1] + (n + 1, n))
+    rows = q[..., None, :]
+    out[..., :1, :] = rows
+    # slot i+1 is q + e_i*fd_step elementwise: q + 0*fd_step off the diagonal
     # (which turns -0.0 into 0.0) and q + fd_step on it
-    out[1:] = q + 0.0 * fd_step
-    out.reshape(-1)[n::n + 1] = q + fd_step
+    out[..., 1:, :] = rows + 0.0 * fd_step
+    flat = out.reshape(-1, (n + 1) * n)
+    flat[:, n::n + 1] = flat[:, :n] + fd_step
     return out
 
 
@@ -271,18 +257,15 @@ def h_and_grad(net, q: np.ndarray, env: Environment | None, arm: ArmModel,
             raise TypeError("state-variant net needs a StateObservation")
         if env is None:
             raise ValueError("a state barrier needs the environment")
-        if observation is None:
-            ds = signed_distance_batch(env, arm, qs)
-        else:
-            ds = np.empty(qs.shape[0])
-            ds[0] = observation.min_signed_distance
-            ds[1:] = signed_distance_batch(env, arm, qs[1:])
+        ds = signed_distance_batch(env, arm, qs if observation is None else qs[1:])
+        if observation is not None:
+            ds = np.concatenate([[observation.min_signed_distance], ds])
         prep = _Prepared(x=np.concatenate([qs, ds[:, None]], axis=1)[None])
     elif isinstance(net, PointSetEncoder):
         if observation is None:
             raise ValueError("a cloud barrier needs its observed cloud")
         prep = _Prepared(qs=qs[None], points=observation.points[None],
-                         normals=observation.normals[None])
+                         normals=observation.normals[None], cloud=np.zeros(1, dtype=int))
     else:
         raise TypeError(f"unsupported network type {type(net).__name__}")
     h, _ = _forward_stencil(net, prep, arm)
@@ -364,17 +347,25 @@ def _block_records(arm: ArmModel, qs: np.ndarray, points: np.ndarray, normals: n
 
 @dataclass
 class _Prepared:
-    """Stencil inputs of a batch, shared by inference, loss, training and
-    constraint evaluation; the label masks only where labels exist."""
+    """Stencil arrays of a sample set, shared by inference, loss, training
+    and constraint evaluation; the label masks only where labels exist."""
 
     # state variant: stencil network inputs (B, S, n+1)
     x: np.ndarray | None = None
-    # cloud variant: stencil configs and the per-sample cloud arrays
-    qs: np.ndarray | None = None  # (B, S, n)
-    points: np.ndarray | None = None  # (B, N, 2)
+    # cloud variant: stencil configs (B, S, n), the distinct clouds (C, N, 2)
+    # and each sample's index into them (B,)
+    qs: np.ndarray | None = None
+    points: np.ndarray | None = None
     normals: np.ndarray | None = None
+    cloud: np.ndarray | None = None
     safe_mask: np.ndarray | None = None
     unsafe_mask: np.ndarray | None = None
+
+    def take(self, idx) -> "_Prepared":
+        """The samples at `idx` (index array or slice); the clouds stay shared."""
+        return replace(self, **{k: getattr(self, k)[idx] for k in
+                                ("x", "qs", "cloud", "safe_mask", "unsafe_mask")
+                                if getattr(self, k) is not None})
 
 
 def stencil_distances(samples, arm: ArmModel, hyper: CbfHyper, envs) -> np.ndarray:
@@ -385,40 +376,35 @@ def stencil_distances(samples, arm: ArmModel, hyper: CbfHyper, envs) -> np.ndarr
     if envs is None:
         raise ValueError("state samples need their environments")
     n = arm.n_links
-    b = len(samples)
-    out = np.empty((b, n + 1))
+    out = np.empty((len(samples), n + 1))
     out[:, 0] = [s.observation.min_signed_distance for s in samples]
     by_env: dict[int, list[int]] = {}
     for i, s in enumerate(samples):
         by_env.setdefault(s.env_id, []).append(i)
-    eye = np.eye(n) * hyper.fd_step
     for env_id, idxs in by_env.items():
-        env = envs[env_id]
-        qs = np.stack([np.asarray(samples[i].q, float) for i in idxs])  # (m, n)
-        pert = (qs[:, None, :] + eye[None, :, :]).reshape(-1, n)
-        d = signed_distance_batch(env, arm, pert).reshape(len(idxs), n)
-        out[np.array(idxs), 1:] = d
+        qs = np.array([samples[i].q for i in idxs], dtype=float)
+        pert = _stencil_configs(qs, hyper.fd_step)[:, 1:].reshape(-1, n)
+        out[idxs, 1:] = signed_distance_batch(envs[env_id], arm, pert).reshape(len(idxs), n)
     return out
 
 
-def _prepare_batch(batch, arm: ArmModel, hyper: CbfHyper, envs=None,
-                   stencil_d: np.ndarray | None = None) -> _Prepared:
-    if not batch:
-        raise ValueError("empty batch")
-    b = len(batch)
-    safe_mask = np.array([s.label is SafetyLabel.SAFE for s in batch])
-    unsafe_mask = np.array([s.label is SafetyLabel.UNSAFE for s in batch])
-    qs = np.stack([_stencil_configs(s.q, hyper.fd_step) for s in batch])  # (B, S, n)
-    first_obs = batch[0].observation
-    if isinstance(first_obs, StateObservation):
-        if stencil_d is None:
-            stencil_d = stencil_distances(batch, arm, hyper, envs)
-        x = np.concatenate([qs, stencil_d[:, :, None]], axis=2)
-        return _Prepared(x=x, safe_mask=safe_mask, unsafe_mask=unsafe_mask)
-    points = np.stack([s.observation.points for s in batch])
-    normals = np.stack([s.observation.normals for s in batch])
-    return _Prepared(qs=qs, points=points, normals=normals, safe_mask=safe_mask,
-                     unsafe_mask=unsafe_mask)
+def _prepare(samples, arm: ArmModel, hyper: CbfHyper, envs=None) -> _Prepared:
+    """Stencil arrays and label masks of a whole sample set, built once for
+    `_Prepared.take` to index. Cloud samples that share an observation
+    object share one row of the cloud table."""
+    labels = [s.label for s in samples]
+    masks = {"safe_mask": np.array([lab is SafetyLabel.SAFE for lab in labels], dtype=bool),
+             "unsafe_mask": np.array([lab is SafetyLabel.UNSAFE for lab in labels], dtype=bool)}
+    q = np.array([s.q for s in samples], dtype=float).reshape(len(samples), arm.n_links)
+    qs = _stencil_configs(q, hyper.fd_step)  # (B, S, n)
+    if not samples or isinstance(samples[0].observation, StateObservation):
+        d = stencil_distances(samples, arm, hyper, envs)
+        return _Prepared(x=np.concatenate([qs, d[:, :, None]], axis=2), **masks)
+    clouds = list({id(s.observation): s.observation for s in samples}.values())
+    row = {id(c): i for i, c in enumerate(clouds)}
+    return _Prepared(qs=qs, points=np.stack([c.points for c in clouds]),
+                     normals=np.stack([c.normals for c in clouds]),
+                     cloud=np.array([row[id(s.observation)] for s in samples]), **masks)
 
 
 def _forward_stencil(net, prep: _Prepared, arm: ArmModel):
@@ -427,47 +413,40 @@ def _forward_stencil(net, prep: _Prepared, arm: ArmModel):
         b, s, d_in = prep.x.shape
         y, tape = mlp_forward(net, prep.x.reshape(b * s, d_in))
         return y[:, 0].reshape(b, s), tape
-    recs, slot_blocks = _block_records(arm, prep.qs, prep.points, prep.normals)
+    recs, slot_blocks = _block_records(arm, prep.qs, prep.points[prep.cloud],
+                                       prep.normals[prep.cloud])
     b, s, n = prep.qs.shape
     h, tape = encoder_forward_batch(net, prep.qs.reshape(b * s, n), recs, slot_blocks)
     return h.reshape(b, s), tape
 
 
-def _condition_values(h: np.ndarray, prep: _Prepared, arm: ArmModel, hyper: CbfHyper):
+def _condition_values(h: np.ndarray, arm: ArmModel, hyper: CbfHyper):
     """Per-sample pieces of the three barrier conditions.
 
     Returns (h0, grad (B, n), inf values (B,), argmin controls (B, n)).
     """
-    fd = hyper.fd_step
     h0 = h[:, 0]
-    grad = (h[:, 1:] - h0[:, None]) / fd
-    lo = arm.action_lower
-    hi = arm.action_upper
+    grad = (h[:, 1:] - h0[:, None]) / hyper.fd_step
+    lo, hi = arm.action_lower, arm.action_upper
     argmin = np.where(grad > 0.0, lo[None, :], np.where(grad < 0.0, hi[None, :], lo[None, :]))
     inf_vals = np.einsum("bn,bn->b", grad, argmin)
     return h0, grad, inf_vals, argmin
 
 
-def loss(net, batch, arm: ArmModel, hyper: CbfHyper, envs=None,
-         want_grads: bool = True):
-    """Three-term hinge loss on a batch of labeled samples.
+def loss(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, want_grads: bool = True):
+    """Three-term hinge loss on a prepared batch of labeled samples.
 
     term1 penalizes safe samples with h > -gamma, term2 unsafe samples with
     h <= gamma, term3 every sample whose best-case control cannot push the
     margined derivative condition below zero. Empty classes contribute zero.
     Returns (total, components dict, parameter grads or None).
     """
-    prep = _prepare_batch(batch, arm, hyper, envs=envs)
-    return _loss_prepared(net, prep, arm, hyper, want_grads=want_grads)
-
-
-def _loss_prepared(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper,
-                   want_grads: bool = True):
+    if not prep.safe_mask.size:
+        raise ValueError("empty batch")
     h, tape = _forward_stencil(net, prep, arm)
     b, s = h.shape
-    h0, grad, inf_vals, argmin = _condition_values(h, prep, arm, hyper)
+    h0, grad, inf_vals, argmin = _condition_values(h, arm, hyper)
     a1, a2, a3 = hyper.loss_weights
-    n_total = b
     n_safe = int(prep.safe_mask.sum())
     n_unsafe = int(prep.unsafe_mask.sum())
 
@@ -478,7 +457,7 @@ def _loss_prepared(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper,
 
     term1 = a1 / n_safe * safe_viol.sum() if n_safe else 0.0
     term2 = a2 / n_unsafe * unsafe_viol.sum() if n_unsafe else 0.0
-    term3 = a3 / n_total * deriv_viol.sum()
+    term3 = a3 / b * deriv_viol.sum()
     components = {"safe": float(term1), "unsafe": float(term2), "deriv": float(term3)}
     total = float(term1 + term2 + term3)
     if not want_grads:
@@ -492,9 +471,8 @@ def _loss_prepared(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper,
         up[:, 0] += np.where(prep.safe_mask & (safe_viol > 0.0), a1 / n_safe, 0.0)
     if n_unsafe:
         up[:, 0] -= np.where(prep.unsafe_mask & (unsafe_viol > 0.0), a2 / n_unsafe, 0.0)
-    active3 = (z > 0.0).astype(float) * (a3 / n_total)
-    fd = hyper.fd_step
-    stencil_w = argmin / fd  # (B, n): weight of each stencil slot's h
+    active3 = (z > 0.0).astype(float) * (a3 / b)
+    stencil_w = argmin / hyper.fd_step  # (B, n): weight of each stencil slot's h
     up[:, 1:] += active3[:, None] * stencil_w
     up[:, 0] += active3 * (hyper.alpha_h - stencil_w.sum(axis=1))
 
@@ -505,33 +483,20 @@ def _loss_prepared(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper,
     return total, components, grads
 
 
-def evaluate_constraints(net, samples, arm: ArmModel = None, hyper: CbfHyper = None, envs=None,
-                         batch_size: int = 512, stencil_d: np.ndarray | None = None) -> dict:
-    """Empirical satisfaction rates of the three barrier conditions.
-
-    `samples` may be a Dataset (arm and environments taken from it) or a list
-    of LabeledSample with `arm`/`envs` supplied.
-    """
-    if isinstance(samples, Dataset):
-        arm = samples.arm
-        envs = samples.environments
-        samples = samples.samples
-    if hyper is None:
-        raise ValueError("hyper is required")
-    n_safe = n_unsafe = n_total = 0
+def _audit(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, batch_size: int = 512
+           ) -> dict:
+    """Satisfaction rates of the three barrier conditions on a prepared set,
+    evaluated in batches."""
+    n_total = prep.safe_mask.size
     ok_safe = ok_unsafe = ok_deriv = 0
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
-        sd = stencil_d[start:start + batch_size] if stencil_d is not None else None
-        prep = _prepare_batch(chunk, arm, hyper, envs=envs, stencil_d=sd)
-        h, _ = _forward_stencil(net, prep, arm)
-        h0, _, inf_vals, _ = _condition_values(h, prep, arm, hyper)
-        n_total += len(chunk)
-        n_safe += int(prep.safe_mask.sum())
-        n_unsafe += int(prep.unsafe_mask.sum())
-        ok_safe += int((prep.safe_mask & (h0 <= -hyper.gamma)).sum())
-        ok_unsafe += int((prep.unsafe_mask & (h0 > hyper.gamma)).sum())
+    for start in range(0, n_total, batch_size):
+        batch = prep.take(slice(start, start + batch_size))
+        h0, _, inf_vals, _ = _condition_values(_forward_stencil(net, batch, arm)[0], arm, hyper)
+        ok_safe += int((batch.safe_mask & (h0 <= -hyper.gamma)).sum())
+        ok_unsafe += int((batch.unsafe_mask & (h0 > hyper.gamma)).sum())
         ok_deriv += int((hyper.eps_margin + inf_vals + hyper.alpha_h * h0 <= 0.0).sum())
+    n_safe = int(prep.safe_mask.sum())
+    n_unsafe = int(prep.unsafe_mask.sum())
     return {
         "safe_rate": ok_safe / n_safe if n_safe else 1.0,
         "unsafe_rate": ok_unsafe / n_unsafe if n_unsafe else 1.0,
@@ -540,6 +505,12 @@ def evaluate_constraints(net, samples, arm: ArmModel = None, hyper: CbfHyper = N
         "n_unsafe": n_unsafe,
         "n_total": n_total,
     }
+
+
+def evaluate_constraints(net, dataset: Dataset, hyper: CbfHyper, batch_size: int = 512) -> dict:
+    """Empirical satisfaction rates of the three barrier conditions on a dataset."""
+    prep = _prepare(dataset.samples, dataset.arm, hyper, dataset.environments)
+    return _audit(net, prep, dataset.arm, hyper, batch_size)
 
 
 @dataclass(frozen=True)
@@ -553,9 +524,10 @@ def train(dataset: Dataset, net_init, hyper: CbfHyper, schedule: TrainSchedule,
           rng: np.random.Generator):
     """Mini-batch Adam on the hinge loss with per-epoch validation auditing.
 
-    The dataset is split 90/10 train/validation by the generator; refreshed
-    stencil observations are precomputed once. Divergence aborts with the
-    report collected so far.
+    The generator splits the dataset 90/10 into training and validation
+    samples. The dataset's stencil arrays are prepared once; every batch and
+    the validation split index them. Divergence aborts with the report
+    collected so far.
     """
     t0 = time.perf_counter()
     report = TrainReport()
@@ -567,20 +539,11 @@ def train(dataset: Dataset, net_init, hyper: CbfHyper, schedule: TrainSchedule,
     n_total = len(dataset.samples)
     perm = rng.permutation(n_total)
     n_val = max(1, n_total // 10) if n_total > 1 else 0
-    val_idx = perm[:n_val]
     train_idx = perm[n_val:]
-    samples = dataset.samples
-    envs = dataset.environments
-
-    # Stencil observations are fixed across epochs; compute them once.
-    stencil_cache = None
-    if dataset.kind == "state":
-        stencil_cache = stencil_distances(samples, dataset.arm, hyper, envs)
-
+    data = _prepare(dataset.samples, dataset.arm, hyper, dataset.environments)
+    val = data.take(perm[:n_val])
     params = net.params if isinstance(net, Mlp) else net.all_params()
     state = AdamState.for_params(params)
-    val_samples = [samples[i] for i in val_idx]
-    val_stencil = stencil_cache[val_idx] if stencil_cache is not None else None
 
     for epoch in range(schedule.epochs):
         order = rng.permutation(len(train_idx))
@@ -589,22 +552,18 @@ def train(dataset: Dataset, net_init, hyper: CbfHyper, schedule: TrainSchedule,
         n_seen = 0
         for start in range(0, len(order), schedule.batch_size):
             idx = train_idx[order[start:start + schedule.batch_size]]
-            chunk = [samples[i] for i in idx]
-            sd = stencil_cache[idx] if stencil_cache is not None else None
-            prep = _prepare_batch(chunk, dataset.arm, hyper, envs=envs, stencil_d=sd)
-            total, comps, grads = _loss_prepared(net, prep, dataset.arm, hyper)
+            total, comps, grads = loss(net, data.take(idx), dataset.arm, hyper)
             if not np.isfinite(total):
                 report.aborted = True
                 report.wall_seconds = time.perf_counter() - t0
                 return net, report
             adam_step(params, grads, state, lr=schedule.lr)
-            w = len(chunk)
+            w = len(idx)
             epoch_loss += total * w
             for k in epoch_comps:
                 epoch_comps[k] += comps[k] * w
             n_seen += w
-        rates = evaluate_constraints(net, val_samples, dataset.arm, hyper, envs=envs,
-                                     stencil_d=val_stencil)
+        rates = _audit(net, val, dataset.arm, hyper)
         report.epochs.append({
             "epoch": epoch,
             "loss": epoch_loss / max(n_seen, 1),

@@ -3,7 +3,8 @@
 A config file is a JSON document whose keys deep-merge over DEFAULTS; every
 named default in the package is reachable this way. A settings record is
 built from its section by `Record.from_json`, so the section's keys are the
-record's field names; keys it does not own are read elsewhere. All
+record's field names; keys it does not own are read elsewhere. A key that
+is neither in DEFAULTS nor a field of its section's record is rejected. All
 randomness flows from one root seed through named sub-streams so reruns are
 bit-reproducible.
 """
@@ -11,6 +12,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import zlib
 
 import numpy as np
@@ -64,6 +66,27 @@ DEFAULTS: dict = {
 }
 
 
+# The records each section builds: their fields are the section's keys, with
+# the literal keys DEFAULTS holds.
+SECTION_RECORDS = {
+    ("arm",): (ArmModel,), ("workspace",): (Workspace,), ("env_gen",): (EnvGenConfig,),
+    ("cloud",): (ScanSpec,), ("hyper",): (CbfHyper,), ("planner",): (PlannerLimits,),
+    ("controller",): (SafeControllerConfig, RolloutLimits),
+    ("train", "state"): (TrainSchedule,), ("train", "cloud"): (TrainSchedule,),
+}
+
+
+def _check_keys(doc: dict, defaults: dict = DEFAULTS, path: tuple = ()) -> None:
+    """Reject a key that is neither in DEFAULTS nor a field of a record its
+    section builds, naming the key's path."""
+    fields = {f.name for rec in SECTION_RECORDS.get(path, ()) for f in dataclasses.fields(rec)}
+    for key, val in doc.items():
+        if isinstance(val, dict) and isinstance(defaults.get(key), dict):
+            _check_keys(val, defaults[key], path + (key,))
+        elif key not in defaults and key not in fields:
+            raise ValueError(f"unknown config key {'.'.join(path + (key,))}")
+
+
 def deep_merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, val in override.items():
@@ -77,7 +100,9 @@ def deep_merge(base: dict, override: dict) -> dict:
 def load_config(path=None) -> dict:
     if path is None:
         return copy.deepcopy(DEFAULTS)
-    return deep_merge(DEFAULTS, load_json(path))
+    doc = load_json(path)
+    _check_keys(doc)
+    return deep_merge(DEFAULTS, doc)
 
 
 def seed_stream(root_seed: int, name: str, *indices: int) -> np.random.Generator:

@@ -427,6 +427,18 @@ class EnvGenConfig(Record):
     shapes: tuple[str, ...] = ("rect",)
     fixed_size: float | None = None
 
+    def __post_init__(self):
+        if not self.shapes or not set(self.shapes) <= {"rect", "circle"}:
+            raise ValueError(f"shapes must be a non-empty subset of rect, circle: {self.shapes}")
+        if self.num_obstacles < 0:
+            raise ValueError("num_obstacles must be non-negative")
+        if not 0 < self.size_range[0] <= self.size_range[1] < np.inf:
+            raise ValueError("size_range must be finite with 0 < low <= high")
+        if self.fixed_size is not None and not 0 < self.fixed_size < np.inf:
+            raise ValueError("fixed_size must be positive and finite")
+        if not 0 <= self.obstacle_speed < np.inf:
+            raise ValueError("obstacle_speed must be non-negative and finite")
+
 
 MAX_GEN_ATTEMPTS = 10_000
 

@@ -123,8 +123,9 @@ def encoder_backward(tape: FullTape, upstream) -> tuple[list, np.ndarray, np.nda
 
 def forward_stencil(net: PointSetEncoder, prep, arm: ArmModel):
     """Cloud-net stencil values h (B, S) and the full-row tape, from a
-    prepared batch (`cbf._Prepared`)."""
-    recs = stencil_records(arm, prep.qs, prep.points, prep.normals)
+    prepared batch (`cbf._Prepared`: each sample's cloud is the table row its
+    cloud index names)."""
+    recs = stencil_records(arm, prep.qs, prep.points[prep.cloud], prep.normals[prep.cloud])
     b, s, m, din = recs.shape
     h, tape = encoder_forward(net, prep.qs.reshape(b * s, -1), recs.reshape(b * s, m, din))
     return h.reshape(b, s), tape

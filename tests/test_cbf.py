@@ -16,7 +16,7 @@ from cbfsteer.cbf import (
     _condition_values,
     _forward_stencil,
     _block_records,
-    _prepare_batch,
+    _prepare,
     _stencil_blocks,
     _stencil_configs,
     collect_dataset,
@@ -55,6 +55,7 @@ from cbfsteer.neural import (
     save_checkpoint,
 )
 import encoder_oracle
+import prepare_oracle
 from test_neural import encode, reference_point_records
 
 
@@ -343,6 +344,10 @@ def synthetic_state_batch(arm, hyper, rng, n=60):
     return samples, [env]
 
 
+def state_dataset(arm, samples, envs):
+    return Dataset(kind="state", arm=arm, environments=envs, samples=samples, r_thres=0.05)
+
+
 class TestLoss:
     def test_zero_network_exact_components(self, arm):
         hyper = CbfHyper(gamma=0.1, eps_margin=0.02, loss_weights=(2.0, 3.0, 4.0))
@@ -352,7 +357,7 @@ class TestLoss:
         assert any(s.label is SafetyLabel.SAFE for s in samples)
         assert any(s.label is SafetyLabel.UNSAFE for s in samples)
         net = constant_net(4, 0.0)
-        total, comps, _ = loss(net, samples, arm, hyper, envs=envs)
+        total, comps, _ = loss(net, _prepare(samples, arm, hyper, envs), arm, hyper)
         assert comps["safe"] == pytest.approx(0.1 * 2.0, abs=1e-15)
         assert comps["unsafe"] == pytest.approx(0.1 * 3.0, abs=1e-15)
         assert comps["deriv"] == pytest.approx(0.02 * 4.0, abs=1e-15)
@@ -364,26 +369,27 @@ class TestLoss:
         samples = [LabeledSample(q=np.zeros(3), observation=StateObservation(1.0),
                                  label=SafetyLabel.SAFE, env_id=0)] * 8
         net = constant_net(4, -1.0)
-        total, comps, _ = loss(net, samples, arm, hyper, envs=[Environment()])
+        total, comps, _ = loss(net, _prepare(samples, arm, hyper, [Environment()]), arm, hyper)
         assert comps["safe"] == 0.0
         assert comps["unsafe"] == 0.0  # no unsafe samples at all
         assert comps["deriv"] == 0.0  # eps + alpha_h * (-1) < 0
 
     def test_empty_batch_rejected(self, arm):
-        with pytest.raises(ValueError):
-            loss(constant_net(4, 0.0), [], arm, CbfHyper())
+        with pytest.raises(ValueError, match="empty batch"):
+            loss(constant_net(4, 0.0), _prepare([], arm, CbfHyper(), []), arm, CbfHyper())
 
     def test_param_grads_match_finite_differences(self, arm):
         hyper = CbfHyper(loss_weights=(1.0, 1.0, 0.7))
         rng = np.random.default_rng(10)
         samples, envs = synthetic_state_batch(arm, hyper, rng, n=24)
         net = Mlp.create((4, 6, 1), rng)
+        prep = _prepare(samples, arm, hyper, envs)
 
         def run():
-            total, _, _ = loss(net, samples, arm, hyper, envs=envs, want_grads=False)
+            total, _, _ = loss(net, prep, arm, hyper, want_grads=False)
             return total
 
-        _, _, grads = loss(net, samples, arm, hyper, envs=envs)
+        _, _, grads = loss(net, prep, arm, hyper)
         from test_neural import max_rel_err, param_fd_grads
 
         fd = param_fd_grads(run, net.params, step=1e-6)
@@ -404,12 +410,13 @@ class TestLoss:
             samples.append(LabeledSample(q=q, observation=cloud, label=label, env_id=0))
         enc = PointSetEncoder.create(3, per_point_widths=(7, 5, 4), trunk_widths=(7, 5, 1),
                                      rng=rng)
+        prep = _prepare(samples, arm, hyper)
 
         def run():
-            total, _, _ = loss(enc, samples, arm, hyper, want_grads=False)
+            total, _, _ = loss(enc, prep, arm, hyper, want_grads=False)
             return total
 
-        _, _, grads = loss(enc, samples, arm, hyper)
+        _, _, grads = loss(enc, prep, arm, hyper)
         from test_neural import max_rel_err, param_fd_grads
 
         fd = param_fd_grads(run, enc.all_params(), step=1e-6)
@@ -423,10 +430,11 @@ class TestLoss:
         samples, envs = synthetic_state_batch(arm, hyper, rng, n=64)
         net = Mlp.create((4, 16, 1), rng)
         state = AdamState.for_params(net.params)
+        prep = _prepare(samples, arm, hyper, envs)
         first = None
         last = None
         for _ in range(200):
-            total, _, grads = loss(net, samples, arm, hyper, envs=envs)
+            total, _, grads = loss(net, prep, arm, hyper)
             if first is None:
                 first = total
             adam_step(net.params, grads, state, lr=3e-3)
@@ -439,7 +447,8 @@ class TestEvaluateConstraints:
         hyper = CbfHyper()
         rng = np.random.default_rng(13)
         samples, envs = synthetic_state_batch(arm, hyper, rng, n=100)
-        rates = evaluate_constraints(constant_net(4, 0.0), samples, arm, hyper, envs=envs)
+        rates = evaluate_constraints(constant_net(4, 0.0), state_dataset(arm, samples, envs),
+                                     hyper)
         assert rates["safe_rate"] == 0.0
         assert rates["unsafe_rate"] == 0.0
         assert rates["deriv_rate"] == 0.0
@@ -451,7 +460,7 @@ class TestEvaluateConstraints:
         rng = np.random.default_rng(14)
         samples, envs = synthetic_state_batch(arm, hyper, rng, n=200)
         net = distance_net(3, scale=-1.0, offset=hyper.r_thres / 2)
-        rates = evaluate_constraints(net, samples, arm, hyper, envs=envs)
+        rates = evaluate_constraints(net, state_dataset(arm, samples, envs), hyper)
         assert rates["safe_rate"] == 1.0
         assert rates["unsafe_rate"] == 1.0
 
@@ -460,10 +469,10 @@ class TestEvaluateConstraints:
         rng = np.random.default_rng(15)
         samples, envs = synthetic_state_batch(arm, hyper, rng, n=80)
         net = Mlp.create((4, 8, 1), rng)
-        r1 = evaluate_constraints(net, samples, arm, hyper, envs=envs)
+        r1 = evaluate_constraints(net, state_dataset(arm, samples, envs), hyper)
         shuffled = list(samples)
         rng.shuffle(shuffled)
-        r2 = evaluate_constraints(net, shuffled, arm, hyper, envs=envs)
+        r2 = evaluate_constraints(net, state_dataset(arm, shuffled, envs), hyper)
         assert r1["safe_rate"] == r2["safe_rate"]
         assert r1["unsafe_rate"] == r2["unsafe_rate"]
         assert r1["deriv_rate"] == r2["deriv_rate"]
@@ -506,27 +515,24 @@ class TestTrain:
         assert last["loss"] <= first["loss"]
 
 
-def tile_eye_stencil(q, fd_step):
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    out = np.tile(q, (n + 1, 1))
-    out[1:] += np.eye(n) * fd_step
-    return out
-
-
 class TestStencilConfigs:
     def test_equals_tile_eye_form_bit_for_bit(self):
         # includes -0.0 joints (q + 0*fd_step turns them into 0.0 off the
-        # diagonal) and negative and zero steps
+        # diagonal) and negative and zero steps; one q (n,), a batch (B, n)
+        # with B = 0 allowed, or a batch of batches (A, B, n)
         rng = np.random.default_rng(23)
-        for _ in range(2000):
+        for i in range(2000):
             n = int(rng.integers(1, 8))
+            lead = [(), (int(rng.integers(0, 6)),), (2, int(rng.integers(1, 4)))][i % 3]
             if rng.random() < 0.5:
-                q = rng.choice([-0.0, 0.0, 1e-300, -2.8, 1.25], size=n)
+                q = rng.choice([-0.0, 0.0, 1e-300, -2.8, 1.25], size=lead + (n,))
             else:
-                q = rng.normal(size=n)
+                q = rng.normal(size=lead + (n,))
             fd = float(rng.choice([1e-3, 1e-6, 0.5, -1e-3, 0.0, -0.0]))
-            assert _stencil_configs(q, fd).tobytes() == tile_eye_stencil(q, fd).tobytes()
+            got = _stencil_configs(q, fd)
+            assert got.shape == lead + (n + 1, n)
+            ref = [prepare_oracle.eye_stencil(row, fd) for row in q.reshape(-1, n)]
+            assert got.tobytes() == b"".join(r.tobytes() for r in ref)
 
 
 class TestHandcrafted:
@@ -595,6 +601,79 @@ class TestStencilDistances:
                 qj[j] += hyper.fd_step
                 assert table[i, 1 + j] == pytest.approx(
                     signed_distance(envs[0], arm, qj), abs=1e-12)
+
+
+def assert_same_batch(got, ref):
+    """A `_Prepared.take` batch equals the per-batch reference byte for byte,
+    the cloud variant's table rows gathered by cloud index."""
+    assert got.safe_mask.tobytes() == ref.safe_mask.tobytes()
+    assert got.unsafe_mask.tobytes() == ref.unsafe_mask.tobytes()
+    if ref.x is not None:
+        assert got.qs is None and got.cloud is None
+        assert got.x.shape == ref.x.shape and got.x.tobytes() == ref.x.tobytes()
+        return
+    assert got.x is None
+    assert got.qs.shape == ref.qs.shape and got.qs.tobytes() == ref.qs.tobytes()
+    for table, per_sample in ((got.points, ref.points), (got.normals, ref.normals)):
+        gathered = table[got.cloud]
+        assert gathered.shape == per_sample.shape
+        assert gathered.tobytes() == per_sample.tobytes()
+
+
+def check_prepare_once(samples, arm, hyper, envs, rng, trials=25):
+    """`_prepare(samples).take(idx)` against the per-batch reference for
+    random index sets, and the whole set in order."""
+    prep = _prepare(samples, arm, hyper, envs)
+    assert_same_batch(prep.take(np.arange(len(samples))),
+                      prepare_oracle.prepare_batch(samples, arm, hyper.fd_step, envs))
+    for _ in range(trials):
+        idx = rng.choice(len(samples), size=int(rng.integers(1, len(samples) + 1)),
+                         replace=False)
+        ref = prepare_oracle.prepare_batch([samples[i] for i in idx], arm, hyper.fd_step, envs)
+        assert_same_batch(prep.take(idx), ref)
+    return prep
+
+
+class TestPrepareOnce:
+    """Training and auditing prepare a sample set once and index it; each
+    batch must equal the batch prepared on its own from the sample objects."""
+
+    def test_multi_environment_shuffled_state_set(self, arm):
+        rng = np.random.default_rng(40)
+        ds = small_dataset(arm, seed=4, uniform=500, rollouts=3)
+        assert len(ds.environments) == 6
+        samples = [ds.samples[i] for i in rng.permutation(len(ds))]
+        check_prepare_once(samples, arm, CbfHyper(), ds.environments, rng)
+
+    def test_cloud_set_with_shared_clouds(self, arm):
+        rng = np.random.default_rng(41)
+        ds = small_dataset(arm, seed=5, uniform=300, kind="cloud")
+        samples = [ds.samples[i] for i in rng.permutation(len(ds))]
+        prep = check_prepare_once(samples, arm, CbfHyper(), ds.environments, rng)
+        # one table row per shared cloud, not one per sample
+        assert prep.points.shape[0] == len(ds.clouds) == len(ds.environments)
+
+    def test_cloud_set_with_distinct_clouds(self, arm):
+        rng = np.random.default_rng(42)
+        env, samples = random_world_samples(arm, rng, "cloud", 40)
+        for s in samples:
+            s.observation = sample_surface_points(env, 24, rng)
+        prep = check_prepare_once(samples, arm, CbfHyper(), [env], rng)
+        assert prep.points.shape[0] == len(samples)
+
+    @pytest.mark.parametrize("kind", ["state", "cloud"])
+    def test_dataset_reloaded_from_disk(self, arm, kind, tmp_path):
+        rng = np.random.default_rng(43)
+        ds = small_dataset(arm, seed=6, uniform=250, kind=kind)
+        if kind == "cloud":  # a few samples with a cloud of their own
+            for s in ds.samples[::50]:
+                s.observation = sample_surface_points(ds.environments[s.env_id], 24, rng)
+        ds.save(tmp_path / "data.jsonl")
+        loaded = Dataset.load(tmp_path / "data.jsonl")
+        prep = check_prepare_once(loaded.samples, arm, make_hyper(load_config(), kind),
+                                  loaded.environments, rng)
+        if kind == "cloud":
+            assert prep.points.shape[0] == len(loaded.clouds) + len(ds.samples[::50])
 
 
 def parent_h_and_grad(net, q, env, arm, fd_step, observation=None):
@@ -669,9 +748,9 @@ class TestSharedStencilForwardPass:
         hyper = CbfHyper()
         for _ in range(5):
             env, samples = random_world_samples(arm, rng, kind, 40)
-            prep = _prepare_batch(samples, arm, hyper, envs=[env])
+            prep = _prepare(samples, arm, hyper, [env])
             h_batch, _ = _forward_stencil(net, prep, arm)
-            h0, grad, _, _ = _condition_values(h_batch, prep, arm, hyper)
+            h0, grad, _, _ = _condition_values(h_batch, arm, hyper)
             for i, s in enumerate(samples):
                 h, g = h_and_grad(net, s.q, env, arm, hyper, observation=s.observation)
                 assert h == h0[i]
@@ -686,9 +765,9 @@ class TestSharedStencilForwardPass:
         net = Mlp.create(state_widths(load_config(), arm), rng)
         hyper = CbfHyper()
         env, samples = random_world_samples(arm, rng, "state", 300)
-        prep = _prepare_batch(samples, arm, hyper, envs=[env])
+        prep = _prepare(samples, arm, hyper, [env])
         h_batch, _ = _forward_stencil(net, prep, arm)
-        h0, grad, _, _ = _condition_values(h_batch, prep, arm, hyper)
+        h0, grad, _, _ = _condition_values(h_batch, arm, hyper)
         one = [h_and_grad(net, s.q, env, arm, hyper, observation=s.observation)
                for s in samples]
         scale = float(np.abs(h_batch).max())
@@ -737,8 +816,8 @@ def oracle_world(rng):
 
 def oracle_h_and_grad(net, q, arm, hyper, cloud):
     """h and grad h through the full-row stencil forward."""
-    prep = _prepare_batch([LabeledSample(q=q, observation=cloud, label=SafetyLabel.SAFE,
-                                         env_id=0)], arm, hyper)
+    prep = _prepare([LabeledSample(q=q, observation=cloud, label=SafetyLabel.SAFE, env_id=0)],
+                    arm, hyper)
     h, _ = encoder_oracle.forward_stencil(net, prep, arm)
     return float(h[0, 0]), (h[0, 1:] - h[0, 0]) / hyper.fd_step
 
@@ -854,7 +933,7 @@ class TestBlockForwardOracle:
             d = signed_distance(env, arm, q)
             batch.append(LabeledSample(q=q, observation=cloud, label=safety_label(d, 0.05),
                                        env_id=0))
-        prep = _prepare_batch(batch, arm, hyper)
+        prep = _prepare(batch, arm, hyper)
         h, tape = _forward_stencil(net, prep, arm)
         h_ref, tape_ref = encoder_oracle.forward_stencil(net, prep, arm)
         assert h.tobytes() == h_ref.tobytes()
@@ -867,9 +946,9 @@ class TestBlockForwardOracle:
         assert rec_grads.tobytes() == rec_ref.tobytes()
         assert q_grads.tobytes() == q_ref.tobytes()
 
-        total, comps, grads = loss(net, batch, arm, hyper)
+        total, comps, grads = loss(net, prep, arm, hyper)
         full_row_training(monkeypatch)
-        total_ref, comps_ref, grads_ref = loss(net, batch, arm, hyper)
+        total_ref, comps_ref, grads_ref = loss(net, prep, arm, hyper)
         assert total == total_ref and comps == comps_ref
         assert same_grads(grads, grads_ref)
 
@@ -888,7 +967,7 @@ class TestBlockForwardOracle:
                                  source=CloudSource.SURFACE_SAMPLED)
         batch = [LabeledSample(q=sample_config(arm, rng), observation=cloud,
                                label=SafetyLabel.UNSAFE, env_id=0) for _ in range(3)]
-        prep = _prepare_batch(batch, arm, CbfHyper())
+        prep = _prepare(batch, arm, CbfHyper())
         _, tape = _forward_stencil(net, prep, arm)
         _, tape_ref = encoder_oracle.forward_stencil(net, prep, arm)
         argmax = _slot_rows(tape)[1]

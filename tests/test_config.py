@@ -3,6 +3,9 @@ record-backed section reaches its record field through a `--config` file,
 and the defaults are the records' own."""
 
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,3 +116,54 @@ def test_factory_overrides_win_over_the_section():
     assert config.make_planner_limits(cfg, max_nodes=60) == PlannerLimits(max_nodes=60)
     assert config.make_rollout_limits(cfg, horizon_s=3.0) == RolloutLimits(horizon_s=3.0)
     assert config.make_env_gen(cfg, num_obstacles=8).num_obstacles == 8
+
+
+def load_doc(tmp_path, doc: dict) -> dict:
+    cfg_path = tmp_path / "config.json"
+    dump_json(cfg_path, doc)
+    return config.load_config(cfg_path)
+
+
+# every section path of DEFAULTS, nested sections included
+SECTION_PATHS = [(name,) for name in config.DEFAULTS] + [("train", "state"), ("train", "cloud")]
+
+
+@pytest.mark.parametrize("path", SECTION_PATHS, ids=[".".join(p) for p in SECTION_PATHS])
+def test_a_misspelled_key_is_rejected_by_path(path, tmp_path):
+    with pytest.raises(ValueError, match=r"unknown config key " + r"\.".join(path) + r"\.mistyped"):
+        load_doc(tmp_path, nested(path, {"mistyped": 1}))
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"planner": {"max_node": 60}}, "planner.max_node"),
+    ({"controller": {"horizon": 3.0}}, "controller.horizon"),
+    ({"env_gen": {"shape": ["circle"]}}, "env_gen.shape"),
+    ({"trian": {"state": {"epochs": 2}}}, "trian"),
+])
+def test_misspellings_that_used_to_be_ignored(doc, where, tmp_path):
+    with pytest.raises(ValueError, match=f"unknown config key {where}$"):
+        load_doc(tmp_path, doc)
+
+
+def test_every_table_key_and_every_default_key_is_accepted(tmp_path):
+    doc = config.DEFAULTS
+    for path, _, _, key, value in KEY_CASES:
+        doc = config.deep_merge(doc, nested(path, {key: value}))
+    # env_gen.fixed_size is a record field that DEFAULTS leaves out
+    assert "fixed_size" not in config.DEFAULTS["env_gen"]
+    assert load_doc(tmp_path, doc) == doc
+    assert config.make_env_gen(load_doc(tmp_path, doc)).fixed_size == 0.125
+
+
+def test_the_benchmark_config_is_accepted(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+        cfg = workloads.bench_config()
+    finally:
+        del sys.modules[spec.name]
+    assert load_doc(tmp_path, cfg) == cfg

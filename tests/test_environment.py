@@ -510,6 +510,47 @@ class TestRandomEnvironment:
             random_environment(cfg, np.random.default_rng(2))
 
 
+class TestEnvGenConfigValidation:
+    """Each generation setting is checked when the record is built, so a
+    bad value fails there instead of giving another world."""
+
+    @pytest.mark.parametrize("shapes", [(), ("circles",), ("rect", "triangle")])
+    def test_shapes_must_be_a_non_empty_subset_of_rect_and_circle(self, shapes):
+        with pytest.raises(ValueError, match="shapes"):
+            EnvGenConfig(shapes=shapes)
+        for ok in [("rect",), ("circle",), ("circle", "rect")]:
+            assert EnvGenConfig(shapes=ok).shapes == ok
+
+    def test_num_obstacles_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="num_obstacles"):
+            EnvGenConfig(num_obstacles=-2)
+        assert EnvGenConfig(num_obstacles=0).num_obstacles == 0
+
+    @pytest.mark.parametrize("size_range", [(0.16, 0.08), (0.0, 0.1), (-0.1, 0.1),
+                                            (0.1, np.inf), (np.nan, 0.1), (0.1, np.nan)])
+    def test_size_range_must_be_finite_positive_and_ordered(self, size_range):
+        with pytest.raises(ValueError, match="size_range"):
+            EnvGenConfig(size_range=size_range)
+        assert EnvGenConfig(size_range=(0.1, 0.1)).size_range == (0.1, 0.1)
+
+    @pytest.mark.parametrize("fixed_size", [0.0, -0.1, np.inf, np.nan])
+    def test_fixed_size_must_be_none_or_positive_and_finite(self, fixed_size):
+        with pytest.raises(ValueError, match="fixed_size"):
+            EnvGenConfig(fixed_size=fixed_size)
+        assert EnvGenConfig(fixed_size=0.1).fixed_size == 0.1
+        assert EnvGenConfig(fixed_size=None).fixed_size is None
+
+    @pytest.mark.parametrize("speed", [-0.05, np.inf, np.nan])
+    def test_obstacle_speed_must_be_non_negative_and_finite(self, speed):
+        with pytest.raises(ValueError, match="obstacle_speed"):
+            EnvGenConfig(obstacle_speed=speed)
+        assert EnvGenConfig(obstacle_speed=0.0).obstacle_speed == 0.0
+
+    def test_a_config_section_is_checked_when_built(self):
+        with pytest.raises(ValueError, match="shapes"):
+            EnvGenConfig.from_json({"shapes": ["circles"]})
+
+
 class TestSerialization:
     def test_environment_round_trip(self):
         rng = np.random.default_rng(8)
