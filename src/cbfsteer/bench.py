@@ -354,16 +354,19 @@ def dynamicize_problems(problems: list, speed: float, rng: np.random.Generator) 
 
 
 def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, cfg: dict,
-                    root_seed: int = 0, horizon_s: float | None = None) -> tuple:
+                    root_seed: int = 0, horizon_s: float | None = None,
+                    barrier_cache: dict | None = None) -> tuple:
     """Unroll the controller end to end on every problem (no planner).
 
     setting "static_full" observes a pre-sampled surface cloud per problem;
     "dynamic_partial" observes mounted ray-cast fans against the (moving)
-    obstacles. Returns (ControllerMetricsRow, per-problem records).
+    obstacles. Calls may share a `barrier_cache` of loaded checkpoints, as a
+    caller evaluating one problem per call (the benchmark's control-dynamic
+    pass) would. Returns (ControllerMetricsRow, per-problem records).
     """
     if setting not in ("static_full", "dynamic_partial"):
         raise ValueError(f"unknown setting {setting!r}")
-    barrier = _method_barrier(method, arm, cfg, {})
+    barrier = _method_barrier(method, arm, cfg, {} if barrier_cache is None else barrier_cache)
     limits = make_rollout_limits(cfg, **({} if horizon_s is None else {"horizon_s": horizon_s}))
     policy = make_policy(cfg)
     qp_cfg = make_qp_cfg(cfg)

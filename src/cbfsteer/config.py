@@ -77,14 +77,21 @@ SECTION_RECORDS = {
 
 
 def _check_keys(doc: dict, defaults: dict = DEFAULTS, path: tuple = ()) -> None:
-    """Reject a key that is neither in DEFAULTS nor a field of a record its
-    section builds, naming the key's path."""
-    fields = {f.name for rec in SECTION_RECORDS.get(path, ()) for f in dataclasses.fields(rec)}
+    """Reject, naming the key's path: a key that is neither in DEFAULTS nor a
+    field of a record its section builds, a section that is not an object,
+    and `env_gen.workspace`, since generated worlds take the top-level one."""
+    fields = {f.name for rec in SECTION_RECORDS.get(path, ())
+              for f in dataclasses.fields(rec) if f.init}
     for key, val in doc.items():
-        if isinstance(val, dict) and isinstance(defaults.get(key), dict):
+        name = ".".join(path + (key,))
+        if isinstance(defaults.get(key), dict):
+            if not isinstance(val, dict):
+                raise ValueError(f"config key {name} must be an object, not {val!r}")
             _check_keys(val, defaults[key], path + (key,))
+        elif name == "env_gen.workspace":
+            raise ValueError(f"config key {name} is not read: worlds take the top-level workspace")
         elif key not in defaults and key not in fields:
-            raise ValueError(f"unknown config key {'.'.join(path + (key,))}")
+            raise ValueError(f"unknown config key {name}")
 
 
 def deep_merge(base: dict, override: dict) -> dict:

@@ -114,64 +114,47 @@ _CORNER_X = np.array([-1.0, 1.0, 1.0, -1.0])
 _CORNER_Y = np.array([-1.0, -1.0, 1.0, 1.0])
 
 
-def _kernel_points(circle_centers: np.ndarray, rect_cz: np.ndarray, halves: np.ndarray
-                   ) -> np.ndarray:
-    """Clearance-kernel points: circle centres (..., C, 2), then the four
-    corners of each rectangle from complex centres (..., K) and half extents
-    (K, 2); complex (..., C + 4K). Leading axes index obstacle snapshots."""
-    corners = rect_cz[..., None] + (halves[:, :1] * _CORNER_X + 1j * (halves[:, 1:] * _CORNER_Y))
-    return np.concatenate([circle_centers[..., 0] + 1j * circle_centers[..., 1],
-                           corners.reshape(rect_cz.shape[:-1] + (4 * rect_cz.shape[-1],))],
-                          axis=-1)
-
-
 @dataclass(frozen=True)
 class Environment(Record):
     obstacles: tuple[Obstacle, ...] = ()
     workspace: Workspace = Workspace()
     time: float = 0.0
-    # cached stacked geometry, rebuilt on construction: every obstacle's
-    # centre and velocity (O, 2) and which obstacles are circles (O,), then
-    # the rectangles' and circles' own arrays
+    # cached arrays, rebuilt on construction: each obstacle's centre and
+    # velocity (O, 2); the circles' and the rectangles' indices among them,
+    # and their own arrays; the clearance-kernel points (complex x + iy: circle
+    # centres, then four corners per rectangle), each with its circle radius
+    # (0 for a corner) and owning obstacle; the rectangles' complex centres and
+    # half extents; and each corner's offset from its rectangle's centre
     _centers: np.ndarray = field(init=False, repr=False, compare=False)
     _velocities: np.ndarray = field(init=False, repr=False, compare=False)
-    _circle_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    _circle_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _rect_index: np.ndarray = field(init=False, repr=False, compare=False)
     _rect_centers: np.ndarray = field(init=False, repr=False, compare=False)
     _rect_halves: np.ndarray = field(init=False, repr=False, compare=False)
     _circle_centers: np.ndarray = field(init=False, repr=False, compare=False)
     _circle_radii: np.ndarray = field(init=False, repr=False, compare=False)
-    # clearance-kernel packing (complex x + iy): circle centres then the four
-    # corners of each rectangle, each point's circle radius (0 for corners),
-    # and the rectangle centres and half extents
     _points: np.ndarray = field(init=False, repr=False, compare=False)
     _point_offsets: np.ndarray = field(init=False, repr=False, compare=False)
     _rect_cz: np.ndarray = field(init=False, repr=False, compare=False)
     _rect_hz: np.ndarray = field(init=False, repr=False, compare=False)
+    _point_owner: np.ndarray = field(init=False, repr=False, compare=False)
+    _corner_offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        rects = [o for o in self.obstacles if o.kind == "rect"]
-        circles = [o for o in self.obstacles if o.kind == "circle"]
-        every = np.array([o.center for o in self.obstacles], dtype=float).reshape(-1, 2)
-        circle = np.array([o.kind == "circle" for o in self.obstacles], dtype=bool)
-        object.__setattr__(self, "_centers", every)
-        object.__setattr__(self, "_velocities", np.array(
-            [o.velocity for o in self.obstacles], dtype=float).reshape(-1, 2))
-        object.__setattr__(self, "_circle_mask", circle)
-        centers = every[~circle]
-        halves = np.array([o.half_extents for o in rects]).reshape(-1, 2)
-        object.__setattr__(self, "_rect_centers", centers)
-        object.__setattr__(self, "_rect_halves", halves)
-        object.__setattr__(self, "_circle_centers", every[circle])
-        object.__setattr__(
-            self, "_circle_radii", np.array([o.radius for o in circles], dtype=float)
-        )
-        cz = centers[:, 0] + 1j * centers[:, 1]
-        object.__setattr__(self, "_rect_cz", cz)
-        object.__setattr__(self, "_rect_hz", halves[:, 0] + 1j * halves[:, 1])
-        object.__setattr__(self, "_points", _kernel_points(self._circle_centers, cz, halves))
-        object.__setattr__(self, "_point_offsets", np.concatenate(
-            [self._circle_radii, np.zeros(4 * cz.size)]))
+        obs = tuple(self.obstacles)
+        circle = np.array([i for i, o in enumerate(obs) if o.kind == "circle"], dtype=np.intp)
+        rect = np.array([i for i, o in enumerate(obs) if o.kind == "rect"], dtype=np.intp)
+        halves = np.array([obs[i].half_extents for i in rect]).reshape(-1, 2)
+        radii = np.array([obs[i].radius for i in circle], dtype=float)
+        self.__dict__.update(
+            obstacles=obs, _circle_index=circle, _rect_index=rect, _rect_halves=halves,
+            _circle_radii=radii, _rect_hz=halves[:, 0] + 1j * halves[:, 1],
+            _velocities=np.array([o.velocity for o in obs], dtype=float).reshape(-1, 2),
+            _point_offsets=np.concatenate([radii, np.zeros(4 * rect.size)]),
+            _point_owner=np.concatenate([circle, np.repeat(rect, 4)]),
+            _corner_offsets=(halves[:, :1] * _CORNER_X + 1j * (halves[:, 1:] * _CORNER_Y)).ravel())
+        self.__dict__.update(_placed(self, np.array([o.center for o in obs],
+                                                    dtype=float).reshape(-1, 2)))
 
     @property
     def is_dynamic(self) -> bool:
@@ -320,6 +303,7 @@ class ScanSpec(Record):
     mount_links: tuple[int, ...] = (0, 2)
     rays_per_mount: int = 32
     max_range: float = 2.0
+    _fan: np.ndarray = field(init=False, repr=False, compare=False)  # ray angles in a link frame
 
     def __post_init__(self):
         if not self.mount_links:
@@ -328,86 +312,85 @@ class ScanSpec(Record):
             raise ValueError("a scan needs at least one ray per mount")
         if not 0.0 < self.max_range < np.inf:
             raise ValueError("scan max_range must be positive and finite")
+        object.__setattr__(self, "_fan", 2.0 * np.pi * np.arange(self.rays_per_mount)
+                           / self.rays_per_mount)
 
 
 def ray_cast_scan(env: Environment, arm: ArmModel, q: np.ndarray, spec: ScanSpec) -> CloudObservation:
     """Cast evenly spaced full-circle ray fans from the mounted link midpoints.
 
     Hits return (hit point, outward surface normal); misses return the
-    max-range sentinel point with normal opposite the ray direction.
+    max-range sentinel point with normal opposite the ray direction. Every
+    (ray, obstacle) pair gets its hit parameter, circles first so that they
+    win ties; only each ray's nearest hit gets a normal.
     """
     for link in spec.mount_links:
         if not 0 <= link < arm.n_links:
             raise ValueError(f"mount link {link} out of range")
     links = np.array(spec.mount_links)
     pts, cum = joint_positions(arm, q)
-    fan = 2.0 * np.pi * np.arange(spec.rays_per_mount) / spec.rays_per_mount
-    angles = (cum[links][:, None] + fan).ravel()
-    origins = np.repeat(0.5 * (pts[links] + pts[links + 1]), spec.rays_per_mount, axis=0)
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    n_rays = origins.shape[0]
-    hits = []  # (t (R, K), normals (R, K, 2)), circles first so they win ties
+    angles = (cum.take(links)[:, None] + spec._fan).ravel()
+    origins = np.repeat(0.5 * (pts.take(links, axis=0) + pts.take(links + 1, axis=0)),
+                        spec.rays_per_mount, axis=0)
+    dirs = np.empty_like(origins)
+    np.cos(angles, out=dirs[:, 0])
+    np.sin(angles, out=dirs[:, 1])
+    ts = []
     if env._circle_centers.shape[0]:
-        hits.append(geometry.ray_circles(origins, dirs, env._circle_centers, env._circle_radii))
+        ts.append(geometry.ray_circles(origins, dirs, env._circle_centers, env._circle_radii))
     if env._rect_centers.shape[0]:
-        hits.append(geometry.ray_rects(origins, dirs, env._rect_centers, env._rect_halves))
-    best_t = np.full(n_rays, np.inf)
-    best_n = np.zeros((n_rays, 2))
-    if hits:
-        t = np.concatenate([h[0] for h in hits], axis=1)
-        idx = np.argmin(t, axis=1)
-        rows = np.arange(n_rays)
-        best_t = t[rows, idx]
-        best_n = np.concatenate([h[1] for h in hits], axis=1)[rows, idx]
+        ts.append(geometry.ray_rects(origins, dirs, env._rect_centers, env._rect_halves))
+    t = np.concatenate(ts, axis=1) if ts else np.full((len(origins), 1), np.inf)
+    nearest = t.argmin(axis=1)
+    best_t = t[np.arange(t.shape[0]), nearest]
     miss = ~(best_t <= spec.max_range)
-    t_hit = np.where(miss, spec.max_range, best_t)
-    points = origins + t_hit[:, None] * dirs
-    normals = np.where(miss[:, None], -dirs, best_n)
-    return CloudObservation(points=points, normals=normals, source=CloudSource.RAY_CAST)
+    points = origins + np.fmin(best_t, spec.max_range)[:, None] * dirs
+    normals = geometry.hit_normals(points, origins, dirs, nearest, env._circle_centers,
+                                   env._rect_centers, env._rect_halves)
+    return CloudObservation(points=points, normals=np.where(miss[:, None], -dirs, normals),
+                            source=CloudSource.RAY_CAST)
 
 
-def _advance(env: Environment, dt: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Obstacle centres (steps, O, 2) and clock times (steps,) after 1 to
-    `steps` steps of dt. Each step adds velocity*dt to the previous centre and
-    dt to the previous time, the float order of single steps taken in turn."""
-    if not 0.0 <= dt < np.inf:
-        raise ValueError("dt must be finite and non-negative")
-    centers = np.empty((steps + 1,) + env._centers.shape)
-    centers[0] = env._centers
-    centers[1:] = env._velocities * dt
-    np.add.accumulate(centers, axis=0, out=centers)
-    times = np.full(steps + 1, float(dt))
-    times[0] = env.time
-    np.add.accumulate(times, out=times)
-    return centers[1:], times[1:]
+def _placed(env: Environment, centers: np.ndarray) -> dict:
+    """The packed fields that move with the obstacles of `env`, at centres
+    (..., O, 2) in obstacle order; leading axes index snapshots. Each kernel
+    point is its owner's centre, plus its offset for a rectangle corner."""
+    cz = centers[..., 0] + 1j * centers[..., 1]
+    points = cz.take(env._point_owner, axis=-1)
+    points[..., env._circle_index.size:] += env._corner_offsets
+    return {"_centers": centers, "_rect_centers": centers.take(env._rect_index, axis=-2),
+            "_circle_centers": centers.take(env._circle_index, axis=-2),
+            "_rect_cz": cz.take(env._rect_index, axis=-1), "_points": points}
 
 
 def _environment_at(env: Environment, dt: float, steps: int
                     ) -> tuple[Environment, np.ndarray, np.ndarray]:
     """The environment after `steps` steps of dt, and the packed obstacle
     arrays of every step: complex rectangle centres (steps, K) and clearance
-    kernel points (steps, P), by the expressions of `Environment.__post_init__`.
+    kernel points (steps, P), as `Environment.__post_init__` packs them.
 
-    The last step's snapshot is built from those arrays: shapes do not move,
-    so what depends only on them is shared with `env`, and no obstacle is
-    re-validated.
+    Each step adds velocity*dt to the previous centre and dt to the previous
+    time, the float order of single steps taken in turn. The last step's
+    snapshot is built from those arrays: shapes do not move, so what depends
+    only on them is shared with `env`, and no obstacle is re-validated.
     """
-    centers, times = _advance(env, dt, steps)
-    circle = env._circle_mask
-    rect = ~circle
-    rect_cz = centers[:, rect, 0] + 1j * centers[:, rect, 1]
-    points = _kernel_points(centers[:, circle], rect_cz, env._rect_halves)
+    if not 0.0 <= dt < np.inf:
+        raise ValueError("dt must be finite and non-negative")
+    centers = np.empty((steps + 1,) + env._centers.shape)
+    centers[0] = env._centers
+    centers[1:] = env._velocities * dt
+    np.add.accumulate(centers, axis=0, out=centers)
+    placed = _placed(env, centers[1:])
     if not steps:
-        return env, rect_cz, points
-    last = centers[-1]
+        return env, placed["_rect_cz"], placed["_points"]
+    time = env.time
+    for _ in range(steps):
+        time += dt
     after = object.__new__(Environment)
-    after.__dict__.update(
-        env.__dict__,
-        obstacles=tuple(o._at(tuple(c)) for o, c in zip(env.obstacles, last.tolist())),
-        time=float(times[-1]), _centers=last, _rect_centers=last[rect],
-        _circle_centers=last[circle],
-        _rect_cz=rect_cz[-1], _points=points[-1])
-    return after, rect_cz, points
+    after.__dict__.update(env.__dict__, time=float(time), obstacles=tuple(
+        o._at(tuple(c)) for o, c in zip(env.obstacles, centers[-1].tolist())),
+        **{name: value[-1] for name, value in placed.items()})
+    return after, placed["_rect_cz"], placed["_points"]
 
 
 def step_obstacles(env: Environment, dt: float) -> Environment:

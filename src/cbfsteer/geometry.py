@@ -326,68 +326,75 @@ def seg_seg_distance_paired(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: 
     return np.where(proper, 0.0, dist)
 
 
-def ray_circles(
-    origins: np.ndarray, dirs: np.ndarray, centers: np.ndarray, radii: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """First-hit parameters of R rays against K circles.
-
-    origins/dirs: (R, 2) with unit dirs. Returns (t (R, K) with inf for miss,
-    normals (R, K, 2) outward at the hit point).
-    """
-    origins = np.asarray(origins, dtype=float)
-    dirs = np.asarray(dirs, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    rel = origins[:, None, :] - centers[None, :, :]  # (R, K, 2)
-    bq = np.einsum("rki,ri->rk", rel, dirs)
-    cq = np.einsum("rki,rki->rk", rel, rel) - radii[None, :] ** 2
-    disc = bq * bq - cq
-    hit = disc >= 0.0
+def ray_circles(origins: np.ndarray, dirs: np.ndarray, centers: np.ndarray,
+                radii: np.ndarray) -> np.ndarray:
+    """First-hit parameters t (R, K) of R rays against K circles, inf for a
+    miss. origins/dirs: (R, 2) with unit dirs; a ray that starts inside a
+    circle hits it where it leaves."""
+    rx = origins[:, :1] - centers[:, 0]
+    ry = origins[:, 1:] - centers[:, 1]
+    bq = rx * dirs[:, :1] + ry * dirs[:, 1:]
+    disc = bq * bq - ((rx * rx + ry * ry) - radii * radii)
     sq = np.sqrt(np.maximum(disc, 0.0))
-    t_near = -bq - sq
-    t_far = -bq + sq
+    bq = np.negative(bq, out=bq)
+    t_far = bq + sq
+    t = bq - sq
+    t = np.where(t >= 0.0, t, t_far)
+    return np.where(np.minimum(disc, t_far) >= 0.0, t, np.inf)  # a root, not both behind
+
+
+def _slab_times(rel: np.ndarray, dirs: np.ndarray, halves: np.ndarray, exits: bool = True
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Entry and (with `exits`) exit parameters (..., 2) of rays in the x and
+    y slabs of rectangles centred `rel` from the ray origins, by
+    broadcasting. A ray parallel to an axis (|d| < _EPS) is inside that slab
+    for all t or for none."""
+    parallel = np.abs(dirs) < _EPS
+    # No measured control-dynamic scan held one; masking every scan cost ~3% of its ticks/s.
+    any_parallel = np.count_nonzero(parallel)
+    d = np.where(parallel, 1.0, dirs) if any_parallel else dirs
+    inv = 1.0 / d
+    lead = np.copysign(halves, d)  # per axis, the face the ray meets first
+    t_in = (rel - lead) * inv
+    t_out = (rel + lead) * inv if exits else None
+    if any_parallel:
+        inside = np.where(np.abs(rel) <= halves, np.inf, -np.inf)
+        t_in = np.where(parallel, -inside, t_in)
+        t_out = np.where(parallel, inside, t_out) if exits else None
+    return t_in, t_out
+
+
+def ray_rects(origins: np.ndarray, dirs: np.ndarray, centers: np.ndarray,
+              halves: np.ndarray) -> np.ndarray:
+    """First-hit parameters t (R, K) of R rays against K rectangles (slab
+    method), inf for a miss. A ray that starts inside a rectangle hits it
+    where it leaves."""
+    t_in, t_out = _slab_times(centers - origins[:, None, :], dirs[:, None, :], halves)
+    t_near = np.maximum(t_in[..., 0], t_in[..., 1])
+    t_far = np.minimum(t_out[..., 0], t_out[..., 1])
     t = np.where(t_near >= 0.0, t_near, t_far)
-    t = np.where(hit & (t >= 0.0), t, np.inf)
-    t_safe = np.where(np.isfinite(t), t, 0.0)
-    pts = origins[:, None, :] + t_safe[..., None] * dirs[:, None, :]
-    normals = pts - centers[None, :, :]
-    norms = np.linalg.norm(normals, axis=-1, keepdims=True)
-    normals = normals / np.maximum(norms, _EPS)
-    return t, normals
+    return np.where(np.maximum(t_near, 0.0) <= t_far, t, np.inf)  # slabs overlap ahead
 
 
-def ray_rects(
-    origins: np.ndarray, dirs: np.ndarray, centers: np.ndarray, halves: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """First-hit parameters of R rays against K rectangles (slab method).
+_X_FACE = np.array([True, False])
 
-    Returns (t (R, K) with inf for miss, normals (R, K, 2): outward face normal
-    of the entry face).
-    """
-    origins = np.asarray(origins, dtype=float)
-    dirs = np.asarray(dirs, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    halves = np.asarray(halves, dtype=float)
-    rel = centers[None, :, :] - origins[:, None, :]  # (R, K, 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs  # inf on parallel axes is fine for the slab method
-    t_lo = (rel - halves[None, :, :]) * inv[:, None, :]
-    t_hi = (rel + halves[None, :, :]) * inv[:, None, :]
-    t_min = np.minimum(t_lo, t_hi)
-    t_max = np.maximum(t_lo, t_hi)
-    # Parallel axis: ray misses unless origin is within the slab.
-    parallel = np.abs(dirs)[:, None, :] < _EPS
-    inside_slab = np.abs(rel) <= halves[None, :, :]
-    t_min = np.where(parallel, np.where(inside_slab, -np.inf, np.inf), t_min)
-    t_max = np.where(parallel, np.where(inside_slab, np.inf, -np.inf), t_max)
-    near_x = np.argmax(t_min, axis=-1) == 0  # (R, K): entry through an x face
-    t_near = np.max(t_min, axis=-1)
-    t_far = np.min(t_max, axis=-1)
-    hit = (t_near <= t_far) & (t_far >= 0.0)
-    t = np.where(t_near >= 0.0, t_near, t_far)
-    t = np.where(hit & np.isfinite(t), t, np.inf)
-    # Outward normal on the entry face: axis-aligned, sign opposite ray direction component.
-    sign = -np.sign(np.where(near_x, dirs[:, None, 0], dirs[:, None, 1]))
-    sign = np.where(sign == 0.0, 1.0, sign)
-    normals = np.stack([np.where(near_x, sign, 0.0), np.where(near_x, 0.0, sign)], axis=-1)
-    return t, normals
+
+def hit_normals(points: np.ndarray, origins: np.ndarray, dirs: np.ndarray, nearest: np.ndarray,
+                circle_c: np.ndarray, rect_c: np.ndarray, rect_h: np.ndarray) -> np.ndarray:
+    """Outward normals (R, 2) where R rays hit their nearest obstacle, at
+    `points` (R, 2). `nearest` (R,) indexes the circles, then the rectangles.
+    A circle's normal is the unit vector from its centre; a rectangle's is
+    its entry face (the slab the ray enters last, x on ties), against the
+    ray."""
+    n_c = circle_c.shape[0]
+    normals = points - circle_c.take(nearest, axis=0, mode="clip") if n_c else np.zeros_like(points)
+    square = normals * normals
+    normals /= np.maximum(np.sqrt(square[:, :1] + square[:, 1:]), _EPS)
+    if rect_c.shape[0]:
+        k = nearest - n_c
+        t_in = _slab_times(rect_c.take(k, axis=0, mode="clip") - origins, dirs,
+                           rect_h.take(k, axis=0, mode="clip"), exits=False)[0]
+        face = np.where((t_in[:, :1] >= t_in[:, 1:]) == _X_FACE,
+                        np.where(dirs > 0.0, -1.0, 1.0), 0.0)
+        normals = np.where((nearest >= n_c)[:, None], face, normals)
+    return normals

@@ -1,11 +1,17 @@
-"""Reference clearance kernel for the tests.
+"""Reference clearance and ray-cast kernels for the tests.
 
-This is the segment-by-segment composition that `signed_distance_batch` used
-before the fused joint-to-link pass: link frames, then per-link obstacle
-distances with a Liang-Barsky overlap test and a scalar interior-depth call
-per overlapping (link, rectangle) pair, then one paired segment-distance call
-per non-adjacent self pair. It is slow and simple, and the property tests hold
-the fast kernel to it.
+The clearance kernel is the segment-by-segment composition that
+`signed_distance_batch` used before the fused joint-to-link pass: link
+frames, then per-link obstacle distances with a Liang-Barsky overlap test and
+a scalar interior-depth call per overlapping (link, rectangle) pair, then one
+paired segment-distance call per non-adjacent self pair.
+
+The ray kernels are the pairwise forms that `ray_cast_scan` used before it
+picked each ray's nearest hit first: every (ray, obstacle) pair gets its hit
+parameter and its outward normal.
+
+They are slow and simple, and the property tests hold the fast kernels to
+them.
 """
 
 from __future__ import annotations
@@ -171,3 +177,70 @@ def signed_distance_batch(env: Environment, arm: ArmModel, qs: np.ndarray) -> np
                 pts[:, i, :], pts[:, i + 1, :], pts[:, j, :], pts[:, j + 1, :]) - 2.0 * r
             best = np.minimum(best, d)
     return best
+
+
+def ray_circles(
+    origins: np.ndarray, dirs: np.ndarray, centers: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-hit parameters of R rays against K circles.
+
+    origins/dirs: (R, 2) with unit dirs. Returns (t (R, K) with inf for miss,
+    normals (R, K, 2) outward at the hit point).
+    """
+    origins = np.asarray(origins, dtype=float)
+    dirs = np.asarray(dirs, dtype=float)
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    rel = origins[:, None, :] - centers[None, :, :]  # (R, K, 2)
+    bq = np.einsum("rki,ri->rk", rel, dirs)
+    cq = np.einsum("rki,rki->rk", rel, rel) - radii[None, :] ** 2
+    disc = bq * bq - cq
+    hit = disc >= 0.0
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    t_near = -bq - sq
+    t_far = -bq + sq
+    t = np.where(t_near >= 0.0, t_near, t_far)
+    t = np.where(hit & (t >= 0.0), t, np.inf)
+    t_safe = np.where(np.isfinite(t), t, 0.0)
+    pts = origins[:, None, :] + t_safe[..., None] * dirs[:, None, :]
+    normals = pts - centers[None, :, :]
+    norms = np.linalg.norm(normals, axis=-1, keepdims=True)
+    normals = normals / np.maximum(norms, _EPS)
+    return t, normals
+
+
+def ray_rects(
+    origins: np.ndarray, dirs: np.ndarray, centers: np.ndarray, halves: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-hit parameters of R rays against K rectangles (slab method).
+
+    Returns (t (R, K) with inf for miss, normals (R, K, 2): outward face normal
+    of the entry face).
+    """
+    origins = np.asarray(origins, dtype=float)
+    dirs = np.asarray(dirs, dtype=float)
+    centers = np.asarray(centers, dtype=float)
+    halves = np.asarray(halves, dtype=float)
+    rel = centers[None, :, :] - origins[:, None, :]  # (R, K, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs  # inf on parallel axes is fine for the slab method
+    t_lo = (rel - halves[None, :, :]) * inv[:, None, :]
+    t_hi = (rel + halves[None, :, :]) * inv[:, None, :]
+    t_min = np.minimum(t_lo, t_hi)
+    t_max = np.maximum(t_lo, t_hi)
+    # Parallel axis: ray misses unless origin is within the slab.
+    parallel = np.abs(dirs)[:, None, :] < _EPS
+    inside_slab = np.abs(rel) <= halves[None, :, :]
+    t_min = np.where(parallel, np.where(inside_slab, -np.inf, np.inf), t_min)
+    t_max = np.where(parallel, np.where(inside_slab, np.inf, -np.inf), t_max)
+    near_x = np.argmax(t_min, axis=-1) == 0  # (R, K): entry through an x face
+    t_near = np.max(t_min, axis=-1)
+    t_far = np.min(t_max, axis=-1)
+    hit = (t_near <= t_far) & (t_far >= 0.0)
+    t = np.where(t_near >= 0.0, t_near, t_far)
+    t = np.where(hit & np.isfinite(t), t, np.inf)
+    # Outward normal on the entry face: axis-aligned, sign opposite ray direction component.
+    sign = -np.sign(np.where(near_x, dirs[:, None, 0], dirs[:, None, 1]))
+    sign = np.where(sign == 0.0, 1.0, sign)
+    normals = np.stack([np.where(near_x, sign, 0.0), np.where(near_x, 0.0, sign)], axis=-1)
+    return t, normals

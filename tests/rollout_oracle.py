@@ -2,8 +2,9 @@
 
 Dynamic worlds: the per-step forms that the array-stepped code replaced:
 obstacles advanced one `dataclasses.replace` at a time, a ray fan built ray
-by ray, and a rollout that integrates, steps the world and checks the
-clearance once per simulation substep.
+by ray and cast with the pairwise kernels of `geometry_oracle`, and a rollout
+that integrates, steps the world and checks the clearance once per
+simulation substep.
 
 Control ticks: the hand-written loops that `controller.control_tick` and
 `controller.hold` replaced (the static-world rollout, the barrier-filtered
@@ -23,7 +24,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from cbfsteer import geometry
 from cbfsteer.controller import QpDiagnostics, QpMode, RolloutRecord, solve_safety_qp
 from cbfsteer.environment import (
     CloudObservation,
@@ -34,6 +34,8 @@ from cbfsteer.environment import (
 )
 from cbfsteer.kinematics import integrate, joint_positions
 from cbfsteer.planner import Edge, validate_and_truncate
+
+import geometry_oracle
 
 
 def step_obstacles(env: Environment, dt: float) -> Environment:
@@ -62,8 +64,9 @@ def ray_cast_scan(env, arm, q, spec) -> CloudObservation:
     n_rays = origins.shape[0]
     best_t = np.full(n_rays, np.inf)
     best_n = np.zeros((n_rays, 2))
-    for hits, centers, sizes in ((geometry.ray_circles, env._circle_centers, env._circle_radii),
-                                 (geometry.ray_rects, env._rect_centers, env._rect_halves)):
+    for hits, centers, sizes in (
+            (geometry_oracle.ray_circles, env._circle_centers, env._circle_radii),
+            (geometry_oracle.ray_rects, env._rect_centers, env._rect_halves)):
         if centers.shape[0]:
             t, nrm = hits(origins, dirs, centers, sizes)
             idx = np.argmin(t, axis=1)

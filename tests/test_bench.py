@@ -262,6 +262,35 @@ class TestEvalController:
         cfg["controller"]["alpha"] = 2.0
         run(cfg)  # matching alphas load
 
+    def test_calls_sharing_a_barrier_cache_load_the_checkpoint_once(self, cfg, arm, tmp_path,
+                                                                     monkeypatch):
+        from cbfsteer.config import make_hyper
+        from cbfsteer.neural import Mlp, load_checkpoint, save_checkpoint
+
+        path = str(tmp_path / "checkpoint-state.json")
+        save_checkpoint(path, "state", Mlp.create((arm.n_links + 1, 4, 1),
+                                                  np.random.default_rng(22)),
+                        make_hyper(cfg, "state").to_json())
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return load_checkpoint(path)
+
+        monkeypatch.setattr(bench, "load_checkpoint", counting_load)
+        probs = bench.dynamicize_problems(
+            bench.gen_problems(make_env_gen(cfg, num_obstacles=3), 2,
+                               np.random.default_rng(23), arm, 0.025),
+            0.05, np.random.default_rng(24))
+        method = {"name": "cbf-state", "checkpoint": path}
+        cache = {}
+        runs = [bench.eval_controller(probs, method, "dynamic_partial", arm, cfg,
+                                      horizon_s=0.5, barrier_cache=cache) for _ in range(2)]
+        assert loads == [path] and list(cache) == [path]
+        assert runs[0][0] == runs[1][0] and runs[0][1] == runs[1][1]
+        bench.eval_controller(probs, method, "dynamic_partial", arm, cfg, horizon_s=0.5)
+        assert loads == [path, path]  # without a cache, every call loads
+
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf])
     def test_non_positive_or_non_finite_horizon_rejected(self, cfg, arm, horizon):
         probs = bench.gen_problems(EnvGenConfig(num_obstacles=0), 1,

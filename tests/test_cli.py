@@ -33,6 +33,15 @@ class TestExitCodes:
         assert run(["--out", str(tmp_path), "train", "--data",
                     str(tmp_path / "missing.jsonl")]) == 2
 
+    @pytest.mark.parametrize("doc, key", [({"planner": 5}, "planner"),
+                                          ({"train": {"state": [3]}}, "train.state")])
+    def test_a_section_that_is_not_an_object_fails_by_name(self, tmp_path, capsys, doc, key):
+        dump_json(tmp_path / "config.json", doc)
+        assert run(["--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out"),
+                    "gen-problems", "--count", "1"]) == 2
+        assert f"config key {key} must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "problems.json").exists()
+
 
 @pytest.fixture(scope="module")
 def mini_config(tmp_path_factory):

@@ -100,12 +100,18 @@ def test_the_default_config_builds_the_record_defaults(path, record, build, _val
         assert build(config.load_config()) == record()
 
 
-def test_env_gen_cannot_override_the_workspace(tmp_path):
+def test_env_gen_workspace_in_a_config_file_is_rejected(tmp_path):
     cfg_path = tmp_path / "config.json"
     dump_json(cfg_path, {"env_gen": {"workspace": {"center": [1.0, 1.0],
                                                    "half_extents": [0.5, 0.5]}},
                          "workspace": {"center": [0.0, 0.5], "half_extents": [2.0, 1.5]}})
-    cfg = config.load_config(cfg_path)
+    with pytest.raises(ValueError, match=r"config key env_gen\.workspace is not read"):
+        config.load_config(cfg_path)
+
+
+def test_env_gen_cannot_override_the_workspace():
+    cfg = config.load_config()
+    cfg["workspace"] = {"center": [0.0, 0.5], "half_extents": [2.0, 1.5]}
     top = Workspace(center=(0.0, 0.5), half_extents=(2.0, 1.5))
     assert config.make_env_gen(cfg).workspace == top
     assert config.make_env_gen(cfg, workspace={"center": [1.0, 1.0]}).workspace == top
@@ -143,6 +149,13 @@ def test_a_misspelled_key_is_rejected_by_path(path, tmp_path):
 def test_misspellings_that_used_to_be_ignored(doc, where, tmp_path):
     with pytest.raises(ValueError, match=f"unknown config key {where}$"):
         load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("value", [5, [1, 2], "fast", None])
+@pytest.mark.parametrize("path", SECTION_PATHS, ids=[".".join(p) for p in SECTION_PATHS])
+def test_a_section_that_is_not_an_object_is_rejected_by_path(path, value, tmp_path):
+    with pytest.raises(ValueError, match=r"config key " + r"\.".join(path) + " must be an object"):
+        load_doc(tmp_path, nested(path[:-1], {path[-1]: value}))
 
 
 def test_every_table_key_and_every_default_key_is_accepted(tmp_path):

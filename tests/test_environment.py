@@ -296,6 +296,69 @@ class TestRayCast:
             assert same_bits(cloud.points, ref.points)
             assert same_bits(cloud.normals, ref.normals)
 
+    # Hand-made worlds scanned at q = 0 by four rays from link 0's midpoint
+    # (0.25, 0): along +x exactly, then +y, -x and -y with a cross component
+    # of about 1e-16, below geometry._EPS, so that slab axes are parallel.
+    # Each case names a ray, and where it must hit with what normal.
+    EDGE_CASES = {
+        "axis rays": ((Obstacle(kind="rect", center=(0.25, 1.0), half_extents=(0.2, 0.1)),
+                       Obstacle(kind="rect", center=(1.0, 0.0), half_extents=(0.1, 0.3)),
+                       Obstacle(kind="circle", center=(-1.0, 0.0), radius=0.2)),
+                      2.0, [(0, (0.9, 0.0), (-1.0, 0.0)), (1, (0.25, 0.9), (0.0, -1.0)),
+                            (2, (-0.8, 0.0), (1.0, 0.0))]),
+        "origin inside a circle": ((Obstacle(kind="circle", center=(0.25, 0.1), radius=0.3),),
+                                   2.0, [(1, (0.25, 0.4), (0.0, 1.0)),
+                                         (3, (0.25, -0.2), (0.0, -1.0))]),
+        "origin inside a rectangle": ((Obstacle(kind="rect", center=(0.3, 0.05),
+                                                half_extents=(0.3, 0.2)),),
+                                      2.0, [(0, (0.6, 0.0), (-1.0, 0.0)),
+                                            (3, (0.25, -0.15), (0.0, 1.0))]),
+        # ray 0 (no y component) runs along the rectangle's bottom face
+        "tangent": ((Obstacle(kind="circle", center=(0.75, 1.0), radius=0.5),
+                     Obstacle(kind="rect", center=(1.0, 0.25), half_extents=(0.1, 0.25))),
+                    2.0, [(0, (0.9, 0.0), (-1.0, 0.0)), (1, (0.25, 1.0), (-1.0, 0.0))]),
+        "origin on a circle": ((Obstacle(kind="circle", center=(0.25, 0.5), radius=0.5),),
+                               2.0, [(1, (0.25, 0.0), (0.0, -1.0))]),
+        "origin on a rectangle face": ((Obstacle(kind="rect", center=(0.0, 0.0),
+                                                 half_extents=(0.25, 0.5)),),
+                                       2.0, [(0, (0.25, 0.0), (-1.0, 0.0)),
+                                             (2, (0.25, 0.0), (1.0, 0.0))]),
+        # both hit ray 0 at t = 0.75 exactly; the circle comes first
+        "circle wins a tie": ((Obstacle(kind="rect", center=(1.25, 0.0), half_extents=(0.25, 0.25)),
+                               Obstacle(kind="circle", center=(1.375, 0.5), radius=0.625)),
+                              2.0, [(0, (1.0, 0.0), (-0.6, -0.8))]),
+        "hit at max range": ((Obstacle(kind="circle", center=(1.375, 0.5), radius=0.625),),
+                             0.75, [(0, (1.0, 0.0), (-0.6, -0.8))]),
+        "every ray misses": ((Obstacle(kind="circle", center=(1.375, 0.5), radius=0.625),
+                              Obstacle(kind="rect", center=(0.25, -1.0), half_extents=(0.3, 0.2))),
+                             0.7, []),
+        "no obstacles": ((), 1.0, []),
+    }
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edge_cases_equal_the_pairwise_reference(self, arm, case):
+        obstacles, max_range, hits = self.EDGE_CASES[case]
+        env = Environment(obstacles=obstacles)
+        spec = ScanSpec(mount_links=(0,), rays_per_mount=4, max_range=max_range)
+        cloud = ray_cast_scan(env, arm, np.zeros(3), spec)
+        with np.errstate(invalid="ignore"):  # the reference takes 0 * inf on a grazed face
+            ref = rollout_oracle.ray_cast_scan(env, arm, np.zeros(3), spec)
+        assert same_bits(cloud.points, ref.points)
+        assert same_bits(cloud.normals, ref.normals)
+        for ray, point, normal in hits:
+            np.testing.assert_allclose(cloud.points[ray], point, atol=1e-12)
+            np.testing.assert_allclose(cloud.normals[ray], normal, atol=1e-12)
+        if not hits:  # every ray returns its sentinel
+            rays = cloud.points - [0.25, 0.0]
+            np.testing.assert_allclose(np.linalg.norm(rays, axis=1), max_range, atol=1e-12)
+            np.testing.assert_allclose(cloud.normals, -rays / max_range, atol=1e-12)
+
+    def test_edge_cases_take_the_parallel_slab_branch(self):
+        # the fan of link 0 at q = 0 has cos(pi / 2), about 6e-17, as a component
+        fan = ScanSpec(mount_links=(0,), rays_per_mount=4)._fan
+        assert 0.0 < abs(np.cos(fan[1])) < geometry._EPS
+        assert np.sin(fan[0]) == 0.0
+
     def test_no_obstacles_all_sentinels(self, arm):
         spec = ScanSpec(mount_links=(0, 2), rays_per_mount=8, max_range=2.0)
         cloud = ray_cast_scan(Environment(), arm, np.zeros(3), spec)

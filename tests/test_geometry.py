@@ -109,33 +109,100 @@ class TestSegmentSegment:
                 geometry.segment_segment_distance(a1[i], b1[i], a2[i], b2[i]), abs=1e-12)
 
 
+def ray_fan(rng, n_rays, n_origins=2, axis_rays=True):
+    """Rays from a few shared origins in random directions; with axis_rays,
+    some run along an exact axis (a zero component) or nearly so (a
+    component of about 6e-17, below geometry._EPS)."""
+    ang = rng.uniform(0.0, 2.0 * np.pi, n_rays)
+    if axis_rays:
+        ang[::3] = 0.5 * np.pi * rng.integers(0, 4, ang[::3].size)
+    dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    if axis_rays:
+        dirs[::7] = np.array([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 1.0]])[
+            rng.integers(0, 4, dirs[::7].shape[0])]
+    origins = np.repeat(rng.uniform(-1.0, 1.0, (n_origins, 2)), -(-n_rays // n_origins),
+                        axis=0)[:n_rays]
+    return origins, dirs
+
+
 class TestRayCasts:
     def test_ray_circle_closed_form(self):
         # ray from origin along +x at a circle centered (2, 0) radius 0.5
-        t, n = geometry.ray_circles(
-            np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]),
-            np.array([[2.0, 0.0]]), np.array([0.5]))
+        args = (np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]),
+                np.array([[2.0, 0.0]]), np.array([0.5]))
+        assert geometry.ray_circles(*args)[0, 0] == pytest.approx(1.5)
+        t, n = geometry_oracle.ray_circles(*args)
         assert t[0, 0] == pytest.approx(1.5)
         np.testing.assert_allclose(n[0, 0], [-1.0, 0.0], atol=1e-12)
 
     def test_ray_circle_miss(self):
-        t, _ = geometry.ray_circles(
+        t = geometry.ray_circles(
             np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]),
             np.array([[0.0, 2.0]]), np.array([0.5]))
         assert np.isinf(t[0, 0])
 
     def test_ray_rect_entry_face(self):
-        t, n = geometry.ray_rects(
-            np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]),
-            np.array([[3.0, 0.0]]), np.array([[1.0, 0.5]]))
+        args = (np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]),
+                np.array([[3.0, 0.0]]), np.array([[1.0, 0.5]]))
+        assert geometry.ray_rects(*args)[0, 0] == pytest.approx(2.0)
+        t, n = geometry_oracle.ray_rects(*args)
         assert t[0, 0] == pytest.approx(2.0)
         np.testing.assert_allclose(n[0, 0], [-1.0, 0.0])
 
     def test_ray_rect_parallel_miss(self):
-        t, _ = geometry.ray_rects(
+        t = geometry.ray_rects(
             np.array([[0.0, 2.0]]), np.array([[1.0, 0.0]]),
             np.array([[3.0, 0.0]]), np.array([[1.0, 0.5]]))
         assert np.isinf(t[0, 0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hit_parameters_equal_the_pairwise_oracle(self, seed):
+        # bit for bit, with origins inside obstacles and rays along the axes
+        rng = np.random.default_rng(seed)
+        origins, dirs = ray_fan(rng, 48, axis_rays=seed % 2 == 0)
+        centers = np.concatenate([origins[:1], rng.uniform(-1.5, 1.5, (5, 2))])
+        radii = rng.uniform(0.05, 0.6, 6)
+        halves = rng.uniform(0.05, 0.6, (6, 2))
+        assert (np.abs(dirs) < geometry._EPS).any() == (seed % 2 == 0)
+        ref = geometry_oracle.ray_circles(origins, dirs, centers, radii)[0]
+        assert geometry.ray_circles(origins, dirs, centers, radii).tobytes() == ref.tobytes()
+        with np.errstate(invalid="ignore"):
+            ref = geometry_oracle.ray_rects(origins, dirs, centers, halves)[0]
+        assert geometry.ray_rects(origins, dirs, centers, halves).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nearest_hit_normals_equal_the_pairwise_oracle(self, seed):
+        # the normal of each ray's nearest hit is the oracle's pairwise normal
+        # of that (ray, obstacle) pair, bit for bit
+        rng = np.random.default_rng(10 + seed)
+        origins, dirs = ray_fan(rng, 60)
+        circle_c = rng.uniform(-1.5, 1.5, (seed % 3, 2))
+        rect_c = np.concatenate([origins[:1], rng.uniform(-1.5, 1.5, (2 - seed % 2, 2))])
+        radii = rng.uniform(0.05, 0.6, circle_c.shape[0])
+        halves = rng.uniform(0.05, 0.6, rect_c.shape)
+        with np.errstate(invalid="ignore"):
+            tc, nc = geometry_oracle.ray_circles(origins, dirs, circle_c, radii)
+            tr, nr = geometry_oracle.ray_rects(origins, dirs, rect_c, halves)
+        t = np.concatenate([tc, tr], axis=1)
+        nearest = t.argmin(axis=1)
+        rows = np.arange(t.shape[0])
+        hit = np.isfinite(t[rows, nearest])
+        points = origins + np.where(hit, t[rows, nearest], 0.0)[:, None] * dirs
+        got = geometry.hit_normals(points, origins, dirs, nearest, circle_c, rect_c, halves)
+        ref = np.concatenate([nc, nr], axis=1)[rows, nearest]
+        assert hit.sum() >= 20
+        assert got[hit].tobytes() == ref[hit].tobytes()
+
+    def test_a_corner_hit_takes_the_x_face(self):
+        # both slabs are entered at t = 2 exactly: the x face wins the tie
+        origins, dirs = np.zeros((2, 2)), np.array([[0.5, 0.5], [-0.5, -0.5]])
+        rect_c, rect_h = np.array([[1.25, 1.25], [-1.25, -1.25]]), np.full((2, 2), 0.25)
+        t, normals = geometry_oracle.ray_rects(origins, dirs, rect_c, rect_h)
+        assert (t == [[2.0, np.inf], [np.inf, 2.0]]).all()
+        got = geometry.hit_normals(origins + 2.0 * dirs, origins, dirs, np.array([0, 1]),
+                                   np.zeros((0, 2)), rect_c, rect_h)
+        assert got.tobytes() == np.array([[-1.0, 0.0], [1.0, 0.0]]).tobytes()
+        assert got.tobytes() == normals[[0, 1], [0, 1]].tobytes()
 
     def test_ray_rect_entry_normals_match_pairwise_rule(self):
         # per (ray, rectangle): the entry axis is the one whose slab is entered
@@ -147,7 +214,7 @@ class TestRayCasts:
         origins = rng.uniform(-1.0, 1.0, (ang.size, 2))
         centers = rng.uniform(-1.0, 1.0, (6, 2))
         halves = rng.uniform(0.05, 0.5, (6, 2))
-        _, normals = geometry.ray_rects(origins, dirs, centers, halves)
+        _, normals = geometry_oracle.ray_rects(origins, dirs, centers, halves)
         for r in range(ang.size):
             for k in range(6):
                 rel = centers[k] - origins[r]
