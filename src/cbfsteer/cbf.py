@@ -479,14 +479,16 @@ def loss(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, want_grads: bool 
     if isinstance(net, Mlp):
         grads, _ = mlp_backward(tape, up.reshape(b * s, 1))
     else:
-        grads, _, _ = encoder_backward_batch(tape, up.reshape(b * s))
+        grads, _ = encoder_backward_batch(tape, up.reshape(b * s))
     return total, components, grads
 
 
-def _audit(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, batch_size: int = 512
+def _audit(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, batch_size: int = 128
            ) -> dict:
     """Satisfaction rates of the three barrier conditions on a prepared set,
-    evaluated in batches."""
+    evaluated in batches. A cloud batch's per-point temporaries grow with its
+    size (about 130 MB at 512 samples of 64 points), so the default is the
+    cloud training batch."""
     n_total = prep.safe_mask.size
     ok_safe = ok_unsafe = ok_deriv = 0
     for start in range(0, n_total, batch_size):
@@ -507,7 +509,7 @@ def _audit(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, batch_size: int
     }
 
 
-def evaluate_constraints(net, dataset: Dataset, hyper: CbfHyper, batch_size: int = 512) -> dict:
+def evaluate_constraints(net, dataset: Dataset, hyper: CbfHyper, batch_size: int = 128) -> dict:
     """Empirical satisfaction rates of the three barrier conditions on a dataset."""
     prep = _prepare(dataset.samples, dataset.arm, hyper, dataset.environments)
     return _audit(net, prep, dataset.arm, hyper, batch_size)

@@ -186,47 +186,46 @@ def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, records: np.ndar
     return y[:, 0], tape
 
 
-def _slot_rows(tape: EncoderTape) -> tuple[np.ndarray, np.ndarray]:
-    """The per-slot record layout of a block tape: each slot's n*N records,
-    link-major, as rows of the block records (B*S*n*N,), and the record that
-    wins each pooled coordinate (B*S, F), the first one on ties."""
+def _winner_rows(tape: EncoderTape) -> np.ndarray:
+    """The block-tape row of the record that wins each pooled coordinate of
+    each slot (B, S, F), the first one on ties: the first point reaching its
+    block's max, in the first link whose block reaches the slot's max."""
     b, k, f = tape.block_max.shape
-    s, n = tape.slot_blocks.shape
-    n_pts = tape.point_tape.y.shape[0] // (b * k)
-    phi = tape.point_tape.y.reshape(b, n_pts, k, f)
+    phi = tape.point_tape.y.reshape(b, -1, k, f)
     first_point = np.argmax(phi == tape.block_max[:, None], axis=1)  # (B, K, F)
-    feature = tape.trunk_tape.x[:, :f].reshape(b, s, 1, f)
-    first_link = np.argmax(tape.block_max[:, tape.slot_blocks] == feature, axis=2)  # (B, S, F)
-    block = tape.slot_blocks[np.arange(s)[:, None], first_link]
+    link = np.argmax(tape.block_max[:, tape.slot_blocks], axis=2)  # (B, S, F), first on ties
+    block = tape.slot_blocks[np.arange(len(tape.slot_blocks))[:, None], link]
     point = first_point[np.arange(b)[:, None, None], block, np.arange(f)]
-    argmax = (first_link * n_pts + point).reshape(b * s, f)
-    rows = ((np.arange(b)[:, None, None, None] * n_pts + np.arange(n_pts)) * k
-            + tape.slot_blocks[:, :, None]).reshape(-1)
-    return rows, argmax
+    return (np.arange(b)[:, None, None] * phi.shape[1] + point) * k + block
 
 
-def encoder_backward_batch(tape: EncoderTape, upstream) -> tuple[Params, np.ndarray, np.ndarray]:
+def _winner_upstream(tape: EncoderTape, d_feature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-point reverse pass's input from the pooled-feature gradients
+    d_feature (B*S, F): the distinct winning rows (U,), sorted, and their
+    gradients (U, F). A row winning coordinate j for several slots gets the
+    sum of theirs, in slot order; a row gets zero where it does not win."""
+    f = d_feature.shape[1]
+    winners, inverse = np.unique(_winner_rows(tape).reshape(-1), return_inverse=True)
+    cells = (inverse.reshape(-1, f) * f + np.arange(f)).reshape(-1)
+    delta = np.bincount(cells, weights=d_feature.reshape(-1), minlength=winners.size * f)
+    return winners, delta.reshape(-1, f)
+
+
+def encoder_backward_batch(tape: EncoderTape, upstream) -> tuple[Params, np.ndarray]:
     """Reverse pass for the batched encoder.
 
     upstream: array (B*S,). Returns (parameter grads with the per-point
-    layers first, record input grads (B*S, n*N, din) with each slot's records
-    link-major, q input grads (B*S, n)). The per-point pass runs on every
-    slot's records, gathered from the blocks, so its sums run over the same
-    rows in the same order as a forward pass on all of them would give.
+    layers first, q input grads (B*S, n)). A max pool passes each pooled
+    coordinate's gradient to the one record that wins it, so the per-point
+    pass runs on the winning block rows alone. Trunk and q grads are bit for
+    bit those of a pass over every slot's n*N records; the per-point grads
+    sum the same terms in another order, so they agree to rounding.
     """
-    enc = tape.enc
-    b = tape.trunk_tape.y.shape[0]
+    f = tape.enc.feature_width
     trunk_grads, trunk_in_grad = mlp_backward(tape.trunk_tape, upstream[:, None])
-    f = enc.feature_width
-    d_feature = trunk_in_grad[:, :f]
-    d_q = trunk_in_grad[:, f:]
-    rows, argmax = _slot_rows(tape)
-    m = rows.size // b
-    d_phi = np.zeros((b, m, f))
-    np.put_along_axis(d_phi, argmax[:, None, :], d_feature[:, None, :], axis=1)
-    point_grads, rec_grad_flat = mlp_backward(tape.point_tape, d_phi.reshape(b * m, f), rows=rows)
-    rec_grads = rec_grad_flat.reshape(b, m, -1)
-    return point_grads + trunk_grads, rec_grads, d_q
+    rows, delta = _winner_upstream(tape, trunk_in_grad[:, :f])
+    point_grads, _ = mlp_backward(tape.point_tape, delta, rows=rows)
+    return point_grads + trunk_grads, trunk_in_grad[:, f:]
 
 
 @dataclass

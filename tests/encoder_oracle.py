@@ -8,9 +8,14 @@ on ties), and the reverse pass scatters the pooled gradient back through
 that argmax. The MLP passes are the plain forms with one temporary per
 operation.
 
-The package computes each distinct (slot, link) frame once instead; the
-tests hold it to this code bit for bit: h, grad h, the loss, every parameter
-gradient and the bytes of trained checkpoints.
+The package computes each distinct (slot, link) frame once instead, and its
+reverse pass runs the per-point net only on the block rows that win a pooled
+coordinate. The tests hold it to this code bit for bit in h, grad h, the
+loss and its components, the winning records, the trunk and q gradients, the
+upstream the winning rows receive (this scatter, summed per shared block
+row) and the audit of a fixed net. Per-point parameter gradients sum the
+same terms in another order, so they are held to relative 1e-12 at the
+batch's gradient scale, and trained checkpoints to a tolerance.
 """
 
 from __future__ import annotations
@@ -107,18 +112,26 @@ def encoder_forward(enc: PointSetEncoder, qs: np.ndarray, records: np.ndarray
                              argmax=argmax, n_records=m)
 
 
-def encoder_backward(tape: FullTape, upstream) -> tuple[list, np.ndarray, np.ndarray]:
-    """upstream: scalar or (B,). Returns (parameter grads, per-point layers
-    first; record grads (B, M, din); q grads (B, n))."""
+def pooled_upstream(tape: FullTape, upstream) -> tuple[list, np.ndarray, np.ndarray]:
+    """Trunk reverse pass and the max pool's scatter. upstream: scalar or
+    (B,). Returns (trunk parameter grads; per-record output grads (B, M, F),
+    each pooled coordinate's gradient at its winning record and zero
+    elsewhere; q grads (B, n))."""
     b = tape.trunk_tape.y.shape[0]
     up = np.broadcast_to(np.asarray(upstream, dtype=float), (b,))
     trunk_grads, trunk_in_grad = mlp_backward(tape.trunk_tape, up[:, None].copy())
     f = tape.enc.feature_width
-    m = tape.n_records
-    d_phi = np.zeros((b, m, f))
+    d_phi = np.zeros((b, tape.n_records, f))
     np.put_along_axis(d_phi, tape.argmax[:, None, :], trunk_in_grad[:, None, :f], axis=1)
-    point_grads, rec_grad = mlp_backward(tape.point_tape, d_phi.reshape(b * m, f))
-    return point_grads + trunk_grads, rec_grad.reshape(b, m, -1), trunk_in_grad[:, f:]
+    return trunk_grads, d_phi, trunk_in_grad[:, f:]
+
+
+def encoder_backward(tape: FullTape, upstream) -> tuple[list, np.ndarray]:
+    """upstream: scalar or (B,). Returns (parameter grads, per-point layers
+    first; q grads (B, n)); the per-point pass runs on every record."""
+    trunk_grads, d_phi, d_q = pooled_upstream(tape, upstream)
+    point_grads, _ = mlp_backward(tape.point_tape, d_phi.reshape(-1, d_phi.shape[2]))
+    return point_grads + trunk_grads, d_q
 
 
 def forward_stencil(net: PointSetEncoder, prep, arm: ArmModel):

@@ -294,7 +294,7 @@ class TestEncoder:
             return encode(enc, q, cloud, arm)[0]
 
         _, tape = encode(enc, q, cloud, arm)
-        grads, _, _ = encoder_backward_batch(tape, np.ones(1))
+        grads, _ = encoder_backward_batch(tape, np.ones(1))
         fd = param_fd_grads(run, enc.all_params())
         assert max_rel_err(grads, fd) < 1e-4
 
