@@ -47,9 +47,11 @@ from .planner import (
     SteerRollout,
     SteerStraightLine,
     rrt_plan,
+    validate_and_truncate,
 )
 
 DIFFICULTIES = ("easy", "hard", "untagged")
+SETTINGS = ("static_full", "dynamic_partial")
 
 
 @dataclass
@@ -167,11 +169,14 @@ def _method_barrier(method: dict, arm: ArmModel, cfg: dict, barrier_cache: dict)
     return barrier_cache[path]
 
 
-def _surface_cloud_observer(barrier, problem: ProblemSpec, cfg: dict, root_seed: int):
-    """Cloud barriers observe the problem's pre-sampled surface cloud (seeded
-    by problem id); other barriers need no observer."""
-    if barrier.kind != "cloud":
+def _observer(barrier, problem: ProblemSpec, setting: str, cfg: dict, root_seed: int):
+    """What a barrier sees: nothing unless it reads observations; else in
+    "static_full" the problem's surface cloud (seeded by problem id), in
+    "dynamic_partial" ray-cast fans of the world it is given."""
+    if not barrier.needs_observation:
         return None
+    if setting == "dynamic_partial":
+        return make_raycast_observer(make_scan_spec(cfg))
     cloud_rng = seed_stream(root_seed, "problem-cloud", problem.id)
     return make_fixed_cloud_observer(
         sample_surface_points(problem.environment, cfg["cloud"]["num_points"], cloud_rng))
@@ -179,15 +184,15 @@ def _surface_cloud_observer(barrier, problem: ProblemSpec, cfg: dict, root_seed:
 
 def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
                 root_seed: int, barrier_cache: dict):
-    """Instantiate a steer kind for one problem; cloud methods get the
-    problem's pre-sampled surface cloud (seeded by problem id)."""
+    """Instantiate a steer kind for one problem; planning worlds are static
+    and fully observed, so cloud methods see the problem's surface cloud."""
     name = method["name"]
     if name == "straight":
         return SteerStraightLine()
     barrier = _method_barrier(method, arm, cfg, barrier_cache)
     ctrl = cfg["controller"]
     bundle = ControllerBundle(
-        barrier=barrier, observe=_surface_cloud_observer(barrier, problem, cfg, root_seed),
+        barrier=barrier, observe=_observer(barrier, problem, "static_full", cfg, root_seed),
         policy=make_policy(cfg), qp_cfg=make_qp_cfg(cfg),
         sim_hz=ctrl["sim_hz"], ctrl_hz=ctrl["ctrl_hz"])
     if name in ("hand-cbf", "cbf-state", "cbf-cloud"):
@@ -358,13 +363,13 @@ def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, c
                     barrier_cache: dict | None = None) -> tuple:
     """Unroll the controller end to end on every problem (no planner).
 
-    setting "static_full" observes a pre-sampled surface cloud per problem;
-    "dynamic_partial" observes mounted ray-cast fans against the (moving)
-    obstacles. Calls may share a `barrier_cache` of loaded checkpoints, as a
-    caller evaluating one problem per call (the benchmark's control-dynamic
-    pass) would. Returns (ControllerMetricsRow, per-problem records).
+    The setting, one of SETTINGS, picks what the barrier sees (`_observer`).
+    Calls may share a `barrier_cache` of loaded checkpoints, as a caller
+    evaluating one problem per call would; the benchmark's control-dynamic
+    pass passes none, so it loads the checkpoint on every call. Returns
+    (ControllerMetricsRow, per-problem records).
     """
-    if setting not in ("static_full", "dynamic_partial"):
+    if setting not in SETTINGS:
         raise ValueError(f"unknown setting {setting!r}")
     barrier = _method_barrier(method, arm, cfg, {} if barrier_cache is None else barrier_cache)
     limits = make_rollout_limits(cfg, **({} if horizon_s is None else {"horizon_s": horizon_s}))
@@ -375,12 +380,8 @@ def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, c
     safety = []
     makespans = []
     for prob in problems:
-        if setting == "dynamic_partial" and barrier.kind == "cloud":
-            observe = make_raycast_observer(make_scan_spec(cfg))
-        else:
-            observe = _surface_cloud_observer(barrier, prob, cfg, root_seed)
-        rec = safe_rollout(barrier, policy, qp_cfg, prob.q0, prob.qg,
-                           prob.environment, limits, observe)
+        rec = safe_rollout(barrier, policy, qp_cfg, prob.q0, prob.qg, prob.environment, limits,
+                           _observer(barrier, prob, setting, cfg, root_seed))
         ok_states = float(np.mean(np.asarray(rec.min_signed_distance) >= 0.0))
         reached.append(1.0 if rec.reached_goal and not rec.collided else 0.0)
         safety.append(ok_states)
@@ -411,8 +412,6 @@ def validate_plan(problem: ProblemSpec, plan: PlanResult, arm: ArmModel,
     collision-free at the given resolution and end in the goal ball."""
     if plan.status != "solved":
         return False
-    from .planner import validate_and_truncate
-
     kept = validate_and_truncate(problem.environment, arm, plan.path, check_resolution)
     if len(kept) != len(plan.path):
         return False

@@ -30,7 +30,7 @@ from .environment import (
     signed_distance_batch,
 )
 from .jsonio import Record, canonical_dumps, dump_json, load_json, load_jsonl
-from .kinematics import ArmModel, batch_link_frames, integrate, sample_config
+from .kinematics import ArmModel, batch_link_frames, hold, sample_config
 from .neural import (
     Mlp,
     PointSetEncoder,
@@ -145,12 +145,13 @@ def collect_dataset(
     nominal_policy,
     rng: np.random.Generator,
     observation_kind: str = "state",
-    r_thres: float = 0.05,
-    cloud_points: int = 128,
-    rollout_ticks: int = 90,
-    ctrl_hz: float = 30.0,
-    uniform_samples_per_env: int = 200,
-    r_goal: float = 0.1,
+    *,
+    r_thres: float,
+    cloud_points: int,
+    rollout_ticks: int,
+    ctrl_hz: float,
+    uniform_samples_per_env: int,
+    r_goal: float,
 ) -> Dataset:
     """Pre-collect labeled training data.
 
@@ -194,7 +195,7 @@ def collect_dataset(
             if np.linalg.norm(q - q_goal) <= r_goal:
                 break
             u = nominal_policy.control(q, q_goal, arm.action_lower, arm.action_upper)
-            q, _ = integrate(arm, q, u, dt)
+            q = hold(arm, q, u, 1, dt)[0]
             traj.append(q)
         add_samples(env_id, np.stack(traj))
 

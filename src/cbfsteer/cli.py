@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -27,7 +28,7 @@ from .config import (
     state_widths,
 )
 from .jsonio import dump_json, load_json
-from .neural import Mlp, PointSetEncoder, save_checkpoint
+from .neural import Mlp, PointSetEncoder, load_checkpoint, save_checkpoint
 from .planner import PlanProblem, PlanResult, rrt_plan
 
 
@@ -95,7 +96,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--problems", type=str, required=True)
     p.add_argument("--method", type=str, default="cbf-cloud")
     p.add_argument("--checkpoint", type=str, default=None)
-    p.add_argument("--setting", choices=["static-full", "dynamic-partial"], default="static-full")
+    p.add_argument("--setting", choices=[s.replace("_", "-") for s in bench_mod.SETTINGS],
+                   default="static-full")
     p.add_argument("--obstacle-speed", type=float, default=0.05)
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--out-file", type=str, default=None)
@@ -195,8 +197,6 @@ def _cmd_train(args, cfg, out_dir):
     hyper = make_hyper(cfg, dataset.kind)
     schedule = make_schedule(cfg, dataset.kind)
     if args.epochs is not None:
-        from dataclasses import replace
-
         schedule = replace(schedule, epochs=args.epochs)
     rng = seed_stream(args.seed, "training")
     if dataset.kind == "state":
@@ -221,8 +221,6 @@ def _cmd_train(args, cfg, out_dir):
 
 
 def _cmd_eval_cbf(args, cfg, out_dir):
-    from .neural import load_checkpoint
-
     dataset = Dataset.load(args.data)
     variant, net, hyper_doc = load_checkpoint(args.checkpoint)
     if variant != dataset.kind:

@@ -24,7 +24,7 @@ from .environment import (
     signed_distance_stepped,
 )
 from .jsonio import Record
-from .kinematics import ArmModel
+from .kinematics import hold
 
 
 @dataclass(frozen=True)
@@ -236,22 +236,6 @@ def control_tick(barrier, observe, policy: NominalPolicy, qp_cfg: SafeController
     u_nom = policy.control(q, q_goal, arm.action_lower, arm.action_upper)
     u, diag = solve_safety_qp(u_nom, grad, h, qp_cfg, arm.action_lower, arm.action_upper)
     return u, u_nom, h, diag
-
-
-def hold(arm: ArmModel, q: np.ndarray, u: np.ndarray, substeps: int, dt_sim: float
-         ) -> np.ndarray:
-    """Zero-order hold on a static world: the configurations (substeps, n)
-    after 1..substeps simulation steps of dt_sim with u held.
-
-    Each row is the one-shot clip(q + u*(k*dt_sim)) to the joint limits. That
-    is the same point as k iterated clamped Euler steps (`integrate`) up to
-    rounding only: the iterated sums round differently in the last bits (a
-    few ulp). Planning and static rollouts use this form; the dynamic branch
-    of `safe_rollout` accumulates the steps and is bit-equal to `integrate`.
-    """
-    configs = np.multiply.outer(np.arange(1, substeps + 1) * dt_sim, u)
-    configs += q
-    return configs.clip(arm.lower, arm.upper, out=configs)
 
 
 def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,

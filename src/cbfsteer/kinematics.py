@@ -89,27 +89,18 @@ def _check_config(arm: ArmModel, q: np.ndarray) -> np.ndarray:
     return q
 
 
-def clamp_to_limits(arm: ArmModel, q: np.ndarray) -> np.ndarray:
-    """Clamp each joint into its limit interval (idempotent)."""
-    q = _check_config(arm, q)
-    return np.clip(q, arm.lower, arm.upper)
+def hold(arm: ArmModel, q: np.ndarray, u: np.ndarray, substeps: int, dt_sim: float
+         ) -> np.ndarray:
+    """Zero-order hold of q_dot = u (u in the action box): the configurations
+    (substeps, n) after 1..substeps steps of dt_sim, clamped to the limits.
 
-
-def integrate(arm: ArmModel, q: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, bool]:
-    """One exact Euler step of q_dot = u, clamped to joint limits.
-
-    Controls outside the action box are clipped; the returned flag reports
-    whether clipping happened. Raises on non-finite u.
+    Row k is the one-shot clip(q + u*(k*dt_sim)). One substep is one clamped
+    Euler step, bit for bit; k substeps differ from k iterated steps by a few
+    ulp, so the dynamic branch of `controller.safe_rollout` iterates instead.
     """
-    q = _check_config(arm, q)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (arm.n_links,):
-        raise ValueError(f"control has shape {u.shape}, expected ({arm.n_links},)")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite control input")
-    u_clipped = np.clip(u, arm.action_lower, arm.action_upper)
-    clipped = bool(np.any(u_clipped != u))
-    return clamp_to_limits(arm, q + u_clipped * dt), clipped
+    configs = np.multiply.outer(np.arange(1, substeps + 1) * dt_sim, u)
+    configs += q
+    return configs.clip(arm.lower, arm.upper, out=configs)
 
 
 def sample_config(arm: ArmModel, rng: np.random.Generator) -> np.ndarray:

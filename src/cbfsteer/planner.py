@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cbf import HandcraftedBarrier, NeuralBarrier
-from .controller import NominalPolicy, SafeControllerConfig, check_rates, control_tick, hold
+from .controller import NominalPolicy, SafeControllerConfig, check_rates, control_tick
 from .environment import Environment, signed_distance, signed_distance_batch
 from .jsonio import Record
-from .kinematics import ArmModel
+from .kinematics import ArmModel, hold
 
 
 @dataclass

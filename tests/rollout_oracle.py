@@ -1,5 +1,9 @@
 """Reference control and rollout code for the tests.
 
+Integration: one clamped Euler step of q_dot = u (`integrate`), the
+per-step reference that `kinematics.hold` and the dynamic branch of
+`controller.safe_rollout` are held to.
+
 Dynamic worlds: the per-step forms that the array-stepped code replaced:
 obstacles advanced one `dataclasses.replace` at a time, a ray fan built ray
 by ray and cast with the pairwise kernels of `geometry_oracle`, and a rollout
@@ -7,7 +11,7 @@ that integrates, steps the world and checks the clearance once per
 simulation substep.
 
 Control ticks: the hand-written loops that `controller.control_tick` and
-`controller.hold` replaced (the static-world rollout, the barrier-filtered
+`kinematics.hold` replaced (the static-world rollout, the barrier-filtered
 rollout steer and the filtered-LQR steer), the two breakpoint walks
 (strict projection, relaxed penalty) that `controller._breakpoint_walk`
 merges, and the safety QP and its walk as numpy array code, before their
@@ -32,10 +36,33 @@ from cbfsteer.environment import (
     signed_distance,
     signed_distance_batch,
 )
-from cbfsteer.kinematics import integrate, joint_positions
+from cbfsteer.kinematics import ArmModel, _check_config, joint_positions
 from cbfsteer.planner import Edge, validate_and_truncate
 
 import geometry_oracle
+
+
+def clamp_to_limits(arm: ArmModel, q: np.ndarray) -> np.ndarray:
+    """Clamp each joint into its limit interval (idempotent)."""
+    q = _check_config(arm, q)
+    return np.clip(q, arm.lower, arm.upper)
+
+
+def integrate(arm: ArmModel, q: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, bool]:
+    """One exact Euler step of q_dot = u, clamped to joint limits.
+
+    Controls outside the action box are clipped; the returned flag reports
+    whether clipping happened. Raises on non-finite u.
+    """
+    q = _check_config(arm, q)
+    u = np.asarray(u, dtype=float)
+    if u.shape != (arm.n_links,):
+        raise ValueError(f"control has shape {u.shape}, expected ({arm.n_links},)")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("non-finite control input")
+    u_clipped = np.clip(u, arm.action_lower, arm.action_upper)
+    clipped = bool(np.any(u_clipped != u))
+    return clamp_to_limits(arm, q + u_clipped * dt), clipped
 
 
 def step_obstacles(env: Environment, dt: float) -> Environment:

@@ -326,3 +326,78 @@ class TestEvalController:
     def test_unknown_setting_rejected(self, cfg, arm):
         with pytest.raises(ValueError):
             bench.eval_controller([], {"name": "hand-cbf"}, "bogus", arm, cfg)
+
+
+def cloud_bytes(cloud):
+    return cloud.points.tobytes() + cloud.normals.tobytes() + cloud.source.value.encode()
+
+
+class TestObserver:
+    """The one observation rule, for each barrier kind in each setting."""
+
+    @pytest.fixture
+    def methods(self, cfg, arm, tmp_path):
+        from cbfsteer.config import cloud_widths, make_hyper, state_widths
+        from cbfsteer.neural import Mlp, PointSetEncoder, save_checkpoint
+
+        rng = np.random.default_rng(25)
+        nets = {"state": Mlp.create(state_widths(cfg, arm), rng),
+                "cloud": PointSetEncoder.create(arm.n_links, *cloud_widths(cfg, arm), rng=rng)}
+        for kind, net in nets.items():
+            save_checkpoint(tmp_path / f"{kind}.json", kind, net, make_hyper(cfg, kind).to_json())
+        return {"hand-cbf": {"name": "hand-cbf"},
+                "cbf-state": {"name": "cbf-state", "checkpoint": str(tmp_path / "state.json")},
+                "cbf-cloud": {"name": "cbf-cloud", "checkpoint": str(tmp_path / "cloud.json")}}
+
+    @pytest.mark.parametrize("setting", bench.SETTINGS)
+    @pytest.mark.parametrize("name", ["hand-cbf", "cbf-state", "cbf-cloud"])
+    def test_observation_by_barrier_and_setting(self, cfg, arm, methods, monkeypatch,
+                                                name, setting):
+        from cbfsteer.config import make_scan_spec
+        from cbfsteer.environment import ray_cast_scan, sample_surface_points, step_obstacles
+
+        root_seed = 7
+        prob = bench.gen_problems(make_env_gen(cfg, num_obstacles=4), 2,
+                                  np.random.default_rng(26), arm, 0.025)[1]
+        barrier = bench._method_barrier(methods[name], arm, cfg, {})
+        observe = bench._observer(barrier, prob, setting, cfg, root_seed)
+
+        # eval_controller hands safe_rollout the observer of the same rule
+        seen = []
+        rollout = bench.safe_rollout
+
+        def recording_rollout(*args):
+            seen.append(args[-1])
+            return rollout(*args)
+
+        monkeypatch.setattr(bench, "safe_rollout", recording_rollout)
+        bench.eval_controller([prob], methods[name], setting, arm, cfg, root_seed=root_seed,
+                              horizon_s=0.1)
+        q = prob.q0
+        if name != "cbf-cloud":
+            assert observe is None and seen == [None]
+            if setting == "static_full":
+                assert bench.build_steer(methods[name], arm, prob, cfg, root_seed,
+                                         {}).bundle.observe is None
+            return
+        if setting == "static_full":
+            # the problem's surface cloud, seeded by problem id, whatever
+            # world the rollout is in
+            expected = cloud_bytes(sample_surface_points(
+                prob.environment, cfg["cloud"]["num_points"],
+                seed_stream(root_seed, "problem-cloud", prob.id)))
+            steer = bench.build_steer(methods[name], arm, prob, cfg, root_seed, {})
+            assert cloud_bytes(observe(prob.environment, arm, q)) == expected
+            assert cloud_bytes(steer.bundle.observe(prob.environment, arm, q)) == expected
+            assert cloud_bytes(seen[0](prob.environment, arm, q)) == expected
+        else:
+            # a ray-cast scan of the world it is given
+            moved = step_obstacles(
+                bench.dynamicize_problems([prob], 0.5, np.random.default_rng(27))[0].environment,
+                1.0)
+            for world in (prob.environment, moved):
+                expected = cloud_bytes(ray_cast_scan(world, arm, q, make_scan_spec(cfg)))
+                assert cloud_bytes(observe(world, arm, q)) == expected
+                assert cloud_bytes(seen[0](world, arm, q)) == expected
+            assert (cloud_bytes(observe(moved, arm, q))
+                    != cloud_bytes(observe(prob.environment, arm, q)))

@@ -92,23 +92,33 @@ def distance_net(n_links, scale=1.0, offset=0.0):
     return net
 
 
+def collect_settings(**overrides):
+    """`collect_dataset`'s data-collection settings at the default config's
+    values, with any of them overridden."""
+    cfg = load_config()
+    return {"r_thres": cfg["hyper"]["r_thres"], "cloud_points": cfg["cloud"]["num_points"],
+            "rollout_ticks": cfg["data"]["rollout_ticks"], "ctrl_hz": cfg["controller"]["ctrl_hz"],
+            "uniform_samples_per_env": cfg["data"]["uniform_samples_per_env"],
+            "r_goal": cfg["controller"]["r_goal"], **overrides}
+
+
 def small_dataset(arm, seed=0, uniform=400, rollouts=2, kind="state"):
     rng = np.random.default_rng(seed)
     return collect_dataset(
         arm, EnvGenConfig(), DatasetCounts(rollout_trajs=rollouts, uniform_samples=uniform),
-        NominalPolicy(), rng, observation_kind=kind, cloud_points=24)
+        NominalPolicy(), rng, observation_kind=kind, **collect_settings(cloud_points=24))
 
 
 class TestCollectDataset:
     def test_uniform_only_exact_count(self, arm):
         ds = collect_dataset(arm, EnvGenConfig(), DatasetCounts(0, 123), NominalPolicy(),
-                             np.random.default_rng(0))
+                             np.random.default_rng(0), **collect_settings())
         assert len(ds) == 123
         assert all(isinstance(s.observation, StateObservation) for s in ds.samples)
 
     def test_label_histogram_covers_all_classes(self, arm):
         ds = collect_dataset(arm, EnvGenConfig(), DatasetCounts(0, 10_000), NominalPolicy(),
-                             np.random.default_rng(1))
+                             np.random.default_rng(1), **collect_settings())
         counts = {label: 0 for label in SafetyLabel}
         for s in ds.samples:
             counts[s.label] += 1
@@ -127,13 +137,13 @@ class TestCollectDataset:
         # a threshold <= 0 would never label anything BOUNDARY
         with pytest.raises(ValueError, match="r_thres"):
             collect_dataset(arm, EnvGenConfig(), DatasetCounts(0, 10), NominalPolicy(),
-                            np.random.default_rng(0), r_thres=r_thres)
+                            np.random.default_rng(0), **collect_settings(r_thres=r_thres))
 
     def test_determinism_byte_identical(self, arm, tmp_path):
         for name in ("a", "b"):
             ds = collect_dataset(arm, EnvGenConfig(), DatasetCounts(2, 200), NominalPolicy(),
                                  np.random.default_rng(7), observation_kind="cloud",
-                                 cloud_points=16)
+                                 **collect_settings(cloud_points=16))
             ds.save(tmp_path / f"{name}.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
         assert (tmp_path / "a.envs.json").read_bytes() == (tmp_path / "b.envs.json").read_bytes()
@@ -484,7 +494,7 @@ class TestEvaluateConstraints:
         cfg = load_config()
         ds = collect_dataset(arm, EnvGenConfig(), DatasetCounts(rollout_trajs=2, uniform_samples=600),
                              NominalPolicy(), np.random.default_rng(21), observation_kind=kind,
-                             cloud_points=64)
+                             **collect_settings(cloud_points=64))
         hyper = make_hyper(cfg, kind)
         rng = np.random.default_rng(22)
         if kind == "cloud":
@@ -1048,7 +1058,7 @@ class TestBlockForwardOracle:
     def test_training_and_audit_bytes(self, arm, monkeypatch):
         ds = collect_dataset(arm, EnvGenConfig(), DatasetCounts(rollout_trajs=1, uniform_samples=90),
                              NominalPolicy(), np.random.default_rng(8), observation_kind="cloud",
-                             cloud_points=64)
+                             **collect_settings(cloud_points=64))
         hyper = make_hyper(load_config(), "cloud")
         schedule = TrainSchedule(epochs=2, batch_size=32)
         trained, epochs, audits = [], [], []

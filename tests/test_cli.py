@@ -216,12 +216,13 @@ class TestCheckpointWithoutHyper:
         from cbfsteer.controller import NominalPolicy
         from cbfsteer.environment import EnvGenConfig
         from cbfsteer.neural import Mlp, PointSetEncoder, save_checkpoint
+        from test_cbf import collect_settings
 
         cfg = load_config()
         arm = make_arm(cfg)
         rng = np.random.default_rng(0)
         dataset = collect_dataset(arm, EnvGenConfig(), DatasetCounts(0, 20), NominalPolicy(), rng,
-                                  observation_kind=kind, cloud_points=8)
+                                  observation_kind=kind, **collect_settings(cloud_points=8))
         dataset.save(tmp_path / "data.jsonl")
         if kind == "state":
             net = Mlp.create(state_widths(cfg, arm), rng)

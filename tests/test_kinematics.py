@@ -1,6 +1,7 @@
 """Arm model tests: joint positions against a phasor oracle and, bit for
 bit, against a real-arithmetic chain; limit clamping and exact
-integration."""
+integration, in the zero-order hold and in the per-step reference that
+`rollout_oracle` keeps."""
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from cbfsteer.kinematics import (
     ArmModel,
     batch_joint_positions,
     batch_link_frames,
-    clamp_to_limits,
-    integrate,
+    hold,
     joint_positions,
     sample_config,
 )
 from geometry_oracle import real_chain_joint_positions
+from rollout_oracle import clamp_to_limits, integrate
 
 
 def phasor_tip(lengths, q, base=(0.0, 0.0)):
@@ -123,14 +124,21 @@ class TestBatchJointPositions:
         np.testing.assert_array_equal(frame_angles, angles)
 
 
+def hold_still(arm, q):
+    """The hold's clamp alone: one substep with zero control."""
+    return hold(arm, q, np.zeros(arm.n_links), 1, 0.1)[0]
+
+
 class TestClamp:
     def test_inside_unchanged(self, arm):
         q = np.array([0.1, -0.2, 0.3])
         np.testing.assert_array_equal(clamp_to_limits(arm, q), q)
+        np.testing.assert_array_equal(hold_still(arm, q), q)
 
     def test_above_upper(self, arm):
         q = np.array([arm.joint_upper[0] + 0.5, 0.0, 0.0])
         assert clamp_to_limits(arm, q)[0] == arm.joint_upper[0]
+        assert hold_still(arm, q)[0] == arm.joint_upper[0]
 
     def test_idempotent(self, arm):
         rng = np.random.default_rng(4)
@@ -138,6 +146,7 @@ class TestClamp:
             q = rng.uniform(-5, 5, arm.n_links)
             once = clamp_to_limits(arm, q)
             np.testing.assert_array_equal(clamp_to_limits(arm, once), once)
+            np.testing.assert_array_equal(hold_still(arm, hold_still(arm, q)), once)
 
 
 class TestIntegrate:
@@ -146,11 +155,14 @@ class TestIntegrate:
         q2, clipped = integrate(arm, q, np.zeros(3), 0.1)
         np.testing.assert_array_equal(q2, q)
         assert not clipped
+        np.testing.assert_array_equal(hold(arm, q, np.zeros(3), 1, 0.1), [q])
 
     def test_euler_step(self, wide_arm):
         q2, clipped = integrate(wide_arm, np.zeros(2), np.array([1.0, -1.0]), 0.1)
         np.testing.assert_allclose(q2, [0.1, -0.1])
         assert not clipped
+        np.testing.assert_allclose(hold(wide_arm, np.zeros(2), np.array([1.0, -1.0]), 1, 0.1),
+                                   [[0.1, -0.1]])
 
     def test_constant_control_closed_form(self, arm):
         rng = np.random.default_rng(5)
@@ -163,6 +175,7 @@ class TestIntegrate:
             qq, _ = integrate(arm, qq, u, dt)
         expected = clamp_to_limits(arm, q + u * dt * steps)
         np.testing.assert_allclose(qq, expected, atol=1e-12)
+        np.testing.assert_allclose(hold(arm, q, u, steps, dt)[-1], expected, atol=1e-12)
 
     def test_out_of_box_clipped_and_flagged(self, arm):
         q = np.zeros(3)
@@ -173,6 +186,32 @@ class TestIntegrate:
     def test_nonfinite_control_raises(self, arm):
         with pytest.raises(ValueError):
             integrate(arm, np.zeros(3), np.array([np.nan, 0.0, 0.0]), 0.1)
+
+    def test_one_substep_hold_is_one_step_bit_for_bit(self, arm):
+        # data collection steps its rollouts with hold(..., 1, dt)[0]: on
+        # in-box controls it is the clamped Euler step, signed zeros and
+        # joint-limit clamps included
+        rng = np.random.default_rng(6)
+        clamped = negative_zeros = 0
+        for i in range(20_000):
+            q = sample_config(arm, rng)
+            u = rng.uniform(arm.action_lower, arm.action_upper)
+            if i % 4 == 1:  # start at or just inside a limit and push outward
+                j = rng.integers(arm.n_links)
+                sign = rng.choice([-1.0, 1.0])
+                q[j] = (arm.upper if sign > 0 else arm.lower)[j] - sign * rng.uniform(0, 0.02)
+                u[j] = sign * abs(u[j])
+            if i % 4 == 2:  # signed zeros in the state and the control
+                q[rng.random(arm.n_links) < 0.5] = -0.0
+                u[rng.random(arm.n_links) < 0.5] = rng.choice([0.0, -0.0])
+            dt = (1.0 / 30, 1.0 / 120, rng.uniform(0.0, 0.1))[i % 3]
+            step, _ = integrate(arm, q, u, dt)
+            held = hold(arm, q, u, 1, dt)
+            assert held.shape == (1, arm.n_links)
+            assert held[0].tobytes() == step.tobytes()
+            clamped += int(np.any((step == arm.upper) | (step == arm.lower)))
+            negative_zeros += int(np.any((step == 0.0) & np.signbit(step)))
+        assert clamped > 1000 and negative_zeros > 100
 
 
 class TestArmModel:
