@@ -32,6 +32,7 @@ from .environment import (
 from .jsonio import Record, canonical_dumps, dump_json, load_json, load_jsonl
 from .kinematics import ArmModel, batch_link_frames, hold, sample_config
 from .neural import (
+    CloudBlocks,
     Mlp,
     PointSetEncoder,
     adam_step,
@@ -250,7 +251,9 @@ def h_and_grad(net, q: np.ndarray, env: Environment | None, arm: ArmModel,
     With layers 32 or more wide the values match the same sample's in a
     batched pass to rounding, not bit for bit: BLAS libraries run the small
     products of a one-sample stencil through kernels that sum in another
-    order (OpenBLAS does so for the default 64-wide state net).
+    order (OpenBLAS does so for the default 64-wide state net). A cloud
+    net's per-point products run block by block, the same size in any
+    batch, so only its trunk can differ so.
     """
     qs = _stencil_configs(q, hyper.fd_step)
     if isinstance(net, Mlp):
@@ -273,77 +276,21 @@ def h_and_grad(net, q: np.ndarray, env: Environment | None, arm: ArmModel,
     return float(h[0, 0]), (h[0, 1:] - h[0, 0]) / hyper.fd_step
 
 
-# Fewest per-point rows (samples x points x blocks) at which a stencil shares
-# its unmoved link frames. Below a size BLAS libraries switch to small-matrix
-# kernels that sum in another order (OpenBLAS on AVX-512: below about 1200
-# output entries), so a smaller call keeps the full stencil's row count and
-# with it the full stencil's values.
-SHARED_ROWS_MIN = 256
-
-
 @functools.cache
-def _stencil_blocks(n: int, shared: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The link frames an n-link stencil computes, as blocks.
-
-    Stencil row j+1 moves joint j only, so its links before j keep row 0's
-    frames. Shared, the n(n+3)/2 blocks are slot 0's n links, then links
-    j..n-1 of slot j+1; unshared, every slot's n links. Returns each block's
-    frame index slot*n + link (K,), its one-hot link (K, n), and the block
-    holding each slot's link frame (n+1, n).
-    """
-    if shared:
-        slots = [0] * n + [j + 1 for j in range(n) for _ in range(j, n)]
-        links = list(range(n)) + [ell for j in range(n) for ell in range(j, n)]
-    else:
-        slots = [s for s in range(n + 1) for _ in range(n)]
-        links = list(range(n)) * (n + 1)
+def _stencil_blocks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The link frames an n-link stencil computes, as blocks: stencil row j+1
+    moves joint j only, so its links before j keep row 0's frames, and the
+    n(n+3)/2 blocks are slot 0's n links, then links j..n-1 of slot j+1.
+    Returns each block's frame index slot*n + link (K,), its link (K,), and
+    the block holding each slot's link frame (n+1, n)."""
+    slots = [0] * n + [j + 1 for j in range(n) for _ in range(j, n)]
+    links = list(range(n)) + [ell for j in range(n) for ell in range(j, n)]
     table = np.tile(np.arange(n), (n + 1, 1))
     table[slots, links] = np.arange(len(links))
-    blocks = (np.array(slots) * n + np.array(links), np.eye(n)[links], table)
+    blocks = (np.array(slots) * n + np.array(links), np.array(links), table)
     for a in blocks:
         a.flags.writeable = False  # shared by every call
     return blocks
-
-
-def _block_records(arm: ArmModel, qs: np.ndarray, points: np.ndarray, normals: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Link-frame records of stencil batches at the stencil's distinct frames.
-
-    qs: (B, n+1, n) stencil configurations (`_stencil_configs` rows);
-    points/normals: (B, N, 2), shared across a sample's stencil. Returns the
-    records (B, N, K, 4+n), point-major, each [point and normal in the
-    block's link frame, one-hot link], and the slot-to-block table (n+1, n).
-    The records are a view of field-major storage, so each field is built
-    with contiguous array operations.
-    """
-    b, s, n = qs.shape
-    n_pts = points.shape[1]
-    if s != n + 1:
-        raise ValueError(f"stencil has {s} slots, expected {n + 1}")
-    shared = b * n_pts * n * (n + 3) // 2 >= SHARED_ROWS_MIN
-    frames, one_hot, table = _stencil_blocks(n, shared)
-    k = frames.size
-    origins, angles = batch_link_frames(arm, qs.reshape(b * s, n))
-    # [point, normal] x [world x, world y] relative to each block's frame
-    # origin (normals are directions: origin 0), (2, 2, B, N, K)
-    shift = np.zeros((2, 2, b, 1, k))
-    shift[0, :, :, 0] = origins.reshape(b, s * n, 2)[:, frames].transpose(2, 0, 1)
-    rel = np.concatenate([points[None], normals[None]]).transpose(0, 3, 1, 2)[..., None] - shift
-    # rotation into each frame: rot[i, j] multiplies world axis i for frame axis j
-    angles = angles.reshape(b, 1, s * n)[..., frames]
-    rot = np.empty((2, 2, b, 1, k))
-    np.cos(angles, out=rot[0, 0])
-    np.sin(angles, out=rot[1, 0])
-    np.negative(rot[1, 0], out=rot[0, 1])
-    rot[1, 1] = rot[0, 0]
-    # field-major storage: each record field is one contiguous (B, N, K) array
-    fields = np.empty((4 + n, b, n_pts, k))
-    local = fields[:4].reshape(2, 2, b, n_pts, k)  # [point, normal] x [frame x, frame y]
-    np.multiply(rot[0], rel[:, :1], out=local)
-    local += rot[1] * rel[:, 1:]
-    fields[4:] = one_hot.T[:, None, None, :]
-    recs = fields.transpose(1, 2, 3, 0)
-    return recs, table
 
 
 @dataclass
@@ -363,10 +310,14 @@ class _Prepared:
     unsafe_mask: np.ndarray | None = None
 
     def take(self, idx) -> "_Prepared":
-        """The samples at `idx` (index array or slice); the clouds stay shared."""
-        return replace(self, **{k: getattr(self, k)[idx] for k in
-                                ("x", "qs", "cloud", "safe_mask", "unsafe_mask")
+        """The samples at `idx` (index array or slice) and the cloud rows they use."""
+        part = replace(self, **{k: getattr(self, k)[idx] for k in
+                                ("x", "qs", "safe_mask", "unsafe_mask")
                                 if getattr(self, k) is not None})
+        if self.cloud is not None:
+            used, part.cloud = np.unique(self.cloud[idx], return_inverse=True)
+            part.points, part.normals = self.points[used], self.normals[used]
+        return part
 
 
 def stencil_distances(samples, arm: ArmModel, hyper: CbfHyper, envs) -> np.ndarray:
@@ -414,10 +365,14 @@ def _forward_stencil(net, prep: _Prepared, arm: ArmModel):
         b, s, d_in = prep.x.shape
         y, tape = mlp_forward(net, prep.x.reshape(b * s, d_in))
         return y[:, 0].reshape(b, s), tape
-    recs, slot_blocks = _block_records(arm, prep.qs, prep.points[prep.cloud],
-                                       prep.normals[prep.cloud])
     b, s, n = prep.qs.shape
-    h, tape = encoder_forward_batch(net, prep.qs.reshape(b * s, n), recs, slot_blocks)
+    frames, links, slot_blocks = _stencil_blocks(n)
+    origins, angles = batch_link_frames(arm, prep.qs.reshape(b * s, n))
+    blocks = CloudBlocks(points=prep.points, normals=prep.normals, cloud=prep.cloud,
+                         origins=origins.reshape(b, s * n, 2).take(frames, axis=1),
+                         angles=angles.reshape(b, s * n).take(frames, axis=1), links=links,
+                         slot_blocks=slot_blocks)
+    h, tape = encoder_forward_batch(net, prep.qs.reshape(b * s, n), blocks)
     return h.reshape(b, s), tape
 
 
@@ -487,9 +442,8 @@ def loss(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, want_grads: bool 
 def _audit(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, batch_size: int = 128
            ) -> dict:
     """Satisfaction rates of the three barrier conditions on a prepared set,
-    evaluated in batches. A cloud batch's per-point temporaries grow with its
-    size (about 130 MB at 512 samples of 64 points), so the default is the
-    cloud training batch."""
+    evaluated in batches of the cloud training size; the encoder runs its
+    per-point net on chunks of samples whatever the batch size."""
     n_total = prep.safe_mask.size
     ok_safe = ok_unsafe = ok_deriv = 0
     for start in range(0, n_total, batch_size):

@@ -85,29 +85,22 @@ def mlp_forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
     return a, MlpTape(net=net, x=x, hidden=hidden, y=a)
 
 
-def mlp_backward(tape: MlpTape, upstream: np.ndarray, rows=None) -> tuple[Params, np.ndarray]:
+def mlp_backward(tape: MlpTape, upstream: np.ndarray) -> tuple[Params, np.ndarray]:
     """Reverse pass from the output gradients `upstream` (B, out): (parameter
-    gradients summed over the batch, input gradients (B, in)).
-
-    `rows` (optional) is an index array into the tape's rows: the pass then
-    runs on those rows, in that order, exactly as on the tape of a forward
-    pass over the gathered inputs. Each layer's activations are gathered when
-    that layer is reached.
-    """
+    gradients summed over the batch, input gradients (B, in))."""
     net = tape.net
     delta = np.asarray(upstream, dtype=float)
     param_grads: list = [None] * len(net.params)
     acts = [tape.x] + tape.hidden  # inputs to each layer
     for i in range(len(net.params) - 1, -1, -1):
         w, _ = net.params[i]
-        a_in = acts[i] if rows is None else acts[i].take(rows, axis=0)
-        dw = delta.T @ a_in
+        dw = delta.T @ acts[i]
         db = delta.sum(axis=0)
         param_grads[i] = (dw, db)
         delta = delta @ w
         if i > 0:
-            # tanh' = 1 - a^2; a gathered copy is overwritten, the tape is not
-            slope = np.square(a_in, out=None if rows is None else a_in)
+            # tanh' = 1 - a^2
+            slope = np.square(acts[i])
             np.subtract(1.0, slope, out=slope)
             delta *= slope
     return param_grads, delta
@@ -153,50 +146,154 @@ class PointSetEncoder:
 
 
 @dataclass
+class CloudBlocks:
+    """The distinct clouds points, normals (C, N, 2) of a batch of B samples,
+    each sample's row of them cloud (B,), and the link frames (blocks) each
+    sample sees its cloud in: block k of sample b has origin origins[b, k]
+    (B, K, 2), angle angles[b, k] (B, K), both C-contiguous, and link
+    links[k] (K,). Slot s of a sample pools its blocks slot_blocks[s] (S, n),
+    one per link."""
+
+    points: np.ndarray
+    normals: np.ndarray
+    cloud: np.ndarray
+    origins: np.ndarray
+    angles: np.ndarray
+    links: np.ndarray
+    slot_blocks: np.ndarray
+
+    def records(self, rows: np.ndarray) -> np.ndarray:
+        """The per-point records at flat rows (b*K + k)*N + point, (R, 4+n):
+        the point and normal in block k's frame, Rᵀ(p - o) and Rᵀn, then the
+        one-hot link."""
+        block, point = np.divmod(rows, self.points.shape[1])
+        cloud = self.cloud[block // self.links.size]
+        c, s = (f(self.angles).reshape(-1)[block] for f in (np.cos, np.sin))
+        rel = self.points[cloud, point] - self.origins.reshape(-1, 2)[block]
+        recs = np.zeros((rows.size, 4 + self.slot_blocks.shape[1]))
+        for j, v in enumerate((rel, self.normals[cloud, point])):
+            recs[:, 2 * j] = c * v[:, 0] + s * v[:, 1]
+            recs[:, 2 * j + 1] = -s * v[:, 0] + c * v[:, 1]
+        recs[np.arange(rows.size), 4 + self.links[block % self.links.size]] = 1.0
+        return recs
+
+
+@dataclass
 class EncoderTape:
     enc: PointSetEncoder
-    point_tape: MlpTape  # per-point net on the block records, rows (B, N, K)
-    trunk_tape: MlpTape
+    blocks: CloudBlocks
+    point: np.ndarray  # (B, K, F) the first point reaching each block's max, before the bias
     block_max: np.ndarray  # (B, K, F) each block's pooled features
-    slot_blocks: np.ndarray  # (S, n) the block of each slot's link
+    trunk_tape: MlpTape
 
 
-def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, records: np.ndarray,
-                          slot_blocks: np.ndarray) -> tuple[np.ndarray, EncoderTape]:
-    """Batched encoder pass on prebuilt block records.
+# Points per block are padded to a multiple of this by repeating the last
+# point: BLAS kernels sum a partial tile of a product's contiguous axis in
+# another order, so without it a point's features would depend on how many
+# points its cloud has.
+POINT_ALIGN = 8
 
-    records: (B, N, K, 4+n), point-major: each of a sample's N points seen
-    from K link frames (blocks). Slot s of a sample pools the n blocks
-    `slot_blocks[s]` (S, n), one per link; qs (B*S, n) are the slots'
-    configurations. Returns h (B*S,). The max pool runs over each block's
-    points, then over a slot's blocks, so it equals one max over the slot's
-    n*N records.
-    """
-    qs = np.asarray(qs, dtype=float)
-    records = np.asarray(records, dtype=float)
-    b, n_pts, k, din = records.shape
-    phi, point_tape = mlp_forward(enc.per_point, records.reshape(b * n_pts * k, din))
+# J(x, y) = (-y, x) on [point, normal] rows: a quarter turn of each
+_TURN, _TURN_SIGN = np.array([1, 0, 3, 2]), np.array([[-1.0], [1.0], [-1.0], [1.0]])
+
+
+def _cloud_terms(per_point: Mlp, blocks: CloudBlocks) -> np.ndarray:
+    """The first layer's cloud terms of each distinct cloud, feature-major
+    (C, 2, H, N'): A = W_p p + W_n n and B = W_p Jp + W_n Jn with J a
+    quarter turn, over the cloud's points padded to N' (`POINT_ALIGN`)."""
+    cloud_in = np.concatenate([blocks.points, blocks.normals], axis=2)  # (C, N, 4)
+    if not np.isfinite(cloud_in).all():
+        raise ValueError("non-finite network input")
+    pad = -cloud_in.shape[1] % POINT_ALIGN
+    if pad:
+        cloud_in = np.concatenate([cloud_in] + [cloud_in[:, -1:]] * pad, axis=1)
+    cloud_in = cloud_in.transpose(0, 2, 1)
+    both = np.empty((len(cloud_in), 2) + cloud_in.shape[1:])  # [v; Jv]
+    both[:, 0] = cloud_in
+    np.multiply(cloud_in[:, _TURN], _TURN_SIGN, out=both[:, 1])
+    return np.matmul(per_point.params[0][0][:, :4], both)
+
+
+def _point_features(per_point: Mlp, blocks: CloudBlocks, terms: np.ndarray, part: slice,
+                    work: list) -> np.ndarray:
+    """The per-point net's output on every block of the samples `part`,
+    feature-major (B, K, F, N'), with no record built: the first layer is
+    linear in a record [Rᵀ(p - o), Rᵀn, e_l], and Rᵀv = cos θ·v - sin θ·Jv,
+    so block k (angle θ, origin o, link l) gets cos θ·A - sin θ·B + g_k from
+    the cloud terms (`_cloud_terms`) and g_k = W_e e_l + b - W_p Rᵀo. Every
+    product is feature-major with its points contiguous, so a block's max
+    pool runs along them. The output layer's bias is left out: adding a
+    constant commutes with a max, since rounding is monotone, so the caller
+    adds it to each block's pooled max instead of to every point. `work`,
+    empty at a batch's first call, keeps each layer's output array for the
+    next call on as many samples or fewer, which overwrites the returned
+    features."""
+    layers = per_point.params
+    w, bias = layers[0]
+    turn = np.exp(blocks.angles[part] * -1j)  # cos θ - i sin θ
+    b, k = turn.shape
+    if not work:
+        work.extend(np.empty((b, k, len(w_i), terms.shape[3])) for w_i, _ in layers)
+    rot = turn.view(float).reshape(b, k, 2)
+    pair = terms[blocks.cloud[part]].reshape(b, 2, -1)
+    z = np.matmul(rot, pair, out=work[0][:b].reshape(b, k, -1)).reshape(b, k, len(w), -1)
+    # Rᵀo = (cos θ - i sin θ)(o_x + i o_y)
+    local = (turn * blocks.origins[part].view(complex)[..., 0]).view(float).reshape(b, k, 2)
+    link = w[:, 4:][:, blocks.links].T
+    if len(layers) > 1:  # an output layer's bias is added after the pool
+        link = link + bias
+    z += (link - local @ w[:, :2].T)[..., None]
+    for i in range(1, len(layers)):
+        w, bias = layers[i]
+        z = np.matmul(w, np.tanh(z, out=z), out=work[i][:b])
+        if i + 1 < len(layers):
+            z += bias[:, None]
+    return z
+
+
+# Samples per per-point pass; its arrays, a few MB, serve every chunk.
+CHUNK_SAMPLES = 16
+
+
+def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, blocks: CloudBlocks
+                          ) -> tuple[np.ndarray, EncoderTape]:
+    """Batched encoder pass on the blocks of B samples, S slots each; qs
+    (B*S, n) are the slots' configurations. The per-point net runs on chunks
+    of samples, and each block's max pool is one argmax along the contiguous
+    points axis; slot s then pools its blocks `blocks.slot_blocks[s]`. Max
+    is exact, so that equals one max over the slot's n*N records. Returns h
+    (B*S,)."""
+    b, k = blocks.angles.shape
     f = enc.feature_width
-    block_max = phi.reshape(b, n_pts, k * f).max(axis=1).reshape(b, k, f)
-    feature = block_max[:, slot_blocks].max(axis=2)  # (B, S, F)
-    trunk_in = np.concatenate([feature.reshape(-1, f), qs], axis=1)
-    y, trunk_tape = mlp_forward(enc.trunk, trunk_in)
-    tape = EncoderTape(enc=enc, point_tape=point_tape, trunk_tape=trunk_tape,
-                       block_max=block_max, slot_blocks=slot_blocks)
-    return y[:, 0], tape
+    terms = _cloud_terms(enc.per_point, blocks)
+    point = np.empty((b, k, f), dtype=np.intp)
+    block_max = np.empty((b, k, f))
+    work = []
+    for start in range(0, b, CHUNK_SAMPLES):
+        part = slice(start, start + CHUNK_SAMPLES)
+        phi = _point_features(enc.per_point, blocks, terms, part, work)
+        point[part] = phi.argmax(axis=3)
+        phi = phi.reshape(-1, phi.shape[3])
+        block_max[part] = phi[np.arange(len(phi)), point[part].reshape(-1)].reshape(-1, k, f)
+    block_max += enc.per_point.params[-1][1]
+    feature = block_max[:, blocks.slot_blocks].max(axis=2)  # (B, S, F)
+    y, trunk_tape = mlp_forward(enc.trunk, np.concatenate([feature.reshape(-1, f), qs], axis=1))
+    return y[:, 0], EncoderTape(enc=enc, blocks=blocks, point=point, block_max=block_max,
+                                trunk_tape=trunk_tape)
 
 
 def _winner_rows(tape: EncoderTape) -> np.ndarray:
-    """The block-tape row of the record that wins each pooled coordinate of
-    each slot (B, S, F), the first one on ties: the first point reaching its
-    block's max, in the first link whose block reaches the slot's max."""
+    """The flat per-point row (b*K + k)*N + point of the record that wins
+    each pooled coordinate of each slot (B, S, F), the first one on ties:
+    the first point reaching its block's max, in the first link whose block
+    reaches the slot's max."""
     b, k, f = tape.block_max.shape
-    phi = tape.point_tape.y.reshape(b, -1, k, f)
-    first_point = np.argmax(phi == tape.block_max[:, None], axis=1)  # (B, K, F)
-    link = np.argmax(tape.block_max[:, tape.slot_blocks], axis=2)  # (B, S, F), first on ties
-    block = tape.slot_blocks[np.arange(len(tape.slot_blocks))[:, None], link]
-    point = first_point[np.arange(b)[:, None, None], block, np.arange(f)]
-    return (np.arange(b)[:, None, None] * phi.shape[1] + point) * k + block
+    slot_blocks = tape.blocks.slot_blocks
+    link = np.argmax(tape.block_max[:, slot_blocks], axis=2)  # (B, S, F), first on ties
+    block = slot_blocks[np.arange(len(slot_blocks))[:, None], link]
+    sample = np.arange(b)[:, None, None]
+    point = tape.point[sample, block, np.arange(f)]
+    return (sample * k + block) * tape.blocks.points.shape[1] + point
 
 
 def _winner_upstream(tape: EncoderTape, d_feature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,19 +309,15 @@ def _winner_upstream(tape: EncoderTape, d_feature: np.ndarray) -> tuple[np.ndarr
 
 
 def encoder_backward_batch(tape: EncoderTape, upstream) -> tuple[Params, np.ndarray]:
-    """Reverse pass for the batched encoder.
-
-    upstream: array (B*S,). Returns (parameter grads with the per-point
-    layers first, q input grads (B*S, n)). A max pool passes each pooled
-    coordinate's gradient to the one record that wins it, so the per-point
-    pass runs on the winning block rows alone. Trunk and q grads are bit for
-    bit those of a pass over every slot's n*N records; the per-point grads
-    sum the same terms in another order, so they agree to rounding.
-    """
+    """Reverse pass for the batched encoder from upstream (B*S,): (parameter
+    grads, per-point layers first; q input grads (B*S, n)). A max pool
+    passes each pooled coordinate's gradient to the one record that wins it,
+    so the per-point net reruns on the records rebuilt at the winning rows."""
     f = tape.enc.feature_width
     trunk_grads, trunk_in_grad = mlp_backward(tape.trunk_tape, upstream[:, None])
     rows, delta = _winner_upstream(tape, trunk_in_grad[:, :f])
-    point_grads, _ = mlp_backward(tape.point_tape, delta, rows=rows)
+    _, point_tape = mlp_forward(tape.enc.per_point, tape.blocks.records(rows))
+    point_grads, _ = mlp_backward(point_tape, delta)
     return point_grads + trunk_grads, trunk_in_grad[:, f:]
 
 

@@ -8,14 +8,20 @@ on ties), and the reverse pass scatters the pooled gradient back through
 that argmax. The MLP passes are the plain forms with one temporary per
 operation.
 
-The package computes each distinct (slot, link) frame once instead, and its
-reverse pass runs the per-point net only on the block rows that win a pooled
-coordinate. The tests hold it to this code bit for bit in h, grad h, the
-loss and its components, the winning records, the trunk and q gradients, the
-upstream the winning rows receive (this scatter, summed per shared block
-row) and the audit of a fixed net. Per-point parameter gradients sum the
-same terms in another order, so they are held to relative 1e-12 at the
-batch's gradient scale, and trained checkpoints to a tolerance.
+The package builds no records in its forward pass: it folds each distinct
+(slot, link) frame into the per-point net's first layer and runs the net
+feature-major, block by block. Its reverse pass rebuilds the records at the
+rows that win a pooled coordinate alone and reruns the per-point net there.
+The sums therefore run in another order, and the tests hold the package to
+this code at relative 1e-12 of the batch's largest reference magnitude:
+stencil-slot h, grad h (that over the step), q gradients, the loss and its
+components, and every parameter gradient. They stay exact where no sum is
+reordered: the records rebuilt at the winning rows (`stencil_records`'
+formula, in its order of operations), the winners against the first argmax
+of the package's own per-point features, ties (duplicated points and
+zero-weight features take the first record, as `np.argmax` here does), the
+upstream each winning row receives, and the audit counts of a fixed net.
+Trained parameters are held to a tolerance.
 """
 
 from __future__ import annotations

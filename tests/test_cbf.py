@@ -1,6 +1,9 @@
 """Barrier machinery tests: dataset collection, numerical Lie derivatives,
 the control-term infimum against brute force, loss plumbing and training."""
 
+import copy
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,6 @@ from cbfsteer.cbf import (
     TrainSchedule,
     _condition_values,
     _forward_stencil,
-    _block_records,
     _prepare,
     _stencil_blocks,
     _stencil_configs,
@@ -49,6 +51,8 @@ from cbfsteer.kinematics import ArmModel, joint_positions, sample_config
 from cbfsteer.neural import (
     Mlp,
     PointSetEncoder,
+    _cloud_terms,
+    _point_features,
     _winner_rows,
     _winner_upstream,
     encoder_backward_batch,
@@ -723,27 +727,21 @@ class TestPrepareOnce:
 
 
 def parent_h_and_grad(net, q, env, arm, fd_step, observation=None):
-    """The barrier value and gradient as computed before inference shared
-    the training forward pass: refreshed signed distances for a state net
-    (slot 0 from the observation when one is given), the observed cloud held
-    fixed for a cloud net."""
+    """A state net's barrier value and gradient as computed before inference
+    shared the training forward pass: refreshed signed distances, slot 0
+    from the observation when one is given."""
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
     qs = np.tile(q, (n + 1, 1))
     qs[1:] += np.eye(n) * fd_step
-    if isinstance(net, Mlp):
-        if observation is not None:
-            ds = np.empty(n + 1)
-            ds[0] = observation.min_signed_distance
-            ds[1:] = signed_distance_batch(env, arm, qs[1:])
-        else:
-            ds = signed_distance_batch(env, arm, qs)
-        y, _ = encoder_oracle.mlp_forward(net, np.concatenate([qs, ds[:, None]], axis=1))
-        h = y[:, 0]
+    if observation is not None:
+        ds = np.empty(n + 1)
+        ds[0] = observation.min_signed_distance
+        ds[1:] = signed_distance_batch(env, arm, qs[1:])
     else:
-        recs = encoder_oracle.stencil_records(arm, qs[None, :, :], observation.points[None, :, :],
-                                              observation.normals[None, :, :])
-        h, _ = encoder_oracle.encoder_forward(net, qs, recs.reshape((n + 1,) + recs.shape[2:]))
+        ds = signed_distance_batch(env, arm, qs)
+    y, _ = encoder_oracle.mlp_forward(net, np.concatenate([qs, ds[:, None]], axis=1))
+    h = y[:, 0]
     return float(h[0]), (h[1:] - h[0]) / fd_step
 
 
@@ -779,6 +777,11 @@ class TestSharedStencilForwardPass:
             for s in samples:
                 obs = None if case == "state-unobserved" else s.observation
                 h, g = h_and_grad(net, s.q, env, arm, hyper, observation=obs)
+                if case == "cloud":
+                    # the folded first layer sums in another order: to rounding
+                    assert_h_and_grad_close(h, g, oracle_stencil_h(net, s.q, arm, hyper, obs),
+                                            hyper.fd_step)
+                    continue
                 h_ref, g_ref = parent_h_and_grad(net, s.q, env, arm, hyper.fd_step, obs)
                 assert h == h_ref
                 assert g.tobytes() == g_ref.tobytes()
@@ -860,12 +863,27 @@ def oracle_world(rng):
     return random_environment(EnvGenConfig(num_obstacles=3, shapes=("rect", "circle")), rng)
 
 
-def oracle_h_and_grad(net, q, arm, hyper, cloud):
-    """h and grad h through the full-row stencil forward."""
+def oracle_stencil_h(net, q, arm, hyper, cloud):
+    """h on the stencil slots (S,) through the full-row stencil forward."""
     prep = _prepare([LabeledSample(q=q, observation=cloud, label=SafetyLabel.SAFE, env_id=0)],
                     arm, hyper)
-    h, _ = encoder_oracle.forward_stencil(net, prep, arm)
-    return float(h[0, 0]), (h[0, 1:] - h[0, 0]) / hyper.fd_step
+    return encoder_oracle.forward_stencil(net, prep, arm)[0][0]
+
+
+def assert_h_and_grad_close(h, g, h_ref, fd_step):
+    """h and grad h of one stencil against the oracle's slot values h_ref
+    (S,): relative 1e-12 at the scale of the largest reference value, and
+    the forward differences to that over the step."""
+    scale = float(np.abs(h_ref).max())
+    assert abs(h - h_ref[0]) <= 1e-12 * scale
+    np.testing.assert_allclose(g, (h_ref[1:] - h_ref[0]) / fd_step, rtol=0.0,
+                               atol=2e-12 * scale / fd_step)
+
+
+def assert_close(got, ref):
+    """Within relative 1e-12 of the largest reference magnitude."""
+    ref = np.asarray(ref, dtype=float)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * float(np.abs(ref).max()))
 
 
 def full_row_training(monkeypatch):
@@ -882,35 +900,135 @@ def full_row_training(monkeypatch):
     monkeypatch.setattr(cbf_module, "encoder_backward_batch", encoder_oracle.encoder_backward)
 
 
-def assert_grads_match(got, ref, net):
-    """Encoder parameter grads against the full-row reverse pass: the
-    per-point layers to relative 1e-12 at the scale of the reference grads
-    (the winning-row pass sums the same terms in another order), the trunk
-    layers bit for bit."""
+def assert_grads_match(got, ref):
+    """Encoder parameter grads against the full-row reverse pass, every layer
+    to relative 1e-12 at the scale of the largest reference grad."""
     scale = max(float(np.abs(a).max()) for pair in ref for a in pair)
-    n_point = len(net.per_point.params)
-    for i, (g_pair, r_pair) in enumerate(zip(got, ref)):
+    for g_pair, r_pair in zip(got, ref):
         for g, r in zip(g_pair, r_pair):
-            if i < n_point:
-                np.testing.assert_allclose(g, r, rtol=0.0, atol=1e-12 * scale)
-            else:
-                assert g.tobytes() == r.tobytes()
+            np.testing.assert_allclose(g, r, rtol=0.0, atol=1e-12 * scale)
 
 
-def record_block_rows(tape, n_points):
-    """The block-tape row of every full-row record, (B, S, n*N) with each
-    slot's records link-major."""
-    b, k, _ = tape.block_max.shape
-    n = tape.slot_blocks.shape[1]
-    link, point = np.divmod(np.arange(n * n_points), n_points)
-    return (np.arange(b)[:, None, None] * n_points + point) * k + tape.slot_blocks[:, link]
+def record_rows(n_links, n_points, b):
+    """The package's flat per-point row (b*K + k)*N + point of every
+    full-row record, (B, S, n*N) with each slot's records link-major."""
+    table = _stencil_blocks(n_links)[2]
+    k = n_links * (n_links + 3) // 2
+    link, point = np.divmod(np.arange(n_links * n_points), n_points)
+    return (np.arange(b)[:, None, None] * k + table[:, link]) * n_points + point
+
+
+def own_winners(net, tape):
+    """The package's per-point features of a tape's blocks (B, K, F, N),
+    computed for the whole batch at once and without the output bias, and
+    the first argmax of each slot's n*N link-major records in the features
+    with it, as flat rows (B, S, F)."""
+    blocks = tape.blocks
+    terms = _cloud_terms(net.per_point, blocks)
+    n_pts = blocks.points.shape[1]
+    phi = _point_features(net.per_point, blocks, terms, slice(None), [])[..., :n_pts]
+    b, k, f, _ = phi.shape
+    s, n = blocks.slot_blocks.shape
+    full = phi + net.per_point.params[-1][1][:, None]
+    slots = full[:, blocks.slot_blocks].transpose(0, 1, 3, 2, 4).reshape(b, s, f, n * n_pts)
+    link, point = np.divmod(slots.argmax(axis=3), n_pts)
+    block = blocks.slot_blocks[np.arange(s)[:, None], link]
+    return (np.arange(b)[:, None, None] * k + block) * n_pts + point, phi
+
+
+def cloud_batch(arm, rng, kind, n_points, size=17):
+    batch = []
+    for _ in range(size):
+        env = oracle_world(rng)
+        cloud, _ = oracle_cloud(kind, env, arm, n_points, rng)
+        q = sample_config(arm, rng)
+        d = signed_distance(env, arm, q)
+        batch.append(LabeledSample(q=q, observation=cloud, label=safety_label(d, 0.05),
+                                   env_id=0))
+    return batch
+
+
+def check_against_oracle(net, prep, arm, hyper, rng, monkeypatch):
+    """The folded forward, its reverse pass and the loss against the
+    full-row code: values and gradients to relative 1e-12, and bit for bit
+    the winners (against the package's own per-point features), the records
+    rebuilt at the winning rows, and the upstream those rows receive."""
+    h, tape = _forward_stencil(net, prep, arm)
+    h_ref, tape_ref = encoder_oracle.forward_stencil(net, prep, arm)
+    assert_close(h, h_ref)
+    winners, phi = own_winners(net, tape)
+    assert np.array_equal(_winner_rows(tape), winners)
+    assert np.array_equal(tape.point, phi.argmax(axis=3))
+    out_bias = net.per_point.params[-1][1]
+    assert tape.block_max.tobytes() == (phi.max(axis=3) + out_bias).tobytes()
+    b, k, f, n_pts = phi.shape
+    n = arm.n_links
+    rows = np.unique(winners)
+    full = encoder_oracle.stencil_records(arm, prep.qs, prep.points[prep.cloud],
+                                          prep.normals[prep.cloud])
+    frames, links, _ = _stencil_blocks(n)
+    sample, block = np.divmod(rows // n_pts, k)
+    ref_recs = full[sample, frames[block] // n, links[block] * n_pts + rows % n_pts]
+    assert tape.blocks.records(rows).tobytes() == ref_recs.tobytes()
+    # a winning row's upstream sums the slots' gradients it wins, in slot order
+    up = rng.normal(size=h.size)
+    d_feature = mlp_backward(tape.trunk_tape, up[:, None])[1][:, :f]
+    dense = np.zeros((b * k * n_pts, f))
+    np.add.at(dense, (winners.reshape(-1), np.tile(np.arange(f), h.size)), d_feature.reshape(-1))
+    got_rows, delta = _winner_upstream(tape, d_feature)
+    assert np.array_equal(got_rows, rows)
+    assert delta.tobytes() == dense[rows].tobytes()
+    assert not np.delete(dense, rows, axis=0).any()
+    grads, q_grads = encoder_backward_batch(tape, up)
+    grads_ref, q_ref = encoder_oracle.encoder_backward(tape_ref, up)
+    assert_grads_match(grads, grads_ref)
+    assert_close(q_grads, q_ref)
+
+    total, comps, grads = loss(net, prep, arm, hyper)
+    with monkeypatch.context() as patch:
+        full_row_training(patch)
+        total_ref, comps_ref, grads_ref = loss(net, prep, arm, hyper)
+    # every component is non-negative, so the total is the largest magnitude
+    for got, ref in [(total, total_ref)] + [(comps[key], comps_ref[key]) for key in comps]:
+        assert abs(got - ref) <= 1e-12 * total_ref
+    assert_grads_match(grads, grads_ref)
+
+
+def check_training_against_oracle(ds, net_init, hyper, monkeypatch):
+    """Two epochs of training through the package and through the full-row
+    code from the same initial net, and one fixed net's audit through
+    both."""
+    schedule = TrainSchedule(epochs=2, batch_size=32)
+    trained, epochs, audits = [], [], []
+    for run in ("folded", "full-row"):
+        if run == "full-row":
+            full_row_training(monkeypatch)
+        net, report = train(ds, copy.deepcopy(net_init), hyper, schedule,
+                            np.random.default_rng(6))
+        trained.append(net)
+        epochs.append(report.epochs)
+        # one fixed net, the first run's, audited through each path
+        audits.append(evaluate_constraints(trained[0], ds, hyper=hyper, batch_size=40))
+    assert audits[0] == audits[1]
+    # the grads differ in the last bits, and a dozen Adam steps of size
+    # lr = 2e-3 carry that to about 1e-14 in the parameters; 1e-10 bounds it
+    # far below one step
+    for (w, b), (w_ref, b_ref) in zip(trained[0].all_params(), trained[1].all_params()):
+        np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(b, b_ref, rtol=0.0, atol=1e-10)
+    assert len(epochs[0]) == 2
+    for row, row_ref in zip(*epochs):
+        assert row.keys() == row_ref.keys()
+        for key, value in row.items():
+            assert value == pytest.approx(row_ref[key], rel=1e-9, abs=1e-12), key
 
 
 class TestBlockForwardOracle:
-    """The cloud encoder computes each (stencil slot, link) frame once; the
-    full-row forward in `encoder_oracle` builds all S*n*N records. They must
-    agree bit for bit in values; the reverse pass runs only on the winning
-    block rows, and its per-point parameter grads agree to rounding."""
+    """The cloud encoder folds each link frame into the per-point net's
+    first layer and computes each (stencil slot, link) frame once; the
+    full-row forward in `encoder_oracle` builds all S*n*N records. Values
+    and gradients agree to rounding; winners, the records rebuilt at them
+    and audits agree bit for bit."""
 
     @pytest.mark.parametrize("n_links", [2, 3, 5])
     @pytest.mark.parametrize("n_points", [1, 2, 64])
@@ -930,56 +1048,18 @@ class TestBlockForwardOracle:
                 q[::2] = -0.0  # signed zeros: the stencil rows turn them into +0.0
                 q[1::2] = 0.0
             h, g = h_and_grad(net, q, None, arm, hyper, observation=cloud)
-            h_ref, g_ref = oracle_h_and_grad(net, q, arm, hyper, cloud)
-            assert h == h_ref
-            assert g.tobytes() == g_ref.tobytes()
+            assert_h_and_grad_close(h, g, oracle_stencil_h(net, q, arm, hyper, cloud),
+                                    hyper.fd_step)
         if kind == "raycast":
             assert misses > 0
 
-    @pytest.mark.parametrize("n_links", [2, 3, 5])
-    def test_row_counts_around_the_sharing_floor(self, n_links):
-        # below the floor the stencil keeps every frame; the GEMM sizes either
-        # side of it must still give the full-row values
-        arm = ORACLE_ARMS[n_links]
-        rng = np.random.default_rng(7 + n_links)
-        net = PointSetEncoder.create(n_links, rng=rng)
-        hyper = CbfHyper()
-        blocks = n_links * (n_links + 3) // 2
-        for n_points in range(1, 256 // blocks + 4):
-            cloud = sample_surface_points(oracle_world(rng), n_points, rng)
-            q = sample_config(arm, rng)
-            h, g = h_and_grad(net, q, None, arm, hyper, observation=cloud)
-            h_ref, g_ref = oracle_h_and_grad(net, q, arm, hyper, cloud)
-            assert h == h_ref and g.tobytes() == g_ref.tobytes(), n_points
-
-    @pytest.mark.parametrize("n_links", [2, 3, 5])
-    @pytest.mark.parametrize("n_points", [1, 2, 64])
-    def test_block_records_are_the_full_records(self, n_links, n_points):
-        arm = ORACLE_ARMS[n_links]
-        rng = np.random.default_rng(n_links + 10 * n_points)
-        b = 3
-        qs = np.stack([_stencil_configs(sample_config(arm, rng), 1e-3) for _ in range(b)])
-        points = rng.uniform(-1, 1, (b, n_points, 2))
-        normals = rng.normal(size=(b, n_points, 2))
-        recs, table = _block_records(arm, qs, points, normals)
-        full = encoder_oracle.stencil_records(arm, qs, points, normals)
-        s, n = table.shape
-        full = full.reshape(b, s, n, n_points, 4 + n_links)
-        for slot in range(s):
-            for link in range(n):
-                got = recs[:, :, table[slot, link]]  # (B, N, 4+n)
-                assert got.tobytes() == np.ascontiguousarray(full[:, slot, link]).tobytes()
-
     def test_block_table(self):
-        frames, one_hot, table = _stencil_blocks(3, True)
+        frames, links, table = _stencil_blocks(3)
         assert frames.tolist() == [0, 1, 2, 3, 4, 5, 7, 8, 11]
         assert table.tolist() == [[0, 1, 2], [3, 4, 5], [0, 6, 7], [0, 1, 8]]
-        assert one_hot.argmax(axis=1).tolist() == [0, 1, 2, 0, 1, 2, 1, 2, 2]
-        frames, _, table = _stencil_blocks(3, False)
-        assert frames.tolist() == list(range(12))
-        assert table.tolist() == np.arange(12).reshape(4, 3).tolist()
+        assert links.tolist() == [0, 1, 2, 0, 1, 2, 1, 2, 2]
         for n in (2, 3, 5, 7):
-            assert _stencil_blocks(n, True)[0].size == n * (n + 3) // 2
+            assert _stencil_blocks(n)[0].size == n * (n + 3) // 2
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1
 
@@ -991,45 +1071,8 @@ class TestBlockForwardOracle:
         rng = np.random.default_rng(1000 + 10 * n_links + n_points)
         net = PointSetEncoder.create(n_links, rng=rng)
         hyper = CbfHyper()
-        batch = []
-        for i in range(17):
-            env = oracle_world(rng)
-            cloud, _ = oracle_cloud(kind, env, arm, n_points, rng)
-            q = sample_config(arm, rng)
-            d = signed_distance(env, arm, q)
-            batch.append(LabeledSample(q=q, observation=cloud, label=safety_label(d, 0.05),
-                                       env_id=0))
-        prep = _prepare(batch, arm, hyper)
-        h, tape = _forward_stencil(net, prep, arm)
-        h_ref, tape_ref = encoder_oracle.forward_stencil(net, prep, arm)
-        assert h.tobytes() == h_ref.tobytes()
-        # the rebuilt winners are the first record reaching each max
-        b, s = h.shape
-        rows_ref = record_block_rows(tape, n_points).reshape(b * s, -1)
-        winners_ref = np.take_along_axis(rows_ref, tape_ref.argmax, axis=1)
-        assert np.array_equal(_winner_rows(tape).reshape(b * s, -1), winners_ref)
-        up = rng.normal(size=h.size)
-        # the winning rows' upstream is the full-row scatter's, summed per
-        # block row in slot order
-        _, d_phi, _ = encoder_oracle.pooled_upstream(tape_ref, up)
-        f = net.feature_width
-        dense_ref = np.zeros((tape.point_tape.y.shape[0], f))
-        np.add.at(dense_ref, rows_ref.reshape(-1), d_phi.reshape(-1, f))
-        d_feature = mlp_backward(tape.trunk_tape, up[:, None])[1][:, :f]
-        rows, delta = _winner_upstream(tape, d_feature)
-        assert np.array_equal(rows, np.unique(winners_ref))
-        assert delta.tobytes() == dense_ref[rows].tobytes()
-        assert not np.delete(dense_ref, rows, axis=0).any()
-        grads, q_grads = encoder_backward_batch(tape, up)
-        grads_ref, q_ref = encoder_oracle.encoder_backward(tape_ref, up)
-        assert_grads_match(grads, grads_ref, net)
-        assert q_grads.tobytes() == q_ref.tobytes()
-
-        total, comps, grads = loss(net, prep, arm, hyper)
-        full_row_training(monkeypatch)
-        total_ref, comps_ref, grads_ref = loss(net, prep, arm, hyper)
-        assert total == total_ref and comps == comps_ref
-        assert_grads_match(grads, grads_ref, net)
+        prep = _prepare(cloud_batch(arm, rng, kind, n_points), arm, hyper)
+        check_against_oracle(net, prep, arm, hyper, rng, monkeypatch)
 
     def test_ties_take_the_first_record(self):
         # every point twice and a zero-weight feature: each pooled coordinate
@@ -1049,7 +1092,7 @@ class TestBlockForwardOracle:
         prep = _prepare(batch, arm, CbfHyper())
         _, tape = _forward_stencil(net, prep, arm)
         _, tape_ref = encoder_oracle.forward_stencil(net, prep, arm)
-        rows = record_block_rows(tape, 64).reshape(len(tape_ref.argmax), -1)
+        rows = record_rows(3, 64, 3).reshape(len(tape_ref.argmax), -1)
         winners = _winner_rows(tape).reshape(rows.shape[0], -1)
         assert np.array_equal(winners, np.take_along_axis(rows, tape_ref.argmax, axis=1))
         assert np.all(tape_ref.argmax[:, :8] == 0)  # first link, first point
@@ -1059,27 +1102,58 @@ class TestBlockForwardOracle:
         ds = collect_dataset(arm, EnvGenConfig(), DatasetCounts(rollout_trajs=1, uniform_samples=90),
                              NominalPolicy(), np.random.default_rng(8), observation_kind="cloud",
                              **collect_settings(cloud_points=64))
+        net = PointSetEncoder.create(3, rng=np.random.default_rng(4))
+        check_training_against_oracle(ds, net, make_hyper(load_config(), "cloud"), monkeypatch)
+
+    @pytest.mark.parametrize("hidden", [(16, 24), ()], ids=["two_hidden", "no_hidden"])
+    def test_per_point_depths(self, arm, monkeypatch, hidden):
+        # default nets have one hidden per-point layer; two run the
+        # feature-major layer loop twice before the output layer, and none
+        # makes the folded first layer the output layer, whose bias the
+        # pool adds
+        rng = np.random.default_rng(9)
+        n = arm.n_links
+        net = PointSetEncoder.create(n, per_point_widths=(4 + n, *hidden, 32),
+                                     trunk_widths=(32 + n, 16, 1), rng=rng)
         hyper = make_hyper(load_config(), "cloud")
-        schedule = TrainSchedule(epochs=2, batch_size=32)
-        trained, epochs, audits = [], [], []
-        for run in ("block", "full-row"):
-            if run == "full-row":
-                full_row_training(monkeypatch)
-            net = PointSetEncoder.create(3, rng=np.random.default_rng(4))
-            net, report = train(ds, net, hyper, schedule, np.random.default_rng(6))
-            trained.append(net)
-            epochs.append(report.epochs)
-            # one fixed net, the first run's, audited through each path
-            audits.append(evaluate_constraints(trained[0], ds, hyper=hyper, batch_size=40))
-        assert audits[0] == audits[1]
-        # the per-point grads differ in the last bits, and twelve Adam steps of
-        # size lr = 2e-3 carry that to about 1e-14 in the parameters; 1e-10
-        # bounds it far below one step
-        for (w, b), (w_ref, b_ref) in zip(trained[0].all_params(), trained[1].all_params()):
-            np.testing.assert_allclose(w, w_ref, rtol=0.0, atol=1e-10)
-            np.testing.assert_allclose(b, b_ref, rtol=0.0, atol=1e-10)
-        assert len(epochs[0]) == 2
-        for row, row_ref in zip(*epochs):
-            assert row.keys() == row_ref.keys()
-            for key, value in row.items():
-                assert value == pytest.approx(row_ref[key], rel=1e-9, abs=1e-12), key
+        for kind in ("surface", "duplicated"):
+            prep = _prepare(cloud_batch(arm, rng, kind, 64, size=24), arm, hyper)
+            check_against_oracle(net, prep, arm, hyper, rng, monkeypatch)
+        ds = collect_dataset(arm, EnvGenConfig(), DatasetCounts(rollout_trajs=1, uniform_samples=90),
+                             NominalPolicy(), np.random.default_rng(10), observation_kind="cloud",
+                             **collect_settings(cloud_points=64))
+        check_training_against_oracle(ds, net, hyper, monkeypatch)
+
+
+class TestNonFiniteInput:
+    """The cloud net checks its inputs, not records it never builds: a NaN
+    or an inf in a cloud point, a normal or a configuration is rejected; a
+    cloud before any arithmetic runs on it, so no floating-point warning
+    comes first."""
+
+    @pytest.mark.parametrize("where", ["points", "normals", "q"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, arm, where, value):
+        rng = np.random.default_rng(11)
+        net = PointSetEncoder.create(arm.n_links, per_point_widths=(7, 8, 6),
+                                     trunk_widths=(9, 8, 1), rng=rng)
+        hyper = CbfHyper()
+        env, samples = random_world_samples(arm, rng, "cloud", 6)
+        cloud = samples[0].observation
+        fields = {"points": cloud.points.copy(), "normals": cloud.normals.copy()}
+        q = samples[2].q.copy()
+        if where == "q":
+            q[1] = value
+        else:
+            fields[where][5, 1] = value
+        bad = CloudObservation(source=cloud.source, **fields)
+        samples[2] = LabeledSample(q=q, observation=bad, label=samples[2].label, env_id=0)
+        prep = _prepare(samples, arm, hyper)
+        with warnings.catch_warnings():
+            if where != "q":  # the stencil's link frames warn on an inf q first
+                warnings.simplefilter("error")
+            for call in (lambda: h_and_grad(net, q, None, arm, hyper, observation=bad),
+                         lambda: _forward_stencil(net, prep, arm),
+                         lambda: _forward_stencil(net, prep.take(np.array([2, 4])), arm)):
+                with pytest.raises(ValueError, match="non-finite network input"):
+                    call()

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from cbfsteer.environment import CloudObservation, CloudSource
-from cbfsteer.kinematics import ArmModel, joint_positions
+from cbfsteer.kinematics import ArmModel, batch_link_frames, joint_positions
 from cbfsteer.neural import (
     AdamState,
+    CloudBlocks,
     Mlp,
     PointSetEncoder,
     adam_step,
@@ -197,9 +198,11 @@ def encode(enc, q, cloud, arm):
     pass the barrier uses, with one slot that pools one block per link: (h, tape)."""
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
-    recs = reference_point_records(arm, q, cloud.points, cloud.normals)
-    blocks = recs.reshape(n, -1, 4 + n).transpose(1, 0, 2)[None]  # (1, N, n, 4+n)
-    h, tape = encoder_forward_batch(enc, q[None, :], blocks, np.arange(n)[None])
+    origins, angles = batch_link_frames(arm, q[None])
+    blocks = CloudBlocks(points=cloud.points[None], normals=cloud.normals[None],
+                         cloud=np.zeros(1, dtype=int), origins=origins, angles=angles,
+                         links=np.arange(n), slot_blocks=np.arange(n)[None])
+    h, tape = encoder_forward_batch(enc, q[None, :], blocks)
     return float(h[0]), tape
 
 
