@@ -26,12 +26,13 @@ from .config import (
     make_scan_spec,
     seed_stream,
 )
-from .controller import make_fixed_cloud_observer, make_raycast_observer, safe_rollout
+from .controller import ControllerBundle, safe_rollout
 from .environment import (
     Environment,
     EnvGenConfig,
     GenerationError,
     random_environment,
+    ray_cast_scan,
     sample_surface_points,
     signed_distance,
 )
@@ -39,7 +40,6 @@ from .jsonio import Record, canonical_dumps, dump_json, load_json
 from .kinematics import ArmModel, sample_config
 from .neural import load_checkpoint
 from .planner import (
-    ControllerBundle,
     PlannerLimits,
     PlanProblem,
     PlanResult,
@@ -149,24 +149,30 @@ def difficulty_split(problems: list, proxy_runs: int, rng: np.random.Generator,
     return tagged
 
 
-def _method_barrier(method: dict, arm: ArmModel, cfg: dict, barrier_cache: dict):
-    """The hand-crafted barrier (with the neural barriers' finite-difference
-    step), or the method's network, loaded once per checkpoint path. A
-    network's training alpha_h must be the QP's alpha, since it was trained
-    to satisfy the barrier condition with that rate."""
+def _controller(method: dict, arm: ArmModel, cfg: dict, barrier_cache: dict,
+                **limit_overrides) -> ControllerBundle:
+    """The method's controller from the config's `controller` section, with
+    no observer yet. Its barrier is the hand-crafted one (with the neural
+    barriers' finite-difference step) or the method's network, loaded once
+    per checkpoint path; a network's training alpha_h must be the QP's
+    alpha, since it was trained to satisfy the barrier condition with it."""
     if method["name"] == "hand-cbf":
-        return HandcraftedBarrier(arm, margin=cfg["controller"]["hand_margin"],
-                                  fd_step=cfg["hyper"]["fd_step"])
-    path = method["checkpoint"]
-    if path not in barrier_cache:
-        _, net, hyper_doc = load_checkpoint(path)
-        hyper = checkpoint_hyper(cfg, hyper_doc)
-        alpha = cfg["controller"]["alpha"]
-        if hyper.alpha_h != alpha:
-            raise ValueError(f"checkpoint {path} was trained with alpha_h="
-                             f"{hyper.alpha_h}, but controller.alpha is {alpha}")
-        barrier_cache[path] = NeuralBarrier(net, arm, hyper)
-    return barrier_cache[path]
+        barrier = HandcraftedBarrier(arm, margin=cfg["controller"]["hand_margin"],
+                                     fd_step=cfg["hyper"]["fd_step"])
+    else:
+        path = method["checkpoint"]
+        if path not in barrier_cache:
+            _, net, hyper_doc = load_checkpoint(path)
+            hyper = checkpoint_hyper(cfg, hyper_doc)
+            alpha = cfg["controller"]["alpha"]
+            if hyper.alpha_h != alpha:
+                raise ValueError(f"checkpoint {path} was trained with alpha_h="
+                                 f"{hyper.alpha_h}, but controller.alpha is {alpha}")
+            barrier_cache[path] = NeuralBarrier(net, arm, hyper)
+        barrier = barrier_cache[path]
+    return ControllerBundle(barrier=barrier, observe=None, policy=make_policy(cfg),
+                            qp_cfg=make_qp_cfg(cfg),
+                            limits=make_rollout_limits(cfg, **limit_overrides))
 
 
 def _observer(barrier, problem: ProblemSpec, setting: str, cfg: dict, root_seed: int):
@@ -176,10 +182,11 @@ def _observer(barrier, problem: ProblemSpec, setting: str, cfg: dict, root_seed:
     if not barrier.needs_observation:
         return None
     if setting == "dynamic_partial":
-        return make_raycast_observer(make_scan_spec(cfg))
+        spec = make_scan_spec(cfg)
+        return lambda env, arm, q: ray_cast_scan(env, arm, q, spec)
     cloud_rng = seed_stream(root_seed, "problem-cloud", problem.id)
-    return make_fixed_cloud_observer(
-        sample_surface_points(problem.environment, cfg["cloud"]["num_points"], cloud_rng))
+    cloud = sample_surface_points(problem.environment, cfg["cloud"]["num_points"], cloud_rng)
+    return lambda env, arm, q: cloud
 
 
 def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
@@ -189,12 +196,9 @@ def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
     name = method["name"]
     if name == "straight":
         return SteerStraightLine()
-    barrier = _method_barrier(method, arm, cfg, barrier_cache)
-    ctrl = cfg["controller"]
-    bundle = ControllerBundle(
-        barrier=barrier, observe=_observer(barrier, problem, "static_full", cfg, root_seed),
-        policy=make_policy(cfg), qp_cfg=make_qp_cfg(cfg),
-        sim_hz=ctrl["sim_hz"], ctrl_hz=ctrl["ctrl_hz"])
+    bundle = _controller(method, arm, cfg, barrier_cache)
+    bundle = replace(bundle, observe=_observer(bundle.barrier, problem, "static_full", cfg,
+                                               root_seed))
     if name in ("hand-cbf", "cbf-state", "cbf-cloud"):
         return SteerRollout(bundle=bundle)
     if name == "filter-lqr":
@@ -248,7 +252,7 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
             path = Path(method["checkpoint"])
             if not path.exists():
                 raise FileNotFoundError(f"checkpoint for {method['name']} not found: {path}")
-            _method_barrier(method, arm, cfg, cache)
+            _controller(method, arm, cfg, cache)
 
     tasks = [(p.to_json(), m, s) for m in methods for p in problems for s in seeds]
     workers = int(cfg["bench"].get("workers", 1))
@@ -371,17 +375,15 @@ def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, c
     """
     if setting not in SETTINGS:
         raise ValueError(f"unknown setting {setting!r}")
-    barrier = _method_barrier(method, arm, cfg, {} if barrier_cache is None else barrier_cache)
-    limits = make_rollout_limits(cfg, **({} if horizon_s is None else {"horizon_s": horizon_s}))
-    policy = make_policy(cfg)
-    qp_cfg = make_qp_cfg(cfg)
+    bundle = _controller(method, arm, cfg, {} if barrier_cache is None else barrier_cache,
+                         **({} if horizon_s is None else {"horizon_s": horizon_s}))
     records = []
     reached = []
     safety = []
     makespans = []
     for prob in problems:
-        rec = safe_rollout(barrier, policy, qp_cfg, prob.q0, prob.qg, prob.environment, limits,
-                           _observer(barrier, prob, setting, cfg, root_seed))
+        observe = _observer(bundle.barrier, prob, setting, cfg, root_seed)
+        rec = safe_rollout(replace(bundle, observe=observe), prob.q0, prob.qg, prob.environment)
         ok_states = float(np.mean(np.asarray(rec.min_signed_distance) >= 0.0))
         reached.append(1.0 if rec.reached_goal and not rec.collided else 0.0)
         safety.append(ok_states)

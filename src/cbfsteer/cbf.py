@@ -365,6 +365,8 @@ def _forward_stencil(net, prep: _Prepared, arm: ArmModel):
         b, s, d_in = prep.x.shape
         y, tape = mlp_forward(net, prep.x.reshape(b * s, d_in))
         return y[:, 0].reshape(b, s), tape
+    if not np.isfinite(prep.qs).all():  # before the link frames take their cos and sin
+        raise ValueError("non-finite network input")
     b, s, n = prep.qs.shape
     frames, links, slot_blocks = _stencil_blocks(n)
     origins, angles = batch_link_frames(arm, prep.qs.reshape(b * s, n))

@@ -17,8 +17,6 @@ import numpy as np
 
 from .environment import (
     Environment,
-    ScanSpec,
-    ray_cast_scan,
     signed_distance,
     signed_distance_batch,
     signed_distance_stepped,
@@ -178,7 +176,8 @@ class RolloutLimits(Record):
     def __post_init__(self):
         if not 0.0 < self.horizon_s < math.inf:
             raise ValueError("rollout horizon must be positive and finite")
-        check_rates(self.sim_hz, self.ctrl_hz)
+        if self.sim_hz <= 0 or self.ctrl_hz <= 0 or self.sim_hz % self.ctrl_hz != 0:
+            raise ValueError("sim_hz must be an integer multiple of ctrl_hz")
         if self.n_ticks < 1:
             raise ValueError(f"rollout horizon {self.horizon_s} s is shorter than half a "
                              f"control period at {self.ctrl_hz} Hz, so it runs no tick")
@@ -186,6 +185,19 @@ class RolloutLimits(Record):
     @property
     def n_ticks(self) -> int:
         return int(round(self.horizon_s * self.ctrl_hz))
+
+
+@dataclass(frozen=True)
+class ControllerBundle:
+    """The barrier-filtered controller (CBF-INC) of rollouts and rollout
+    steers: a `cbf` barrier, what it sees (`observe(env, arm, q)` or None),
+    the nominal policy, the safety QP, and the rates and horizon."""
+
+    barrier: object
+    observe: object
+    policy: NominalPolicy = NominalPolicy()
+    qp_cfg: SafeControllerConfig = SafeControllerConfig()
+    limits: RolloutLimits = RolloutLimits()
 
 
 @dataclass
@@ -199,58 +211,31 @@ class RolloutRecord:
     steps_used: int = 0
 
 
-def make_fixed_cloud_observer(cloud):
-    """Closure returning one pre-sampled surface cloud (static full observation)."""
-
-    def observe(env, arm, q):
-        return cloud
-
-    return observe
-
-
-def make_raycast_observer(spec: ScanSpec):
-    """Closure scanning the current environment from the arm's mounted fans."""
-
-    def observe(env, arm, q):
-        return ray_cast_scan(env, arm, q, spec)
-
-    return observe
-
-
-def check_rates(sim_hz: int, ctrl_hz: int) -> None:
-    """Reject simulation/control rates that do not give a whole number of
-    simulation substeps per control tick."""
-    if sim_hz <= 0 or ctrl_hz <= 0 or sim_hz % ctrl_hz != 0:
-        raise ValueError("sim_hz must be an integer multiple of ctrl_hz")
-
-
-def control_tick(barrier, observe, policy: NominalPolicy, qp_cfg: SafeControllerConfig,
-                 env: Environment, q: np.ndarray, q_goal: np.ndarray
+def control_tick(bundle: ControllerBundle, env: Environment, q: np.ndarray, q_goal: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, float, QpDiagnostics]:
     """One control tick of the barrier-filtered controller: observe (only if
     the barrier asks for observations), barrier value and gradient, nominal
     control toward q_goal, safety QP. Returns (u, u_nom, h, diagnostics)."""
+    barrier, observe = bundle.barrier, bundle.observe
     arm = barrier.arm
     obs = observe(env, arm, q) if (observe is not None and barrier.needs_observation) else None
     h, grad = barrier.value_and_grad(q, obs, env)
-    u_nom = policy.control(q, q_goal, arm.action_lower, arm.action_upper)
-    u, diag = solve_safety_qp(u_nom, grad, h, qp_cfg, arm.action_lower, arm.action_upper)
+    u_nom = bundle.policy.control(q, q_goal, arm.action_lower, arm.action_upper)
+    u, diag = solve_safety_qp(u_nom, grad, h, bundle.qp_cfg, arm.action_lower, arm.action_upper)
     return u, u_nom, h, diag
 
 
-def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,
-                 q0: np.ndarray, q_goal: np.ndarray, env: Environment,
-                 limits: RolloutLimits, observe) -> RolloutRecord:
+def safe_rollout(bundle: ControllerBundle, q0: np.ndarray, q_goal: np.ndarray,
+                 env: Environment) -> RolloutRecord:
     """Closed-loop rollout: control recomputed at ctrl_hz and held (zero-order
     hold) across sim_hz substeps; dynamic obstacles advance at the sim rate.
 
     Terminates on goal (joint-space ball), collision (ground-truth signed
-    distance), or horizon. The barrier object supplies value_and_grad; the
-    observation closure supplies what it sees. Among moving obstacles a
-    tick's substeps are checked in one clearance call, each against the
-    obstacles at its own simulation step.
+    distance), or horizon, all three from the bundle's limits. Among moving
+    obstacles a tick's substeps are checked in one clearance call, each
+    against the obstacles at its own simulation step.
     """
-    arm = barrier.arm
+    arm, limits = bundle.barrier.arm, bundle.limits
     substeps = limits.sim_hz // limits.ctrl_hz
     dt_sim = 1.0 / limits.sim_hz
     dynamic = env.is_dynamic
@@ -269,7 +254,7 @@ def safe_rollout(barrier, policy: NominalPolicy, cfg: SafeControllerConfig,
         return rec
 
     for _ in range(limits.n_ticks):
-        u, _, _, diag = control_tick(barrier, observe, policy, cfg, env, q, q_goal)
+        u, _, _, diag = control_tick(bundle, env, q, q_goal)
         if diag.infeasible:
             rec.qp_infeasible_count += 1
         rec.controls.append(u)

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cbf import HandcraftedBarrier, NeuralBarrier
-from .controller import NominalPolicy, SafeControllerConfig, check_rates, control_tick
+from .controller import ControllerBundle, control_tick
 from .environment import Environment, signed_distance, signed_distance_batch
 from .jsonio import Record
 from .kinematics import ArmModel, hold
@@ -61,21 +60,6 @@ class SearchTree:
     def add(self, config: np.ndarray, parent: int, edge: Edge) -> int:
         self.nodes.append(TreeNode(config=np.asarray(config, float), parent=parent, edge=edge))
         return len(self.nodes) - 1
-
-
-@dataclass(frozen=True)
-class ControllerBundle:
-    """Everything a rollout-based steer needs besides the endpoints."""
-
-    barrier: NeuralBarrier | HandcraftedBarrier
-    observe: object
-    policy: NominalPolicy = NominalPolicy()
-    qp_cfg: SafeControllerConfig = SafeControllerConfig()
-    sim_hz: int = 120
-    ctrl_hz: int = 30
-
-    def __post_init__(self):
-        check_rates(self.sim_hz, self.ctrl_hz)
 
 
 @dataclass(frozen=True)
@@ -206,24 +190,24 @@ def _edge_from_rollout(arm: ArmModel, env: Environment, q_from: np.ndarray, conf
     return Edge(configs=list(kept), controls=controls[:n_ticks_kept])
 
 
-def steer_cbf_inc(arm: ArmModel, env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
-                  bundle: ControllerBundle, max_ctrl_steps: int,
-                  limits: PlannerLimits = PlannerLimits(), r_goal: float = 0.1) -> Edge:
-    """Roll the filtered controller toward the sampled point; the visited
+def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
+                  bundle: ControllerBundle, limits: PlannerLimits, r_goal: float) -> Edge:
+    """Roll the filtered controller toward the sampled point for at most
+    `limits.max_ctrl_steps` ticks at the bundle's rates; the visited
     trajectory (possibly truncated at the last collision-free state) is the
     edge. Stalls cut the edge short so QP-pinned states do not burn the budget."""
-    substeps = bundle.sim_hz // bundle.ctrl_hz
-    dt_sim = 1.0 / bundle.sim_hz
+    arm = bundle.barrier.arm
+    substeps = bundle.limits.sim_hz // bundle.limits.ctrl_hz
+    dt_sim = 1.0 / bundle.limits.sim_hz
     q = np.asarray(q_from, dtype=float).copy()
     configs = [q]
     controls: list = []
     stalled = 0
-    for _ in range(max_ctrl_steps):
+    for _ in range(limits.max_ctrl_steps):
         dq = q - q_toward
         if math.sqrt(dq @ dq) <= r_goal:
             break
-        u, _, _, _ = control_tick(bundle.barrier, bundle.observe, bundle.policy, bundle.qp_cfg,
-                                  env, q, q_toward)
+        u, _, _, _ = control_tick(bundle, env, q, q_toward)
         stalled = stalled + 1 if math.sqrt(u @ u) < limits.stall_threshold else 0
         if stalled >= limits.stall_ticks:
             break
@@ -235,23 +219,22 @@ def steer_cbf_inc(arm: ArmModel, env: Environment, q_from: np.ndarray, q_toward:
                               limits.check_resolution)
 
 
-def steer_filter_lqr(arm: ArmModel, env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
-                     bundle: ControllerBundle, max_ctrl_steps: int,
-                     limits: PlannerLimits = PlannerLimits(), r_goal: float = 0.1) -> Edge:
+def steer_filter_lqr(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
+                     bundle: ControllerBundle, limits: PlannerLimits, r_goal: float) -> Edge:
     """Accept nominal actions only while the barrier's derivative condition and
     sign both hold (h <= 0 and an inactive safety constraint); the first
     rejection terminates the edge (no modification)."""
-    substeps = bundle.sim_hz // bundle.ctrl_hz
-    dt_sim = 1.0 / bundle.sim_hz
+    arm = bundle.barrier.arm
+    substeps = bundle.limits.sim_hz // bundle.limits.ctrl_hz
+    dt_sim = 1.0 / bundle.limits.sim_hz
     q = np.asarray(q_from, dtype=float).copy()
     configs = [q]
     controls = []
-    for _ in range(max_ctrl_steps):
+    for _ in range(limits.max_ctrl_steps):
         dq = q - q_toward
         if math.sqrt(dq @ dq) <= r_goal:
             break
-        _, u_nom, h, diag = control_tick(bundle.barrier, bundle.observe, bundle.policy,
-                                         bundle.qp_cfg, env, q, q_toward)
+        _, u_nom, h, diag = control_tick(bundle, env, q, q_toward)
         if h > 0.0 or diag.constraint_active:
             break
         controls.append(u_nom)
@@ -271,14 +254,11 @@ def _dispatch_steer(steer: SteerKind, arm: ArmModel, env: Environment, q_from: n
         return steer_straight(arm, env, q_from, q_toward, limits.step_size,
                               limits.check_resolution)
     if isinstance(steer, SteerRollout):
-        return steer_cbf_inc(arm, env, q_from, q_toward, steer.bundle,
-                             limits.max_ctrl_steps, limits, r_goal)
+        return steer_cbf_inc(env, q_from, q_toward, steer.bundle, limits, r_goal)
     if isinstance(steer, SteerCbfFilterLqr):
         if tree_size < steer.activation_after:
-            return steer_cbf_inc(arm, env, q_from, q_toward, steer.bundle,
-                                 limits.max_ctrl_steps, limits, r_goal)
-        return steer_filter_lqr(arm, env, q_from, q_toward, steer.bundle,
-                                limits.max_ctrl_steps, limits, r_goal)
+            return steer_cbf_inc(env, q_from, q_toward, steer.bundle, limits, r_goal)
+        return steer_filter_lqr(env, q_from, q_toward, steer.bundle, limits, r_goal)
     raise TypeError(f"unknown steer kind {type(steer).__name__}")
 
 

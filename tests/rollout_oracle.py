@@ -108,9 +108,10 @@ def ray_cast_scan(env, arm, q, spec) -> CloudObservation:
     return CloudObservation(points=points, normals=normals, source=CloudSource.RAY_CAST)
 
 
-def safe_rollout(barrier, policy, cfg, q0, q_goal, env, limits, observe) -> RolloutRecord:
+def safe_rollout(bundle, q0, q_goal, env) -> RolloutRecord:
     """Closed-loop rollout that takes every simulation substep on its own:
     `integrate`, then `step_obstacles`, then `signed_distance`."""
+    barrier, observe, limits = bundle.barrier, bundle.observe, bundle.limits
     arm = barrier.arm
     substeps = limits.sim_hz // limits.ctrl_hz
     dt_sim = 1.0 / limits.sim_hz
@@ -128,8 +129,9 @@ def safe_rollout(barrier, policy, cfg, q0, q_goal, env, limits, observe) -> Roll
     for _ in range(int(round(limits.horizon_s * limits.ctrl_hz))):
         obs = observe(env, arm, q) if (observe is not None and barrier.needs_observation) else None
         h, grad = barrier.value_and_grad(q, obs, env)
-        u_nom = policy.control(q, q_goal, arm.action_lower, arm.action_upper)
-        u, diag = solve_safety_qp(u_nom, grad, h, cfg, arm.action_lower, arm.action_upper)
+        u_nom = bundle.policy.control(q, q_goal, arm.action_lower, arm.action_upper)
+        u, diag = solve_safety_qp(u_nom, grad, h, bundle.qp_cfg, arm.action_lower,
+                                  arm.action_upper)
         if diag.infeasible:
             rec.qp_infeasible_count += 1
         rec.controls.append(u.copy())
@@ -149,10 +151,11 @@ def safe_rollout(barrier, policy, cfg, q0, q_goal, env, limits, observe) -> Roll
     return rec
 
 
-def safe_rollout_static(barrier, policy, cfg, q0, q_goal, env, limits, observe) -> RolloutRecord:
+def safe_rollout_static(bundle, q0, q_goal, env) -> RolloutRecord:
     """Closed-loop rollout in a static world with the tick written out:
     observe, barrier, nominal control, QP, then one-shot zero-order-hold
     substeps checked in one batched clearance call."""
+    barrier, observe, limits = bundle.barrier, bundle.observe, bundle.limits
     arm = barrier.arm
     substeps = limits.sim_hz // limits.ctrl_hz
     dt_sim = 1.0 / limits.sim_hz
@@ -170,8 +173,9 @@ def safe_rollout_static(barrier, policy, cfg, q0, q_goal, env, limits, observe) 
     for _ in range(int(round(limits.horizon_s * limits.ctrl_hz))):
         obs = observe(env, arm, q) if (observe is not None and barrier.needs_observation) else None
         h, grad = barrier.value_and_grad(q, obs, env)
-        u_nom = policy.control(q, q_goal, arm.action_lower, arm.action_upper)
-        u, diag = solve_safety_qp(u_nom, grad, h, cfg, arm.action_lower, arm.action_upper)
+        u_nom = bundle.policy.control(q, q_goal, arm.action_lower, arm.action_upper)
+        u, diag = solve_safety_qp(u_nom, grad, h, bundle.qp_cfg, arm.action_lower,
+                                  arm.action_upper)
         if diag.infeasible:
             rec.qp_infeasible_count += 1
         rec.controls.append(u.copy())
@@ -196,17 +200,18 @@ def _substep_dts(substeps, dt_sim):
     return (np.arange(1, substeps + 1) * dt_sim)[:, None]
 
 
-def rollout_edge(arm, env, q_from, q_toward, bundle, max_ctrl_steps, limits, r_goal) -> Edge:
+def rollout_edge(env, q_from, q_toward, bundle, limits, r_goal) -> Edge:
     """Barrier-filtered rollout steer with the tick written out; the edge is
     the validated prefix of the visited trajectory."""
     barrier = bundle.barrier
-    substeps = bundle.sim_hz // bundle.ctrl_hz
-    dt_sim = 1.0 / bundle.sim_hz
+    arm = barrier.arm
+    substeps = bundle.limits.sim_hz // bundle.limits.ctrl_hz
+    dt_sim = 1.0 / bundle.limits.sim_hz
     q = np.asarray(q_from, dtype=float).copy()
     configs = [q.copy()]
     controls = []
     stalled = 0
-    for _ in range(max_ctrl_steps):
+    for _ in range(limits.max_ctrl_steps):
         if np.linalg.norm(q - q_toward) <= r_goal:
             break
         obs = (bundle.observe(env, arm, q)
@@ -230,17 +235,18 @@ def rollout_edge(arm, env, q_from, q_toward, bundle, max_ctrl_steps, limits, r_g
     return Edge(configs=list(kept), controls=controls[:n_ticks_kept])
 
 
-def steer_filter_lqr(arm, env, q_from, q_toward, bundle, max_ctrl_steps, limits, r_goal) -> Edge:
+def steer_filter_lqr(env, q_from, q_toward, bundle, limits, r_goal) -> Edge:
     """Filtered-LQR steer with its own rejection test written out: stop at
     the first tick with h > 0 or grad_h . u_nom + alpha*h > 0."""
     barrier = bundle.barrier
+    arm = barrier.arm
     alpha = bundle.qp_cfg.alpha
-    substeps = bundle.sim_hz // bundle.ctrl_hz
-    dt_sim = 1.0 / bundle.sim_hz
+    substeps = bundle.limits.sim_hz // bundle.limits.ctrl_hz
+    dt_sim = 1.0 / bundle.limits.sim_hz
     q = np.asarray(q_from, dtype=float).copy()
     configs = [q.copy()]
     controls = []
-    for _ in range(max_ctrl_steps):
+    for _ in range(limits.max_ctrl_steps):
         if np.linalg.norm(q - q_toward) <= r_goal:
             break
         obs = (bundle.observe(env, arm, q)

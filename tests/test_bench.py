@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 
 from cbfsteer import bench
-from cbfsteer.config import load_config, make_arm, make_env_gen, make_planner_limits, seed_stream
+from cbfsteer.config import (
+    load_config,
+    make_arm,
+    make_env_gen,
+    make_planner_limits,
+    make_rollout_limits,
+    seed_stream,
+)
 from cbfsteer.environment import EnvGenConfig, signed_distance
 from cbfsteer.jsonio import load_json
-from cbfsteer.kinematics import ArmModel
+from cbfsteer.kinematics import ArmModel, hold
+from cbfsteer.planner import PlanProblem, rrt_plan_with_tree
 
 
 @pytest.fixture
@@ -328,6 +336,68 @@ class TestEvalController:
             bench.eval_controller([], {"name": "hand-cbf"}, "bogus", arm, cfg)
 
 
+def assert_three_substeps_per_tick(arm, configs, controls):
+    """Each control is held for three 1/60 s substeps; the last tick may be
+    cut short (a collision or a truncated edge)."""
+    assert len(controls) == -(-(len(configs) - 1) // 3)
+    for t, u in enumerate(controls):
+        tick = np.asarray(configs[3 * t + 1:3 * t + 4])
+        np.testing.assert_array_equal(tick, hold(arm, configs[3 * t], u, 3, 1 / 60)[:len(tick)])
+
+
+class TestConfiguredRates:
+    """The `controller` section's rates reach the planners' rollout steers
+    and eval_controller's rollouts through the one bundle bench builds."""
+
+    @pytest.fixture
+    def problems(self, cfg, arm):
+        return bench.gen_problems(make_env_gen(cfg, num_obstacles=4), 3,
+                                  np.random.default_rng(28), arm, 0.025)
+
+    @pytest.fixture
+    def slow_cfg(self, cfg):
+        cfg["controller"].update(sim_hz=60, ctrl_hz=20)
+        return cfg
+
+    def test_rollout_steer(self, slow_cfg, arm, problems):
+        # every edge a planner stores with the steer build_steer made
+        limits = make_planner_limits(slow_cfg, max_nodes=8)
+        ticks = 0
+        for prob in problems:
+            steer = bench.build_steer({"name": "hand-cbf"}, arm, prob, slow_cfg, 0, {})
+            assert steer.bundle.limits == make_rollout_limits(slow_cfg)
+            _, tree = rrt_plan_with_tree(
+                PlanProblem(arm=arm, env=prob.environment, q0=prob.q0, qg=prob.qg),
+                steer, limits, np.random.default_rng(prob.id))
+            for node in tree.nodes[1:]:
+                assert_three_substeps_per_tick(arm, node.edge.configs, node.edge.controls)
+                ticks += len(node.edge.controls)
+        assert ticks > len(problems)
+
+    def test_eval_controller_rollouts(self, slow_cfg, arm, problems, monkeypatch):
+        rollout = bench.safe_rollout
+        seen = []
+
+        def recording_rollout(bundle, *args):
+            seen.append((bundle, rollout(bundle, *args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(bench, "safe_rollout", recording_rollout)
+        bench.eval_controller(problems, {"name": "hand-cbf"}, "static_full", arm, slow_cfg,
+                              horizon_s=1.0)
+        assert len(seen) == len(problems)
+        for bundle, rec in seen:
+            assert bundle.limits == make_rollout_limits(slow_cfg, horizon_s=1.0)
+            assert_three_substeps_per_tick(arm, rec.configs, rec.controls)
+        assert sum(rec.steps_used for _, rec in seen) > len(problems)
+
+    def test_build_steer_rejects_a_horizon_without_a_control_tick(self, cfg, arm, problems):
+        # 0.01 s is under half a 30 Hz control period, as in eval_controller
+        cfg["controller"]["horizon_s"] = 0.01
+        with pytest.raises(ValueError, match="horizon"):
+            bench.build_steer({"name": "hand-cbf"}, arm, problems[0], cfg, 0, {})
+
+
 def cloud_bytes(cloud):
     return cloud.points.tobytes() + cloud.normals.tobytes() + cloud.source.value.encode()
 
@@ -359,16 +429,16 @@ class TestObserver:
         root_seed = 7
         prob = bench.gen_problems(make_env_gen(cfg, num_obstacles=4), 2,
                                   np.random.default_rng(26), arm, 0.025)[1]
-        barrier = bench._method_barrier(methods[name], arm, cfg, {})
+        barrier = bench._controller(methods[name], arm, cfg, {}).barrier
         observe = bench._observer(barrier, prob, setting, cfg, root_seed)
 
         # eval_controller hands safe_rollout the observer of the same rule
         seen = []
         rollout = bench.safe_rollout
 
-        def recording_rollout(*args):
-            seen.append(args[-1])
-            return rollout(*args)
+        def recording_rollout(bundle, *args):
+            seen.append(bundle.observe)
+            return rollout(bundle, *args)
 
         monkeypatch.setattr(bench, "safe_rollout", recording_rollout)
         bench.eval_controller([prob], methods[name], setting, arm, cfg, root_seed=root_seed,

@@ -1127,9 +1127,9 @@ class TestBlockForwardOracle:
 
 class TestNonFiniteInput:
     """The cloud net checks its inputs, not records it never builds: a NaN
-    or an inf in a cloud point, a normal or a configuration is rejected; a
-    cloud before any arithmetic runs on it, so no floating-point warning
-    comes first."""
+    or an inf in a cloud point, a normal or a configuration is rejected
+    before any arithmetic runs on it, so no floating-point warning comes
+    first."""
 
     @pytest.mark.parametrize("where", ["points", "normals", "q"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -1150,8 +1150,7 @@ class TestNonFiniteInput:
         samples[2] = LabeledSample(q=q, observation=bad, label=samples[2].label, env_id=0)
         prep = _prepare(samples, arm, hyper)
         with warnings.catch_warnings():
-            if where != "q":  # the stencil's link frames warn on an inf q first
-                warnings.simplefilter("error")
+            warnings.simplefilter("error")
             for call in (lambda: h_and_grad(net, q, None, arm, hyper, observation=bad),
                          lambda: _forward_stencil(net, prep, arm),
                          lambda: _forward_stencil(net, prep.take(np.array([2, 4])), arm)):

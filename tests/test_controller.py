@@ -9,13 +9,12 @@ import pytest
 import rollout_oracle
 from cbfsteer.cbf import CbfHyper, HandcraftedBarrier, NeuralBarrier
 from cbfsteer.controller import (
+    ControllerBundle,
     NominalPolicy,
     QpMode,
     RolloutLimits,
     SafeControllerConfig,
     _breakpoint_walk,
-    make_fixed_cloud_observer,
-    make_raycast_observer,
     safe_rollout,
     solve_safety_qp,
 )
@@ -26,6 +25,7 @@ from cbfsteer.environment import (
     ScanSpec,
     StateObservation,
     random_environment,
+    ray_cast_scan,
     sample_surface_points,
     signed_distance,
 )
@@ -375,7 +375,7 @@ class TestRolloutLimits:
             RolloutLimits(horizon_s=horizon)
         assert RolloutLimits(horizon_s=0.02).n_ticks == 1
 
-    @pytest.mark.parametrize("sim_hz, ctrl_hz", [(100, 30), (0, 30), (120, 0)])
+    @pytest.mark.parametrize("sim_hz, ctrl_hz", [(100, 30), (20, 30), (0, 30), (120, 0)])
     def test_rates_must_give_whole_substeps(self, sim_hz, ctrl_hz):
         with pytest.raises(ValueError, match="sim_hz"):
             RolloutLimits(sim_hz=sim_hz, ctrl_hz=ctrl_hz)
@@ -385,9 +385,8 @@ class TestSafeRollout:
     def test_empty_env_reaches_goal(self):
         arm = ArmModel()
         barrier = HandcraftedBarrier(arm, margin=0.1)
-        rec = safe_rollout(barrier, NominalPolicy(), SafeControllerConfig(),
-                           np.zeros(3), np.array([0.8, -0.5, 0.3]), far_world(),
-                           RolloutLimits(horizon_s=10.0), observe=None)
+        rec = safe_rollout(ControllerBundle(barrier, None, limits=RolloutLimits(horizon_s=10.0)),
+                           np.zeros(3), np.array([0.8, -0.5, 0.3]), far_world())
         assert rec.reached_goal
         assert not rec.collided
         assert rec.qp_infeasible_count == 0
@@ -395,9 +394,8 @@ class TestSafeRollout:
     def test_start_in_goal_immediate(self):
         arm = ArmModel()
         barrier = HandcraftedBarrier(arm, margin=0.1)
-        rec = safe_rollout(barrier, NominalPolicy(), SafeControllerConfig(),
-                           np.zeros(3), np.zeros(3), far_world(),
-                           RolloutLimits(), observe=None)
+        rec = safe_rollout(ControllerBundle(barrier, None), np.zeros(3), np.zeros(3),
+                           far_world())
         assert rec.reached_goal
         assert rec.steps_used == 0
         assert len(rec.configs) == 1
@@ -406,9 +404,8 @@ class TestSafeRollout:
         arm = ArmModel()
         barrier = HandcraftedBarrier(arm, margin=0.1)
         limits = RolloutLimits(horizon_s=0.5)
-        rec = safe_rollout(barrier, NominalPolicy(), SafeControllerConfig(),
-                           np.zeros(3), np.array([2.0, 2.0, 2.0]), far_world(),
-                           limits, observe=None)
+        rec = safe_rollout(ControllerBundle(barrier, None, limits=limits),
+                           np.zeros(3), np.array([2.0, 2.0, 2.0]), far_world())
         substeps = limits.sim_hz // limits.ctrl_hz
         assert len(rec.configs) == 1 + rec.steps_used * substeps
         assert len(rec.min_signed_distance) == len(rec.configs)
@@ -428,9 +425,9 @@ class TestSafeRollout:
                                               half_extents=(0.12, 0.12)),))
         barrier = HandcraftedBarrier(arm, margin=0.0, fd_step=1e-3)
         cfg = SafeControllerConfig(mode=QpMode.RELAXED, relax_penalty=1e-4)  # nearly unfiltered
-        rec = safe_rollout(barrier, NominalPolicy(), cfg,
-                           np.zeros(3), np.array([0.9, 0.0, 0.0]), env,
-                           RolloutLimits(horizon_s=6.0), observe=None)
+        rec = safe_rollout(ControllerBundle(barrier, None, qp_cfg=cfg,
+                                            limits=RolloutLimits(horizon_s=6.0)),
+                           np.zeros(3), np.array([0.9, 0.0, 0.0]), env)
         assert rec.collided == any(d < 0 for d in rec.min_signed_distance)
 
     def test_dynamic_obstacles_step_during_rollout(self):
@@ -438,18 +435,17 @@ class TestSafeRollout:
         env = Environment(obstacles=(Obstacle(kind="circle", center=(2.0, 2.0), radius=0.1,
                                               velocity=(-0.3, -0.3)),))
         barrier = HandcraftedBarrier(arm, margin=0.05)
-        rec = safe_rollout(barrier, NominalPolicy(), SafeControllerConfig(),
-                           np.zeros(3), np.array([0.4, 0.4, 0.4]), env,
-                           RolloutLimits(horizon_s=1.0), observe=None)
+        rec = safe_rollout(ControllerBundle(barrier, None, limits=RolloutLimits(horizon_s=1.0)),
+                           np.zeros(3), np.array([0.4, 0.4, 0.4]), env)
         assert len(rec.configs) > 1  # ran; the moving obstacle stayed far enough
 
     def test_rate_divisibility_enforced(self):
         arm = ArmModel()
         barrier = HandcraftedBarrier(arm, margin=0.1)
         with pytest.raises(ValueError):
-            safe_rollout(barrier, NominalPolicy(), SafeControllerConfig(),
-                         np.zeros(3), np.ones(3), far_world(),
-                         RolloutLimits(sim_hz=100, ctrl_hz=30), observe=None)
+            safe_rollout(ControllerBundle(barrier, None,
+                                          limits=RolloutLimits(sim_hz=100, ctrl_hz=30)),
+                         np.zeros(3), np.ones(3), far_world())
 
     def test_observer_closure_used_for_state_barrier(self):
         # the rollout only queries an observer when the barrier asks for
@@ -462,9 +458,8 @@ class TestSafeRollout:
             return StateObservation(signed_distance(env, a, q))
 
         barrier = HandcraftedBarrier(arm, margin=0.1)
-        safe_rollout(barrier, NominalPolicy(), SafeControllerConfig(),
-                     np.zeros(3), np.array([0.3, 0.0, 0.0]), far_world(),
-                     RolloutLimits(horizon_s=1.0), observe=observe)
+        safe_rollout(ControllerBundle(barrier, observe, limits=RolloutLimits(horizon_s=1.0)),
+                     np.zeros(3), np.array([0.3, 0.0, 0.0]), far_world())
         assert calls == []  # handcrafted barrier regenerates its own view
 
 
@@ -489,9 +484,10 @@ def collision_substep(rec, substeps=4):
 
 def both_rollouts(barrier, q0, q_goal, env, limits=RolloutLimits(horizon_s=2.0), observe=None,
                   ref_observe=None, policy=NominalPolicy(), cfg=SafeControllerConfig()):
-    got = safe_rollout(barrier, policy, cfg, q0, q_goal, env, limits, observe)
-    ref = rollout_oracle.safe_rollout(barrier, policy, cfg, q0, q_goal, env, limits,
-                                      ref_observe or observe)
+    bundle = ControllerBundle(barrier, observe, policy, cfg, limits)
+    got = safe_rollout(bundle, q0, q_goal, env)
+    ref = rollout_oracle.safe_rollout(replace(bundle, observe=ref_observe or observe),
+                                      q0, q_goal, env)
     return got, ref
 
 
@@ -569,7 +565,8 @@ class TestDynamicRolloutOracle:
         spec = ScanSpec(rays_per_mount=8)
         got, ref = both_rollouts(
             barrier, np.zeros(3), np.array([0.6, -0.4, 0.5]), crossing_world(2.5),
-            RolloutLimits(horizon_s=1.0), observe=make_raycast_observer(spec),
+            RolloutLimits(horizon_s=1.0),
+            observe=lambda env, a, q: ray_cast_scan(env, a, q, spec),
             ref_observe=lambda env, a, q: rollout_oracle.ray_cast_scan(env, a, q, spec))
         assert ref.steps_used > 0
         assert_same_record(got, ref)
@@ -589,8 +586,9 @@ class TestStaticRolloutOracle:
             q0 = sample_config(arm, rng)
         limits = RolloutLimits(horizon_s=2.0)
         mode = QpMode.STRICT if seed == 4 else QpMode.RELAXED
-        args = (HandcraftedBarrier(arm, margin=0.1), NominalPolicy(),
-                SafeControllerConfig(mode=mode), q0, sample_config(arm, rng), env, limits, None)
+        args = (ControllerBundle(HandcraftedBarrier(arm, margin=0.1), None,
+                                 qp_cfg=SafeControllerConfig(mode=mode), limits=limits),
+                q0, sample_config(arm, rng), env)
         got = safe_rollout(*args)
         ref = rollout_oracle.safe_rollout_static(*args)
         assert ref.steps_used > 0
@@ -601,16 +599,17 @@ class TestStaticRolloutOracle:
         env = Environment(obstacles=(Obstacle(kind="rect", center=(0.9, 0.35),
                                               half_extents=(0.12, 0.12)),))
         nearly_unfiltered = SafeControllerConfig(mode=QpMode.RELAXED, relax_penalty=1e-4)
-        args = (HandcraftedBarrier(arm, margin=0.0), NominalPolicy(), nearly_unfiltered,
-                np.zeros(3), np.array([0.9, 0.0, 0.0]), env, RolloutLimits(horizon_s=6.0), None)
+        args = (ControllerBundle(HandcraftedBarrier(arm, margin=0.0), None,
+                                 qp_cfg=nearly_unfiltered, limits=RolloutLimits(horizon_s=6.0)),
+                np.zeros(3), np.array([0.9, 0.0, 0.0]), env)
         ref = rollout_oracle.safe_rollout_static(*args)
         assert ref.collided
         assert_same_record(safe_rollout(*args), ref)
         # a goal farther than the joints can move in the horizon: the rollout
         # runs every tick and stops without arriving
         limits = RolloutLimits(horizon_s=0.5, r_goal=1e-4)
-        args = (HandcraftedBarrier(arm, margin=0.1), NominalPolicy(), SafeControllerConfig(),
-                np.zeros(3), np.full(3, 0.6), far_world(), limits, None)
+        args = (ControllerBundle(HandcraftedBarrier(arm, margin=0.1), None, limits=limits),
+                np.zeros(3), np.full(3, 0.6), far_world())
         ref = rollout_oracle.safe_rollout_static(*args)
         assert ref.steps_used == limits.n_ticks and not ref.reached_goal and not ref.collided
         assert_same_record(safe_rollout(*args), ref)
@@ -622,12 +621,13 @@ class TestStaticRolloutOracle:
         enc = PointSetEncoder.create(3, per_point_widths=(7, 5, 4), trunk_widths=(7, 5, 1),
                                      rng=rng)
         barrier = NeuralBarrier(enc, arm, CbfHyper())
-        observe = make_fixed_cloud_observer(sample_surface_points(env, 24, rng))
+        cloud = sample_surface_points(env, 24, rng)
         q0 = sample_config(arm, rng)
         while signed_distance(env, arm, q0) <= 0.05:
             q0 = sample_config(arm, rng)
-        args = (barrier, NominalPolicy(), SafeControllerConfig(), q0, sample_config(arm, rng),
-                env, RolloutLimits(horizon_s=1.0), observe)
+        args = (ControllerBundle(barrier, lambda env, a, q: cloud,
+                                 limits=RolloutLimits(horizon_s=1.0)),
+                q0, sample_config(arm, rng), env)
         ref = rollout_oracle.safe_rollout_static(*args)
         assert ref.steps_used > 0
         assert_same_record(safe_rollout(*args), ref)

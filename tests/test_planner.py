@@ -9,10 +9,11 @@ import rollout_oracle
 from cbfsteer import planner
 from cbfsteer.cbf import CbfHyper, HandcraftedBarrier, NeuralBarrier
 from cbfsteer.controller import (
+    ControllerBundle,
     NominalPolicy,
     QpMode,
+    RolloutLimits,
     SafeControllerConfig,
-    make_fixed_cloud_observer,
 )
 from cbfsteer.environment import (
     EnvGenConfig,
@@ -25,7 +26,6 @@ from cbfsteer.environment import (
 from cbfsteer.kinematics import ArmModel, sample_config
 from cbfsteer.neural import Mlp, PointSetEncoder
 from cbfsteer.planner import (
-    ControllerBundle,
     PlannerLimits,
     PlanProblem,
     PlanResult,
@@ -67,16 +67,18 @@ def hand_bundle(arm, margin=0.08):
 class TestControllerBundle:
     @pytest.mark.parametrize("sim_hz, ctrl_hz", [(100, 30), (20, 30), (0, 30), (120, 0)])
     def test_rates_must_give_whole_substeps(self, arm, sim_hz, ctrl_hz):
-        # the same rule, and message, as safe_rollout
+        # a bundle takes its rates from its RolloutLimits: the same rule, and
+        # message, as safe_rollout
         with pytest.raises(ValueError, match="integer multiple"):
             ControllerBundle(barrier=HandcraftedBarrier(arm), observe=None,
-                             sim_hz=sim_hz, ctrl_hz=ctrl_hz)
+                             limits=RolloutLimits(sim_hz=sim_hz, ctrl_hz=ctrl_hz))
 
     def test_multiple_rates_accepted(self, arm):
+        # a steer holds each control for the bundle's sim_hz / ctrl_hz substeps
         bundle = ControllerBundle(barrier=HandcraftedBarrier(arm), observe=None,
-                                  sim_hz=90, ctrl_hz=30)
-        edge = steer_cbf_inc(arm, Environment(), np.zeros(3), np.array([0.3, 0.0, 0.0]),
-                             bundle, max_ctrl_steps=2)
+                                  limits=RolloutLimits(sim_hz=90, ctrl_hz=30))
+        edge = steer_cbf_inc(Environment(), np.zeros(3), np.array([0.3, 0.0, 0.0]),
+                             bundle, PlannerLimits(max_ctrl_steps=2), 0.1)
         assert len(edge.configs) == 1 + 2 * 3
 
 
@@ -132,17 +134,18 @@ class TestSteerCbfInc:
     def test_empty_env_reaches_target(self, arm):
         bundle = hand_bundle(arm)
         target = np.array([0.6, -0.4, 0.3])
-        edge = steer_cbf_inc(arm, Environment(obstacles=(
+        edge = steer_cbf_inc(Environment(obstacles=(
             Obstacle(kind="circle", center=(4.0, 4.0), radius=0.1),)),
-            np.zeros(3), target, bundle, max_ctrl_steps=90)
+            np.zeros(3), target, bundle, PlannerLimits(max_ctrl_steps=90), 0.1)
         assert not edge.empty
         assert np.linalg.norm(edge.endpoint - target) <= 0.1 + 1e-9
 
     def test_deterministic(self, arm):
         bundle = hand_bundle(arm)
         env = blocked_env()
-        e1 = steer_cbf_inc(arm, env, np.zeros(3), np.array([1.5, 0.2, -0.3]), bundle, 60)
-        e2 = steer_cbf_inc(arm, env, np.zeros(3), np.array([1.5, 0.2, -0.3]), bundle, 60)
+        limits = PlannerLimits(max_ctrl_steps=60)
+        e1 = steer_cbf_inc(env, np.zeros(3), np.array([1.5, 0.2, -0.3]), bundle, limits, 0.1)
+        e2 = steer_cbf_inc(env, np.zeros(3), np.array([1.5, 0.2, -0.3]), bundle, limits, 0.1)
         assert len(e1.configs) == len(e2.configs)
         for a, b in zip(e1.configs, e2.configs):
             np.testing.assert_array_equal(a, b)
@@ -155,7 +158,8 @@ class TestSteerCbfInc:
             start = sample_config(arm, rng)
             if signed_distance(env, arm, start) < 0:
                 continue
-            edge = steer_cbf_inc(arm, env, start, sample_config(arm, rng), bundle, 60)
+            edge = steer_cbf_inc(env, start, sample_config(arm, rng), bundle,
+                                 PlannerLimits(max_ctrl_steps=60), 0.1)
             for q in edge.configs:
                 assert signed_distance(env, arm, q) >= 0
 
@@ -166,7 +170,7 @@ class TestSteerFilterLqr:
         bundle = ControllerBundle(barrier=barrier, observe=None)
         env = Environment(obstacles=(Obstacle(kind="circle", center=(5.0, 5.0), radius=0.1),))
         target = np.array([0.5, 0.3, -0.4])
-        edge = steer_filter_lqr(arm, env, np.zeros(3), target, bundle, 90)
+        edge = steer_filter_lqr(env, np.zeros(3), target, bundle, PlannerLimits(), 0.1)
         # pure nominal rollout for comparison
         policy = NominalPolicy()
         q = np.zeros(3)
@@ -186,7 +190,8 @@ class TestSteerFilterLqr:
         barrier = distance_barrier(arm, offset=0.2)  # h > 0 well before contact
         bundle = ControllerBundle(barrier=barrier, observe=None)
         env = blocked_env()
-        edge = steer_filter_lqr(arm, env, np.zeros(3), np.array([1.2, 0.4, 0.0]), bundle, 90)
+        edge = steer_filter_lqr(env, np.zeros(3), np.array([1.2, 0.4, 0.0]), bundle,
+                                PlannerLimits(), 0.1)
         substeps = 4
         # edge length is an exact number of accepted ticks
         assert (len(edge.configs) - 1) % substeps == 0 or edge.empty
@@ -200,7 +205,8 @@ class TestSteerFilterLqr:
             start = sample_config(arm, rng)
             if signed_distance(env, arm, start) < 0.05:
                 continue
-            edge = steer_filter_lqr(arm, env, start, sample_config(arm, rng), bundle, 40)
+            edge = steer_filter_lqr(env, start, sample_config(arm, rng), bundle,
+                                    PlannerLimits(max_ctrl_steps=40), 0.1)
             # audit at tick boundaries (acceptance happens per tick)
             for q in edge.configs[::4][:-1]:
                 h, _ = barrier.value_and_grad(q, None, env)
@@ -516,8 +522,8 @@ def assert_same_edge(got, ref):
 def cloud_bundle(arm, env, rng):
     enc = PointSetEncoder.create(3, per_point_widths=(7, 5, 4), trunk_widths=(7, 5, 1), rng=rng)
     barrier = NeuralBarrier(enc, arm, CbfHyper())
-    return ControllerBundle(barrier=barrier,
-                            observe=make_fixed_cloud_observer(sample_surface_points(env, 24, rng)))
+    cloud = sample_surface_points(env, 24, rng)
+    return ControllerBundle(barrier=barrier, observe=lambda env, arm, q: cloud)
 
 
 class TestSteerOracle:
@@ -534,7 +540,7 @@ class TestSteerOracle:
                                       qp_cfg=SafeControllerConfig(mode=QpMode.STRICT)),
             "cloud": cloud_bundle(arm, env, rng),
         }
-        limits = PlannerLimits()
+        limits = PlannerLimits(max_ctrl_steps=30)
         pairs = [(steer, ref) for steer, ref in (
             (steer_cbf_inc, rollout_oracle.rollout_edge),
             (steer_filter_lqr, rollout_oracle.steer_filter_lqr))]
@@ -543,7 +549,7 @@ class TestSteerOracle:
             q_toward = sample_config(arm, rng)
             for bundle in bundles.values():
                 for steer, ref in pairs:
-                    args = (arm, env, q_from, q_toward, bundle, 30, limits, 0.1)
+                    args = (env, q_from, q_toward, bundle, limits, 0.1)
                     assert_same_edge(steer(*args), ref(*args))
 
     def test_stall_exits(self, arm):
@@ -554,7 +560,7 @@ class TestSteerOracle:
         q_toward = np.full(3, 2e-4)
         for steer, ref in ((steer_cbf_inc, rollout_oracle.rollout_edge),
                            (steer_filter_lqr, rollout_oracle.steer_filter_lqr)):
-            args = (arm, env, np.zeros(3), q_toward, hand_bundle(arm), 90, limits, 1e-5)
+            args = (env, np.zeros(3), q_toward, hand_bundle(arm), limits, 1e-5)
             edge = ref(*args)
             assert 0 < len(edge.controls) < 90
             assert np.linalg.norm(edge.endpoint - q_toward) > 1e-5
@@ -566,7 +572,7 @@ class TestSteerOracle:
         target = np.array([1.2, 0.4, 0.0])
         # the first tick that fails h <= 0 or the derivative condition ends it
         bundle = ControllerBundle(barrier=distance_barrier(arm, offset=0.2), observe=None)
-        args = (arm, env, np.array([-0.8, 0.0, 0.0]), target, bundle, 90, limits, 0.1)
+        args = (env, np.array([-0.8, 0.0, 0.0]), target, bundle, limits, 0.1)
         edge = rollout_oracle.steer_filter_lqr(*args)
         assert 0 < len(edge.controls) < 90 and not edge.empty
         assert_same_edge(steer_filter_lqr(*args), edge)
@@ -574,7 +580,7 @@ class TestSteerOracle:
         # is cut at the last collision-free state
         loose = ControllerBundle(barrier=HandcraftedBarrier(arm, margin=0.0), observe=None,
                                  qp_cfg=SafeControllerConfig(relax_penalty=1e-4))
-        args = (arm, env, np.zeros(3), target, loose, 90, limits, 0.1)
+        args = (env, np.zeros(3), target, loose, limits, 0.1)
         edge = rollout_oracle.rollout_edge(*args)
         # short of the target with full-speed controls: neither goal, stall
         # nor the tick budget ended it
