@@ -43,7 +43,6 @@ from .planner import (
     PlannerLimits,
     PlanProblem,
     PlanResult,
-    SteerCbfFilterLqr,
     SteerRollout,
     SteerStraightLine,
     rrt_plan,
@@ -196,19 +195,19 @@ def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
     name = method["name"]
     if name == "straight":
         return SteerStraightLine()
+    if name not in ("hand-cbf", "cbf-state", "cbf-cloud", "filter-lqr"):
+        raise ValueError(f"unknown method {name!r}")
     bundle = _controller(method, arm, cfg, barrier_cache)
     bundle = replace(bundle, observe=_observer(bundle.barrier, problem, "static_full", cfg,
                                                root_seed))
-    if name in ("hand-cbf", "cbf-state", "cbf-cloud"):
-        return SteerRollout(bundle=bundle)
+    act = None
     if name == "filter-lqr":
         # a spec without a switch point (or with a negative one) switches to
         # the discard-style steer halfway through the node budget
         act = int(method.get("activation_after", -1))
         if act < 0:
             act = int(cfg["planner"]["max_nodes"]) // 2
-        return SteerCbfFilterLqr(bundle=bundle, activation_after=act)
-    raise ValueError(f"unknown method {name!r}")
+    return SteerRollout(bundle=bundle, activation_after=act)
 
 
 _WORKER_STATE: dict = {}

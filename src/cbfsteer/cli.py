@@ -111,18 +111,14 @@ def _build_parser() -> _Parser:
 
 def _method_spec(name: str, args) -> dict:
     name = name.strip()
-    if name == "straight":
-        return {"name": "straight"}
-    if name == "hand-cbf":
-        return {"name": "hand-cbf"}
-    if name == "cbf-state":
-        if not args.checkpoint_state:
-            raise _UsageError("method cbf-state needs --checkpoint-state")
-        return {"name": "cbf-state", "checkpoint": args.checkpoint_state}
-    if name == "cbf-cloud":
-        if not args.checkpoint_cloud:
-            raise _UsageError("method cbf-cloud needs --checkpoint-cloud")
-        return {"name": "cbf-cloud", "checkpoint": args.checkpoint_cloud}
+    if name in ("straight", "hand-cbf"):
+        return {"name": name}
+    if name in ("cbf-state", "cbf-cloud"):
+        kind = name.removeprefix("cbf-")
+        ckpt = getattr(args, f"checkpoint_{kind}")
+        if not ckpt:
+            raise _UsageError(f"method {name} needs --checkpoint-{kind}")
+        return {"name": name, "checkpoint": ckpt}
     if name == "filter-lqr":
         ckpt = args.checkpoint_state or args.checkpoint_cloud
         if not ckpt:
@@ -293,6 +289,7 @@ def _cmd_eval_controller(args, cfg, out_dir):
 
 def _cmd_replay(args, cfg, out_dir):
     arm = make_arm(cfg)
+    check_resolution = make_planner_limits(cfg).check_resolution
     problems = bench_mod.load_problems(args.problems)
     doc = load_json(args.plan)
     plan_doc = doc["plan"] if "plan" in doc else doc
@@ -305,8 +302,7 @@ def _cmd_replay(args, cfg, out_dir):
         print(f"plan for problem {pid}: not solved (status {plan.status})")
         raise RuntimeError(f"plan not solved (status {plan.status}); there is no path to "
                            "re-validate")
-    ok = bench_mod.validate_plan(
-        prob, plan, arm, cfg["planner"]["check_resolution"], cfg["controller"]["r_goal"])
+    ok = bench_mod.validate_plan(prob, plan, arm, check_resolution, cfg["controller"]["r_goal"])
     print(f"plan for problem {pid}: {'valid (collision-free, reaches goal)' if ok else 'INVALID'}")
     if not ok:
         raise RuntimeError("stored plan failed geometric re-validation")

@@ -259,18 +259,10 @@ def safe_rollout(bundle: ControllerBundle, q0: np.ndarray, q_goal: np.ndarray,
             rec.qp_infeasible_count += 1
         rec.controls.append(u)
         rec.steps_used += 1
+        tick_configs = hold(arm, q, u, substeps, dt_sim)
         if dynamic:
-            # iterated clamped Euler steps, bit for bit: the first step brings
-            # q inside the limits, and from there each joint moves one way, so
-            # clamping the running sums once equals clamping every step
-            tick_configs = np.empty((substeps, arm.n_links))
-            tick_configs[0] = (q + u * dt_sim).clip(arm.lower, arm.upper)
-            tick_configs[1:] = u * dt_sim
-            np.add.accumulate(tick_configs, axis=0, out=tick_configs)
-            tick_configs.clip(arm.lower, arm.upper, out=tick_configs)
             ds, env = signed_distance_stepped(env, arm, tick_configs, dt_sim)
         else:
-            tick_configs = hold(arm, q, u, substeps, dt_sim)
             ds = signed_distance_batch(env, arm, tick_configs)
         for qk, d in zip(tick_configs, ds):
             rec.configs.append(qk)

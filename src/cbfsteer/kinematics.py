@@ -92,14 +92,16 @@ def _check_config(arm: ArmModel, q: np.ndarray) -> np.ndarray:
 def hold(arm: ArmModel, q: np.ndarray, u: np.ndarray, substeps: int, dt_sim: float
          ) -> np.ndarray:
     """Zero-order hold of q_dot = u (u in the action box): the configurations
-    (substeps, n) after 1..substeps steps of dt_sim, clamped to the limits.
+    (substeps, n) after 1..substeps clamped Euler steps of dt_sim.
 
-    Row k is the one-shot clip(q + u*(k*dt_sim)). One substep is one clamped
-    Euler step, bit for bit; k substeps differ from k iterated steps by a few
-    ulp, so the dynamic branch of `controller.safe_rollout` iterates instead.
+    Equal bit for bit to iterating q <- clip(q + u*dt_sim): the first step
+    brings q inside the limits, and from there each joint moves one way, so
+    clamping the running sums once equals clamping every step.
     """
-    configs = np.multiply.outer(np.arange(1, substeps + 1) * dt_sim, u)
-    configs += q
+    configs = np.empty((substeps, arm.n_links))
+    configs[0] = (q + u * dt_sim).clip(arm.lower, arm.upper)
+    configs[1:] = u * dt_sim
+    np.add.accumulate(configs, axis=0, out=configs)
     return configs.clip(arm.lower, arm.upper, out=configs)
 
 

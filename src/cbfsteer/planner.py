@@ -1,6 +1,6 @@
-"""RRT with pluggable steer functions: straight-line, barrier-filtered rollout
-steering (learned or hand-crafted barrier), and the completeness-preserving
-filtered-LQR variant.
+"""RRT with pluggable steer functions: straight-line, and barrier-filtered
+rollout steering (learned or hand-crafted barrier) with its
+completeness-preserving filtered-LQR variant.
 
 Tree edges always pass geometric collision validation at the configured
 resolution before they are stored; the learned barrier is never trusted for
@@ -11,6 +11,7 @@ configuration.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -70,26 +71,19 @@ class SteerStraightLine:
 @dataclass(frozen=True)
 class SteerRollout:
     """Barrier-filtered rollout steering (CBF-INC) with the bundle's barrier,
-    learned or hand-crafted."""
+    learned or hand-crafted. Once the tree holds `activation_after` nodes
+    (never if None) it discards instead: the filtered-LQR steer, which ends
+    the edge at the first unsafe nominal action instead of modifying it."""
 
     bundle: ControllerBundle
-
-
-@dataclass(frozen=True)
-class SteerCbfFilterLqr:
-    """Discard-style steering: before `activation_after` tree nodes behave like
-    barrier-filtered rollouts, afterwards unsafe nominal actions terminate the
-    edge instead of being modified."""
-
-    bundle: ControllerBundle
-    activation_after: int = 0
+    activation_after: int | None = None
 
     def __post_init__(self):
-        if self.activation_after < 0:
+        if self.activation_after is not None and self.activation_after < 0:
             raise ValueError("activation threshold must be >= 0")
 
 
-SteerKind = SteerStraightLine | SteerRollout | SteerCbfFilterLqr
+SteerKind = SteerStraightLine | SteerRollout
 
 
 @dataclass(frozen=True)
@@ -102,6 +96,17 @@ class PlannerLimits(Record):
     max_ctrl_steps: int = 90
     stall_threshold: float = 1e-3
     stall_ticks: int = 5
+
+    def __post_init__(self):
+        for name in ("step_size", "check_resolution"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"planner {name} must be positive and finite")
+        if not 0.0 <= self.goal_bias <= 1.0:
+            raise ValueError("planner goal_bias must be in [0, 1]")
+        if self.stall_ticks < 1:
+            raise ValueError("planner stall_ticks must be >= 1")
+        if self.max_nodes < 0 or self.max_ctrl_steps < 0:
+            raise ValueError("planner max_nodes and max_ctrl_steps must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -156,8 +161,6 @@ def steer_straight(arm: ArmModel, env: Environment, q_from: np.ndarray, q_toward
                    step_size: float, check_resolution: float) -> Edge:
     """Advance along the joint-space segment up to step_size, truncating at the
     last valid sample before the first colliding one."""
-    if step_size <= 0:
-        raise ValueError("step_size must be positive")
     q_from = np.asarray(q_from, dtype=float)
     q_toward = np.asarray(q_toward, dtype=float)
     delta = q_toward - q_from
@@ -178,24 +181,23 @@ def steer_straight(arm: ArmModel, env: Environment, q_from: np.ndarray, q_toward
     return Edge(configs=[q_from, samples[last_ok]], controls=[])
 
 
-def _edge_from_rollout(arm: ArmModel, env: Environment, q_from: np.ndarray, configs: list,
-                       controls: list, substeps: int, check_resolution: float) -> Edge:
-    """Optimistic rollouts are not checked tick by tick (the barrier does that
-    job online); one batched validation pass truncates the trajectory at the
-    last collision-free state and keeps the controls of the ticks it reaches."""
-    kept = validate_and_truncate(env, arm, configs, check_resolution)
-    if len(kept) <= 1:
-        return Edge(configs=list(kept) or [np.asarray(q_from, float)])
-    n_ticks_kept = (len(kept) - 1 + substeps - 1) // substeps
-    return Edge(configs=list(kept), controls=controls[:n_ticks_kept])
-
-
 def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
-                  bundle: ControllerBundle, limits: PlannerLimits, r_goal: float) -> Edge:
+                  bundle: ControllerBundle, limits: PlannerLimits, r_goal: float,
+                  discard: bool = False) -> Edge:
     """Roll the filtered controller toward the sampled point for at most
     `limits.max_ctrl_steps` ticks at the bundle's rates; the visited
-    trajectory (possibly truncated at the last collision-free state) is the
-    edge. Stalls cut the edge short so QP-pinned states do not burn the budget."""
+    trajectory, truncated at the last collision-free state, is the edge.
+    Stalls cut the edge short so QP-pinned states do not burn the budget.
+
+    With `discard` (the filtered-LQR steer) the edge keeps nominal actions
+    only while the barrier's sign and derivative condition both hold (h <= 0
+    and an inactive safety constraint): the first rejection, or the first
+    stalled nominal action once kept, ends it.
+
+    The rollout is not checked tick by tick (the barrier does that job
+    online); one batched validation pass truncates it and keeps the controls
+    of the ticks it reaches.
+    """
     arm = bundle.barrier.arm
     substeps = bundle.limits.sim_hz // bundle.limits.ctrl_hz
     dt_sim = 1.0 / bundle.limits.sim_hz
@@ -207,44 +209,28 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
         dq = q - q_toward
         if math.sqrt(dq @ dq) <= r_goal:
             break
-        u, _, _, _ = control_tick(bundle, env, q, q_toward)
-        stalled = stalled + 1 if math.sqrt(u @ u) < limits.stall_threshold else 0
-        if stalled >= limits.stall_ticks:
-            break
+        u, u_nom, h, diag = control_tick(bundle, env, q, q_toward)
+        if discard:
+            if h > 0.0 or diag.constraint_active:
+                break
+            u = u_nom
+        else:
+            stalled = stalled + 1 if math.sqrt(u @ u) < limits.stall_threshold else 0
+            if stalled >= limits.stall_ticks:
+                break
         controls.append(u)
         states = hold(arm, q, u, substeps, dt_sim)
         configs.extend(states)
         q = states[-1]
-    return _edge_from_rollout(arm, env, q_from, configs, controls, substeps,
-                              limits.check_resolution)
+        if discard and math.sqrt(u @ u) < limits.stall_threshold:
+            break
+    kept = validate_and_truncate(env, arm, configs, limits.check_resolution) or configs[:1]
+    n_ticks_kept = (len(kept) - 1 + substeps - 1) // substeps  # ticks the kept states reach
+    return Edge(configs=kept, controls=controls[:n_ticks_kept])
 
 
-def steer_filter_lqr(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
-                     bundle: ControllerBundle, limits: PlannerLimits, r_goal: float) -> Edge:
-    """Accept nominal actions only while the barrier's derivative condition and
-    sign both hold (h <= 0 and an inactive safety constraint); the first
-    rejection terminates the edge (no modification)."""
-    arm = bundle.barrier.arm
-    substeps = bundle.limits.sim_hz // bundle.limits.ctrl_hz
-    dt_sim = 1.0 / bundle.limits.sim_hz
-    q = np.asarray(q_from, dtype=float).copy()
-    configs = [q]
-    controls = []
-    for _ in range(limits.max_ctrl_steps):
-        dq = q - q_toward
-        if math.sqrt(dq @ dq) <= r_goal:
-            break
-        _, u_nom, h, diag = control_tick(bundle, env, q, q_toward)
-        if h > 0.0 or diag.constraint_active:
-            break
-        controls.append(u_nom)
-        states = hold(arm, q, u_nom, substeps, dt_sim)
-        configs.extend(states)
-        q = states[-1]
-        if math.sqrt(u_nom @ u_nom) < limits.stall_threshold:
-            break
-    return _edge_from_rollout(arm, env, q_from, configs, controls, substeps,
-                              limits.check_resolution)
+# the filtered-LQR steer on its own, by the name the benchmark tracer times
+steer_filter_lqr = functools.partial(steer_cbf_inc, discard=True)
 
 
 def _dispatch_steer(steer: SteerKind, arm: ArmModel, env: Environment, q_from: np.ndarray,
@@ -254,11 +240,8 @@ def _dispatch_steer(steer: SteerKind, arm: ArmModel, env: Environment, q_from: n
         return steer_straight(arm, env, q_from, q_toward, limits.step_size,
                               limits.check_resolution)
     if isinstance(steer, SteerRollout):
-        return steer_cbf_inc(env, q_from, q_toward, steer.bundle, limits, r_goal)
-    if isinstance(steer, SteerCbfFilterLqr):
-        if tree_size < steer.activation_after:
-            return steer_cbf_inc(env, q_from, q_toward, steer.bundle, limits, r_goal)
-        return steer_filter_lqr(env, q_from, q_toward, steer.bundle, limits, r_goal)
+        discard = steer.activation_after is not None and tree_size >= steer.activation_after
+        return steer_cbf_inc(env, q_from, q_toward, steer.bundle, limits, r_goal, discard=discard)
     raise TypeError(f"unknown steer kind {type(steer).__name__}")
 
 
@@ -296,10 +279,7 @@ def rrt_plan_with_tree(problem: PlanProblem, steer: SteerKind, limits: PlannerLi
     t0 = time.perf_counter()
     tree = SearchTree(q0)
     explored = 0
-    goal_node = None
-
-    if np.linalg.norm(q0 - qg) <= problem.r_goal:
-        goal_node = 0
+    goal_node = 0 if np.linalg.norm(q0 - qg) <= problem.r_goal else None
 
     def try_add(parent: int, q_toward: np.ndarray) -> int | None:
         nonlocal explored

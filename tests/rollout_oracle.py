@@ -1,8 +1,9 @@
 """Reference control and rollout code for the tests.
 
 Integration: one clamped Euler step of q_dot = u (`integrate`), the
-per-step reference that `kinematics.hold` and the dynamic branch of
-`controller.safe_rollout` are held to.
+per-step reference that `kinematics.hold`, and through it every rollout and
+rollout steer, is held to; `iterated_hold` takes a control tick's substeps
+with it.
 
 Dynamic worlds: the per-step forms that the array-stepped code replaced:
 obstacles advanced one `dataclasses.replace` at a time, a ray fan built ray
@@ -12,7 +13,8 @@ simulation substep.
 
 Control ticks: the hand-written loops that `controller.control_tick` and
 `kinematics.hold` replaced (the static-world rollout, the barrier-filtered
-rollout steer and the filtered-LQR steer), the two breakpoint walks
+rollout steer and the filtered-LQR steer, which `planner.steer_cbf_inc`
+merges), the two breakpoint walks
 (strict projection, relaxed penalty) that `controller._breakpoint_walk`
 merges, and the safety QP and its walk as numpy array code, before their
 scalar steps moved to Python floats.
@@ -63,6 +65,16 @@ def integrate(arm: ArmModel, q: np.ndarray, u: np.ndarray, dt: float) -> tuple[n
     u_clipped = np.clip(u, arm.action_lower, arm.action_upper)
     clipped = bool(np.any(u_clipped != u))
     return clamp_to_limits(arm, q + u_clipped * dt), clipped
+
+
+def iterated_hold(arm: ArmModel, q: np.ndarray, u: np.ndarray, substeps: int,
+                  dt_sim: float) -> list:
+    """The states after each of `substeps` `integrate` steps of one control."""
+    states = []
+    for _ in range(substeps):
+        q, _ = integrate(arm, q, u, dt_sim)
+        states.append(q)
+    return states
 
 
 def step_obstacles(env: Environment, dt: float) -> Environment:
@@ -153,7 +165,7 @@ def safe_rollout(bundle, q0, q_goal, env) -> RolloutRecord:
 
 def safe_rollout_static(bundle, q0, q_goal, env) -> RolloutRecord:
     """Closed-loop rollout in a static world with the tick written out:
-    observe, barrier, nominal control, QP, then one-shot zero-order-hold
+    observe, barrier, nominal control, QP, then the tick's `integrate`
     substeps checked in one batched clearance call."""
     barrier, observe, limits = bundle.barrier, bundle.observe, bundle.limits
     arm = barrier.arm
@@ -180,9 +192,8 @@ def safe_rollout_static(bundle, q0, q_goal, env) -> RolloutRecord:
             rec.qp_infeasible_count += 1
         rec.controls.append(u.copy())
         rec.steps_used += 1
-        dts = (np.arange(1, substeps + 1) * dt_sim)[:, None]
-        tick_configs = np.clip(q[None, :] + u[None, :] * dts, arm.lower, arm.upper)
-        ds = signed_distance_batch(env, arm, tick_configs)
+        tick_configs = iterated_hold(arm, q, u, substeps, dt_sim)
+        ds = signed_distance_batch(env, arm, np.array(tick_configs))
         for qk, d in zip(tick_configs, ds):
             rec.configs.append(qk)
             rec.min_signed_distance.append(float(d))
@@ -194,10 +205,6 @@ def safe_rollout_static(bundle, q0, q_goal, env) -> RolloutRecord:
             rec.reached_goal = True
             return rec
     return rec
-
-
-def _substep_dts(substeps, dt_sim):
-    return (np.arange(1, substeps + 1) * dt_sim)[:, None]
 
 
 def rollout_edge(env, q_from, q_toward, bundle, limits, r_goal) -> Edge:
@@ -224,8 +231,7 @@ def rollout_edge(env, q_from, q_toward, bundle, limits, r_goal) -> Edge:
         if stalled >= limits.stall_ticks:
             break
         controls.append(u.copy())
-        states = np.clip(q[None, :] + u[None, :] * _substep_dts(substeps, dt_sim),
-                         arm.lower, arm.upper)
+        states = iterated_hold(arm, q, u, substeps, dt_sim)
         configs.extend(states)
         q = states[-1].copy()
     kept = validate_and_truncate(env, arm, configs, limits.check_resolution)
@@ -256,8 +262,7 @@ def steer_filter_lqr(env, q_from, q_toward, bundle, limits, r_goal) -> Edge:
         if h > 0.0 or float(grad @ u_nom) + alpha * h > 0.0:
             break
         controls.append(u_nom.copy())
-        states = np.clip(q[None, :] + u_nom[None, :] * _substep_dts(substeps, dt_sim),
-                         arm.lower, arm.upper)
+        states = iterated_hold(arm, q, u_nom, substeps, dt_sim)
         configs.extend(states)
         q = states[-1].copy()
         if float(np.linalg.norm(u_nom)) < limits.stall_threshold:

@@ -1,6 +1,8 @@
 """Harness tests: problem generation, difficulty proxy, bench aggregation
 determinism, and end-to-end controller evaluation."""
 
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,33 @@ class TestRunBench:
         bench.run_bench(probs, methods, [0, 1], arm, small, tmp_path / "bench",
                         report_timing=False)
         assert loads == [ckpt]
+
+
+class TestBarChartSvg:
+    def test_two_bars_and_labels_per_row(self, tmp_path):
+        # success rate on top, mean explored nodes below, each on a 140-px
+        # scale: sr itself, nodes relative to the largest mean
+        rows = [bench.MetricsRow("straight", "easy", 1.0, 12.0, 0.1, 4),
+                bench.MetricsRow("straight", "hard", 0.25, 48.0, 0.3, 4),
+                bench.MetricsRow("hand-cbf", "hard", 0.5, 30.0, 0.9, 4),
+                bench.MetricsRow("hand-cbf", "easy", 0.0, 0.0, 0.0, 4)]
+        bench.render_bar_chart_svg(tmp_path / "metrics.svg", rows)
+        ns = "{http://www.w3.org/2000/svg}"
+        svg = ET.parse(tmp_path / "metrics.svg").getroot()
+        rects = svg.findall(f"{ns}rect")
+        texts = [t.text for t in svg.findall(f"{ns}text")]
+        assert len(rects) == 2 * len(rows)
+        for row, sr_bar, nodes_bar in zip(rows, rects[0::2], rects[1::2]):
+            assert float(sr_bar.get("height")) == pytest.approx(row.sr * 140, abs=0.05)
+            assert float(nodes_bar.get("height")) == pytest.approx(
+                row.nodes_mean / 48.0 * 140, abs=0.05)
+            assert sr_bar.get("x") == nodes_bar.get("x")
+            assert [t for t in texts if t.startswith(f"{row.method}/{row.difficulty} ")] == [
+                f"{row.method}/{row.difficulty} {row.sr:.2f}",
+                f"{row.method}/{row.difficulty} {row.nodes_mean:.1f}"]
+        for bars in (rects[0::2], rects[1::2]):  # each panel's bars share a baseline
+            assert len({round(float(r.get("y")) + float(r.get("height")), 1)
+                        for r in bars}) == 1
 
 
 class TestEvalController:

@@ -140,7 +140,7 @@ class TestPipeline:
         from dataclasses import replace
 
         from cbfsteer import bench
-        from cbfsteer.planner import SteerCbfFilterLqr
+        from cbfsteer.planner import SteerRollout
 
         built = []
         real = bench.build_steer
@@ -159,7 +159,7 @@ class TestPipeline:
                     "--problems", problems, "--methods", "filter-lqr",
                     "--checkpoint-state", ckpt, "--no-timing"]) == 0
         plan_steer, bench_steer = built[0], built[1]  # both on problem 0
-        assert type(plan_steer) is type(bench_steer) is SteerCbfFilterLqr
+        assert type(plan_steer) is type(bench_steer) is SteerRollout
         assert plan_steer.activation_after == bench_steer.activation_after == 30
         assert replace(plan_steer.bundle, barrier=None) == replace(bench_steer.bundle,
                                                                    barrier=None)
@@ -167,6 +167,26 @@ class TestPipeline:
         assert plan_barrier.hyper == bench_barrier.hyper
         for (w0, b0), (w1, b1) in zip(plan_barrier.net.params, bench_barrier.net.params):
             assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
+
+    @pytest.mark.parametrize("command", ["plan", "replay"])
+    def test_a_zero_check_resolution_fails(self, pipeline_dir, mini_config, tmp_path, capsys,
+                                           command):
+        # at resolution 0 each segment would be checked only at its endpoint,
+        # so a planner would store, and a replay accept, edges that cross
+        # obstacles
+        problems = str(pipeline_dir / "problems.json")
+        assert run(["--config", mini_config, "--out", str(tmp_path), "plan", "--problems",
+                    problems, "--index", "0", "--method", "straight",
+                    "--out-file", "given.json"]) == 0
+        dump_json(tmp_path / "config.json", {"planner": {"check_resolution": 0}})
+        args = {"plan": ["--index", "0", "--method", "straight"],
+                "replay": ["--plan", str(tmp_path / "given.json")]}[command]
+        capsys.readouterr()
+        assert run(["--config", str(tmp_path / "config.json"), "--out", str(tmp_path), command,
+                    "--problems", problems, *args]) == 2
+        captured = capsys.readouterr()
+        assert "check_resolution must be positive and finite" in captured.err
+        assert captured.out == "" and not (tmp_path / "plan.json").exists()
 
     def test_eval_controller_dynamic_partial(self, pipeline_dir, mini_config, capsys):
         # cloud checkpoint: train a tiny one first

@@ -330,25 +330,38 @@ class TestSafetyQpOracle:
 
 
 class TestHold:
-    def test_one_shot_hold_within_four_ulp_of_iterated_steps(self):
-        # clip(q + u*k*dt) and k clamped Euler steps round differently; the
-        # static hold keeps the one-shot form, so pin how far apart they get
+    @pytest.mark.parametrize("substeps", [1, 3, 4])
+    def test_iterated_euler_steps_bit_for_bit(self, substeps):
+        # hold is k clamped Euler steps exactly, signed zeros included, also
+        # from a start outside the limits and when a joint reaches a limit
+        # in mid-tick
         arm = ArmModel()
         rng = np.random.default_rng(50)
-        substeps, dt = 4, 1.0 / 120
-        differ = 0
-        for _ in range(1000):
+        dt = 1.0 / 120
+        outside = mid_tick = 0
+        for i in range(3000):
             q = sample_config(arm, rng)
             u = rng.uniform(arm.action_lower, arm.action_upper)
-            shot = hold(arm, q, u, substeps, dt)
-            it = q
-            for k in range(substeps):
-                it, _ = rollout_oracle.integrate(arm, it, u, dt)
-                # rounding happens at the size of the operands, start included
-                ulp = np.spacing(np.maximum(np.abs(q), np.maximum(np.abs(shot[k]), np.abs(it))))
-                assert np.all(np.abs(shot[k] - it) <= 4 * ulp)
-                differ += int(np.any(shot[k] != it))
-        assert differ > 0  # the forms are not bit-equal
+            j = rng.integers(arm.n_links)
+            sign = rng.choice([-1.0, 1.0])
+            bound = (arm.upper if sign > 0 else arm.lower)[j]
+            if i % 4 == 1:  # start beyond a limit, either control direction
+                q[j] = bound + sign * rng.uniform(0.0, 0.05)
+            elif i % 4 == 2:  # start short of a limit and push toward it
+                u[j] = sign * abs(u[j])
+                q[j] = bound - u[j] * dt * rng.uniform(0.0, substeps)
+            elif i % 4 == 3:
+                q[rng.random(arm.n_links) < 0.5] = -0.0
+                u[rng.random(arm.n_links) < 0.5] = rng.choice([0.0, -0.0])
+            held = hold(arm, q, u, substeps, dt)
+            ref = np.array(rollout_oracle.iterated_hold(arm, q, u, substeps, dt))
+            assert held.shape == (substeps, arm.n_links)
+            assert held.tobytes() == ref.tobytes()
+            at_limit = (held == arm.lower) | (held == arm.upper)
+            outside += int(np.any((q < arm.lower) | (q > arm.upper)))
+            mid_tick += int(np.any(at_limit[-1] & ~at_limit[0]))
+        assert outside > 500
+        assert mid_tick > 100 or substeps == 1
 
     def test_clamps_at_joint_limits(self):
         arm = ArmModel()
@@ -573,8 +586,8 @@ class TestDynamicRolloutOracle:
 
 
 class TestStaticRolloutOracle:
-    """`safe_rollout` in static worlds against the loop with the tick and the
-    one-shot hold written out."""
+    """`safe_rollout` in static worlds against the loop with the tick and its
+    `integrate` substeps written out."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_worlds_hand_barrier(self, seed):

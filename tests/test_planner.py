@@ -29,7 +29,6 @@ from cbfsteer.planner import (
     PlannerLimits,
     PlanProblem,
     PlanResult,
-    SteerCbfFilterLqr,
     SteerRollout,
     SteerStraightLine,
     rrt_plan,
@@ -80,6 +79,61 @@ class TestControllerBundle:
         edge = steer_cbf_inc(Environment(), np.zeros(3), np.array([0.3, 0.0, 0.0]),
                              bundle, PlannerLimits(max_ctrl_steps=2), 0.1)
         assert len(edge.configs) == 1 + 2 * 3
+
+
+class TestPlannerLimits:
+    @pytest.mark.parametrize("field, value", [
+        *((field, value) for field in ("step_size", "check_resolution")
+          for value in (0.0, -0.02, np.nan, np.inf)),
+        ("goal_bias", -0.1), ("goal_bias", 1.5), ("goal_bias", np.nan),
+        ("stall_ticks", 0), ("stall_ticks", -1),
+        ("max_nodes", -1), ("max_ctrl_steps", -1)])
+    def test_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PlannerLimits(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        for goal_bias in (0.0, 1.0):
+            PlannerLimits(goal_bias=goal_bias, stall_ticks=1, max_nodes=0, max_ctrl_steps=0)
+
+
+class TestSteerRolloutSwitch:
+    """`SteerRollout.activation_after`: the tree size from which the
+    rollout steer discards (the filtered-LQR steer)."""
+
+    @staticmethod
+    def discard_flags(arm, monkeypatch, activation_after):
+        flags = []
+        real = planner.steer_cbf_inc
+
+        def spy(*args, discard=False):
+            flags.append(discard)
+            return real(*args, discard=discard)
+
+        monkeypatch.setattr(planner, "steer_cbf_inc", spy)
+        env = Environment(obstacles=(Obstacle(kind="circle", center=(5.0, 5.0), radius=0.1),))
+        problem = PlanProblem(arm=arm, env=env, q0=np.zeros(3), qg=np.array([2.0, -1.5, 1.0]))
+        res = rrt_plan(problem, SteerRollout(bundle=hand_bundle(arm),
+                                             activation_after=activation_after),
+                       PlannerLimits(max_nodes=12, max_ctrl_steps=5), np.random.default_rng(1))
+        # in free space every steer adds a node: call k sees k + 1 nodes
+        assert len(flags) == res.explored_nodes == res.tree_size - 1 > 4
+        return flags
+
+    def test_none_never_discards(self, arm, monkeypatch):
+        assert not any(self.discard_flags(arm, monkeypatch, None))
+
+    def test_zero_always_discards(self, arm, monkeypatch):
+        assert all(self.discard_flags(arm, monkeypatch, 0))
+
+    def test_switches_at_the_tree_size(self, arm, monkeypatch):
+        flags = self.discard_flags(arm, monkeypatch, 4)
+        assert flags == [False] * 3 + [True] * (len(flags) - 3)
+
+    @pytest.mark.parametrize("activation_after", [-1, -30])
+    def test_negative_rejected(self, arm, activation_after):
+        with pytest.raises(ValueError, match="activation"):
+            SteerRollout(bundle=hand_bundle(arm), activation_after=activation_after)
 
 
 class TestSteerStraight:
@@ -487,7 +541,7 @@ class TestEdgeSafetyContract:
             steer = SteerRollout(bundle=ControllerBundle(
                 barrier=distance_barrier(arm), observe=None))
         else:
-            steer = SteerCbfFilterLqr(bundle=ControllerBundle(
+            steer = SteerRollout(bundle=ControllerBundle(
                 barrier=distance_barrier(arm), observe=None), activation_after=20)
         res, tree = rrt_plan_with_tree(
             PlanProblem(arm=arm, env=env, q0=q0, qg=qg), steer, limits,
@@ -596,11 +650,15 @@ class TestSteerOracle:
         env = random_environment(EnvGenConfig(num_obstacles=5), rng)
         problem = PlanProblem(arm=arm, env=env, q0=_free_config(env, arm, rng),
                               qg=_free_config(env, arm, rng))
-        steer = SteerCbfFilterLqr(bundle=hand_bundle(arm), activation_after=3)
+        steer = SteerRollout(bundle=hand_bundle(arm), activation_after=3)
         limits = PlannerLimits(max_nodes=30, max_ctrl_steps=30)
         res, tree = rrt_plan_with_tree(problem, steer, limits, np.random.default_rng(23))
-        monkeypatch.setattr(planner, "steer_cbf_inc", rollout_oracle.rollout_edge)
-        monkeypatch.setattr(planner, "steer_filter_lqr", rollout_oracle.steer_filter_lqr)
+
+        def reference_steer(*args, discard=False):
+            ref = rollout_oracle.steer_filter_lqr if discard else rollout_oracle.rollout_edge
+            return ref(*args)
+
+        monkeypatch.setattr(planner, "steer_cbf_inc", reference_steer)
         ref, ref_tree = rrt_plan_with_tree(problem, steer, limits, np.random.default_rng(23))
         assert len(tree) > 3 + 1  # nodes added on both sides of the switch
         assert (res.status, res.explored_nodes) == (ref.status, ref.explored_nodes)
