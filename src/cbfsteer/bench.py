@@ -152,33 +152,35 @@ def _controller(method: dict, arm: ArmModel, cfg: dict, barrier_cache: dict,
                 **limit_overrides) -> ControllerBundle:
     """The method's controller from the config's `controller` section, with
     no observer yet. Its barrier is the hand-crafted one (with the neural
-    barriers' finite-difference step) or the method's network, loaded once
-    per checkpoint path; a network's training alpha_h must be the QP's
-    alpha, since it was trained to satisfy the barrier condition with it."""
-    if method["name"] == "hand-cbf":
+    barriers' finite-difference step and alpha_h) or the method's network,
+    loaded once per checkpoint path, which carries the alpha_h it was
+    trained with. `cbf-state` and `cbf-cloud` take only their own variant."""
+    name = method["name"]
+    if name == "hand-cbf":
         barrier = HandcraftedBarrier(arm, margin=cfg["controller"]["hand_margin"],
-                                     fd_step=cfg["hyper"]["fd_step"])
+                                     fd_step=cfg["hyper"]["fd_step"],
+                                     alpha=cfg["hyper"]["alpha_h"])
+    elif "checkpoint" not in method:
+        raise ValueError(f"method {name} has no controller")
     else:
         path = method["checkpoint"]
         if path not in barrier_cache:
             _, net, hyper_doc = load_checkpoint(path)
-            hyper = checkpoint_hyper(cfg, hyper_doc)
-            alpha = cfg["controller"]["alpha"]
-            if hyper.alpha_h != alpha:
-                raise ValueError(f"checkpoint {path} was trained with alpha_h="
-                                 f"{hyper.alpha_h}, but controller.alpha is {alpha}")
-            barrier_cache[path] = NeuralBarrier(net, arm, hyper)
+            barrier_cache[path] = NeuralBarrier(net, arm, checkpoint_hyper(cfg, hyper_doc))
         barrier = barrier_cache[path]
+        if name.startswith("cbf-") and barrier.kind != name.removeprefix("cbf-"):
+            raise ValueError(f"method {name} needs a {name.removeprefix('cbf-')} checkpoint, "
+                             f"but {path} holds a {barrier.kind} net")
     return ControllerBundle(barrier=barrier, observe=None, policy=make_policy(cfg),
                             qp_cfg=make_qp_cfg(cfg),
                             limits=make_rollout_limits(cfg, **limit_overrides))
 
 
 def _observer(barrier, problem: ProblemSpec, setting: str, cfg: dict, root_seed: int):
-    """What a barrier sees: nothing unless it reads observations; else in
-    "static_full" the problem's surface cloud (seeded by problem id), in
+    """What a barrier sees: nothing unless it is a cloud net; a cloud net in
+    "static_full" sees the problem's surface cloud (seeded by problem id), in
     "dynamic_partial" ray-cast fans of the world it is given."""
-    if not barrier.needs_observation:
+    if barrier.kind != "cloud":
         return None
     if setting == "dynamic_partial":
         spec = make_scan_spec(cfg)
@@ -409,9 +411,10 @@ def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, c
 
 def validate_plan(problem: ProblemSpec, plan: PlanResult, arm: ArmModel,
                   check_resolution: float, r_goal: float) -> bool:
-    """Re-validate a stored plan geometrically: the whole path must check out
-    collision-free at the given resolution and end in the goal ball."""
-    if plan.status != "solved":
+    """Re-validate a stored plan geometrically: the path must start at the
+    problem's start exactly, check out collision-free at the given resolution
+    and end in the goal ball."""
+    if plan.status != "solved" or not plan.path or not np.array_equal(plan.path[0], problem.q0):
         return False
     kept = validate_and_truncate(problem.environment, arm, plan.path, check_resolution)
     if len(kept) != len(plan.path):

@@ -11,6 +11,7 @@ grad_h . u + alpha_h * h <= -eps (drift-free system, so the drift term drops).
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -478,6 +479,14 @@ class TrainSchedule(Record):
     batch_size: int = 256
     lr: float = 2e-3
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("train epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("train batch_size must be >= 1")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("train lr must be positive and finite")
+
 
 def train(dataset: Dataset, net_init, hyper: CbfHyper, schedule: TrainSchedule,
           rng: np.random.Generator):
@@ -562,30 +571,23 @@ class NeuralBarrier:
         return "state" if isinstance(self.net, Mlp) else "cloud"
 
     @property
-    def needs_observation(self) -> bool:
-        """Whether rollouts must fetch an observation for this barrier (a
-        state barrier regenerates its own scalar observation)."""
-        return self.kind == "cloud"
+    def alpha(self) -> float:
+        """The class-K gain of the barrier condition the net was trained with."""
+        return self.hyper.alpha_h
 
     def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray]:
         return h_and_grad(self.net, q, env, self.arm, self.hyper, observation=observation)
 
 
+@dataclass(frozen=True)
 class HandcraftedBarrier:
     """Signed-distance baseline with an inflated clearance margin."""
 
-    def __init__(self, arm: ArmModel, margin: float = 0.15, fd_step: float = 1e-3):
-        self.arm = arm
-        self.margin = margin
-        self.fd_step = fd_step
-
-    @property
-    def kind(self) -> str:
-        return "handcrafted"
-
-    @property
-    def needs_observation(self) -> bool:
-        return False
+    arm: ArmModel
+    margin: float = 0.15
+    fd_step: float = 1e-3
+    alpha: float = 1.0
+    kind = "handcrafted"
 
     def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray]:
         return handcrafted_h(env, self.arm, q, self.margin, fd_step=self.fd_step)

@@ -257,10 +257,9 @@ def _cmd_bench(args, cfg, out_dir):
     arm = make_arm(cfg)
     problems = bench_mod.load_problems(args.problems)
     methods = [_method_spec(m, args) for m in args.methods.split(",") if m.strip()]
-    report_timing = cfg["bench"]["report_timing"] and not args.no_timing
     rows = bench_mod.run_bench(
         problems, methods, list(cfg["bench"]["seeds"]), arm, cfg, out_dir,
-        root_seed=args.seed, report_timing=report_timing, svg=args.svg)
+        root_seed=args.seed, report_timing=not args.no_timing, svg=args.svg)
     for r in rows:
         print(f"{r.method:12s} {r.difficulty:8s} sr={r.sr:.3f} nodes={r.nodes_mean:.1f} "
               f"time={r.time_s_mean:.3f}s n={r.n_runs}")

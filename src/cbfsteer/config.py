@@ -59,7 +59,6 @@ DEFAULTS: dict = {
         "problems_per_class": 200,
         "seeds": [0, 1, 2],
         "proxy_runs": 3,
-        "report_timing": True,
         "workers": 1,
         "clearance_factor": 0.5,
     },

@@ -2,9 +2,9 @@
 rollouts at split simulation/control rates.
 
 The filter solves min ||u - u_nom||^2 over the action box subject to
-grad_h . u + alpha*h <= 0 (drift-free dynamics). Strict mode is exact and can
-signal infeasibility; relaxed mode trades the constraint for a quadratic
-violation penalty and always returns a control.
+grad_h . u + alpha*h <= 0 (drift-free dynamics; the barrier carries alpha).
+Strict mode is exact and can signal infeasibility; relaxed mode trades the
+constraint for a quadratic violation penalty and always returns a control.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class QpMode(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SafeControllerConfig(Record):
-    alpha: float = 1.0
     relax_penalty: float = 100.0
     mode: QpMode = QpMode.RELAXED
 
@@ -117,11 +116,11 @@ def _breakpoint_walk(u_nom: np.ndarray, a: np.ndarray, b: float, k: float, k0: f
     return u.clip(lo, hi, out=u)
 
 
-def solve_safety_qp(u_nom: np.ndarray, grad_h: np.ndarray, h_val: float,
+def solve_safety_qp(u_nom: np.ndarray, grad_h: np.ndarray, b: float,
                     cfg: SafeControllerConfig, lo: np.ndarray, hi: np.ndarray
                     ) -> tuple[np.ndarray, QpDiagnostics]:
-    """Filter a nominal control through the barrier constraint a.u + b <= 0
-    with a = grad_h and b = alpha*h.
+    """Filter a nominal control: min ||u - u_nom||^2 over the box subject to
+    grad_h.u + b <= 0 (a barrier condition passes b = alpha*h).
 
     Strict mode returns the exact constrained minimizer, or signals
     infeasibility when even the best box control cannot satisfy the
@@ -137,11 +136,11 @@ def solve_safety_qp(u_nom: np.ndarray, grad_h: np.ndarray, h_val: float,
     hi = np.asarray(hi, dtype=float)
     a_l, lo_l, hi_l = a.tolist(), lo.tolist(), hi.tolist()
     if not (all(map(math.isfinite, u_nom.tolist())) and all(map(math.isfinite, a_l))
-            and math.isfinite(h_val)):
+            and math.isfinite(b)):
         raise ValueError("non-finite QP inputs")
     if any(l > h for l, h in zip(lo_l, hi_l)):
         raise ValueError("empty action box")
-    b = cfg.alpha * float(h_val)
+    b = float(b)
     # Closed-form separability: the least achievable a.u over the box.
     best_u = np.array([h if ai < 0.0 else l for ai, l, h in zip(a_l, lo_l, hi_l)])
     inf_box = float(a @ best_u)
@@ -213,15 +212,16 @@ class RolloutRecord:
 
 def control_tick(bundle: ControllerBundle, env: Environment, q: np.ndarray, q_goal: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, float, QpDiagnostics]:
-    """One control tick of the barrier-filtered controller: observe (only if
-    the barrier asks for observations), barrier value and gradient, nominal
-    control toward q_goal, safety QP. Returns (u, u_nom, h, diagnostics)."""
+    """One control tick of the barrier-filtered controller: observe (if there
+    is an observer), barrier value and gradient, nominal control toward q_goal,
+    safety QP with b = alpha*h. Returns (u, u_nom, h, diagnostics)."""
     barrier, observe = bundle.barrier, bundle.observe
     arm = barrier.arm
-    obs = observe(env, arm, q) if (observe is not None and barrier.needs_observation) else None
+    obs = None if observe is None else observe(env, arm, q)
     h, grad = barrier.value_and_grad(q, obs, env)
     u_nom = bundle.policy.control(q, q_goal, arm.action_lower, arm.action_upper)
-    u, diag = solve_safety_qp(u_nom, grad, h, bundle.qp_cfg, arm.action_lower, arm.action_upper)
+    u, diag = solve_safety_qp(u_nom, grad, barrier.alpha * h, bundle.qp_cfg,
+                              arm.action_lower, arm.action_upper)
     return u, u_nom, h, diag
 
 

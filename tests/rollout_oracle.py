@@ -139,11 +139,11 @@ def safe_rollout(bundle, q0, q_goal, env) -> RolloutRecord:
         rec.reached_goal = True
         return rec
     for _ in range(int(round(limits.horizon_s * limits.ctrl_hz))):
-        obs = observe(env, arm, q) if (observe is not None and barrier.needs_observation) else None
+        obs = None if observe is None else observe(env, arm, q)
         h, grad = barrier.value_and_grad(q, obs, env)
         u_nom = bundle.policy.control(q, q_goal, arm.action_lower, arm.action_upper)
-        u, diag = solve_safety_qp(u_nom, grad, h, bundle.qp_cfg, arm.action_lower,
-                                  arm.action_upper)
+        u, diag = solve_safety_qp(u_nom, grad, barrier.alpha * h, bundle.qp_cfg,
+                                  arm.action_lower, arm.action_upper)
         if diag.infeasible:
             rec.qp_infeasible_count += 1
         rec.controls.append(u.copy())
@@ -183,11 +183,11 @@ def safe_rollout_static(bundle, q0, q_goal, env) -> RolloutRecord:
         rec.reached_goal = True
         return rec
     for _ in range(int(round(limits.horizon_s * limits.ctrl_hz))):
-        obs = observe(env, arm, q) if (observe is not None and barrier.needs_observation) else None
+        obs = None if observe is None else observe(env, arm, q)
         h, grad = barrier.value_and_grad(q, obs, env)
         u_nom = bundle.policy.control(q, q_goal, arm.action_lower, arm.action_upper)
-        u, diag = solve_safety_qp(u_nom, grad, h, bundle.qp_cfg, arm.action_lower,
-                                  arm.action_upper)
+        u, diag = solve_safety_qp(u_nom, grad, barrier.alpha * h, bundle.qp_cfg,
+                                  arm.action_lower, arm.action_upper)
         if diag.infeasible:
             rec.qp_infeasible_count += 1
         rec.controls.append(u.copy())
@@ -221,11 +221,10 @@ def rollout_edge(env, q_from, q_toward, bundle, limits, r_goal) -> Edge:
     for _ in range(limits.max_ctrl_steps):
         if np.linalg.norm(q - q_toward) <= r_goal:
             break
-        obs = (bundle.observe(env, arm, q)
-               if bundle.observe is not None and barrier.needs_observation else None)
+        obs = None if bundle.observe is None else bundle.observe(env, arm, q)
         h, grad = barrier.value_and_grad(q, obs, env)
         u_nom = bundle.policy.control(q, q_toward, arm.action_lower, arm.action_upper)
-        u, _ = solve_safety_qp(u_nom, grad, h, bundle.qp_cfg,
+        u, _ = solve_safety_qp(u_nom, grad, barrier.alpha * h, bundle.qp_cfg,
                                arm.action_lower, arm.action_upper)
         stalled = stalled + 1 if float(np.linalg.norm(u)) < limits.stall_threshold else 0
         if stalled >= limits.stall_ticks:
@@ -246,7 +245,7 @@ def steer_filter_lqr(env, q_from, q_toward, bundle, limits, r_goal) -> Edge:
     the first tick with h > 0 or grad_h . u_nom + alpha*h > 0."""
     barrier = bundle.barrier
     arm = barrier.arm
-    alpha = bundle.qp_cfg.alpha
+    alpha = barrier.alpha
     substeps = bundle.limits.sim_hz // bundle.limits.ctrl_hz
     dt_sim = 1.0 / bundle.limits.sim_hz
     q = np.asarray(q_from, dtype=float).copy()
@@ -255,8 +254,7 @@ def steer_filter_lqr(env, q_from, q_toward, bundle, limits, r_goal) -> Edge:
     for _ in range(limits.max_ctrl_steps):
         if np.linalg.norm(q - q_toward) <= r_goal:
             break
-        obs = (bundle.observe(env, arm, q)
-               if bundle.observe is not None and barrier.needs_observation else None)
+        obs = None if bundle.observe is None else bundle.observe(env, arm, q)
         h, grad = barrier.value_and_grad(q, obs, env)
         u_nom = bundle.policy.control(q, q_toward, arm.action_lower, arm.action_upper)
         if h > 0.0 or float(grad @ u_nom) + alpha * h > 0.0:
@@ -383,17 +381,17 @@ def breakpoint_walk(u_nom, a, b, k, k0, lo, hi):
     return np.clip(u_nom - mu_prev * a, lo, hi)
 
 
-def safety_qp(u_nom, grad_h, h_val, cfg, lo, hi):
+def safety_qp(u_nom, grad_h, b, cfg, lo, hi):
     """`controller.solve_safety_qp` on numpy arrays, with `breakpoint_walk`."""
     u_nom = np.asarray(u_nom, dtype=float)
     a = np.asarray(grad_h, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if not (np.all(np.isfinite(u_nom)) and np.all(np.isfinite(a)) and math.isfinite(h_val)):
+    if not (np.all(np.isfinite(u_nom)) and np.all(np.isfinite(a)) and math.isfinite(b)):
         raise ValueError("non-finite QP inputs")
     if np.any(lo > hi):
         raise ValueError("empty action box")
-    b = cfg.alpha * float(h_val)
+    b = float(b)
     best_u = np.where(a > 0.0, lo, np.where(a < 0.0, hi, lo))
     inf_box = float(a @ best_u)
     infeasible = inf_box + b > 0.0

@@ -274,10 +274,13 @@ class TestEvalController:
                 assert np.hypot(*o.velocity) == pytest.approx(0.05)
 
     @pytest.mark.parametrize("entry", ["build_steer", "eval_controller"])
-    def test_checkpoint_alpha_must_match_controller_alpha(self, cfg, arm, tmp_path, entry):
+    def test_checkpoint_alpha_reaches_the_qp(self, cfg, arm, tmp_path, monkeypatch, entry):
+        # the barrier carries the alpha_h its net was trained with; the QP
+        # takes only the offset alpha*h
         from dataclasses import replace
 
         from cbfsteer.config import make_hyper
+        from cbfsteer.controller import control_tick, solve_safety_qp
         from cbfsteer.neural import Mlp, save_checkpoint
 
         probs = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 1,
@@ -287,17 +290,37 @@ class TestEvalController:
         save_checkpoint(path, "state", net,
                         replace(make_hyper(load_config(), "state"), alpha_h=2.0).to_json())
         method = {"name": "cbf-state", "checkpoint": str(path)}
+        if entry == "build_steer":
+            bundle = bench.build_steer(method, arm, probs[0], cfg, 0, {}).bundle
+        else:
+            seen = []
+            rollout = bench.safe_rollout
 
-        def run(cfg_):
-            if entry == "build_steer":
-                return bench.build_steer(method, arm, probs[0], cfg_, 0, {})
-            return bench.eval_controller(probs, method, "static_full", arm, cfg_, horizon_s=0.2)
+            def recording_rollout(bundle, *args):
+                seen.append(bundle)
+                return rollout(bundle, *args)
 
-        assert cfg["controller"]["alpha"] == 1.0
-        with pytest.raises(ValueError, match="alpha"):
-            run(cfg)
-        cfg["controller"]["alpha"] = 2.0
-        run(cfg)  # matching alphas load
+            monkeypatch.setattr(bench, "safe_rollout", recording_rollout)
+            bench.eval_controller(probs, method, "static_full", arm, cfg, horizon_s=0.2)
+            (bundle,) = seen
+        assert bundle.barrier.alpha == 2.0
+        q, env = probs[0].q0, probs[0].environment
+        u, u_nom, h, diag = control_tick(bundle, env, q, probs[0].qg)
+        _, grad = bundle.barrier.value_and_grad(q, None, env)
+        u_ref, diag_ref = solve_safety_qp(u_nom, grad, 2.0 * h, bundle.qp_cfg,
+                                          arm.action_lower, arm.action_upper)
+        assert u.tobytes() == u_ref.tobytes() and diag == diag_ref
+
+    def test_hand_cbf_takes_the_configured_alpha_h(self, cfg, arm):
+        cfg["hyper"]["alpha_h"] = 3.0
+        bundle = bench._controller({"name": "hand-cbf"}, arm, cfg, {})
+        assert bundle.barrier.alpha == 3.0
+
+    def test_straight_has_no_controller(self, cfg, arm):
+        probs = bench.gen_problems(EnvGenConfig(num_obstacles=0), 1,
+                                   np.random.default_rng(20), arm, 0.025)
+        with pytest.raises(ValueError, match="method straight has no controller"):
+            bench.eval_controller(probs, {"name": "straight"}, "static_full", arm, cfg)
 
     def test_calls_sharing_a_barrier_cache_load_the_checkpoint_once(self, cfg, arm, tmp_path,
                                                                      monkeypatch):
@@ -500,3 +523,31 @@ class TestObserver:
                 assert cloud_bytes(seen[0](world, arm, q)) == expected
             assert (cloud_bytes(observe(moved, arm, q))
                     != cloud_bytes(observe(prob.environment, arm, q)))
+
+    @pytest.mark.parametrize("setting", bench.SETTINGS)
+    @pytest.mark.parametrize("name", ["hand-cbf", "cbf-state"])
+    def test_observer_is_none_unless_the_barrier_is_a_cloud_net(self, cfg, arm, methods,
+                                                                 name, setting):
+        prob = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 1,
+                                  np.random.default_rng(28), arm, 0.025)[0]
+        barrier = bench._controller(methods[name], arm, cfg, {}).barrier
+        assert bench._observer(barrier, prob, setting, cfg, 0) is None
+
+    @pytest.mark.parametrize("name, other", [("cbf-state", "cloud"), ("cbf-cloud", "state")])
+    def test_method_rejects_the_other_variant(self, cfg, arm, methods, tmp_path, name, other):
+        method = {"name": name, "checkpoint": methods[f"cbf-{other}"]["checkpoint"]}
+        prob = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 1,
+                                  np.random.default_rng(28), arm, 0.025)[0]
+        with pytest.raises(ValueError, match=f"{name} needs a {name[4:]} checkpoint.*"
+                                             f"holds a {other} net"):
+            bench.build_steer(method, arm, prob, cfg, 0, {})
+        with pytest.raises(ValueError, match=f"holds a {other} net"):
+            bench.run_bench([prob], [method], [0], arm, cfg, tmp_path / "out")
+
+    @pytest.mark.parametrize("kind", ["state", "cloud"])
+    def test_filter_lqr_takes_either_variant(self, cfg, arm, methods, kind):
+        method = {"name": "filter-lqr", "checkpoint": methods[f"cbf-{kind}"]["checkpoint"]}
+        prob = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 1,
+                                  np.random.default_rng(28), arm, 0.025)[0]
+        steer = bench.build_steer(method, arm, prob, cfg, 0, {})
+        assert steer.bundle.barrier.kind == kind and steer.activation_after is not None

@@ -515,6 +515,18 @@ class TestEvaluateConstraints:
         assert evaluate_constraints(net, ds, hyper) == evaluate_constraints(net, ds, hyper, 512)
 
 
+class TestTrainSchedule:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1), ("batch_size", 0), ("batch_size", -32),
+        *(("lr", value) for value in (0.0, -1e-3, np.nan, np.inf))])
+    def test_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"train {field} must be"):
+            TrainSchedule(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        TrainSchedule(epochs=0, batch_size=1, lr=1e-12)
+
+
 class TestTrain:
     def test_zero_epochs_identity(self, arm):
         ds = small_dataset(arm, uniform=60)

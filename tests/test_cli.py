@@ -267,3 +267,88 @@ class TestCheckpointWithoutHyper:
         assert seen == [steer.bundle.barrier.hyper] == [make_hyper(cfg, kind)]
         # the default config holds the CbfHyper defaults
         assert seen[0] == CbfHyper()
+
+
+class TestReplayChecksTheStart:
+    @pytest.fixture(scope="class")
+    def solved(self, tmp_path_factory, mini_config):
+        """A straight-line plan of an obstacle-free problem, which it solves."""
+        out = tmp_path_factory.mktemp("replay")
+        assert run(["--seed", "4", "--config", mini_config, "--out", str(out),
+                    "gen-problems", "--count", "1", "--obstacles", "0"]) == 0
+        assert run(["--seed", "4", "--config", mini_config, "--out", str(out),
+                    "plan", "--problems", str(out / "problems.json"),
+                    "--method", "straight"]) == 0
+        doc = load_json(out / "plan.json")
+        assert doc["plan"]["status"] == "solved" and len(doc["plan"]["path"]) >= 2
+        return out, doc
+
+    def replay(self, out, mini_config, doc, capsys):
+        dump_json(out / "replayed.json", doc)
+        capsys.readouterr()
+        rc = run(["--config", mini_config, "--out", str(out), "replay",
+                  "--problems", str(out / "problems.json"), "--plan", str(out / "replayed.json")])
+        return rc, capsys.readouterr().out
+
+    def test_a_genuine_plan_replays_as_valid(self, solved, mini_config, capsys):
+        out, doc = solved
+        assert doc["plan"]["path"][0] == load_json(out / "problems.json")[0]["q0"]
+        assert self.replay(out, mini_config, doc, capsys) == (
+            0, "plan for problem 0: valid (collision-free, reaches goal)\n")
+
+    @pytest.mark.parametrize("forgery", ["moved-start", "goal-only"])
+    def test_a_path_that_does_not_start_at_the_start_is_invalid(self, solved, mini_config,
+                                                                capsys, forgery):
+        out, doc = solved
+        plan = dict(doc["plan"])
+        if forgery == "moved-start":
+            plan["path"] = [[plan["path"][0][0] + 0.01, *plan["path"][0][1:]],
+                            *plan["path"][1:]]
+        else:  # one configuration, inside the goal ball
+            plan["path"], plan["controls"] = [plan["path"][-1]], []
+        rc, printed = self.replay(out, mini_config, dict(doc, plan=plan), capsys)
+        assert rc == 2 and "INVALID" in printed
+
+
+class TestMethodNeedsItsController:
+    @pytest.fixture(scope="class")
+    def checkpoints(self, tmp_path_factory):
+        """Untrained state and cloud checkpoints under the default config."""
+        from cbfsteer.config import cloud_widths, load_config, make_arm, make_hyper, state_widths
+        from cbfsteer.neural import Mlp, PointSetEncoder, save_checkpoint
+
+        out = tmp_path_factory.mktemp("ckpts")
+        cfg = load_config()
+        arm = make_arm(cfg)
+        rng = np.random.default_rng(30)
+        nets = {"state": Mlp.create(state_widths(cfg, arm), rng),
+                "cloud": PointSetEncoder.create(arm.n_links, *cloud_widths(cfg, arm), rng=rng)}
+        for kind, net in nets.items():
+            save_checkpoint(out / f"{kind}.json", kind, net, make_hyper(cfg, kind).to_json())
+        return out
+
+    @pytest.mark.parametrize("name, other", [("cbf-state", "cloud"), ("cbf-cloud", "state")])
+    @pytest.mark.parametrize("command", ["plan", "bench"])
+    def test_a_checkpoint_of_the_other_variant_fails(self, pipeline_dir, checkpoints, tmp_path,
+                                                     capsys, name, other, command):
+        ckpt = str(checkpoints / f"{other}.json")
+        args = {"plan": ["--method", name, "--checkpoint", ckpt],
+                "bench": ["--methods", name, f"--checkpoint-{name[4:]}", ckpt, "--no-timing"]}
+        capsys.readouterr()
+        assert run(["--out", str(tmp_path), command, "--problems",
+                    str(pipeline_dir / "problems.json"), *args[command]]) == 2
+        assert (f"error: method {name} needs a {name[4:]} checkpoint, but {ckpt} holds a "
+                f"{other} net") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_eval_controller_of_straight_fails_by_name(self, pipeline_dir, tmp_path, capsys):
+        assert run(["--out", str(tmp_path), "eval-controller", "--problems",
+                    str(pipeline_dir / "problems.json"), "--method", "straight"]) == 2
+        assert "error: method straight has no controller" in capsys.readouterr().err
+
+
+def test_train_with_negative_epochs_fails(pipeline_dir, tmp_path, capsys):
+    assert run(["--out", str(tmp_path), "train", "--data",
+                str(pipeline_dir / "dataset-state.jsonl"), "--epochs", "-1"]) == 2
+    assert "train epochs must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -35,7 +35,7 @@ SECTIONS = [
         "gamma": 0.1, "eps_margin": 0.03, "alpha_h": 2.0, "loss_weights": [1.0, 0.5, 0.25],
         "fd_step": 1e-4, "r_thres": 0.04}),
     (("controller",), SafeControllerConfig, config.make_qp_cfg, {
-        "alpha": 2.0, "relax_penalty": 50.0, "mode": "strict"}),
+        "relax_penalty": 50.0, "mode": "strict"}),
     (("controller",), RolloutLimits, config.make_rollout_limits, {
         "horizon_s": 3.0, "sim_hz": 60, "ctrl_hz": 20, "r_goal": 0.05}),
     (("planner",), PlannerLimits, config.make_planner_limits, {
@@ -156,6 +156,15 @@ def test_misspellings_that_used_to_be_ignored(doc, where, tmp_path):
 def test_a_section_that_is_not_an_object_is_rejected_by_path(path, value, tmp_path):
     with pytest.raises(ValueError, match=r"config key " + r"\.".join(path) + " must be an object"):
         load_doc(tmp_path, nested(path[:-1], {path[-1]: value}))
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"controller": {"alpha": 2.0}}, "controller.alpha"),  # the barrier carries hyper.alpha_h
+    ({"bench": {"report_timing": False}}, "bench.report_timing"),  # the --no-timing flag
+], ids=["controller.alpha", "bench.report_timing"])
+def test_keys_with_another_single_source_are_rejected(doc, where, tmp_path):
+    with pytest.raises(ValueError, match=f"unknown config key {where}$"):
+        load_doc(tmp_path, doc)
 
 
 def test_every_table_key_and_every_default_key_is_accepted(tmp_path):

@@ -126,7 +126,7 @@ class TestQpStrict:
     def test_hyperplane_projection_inside_box(self, box2):
         # spec example verified against a 201^2 grid
         lo, hi = box2
-        cfg = SafeControllerConfig(mode=QpMode.STRICT, alpha=1.0)
+        cfg = SafeControllerConfig(mode=QpMode.STRICT)
         u, diag = solve_safety_qp(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.0, cfg, lo, hi)
         np.testing.assert_allclose(u, [0.0, 0.0], atol=1e-12)
         g = np.linspace(-1, 1, 201)
@@ -137,7 +137,7 @@ class TestQpStrict:
 
     def test_infeasible_detected(self, box2):
         lo, hi = box2
-        cfg = SafeControllerConfig(mode=QpMode.STRICT, alpha=1.0)
+        cfg = SafeControllerConfig(mode=QpMode.STRICT)
         u, diag = solve_safety_qp(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 3.0, cfg, lo, hi)
         assert diag.infeasible
         # returned best-effort control minimizes the violation
@@ -154,7 +154,7 @@ class TestQpStrict:
             u_nom = rng.uniform(lo, hi)
             a = rng.normal(size=n)
             b = float(rng.normal(scale=0.8))
-            cfg = SafeControllerConfig(mode=QpMode.STRICT, alpha=1.0)
+            cfg = SafeControllerConfig(mode=QpMode.STRICT)
             u, diag = solve_safety_qp(u_nom, a, b, cfg, lo, hi)
             inf_box = float(np.minimum(a * lo, a * hi).sum())
             assert diag.infeasible == (inf_box + b > 0)
@@ -186,7 +186,7 @@ class TestQpRelaxed:
             b = float(rng.normal())
             w = rng.uniform(-1, 1, 2)
             rho = float(rng.choice([1.0, 10.0, 100.0]))
-            cfg = SafeControllerConfig(mode=QpMode.RELAXED, relax_penalty=rho, alpha=1.0)
+            cfg = SafeControllerConfig(mode=QpMode.RELAXED, relax_penalty=rho)
             u, _ = solve_safety_qp(w, a, b, cfg, lo, hi)
             obj_grid = ((xx - w[0]) ** 2 + (yy - w[1]) ** 2
                         + rho * np.maximum(a[0] * xx + a[1] * yy + b, 0.0) ** 2)
@@ -272,18 +272,21 @@ class TestSafetyQpOracle:
     """`solve_safety_qp`, whose scalar steps run on Python floats, against the
     numpy array QP it replaced: the same control bytes and diagnostics."""
 
-    CONFIGS = [SafeControllerConfig(alpha=1.0, mode=QpMode.STRICT),
-               SafeControllerConfig(alpha=2.5, mode=QpMode.STRICT),
-               SafeControllerConfig(alpha=1.0, relax_penalty=100.0),
-               SafeControllerConfig(alpha=0.5, relax_penalty=1e-3),
-               SafeControllerConfig(alpha=1.0, relax_penalty=1e6)]
+    # (barrier alpha, QP settings): both solvers take the offset b = alpha*h
+    CONFIGS = [(1.0, SafeControllerConfig(mode=QpMode.STRICT)),
+               (2.5, SafeControllerConfig(mode=QpMode.STRICT)),
+               (1.0, SafeControllerConfig(relax_penalty=100.0)),
+               (0.5, SafeControllerConfig(relax_penalty=1e-3)),
+               (1.0, SafeControllerConfig(relax_penalty=1e6))]
 
-    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.mode.value}-{c.relax_penalty}")
-    def test_random_instances_bit_equal(self, cfg):
+    @pytest.mark.parametrize("case", CONFIGS,
+                             ids=lambda c: f"{c[1].mode.value}-{c[1].relax_penalty}")
+    def test_random_instances_bit_equal(self, case):
+        alpha, cfg = case
         seen = {"inactive": 0, "walk": 0, "infeasible": 0, "zero_grad": 0}
         for u_nom, a, h, lo, hi in qp_instances(60, 3000):
-            got_u, got = solve_safety_qp(u_nom, a, h, cfg, lo, hi)
-            ref_u, ref = rollout_oracle.safety_qp(u_nom, a, h, cfg, lo, hi)
+            got_u, got = solve_safety_qp(u_nom, a, alpha * h, cfg, lo, hi)
+            ref_u, ref = rollout_oracle.safety_qp(u_nom, a, alpha * h, cfg, lo, hi)
             assert got_u.tobytes() == ref_u.tobytes()
             assert diag_bits(got) == diag_bits(ref)
             if not got.constraint_active:
@@ -300,11 +303,11 @@ class TestSafetyQpOracle:
     def test_all_zero_gradient(self):
         lo, hi = -np.ones(3), np.ones(3)
         u_nom = np.array([0.5, -1.0, 1.0])
-        for cfg in self.CONFIGS:
+        for alpha, cfg in self.CONFIGS:
             for h in (-0.5, 0.0, 0.5):
                 for a in (np.zeros(3), np.array([-0.0, 0.0, -0.0])):
-                    got_u, got = solve_safety_qp(u_nom, a, h, cfg, lo, hi)
-                    ref_u, ref = rollout_oracle.safety_qp(u_nom, a, h, cfg, lo, hi)
+                    got_u, got = solve_safety_qp(u_nom, a, alpha * h, cfg, lo, hi)
+                    ref_u, ref = rollout_oracle.safety_qp(u_nom, a, alpha * h, cfg, lo, hi)
                     assert got_u.tobytes() == ref_u.tobytes()
                     assert diag_bits(got) == diag_bits(ref)
 
@@ -460,20 +463,24 @@ class TestSafeRollout:
                                           limits=RolloutLimits(sim_hz=100, ctrl_hz=30)),
                          np.zeros(3), np.ones(3), far_world())
 
-    def test_observer_closure_used_for_state_barrier(self):
-        # the rollout only queries an observer when the barrier asks for
-        # observations, and a barrier on the signed distance never does
+    def test_given_observer_called_once_per_tick(self):
+        # the bundle's observer alone decides what a barrier sees: a given
+        # one is queried on every tick, whatever the barrier
         arm = ArmModel()
         calls = []
 
         def observe(env, a, q):
-            calls.append(1)
+            calls.append(q.copy())
             return StateObservation(signed_distance(env, a, q))
 
         barrier = HandcraftedBarrier(arm, margin=0.1)
-        safe_rollout(ControllerBundle(barrier, observe, limits=RolloutLimits(horizon_s=1.0)),
-                     np.zeros(3), np.array([0.3, 0.0, 0.0]), far_world())
-        assert calls == []  # handcrafted barrier regenerates its own view
+        rec = safe_rollout(ControllerBundle(barrier, observe,
+                                            limits=RolloutLimits(horizon_s=1.0)),
+                           np.zeros(3), np.array([0.3, 0.0, 0.0]), far_world())
+        assert rec.steps_used > 0 and len(calls) == rec.steps_used
+        substeps = RolloutLimits().sim_hz // RolloutLimits().ctrl_hz
+        for k, q in enumerate(calls):  # each at the configuration its tick starts from
+            assert q.tobytes() == rec.configs[k * substeps].tobytes()
 
 
 def assert_same_record(got, ref):

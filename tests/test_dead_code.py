@@ -1,13 +1,14 @@
-"""Every top-level function and class of the package, and every method and
-property of its top-level classes, has a caller; and the benchmark tracer
-still finds every function it times.
+"""Every top-level function and class of the package, every name a
+module-level assignment binds, and every method and property of its
+top-level classes, has a user; and the benchmark tracer still finds every
+function it times.
 
 A name counts as used when some other place in `src/cbfsteer/` or in
 `perfbench/` mentions it: as a name, an attribute, or inside a string (the
 benchmark tracer resolves the functions it times by name). Mentions inside
 the definition itself, such as recursion, and in docstrings do not count.
 Exempt are the entry point `cli.main`, `cli._Parser.error` (argparse calls
-it) and dunder methods (Python calls them).
+it) and dunder names (Python reads them).
 """
 
 import ast
@@ -54,11 +55,23 @@ def test_scan_covers_the_package_and_the_benchmark():
     assert (ROOT / "perfbench" / "tracing.py").exists()
 
 
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def top_level(tree):
-    """(name, node) of every top-level function and class."""
+    """(name, node) of every top-level function and class, and of every
+    non-dunder name bound by a module-level `Assign` or `AnnAssign`."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                elts = target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]
+                for elt in elts:
+                    if isinstance(elt, ast.Name) and not is_dunder(elt.id):
+                        yield elt.id, node
 
 
 def methods(tree):
@@ -67,8 +80,7 @@ def methods(tree):
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if (isinstance(member, ast.FunctionDef)
-                        and not (member.name.startswith("__") and member.name.endswith("__"))):
+                if isinstance(member, ast.FunctionDef) and not is_dunder(member.name):
                     yield f"{node.name}.{member.name}", member
 
 
@@ -79,9 +91,13 @@ def unused(path, definitions):
         if other != path:
             elsewhere |= mentions(tree)
     tree = trees[path]
-    return [qualname for qualname, node in definitions(tree)
-            if (path.stem, qualname) not in ENTRY_POINTS
-            and node.name not in elsewhere and node.name not in mentions(tree, skip=node)]
+    found = []
+    for qualname, node in definitions(tree):
+        name = qualname.rsplit(".", 1)[-1]
+        if ((path.stem, qualname) not in ENTRY_POINTS
+                and name not in elsewhere and name not in mentions(tree, skip=node)):
+            found.append(qualname)
+    return found
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
@@ -98,9 +114,16 @@ def test_every_method_is_used(path):
 
 def test_the_method_scan_sees_methods_and_properties():
     names = {name for name, _ in methods(parse(PACKAGE / "cbf.py"))}
-    assert {"NeuralBarrier.value_and_grad", "NeuralBarrier.needs_observation",
-            "Dataset.load"} <= names
+    assert {"NeuralBarrier.value_and_grad", "NeuralBarrier.kind", "Dataset.load"} <= names
     assert "Dataset.__len__" not in names
+
+
+def test_the_top_level_scan_sees_module_level_names():
+    assert "steer_filter_lqr" in {name for name, _ in top_level(parse(PACKAGE / "planner.py"))}
+    names = {name for name, _ in top_level(parse(PACKAGE / "environment.py"))}
+    assert {"ROW_BLOCK", "signed_distance_batch"} <= names
+    assert not any(is_dunder(name) for path in PACKAGE.glob("*.py")
+                   for name, _ in top_level(parse(path)))
 
 
 def test_benchmark_tracer_resolves_every_layer():

@@ -97,7 +97,7 @@ GOLDEN = {
         PlannerLimits(),
         '{"check_resolution":0.02,"connect_radius":1.0,"goal_bias":0.1,"max_ctrl_steps":90,'
         '"max_nodes":200,"stall_threshold":0.001,"stall_ticks":5,"step_size":0.5}'),
-    "qp-config": (SafeControllerConfig(), '{"alpha":1.0,"mode":"relaxed","relax_penalty":100.0}'),
+    "qp-config": (SafeControllerConfig(), '{"mode":"relaxed","relax_penalty":100.0}'),
     "rollout-limits": (RolloutLimits(), '{"ctrl_hz":30,"horizon_s":10.0,"r_goal":0.1,"sim_hz":120}'),
     "scan-spec": (ScanSpec(), '{"max_range":2.0,"mount_links":[0,2],"rays_per_mount":32}'),
     "env-gen": (
