@@ -19,6 +19,7 @@ import numpy as np
 from .cbf import HandcraftedBarrier, NeuralBarrier
 from .config import (
     checkpoint_hyper,
+    make_hyper,
     make_planner_limits,
     make_policy,
     make_qp_cfg,
@@ -151,15 +152,13 @@ def difficulty_split(problems: list, proxy_runs: int, rng: np.random.Generator,
 def _controller(method: dict, arm: ArmModel, cfg: dict, barrier_cache: dict,
                 **limit_overrides) -> ControllerBundle:
     """The method's controller from the config's `controller` section, with
-    no observer yet. Its barrier is the hand-crafted one (with the neural
-    barriers' finite-difference step and alpha_h) or the method's network,
-    loaded once per checkpoint path, which carries the alpha_h it was
-    trained with. `cbf-state` and `cbf-cloud` take only their own variant."""
+    no observer yet. Its barrier is the hand-crafted one, with the config's
+    `hyper` block, or the method's network, loaded once per checkpoint path,
+    which carries the hyperparameters it was trained with. `cbf-state` and
+    `cbf-cloud` take only their own variant."""
     name = method["name"]
     if name == "hand-cbf":
-        barrier = HandcraftedBarrier(arm, margin=cfg["controller"]["hand_margin"],
-                                     fd_step=cfg["hyper"]["fd_step"],
-                                     alpha=cfg["hyper"]["alpha_h"])
+        barrier = HandcraftedBarrier(arm, cfg["controller"]["hand_margin"], make_hyper(cfg))
     elif "checkpoint" not in method:
         raise ValueError(f"method {name} has no controller")
     else:

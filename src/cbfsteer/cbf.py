@@ -35,7 +35,6 @@ from .kinematics import ArmModel, batch_link_frames, hold, sample_config
 from .neural import (
     CloudBlocks,
     Mlp,
-    PointSetEncoder,
     adam_step,
     AdamState,
     encoder_backward_batch,
@@ -57,8 +56,8 @@ class CbfHyper(Record):
     def __post_init__(self):
         vals = (self.gamma, self.eps_margin, self.alpha_h, *self.loss_weights,
                 self.fd_step, self.r_thres)
-        if any(v <= 0 for v in vals):
-            raise ValueError("all barrier hyperparameters must be positive")
+        if not all(0.0 < v < math.inf for v in vals):
+            raise ValueError("all barrier hyperparameters must be positive and finite")
 
 
 @dataclass
@@ -238,43 +237,6 @@ def _stencil_configs(q: np.ndarray, fd_step: float) -> np.ndarray:
     flat = out.reshape(-1, (n + 1) * n)
     flat[:, n::n + 1] = flat[:, :n] + fd_step
     return out
-
-
-def h_and_grad(net, q: np.ndarray, env: Environment | None, arm: ArmModel,
-               hyper: CbfHyper, observation=None) -> tuple[float, np.ndarray]:
-    """Barrier value and forward-difference q-gradient, through the training
-    forward pass on a one-sample stencil batch.
-
-    A state net refreshes the signed distance at every stencil configuration
-    from the environment; a given `StateObservation` supplies slot 0. A cloud
-    net holds its observed cloud fixed across the stencil.
-
-    With layers 32 or more wide the values match the same sample's in a
-    batched pass to rounding, not bit for bit: BLAS libraries run the small
-    products of a one-sample stencil through kernels that sum in another
-    order (OpenBLAS does so for the default 64-wide state net). A cloud
-    net's per-point products run block by block, the same size in any
-    batch, so only its trunk can differ so.
-    """
-    qs = _stencil_configs(q, hyper.fd_step)
-    if isinstance(net, Mlp):
-        if observation is not None and not isinstance(observation, StateObservation):
-            raise TypeError("state-variant net needs a StateObservation")
-        if env is None:
-            raise ValueError("a state barrier needs the environment")
-        ds = signed_distance_batch(env, arm, qs if observation is None else qs[1:])
-        if observation is not None:
-            ds = np.concatenate([[observation.min_signed_distance], ds])
-        prep = _Prepared(x=np.concatenate([qs, ds[:, None]], axis=1)[None])
-    elif isinstance(net, PointSetEncoder):
-        if observation is None:
-            raise ValueError("a cloud barrier needs its observed cloud")
-        prep = _Prepared(qs=qs[None], points=observation.points[None],
-                         normals=observation.normals[None], cloud=np.zeros(1, dtype=int))
-    else:
-        raise TypeError(f"unsupported network type {type(net).__name__}")
-    h, _ = _forward_stencil(net, prep, arm)
-    return float(h[0, 0]), (h[0, 1:] - h[0, 0]) / hyper.fd_step
 
 
 @functools.cache
@@ -546,25 +508,14 @@ def train(dataset: Dataset, net_init, hyper: CbfHyper, schedule: TrainSchedule,
     return net, report
 
 
-def handcrafted_h(env: Environment, arm: ArmModel, q: np.ndarray, margin: float,
-                  fd_step: float = 1e-3) -> tuple[float, np.ndarray]:
-    """Signed-distance barrier baseline: h = margin - d(q), gradient by the
-    same forward-difference rule with refreshed observations."""
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
-    q = np.asarray(q, dtype=float)
-    ds = signed_distance_batch(env, arm, _stencil_configs(q, fd_step))
-    grad = -(ds[1:] - ds[0]) / fd_step
-    return margin - ds[0], grad
-
-
+@dataclass(frozen=True, eq=False)
 class NeuralBarrier:
-    """Bundle of a trained net and its hyper block, for controllers/planners."""
+    """A trained net and its hyper block, for controllers and planners; equal
+    only to itself, since a net's parameter arrays compare elementwise."""
 
-    def __init__(self, net, arm: ArmModel, hyper: CbfHyper):
-        self.net = net
-        self.arm = arm
-        self.hyper = hyper
+    net: object
+    arm: ArmModel
+    hyper: CbfHyper
 
     @property
     def kind(self) -> str:
@@ -576,18 +527,55 @@ class NeuralBarrier:
         return self.hyper.alpha_h
 
     def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray]:
-        return h_and_grad(self.net, q, env, self.arm, self.hyper, observation=observation)
+        """Barrier value and forward-difference q-gradient, through the
+        training forward pass on a one-sample stencil batch.
+
+        A state net reads the world's signed distance at every stencil
+        configuration, as the hand-crafted barrier does, and ignores any
+        observation. A cloud net holds its observed cloud fixed across the
+        stencil.
+
+        With layers 32 or more wide the values match the same sample's in a
+        batched pass to rounding, not bit for bit: BLAS libraries run the
+        small products of a one-sample stencil through kernels that sum in
+        another order (OpenBLAS does so for the default 64-wide state net). A
+        cloud net's per-point products run block by block, the same size in
+        any batch, so only its trunk can differ so.
+        """
+        qs = _stencil_configs(q, self.hyper.fd_step)
+        if isinstance(self.net, Mlp):
+            if env is None:
+                raise ValueError("a state barrier needs the environment")
+            ds = signed_distance_batch(env, self.arm, qs)
+            prep = _Prepared(x=np.concatenate([qs, ds[:, None]], axis=1)[None])
+        else:
+            if observation is None:
+                raise ValueError("a cloud barrier needs its observed cloud")
+            prep = _Prepared(qs=qs[None], points=observation.points[None],
+                             normals=observation.normals[None], cloud=np.zeros(1, dtype=int))
+        h, _ = _forward_stencil(self.net, prep, self.arm)
+        return float(h[0, 0]), (h[0, 1:] - h[0, 0]) / self.hyper.fd_step
 
 
 @dataclass(frozen=True)
 class HandcraftedBarrier:
-    """Signed-distance baseline with an inflated clearance margin."""
+    """Signed-distance baseline h = margin - d(q), with an inflated clearance
+    margin; the gradient by the neural barriers' forward-difference rule and
+    the class-K gain come from `hyper`."""
 
     arm: ArmModel
     margin: float = 0.15
-    fd_step: float = 1e-3
-    alpha: float = 1.0
+    hyper: CbfHyper = CbfHyper()
     kind = "handcrafted"
 
+    def __post_init__(self):
+        if not 0.0 <= self.margin < math.inf:
+            raise ValueError("hand barrier margin must be non-negative and finite")
+
+    @property
+    def alpha(self) -> float:
+        return self.hyper.alpha_h
+
     def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray]:
-        return handcrafted_h(env, self.arm, q, self.margin, fd_step=self.fd_step)
+        ds = signed_distance_batch(env, self.arm, _stencil_configs(q, self.hyper.fd_step))
+        return self.margin - ds[0], -(ds[1:] - ds[0]) / self.hyper.fd_step

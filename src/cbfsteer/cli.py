@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen-problems, collect-data, train, eval-cbf, plan, bench,
-eval-controller, replay. Global flags: --seed, --config <json>, --out <dir>.
+eval-controller, replay. Global flags: --seed, --config <json>, --out <dir>,
+--no-timing.
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
@@ -46,6 +47,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=0, help="root seed for all sub-streams")
     parser.add_argument("--config", type=str, default=None, help="JSON config overriding defaults")
     parser.add_argument("--out", type=str, default="out", help="output directory")
+    parser.add_argument("--no-timing", action="store_true",
+                        help="zero wall-clock fields for byte-reproducible outputs")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("gen-problems", help="generate (and tag) planning problems")
@@ -88,8 +91,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--activation-after", type=int, default=None,
                    help="filter-lqr switch point in tree nodes (default or -1: half the "
                         "node budget)")
-    p.add_argument("--no-timing", action="store_true",
-                   help="zero timing fields for byte-reproducible outputs")
     p.add_argument("--svg", action="store_true")
 
     p = sub.add_parser("eval-controller", help="unroll a controller end to end")
@@ -201,6 +202,8 @@ def _cmd_train(args, cfg, out_dir):
         pw, tw = cloud_widths(cfg, arm)
         net = PointSetEncoder.create(arm.n_links, pw, tw, rng)
     net, report = train(dataset, net, hyper, schedule, rng)
+    if args.no_timing:
+        report.wall_seconds = 0.0
     ckpt = out_dir / (args.out_file or f"checkpoint-{dataset.kind}.json")
     save_checkpoint(ckpt, dataset.kind, net, hyper.to_json())
     report_path = out_dir / (args.report or f"train-report-{dataset.kind}.json")
@@ -246,6 +249,8 @@ def _cmd_plan(args, cfg, out_dir):
         PlanProblem(arm=arm, env=prob.environment, q0=prob.q0, qg=prob.qg,
                     r_goal=cfg["controller"]["r_goal"]),
         steer, make_planner_limits(cfg), rng, seed=args.seed)
+    if args.no_timing:
+        result.planning_seconds = 0.0
     path = out_dir / args.out_file
     dump_json(path, {"problem_id": prob.id, "method": args.method, "plan": result.to_json()})
     print(f"{result.status}: explored={result.explored_nodes} "

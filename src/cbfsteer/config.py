@@ -4,20 +4,21 @@ A config file is a JSON document whose keys deep-merge over DEFAULTS; every
 named default in the package is reachable this way. A settings record is
 built from its section by `Record.from_json`, so the section's keys are the
 record's field names; keys it does not own are read elsewhere. A key that
-is neither in DEFAULTS nor a field of its section's record is rejected. All
-randomness flows from one root seed through named sub-streams so reruns are
-bit-reproducible.
+is neither in DEFAULTS nor a field of its section's record is rejected, and
+so is a value the record rejects. All randomness flows from one root seed
+through named sub-streams so reruns are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import zlib
 
 import numpy as np
 
-from .cbf import CbfHyper, TrainSchedule
+from .cbf import CbfHyper, HandcraftedBarrier, TrainSchedule
 from .controller import NominalPolicy, RolloutLimits, SafeControllerConfig
 from .environment import EnvGenConfig, ScanSpec, Workspace
 from .jsonio import load_json
@@ -50,7 +51,7 @@ DEFAULTS: dict = {
     },
     "controller": {
         "kp": 1.0,
-        "hand_margin": 0.15,
+        "hand_margin": HandcraftedBarrier.margin,
         **SafeControllerConfig().to_json(),
         **RolloutLimits().to_json(),
     },
@@ -104,11 +105,24 @@ def deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path=None) -> dict:
+    """DEFAULTS with the file's overrides, after building every section's
+    records, the nominal policy and the hand barrier once, so a rejected
+    value stops any work."""
     if path is None:
         return copy.deepcopy(DEFAULTS)
     doc = load_json(path)
     _check_keys(doc)
-    return deep_merge(DEFAULTS, doc)
+    cfg = deep_merge(DEFAULTS, doc)
+    for keys, records in SECTION_RECORDS.items():
+        section = functools.reduce(dict.__getitem__, keys, cfg)
+        for rec in records:
+            if rec is EnvGenConfig:
+                make_env_gen(cfg)  # as commands build it, with the top-level workspace
+            else:
+                rec.from_json(section)
+    make_policy(cfg)
+    HandcraftedBarrier(make_arm(cfg), cfg["controller"]["hand_margin"])
+    return cfg
 
 
 def seed_stream(root_seed: int, name: str, *indices: int) -> np.random.Generator:

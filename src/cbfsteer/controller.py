@@ -4,7 +4,7 @@ rollouts at split simulation/control rates.
 The filter solves min ||u - u_nom||^2 over the action box subject to
 grad_h . u + alpha*h <= 0 (drift-free dynamics; the barrier carries alpha).
 Strict mode is exact and can signal infeasibility; relaxed mode trades the
-constraint for a quadratic violation penalty and always returns a control.
+constraint for a quadratic penalty on its excess and always returns a control.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ class NominalPolicy:
 
     gain: float = 1.0
 
+    def __post_init__(self):
+        if not 0.0 < self.gain < math.inf:
+            raise ValueError("policy gain (controller.kp) must be positive and finite")
+
     def control(self, q: np.ndarray, q_goal: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         u = -self.gain * (np.asarray(q, float) - np.asarray(q_goal, float))
         return u.clip(lo, hi, out=u)
@@ -47,6 +51,9 @@ class SafeControllerConfig(Record):
     mode: QpMode = QpMode.RELAXED
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", QpMode(self.mode))
+        if not self.relax_penalty < math.inf:
+            raise ValueError("relax_penalty must be finite")
         if self.mode is QpMode.RELAXED and self.relax_penalty <= 0:
             raise ValueError("relaxed mode needs a positive penalty")
 
@@ -55,7 +62,6 @@ class SafeControllerConfig(Record):
 class QpDiagnostics:
     constraint_active: bool
     infeasible: bool
-    violation: float
 
 
 def _breakpoint_walk(u_nom: np.ndarray, a: np.ndarray, b: float, k: float, k0: float,
@@ -124,9 +130,10 @@ def solve_safety_qp(u_nom: np.ndarray, grad_h: np.ndarray, b: float,
 
     Strict mode returns the exact constrained minimizer, or signals
     infeasibility when even the best box control cannot satisfy the
-    constraint. Relaxed mode always returns a control, trading violation
-    against deviation. Diagnostics carry the closed-form infeasibility test in
-    both modes. u_nom is expected inside the box (the nominal policy clips).
+    constraint. Relaxed mode always returns a control, trading the
+    constraint's excess against deviation. Diagnostics carry whether the
+    constraint was active and the closed-form infeasibility test, in both
+    modes. u_nom is expected inside the box (the nominal policy clips).
     Checks and the best box control run on Python floats; the dot products
     stay numpy calls, as in `_breakpoint_walk`.
     """
@@ -147,22 +154,15 @@ def solve_safety_qp(u_nom: np.ndarray, grad_h: np.ndarray, b: float,
     infeasible = inf_box + b > 0.0
 
     if float(a @ u_nom) + b <= 0.0:
-        return u_nom, QpDiagnostics(constraint_active=False, infeasible=infeasible, violation=0.0)
-
+        return u_nom, QpDiagnostics(constraint_active=False, infeasible=infeasible)
+    diag = QpDiagnostics(constraint_active=True, infeasible=infeasible)
     if cfg.mode is QpMode.STRICT:
         if infeasible:
-            return best_u, QpDiagnostics(
-                constraint_active=True, infeasible=True, violation=inf_box + b)
-        u = _breakpoint_walk(u_nom, a, b, 1.0, 0.0, lo, hi)
-        viol = max(0.0, float(a @ u) + b)
-        return u, QpDiagnostics(constraint_active=True, infeasible=False, violation=viol)
-
+            return best_u, diag
+        return _breakpoint_walk(u_nom, a, b, 1.0, 0.0, lo, hi), diag
     if not any(a_l):
-        u = u_nom
-    else:
-        u = _breakpoint_walk(u_nom, a, b, cfg.relax_penalty, 1.0, lo, hi)
-    viol = max(0.0, float(a @ u) + b)
-    return u, QpDiagnostics(constraint_active=True, infeasible=infeasible, violation=viol)
+        return u_nom, diag
+    return _breakpoint_walk(u_nom, a, b, cfg.relax_penalty, 1.0, lo, hi), diag
 
 
 @dataclass(frozen=True)
@@ -175,6 +175,8 @@ class RolloutLimits(Record):
     def __post_init__(self):
         if not 0.0 < self.horizon_s < math.inf:
             raise ValueError("rollout horizon must be positive and finite")
+        if not 0.0 < self.r_goal < math.inf:
+            raise ValueError("rollout r_goal must be positive and finite")
         if self.sim_hz <= 0 or self.ctrl_hz <= 0 or self.sim_hz % self.ctrl_hz != 0:
             raise ValueError("sim_hz must be an integer multiple of ctrl_hz")
         if self.n_ticks < 1:

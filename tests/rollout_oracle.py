@@ -396,17 +396,14 @@ def safety_qp(u_nom, grad_h, b, cfg, lo, hi):
     inf_box = float(a @ best_u)
     infeasible = inf_box + b > 0.0
     if float(a @ u_nom) + b <= 0.0:
-        return u_nom, QpDiagnostics(constraint_active=False, infeasible=infeasible, violation=0.0)
+        return u_nom, QpDiagnostics(constraint_active=False, infeasible=infeasible)
     if cfg.mode is QpMode.STRICT:
         if infeasible:
-            return best_u, QpDiagnostics(
-                constraint_active=True, infeasible=True, violation=inf_box + b)
+            return best_u, QpDiagnostics(constraint_active=True, infeasible=True)
         u = breakpoint_walk(u_nom, a, b, 1.0, 0.0, lo, hi)
-        viol = max(0.0, float(a @ u) + b)
-        return u, QpDiagnostics(constraint_active=True, infeasible=False, violation=viol)
+        return u, QpDiagnostics(constraint_active=True, infeasible=False)
     if np.all(a == 0.0):
         u = u_nom
     else:
         u = breakpoint_walk(u_nom, a, b, cfg.relax_penalty, 1.0, lo, hi)
-    viol = max(0.0, float(a @ u) + b)
-    return u, QpDiagnostics(constraint_active=True, infeasible=infeasible, violation=viol)
+    return u, QpDiagnostics(constraint_active=True, infeasible=infeasible)

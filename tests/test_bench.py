@@ -368,20 +368,21 @@ class TestEvalController:
                                   horizon_s=0.01)
 
     def test_hand_cbf_uses_the_configured_fd_step(self, cfg, arm):
-        from cbfsteer.cbf import handcrafted_h
+        from cbfsteer.cbf import CbfHyper, HandcraftedBarrier
 
         cfg["hyper"]["fd_step"] = 2.5e-4
         prob = bench.gen_problems(make_env_gen(cfg, num_obstacles=3), 1,
                                   np.random.default_rng(21), arm, 0.025)[0]
         barrier = bench.build_steer({"name": "hand-cbf"}, arm, prob, cfg, 0, {}).bundle.barrier
-        assert barrier.fd_step == 2.5e-4
+        assert barrier.hyper.fd_step == 2.5e-4
         h, grad = barrier.value_and_grad(prob.q0, None, prob.environment)
-        h_ref, grad_ref = handcrafted_h(prob.environment, arm, prob.q0,
-                                        cfg["controller"]["hand_margin"], fd_step=2.5e-4)
+        margin = cfg["controller"]["hand_margin"]
+        h_ref, grad_ref = HandcraftedBarrier(arm, margin, CbfHyper(fd_step=2.5e-4)).value_and_grad(
+            prob.q0, None, prob.environment)
         assert h == h_ref
         np.testing.assert_array_equal(grad, grad_ref)
-        assert not np.array_equal(grad, handcrafted_h(
-            prob.environment, arm, prob.q0, cfg["controller"]["hand_margin"])[1])
+        assert not np.array_equal(grad, HandcraftedBarrier(arm, margin).value_and_grad(
+            prob.q0, None, prob.environment)[1])
 
     def test_unknown_setting_rejected(self, cfg, arm):
         with pytest.raises(ValueError):

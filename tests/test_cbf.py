@@ -23,8 +23,6 @@ from cbfsteer.cbf import (
     _stencil_configs,
     collect_dataset,
     evaluate_constraints,
-    h_and_grad,
-    handcrafted_h,
     loss,
     stencil_distances,
     train,
@@ -65,14 +63,17 @@ import prepare_oracle
 from test_neural import encode, reference_point_records
 
 
-def h_value(net, q, observation, arm):
-    """Barrier value alone, through h_and_grad: a state observation supplies
-    slot 0, so the (empty) world only feeds the stencil slots."""
-    return h_and_grad(net, q, Environment(), arm, CbfHyper(), observation=observation)[0]
+# one circle near the default arm: a state net reads its signed distance
+WORLD = Environment(obstacles=(Obstacle(kind="circle", center=(0.9, 0.4), radius=0.2),))
+
+
+def h_value(net, q, arm, observation=None):
+    """Barrier value alone: a state net reads WORLD, a cloud net the observation."""
+    return NeuralBarrier(net, arm, CbfHyper()).value_and_grad(q, observation, WORLD)[0]
 
 
 def grad_h_q(net, q, env, arm, hyper, observation=None):
-    return h_and_grad(net, q, env, arm, hyper, observation=observation)[1]
+    return NeuralBarrier(net, arm, hyper).value_and_grad(q, observation, env)[1]
 
 
 @pytest.fixture
@@ -173,22 +174,21 @@ class TestCollectDataset:
 class TestHValue:
     def test_zero_params_zero(self, arm):
         net = constant_net(4, 0.0)
-        assert h_value(net, np.zeros(3), StateObservation(0.5), arm) == 0.0
+        assert h_value(net, np.zeros(3), arm) == 0.0
 
     def test_deterministic(self, arm):
         rng = np.random.default_rng(2)
         net = Mlp.create((4, 8, 1), rng)
-        obs = StateObservation(0.3)
         q = rng.uniform(-1, 1, 3)
-        assert h_value(net, q, obs, arm) == h_value(net, q, obs, arm)
+        assert h_value(net, q, arm) == h_value(net, q, arm)
 
     def test_matches_forward_composition(self, arm):
         rng = np.random.default_rng(3)
         net = Mlp.create((4, 8, 1), rng)
         q = rng.uniform(-1, 1, 3)
-        obs = StateObservation(-0.2)
-        expected, _ = mlp_forward(net, np.concatenate([q, [-0.2]])[None])
-        assert h_value(net, q, obs, arm) == pytest.approx(float(expected[0, 0]), abs=1e-15)
+        d = signed_distance(WORLD, arm, q)
+        expected, _ = mlp_forward(net, np.concatenate([q, [d]])[None])
+        assert h_value(net, q, arm) == pytest.approx(float(expected[0, 0]), abs=1e-15)
         enc = PointSetEncoder.create(3, rng=rng)
         pts = rng.uniform(-1, 1, (8, 2))
         nrm = rng.normal(size=(8, 2))
@@ -196,14 +196,7 @@ class TestHValue:
         cloud = CloudObservation(points=pts, normals=nrm, source=CloudSource.SURFACE_SAMPLED)
         recs = reference_point_records(arm, q, pts, nrm)
         expected2, _ = encoder_oracle.encoder_forward(enc, q[None, :], recs[None])
-        assert h_value(enc, q, cloud, arm) == pytest.approx(float(expected2[0]), abs=1e-15)
-
-    def test_variant_mismatch_raises(self, arm):
-        net = constant_net(4, 0.0)
-        cloud = CloudObservation(points=np.zeros((2, 2)), normals=np.ones((2, 2)),
-                                 source=CloudSource.SURFACE_SAMPLED)
-        with pytest.raises(TypeError):
-            h_value(net, np.zeros(3), cloud, arm)
+        assert h_value(enc, q, arm, cloud) == pytest.approx(float(expected2[0]), abs=1e-15)
 
 
 class TestGradHq:
@@ -281,7 +274,7 @@ class TestGradHq:
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
         cloud = CloudObservation(points=pts, normals=nrm, source=CloudSource.SURFACE_SAMPLED)
         hyper = make_hyper(load_config(), "cloud")
-        h, g = h_and_grad(enc, np.zeros(3), None, arm, hyper, observation=cloud)
+        h, g = NeuralBarrier(enc, arm, hyper).value_and_grad(np.zeros(3), cloud, None)
         assert np.isfinite(h)
         assert g.shape == (3,)
         # forward-difference cross-check against direct encoder evaluations
@@ -515,6 +508,19 @@ class TestEvaluateConstraints:
         assert evaluate_constraints(net, ds, hyper) == evaluate_constraints(net, ds, hyper, 512)
 
 
+class TestCbfHyper:
+    @pytest.mark.parametrize("field", ["gamma", "eps_margin", "alpha_h", "fd_step", "r_thres"])
+    @pytest.mark.parametrize("value", [0.0, -1e-3, np.nan, np.inf])
+    def test_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            CbfHyper(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_loss_weight_rejected(self, value):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            CbfHyper(loss_weights=(1.0, value, 0.5))
+
+
 class TestTrainSchedule:
     @pytest.mark.parametrize("field, value", [
         ("epochs", -1), ("batch_size", 0), ("batch_size", -32),
@@ -604,24 +610,25 @@ class TestHandcrafted:
                                               half_extents=(0.2, 0.2)),))
         for _ in range(10):
             q = sample_config(arm, rng)
-            h, grad = handcrafted_h(env, arm, q, margin=0.1)
+            h, grad = HandcraftedBarrier(arm, 0.1).value_and_grad(q, None, env)
             assert h == pytest.approx(0.1 - signed_distance(env, arm, q), abs=1e-12)
             assert grad.shape == (3,)
 
     def test_penetration_gives_h_above_margin(self, arm):
         env = Environment(obstacles=(Obstacle(kind="rect", center=(1.15, 0.0),
                                               half_extents=(0.1, 0.1)),))
-        h, _ = handcrafted_h(env, arm, np.zeros(3), margin=0.1)
+        h, _ = HandcraftedBarrier(arm, 0.1).value_and_grad(np.zeros(3), None, env)
         assert h > 0.1
 
     def test_sign_flips_where_distance_crosses_margin(self, arm):
         env = Environment(obstacles=(Obstacle(kind="circle", center=(0.9, 0.6), radius=0.2),))
         margin = 0.12
+        barrier = HandcraftedBarrier(arm, margin)
         q0 = np.zeros(3)
         q1 = np.array([0.6, 0.0, 0.0])  # swings the arm toward the circle
 
         def h_at(t):
-            return handcrafted_h(env, arm, q0 + t * (q1 - q0), margin)[0]
+            return barrier.value_and_grad(q0 + t * (q1 - q0), None, env)[0]
 
         def d_at(t):
             return signed_distance(env, arm, q0 + t * (q1 - q0)) - margin
@@ -647,7 +654,23 @@ class TestHandcrafted:
 
     def test_negative_margin_rejected(self, arm):
         with pytest.raises(ValueError):
-            handcrafted_h(Environment(), arm, np.zeros(3), margin=-0.1)
+            HandcraftedBarrier(arm, -0.1)
+
+    @pytest.mark.parametrize("margin", [np.nan, np.inf])
+    def test_non_finite_margin_rejected(self, arm, margin):
+        with pytest.raises(ValueError, match="margin"):
+            HandcraftedBarrier(arm, margin)
+
+    def test_fd_step_and_alpha_come_from_the_hyper_block(self, arm):
+        env = Environment(obstacles=(Obstacle(kind="circle", center=(0.9, 0.4), radius=0.2),))
+        q = np.array([0.3, -0.2, 0.4])
+        hyper = CbfHyper(fd_step=2.5e-4, alpha_h=3.0)
+        barrier = HandcraftedBarrier(arm, 0.1, hyper)
+        assert barrier.alpha == 3.0
+        h, grad = barrier.value_and_grad(q, None, env)
+        ds = signed_distance_batch(env, arm, prepare_oracle.eye_stencil(q, 2.5e-4))
+        assert h == 0.1 - ds[0]
+        assert grad.tobytes() == (-(ds[1:] - ds[0]) / 2.5e-4).tobytes()
 
 
 class TestStencilDistances:
@@ -773,7 +796,8 @@ def random_world_samples(arm, rng, kind, count):
 
 
 class TestSharedStencilForwardPass:
-    """`h_and_grad` runs the training forward pass on a one-sample batch."""
+    """`NeuralBarrier.value_and_grad` runs the training forward pass on a
+    one-sample batch."""
 
     @pytest.mark.parametrize("case", ["state-observed", "state-unobserved", "cloud"])
     def test_bit_equal_to_the_parent_implementation(self, arm, case):
@@ -788,7 +812,7 @@ class TestSharedStencilForwardPass:
             env, samples = random_world_samples(arm, rng, case[:5], 3)
             for s in samples:
                 obs = None if case == "state-unobserved" else s.observation
-                h, g = h_and_grad(net, s.q, env, arm, hyper, observation=obs)
+                h, g = NeuralBarrier(net, arm, hyper).value_and_grad(s.q, obs, env)
                 if case == "cloud":
                     # the folded first layer sums in another order: to rounding
                     assert_h_and_grad_close(h, g, oracle_stencil_h(net, s.q, arm, hyper, obs),
@@ -813,7 +837,7 @@ class TestSharedStencilForwardPass:
             h_batch, _ = _forward_stencil(net, prep, arm)
             h0, grad, _, _ = _condition_values(h_batch, arm, hyper)
             for i, s in enumerate(samples):
-                h, g = h_and_grad(net, s.q, env, arm, hyper, observation=s.observation)
+                h, g = NeuralBarrier(net, arm, hyper).value_and_grad(s.q, s.observation, env)
                 assert h == h0[i]
                 assert g.tobytes() == grad[i].tobytes()
 
@@ -829,12 +853,50 @@ class TestSharedStencilForwardPass:
         prep = _prepare(samples, arm, hyper, [env])
         h_batch, _ = _forward_stencil(net, prep, arm)
         h0, grad, _, _ = _condition_values(h_batch, arm, hyper)
-        one = [h_and_grad(net, s.q, env, arm, hyper, observation=s.observation)
+        one = [NeuralBarrier(net, arm, hyper).value_and_grad(s.q, s.observation, env)
                for s in samples]
         scale = float(np.abs(h_batch).max())
         np.testing.assert_allclose([h for h, _ in one], h0, rtol=1e-12, atol=1e-12 * scale)
         np.testing.assert_allclose(np.array([g for _, g in one]), grad, rtol=1e-12,
                                    atol=2e-12 * scale / hyper.fd_step)
+
+
+class TestStateBarrierReadsTheWorld:
+    """A state barrier reads the world's signed distance at every stencil
+    slot and ignores any observation. A state sample stores that same
+    distance, bit for bit, also after a save/load round trip, so the barrier
+    and the training pass, which reads the stored one at slot 0, agree."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self, tmp_path_factory):
+        ds = small_dataset(ArmModel(), seed=5, uniform=400, rollouts=3)
+        path = tmp_path_factory.mktemp("state") / "data.jsonl"
+        ds.save(path)
+        return ds, Dataset.load(path)
+
+    def test_stored_distance_is_the_worlds(self, datasets):
+        for ds in datasets:
+            assert len(ds) > 600
+            stored = np.array([s.observation.min_signed_distance for s in ds.samples])
+            world = np.array([signed_distance(ds.environments[s.env_id], ds.arm, s.q)
+                              for s in ds.samples])
+            assert stored.tobytes() == world.tobytes()
+
+    @pytest.mark.parametrize("widths", [(4, 16, 16, 1), None], ids=["16-wide", "default"])
+    def test_value_and_grad_equal_with_and_without_the_observation(self, datasets, widths):
+        _, loaded = datasets
+        arm, hyper = loaded.arm, CbfHyper()
+        net = Mlp.create(widths or state_widths(load_config(), arm), np.random.default_rng(7))
+        barrier = NeuralBarrier(net, arm, hyper)
+        for s in loaded.samples:
+            env = loaded.environments[s.env_id]
+            h, g = barrier.value_and_grad(s.q, None, env)
+            h_obs, g_obs = barrier.value_and_grad(s.q, s.observation, env)
+            # the training pass on this sample alone, slot 0 from the observation
+            prep = _prepare([s], arm, hyper, loaded.environments)
+            h0, grad, _, _ = _condition_values(_forward_stencil(net, prep, arm)[0], arm, hyper)
+            assert h == h_obs == h0[0]
+            assert g.tobytes() == g_obs.tobytes() == grad[0].tobytes()
 
 
 # -- the block forward against the full-row stencil forward ------------------
@@ -1059,7 +1121,7 @@ class TestBlockForwardOracle:
             if trial == 0:
                 q[::2] = -0.0  # signed zeros: the stencil rows turn them into +0.0
                 q[1::2] = 0.0
-            h, g = h_and_grad(net, q, None, arm, hyper, observation=cloud)
+            h, g = NeuralBarrier(net, arm, hyper).value_and_grad(q, cloud, None)
             assert_h_and_grad_close(h, g, oracle_stencil_h(net, q, arm, hyper, cloud),
                                     hyper.fd_step)
         if kind == "raycast":
@@ -1163,7 +1225,7 @@ class TestNonFiniteInput:
         prep = _prepare(samples, arm, hyper)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (lambda: h_and_grad(net, q, None, arm, hyper, observation=bad),
+            for call in (lambda: NeuralBarrier(net, arm, hyper).value_and_grad(q, bad, None),
                          lambda: _forward_stencil(net, prep, arm),
                          lambda: _forward_stencil(net, prep.take(np.array([2, 4])), arm)):
                 with pytest.raises(ValueError, match="non-finite network input"):

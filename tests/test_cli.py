@@ -123,11 +123,11 @@ class TestPipeline:
         csvs = []
         for name in ("r1", "r2"):
             out = tmp_path / name
-            rc = run(["--seed", "7", "--config", mini_config, "--out", str(out),
+            rc = run(["--seed", "7", "--config", mini_config, "--out", str(out), "--no-timing",
                       "bench", "--problems", str(pipeline_dir / "problems.json"),
                       "--methods", "straight,cbf-state",
                       "--checkpoint-state", str(pipeline_dir / "checkpoint-state.json"),
-                      "--no-timing", "--svg"])
+                      "--svg"])
             assert rc == 0
             csvs.append((out / "metrics.csv").read_bytes())
             assert (out / "metrics.svg").exists()
@@ -155,9 +155,9 @@ class TestPipeline:
         assert run(["--config", mini_config, "--out", str(tmp_path), "plan",
                     "--problems", problems, "--index", "0", "--method", "filter-lqr",
                     "--checkpoint", ckpt]) == 0
-        assert run(["--config", mini_config, "--out", str(tmp_path), "bench",
+        assert run(["--config", mini_config, "--out", str(tmp_path), "--no-timing", "bench",
                     "--problems", problems, "--methods", "filter-lqr",
-                    "--checkpoint-state", ckpt, "--no-timing"]) == 0
+                    "--checkpoint-state", ckpt]) == 0
         plan_steer, bench_steer = built[0], built[1]  # both on problem 0
         assert type(plan_steer) is type(bench_steer) is SteerRollout
         assert plan_steer.activation_after == bench_steer.activation_after == 30
@@ -333,9 +333,9 @@ class TestMethodNeedsItsController:
                                                      capsys, name, other, command):
         ckpt = str(checkpoints / f"{other}.json")
         args = {"plan": ["--method", name, "--checkpoint", ckpt],
-                "bench": ["--methods", name, f"--checkpoint-{name[4:]}", ckpt, "--no-timing"]}
+                "bench": ["--methods", name, f"--checkpoint-{name[4:]}", ckpt]}
         capsys.readouterr()
-        assert run(["--out", str(tmp_path), command, "--problems",
+        assert run(["--out", str(tmp_path), "--no-timing", command, "--problems",
                     str(pipeline_dir / "problems.json"), *args[command]]) == 2
         assert (f"error: method {name} needs a {name[4:]} checkpoint, but {ckpt} holds a "
                 f"{other} net") in capsys.readouterr().err
@@ -352,3 +352,53 @@ def test_train_with_negative_epochs_fails(pipeline_dir, tmp_path, capsys):
                 str(pipeline_dir / "dataset-state.jsonl"), "--epochs", "-1"]) == 2
     assert "train epochs must be >= 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+class TestNoTimingReruns:
+    """`--no-timing` is global: it zeroes the train report's and the plan's
+    wall-clock fields, so reruns write the same bytes."""
+
+    def test_train_reruns_byte_identical(self, pipeline_dir, mini_config, tmp_path):
+        outs = []
+        for name in ("r1", "r2"):
+            out = tmp_path / name
+            assert run(["--seed", "3", "--config", mini_config, "--out", str(out),
+                        "--no-timing", "train", "--data",
+                        str(pipeline_dir / "dataset-state.jsonl")]) == 0
+            outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert set(outs[0]) == {"checkpoint-state.json", "train-report-state.json"}
+        assert outs[0] == outs[1]
+        assert load_json(tmp_path / "r1" / "train-report-state.json")["wall_seconds"] == 0.0
+
+    @pytest.mark.parametrize("method", ["straight", "cbf-state"])
+    def test_plan_reruns_byte_identical(self, pipeline_dir, mini_config, tmp_path, method):
+        plans = []
+        for name in ("r1", "r2"):
+            assert run(["--seed", "5", "--config", mini_config, "--out", str(tmp_path),
+                        "--no-timing", "plan", "--problems", str(pipeline_dir / "problems.json"),
+                        "--index", "1", "--method", method, "--checkpoint",
+                        str(pipeline_dir / "checkpoint-state.json"),
+                        "--out-file", f"{name}.json"]) == 0
+            plans.append((tmp_path / f"{name}.json").read_bytes())
+        assert plans[0] == plans[1]
+        assert load_json(tmp_path / "r1.json")["plan"]["planning_seconds"] == 0.0
+
+
+class TestConfigValuesCheckedAtLoad:
+    """A config value its record rejects stops every command before any work,
+    even one the command would only have read raw."""
+
+    @pytest.mark.parametrize("doc, command, message, written", [
+        ({"hyper": {"r_thres": -0.5}}, ["gen-problems", "--count", "6"],
+         "all barrier hyperparameters must be positive and finite", "problems.json"),
+        ({"controller": {"ctrl_hz": -30, "sim_hz": -120}}, ["collect-data"],
+         "sim_hz must be an integer multiple of ctrl_hz", "dataset-state.jsonl"),
+    ], ids=["negative-r_thres", "negative-rates"])
+    def test_rejected_value_stops_the_command(self, tmp_path, capsys, doc, command, message,
+                                              written):
+        dump_json(tmp_path / "config.json", doc)
+        out = tmp_path / "out"
+        assert run(["--config", str(tmp_path / "config.json"), "--out", str(out),
+                    *command]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / written).exists()

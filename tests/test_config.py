@@ -4,6 +4,8 @@ and the defaults are the records' own."""
 
 import dataclasses
 import importlib.util
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -189,3 +191,34 @@ def test_the_benchmark_config_is_accepted(tmp_path):
     finally:
         del sys.modules[spec.name]
     assert load_doc(tmp_path, cfg) == cfg
+
+
+# (config file, the rejection's message): values a record cannot use, which
+# `load_config` rejects before any command runs
+REJECTED_VALUES = [
+    *(({"hyper": {key: value}}, "barrier hyperparameters must be positive and finite")
+      for key in ("gamma", "fd_step", "r_thres") for value in (float("nan"), float("inf"))),
+    ({"hyper": {"loss_weights": [1.0, float("inf"), 0.5]}}, "must be positive and finite"),
+    ({"hyper": {"fd_step": -0.001}}, "must be positive and finite"),
+    ({"hyper": {"r_thres": -0.5}}, "must be positive and finite"),
+    *(({"controller": {"r_goal": value}}, "r_goal must be positive and finite")
+      for value in (-1.0, 0.0, float("nan"), float("inf"))),
+    *(({"controller": {"kp": value}}, "controller.kp) must be positive and finite")
+      for value in (-1.0, 0.0, float("nan"), float("inf"))),
+    *(({"controller": {"relax_penalty": value}}, "relax_penalty must be finite")
+      for value in (float("inf"), float("nan"))),
+    *(({"controller": {"hand_margin": value}}, "margin must be non-negative and finite")
+      for value in (-0.1, float("nan"))),
+    ({"controller": {"ctrl_hz": -30, "sim_hz": -120}}, "sim_hz must be an integer multiple"),
+    ({"env_gen": {"num_obstacles": -1}}, "num_obstacles must be non-negative"),
+    ({"train": {"cloud": {"lr": float("inf")}}}, "train lr must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize("doc, message", REJECTED_VALUES,
+                         ids=[json.dumps(doc, separators=(",", ":"))
+                              for doc, _ in REJECTED_VALUES])
+def test_a_value_its_record_rejects_fails_at_load(doc, message, tmp_path):
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config.load_config(tmp_path / "config.json")

@@ -112,6 +112,12 @@ class TestNominalPolicy:
             assert new_dist < dist
             dist = new_dist
 
+    @pytest.mark.parametrize("gain", [-1.0, 0.0, np.nan, np.inf])
+    def test_non_positive_or_non_finite_gain_rejected(self, gain):
+        # at -1 the policy would push away from the goal
+        with pytest.raises(ValueError, match="gain"):
+            NominalPolicy(gain=gain)
+
 
 class TestQpStrict:
     def test_inactive_constraint_returns_nominal_bitwise(self, box2):
@@ -140,9 +146,9 @@ class TestQpStrict:
         cfg = SafeControllerConfig(mode=QpMode.STRICT)
         u, diag = solve_safety_qp(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 3.0, cfg, lo, hi)
         assert diag.infeasible
-        # returned best-effort control minimizes the violation
+        # returned best-effort control minimizes the constraint: a.u + b = 1
         np.testing.assert_array_equal(u, [-1.0, -1.0])
-        assert diag.violation == pytest.approx(1.0)
+        assert np.array([1.0, 1.0]) @ u + 3.0 == pytest.approx(1.0)
 
     def test_random_instances_match_grid_oracle(self):
         rng = np.random.default_rng(0)
@@ -199,6 +205,34 @@ class TestQpRelaxed:
         u, diag = solve_safety_qp(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 3.0, cfg, lo, hi)
         assert np.all(np.isfinite(u))
         assert diag.infeasible  # separability diagnostic still reported
+
+
+class TestSafeControllerConfig:
+    @pytest.mark.parametrize("mode", list(QpMode))
+    @pytest.mark.parametrize("penalty", [np.inf, np.nan])
+    def test_non_finite_penalty_rejected(self, mode, penalty):
+        # an infinite relaxed penalty returned the box corner, not the projection
+        with pytest.raises(ValueError, match="relax_penalty must be finite"):
+            SafeControllerConfig(relax_penalty=penalty, mode=mode)
+
+    @pytest.mark.parametrize("penalty", [0.0, -1.0])
+    def test_relaxed_mode_needs_a_positive_penalty(self, penalty):
+        with pytest.raises(ValueError, match="positive penalty"):
+            SafeControllerConfig(relax_penalty=penalty)
+
+    def test_mode_given_by_value_is_the_mode(self, box2):
+        lo, hi = box2
+        cfg = SafeControllerConfig(mode="strict")
+        assert cfg.mode is QpMode.STRICT
+        args = (np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.0)
+        u, diag = solve_safety_qp(*args, cfg, lo, hi)
+        u_ref, diag_ref = solve_safety_qp(*args, SafeControllerConfig(mode=QpMode.STRICT), lo, hi)
+        u_relaxed, _ = solve_safety_qp(*args, SafeControllerConfig(), lo, hi)
+        assert u.tobytes() == u_ref.tobytes() != u_relaxed.tobytes() and diag == diag_ref
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="QpMode"):
+            SafeControllerConfig(mode="bogus")
 
 
 class TestBreakpointWalk:
@@ -265,7 +299,7 @@ def qp_instances(seed, count):
 
 
 def diag_bits(d):
-    return d.constraint_active, d.infeasible, np.float64(d.violation).tobytes()
+    return d.constraint_active, d.infeasible
 
 
 class TestSafetyQpOracle:
@@ -391,6 +425,12 @@ class TestRolloutLimits:
             RolloutLimits(horizon_s=horizon)
         assert RolloutLimits(horizon_s=0.02).n_ticks == 1
 
+    @pytest.mark.parametrize("r_goal", [-1.0, 0.0, np.nan, np.inf])
+    def test_non_positive_or_non_finite_goal_radius_rejected(self, r_goal):
+        # at -1 no rollout or plan could reach its goal
+        with pytest.raises(ValueError, match="r_goal"):
+            RolloutLimits(r_goal=r_goal)
+
     @pytest.mark.parametrize("sim_hz, ctrl_hz", [(100, 30), (20, 30), (0, 30), (120, 0)])
     def test_rates_must_give_whole_substeps(self, sim_hz, ctrl_hz):
         with pytest.raises(ValueError, match="sim_hz"):
@@ -439,7 +479,7 @@ class TestSafeRollout:
         # would be dishonest; use a nominal-friendly barrier with tiny margin)
         env = Environment(obstacles=(Obstacle(kind="rect", center=(0.9, 0.35),
                                               half_extents=(0.12, 0.12)),))
-        barrier = HandcraftedBarrier(arm, margin=0.0, fd_step=1e-3)
+        barrier = HandcraftedBarrier(arm, margin=0.0, hyper=CbfHyper(fd_step=1e-3))
         cfg = SafeControllerConfig(mode=QpMode.RELAXED, relax_penalty=1e-4)  # nearly unfiltered
         rec = safe_rollout(ControllerBundle(barrier, None, qp_cfg=cfg,
                                             limits=RolloutLimits(horizon_s=6.0)),
