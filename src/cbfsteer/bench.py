@@ -10,6 +10,7 @@ byte-stable outputs).
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -96,9 +97,12 @@ MAX_ENDPOINT_ATTEMPTS = 10_000
 
 def gen_problems(gen_cfg: EnvGenConfig, count: int, rng: np.random.Generator,
                  arm: ArmModel, clearance: float) -> list:
-    """Random worlds plus rejection-sampled start/goal pairs with clearance."""
+    """Random worlds plus rejection-sampled start/goal pairs with clearance,
+    which must be non-negative: endpoints must be collision-free."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not 0.0 <= clearance < math.inf:
+        raise ValueError("problem clearance must be non-negative and finite")
     problems = []
     for pid in range(count):
         env = random_environment(gen_cfg, rng, base_position=arm.base_position)

@@ -33,6 +33,8 @@ from .environment import (
 from .jsonio import Record, canonical_dumps, dump_json, load_json, load_jsonl
 from .kinematics import ArmModel, batch_link_frames, hold, sample_config
 from .neural import (
+    FRESH,
+    BatchWorkspace,
     CloudBlocks,
     Mlp,
     adam_step,
@@ -68,18 +70,39 @@ class LabeledSample:
     env_id: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
+    """A labelled sample set. Its samples and environments are tuples, so
+    the set cannot change under the stencil arrays `prepared` keeps."""
+
     kind: str  # "state" | "cloud"
     arm: ArmModel
-    environments: list[Environment]
-    samples: list[LabeledSample]
+    environments: tuple[Environment, ...]
+    samples: tuple[LabeledSample, ...]
     r_thres: float
     # shared per-environment surface clouds (cloud datasets only)
     clouds: dict[int, CloudObservation] = field(default_factory=dict)
+    _prepared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "environments", tuple(self.environments))
+        object.__setattr__(self, "samples", tuple(self.samples))
 
     def __len__(self) -> int:
         return len(self.samples)
+
+    def prepared(self, hyper: CbfHyper) -> "_Prepared":
+        """The stencil arrays and label masks of every sample (`_prepare`),
+        built once per `hyper.fd_step`, the one setting they depend on, and
+        read-only, since training and every audit share them."""
+        prep = self._prepared.get(hyper.fd_step)
+        if prep is None:
+            prep = _prepare(self.samples, self.arm, hyper, self.environments)
+            for a in vars(prep).values():
+                if a is not None:
+                    a.flags.writeable = False
+            self._prepared[hyper.fd_step] = prep
+        return prep
 
     def save(self, path) -> None:
         """JSONL of samples plus a companion <stem>.envs.json with the
@@ -139,6 +162,16 @@ class DatasetCounts:
     uniform_samples: int = 0
 
 
+def check_collection_counts(counts: DatasetCounts, uniform_samples_per_env: int) -> None:
+    """Reject counts a collection cannot use: a negative count, or fewer
+    than one uniform sample per environment, with which the uniform part
+    would never end."""
+    if counts.rollout_trajs < 0 or counts.uniform_samples < 0:
+        raise ValueError("data counts must be non-negative")
+    if uniform_samples_per_env < 1:
+        raise ValueError("data.uniform_samples_per_env must be >= 1")
+
+
 def collect_dataset(
     arm: ArmModel,
     env_distribution: EnvGenConfig,
@@ -162,8 +195,7 @@ def collect_dataset(
     limits. Every sample gets a safety label from the true signed distance
     (`environment.safety_label`, which rejects r_thres <= 0).
     """
-    if counts.rollout_trajs < 0 or counts.uniform_samples < 0:
-        raise ValueError("counts must be non-negative")
+    check_collection_counts(counts, uniform_samples_per_env)
     if observation_kind not in ("state", "cloud"):
         raise ValueError(f"unknown observation kind {observation_kind!r}")
     envs: list[Environment] = []
@@ -322,8 +354,11 @@ def _prepare(samples, arm: ArmModel, hyper: CbfHyper, envs=None) -> _Prepared:
                      cloud=np.array([row[id(s.observation)] for s in samples]), **masks)
 
 
-def _forward_stencil(net, prep: _Prepared, arm: ArmModel):
-    """Barrier values on all stencil slots: h (B, S) plus the tape."""
+def _forward_stencil(net, prep: _Prepared, arm: ArmModel, ws: BatchWorkspace = FRESH):
+    """Barrier values on all stencil slots: h (B, S) plus the tape. A cloud
+    net's arrays live in the workspace `ws`. A state net allocates its own:
+    a few hundred kB a batch, which the allocator keeps mapped, and its
+    training ran a few percent slower through a workspace."""
     if isinstance(net, Mlp):
         b, s, d_in = prep.x.shape
         y, tape = mlp_forward(net, prep.x.reshape(b * s, d_in))
@@ -337,7 +372,7 @@ def _forward_stencil(net, prep: _Prepared, arm: ArmModel):
                          origins=origins.reshape(b, s * n, 2).take(frames, axis=1),
                          angles=angles.reshape(b, s * n).take(frames, axis=1), links=links,
                          slot_blocks=slot_blocks)
-    h, tape = encoder_forward_batch(net, prep.qs.reshape(b * s, n), blocks)
+    h, tape = encoder_forward_batch(net, prep.qs.reshape(b * s, n), blocks, ws)
     return h.reshape(b, s), tape
 
 
@@ -354,17 +389,19 @@ def _condition_values(h: np.ndarray, arm: ArmModel, hyper: CbfHyper):
     return h0, grad, inf_vals, argmin
 
 
-def loss(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, want_grads: bool = True):
+def loss(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, want_grads: bool = True,
+         ws: BatchWorkspace = FRESH):
     """Three-term hinge loss on a prepared batch of labeled samples.
 
     term1 penalizes safe samples with h > -gamma, term2 unsafe samples with
     h <= gamma, term3 every sample whose best-case control cannot push the
     margined derivative condition below zero. Empty classes contribute zero.
-    Returns (total, components dict, parameter grads or None).
+    Returns (total, components dict, parameter grads or None); the grads
+    live in the workspace `ws` until its next pass.
     """
     if not prep.safe_mask.size:
         raise ValueError("empty batch")
-    h, tape = _forward_stencil(net, prep, arm)
+    h, tape = _forward_stencil(net, prep, arm, ws)
     b, s = h.shape
     h0, grad, inf_vals, argmin = _condition_values(h, arm, hyper)
     a1, a2, a3 = hyper.loss_weights
@@ -398,22 +435,25 @@ def loss(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, want_grads: bool 
     up[:, 0] += active3 * (hyper.alpha_h - stencil_w.sum(axis=1))
 
     if isinstance(net, Mlp):
-        grads, _ = mlp_backward(tape, up.reshape(b * s, 1))
+        grads, _ = mlp_backward(tape, up.reshape(b * s, 1), input_grad=False)
     else:
         grads, _ = encoder_backward_batch(tape, up.reshape(b * s))
     return total, components, grads
 
 
-def _audit(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, batch_size: int = 128
-           ) -> dict:
+def _audit(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, batch_size: int = 128,
+           ws: BatchWorkspace | None = None) -> dict:
     """Satisfaction rates of the three barrier conditions on a prepared set,
-    evaluated in batches of the cloud training size; the encoder runs its
-    per-point net on chunks of samples whatever the batch size."""
+    evaluated in batches of the cloud training size, whose passes share the
+    workspace `ws` (a new one by default); the encoder runs its per-point
+    net on chunks of samples whatever the batch size."""
+    ws = ws or BatchWorkspace()
     n_total = prep.safe_mask.size
     ok_safe = ok_unsafe = ok_deriv = 0
     for start in range(0, n_total, batch_size):
         batch = prep.take(slice(start, start + batch_size))
-        h0, _, inf_vals, _ = _condition_values(_forward_stencil(net, batch, arm)[0], arm, hyper)
+        h = _forward_stencil(net, batch, arm, ws)[0]
+        h0, _, inf_vals, _ = _condition_values(h, arm, hyper)
         ok_safe += int((batch.safe_mask & (h0 <= -hyper.gamma)).sum())
         ok_unsafe += int((batch.unsafe_mask & (h0 > hyper.gamma)).sum())
         ok_deriv += int((hyper.eps_margin + inf_vals + hyper.alpha_h * h0 <= 0.0).sum())
@@ -431,8 +471,7 @@ def _audit(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, batch_size: int
 
 def evaluate_constraints(net, dataset: Dataset, hyper: CbfHyper, batch_size: int = 128) -> dict:
     """Empirical satisfaction rates of the three barrier conditions on a dataset."""
-    prep = _prepare(dataset.samples, dataset.arm, hyper, dataset.environments)
-    return _audit(net, prep, dataset.arm, hyper, batch_size)
+    return _audit(net, dataset.prepared(hyper), dataset.arm, hyper, batch_size)
 
 
 @dataclass(frozen=True)
@@ -455,9 +494,9 @@ def train(dataset: Dataset, net_init, hyper: CbfHyper, schedule: TrainSchedule,
     """Mini-batch Adam on the hinge loss with per-epoch validation auditing.
 
     The generator splits the dataset 90/10 into training and validation
-    samples. The dataset's stencil arrays are prepared once; every batch and
-    the validation split index them. Divergence aborts with the report
-    collected so far.
+    samples. Every batch and the validation split index the dataset's
+    stencil arrays (`Dataset.prepared`), and all their passes share one
+    workspace. Divergence aborts with the report collected so far.
     """
     t0 = time.perf_counter()
     report = TrainReport()
@@ -470,10 +509,11 @@ def train(dataset: Dataset, net_init, hyper: CbfHyper, schedule: TrainSchedule,
     perm = rng.permutation(n_total)
     n_val = max(1, n_total // 10) if n_total > 1 else 0
     train_idx = perm[n_val:]
-    data = _prepare(dataset.samples, dataset.arm, hyper, dataset.environments)
+    data = dataset.prepared(hyper)
     val = data.take(perm[:n_val])
     params = net.params if isinstance(net, Mlp) else net.all_params()
     state = AdamState.for_params(params)
+    ws = BatchWorkspace()  # every batch's and audit's arrays
 
     for epoch in range(schedule.epochs):
         order = rng.permutation(len(train_idx))
@@ -482,7 +522,7 @@ def train(dataset: Dataset, net_init, hyper: CbfHyper, schedule: TrainSchedule,
         n_seen = 0
         for start in range(0, len(order), schedule.batch_size):
             idx = train_idx[order[start:start + schedule.batch_size]]
-            total, comps, grads = loss(net, data.take(idx), dataset.arm, hyper)
+            total, comps, grads = loss(net, data.take(idx), dataset.arm, hyper, ws=ws)
             if not np.isfinite(total):
                 report.aborted = True
                 report.wall_seconds = time.perf_counter() - t0
@@ -493,7 +533,7 @@ def train(dataset: Dataset, net_init, hyper: CbfHyper, schedule: TrainSchedule,
             for k in epoch_comps:
                 epoch_comps[k] += comps[k] * w
             n_seen += w
-        rates = _audit(net, val, dataset.arm, hyper)
+        rates = _audit(net, val, dataset.arm, hyper, ws=ws)
         report.epochs.append({
             "epoch": epoch,
             "loss": epoch_loss / max(n_seen, 1),

@@ -14,11 +14,13 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import math
 import zlib
 
 import numpy as np
 
-from .cbf import CbfHyper, HandcraftedBarrier, TrainSchedule
+from .cbf import (CbfHyper, DatasetCounts, HandcraftedBarrier, TrainSchedule,
+                  check_collection_counts)
 from .controller import NominalPolicy, RolloutLimits, SafeControllerConfig
 from .environment import EnvGenConfig, ScanSpec, Workspace
 from .jsonio import load_json
@@ -106,8 +108,9 @@ def deep_merge(base: dict, override: dict) -> dict:
 
 def load_config(path=None) -> dict:
     """DEFAULTS with the file's overrides, after building every section's
-    records, the nominal policy and the hand barrier once, so a rejected
-    value stops any work."""
+    records, the nominal policy and the hand barrier once and checking the
+    data counts and the problems' clearance factor, so a rejected value
+    stops any work."""
     if path is None:
         return copy.deepcopy(DEFAULTS)
     doc = load_json(path)
@@ -122,6 +125,11 @@ def load_config(path=None) -> dict:
                 rec.from_json(section)
     make_policy(cfg)
     HandcraftedBarrier(make_arm(cfg), cfg["controller"]["hand_margin"])
+    data = cfg["data"]
+    check_collection_counts(DatasetCounts(data["rollout_trajs"], data["uniform_samples"]),
+                            data["uniform_samples_per_env"])
+    if not 0.0 <= cfg["bench"]["clearance_factor"] < math.inf:
+        raise ValueError("bench.clearance_factor must be non-negative and finite")
     return cfg
 
 

@@ -9,6 +9,7 @@ row-major over that (out, in) layout, layer by layer, weights before bias.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +31,53 @@ def init_params(layer_widths, rng: np.random.Generator) -> Params:
         b = np.zeros(w_out)
         params.append((w, b))
     return params
+
+
+class BatchWorkspace:
+    """Arrays that outlive one batch. A cloud training run or an audit keeps
+    one for all its batches, and every pass writes its products into them with
+    `out=`: a freed multi-megabyte temporary goes back to the system, so the
+    next batch would fault its pages in again. `get(key, shape)` views the
+    array kept under `key` as `shape`; it grows to the largest size asked
+    for. `out` is `get` for an `out=` argument. `sub(name)` is a workspace of
+    its own, one per network of an encoder. What a pass returns lives until
+    the workspace's next pass."""
+
+    def __init__(self):
+        self._arrays, self._subs = {}, {}
+
+    def get(self, key, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._arrays.get(key)
+        if buf is None or buf.size < size:
+            # an array that grows takes an eighth to spare, so that batches a
+            # little larger each time do not reallocate it again and again
+            spare = 0 if buf is None else size // 8
+            buf = self._arrays[key] = np.empty(size + spare, dtype)
+        return buf[:size].reshape(shape)
+
+    out = get
+
+    def sub(self, name) -> "BatchWorkspace":
+        return self._subs.setdefault(name, BatchWorkspace())
+
+
+class _Fresh(BatchWorkspace):
+    """No workspace: every array is a new one, as one-sample calls want. An
+    `out=` argument is None, so numpy allocates the result itself, which
+    costs less on a one-sample call's small arrays."""
+
+    def get(self, key, shape, dtype=float) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+    def out(self, key, shape, dtype=float) -> None:
+        return None
+
+    def sub(self, name) -> "BatchWorkspace":
+        return self
+
+
+FRESH = _Fresh()
 
 
 @dataclass
@@ -63,10 +111,14 @@ class MlpTape:
     x: np.ndarray  # (B, in)
     hidden: list  # post-tanh activations per hidden layer, each (B, w)
     y: np.ndarray  # (B, out)
+    ws: BatchWorkspace = FRESH  # the reverse pass's arrays
 
 
-def mlp_forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
-    """Evaluate the net on a batch (B, in); returns (B, out)."""
+def mlp_forward(net: Mlp, x: np.ndarray, ws: BatchWorkspace = FRESH, hidden_only: bool = False
+                ) -> tuple[np.ndarray, MlpTape]:
+    """Evaluate the net on a batch (B, in); returns (B, out). With
+    `hidden_only` it stops before the output layer, which no reverse pass
+    reads, and returns the last hidden activations (the input if none)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != net.in_width:
         raise ValueError(f"input shape {x.shape}, expected (B, {net.in_width})")
@@ -75,32 +127,36 @@ def mlp_forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, MlpTape]:
     hidden = []
     a = x
     n_layers = len(net.params)
-    for i, (w, b) in enumerate(net.params):
+    for i, (w, b) in enumerate(net.params[:-1] if hidden_only else net.params):
         # one array per layer: the bias and tanh go into the product's storage
-        a = a @ w.T
+        a = np.matmul(a, w.T, out=ws.out(("a", i), (len(a), len(w))))
         a += b
         if i < n_layers - 1:
             np.tanh(a, out=a)
             hidden.append(a)
-    return a, MlpTape(net=net, x=x, hidden=hidden, y=a)
+    return a, MlpTape(net=net, x=x, hidden=hidden, y=a, ws=ws)
 
 
-def mlp_backward(tape: MlpTape, upstream: np.ndarray) -> tuple[Params, np.ndarray]:
+def mlp_backward(tape: MlpTape, upstream: np.ndarray, input_grad: bool = True
+                 ) -> tuple[Params, np.ndarray | None]:
     """Reverse pass from the output gradients `upstream` (B, out): (parameter
-    gradients summed over the batch, input gradients (B, in))."""
-    net = tape.net
+    gradients summed over the batch, input gradients (B, in), or None
+    without `input_grad`)."""
+    net, ws = tape.net, tape.ws
     delta = np.asarray(upstream, dtype=float)
     param_grads: list = [None] * len(net.params)
     acts = [tape.x] + tape.hidden  # inputs to each layer
     for i in range(len(net.params) - 1, -1, -1):
-        w, _ = net.params[i]
-        dw = delta.T @ acts[i]
-        db = delta.sum(axis=0)
+        w, b = net.params[i]
+        dw = np.matmul(delta.T, acts[i], out=ws.out(("dw", i), w.shape))
+        db = delta.sum(axis=0, out=ws.out(("db", i), b.shape))
         param_grads[i] = (dw, db)
-        delta = delta @ w
+        if i == 0 and not input_grad:
+            return param_grads, None
+        delta = np.matmul(delta, w, out=ws.out(("delta", i), (len(delta), w.shape[1])))
         if i > 0:
             # tanh' = 1 - a^2
-            slope = np.square(acts[i])
+            slope = np.square(acts[i], out=ws.out("slope", acts[i].shape))
             np.subtract(1.0, slope, out=slope)
             delta *= slope
     return param_grads, delta
@@ -162,7 +218,7 @@ class CloudBlocks:
     links: np.ndarray
     slot_blocks: np.ndarray
 
-    def records(self, rows: np.ndarray) -> np.ndarray:
+    def records(self, rows: np.ndarray, ws: BatchWorkspace = FRESH) -> np.ndarray:
         """The per-point records at flat rows (b*K + k)*N + point, (R, 4+n):
         the point and normal in block k's frame, Rᵀ(p - o) and Rᵀn, then the
         one-hot link."""
@@ -170,7 +226,8 @@ class CloudBlocks:
         cloud = self.cloud[block // self.links.size]
         c, s = (f(self.angles).reshape(-1)[block] for f in (np.cos, np.sin))
         rel = self.points[cloud, point] - self.origins.reshape(-1, 2)[block]
-        recs = np.zeros((rows.size, 4 + self.slot_blocks.shape[1]))
+        recs = ws.get("records", (rows.size, 4 + self.slot_blocks.shape[1]))
+        recs[:, 4:] = 0.0
         for j, v in enumerate((rel, self.normals[cloud, point])):
             recs[:, 2 * j] = c * v[:, 0] + s * v[:, 1]
             recs[:, 2 * j + 1] = -s * v[:, 0] + c * v[:, 1]
@@ -185,6 +242,7 @@ class EncoderTape:
     point: np.ndarray  # (B, K, F) the first point reaching each block's max, before the bias
     block_max: np.ndarray  # (B, K, F) each block's pooled features
     trunk_tape: MlpTape
+    ws: BatchWorkspace = FRESH  # the reverse pass's arrays
 
 
 # Points per block are padded to a multiple of this by repeating the last
@@ -197,7 +255,7 @@ POINT_ALIGN = 8
 _TURN, _TURN_SIGN = np.array([1, 0, 3, 2]), np.array([[-1.0], [1.0], [-1.0], [1.0]])
 
 
-def _cloud_terms(per_point: Mlp, blocks: CloudBlocks) -> np.ndarray:
+def _cloud_terms(per_point: Mlp, blocks: CloudBlocks, ws: BatchWorkspace = FRESH) -> np.ndarray:
     """The first layer's cloud terms of each distinct cloud, feature-major
     (C, 2, H, N'): A = W_p p + W_n n and B = W_p Jp + W_n Jn with J a
     quarter turn, over the cloud's points padded to N' (`POINT_ALIGN`)."""
@@ -208,14 +266,15 @@ def _cloud_terms(per_point: Mlp, blocks: CloudBlocks) -> np.ndarray:
     if pad:
         cloud_in = np.concatenate([cloud_in] + [cloud_in[:, -1:]] * pad, axis=1)
     cloud_in = cloud_in.transpose(0, 2, 1)
-    both = np.empty((len(cloud_in), 2) + cloud_in.shape[1:])  # [v; Jv]
+    both = ws.get("both", (len(cloud_in), 2) + cloud_in.shape[1:])  # [v; Jv]
     both[:, 0] = cloud_in
     np.multiply(cloud_in[:, _TURN], _TURN_SIGN, out=both[:, 1])
-    return np.matmul(per_point.params[0][0][:, :4], both)
+    w = per_point.params[0][0][:, :4]
+    return np.matmul(w, both, out=ws.out("terms", both.shape[:2] + (len(w), both.shape[3])))
 
 
 def _point_features(per_point: Mlp, blocks: CloudBlocks, terms: np.ndarray, part: slice,
-                    work: list) -> np.ndarray:
+                    ws: BatchWorkspace = FRESH) -> np.ndarray:
     """The per-point net's output on every block of the samples `part`,
     feature-major (B, K, F, N'), with no record built: the first layer is
     linear in a record [Rᵀ(p - o), Rᵀn, e_l], and Rᵀv = cos θ·v - sin θ·Jv,
@@ -224,19 +283,19 @@ def _point_features(per_point: Mlp, blocks: CloudBlocks, terms: np.ndarray, part
     product is feature-major with its points contiguous, so a block's max
     pool runs along them. The output layer's bias is left out: adding a
     constant commutes with a max, since rounding is monotone, so the caller
-    adds it to each block's pooled max instead of to every point. `work`,
-    empty at a batch's first call, keeps each layer's output array for the
-    next call on as many samples or fewer, which overwrites the returned
-    features."""
+    adds it to each block's pooled max instead of to every point. The
+    features are the per-point net's layer arrays in the workspace `ws`,
+    which the next call overwrites."""
     layers = per_point.params
     w, bias = layers[0]
     turn = np.exp(blocks.angles[part] * -1j)  # cos θ - i sin θ
     b, k = turn.shape
-    if not work:
-        work.extend(np.empty((b, k, len(w_i), terms.shape[3])) for w_i, _ in layers)
+    n_pts = terms.shape[3]
     rot = turn.view(float).reshape(b, k, 2)
-    pair = terms[blocks.cloud[part]].reshape(b, 2, -1)
-    z = np.matmul(rot, pair, out=work[0][:b].reshape(b, k, -1)).reshape(b, k, len(w), -1)
+    pair = terms.take(blocks.cloud[part], axis=0, out=ws.out("pair", (b,) + terms.shape[1:]),
+                      mode="clip").reshape(b, 2, -1)
+    z = np.matmul(rot, pair, out=ws.out(("a", 0), (b, k, len(w) * n_pts)))
+    z = z.reshape(b, k, len(w), n_pts)
     # Rᵀo = (cos θ - i sin θ)(o_x + i o_y)
     local = (turn * blocks.origins[part].view(complex)[..., 0]).view(float).reshape(b, k, 2)
     link = w[:, 4:][:, blocks.links].T
@@ -245,7 +304,7 @@ def _point_features(per_point: Mlp, blocks: CloudBlocks, terms: np.ndarray, part
     z += (link - local @ w[:, :2].T)[..., None]
     for i in range(1, len(layers)):
         w, bias = layers[i]
-        z = np.matmul(w, np.tanh(z, out=z), out=work[i][:b])
+        z = np.matmul(w, np.tanh(z, out=z), out=ws.out(("a", i), (b, k, len(w), n_pts)))
         if i + 1 < len(layers):
             z += bias[:, None]
     return z
@@ -255,8 +314,8 @@ def _point_features(per_point: Mlp, blocks: CloudBlocks, terms: np.ndarray, part
 CHUNK_SAMPLES = 16
 
 
-def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, blocks: CloudBlocks
-                          ) -> tuple[np.ndarray, EncoderTape]:
+def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, blocks: CloudBlocks,
+                          ws: BatchWorkspace = FRESH) -> tuple[np.ndarray, EncoderTape]:
     """Batched encoder pass on the blocks of B samples, S slots each; qs
     (B*S, n) are the slots' configurations. The per-point net runs on chunks
     of samples, and each block's max pool is one argmax along the contiguous
@@ -264,22 +323,32 @@ def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, blocks: CloudBlo
     is exact, so that equals one max over the slot's n*N records. Returns h
     (B*S,)."""
     b, k = blocks.angles.shape
+    s = len(blocks.slot_blocks)
     f = enc.feature_width
-    terms = _cloud_terms(enc.per_point, blocks)
-    point = np.empty((b, k, f), dtype=np.intp)
-    block_max = np.empty((b, k, f))
-    work = []
+    terms = _cloud_terms(enc.per_point, blocks, ws)
+    point = ws.get("point", (b, k, f), np.intp)
+    block_max = ws.get("block_max", (b, k, f))
     for start in range(0, b, CHUNK_SAMPLES):
         part = slice(start, start + CHUNK_SAMPLES)
-        phi = _point_features(enc.per_point, blocks, terms, part, work)
-        point[part] = phi.argmax(axis=3)
+        phi = _point_features(enc.per_point, blocks, terms, part, ws.sub("per_point"))
+        phi.argmax(axis=3, out=point[part])
         phi = phi.reshape(-1, phi.shape[3])
         block_max[part] = phi[np.arange(len(phi)), point[part].reshape(-1)].reshape(-1, k, f)
     block_max += enc.per_point.params[-1][1]
-    feature = block_max[:, blocks.slot_blocks].max(axis=2)  # (B, S, F)
-    y, trunk_tape = mlp_forward(enc.trunk, np.concatenate([feature.reshape(-1, f), qs], axis=1))
+    # the trunk's input: each slot's pooled features (B, S, F), then its q
+    trunk_in = ws.get("trunk_in", (b * s, f + qs.shape[1]))
+    slot_max = _slot_max(block_max, blocks.slot_blocks, ws)
+    slot_max.max(axis=2, out=trunk_in.reshape(b, s, -1)[..., :f])
+    trunk_in[:, f:] = qs
+    y, trunk_tape = mlp_forward(enc.trunk, trunk_in, ws.sub("trunk"))
     return y[:, 0], EncoderTape(enc=enc, blocks=blocks, point=point, block_max=block_max,
-                                trunk_tape=trunk_tape)
+                                trunk_tape=trunk_tape, ws=ws)
+
+
+def _slot_max(block_max: np.ndarray, slot_blocks: np.ndarray, ws: BatchWorkspace) -> np.ndarray:
+    """Each slot's blocks' pooled features (B, S, n, F)."""
+    shape = block_max.shape[:1] + slot_blocks.shape + block_max.shape[2:]
+    return block_max.take(slot_blocks, axis=1, out=ws.out("slot_max", shape), mode="clip")
 
 
 def _winner_rows(tape: EncoderTape) -> np.ndarray:
@@ -289,7 +358,8 @@ def _winner_rows(tape: EncoderTape) -> np.ndarray:
     reaches the slot's max."""
     b, k, f = tape.block_max.shape
     slot_blocks = tape.blocks.slot_blocks
-    link = np.argmax(tape.block_max[:, slot_blocks], axis=2)  # (B, S, F), first on ties
+    link = _slot_max(tape.block_max, slot_blocks, tape.ws).argmax(
+        axis=2, out=tape.ws.out("link", (b, len(slot_blocks), f), np.intp))  # first on ties
     block = slot_blocks[np.arange(len(slot_blocks))[:, None], link]
     sample = np.arange(b)[:, None, None]
     point = tape.point[sample, block, np.arange(f)]
@@ -300,24 +370,34 @@ def _winner_upstream(tape: EncoderTape, d_feature: np.ndarray) -> tuple[np.ndarr
     """The per-point reverse pass's input from the pooled-feature gradients
     d_feature (B*S, F): the distinct winning rows (U,), sorted, and their
     gradients (U, F). A row winning coordinate j for several slots gets the
-    sum of theirs, in slot order; a row gets zero where it does not win."""
+    sum of theirs, in slot order; a row gets zero where it does not win.
+    The gradients take the per-point net's output-layer array, which its
+    rerun on the winning rows leaves alone."""
     f = d_feature.shape[1]
     winners, inverse = np.unique(_winner_rows(tape).reshape(-1), return_inverse=True)
     cells = (inverse.reshape(-1, f) * f + np.arange(f)).reshape(-1)
-    delta = np.bincount(cells, weights=d_feature.reshape(-1), minlength=winners.size * f)
-    return winners, delta.reshape(-1, f)
+    # np.add.at adds in input order, so a row's slots sum in slot order
+    out_layer = len(tape.enc.per_point.params) - 1
+    delta = tape.ws.sub("per_point").get(("a", out_layer), (winners.size, f))
+    delta.fill(0.0)
+    np.add.at(delta.reshape(-1), cells, d_feature.reshape(-1))
+    return winners, delta
 
 
 def encoder_backward_batch(tape: EncoderTape, upstream) -> tuple[Params, np.ndarray]:
     """Reverse pass for the batched encoder from upstream (B*S,): (parameter
     grads, per-point layers first; q input grads (B*S, n)). A max pool
     passes each pooled coordinate's gradient to the one record that wins it,
-    so the per-point net reruns on the records rebuilt at the winning rows."""
+    so the per-point net's hidden layers rerun on the records rebuilt at the
+    winning rows, in the arrays of the forward pass's last chunk, which it
+    has pooled."""
     f = tape.enc.feature_width
     trunk_grads, trunk_in_grad = mlp_backward(tape.trunk_tape, upstream[:, None])
     rows, delta = _winner_upstream(tape, trunk_in_grad[:, :f])
-    _, point_tape = mlp_forward(tape.enc.per_point, tape.blocks.records(rows))
-    point_grads, _ = mlp_backward(point_tape, delta)
+    ws = tape.ws.sub("per_point")
+    _, point_tape = mlp_forward(tape.enc.per_point, tape.blocks.records(rows, ws), ws,
+                                hidden_only=True)
+    point_grads, _ = mlp_backward(point_tape, delta, input_grad=False)
     return point_grads + trunk_grads, trunk_in_grad[:, f:]
 
 

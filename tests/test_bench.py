@@ -52,6 +52,21 @@ class TestGenProblems:
             bench.save_problems(tmp_path / f"{name}.json", probs)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    @pytest.mark.parametrize("clearance", [-0.01, -0.5, float("nan"), float("inf")])
+    def test_negative_or_non_finite_clearance_rejected(self, cfg, arm, clearance):
+        # a negative clearance would accept endpoints in collision
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="clearance must be non-negative and finite"):
+            bench.gen_problems(make_env_gen(cfg), 4, rng, arm, clearance)
+        assert rng.bit_generator.state == state
+
+    def test_zero_clearance_gives_collision_free_endpoints(self, cfg, arm):
+        gen = make_env_gen(cfg, num_obstacles=8)
+        for p in bench.gen_problems(gen, 12, np.random.default_rng(4), arm, 0.0):
+            assert signed_distance(p.environment, arm, p.q0) >= 0.0
+            assert signed_distance(p.environment, arm, p.qg) >= 0.0
+
     def test_round_trip(self, cfg, arm, tmp_path):
         gen = make_env_gen(cfg)
         probs = bench.gen_problems(gen, 5, np.random.default_rng(2), arm, 0.025)

@@ -3,6 +3,7 @@ the control-term infimum against brute force, loss plumbing and training."""
 
 import copy
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cbfsteer.cbf import (
     LabeledSample,
     NeuralBarrier,
     TrainSchedule,
+    _audit,
     _condition_values,
     _forward_stencil,
     _prepare,
@@ -47,12 +49,15 @@ from cbfsteer.environment import (
 )
 from cbfsteer.kinematics import ArmModel, joint_positions, sample_config
 from cbfsteer.neural import (
+    AdamState,
+    BatchWorkspace,
     Mlp,
     PointSetEncoder,
     _cloud_terms,
     _point_features,
     _winner_rows,
     _winner_upstream,
+    adam_step,
     encoder_backward_batch,
     mlp_backward,
     mlp_forward,
@@ -143,6 +148,28 @@ class TestCollectDataset:
         with pytest.raises(ValueError, match="r_thres"):
             collect_dataset(arm, EnvGenConfig(), DatasetCounts(0, 10), NominalPolicy(),
                             np.random.default_rng(0), **collect_settings(r_thres=r_thres))
+
+    @pytest.mark.parametrize("per_env", [0, -3])
+    def test_fewer_than_one_uniform_sample_per_environment_rejected(self, arm, per_env):
+        # each uniform pass would take no sample, so the loop would never end
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="uniform_samples_per_env must be >= 1"):
+            collect_dataset(arm, EnvGenConfig(), DatasetCounts(0, 10), NominalPolicy(), rng,
+                            **collect_settings(uniform_samples_per_env=per_env))
+        assert rng.bit_generator.state == state  # before any work
+
+    @pytest.mark.parametrize("counts", [DatasetCounts(-1, 10), DatasetCounts(0, -10)])
+    def test_negative_counts_rejected(self, arm, counts):
+        with pytest.raises(ValueError, match="data counts must be non-negative"):
+            collect_dataset(arm, EnvGenConfig(), counts, NominalPolicy(),
+                            np.random.default_rng(0), **collect_settings())
+
+    def test_one_uniform_sample_per_environment(self, arm):
+        ds = collect_dataset(arm, EnvGenConfig(), DatasetCounts(0, 5), NominalPolicy(),
+                             np.random.default_rng(0),
+                             **collect_settings(uniform_samples_per_env=1))
+        assert len(ds) == len(ds.environments) == 5
 
     def test_determinism_byte_identical(self, arm, tmp_path):
         for name in ("a", "b"):
@@ -761,6 +788,86 @@ class TestPrepareOnce:
             assert prep.points.shape[0] == len(loaded.clouds) + len(ds.samples[::50])
 
 
+def reloaded(ds, path):
+    """A copy of a dataset through `Dataset.save` and `Dataset.load`: the same
+    samples, sharing no object or array with the original."""
+    ds.save(path)
+    return Dataset.load(path)
+
+
+def small_net(kind, arm, rng):
+    if kind == "state":
+        return Mlp.create((arm.n_links + 1, 16, 1), rng)
+    n = arm.n_links
+    return PointSetEncoder.create(n, per_point_widths=(4 + n, 8, 8), trunk_widths=(8 + n, 8, 1),
+                                  rng=rng)
+
+
+class TestPreparedOncePerDataset:
+    """`Dataset.prepared` keeps one set of stencil arrays per fd_step, which
+    training and every audit of the dataset read. The reference is a fresh
+    `_prepare` on a saved and reloaded copy of the dataset."""
+
+    @pytest.mark.parametrize("kind", ["state", "cloud"])
+    def test_audit_after_training_matches_a_fresh_prepare(self, arm, kind, tmp_path):
+        ds = small_dataset(arm, seed=8, uniform=200, kind=kind)
+        copied = reloaded(ds, tmp_path / "data.jsonl")
+        hyper = make_hyper(load_config(), kind)
+        net, _ = train(ds, small_net(kind, arm, np.random.default_rng(3)), hyper,
+                       TrainSchedule(epochs=2, batch_size=48), np.random.default_rng(4))
+        ref = _prepare(copied.samples, arm, hyper, copied.environments)
+        assert evaluate_constraints(net, ds, hyper) == _audit(net, ref, arm, hyper)
+        prep = ds.prepared(hyper)
+        assert ds.prepared(replace(hyper, gamma=0.1)) is prep  # one per fd_step
+        # never written to: read-only, and still the reference's bytes
+        for name, want in vars(ref).items():
+            got = getattr(prep, name)
+            if want is None:
+                assert got is None
+                continue
+            assert not got.flags.writeable
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            with pytest.raises(ValueError, match="read-only"):
+                got.reshape(-1)[0] = got.reshape(-1)[0]
+
+    @pytest.mark.parametrize("kind", ["state", "cloud"])
+    def test_another_fd_step_is_prepared_afresh(self, arm, kind, tmp_path):
+        ds = small_dataset(arm, seed=9, uniform=150, kind=kind)
+        copied = reloaded(ds, tmp_path / "data.jsonl")
+        hyper = make_hyper(load_config(), kind)
+        other = replace(hyper, fd_step=4 * hyper.fd_step)
+        net = small_net(kind, arm, np.random.default_rng(5))
+        evaluate_constraints(net, ds, hyper)
+        ref = _prepare(copied.samples, arm, other, copied.environments)
+        assert evaluate_constraints(net, ds, other) == _audit(net, ref, arm, other)
+        stencil = "x" if kind == "state" else "qs"
+        got, first = (getattr(ds.prepared(h), stencil) for h in (other, hyper))
+        assert got.tobytes() == getattr(ref, stencil).tobytes()
+        assert got.tobytes() != first.tobytes()
+
+    def test_training_and_audits_compute_the_stencil_distances_once(self, arm, monkeypatch):
+        calls = []
+        real = cbf_module.stencil_distances
+        monkeypatch.setattr(cbf_module, "stencil_distances",
+                            lambda *args: calls.append(len(args[0])) or real(*args))
+        ds = small_dataset(arm, uniform=100)
+        hyper = make_hyper(load_config(), "state")
+        net, _ = train(ds, small_net("state", arm, np.random.default_rng(6)), hyper,
+                       TrainSchedule(epochs=2, batch_size=32), np.random.default_rng(7))
+        for _ in range(2):
+            evaluate_constraints(net, ds, hyper)
+        assert calls == [len(ds)]
+
+    def test_samples_and_environments_are_tuples(self, arm):
+        ds = small_dataset(arm, uniform=20)
+        rebuilt = Dataset(kind=ds.kind, arm=arm, environments=list(ds.environments),
+                          samples=list(ds.samples), r_thres=ds.r_thres)
+        for d in (ds, rebuilt):
+            assert isinstance(d.samples, tuple) and isinstance(d.environments, tuple)
+        with pytest.raises(AttributeError):
+            ds.samples = ()
+
+
 def parent_h_and_grad(net, q, env, arm, fd_step, observation=None):
     """A state net's barrier value and gradient as computed before inference
     shared the training forward pass: refreshed signed distances, slot 0
@@ -962,13 +1069,14 @@ def assert_close(got, ref):
 
 def full_row_training(monkeypatch):
     """Route training and auditing through the full-row forward and its
-    reverse pass."""
+    reverse pass; the full-row code allocates its own arrays, so it takes no
+    workspace."""
     shared = _forward_stencil
 
-    def forward(net, prep, arm):
+    def forward(net, prep, arm, *ws):
         if isinstance(net, PointSetEncoder):
             return encoder_oracle.forward_stencil(net, prep, arm)
-        return shared(net, prep, arm)
+        return shared(net, prep, arm, *ws)
 
     monkeypatch.setattr(cbf_module, "_forward_stencil", forward)
     monkeypatch.setattr(cbf_module, "encoder_backward_batch", encoder_oracle.encoder_backward)
@@ -1000,7 +1108,7 @@ def own_winners(net, tape):
     blocks = tape.blocks
     terms = _cloud_terms(net.per_point, blocks)
     n_pts = blocks.points.shape[1]
-    phi = _point_features(net.per_point, blocks, terms, slice(None), [])[..., :n_pts]
+    phi = _point_features(net.per_point, blocks, terms, slice(None))[..., :n_pts]
     b, k, f, _ = phi.shape
     s, n = blocks.slot_blocks.shape
     full = phi + net.per_point.params[-1][1][:, None]
@@ -1095,6 +1203,88 @@ def check_training_against_oracle(ds, net_init, hyper, monkeypatch):
         assert row.keys() == row_ref.keys()
         for key, value in row.items():
             assert value == pytest.approx(row_ref[key], rel=1e-9, abs=1e-12), key
+
+
+def reference_train(ds, net, hyper, schedule, rng):
+    """`train`'s loop with no shared arrays: a fresh `_prepare`, one `loss`
+    call per batch with arrays of its own (no workspace), and an Adam step.
+    Returns the net and each epoch's mean loss."""
+    n_total = len(ds.samples)
+    perm = rng.permutation(n_total)
+    train_idx = perm[max(1, n_total // 10):]
+    data = _prepare(ds.samples, ds.arm, hyper, ds.environments)
+    params = net.params if isinstance(net, Mlp) else net.all_params()
+    state = AdamState.for_params(params)
+    means = []
+    for _ in range(schedule.epochs):
+        order = rng.permutation(len(train_idx))
+        total = 0.0
+        for start in range(0, len(order), schedule.batch_size):
+            idx = train_idx[order[start:start + schedule.batch_size]]
+            value, _, grads = loss(net, data.take(idx), ds.arm, hyper)
+            adam_step(params, grads, state, lr=schedule.lr)
+            total += value * len(idx)
+        means.append(total / len(train_idx))
+    return net, means
+
+
+def reference_audit(net, prep, arm, hyper, batch_size):
+    """`_audit`'s counts, each slice's forward pass with arrays of its own."""
+    ok = np.zeros(3, dtype=int)
+    for start in range(0, prep.safe_mask.size, batch_size):
+        batch = prep.take(slice(start, start + batch_size))
+        h0, _, inf_vals, _ = _condition_values(_forward_stencil(net, batch, arm)[0], arm, hyper)
+        ok += [int((batch.safe_mask & (h0 <= -hyper.gamma)).sum()),
+               int((batch.unsafe_mask & (h0 > hyper.gamma)).sum()),
+               int((hyper.eps_margin + inf_vals + hyper.alpha_h * h0 <= 0.0).sum())]
+    return ok.tolist()
+
+
+class TestWorkspace:
+    """A cloud training run keeps one workspace across its batches and
+    validation audits, and an audit one across its slices; every array a
+    pass writes there is sized for the largest batch so far. Training and
+    auditing through it must give the bytes of passes that allocate their
+    own."""
+
+    NETS = {"default": None, "narrow": ((7, 8, 6), (9, 8, 1))}
+
+    def make(self, name, arm, rng):
+        per_point, trunk = self.NETS[name] or cloud_widths(load_config(), arm)
+        return PointSetEncoder.create(arm.n_links, per_point, trunk, rng)
+
+    @pytest.mark.parametrize("name", list(NETS))
+    def test_training_bytes(self, arm, name):
+        ds = collect_dataset(arm, EnvGenConfig(), DatasetCounts(1, 260), NominalPolicy(),
+                             np.random.default_rng(30), observation_kind="cloud",
+                             **collect_settings(cloud_points=64))
+        hyper = make_hyper(load_config(), "cloud")
+        schedule = TrainSchedule(epochs=3, batch_size=64, lr=2e-3)
+        n_train = len(ds) - len(ds) // 10
+        assert n_train > schedule.batch_size and n_train % schedule.batch_size  # a partial batch
+        net0 = self.make(name, arm, np.random.default_rng(31))
+        net, report = train(ds, copy.deepcopy(net0), hyper, schedule, np.random.default_rng(32))
+        ref, means = reference_train(ds, copy.deepcopy(net0), hyper, schedule,
+                                     np.random.default_rng(32))
+        for (w, b), (w_ref, b_ref) in zip(net.all_params(), ref.all_params()):
+            assert w.tobytes() == w_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+        assert [e["loss"] for e in report.epochs] == means
+
+    @pytest.mark.parametrize("name", list(NETS))
+    def test_audit_slices_of_unequal_size(self, arm, name):
+        ds = small_dataset(arm, seed=33, uniform=110, kind="cloud")
+        hyper = make_hyper(load_config(), "cloud")
+        net = self.make(name, arm, np.random.default_rng(34))
+        prep = _prepare(ds.samples, arm, hyper, ds.environments)
+        ws = BatchWorkspace()
+        # the first audit sizes the arrays for 24 samples, the second grows them
+        for batch_size in (24, 40, 24):
+            assert len(ds) % batch_size
+            got = _audit(net, prep, arm, hyper, batch_size, ws)
+            assert [got[k] for k in ("safe_rate", "unsafe_rate", "deriv_rate")] == [
+                ok / n if n else 1.0 for ok, n in zip(
+                    reference_audit(net, prep, arm, hyper, batch_size),
+                    (got["n_safe"], got["n_unsafe"], got["n_total"]))]
 
 
 class TestBlockForwardOracle:

@@ -393,7 +393,13 @@ class TestConfigValuesCheckedAtLoad:
          "all barrier hyperparameters must be positive and finite", "problems.json"),
         ({"controller": {"ctrl_hz": -30, "sim_hz": -120}}, ["collect-data"],
          "sim_hz must be an integer multiple of ctrl_hz", "dataset-state.jsonl"),
-    ], ids=["negative-r_thres", "negative-rates"])
+        ({"data": {"uniform_samples_per_env": 0}},
+         ["collect-data", "--uniform-samples", "10", "--rollout-trajs", "0"],
+         "uniform_samples_per_env must be >= 1", "dataset-state.jsonl"),
+        ({"bench": {"clearance_factor": -10}}, ["gen-problems", "--count", "12"],
+         "clearance_factor must be non-negative and finite", "problems.json"),
+    ], ids=["negative-r_thres", "negative-rates", "zero-samples-per-env",
+            "negative-clearance"])
     def test_rejected_value_stops_the_command(self, tmp_path, capsys, doc, command, message,
                                               written):
         dump_json(tmp_path / "config.json", doc)

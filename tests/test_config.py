@@ -212,6 +212,12 @@ REJECTED_VALUES = [
     ({"controller": {"ctrl_hz": -30, "sim_hz": -120}}, "sim_hz must be an integer multiple"),
     ({"env_gen": {"num_obstacles": -1}}, "num_obstacles must be non-negative"),
     ({"train": {"cloud": {"lr": float("inf")}}}, "train lr must be positive and finite"),
+    *(({"data": {"uniform_samples_per_env": value}}, "uniform_samples_per_env must be >= 1")
+      for value in (0, -5)),
+    ({"data": {"rollout_trajs": -1}}, "data counts must be non-negative"),
+    ({"data": {"uniform_samples": -10}}, "data counts must be non-negative"),
+    *(({"bench": {"clearance_factor": value}}, "clearance_factor must be non-negative and finite")
+      for value in (-10.0, -0.5, float("nan"), float("inf"))),
 ]
 
 
