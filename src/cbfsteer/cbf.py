@@ -62,8 +62,11 @@ class CbfHyper(Record):
             raise ValueError("all barrier hyperparameters must be positive and finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledSample:
+    """One labelled configuration. Collection and loading hand out read-only
+    rows as `q`, so a dataset's kept stencil arrays cannot go stale."""
+
     q: np.ndarray
     observation: StateObservation | CloudObservation
     label: SafetyLabel
@@ -134,7 +137,10 @@ class Dataset:
         envs = [Environment.from_json(e) for e in meta["environments"]]
         clouds = {int(k): CloudObservation.from_json(c) for k, c in meta.get("clouds", {}).items()}
         samples = []
-        for row in load_jsonl(path):
+        rows = load_jsonl(path)
+        qs = np.array([row["q"] for row in rows], dtype=float)
+        qs.flags.writeable = False
+        for row, q in zip(rows, qs):
             obs_doc = row["obs"]
             if "d" in obs_doc:
                 obs = StateObservation(float(obs_doc["d"]))
@@ -142,7 +148,7 @@ class Dataset:
                 obs = clouds[int(obs_doc["cloud_env"])]
             else:
                 obs = CloudObservation.from_json(obs_doc["cloud"])
-            samples.append(LabeledSample(q=np.array(row["q"], dtype=float), observation=obs,
+            samples.append(LabeledSample(q=q, observation=obs,
                                          label=SafetyLabel(row["label"]),
                                          env_id=int(row["env_id"])))
         return cls(kind=meta["kind"], arm=ArmModel.from_json(meta["arm"]), environments=envs,
@@ -213,6 +219,7 @@ def collect_dataset(
 
     def add_samples(env_id: int, qs: np.ndarray) -> None:
         ds = signed_distance_batch(envs[env_id], arm, qs)
+        qs.flags.writeable = False
         for q, d in zip(qs, ds):
             obs = StateObservation(float(d)) if observation_kind == "state" else clouds[env_id]
             samples.append(LabeledSample(q=q, observation=obs, label=safety_label(d, r_thres),

@@ -124,7 +124,8 @@ class Environment(Record):
     # and their own arrays; the clearance-kernel points (complex x + iy: circle
     # centres, then four corners per rectangle), each with its circle radius
     # (0 for a corner) and owning obstacle; the rectangles' complex centres and
-    # half extents; and each corner's offset from its rectangle's centre
+    # half extents; each corner's offset from its rectangle's centre; and the
+    # largest rectangle half-diagonal (-inf without rectangles)
     _centers: np.ndarray = field(init=False, repr=False, compare=False)
     _velocities: np.ndarray = field(init=False, repr=False, compare=False)
     _circle_index: np.ndarray = field(init=False, repr=False, compare=False)
@@ -139,6 +140,7 @@ class Environment(Record):
     _rect_hz: np.ndarray = field(init=False, repr=False, compare=False)
     _point_owner: np.ndarray = field(init=False, repr=False, compare=False)
     _corner_offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    _rect_reach: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = tuple(self.obstacles)
@@ -146,9 +148,10 @@ class Environment(Record):
         rect = np.array([i for i, o in enumerate(obs) if o.kind == "rect"], dtype=np.intp)
         halves = np.array([obs[i].half_extents for i in rect]).reshape(-1, 2)
         radii = np.array([obs[i].radius for i in circle], dtype=float)
+        hz = halves[:, 0] + 1j * halves[:, 1]
         self.__dict__.update(
             obstacles=obs, _circle_index=circle, _rect_index=rect, _rect_halves=halves,
-            _circle_radii=radii, _rect_hz=halves[:, 0] + 1j * halves[:, 1],
+            _circle_radii=radii, _rect_hz=hz, _rect_reach=float(np.abs(hz).max(initial=-np.inf)),
             _velocities=np.array([o.velocity for o in obs], dtype=float).reshape(-1, 2),
             _point_offsets=np.concatenate([radii, np.zeros(4 * rect.size)]),
             _point_owner=np.concatenate([circle, np.repeat(rect, 4)]),
@@ -200,14 +203,16 @@ def signed_distance_batch(env: Environment, arm: ArmModel, qs: np.ndarray) -> np
     operations whatever the overlaps: one point-to-link pass over circle
     centres, rectangle corners and the arm's own joints, a separating-axis
     overlap test, and the exact interior depth of the overlapping (link,
-    rectangle) pairs, gathered. Batches run in blocks of ROW_BLOCK rows.
+    rectangle) pairs, gathered, each pass skipped when the point distances
+    rule it out. Batches run in blocks of ROW_BLOCK rows.
     """
     joints = _joints(arm, qs)
     r = arm.link_radius
     if arm.n_links < 3 and not env.obstacles:
         # 2-link arm in an empty world: report workspace-boundary clearance.
         return _workspace_clearance_batch(env, joints, r)
-    world = (env._points, env._point_offsets, env._rect_cz, env._rect_hz)
+    world = (env._points, env._point_offsets, env._rect_cz, env._rect_hz, env._rect_reach,
+             arm.cross_reach)
     if joints.shape[0] <= ROW_BLOCK:
         return geometry.capsule_world_min(joints, r, *world)
     return np.concatenate([geometry.capsule_world_min(joints[lo:lo + ROW_BLOCK], r, *world)
@@ -230,7 +235,7 @@ def signed_distance_stepped(env: Environment, arm: ArmModel, qs: np.ndarray, dt:
     if arm.n_links < 3 and not env.obstacles:
         return _workspace_clearance_batch(env, joints, r), after
     return geometry.capsule_world_min(joints, r, points, env._point_offsets, rect_cz,
-                                      env._rect_hz), after
+                                      env._rect_hz, env._rect_reach, arm.cross_reach), after
 
 
 def signed_distance(env: Environment, arm: ArmModel, q: np.ndarray) -> float:

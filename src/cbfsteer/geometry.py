@@ -12,6 +12,12 @@ corner and arm joint against every link; a separating-axis test (x, y and the
 link normal, no division) finds the links that meet a rectangle, and those
 pairs get their exact interior depth in closed form, gathered. The caller
 feeds it row blocks of bounded size.
+
+The overlap and self-crossing passes are skipped for a whole call when the
+point distances prove them empty, with the same result bit for bit: a link
+that meets a rectangle passes within its half-diagonal of a corner, and
+crossing links each have an endpoint within half their length of the other
+(each test allows `_SKIP_SLACK` for roundoff).
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ import functools
 import numpy as np
 
 _EPS = 1e-12
+# Roundoff allowance of the early-out tests in capsule_world_min: far above
+# the error of a candidate distance, far below any clearance that matters.
+_SKIP_SLACK = 1e-9
 
 
 def point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,7 +234,8 @@ def _interior_depth(rel: np.ndarray, d: np.ndarray, half: np.ndarray) -> np.ndar
 
 
 def capsule_world_min(joints: np.ndarray, radius: float, points: np.ndarray,
-                      offsets: np.ndarray, rect_c: np.ndarray, rect_h: np.ndarray) -> np.ndarray:
+                      offsets: np.ndarray, rect_c: np.ndarray, rect_h: np.ndarray,
+                      rect_reach: float, cross_reach: float) -> np.ndarray:
     """Clearance of R capsule chains, in one fused pass, (R,).
 
     All positions are complex x + iy. joints: (R, n+1) joint positions of
@@ -248,6 +258,15 @@ def capsule_world_min(joints: np.ndarray, radius: float, points: np.ndarray,
     interior depth. A non-adjacent self pair is as far apart as its nearest
     joint-to-link distance, or zero where each link strictly straddles the
     other's line.
+
+    rect_reach is the largest rectangle half-diagonal |hx + i hy|, and
+    cross_reach the largest min(L_l, L_j)/2 over non-adjacent links (-inf for
+    none). Every point of a rectangle lies within its half-diagonal of a
+    corner, so a link meeting one leaves a corner candidate of at most
+    rect_reach - radius; of two crossing links, each has an endpoint within
+    half its length of the other, a candidate of at most cross_reach -
+    2 radius. Above those (plus `_SKIP_SLACK`) the call skips the overlap and
+    the straddle pass; with both reaches +inf every pass runs.
     """
     b, m = joints.shape
     n = m - 1
@@ -266,11 +285,13 @@ def capsule_world_min(joints: np.ndarray, radius: float, points: np.ndarray,
     off[:, -m:] = ends * radius  # 2 radius at joints of non-adjacent links, else -inf
     best = (np.abs(rel - t * d) - off).min(axis=(1, 2))
     k = rect_c.shape[-1]
+    rc = rect_c[..., None, :]  # (1, K) or (R, 1, K)
     if k:
-        rc = rect_c[..., None, :]  # (1, K) or (R, 1, K)
         q = np.abs((joints[:, :, None] - rc).view(float)).view(complex) - rect_h
         box = np.abs(np.maximum(q.view(float), 0.0).view(complex))  # (R, n+1, K)
         best = np.minimum(best, box.min(axis=(1, 2)) - radius)
+    low = best.min(initial=np.inf)  # NaN runs both passes
+    if k and not low > rect_reach - radius + _SKIP_SLACK:
         # separating axes of a segment and a box: |c - mid| <= h + |d|/2 on x
         # and on y, and |d x (c - mid)| <= hx |dy| + hy |dx| on the link normal
         mc = rc - (a + 0.5 * d)  # (R, n, K)
@@ -285,7 +306,7 @@ def capsule_world_min(joints: np.ndarray, radius: float, points: np.ndarray,
             ctr = rect_c[rk] if rect_c.ndim == 1 else rect_c[row, rk]
             depth = _interior_depth(a.reshape(-1)[link] - ctr, d.reshape(-1)[link], rect_h[rk])
             np.minimum.at(best, row, depth - radius)
-    if n >= 3:
+    if not low > cross_reach - 2.0 * radius + _SKIP_SLACK:
         # side of link l that joint j lies on, 0 within the roundoff tolerance
         # of _strict_sign_flip; link j straddles the line of link l iff its
         # joints' sides multiply to a negative number

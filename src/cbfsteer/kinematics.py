@@ -76,6 +76,15 @@ class ArmModel(Record):
     def action_upper(self) -> np.ndarray:
         return _read_only(np.array(self.action_bound))
 
+    @cached_property
+    def cross_reach(self) -> float:
+        """Largest min(L_l, L_j)/2 over non-adjacent links (-inf with
+        fewer than three): crossing links come this close to each other's
+        endpoints, which lets the clearance kernel skip its crossing test."""
+        lengths = self.link_lengths
+        return max((min(lengths[l], lengths[j]) / 2 for l in range(len(lengths))
+                    for j in range(l + 2, len(lengths))), default=-np.inf)
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False

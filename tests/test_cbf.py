@@ -768,8 +768,7 @@ class TestPrepareOnce:
     def test_cloud_set_with_distinct_clouds(self, arm):
         rng = np.random.default_rng(42)
         env, samples = random_world_samples(arm, rng, "cloud", 40)
-        for s in samples:
-            s.observation = sample_surface_points(env, 24, rng)
+        samples = [replace(s, observation=sample_surface_points(env, 24, rng)) for s in samples]
         prep = check_prepare_once(samples, arm, CbfHyper(), [env], rng)
         assert prep.points.shape[0] == len(samples)
 
@@ -778,8 +777,9 @@ class TestPrepareOnce:
         rng = np.random.default_rng(43)
         ds = small_dataset(arm, seed=6, uniform=250, kind=kind)
         if kind == "cloud":  # a few samples with a cloud of their own
-            for s in ds.samples[::50]:
-                s.observation = sample_surface_points(ds.environments[s.env_id], 24, rng)
+            ds = replace(ds, samples=tuple(
+                replace(s, observation=sample_surface_points(ds.environments[s.env_id], 24, rng))
+                if i % 50 == 0 else s for i, s in enumerate(ds.samples)))
         ds.save(tmp_path / "data.jsonl")
         loaded = Dataset.load(tmp_path / "data.jsonl")
         prep = check_prepare_once(loaded.samples, arm, make_hyper(load_config(), kind),
@@ -866,6 +866,24 @@ class TestPreparedOncePerDataset:
             assert isinstance(d.samples, tuple) and isinstance(d.environments, tuple)
         with pytest.raises(AttributeError):
             ds.samples = ()
+
+    @pytest.mark.parametrize("kind", ["state", "cloud"])
+    def test_samples_cannot_change_under_the_kept_arrays(self, arm, kind, tmp_path):
+        # collected and loaded sets alike: a sample's q is a read-only row and
+        # a sample takes no new field, so `prepared` cannot go stale
+        ds = small_dataset(arm, uniform=30, rollouts=1, kind=kind)
+        loaded = reloaded(ds, tmp_path / "data.jsonl")
+        for d in (ds, loaded):
+            prep = d.prepared(make_hyper(load_config(), kind))
+            before = d.samples[0].q.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                d.samples[0].q[:] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                d.samples[-1].q[0] += 1.0
+            with pytest.raises(AttributeError):
+                d.samples[0].observation = d.samples[1].observation
+            assert d.samples[0].q.tobytes() == before
+            assert d.prepared(make_hyper(load_config(), kind)) is prep
 
 
 def parent_h_and_grad(net, q, env, arm, fd_step, observation=None):

@@ -542,7 +542,8 @@ class TestSignedDistanceStepped:
         assert (expected < 0).sum() >= 32
         got = geometry.capsule_world_min(
             batch_joint_positions(arm, qs)[0], arm.link_radius, np.stack([w._points for w in worlds]), base._point_offsets,
-            np.stack([w._rect_cz for w in worlds]), base._rect_hz)
+            np.stack([w._rect_cz for w in worlds]), base._rect_hz, base._rect_reach,
+            arm.cross_reach)
         assert same_bits(got, expected)
 
 

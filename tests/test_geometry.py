@@ -79,7 +79,7 @@ class TestSegmentRect:
             cz, (hx, hy) = complex(*centers[k]), halves[k]
             corners = cz + np.array([-hx - 1j * hy, hx - 1j * hy, hx + 1j * hy, -hx + 1j * hy])
             vec = geometry.capsule_world_min(joints, 0.04, corners, np.zeros(4), np.array([cz]),
-                                             np.array([complex(hx, hy)]))
+                                             np.array([complex(hx, hy)]), np.inf, -np.inf)
             assert vec[0] + 0.04 == pytest.approx(
                 geometry.segment_rect_signed_distance(a, b, centers[k], halves[k]), abs=1e-12)
 
