@@ -354,6 +354,8 @@ def render_bar_chart_svg(path, rows: list) -> None:
 
 def dynamicize_problems(problems: list, speed: float, rng: np.random.Generator) -> list:
     """Give every obstacle a constant random-direction velocity of the given speed."""
+    if not 0 <= speed < np.inf:
+        raise ValueError("obstacle_speed must be non-negative and finite")
     out = []
     for prob in problems:
         obstacles = []

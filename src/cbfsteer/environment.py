@@ -109,6 +109,12 @@ class Workspace(Record):
     center: tuple[float, float] = (0.0, 0.0)
     half_extents: tuple[float, float] = (1.5, 1.5)
 
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("workspace center must be finite")
+        if not all(0.0 < v < np.inf for v in self.half_extents):
+            raise ValueError("workspace half extents must be positive and finite")
+
 
 _CORNER_X = np.array([-1.0, 1.0, 1.0, -1.0])
 _CORNER_Y = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -162,10 +168,6 @@ class Environment(Record):
     @property
     def is_dynamic(self) -> bool:
         return any(v != 0.0 for o in self.obstacles for v in o.velocity)
-
-    @property
-    def num_obstacles(self) -> int:
-        return len(self.obstacles)
 
 
 def _workspace_clearance_batch(env: Environment, joints: np.ndarray, radius: float) -> np.ndarray:

@@ -32,19 +32,6 @@ _EPS = 1e-12
 _SKIP_SLACK = 1e-9
 
 
-def point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance from points (..., 2) to the segment [a, b]."""
-    points = np.asarray(points, dtype=float)
-    a = np.asarray(a, dtype=float)
-    d = np.asarray(b, dtype=float) - a
-    dd = float(d @ d)
-    if dd < _EPS:
-        return np.linalg.norm(points - a, axis=-1)
-    t = np.clip(((points - a) @ d) / dd, 0.0, 1.0)
-    closest = a + t[..., None] * d
-    return np.linalg.norm(points - closest, axis=-1)
-
-
 def _orient(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Cross product (q-p) x (r-p); broadcasts over leading axes."""
     return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (
@@ -64,53 +51,6 @@ def _strict_sign_flip(d1: np.ndarray, d2: np.ndarray, tol: float = 1e-12) -> np.
     return ((d1 > tol) & (d2 < -tol)) | ((d1 < -tol) & (d2 > tol))
 
 
-def segments_intersect(a: np.ndarray, b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Boolean mask: does segment [a, b] properly or improperly intersect each [starts_k, ends_k]?"""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    starts = np.asarray(starts, dtype=float)
-    ends = np.asarray(ends, dtype=float)
-    d1 = _orient(starts, ends, a[None, :])
-    d2 = _orient(starts, ends, b[None, :])
-    d3 = _orient(a[None, :], b[None, :], starts)
-    d4 = _orient(a[None, :], b[None, :], ends)
-    proper = _strict_sign_flip(d1, d2) & _strict_sign_flip(d3, d4)
-
-    def on_seg(p, q, r):
-        # r collinear with [p, q] and within its bounding box
-        collinear = np.abs(_orient(p, q, r)) <= _EPS
-        inx = (r[..., 0] >= np.minimum(p[..., 0], q[..., 0]) - _EPS) & (
-            r[..., 0] <= np.maximum(p[..., 0], q[..., 0]) + _EPS
-        )
-        iny = (r[..., 1] >= np.minimum(p[..., 1], q[..., 1]) - _EPS) & (
-            r[..., 1] <= np.maximum(p[..., 1], q[..., 1]) + _EPS
-        )
-        return collinear & inx & iny
-
-    touch = (
-        on_seg(starts, ends, a[None, :])
-        | on_seg(starts, ends, b[None, :])
-        | on_seg(a[None, :], b[None, :], starts)
-        | on_seg(a[None, :], b[None, :], ends)
-    )
-    return proper | touch
-
-
-def segment_segment_distance(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> float:
-    """Distance between two segments; 0 if they intersect."""
-    a2 = np.asarray(a2, dtype=float).reshape(1, 2)
-    b2 = np.asarray(b2, dtype=float).reshape(1, 2)
-    if bool(segments_intersect(np.asarray(a1, float), np.asarray(b1, float), a2, b2)[0]):
-        return 0.0
-    cands = [
-        float(point_segment_distance(np.asarray(a1, float), a2[0], b2[0])),
-        float(point_segment_distance(np.asarray(b1, float), a2[0], b2[0])),
-        float(point_segment_distance(a2[0], np.asarray(a1, float), np.asarray(b1, float))),
-        float(point_segment_distance(b2[0], np.asarray(a1, float), np.asarray(b1, float))),
-    ]
-    return min(cands)
-
-
 def point_rect_sdf(points: np.ndarray, center: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Signed distance from points (..., 2) to a solid rectangle (negative inside)."""
     q = np.abs(np.asarray(points, dtype=float) - np.asarray(center, dtype=float)) - np.asarray(
@@ -121,54 +61,25 @@ def point_rect_sdf(points: np.ndarray, center: np.ndarray, half: np.ndarray) -> 
     return outside + inside
 
 
-def rect_edges(center: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Corner-to-corner edge segments of a rectangle, as (starts (4,2), ends (4,2))."""
-    cx, cy = float(center[0]), float(center[1])
-    hx, hy = float(half[0]), float(half[1])
-    corners = np.array(
-        [[cx - hx, cy - hy], [cx + hx, cy - hy], [cx + hx, cy + hy], [cx - hx, cy + hy]]
-    )
-    return corners, np.roll(corners, -1, axis=0)
-
-
-def _segment_rect_clip(a: np.ndarray, d: np.ndarray, center: np.ndarray, half: np.ndarray):
-    """Liang-Barsky clip of a + t*d, t in [0,1], against the rectangle. None if disjoint."""
-    t0, t1 = 0.0, 1.0
-    for axis in range(2):
-        lo = center[axis] - half[axis]
-        hi = center[axis] + half[axis]
-        if abs(d[axis]) < _EPS:
-            if a[axis] < lo or a[axis] > hi:
-                return None
-        else:
-            ta = (lo - a[axis]) / d[axis]
-            tb = (hi - a[axis]) / d[axis]
-            if ta > tb:
-                ta, tb = tb, ta
-            t0 = max(t0, ta)
-            t1 = min(t1, tb)
-            if t0 > t1:
-                return None
-    return t0, t1
-
-
 def segment_rect_signed_distance(a: np.ndarray, b: np.ndarray, center: np.ndarray, half: np.ndarray) -> float:
     """min over the segment of the rectangle SDF: positive separation, negative depth.
 
-    Outside case reduces to edge distances; the overlapping case minimizes the
-    piecewise-linear interior SDF exactly over its breakpoints.
+    A segment that misses the rectangle is as far from it as from the nearest
+    edge; the overlapping case minimizes the piecewise-linear interior SDF
+    exactly over its breakpoints. The tests' reference for the clearance
+    kernel's rectangle pairs.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     center = np.asarray(center, dtype=float)
     half = np.asarray(half, dtype=float)
     d = b - a
-    clip = _segment_rect_clip(a, d, center, half)
-    if clip is None:
-        starts, ends = rect_edges(center, half)
-        dists = [segment_segment_distance(a, b, starts[k], ends[k]) for k in range(4)]
-        return min(dists)
-    t0, t1 = clip
+    t_in, t_out = _slab_times(center - a, d, half)
+    t0 = max(0.0, float(t_in.max()))
+    t1 = min(1.0, float(t_out.min()))
+    if t0 > t1:
+        corners = center + half * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+        return float(seg_seg_distance_paired(a, b, corners, np.roll(corners, -1, axis=0)).min())
     # Interior SDF along the segment: f(t) = max(|px(t)|-hx, |py(t)|-hy), piecewise linear.
     rel = a - center
 

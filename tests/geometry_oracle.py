@@ -6,6 +6,9 @@ frames, then per-link obstacle distances with a Liang-Barsky overlap test and
 a scalar interior-depth call per overlapping (link, rectangle) pair, then one
 paired segment-distance call per non-adjacent self pair.
 
+`point_segment_distance` is the closed-form distance from points to one
+segment, the tests' building block for hand-made expectations.
+
 The ray kernels are the pairwise forms that `ray_cast_scan` used before it
 picked each ray's nearest hit first: every (ray, obstacle) pair gets its hit
 parameter and its outward normal.
@@ -23,6 +26,19 @@ from cbfsteer.environment import Environment
 from cbfsteer.kinematics import ArmModel, joint_positions
 
 _EPS = 1e-12
+
+
+def point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from points (..., 2) to the segment [a, b]."""
+    points = np.asarray(points, dtype=float)
+    a = np.asarray(a, dtype=float)
+    d = np.asarray(b, dtype=float) - a
+    dd = float(d @ d)
+    if dd < _EPS:
+        return np.linalg.norm(points - a, axis=-1)
+    t = np.clip(((points - a) @ d) / dd, 0.0, 1.0)
+    closest = a + t[..., None] * d
+    return np.linalg.norm(points - closest, axis=-1)
 
 
 def real_chain_joint_positions(arm: ArmModel, q: np.ndarray) -> np.ndarray:

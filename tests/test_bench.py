@@ -288,6 +288,17 @@ class TestEvalController:
             for o in p.environment.obstacles:
                 assert np.hypot(*o.velocity) == pytest.approx(0.05)
 
+    @pytest.mark.parametrize("speed", [-0.05, np.inf, np.nan])
+    def test_dynamicize_rejects_an_unusable_speed(self, cfg, arm, speed):
+        # the rule and message of EnvGenConfig.obstacle_speed, before any draw
+        probs = bench.gen_problems(make_env_gen(cfg, num_obstacles=3), 1,
+                                   np.random.default_rng(14), arm, 0.025)
+        rng = np.random.default_rng(15)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="obstacle_speed must be non-negative and finite"):
+            bench.dynamicize_problems(probs, speed, rng)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("entry", ["build_steer", "eval_controller"])
     def test_checkpoint_alpha_reaches_the_qp(self, cfg, arm, tmp_path, monkeypatch, entry):
         # the barrier carries the alpha_h its net was trained with; the QP

@@ -29,10 +29,10 @@ from cbfsteer.environment import (
     signed_distance_batch,
     signed_distance_stepped,
 )
-from cbfsteer.geometry import point_segment_distance, segments_intersect
 from cbfsteer.kinematics import ArmModel, batch_joint_positions, joint_positions, sample_config
 
 import geometry_oracle
+from geometry_oracle import point_segment_distance
 from test_controller import assert_same_record
 
 HALF_PI = np.pi / 2
@@ -155,7 +155,7 @@ class TestEdgeCases:
     def test_self_crossing_arm(self, arm):
         q = np.array([0.0, 2.5, 2.0])
         pts = joint_positions(arm, q)[0]
-        assert segments_intersect(pts[0], pts[1], pts[2][None], pts[3][None])[0]
+        assert geometry.seg_seg_distance_paired(pts[0], pts[1], pts[2], pts[3]) == 0.0
         d = assert_matches_oracle(Environment(), arm, q[None])
         assert d[0] == pytest.approx(-2 * arm.link_radius, abs=1e-12)
 
@@ -398,7 +398,7 @@ class TestLemmas:
         c, h = np.array([cx, cy]), np.array([hx, hy])
         inside = c + (2.0 * np.array([u, v]) - 1.0) * h  # a point of the box
         a, b = _offset_segment(inside, np.array([np.cos(angle), np.sin(angle)]), before, after)
-        corners = geometry.rect_edges(c, h)[0]
+        corners = c + h * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
         nearest = min(float(point_segment_distance(k, a, b)) for k in corners)
         assert nearest <= np.hypot(hx, hy) + 1e-12
 

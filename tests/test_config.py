@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cbfsteer import config
+from cbfsteer import cli, config
 from cbfsteer.cbf import CbfHyper, TrainSchedule
 from cbfsteer.controller import RolloutLimits, SafeControllerConfig
 from cbfsteer.environment import EnvGenConfig, ScanSpec, Workspace
@@ -211,6 +211,9 @@ REJECTED_VALUES = [
       for value in (-0.1, float("nan"))),
     ({"controller": {"ctrl_hz": -30, "sim_hz": -120}}, "sim_hz must be an integer multiple"),
     ({"env_gen": {"num_obstacles": -1}}, "num_obstacles must be non-negative"),
+    *(({"workspace": {"half_extents": value}}, "half extents must be positive and finite")
+      for value in ([0, 1], [-1, 1], [1.0, float("nan")], [float("inf"), 1.0])),
+    ({"workspace": {"center": [float("nan"), 0.0]}}, "workspace center must be finite"),
     ({"train": {"cloud": {"lr": float("inf")}}}, "train lr must be positive and finite"),
     *(({"data": {"uniform_samples_per_env": value}}, "uniform_samples_per_env must be >= 1")
       for value in (0, -5)),
@@ -228,3 +231,28 @@ def test_a_value_its_record_rejects_fails_at_load(doc, message, tmp_path):
     (tmp_path / "config.json").write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(message)):
         config.load_config(tmp_path / "config.json")
+
+
+# what each command needs to parse; no file is read, since the config loads
+# first
+COMMAND_ARGS = {
+    "gen-problems": [], "collect-data": [], "train": ["--data", "d.jsonl"],
+    "eval-cbf": ["--checkpoint", "c.json", "--data", "d.jsonl"],
+    "plan": ["--problems", "p.json"], "bench": ["--problems", "p.json"],
+    "eval-controller": ["--problems", "p.json"],
+    "replay": ["--problems", "p.json", "--plan", "plan.json"],
+}
+
+
+def test_the_command_table_names_every_command():
+    assert set(COMMAND_ARGS) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGS)
+def test_an_unusable_workspace_stops_every_command_at_load(command, tmp_path, capsys):
+    (tmp_path / "config.json").write_text(json.dumps({"workspace": {"half_extents": [0, 1]}}))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(tmp_path / "config.json"), "--out", str(out), command,
+                     *COMMAND_ARGS[command]]) == 2
+    assert "workspace half extents must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()  # stopped before the output directory was made

@@ -8,10 +8,13 @@ A name counts as used when some other place in `src/cbfsteer/` or in
 benchmark tracer resolves the functions it times by name). Mentions inside
 the definition itself, such as recursion, and in docstrings do not count.
 Exempt are the entry point `cli.main`, `cli._Parser.error` (argparse calls
-it) and dunder names (Python reads them).
+it) and dunder names (Python reads them). The definitions only `perfbench/`
+mentions are listed in `TRACER_ONLY`, so that a new one fails and a deleted
+one must be struck from the list.
 """
 
 import ast
+import functools
 import importlib.util
 import sys
 from pathlib import Path
@@ -21,6 +24,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cbfsteer"
 ENTRY_POINTS = {("cli", "main"), ("cli", "_Parser.error")}
+BENCHMARK = ROOT / "perfbench"
+# definitions with no user in the package that the benchmark tracer times by
+# name; they go with their tracer layers
+TRACER_ONLY = {"environment.step_obstacles", "geometry.segment_rect_signed_distance",
+               "planner.steer_filter_lqr"}
 
 
 def mentions(node, skip=None):
@@ -46,13 +54,14 @@ def mentions(node, skip=None):
     return out
 
 
+@functools.cache
 def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
 def test_scan_covers_the_package_and_the_benchmark():
     assert len(list(PACKAGE.glob("*.py"))) >= 10
-    assert (ROOT / "perfbench" / "tracing.py").exists()
+    assert (BENCHMARK / "tracing.py").exists()
 
 
 def is_dunder(name):
@@ -84,8 +93,10 @@ def methods(tree):
                     yield f"{node.name}.{member.name}", member
 
 
-def unused(path, definitions):
-    trees = {p: parse(p) for p in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]}
+def unused(path, definitions, scanned=(PACKAGE, BENCHMARK)):
+    """Qualified names of the definitions in `path` that no file of the
+    `scanned` directories uses."""
+    trees = {p: parse(p) for directory in scanned for p in directory.glob("*.py")}
     elsewhere = set()
     for other, tree in trees.items():
         if other != path:
@@ -110,6 +121,13 @@ def test_every_top_level_definition_is_used(path):
 def test_every_method_is_used(path):
     found = unused(path, methods)
     assert found == [], f"{path.name}: nothing calls {found}"
+
+
+def test_only_the_tracer_keeps_these_alive():
+    found = {f"{path.stem}.{name}" for path in PACKAGE.glob("*.py")
+             for definitions in (top_level, methods)
+             for name in unused(path, definitions, scanned=(PACKAGE,))}
+    assert found == TRACER_ONLY
 
 
 def test_the_method_scan_sees_methods_and_properties():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rollout_oracle
+from geometry_oracle import point_segment_distance
 from cbfsteer import geometry
 from cbfsteer.environment import (
     CloudSource,
@@ -26,7 +27,6 @@ from cbfsteer.environment import (
     signed_distance_stepped,
     step_obstacles,
 )
-from cbfsteer.geometry import point_segment_distance
 from cbfsteer.jsonio import canonical_dumps
 from cbfsteer.kinematics import (
     ArmModel,
@@ -84,6 +84,16 @@ class TestObstacleValidation:
     def test_non_finite_velocity_rejected(self):
         with pytest.raises(ValueError, match="velocity"):
             Obstacle(kind="circle", center=(0.3, 0.3), radius=0.1, velocity=(np.nan, 0.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_workspace_rejected(self, bad):
+        with pytest.raises(ValueError, match="workspace half extents"):
+            Workspace(half_extents=(bad, 1.0))
+        with pytest.raises(ValueError, match="workspace half extents"):
+            Workspace(half_extents=(1.0, bad))
+        if not np.isfinite(bad):
+            with pytest.raises(ValueError, match="workspace center"):
+                Workspace(center=(0.0, bad))
 
 
 class TestSignedDistance:
@@ -144,9 +154,8 @@ class TestSignedDistance:
         d = signed_distance(env, arm, q)
         assert np.isfinite(d)
         pts = joint_positions(arm, q)[0]
-        from cbfsteer.geometry import segment_segment_distance
-
-        expected = segment_segment_distance(pts[0], pts[1], pts[2], pts[3]) - 2 * arm.link_radius
+        expected = (geometry.seg_seg_distance_paired(pts[0], pts[1], pts[2], pts[3])
+                    - 2 * arm.link_radius)
         assert d == pytest.approx(expected, abs=1e-12)
 
     def test_two_link_empty_world_uses_workspace(self):
@@ -550,7 +559,7 @@ class TestSignedDistanceStepped:
 class TestRandomEnvironment:
     def test_zero_obstacles(self):
         env = random_environment(EnvGenConfig(num_obstacles=0), np.random.default_rng(0))
-        assert env.num_obstacles == 0
+        assert len(env.obstacles) == 0
 
     def test_seed_determinism_bytes(self):
         cfg = EnvGenConfig(num_obstacles=6, shapes=("rect", "circle"))

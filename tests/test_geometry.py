@@ -84,29 +84,53 @@ class TestSegmentRect:
                 geometry.segment_rect_signed_distance(a, b, centers[k], halves[k]), abs=1e-12)
 
 
+def dense_seg_seg_min(a1, b1, a2, b2, n=4001):
+    """Sampling oracle: min distance from many points of [a1, b1] to [a2, b2]."""
+    ts = np.linspace(0.0, 1.0, n)
+    pts = a1[None, :] + ts[:, None] * (b1 - a1)[None, :]
+    return geometry_oracle.point_segment_distance(pts, a2, b2).min()
+
+
+# (a1, b1, a2, b2): a proper crossing, collinear overlap, parallel pairs and a
+# degenerate segment (a == b)
+SEGMENT_PAIRS = {
+    "crossing": ([-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]),
+    "collinear-overlap": ([0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [1.5, 0.0]),
+    "parallel": ([0.0, 0.0], [1.0, 0.0], [0.0, 0.5], [1.0, 0.5]),
+    "parallel-offset": ([0.0, 0.0], [1.0, 1.0], [1.5, 0.5], [2.5, 1.5]),
+    "degenerate": ([0.3, 0.7], [0.3, 0.7], [-0.5, 0.0], [0.5, 0.0]),
+    "degenerate-first-arg": ([-0.5, 0.0], [0.5, 0.0], [0.3, 0.7], [0.3, 0.7]),
+}
+
+
 class TestSegmentSegment:
     def test_crossing_is_zero(self):
-        d = geometry.segment_segment_distance(
-            np.array([-1.0, 0.0]), np.array([1.0, 0.0]),
-            np.array([0.0, -1.0]), np.array([0.0, 1.0]))
+        d = geometry.seg_seg_distance_paired(*map(np.array, SEGMENT_PAIRS["crossing"]))
         assert d == 0.0
 
     def test_parallel(self):
-        d = geometry.segment_segment_distance(
-            np.array([0.0, 0.0]), np.array([1.0, 0.0]),
-            np.array([0.0, 0.5]), np.array([1.0, 0.5]))
+        d = geometry.seg_seg_distance_paired(*map(np.array, SEGMENT_PAIRS["parallel"]))
         assert d == pytest.approx(0.5)
 
-    def test_paired_matches_scalar(self):
+    @pytest.mark.parametrize("case", SEGMENT_PAIRS)
+    def test_cases_match_sampling(self, case):
+        a1, b1, a2, b2 = map(np.array, SEGMENT_PAIRS[case])
+        exact = geometry.seg_seg_distance_paired(a1, b1, a2, b2)
+        approx = dense_seg_seg_min(a1, b1, a2, b2)
+        assert exact <= approx + 1e-12
+        assert approx - exact <= np.linalg.norm(b1 - a1) / 4000 + 1e-9
+
+    def test_paired_matches_sampling(self):
         rng = np.random.default_rng(6)
-        a1 = rng.uniform(-1, 1, (50, 2))
-        b1 = rng.uniform(-1, 1, (50, 2))
-        a2 = rng.uniform(-1, 1, (50, 2))
-        b2 = rng.uniform(-1, 1, (50, 2))
+        a1, b1, a2, b2 = rng.uniform(-1, 1, (4, 50, 2))
         d = geometry.seg_seg_distance_paired(a1, b1, a2, b2)
+        assert d.shape == (50,)
         for i in range(50):
-            assert d[i] == pytest.approx(
-                geometry.segment_segment_distance(a1[i], b1[i], a2[i], b2[i]), abs=1e-12)
+            approx = dense_seg_seg_min(a1[i], b1[i], a2[i], b2[i])
+            # sampling overestimates the min by at most the sample spacing
+            assert d[i] <= approx + 1e-12
+            assert approx - d[i] <= np.linalg.norm(b1[i] - a1[i]) / 4000 + 1e-9
+        assert (d == 0.0).any() and (d > 0.0).any()  # crossings and separated pairs
 
 
 def ray_fan(rng, n_rays, n_origins=2, axis_rays=True):
@@ -245,7 +269,7 @@ class TestFusedKernel:
             es, ee = geometry_oracle.rect_edge_arrays(rc, rh)
             fused = geometry_oracle.capsule_world_min(seg_a, seg_b, cc, cr, rc, rh, es, ee)
             for i in range(6):
-                circ = (geometry.point_segment_distance(cc, seg_a[i], seg_b[i]) - cr).min()
+                circ = (geometry_oracle.point_segment_distance(cc, seg_a[i], seg_b[i]) - cr).min()
                 rect = min(geometry.segment_rect_signed_distance(seg_a[i], seg_b[i], c, h)
                            for c, h in zip(rc, rh))
                 assert fused[i] == pytest.approx(min(circ, rect), abs=1e-12)
