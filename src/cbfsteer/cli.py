@@ -99,7 +99,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", type=str, default=None)
     p.add_argument("--setting", choices=[s.replace("_", "-") for s in bench_mod.SETTINGS],
                    default="static-full")
-    p.add_argument("--obstacle-speed", type=float, default=0.05)
+    p.add_argument("--obstacle-speed", type=float, default=None,
+                   help="dynamic-partial speed for static problems' obstacles (default 0.05)")
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--out-file", type=str, default=None)
 
@@ -276,10 +277,15 @@ def _cmd_eval_controller(args, cfg, out_dir):
     arm = make_arm(cfg)
     problems = bench_mod.load_problems(args.problems)
     setting = args.setting.replace("-", "_")
-    if setting == "dynamic_partial" and not any(
-            p.environment.is_dynamic for p in problems):
+    moving = any(p.environment.is_dynamic for p in problems)
+    if args.obstacle_speed is not None:
+        make_env_gen(cfg, obstacle_speed=args.obstacle_speed)  # the obstacle_speed rule
+        if moving:
+            raise ValueError("--obstacle-speed is refused: the problems' obstacles already move")
+    if setting == "dynamic_partial" and not moving:
+        speed = 0.05 if args.obstacle_speed is None else args.obstacle_speed
         dyn_rng = seed_stream(args.seed, "dynamics")
-        problems = bench_mod.dynamicize_problems(problems, args.obstacle_speed, dyn_rng)
+        problems = bench_mod.dynamicize_problems(problems, speed, dyn_rng)
     method = _single_checkpoint_method(args)
     row, records = bench_mod.eval_controller(
         problems, method, setting, arm, cfg, root_seed=args.seed, horizon_s=args.horizon)

@@ -4,9 +4,11 @@ completeness-preserving filtered-LQR variant.
 
 Tree edges always pass geometric collision validation at the configured
 resolution before they are stored; the learned barrier is never trusted for
-the safety of stored edges. The sampling order is part of the contract: each
-iteration draws the goal-bias coin first and only on failure draws a uniform
-configuration.
+the safety of stored edges. A rollout steer validates its first tick's states
+before it runs the rest, so a steer that collides at once stops there; its
+edge equals one validation of the whole rollout. The sampling order is part
+of the contract: each iteration draws the goal-bias coin first and only on
+failure draws a uniform configuration.
 """
 
 from __future__ import annotations
@@ -130,15 +132,19 @@ class PlanResult(Record):
 
 
 def validate_and_truncate(env: Environment, arm: ArmModel, configs: list,
-                          check_resolution: float) -> list:
+                          check_resolution: float, start: int = 0) -> list:
     """Longest collision-free prefix of a waypoint list, checked at the given
-    resolution along every inter-waypoint segment (endpoints included)."""
+    resolution along every inter-waypoint segment (endpoints included).
+
+    With `start` > 0, configs[:start + 1] already passed: only the segments
+    after waypoint `start` are checked, not that waypoint again (a ladder's
+    last point prev + seg * 1.0 can differ from it by an ulp)."""
     if not configs:
         return []
     # The check-point ladder in one set of array expressions: segment w
     # (waypoint w-1 to w) gets the points prev + seg * (k / n_w), k = 1..n_w.
-    # Row 0 of the one batched geometry query is the start.
-    pts = np.asarray(configs, dtype=float)
+    # Row 0 of the one batched geometry query is the start, if start is 0.
+    pts = np.asarray(configs[start:], dtype=float)
     prev = pts[:-1]
     seg = pts[1:] - prev
     dist = np.sqrt(np.vecdot(seg, seg))  # np.linalg.norm of each segment, bit for bit
@@ -149,12 +155,12 @@ def validate_and_truncate(env: Environment, arm: ArmModel, configs: list,
     k = np.arange(1, owner.size + 1) - np.repeat(np.cumsum(n_checks) - n_checks, n_checks)
     w = owner - 1
     ladder = prev[w] + seg[w] * (k / n_checks[w])[:, None]
-    d = signed_distance_batch(env, arm, np.concatenate([pts[:1], ladder]))
-    bad = np.flatnonzero(d < 0.0)
+    if not start:
+        ladder, owner = np.concatenate([pts[:1], ladder]), np.concatenate([[0], owner])
+    bad = np.flatnonzero(signed_distance_batch(env, arm, ladder) < 0.0)
     if bad.size == 0:
         return list(configs)
-    first_bad_waypoint = int(owner[bad[0] - 1]) if bad[0] > 0 else 0
-    return list(configs[:first_bad_waypoint])
+    return list(configs[:start + int(owner[bad[0]])])
 
 
 def steer_straight(arm: ArmModel, env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
@@ -195,8 +201,11 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
     stalled nominal action once kept, ends it.
 
     The rollout is not checked tick by tick (the barrier does that job
-    online); one batched validation pass truncates it and keeps the controls
-    of the ticks it reaches.
+    online). Its validation runs twice: on tick 1's states, which stops a
+    steer that collides at once (most truncated steers start at a node in
+    contact), and once more on the ticks after it when the rollout ends.
+    The kept prefix, and the controls of the ticks it reaches, equal one
+    validation of the whole rollout.
     """
     arm = bundle.barrier.arm
     substeps = bundle.limits.sim_hz // bundle.limits.ctrl_hz
@@ -205,6 +214,7 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
     configs = [q]
     controls: list = []
     stalled = 0
+    kept = None  # tick 1's validated prefix
     for _ in range(limits.max_ctrl_steps):
         dq = q - q_toward
         if math.sqrt(dq @ dq) <= r_goal:
@@ -222,9 +232,17 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
         states = hold(arm, q, u, substeps, dt_sim)
         configs.extend(states)
         q = states[-1]
+        if len(controls) == 1:
+            kept = validate_and_truncate(env, arm, configs, limits.check_resolution)
+            if len(kept) < len(configs):
+                break
         if discard and math.sqrt(u @ u) < limits.stall_threshold:
             break
-    kept = validate_and_truncate(env, arm, configs, limits.check_resolution) or configs[:1]
+    if kept is None:  # the loop ended before tick 1
+        kept = validate_and_truncate(env, arm, configs, limits.check_resolution)
+    elif len(kept) == substeps + 1 < len(configs):  # tick 1 passed; check the ticks after it
+        kept = validate_and_truncate(env, arm, configs, limits.check_resolution, start=substeps)
+    kept = kept or configs[:1]
     n_ticks_kept = (len(kept) - 1 + substeps - 1) // substeps  # ticks the kept states reach
     return Edge(configs=kept, controls=controls[:n_ticks_kept])
 

@@ -4,8 +4,9 @@ arms and batches, row blocks, and explicit edge cases (axis-parallel links,
 touching and tangent contacts, a link inside a rectangle, self crossings,
 empty worlds). The kernel's early-outs are held to the kernel with both
 reaches at +inf, where every pass runs: bit for bit, on scenes, at their
-thresholds, and through a plan and a rollout; and their two lemmas get
-property tests of their own."""
+thresholds, and through a plan and a rollout; a rollout's ladder checked in
+two calls equals it checked in one; and the two lemmas get property tests of
+their own."""
 
 import itertools
 from unittest import mock
@@ -34,6 +35,7 @@ from cbfsteer.kinematics import ArmModel, batch_joint_positions, joint_positions
 import geometry_oracle
 from geometry_oracle import point_segment_distance
 from test_controller import assert_same_record
+from test_planner import SUBSTEPS, rollout_into_contact
 
 HALF_PI = np.pi / 2
 
@@ -231,6 +233,19 @@ def assert_early_outs_exact(env, arm, qs):
     return fast
 
 
+def ladder_rows(env, arm, configs, start=0):
+    """The rows validate_and_truncate checks, in its one clearance call."""
+    rows = []
+
+    def record(env_, arm_, qs):
+        rows.append(qs)
+        return np.ones(len(qs))
+
+    with mock.patch.object(planner, "signed_distance_batch", record):
+        planner.validate_and_truncate(env, arm, configs, 0.02, start=start)
+    return rows[0]
+
+
 def eight_obstacle_world(rng, speed=0.0):
     return random_environment(EnvGenConfig(num_obstacles=8, shapes=("rect", "circle"),
                                            size_range=(0.08, 0.3), obstacle_speed=speed), rng)
@@ -279,6 +294,31 @@ class TestEarlyOutsExact:
     def test_empty_batch(self, arm):
         env = eight_obstacle_world(np.random.default_rng(1))
         assert kernel(env, arm, np.empty((0, 3))).shape == (0,)
+
+    def test_a_rows_clearance_does_not_depend_on_its_call(self, arm):
+        # A rollout steer checks its first tick's ladder in one call and the
+        # rest in another. On rollouts that end in contact, the two calls
+        # give the one call's clearances bit for bit, also where a part skips
+        # a pass that the whole ladder runs.
+        rng = np.random.default_rng(300)
+        thresholds = {"overlap": lambda env: env._rect_reach - arm.link_radius + SLACK,
+                      "straddle": lambda env: arm.cross_reach - 2 * arm.link_radius + SLACK}
+        part_skips = dict.fromkeys(thresholds, 0)
+        for _ in range(8):
+            # the benchmark's worlds: 8 obstacles of the default sizes
+            env = random_environment(EnvGenConfig(num_obstacles=8, shapes=("rect", "circle")), rng)
+            for _ in range(6):
+                configs = rollout_into_contact(env, arm, rng)
+                parts = [ladder_rows(env, arm, configs[:SUBSTEPS + 1]),
+                         ladder_rows(env, arm, configs, start=SUBSTEPS)]
+                whole = np.concatenate(parts)
+                apart = np.concatenate([signed_distance_batch(env, arm, q) for q in parts])
+                assert apart.tobytes() == signed_distance_batch(env, arm, whole).tobytes()
+                low = smallest_candidate(env, arm, whole)
+                for name, threshold in thresholds.items():
+                    part_skips[name] += any(low <= threshold(env) < smallest_candidate(env, arm, q)
+                                            for q in parts)
+        assert part_skips["overlap"] > 10 and part_skips["straddle"] > 10
 
     def test_two_link_arm(self):
         arm2 = ArmModel(link_lengths=(0.5, 0.4))

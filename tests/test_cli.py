@@ -225,6 +225,55 @@ class TestPipeline:
         assert "horizon" in capsys.readouterr().err
 
 
+class TestEvalControllerObstacleSpeed:
+    """--obstacle-speed sets the speed static problems get in dynamic-partial;
+    an unusable value, or any value for problems that already move, stops the
+    command before it writes anything."""
+
+    @pytest.fixture(scope="class")
+    def moving(self, tmp_path_factory, mini_config):
+        out = tmp_path_factory.mktemp("moving")
+        assert run(["--seed", "5", "--config", mini_config, "--out", str(out),
+                    "gen-problems", "--count", "2", "--obstacle-speed", "0.1"]) == 0
+        return str(out / "problems.json")
+
+    @staticmethod
+    def eval_controller(mini_config, out, problems, *flags):
+        return run(["--no-timing", "--config", mini_config, "--out", str(out),
+                    "eval-controller", "--problems", problems, "--method", "hand-cbf",
+                    "--setting", "dynamic-partial", "--horizon", "0.5",
+                    "--out-file", "controller.json", *flags])
+
+    @pytest.mark.parametrize("speed", ["-0.05", "inf", "nan"])
+    def test_an_unusable_speed_fails(self, pipeline_dir, mini_config, tmp_path, capsys, speed):
+        static = str(pipeline_dir / "problems.json")
+        assert self.eval_controller(mini_config, tmp_path, static, "--obstacle-speed", speed) == 2
+        assert "obstacle_speed must be non-negative and finite" in capsys.readouterr().err
+        assert not (tmp_path / "controller.json").exists()
+
+    @pytest.mark.parametrize("speed", ["0.5", "0.1", "0", "-0.05"])
+    def test_a_speed_for_moving_problems_fails(self, moving, mini_config, tmp_path, capsys,
+                                               speed):
+        assert self.eval_controller(mini_config, tmp_path, moving, "--obstacle-speed", speed) == 2
+        assert "obstacle" in capsys.readouterr().err
+        assert not (tmp_path / "controller.json").exists()
+
+    def test_moving_problems_run_without_the_flag(self, moving, mini_config, tmp_path):
+        assert self.eval_controller(mini_config, tmp_path, moving) == 0
+        assert (tmp_path / "controller.json").exists()
+
+    def test_the_default_is_005(self, pipeline_dir, mini_config, tmp_path):
+        static = str(pipeline_dir / "problems.json")
+        outputs = {}
+        for flags in ((), ("--obstacle-speed", "0.05"), ("--obstacle-speed", "2")):
+            out = tmp_path / "-".join(flags or ("default",))
+            assert self.eval_controller(mini_config, out, static, *flags) == 0
+            outputs[flags] = (out / "controller.json").read_bytes()
+        assert outputs[()] == outputs[("--obstacle-speed", "0.05")]
+        # fast enough to touch the arm within the horizon: the speed is used
+        assert outputs[()] != outputs[("--obstacle-speed", "2")]
+
+
 class TestCheckpointWithoutHyper:
     @pytest.mark.parametrize("kind", ["state", "cloud"])
     def test_eval_cbf_and_build_steer_load_the_same_hyper(self, kind, tmp_path, monkeypatch):

@@ -23,7 +23,7 @@ from cbfsteer.environment import (
     sample_surface_points,
     signed_distance,
 )
-from cbfsteer.kinematics import ArmModel, sample_config
+from cbfsteer.kinematics import ArmModel, hold, sample_config
 from cbfsteer.neural import Mlp, PointSetEncoder
 from cbfsteer.planner import (
     PlannerLimits,
@@ -666,3 +666,165 @@ class TestSteerOracle:
         for node, ref_node in zip(tree.nodes[1:], ref_tree.nodes[1:]):
             assert node.parent == ref_node.parent
             assert_same_edge(node.edge, ref_node.edge)
+
+
+SUBSTEPS = 4  # the default rates: 120 Hz simulation, 30 Hz control
+
+
+def near_contact(env, arm, q_free, q_hit):
+    """Bisect from a free configuration toward a colliding one until the
+    clearance is in [0, 0.01)."""
+    lo, hi = 0.0, 1.0
+    while True:
+        t = 0.5 * (lo + hi)
+        q = q_free + t * (q_hit - q_free)
+        d = signed_distance(env, arm, q)
+        if 0.0 <= d < 0.01:
+            return q
+        lo, hi = (lo, t) if d < 0.0 else (t, hi)
+
+
+def contact_pairs(env, arm, rng, count):
+    """(near-contact start, a target beyond the obstacle it touches)."""
+    pairs = []
+    while len(pairs) < count:
+        q_free, q_hit = sample_config(arm, rng), sample_config(arm, rng)
+        if signed_distance(env, arm, q_free) > 0.05 and signed_distance(env, arm, q_hit) < 0.0:
+            q = near_contact(env, arm, q_free, q_hit)
+            pairs.append((q, q + 2.0 * (q_hit - q)))
+    return pairs
+
+
+def rollout_into_contact(env, arm, rng):
+    """A constant-control rollout from a free configuration toward a colliding
+    one, held at the default rates, that ends past the first contact."""
+    while True:
+        q_free, q_hit = sample_config(arm, rng), sample_config(arm, rng)
+        if signed_distance(env, arm, q_free) > 0.0 and signed_distance(env, arm, q_hit) < 0.0:
+            break
+    u = np.clip(q_hit - q_free, arm.action_lower, arm.action_upper)
+    configs = [q_free]
+    extra = int(rng.integers(0, 3))  # ticks past the first contact
+    for _ in range(90):
+        configs.extend(hold(arm, configs[-1], u, SUBSTEPS, 1.0 / 120))
+        extra -= signed_distance(env, arm, configs[-1]) < 0.0
+        if extra < 0:
+            break
+    return configs
+
+
+def recording(monkeypatch, name, log):
+    """Replace planner.<name> with a wrapper that logs its calls."""
+    real = getattr(planner, name)
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        log.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(planner, name, spy)
+
+
+class TestSplitValidation:
+    """Validating a prefix, then the rest from its last waypoint, equals one
+    validation of the whole list: the same kept prefix, from the same rows."""
+
+    def test_every_split_point(self, arm, monkeypatch):
+        rng = np.random.default_rng(31)
+        env = random_environment(EnvGenConfig(num_obstacles=8, shapes=("rect", "circle"),
+                                              size_range=(0.08, 0.3)), rng)
+        lists = []
+        for _ in range(12):
+            configs = [_free_config(env, arm, rng)]
+            for _ in range(int(rng.integers(1, 12))):
+                configs.append(configs[-1] + rng.normal(scale=0.15, size=arm.n_links))
+            lists.append(configs)
+        lists += [rollout_into_contact(env, arm, rng) for _ in range(12)]
+        calls = []
+        recording(monkeypatch, "signed_distance_batch", calls)
+        cut_first = cut_rest = whole = 0
+        for configs in lists:
+            calls.clear()
+            one = validate_and_truncate(env, arm, configs, 0.02)
+            (_, _, one_rows), _, _ = calls.pop()
+            for s in range(1, len(configs)):
+                kept = validate_and_truncate(env, arm, configs[:s + 1], 0.02)
+                if len(kept) == s + 1:
+                    kept = validate_and_truncate(env, arm, configs, 0.02, start=s)
+                    cut_rest += len(kept) < len(configs)
+                    whole += len(kept) == len(configs)
+                else:
+                    cut_first += 1
+                assert len(kept) == len(one) and all(k is c for k, c in zip(kept, one))
+                rows = np.concatenate([qs for (_, _, qs), _, _ in calls])
+                calls.clear()
+                # the rows checked are the one call's, in order, the split
+                # waypoint once; a cut first call checks a prefix of them
+                assert rows.tobytes() == one_rows[:len(rows)].tobytes()
+                assert len(rows) == len(one_rows) or len(kept) < s + 1
+        assert cut_first > 20 and cut_rest > 20 and whole > 20
+
+    def test_nothing_after_the_start(self, arm):
+        configs = [np.zeros(3), np.array([0.05, 0.0, 0.0])]
+        env = Environment(obstacles=(Obstacle(kind="circle", center=(0.25, 0.0), radius=0.1),))
+        assert validate_and_truncate(env, arm, configs, 0.02) == []
+        # waypoints up to the start passed already; nothing after it is left
+        assert validate_and_truncate(env, arm, configs, 0.02, start=1) == configs
+
+
+def loose_bundles(arm, env, rng):
+    """Barriers that let a near-contact steer collide at once, with or without
+    discarding: h <= 0 at the start and a large class-K gain, so the safety
+    constraint of the nominal action is rarely active."""
+    loose = CbfHyper(alpha_h=1e3)
+    state = distance_barrier(arm, offset=0.0)
+    cloud = cloud_bundle(arm, env, rng)
+    w, b = cloud.barrier.net.trunk.params[-1]
+    cloud.barrier.net.trunk.params[-1] = (w, b - 10.0)
+    return {
+        "hand": ControllerBundle(barrier=HandcraftedBarrier(arm, margin=0.0, hyper=loose),
+                                 observe=None),
+        "state": ControllerBundle(barrier=NeuralBarrier(state.net, arm, loose), observe=None),
+        "cloud": ControllerBundle(barrier=NeuralBarrier(cloud.barrier.net, arm, loose),
+                                  observe=cloud.observe),
+    }
+
+
+class TestEarlyStop:
+    """A steer whose first tick's states already cut the edge runs no further
+    tick, and its edge equals the one-validation oracle's."""
+
+    @pytest.mark.parametrize("discard", [False, True])
+    @pytest.mark.parametrize("kind", ["hand", "state", "cloud"])
+    def test_near_contact_starts(self, arm, monkeypatch, kind, discard):
+        rng = np.random.default_rng(41)
+        env = random_environment(EnvGenConfig(num_obstacles=8, shapes=("rect", "circle"),
+                                              size_range=(0.08, 0.3)), rng)
+        bundle = loose_bundles(arm, env, rng)[kind]
+        ref_steer = rollout_oracle.steer_filter_lqr if discard else rollout_oracle.rollout_edge
+        limits = PlannerLimits(max_ctrl_steps=30)
+        ticks, validations, clearances = [], [], []
+        recording(monkeypatch, "control_tick", ticks)
+        recording(monkeypatch, "validate_and_truncate", validations)
+        recording(monkeypatch, "signed_distance_batch", clearances)
+        cut_at_once = 0
+        for q_from, q_toward in contact_pairs(env, arm, rng, 12):
+            ticks.clear()
+            validations.clear()
+            clearances.clear()
+            args = (env, q_from, q_toward, bundle, limits, 0.1)
+            edge = steer_cbf_inc(*args, discard=discard)
+            # the steer checked the rows of one validation of its rollout, once
+            steer_rows = np.concatenate([qs for (_, _, qs), _, _ in clearances])
+            clearances.clear()
+            validate_and_truncate(env, arm, validations[-1][0][2], limits.check_resolution)
+            assert steer_rows.tobytes() == clearances[0][0][2].tobytes()
+            assert_same_edge(edge, ref_steer(*args))
+            # (the log holds the steer's own list, as it was when the steer returned)
+            (first_args, first_kwargs, first_kept), *rest = validations
+            if len(first_args[2]) == SUBSTEPS + 1 and len(first_kept) <= SUBSTEPS:
+                cut_at_once += 1
+                assert not first_kwargs and not rest  # one validation, from waypoint 0
+                assert len(ticks) == 1
+                assert len(edge.configs) <= SUBSTEPS and len(edge.controls) <= 1
+        assert 3 <= cut_at_once < 12  # and some steers run on past tick 1
