@@ -32,14 +32,14 @@ from .controller import ControllerBundle, safe_rollout
 from .environment import (
     Environment,
     EnvGenConfig,
-    GenerationError,
     random_environment,
+    random_velocity,
     ray_cast_scan,
+    sample_free_config,
     sample_surface_points,
-    signed_distance,
 )
 from .jsonio import Record, canonical_dumps, dump_json, load_json
-from .kinematics import ArmModel, sample_config
+from .kinematics import ArmModel
 from .neural import load_checkpoint
 from .planner import (
     PlannerLimits,
@@ -92,9 +92,6 @@ class ControllerMetricsRow(Record):
     n_problems: int
 
 
-MAX_ENDPOINT_ATTEMPTS = 10_000
-
-
 def gen_problems(gen_cfg: EnvGenConfig, count: int, rng: np.random.Generator,
                  arm: ArmModel, clearance: float) -> list:
     """Random worlds plus rejection-sampled start/goal pairs with clearance,
@@ -106,19 +103,9 @@ def gen_problems(gen_cfg: EnvGenConfig, count: int, rng: np.random.Generator,
     problems = []
     for pid in range(count):
         env = random_environment(gen_cfg, rng, base_position=arm.base_position)
-        endpoints = []
-        for _ in range(2):
-            for attempt in range(MAX_ENDPOINT_ATTEMPTS):
-                q = sample_config(arm, rng)
-                if signed_distance(env, arm, q) >= clearance:
-                    endpoints.append(q)
-                    break
-            else:
-                raise GenerationError(
-                    f"problem {pid}: no endpoint with clearance {clearance} in "
-                    f"environment {env.to_json()}"
-                )
-        problems.append(ProblemSpec(id=pid, environment=env, q0=endpoints[0], qg=endpoints[1]))
+        q0 = sample_free_config(env, arm, rng, clearance)
+        qg = sample_free_config(env, arm, rng, clearance)
+        problems.append(ProblemSpec(id=pid, environment=env, q0=q0, qg=qg))
     return problems
 
 
@@ -358,13 +345,9 @@ def dynamicize_problems(problems: list, speed: float, rng: np.random.Generator) 
         raise ValueError("obstacle_speed must be non-negative and finite")
     out = []
     for prob in problems:
-        obstacles = []
-        for o in prob.environment.obstacles:
-            ang = rng.uniform(0.0, 2.0 * np.pi)
-            obstacles.append(replace(o, velocity=(speed * np.cos(ang), speed * np.sin(ang))))
-        env = Environment(obstacles=tuple(obstacles), workspace=prob.environment.workspace,
-                          time=prob.environment.time)
-        out.append(replace(prob, environment=env))
+        obstacles = tuple(replace(o, velocity=random_velocity(speed, rng))
+                          for o in prob.environment.obstacles)
+        out.append(replace(prob, environment=replace(prob.environment, obstacles=obstacles)))
     return out
 
 

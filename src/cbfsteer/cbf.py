@@ -26,12 +26,12 @@ from .environment import (
     StateObservation,
     random_environment,
     safety_label,
+    sample_free_config,
     sample_surface_points,
-    signed_distance,
     signed_distance_batch,
 )
 from .jsonio import Record, canonical_dumps, dump_json, load_json, load_jsonl
-from .kinematics import ArmModel, batch_link_frames, hold, sample_config
+from .kinematics import ArmModel, batch_link_frames, hold
 from .neural import (
     FRESH,
     BatchWorkspace,
@@ -228,8 +228,8 @@ def collect_dataset(
     for _ in range(counts.rollout_trajs):
         env_id = new_env()
         env = envs[env_id]
-        q = _sample_free_config(env, arm, rng)
-        q_goal = _sample_free_config(env, arm, rng)
+        q = sample_free_config(env, arm, rng)
+        q_goal = sample_free_config(env, arm, rng)
         traj = [q]
         for _ in range(rollout_ticks - 1):
             if np.linalg.norm(q - q_goal) <= r_goal:
@@ -251,15 +251,6 @@ def collect_dataset(
         kind=observation_kind, arm=arm, environments=envs, samples=samples,
         r_thres=r_thres, clouds=clouds,
     )
-
-
-def _sample_free_config(env: Environment, arm: ArmModel, rng: np.random.Generator,
-                        max_tries: int = 1000) -> np.ndarray:
-    for _ in range(max_tries):
-        q = sample_config(arm, rng)
-        if signed_distance(env, arm, q) > 0.0:
-            return q
-    raise RuntimeError("could not sample a collision-free configuration")
 
 
 def _stencil_configs(q: np.ndarray, fd_step: float) -> np.ndarray:

@@ -282,6 +282,8 @@ def _cmd_eval_controller(args, cfg, out_dir):
         make_env_gen(cfg, obstacle_speed=args.obstacle_speed)  # the obstacle_speed rule
         if moving:
             raise ValueError("--obstacle-speed is refused: the problems' obstacles already move")
+        if setting == "static_full":
+            raise ValueError("--obstacle-speed is refused: static-full moves no obstacle")
     if setting == "dynamic_partial" and not moving:
         speed = 0.05 if args.obstacle_speed is None else args.obstacle_speed
         dyn_rng = seed_stream(args.seed, "dynamics")

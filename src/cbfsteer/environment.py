@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry
 from .jsonio import Record
-from .kinematics import ArmModel, batch_joint_positions, joint_positions
+from .kinematics import ArmModel, batch_joint_positions, joint_positions, sample_config
 
 
 class SafetyLabel(str, enum.Enum):
@@ -90,12 +90,6 @@ class Obstacle(Record):
         moved.__dict__.update(self.__dict__, center=center)
         return moved
 
-    @property
-    def perimeter(self) -> float:
-        if self.kind == "rect":
-            return 4.0 * (self.half_extents[0] + self.half_extents[1])
-        return 2.0 * np.pi * self.radius
-
     def point_distance(self, p: np.ndarray) -> float:
         """Signed distance from a point to this obstacle (negative inside)."""
         p = np.asarray(p, dtype=float)
@@ -126,20 +120,17 @@ class Environment(Record):
     workspace: Workspace = Workspace()
     time: float = 0.0
     # cached arrays, rebuilt on construction: each obstacle's centre and
-    # velocity (O, 2); the circles' and the rectangles' indices among them,
-    # and their own arrays; the clearance-kernel points (complex x + iy: circle
-    # centres, then four corners per rectangle), each with its circle radius
-    # (0 for a corner) and owning obstacle; the rectangles' complex centres and
-    # half extents; each corner's offset from its rectangle's centre; and the
-    # largest rectangle half-diagonal (-inf without rectangles)
+    # velocity (O, 2); the circles' and the rectangles' indices among them;
+    # the clearance-kernel points (complex x + iy: circle centres, then four
+    # corners per rectangle), each with its circle radius (0 for a corner) and
+    # owning obstacle; the rectangles' complex centres and half extents; each
+    # corner's offset from its rectangle's centre; and the largest rectangle
+    # half-diagonal (-inf without rectangles). These are the one per-world
+    # obstacle layout: the ray casts and the surface sampler read views of them
     _centers: np.ndarray = field(init=False, repr=False, compare=False)
     _velocities: np.ndarray = field(init=False, repr=False, compare=False)
     _circle_index: np.ndarray = field(init=False, repr=False, compare=False)
     _rect_index: np.ndarray = field(init=False, repr=False, compare=False)
-    _rect_centers: np.ndarray = field(init=False, repr=False, compare=False)
-    _rect_halves: np.ndarray = field(init=False, repr=False, compare=False)
-    _circle_centers: np.ndarray = field(init=False, repr=False, compare=False)
-    _circle_radii: np.ndarray = field(init=False, repr=False, compare=False)
     _points: np.ndarray = field(init=False, repr=False, compare=False)
     _point_offsets: np.ndarray = field(init=False, repr=False, compare=False)
     _rect_cz: np.ndarray = field(init=False, repr=False, compare=False)
@@ -156,8 +147,8 @@ class Environment(Record):
         radii = np.array([obs[i].radius for i in circle], dtype=float)
         hz = halves[:, 0] + 1j * halves[:, 1]
         self.__dict__.update(
-            obstacles=obs, _circle_index=circle, _rect_index=rect, _rect_halves=halves,
-            _circle_radii=radii, _rect_hz=hz, _rect_reach=float(np.abs(hz).max(initial=-np.inf)),
+            obstacles=obs, _circle_index=circle, _rect_index=rect, _rect_hz=hz,
+            _rect_reach=float(np.abs(hz).max(initial=-np.inf)),
             _velocities=np.array([o.velocity for o in obs], dtype=float).reshape(-1, 2),
             _point_offsets=np.concatenate([radii, np.zeros(4 * rect.size)]),
             _point_owner=np.concatenate([circle, np.repeat(rect, 4)]),
@@ -167,7 +158,14 @@ class Environment(Record):
 
     @property
     def is_dynamic(self) -> bool:
-        return any(v != 0.0 for o in self.obstacles for v in o.velocity)
+        return bool(np.any(self._velocities))
+
+    def _shapes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Float views of the packed arrays, no copies: the circles' centres
+        (C, 2) and radii (C,), the rectangles' centres and half extents (K, 2)."""
+        n_c = self._circle_index.size
+        return (self._points[:n_c].view(float).reshape(-1, 2), self._point_offsets[:n_c],
+                self._rect_cz.view(float).reshape(-1, 2), self._rect_hz.view(float).reshape(-1, 2))
 
 
 def _workspace_clearance_batch(env: Environment, joints: np.ndarray, radius: float) -> np.ndarray:
@@ -261,46 +259,42 @@ def safety_label(d: float, r_thres: float) -> SafetyLabel:
     return SafetyLabel.BOUNDARY
 
 
+# outward normals of a rectangle's sides in perimeter-walk order
+_WALK_NORMALS = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+
+
 def sample_surface_points(env: Environment, n_points: int, rng: np.random.Generator) -> CloudObservation:
     """Uniform sample of obstacle boundaries with outward normals.
 
     Each point picks an obstacle with probability proportional to perimeter,
-    then a uniform position along that perimeter.
+    then a uniform position along that perimeter: an angle on a circle, a
+    walk along a rectangle's sides (bottom, right, top, left).
     """
     if n_points < 1:
         raise ValueError("need at least one point")
     if not env.obstacles:
         raise ValueError("cannot sample a surface cloud from an empty environment")
-    perims = np.array([o.perimeter for o in env.obstacles])
-    probs = perims / perims.sum()
-    choices = rng.choice(len(env.obstacles), size=n_points, p=probs)
-    points = np.empty((n_points, 2))
-    normals = np.empty((n_points, 2))
-    for i, idx in enumerate(choices):
-        obs = env.obstacles[idx]
-        c = np.array(obs.center)
-        if obs.kind == "circle":
-            ang = rng.uniform(0.0, 2.0 * np.pi)
-            nvec = np.array([np.cos(ang), np.sin(ang)])
-            points[i] = c + obs.radius * nvec
-            normals[i] = nvec
-        else:
-            hx, hy = obs.half_extents
-            s = rng.uniform(0.0, obs.perimeter)
-            # walk the perimeter: bottom, right, top, left
-            if s < 2 * hx:
-                points[i] = c + np.array([-hx + s, -hy])
-                normals[i] = (0.0, -1.0)
-            elif s < 2 * hx + 2 * hy:
-                points[i] = c + np.array([hx, -hy + (s - 2 * hx)])
-                normals[i] = (1.0, 0.0)
-            elif s < 4 * hx + 2 * hy:
-                points[i] = c + np.array([hx - (s - 2 * hx - 2 * hy), hy])
-                normals[i] = (0.0, 1.0)
-            else:
-                points[i] = c + np.array([-hx, hy - (s - 4 * hx - 2 * hy)])
-                normals[i] = (-1.0, 0.0)
-    return CloudObservation(points=points, normals=normals, source=CloudSource.SURFACE_SAMPLED)
+    _, radii, _, halves = env._shapes()
+    n = len(env.obstacles)
+    circle = np.zeros(n, dtype=bool)
+    circle[env._circle_index] = True
+    half = np.empty((n, 2))  # a circle's radius on both axes
+    half[env._circle_index] = radii[:, None]
+    half[env._rect_index] = halves
+    perims = np.where(circle, 2.0 * np.pi * half[:, 0], 4.0 * (half[:, 0] + half[:, 1]))
+    choices = rng.choice(n, size=n_points, p=perims / perims.sum())
+    on_circle = circle[choices, None]
+    hx, hy = half[choices].T
+    s = rng.uniform(0.0, np.where(on_circle[:, 0], 2.0 * np.pi, perims[choices]))
+    ring = np.stack([np.cos(s), np.sin(s)], axis=1)  # a circle point's direction and normal
+    walk = [s < 2 * hx, s < 2 * hx + 2 * hy, s < 4 * hx + 2 * hy]  # else the left side
+    along = np.stack([np.select(walk, [-hx + s, hx, hx - (s - 2 * hx - 2 * hy)], -hx),
+                      np.select(walk, [-hy, -hy + (s - 2 * hx), hy], hy - (s - 4 * hx - 2 * hy))],
+                     axis=1)
+    return CloudObservation(
+        points=env._centers[choices] + np.where(on_circle, hx[:, None] * ring, along),
+        normals=np.where(on_circle, ring, _WALK_NORMALS[np.select(walk, [0, 1, 2], 3)]),
+        source=CloudSource.SURFACE_SAMPLED)
 
 
 @dataclass(frozen=True)
@@ -342,18 +336,18 @@ def ray_cast_scan(env: Environment, arm: ArmModel, q: np.ndarray, spec: ScanSpec
     dirs = np.empty_like(origins)
     np.cos(angles, out=dirs[:, 0])
     np.sin(angles, out=dirs[:, 1])
+    circle_c, radii, rect_c, halves = env._shapes()
     ts = []
-    if env._circle_centers.shape[0]:
-        ts.append(geometry.ray_circles(origins, dirs, env._circle_centers, env._circle_radii))
-    if env._rect_centers.shape[0]:
-        ts.append(geometry.ray_rects(origins, dirs, env._rect_centers, env._rect_halves))
+    if circle_c.shape[0]:
+        ts.append(geometry.ray_circles(origins, dirs, circle_c, radii))
+    if rect_c.shape[0]:
+        ts.append(geometry.ray_rects(origins, dirs, rect_c, halves))
     t = np.concatenate(ts, axis=1) if ts else np.full((len(origins), 1), np.inf)
     nearest = t.argmin(axis=1)
     best_t = t[np.arange(t.shape[0]), nearest]
     miss = ~(best_t <= spec.max_range)
     points = origins + np.fmin(best_t, spec.max_range)[:, None] * dirs
-    normals = geometry.hit_normals(points, origins, dirs, nearest, env._circle_centers,
-                                   env._rect_centers, env._rect_halves)
+    normals = geometry.hit_normals(points, origins, dirs, nearest, circle_c, rect_c, halves)
     return CloudObservation(points=points, normals=np.where(miss[:, None], -dirs, normals),
                             source=CloudSource.RAY_CAST)
 
@@ -365,9 +359,7 @@ def _placed(env: Environment, centers: np.ndarray) -> dict:
     cz = centers[..., 0] + 1j * centers[..., 1]
     points = cz.take(env._point_owner, axis=-1)
     points[..., env._circle_index.size:] += env._corner_offsets
-    return {"_centers": centers, "_rect_centers": centers.take(env._rect_index, axis=-2),
-            "_circle_centers": centers.take(env._circle_index, axis=-2),
-            "_rect_cz": cz.take(env._rect_index, axis=-1), "_points": points}
+    return {"_centers": centers, "_rect_cz": cz.take(env._rect_index, axis=-1), "_points": points}
 
 
 def _environment_at(env: Environment, dt: float, steps: int
@@ -454,15 +446,10 @@ def random_environment(
                 size = (gen_cfg.fixed_size, gen_cfg.fixed_size)
             else:
                 size = tuple(rng.uniform(gen_cfg.size_range[0], gen_cfg.size_range[1], size=2))
-            if gen_cfg.obstacle_speed > 0.0:
-                ang = rng.uniform(0.0, 2.0 * np.pi)
-                vel = (gen_cfg.obstacle_speed * np.cos(ang), gen_cfg.obstacle_speed * np.sin(ang))
-            else:
-                vel = (0.0, 0.0)
-            if kind == "circle":
-                obs = Obstacle(kind="circle", center=tuple(center), radius=size[0], velocity=vel)
-            else:
-                obs = Obstacle(kind="rect", center=tuple(center), half_extents=size, velocity=vel)
+            speed = gen_cfg.obstacle_speed
+            vel = random_velocity(speed, rng) if speed > 0.0 else (0.0, 0.0)
+            shape = {"radius": size[0]} if kind == "circle" else {"half_extents": size}
+            obs = Obstacle(kind=kind, center=tuple(center), velocity=vel, **shape)
             if obs.point_distance(base) >= gen_cfg.min_clearance_from_base:
                 obstacles.append(obs)
                 break
@@ -471,3 +458,22 @@ def random_environment(
                 f"could not place obstacle clear of the base after {MAX_GEN_ATTEMPTS} attempts"
             )
     return Environment(obstacles=tuple(obstacles), workspace=ws, time=0.0)
+
+
+def random_velocity(speed: float, rng: np.random.Generator) -> tuple[float, float]:
+    """A velocity of the given speed in a uniform random direction (one draw)."""
+    ang = rng.uniform(0.0, 2.0 * np.pi)
+    return (speed * np.cos(ang), speed * np.sin(ang))
+
+
+def sample_free_config(env: Environment, arm: ArmModel, rng: np.random.Generator,
+                       clearance: float = 0.0) -> np.ndarray:
+    """A uniform configuration inside the joint limits whose signed distance d
+    is collision-free (d > 0) and at least `clearance`, by rejection."""
+    for _ in range(MAX_GEN_ATTEMPTS):
+        q = sample_config(arm, rng)
+        d = signed_distance(env, arm, q)
+        if d > 0.0 and d >= clearance:
+            return q
+    raise GenerationError(f"no configuration with clearance {clearance} after "
+                          f"{MAX_GEN_ATTEMPTS} draws in environment {env.to_json()}")

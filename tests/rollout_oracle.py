@@ -87,7 +87,8 @@ def step_obstacles(env: Environment, dt: float) -> Environment:
 
 
 def ray_cast_scan(env, arm, q, spec) -> CloudObservation:
-    """Ray fans built one ray at a time, then the nearest circle or rectangle hit."""
+    """Ray fans built one ray at a time, then the nearest circle or rectangle
+    hit; the obstacles come from the records, not the packed arrays."""
     pts = joint_positions(arm, q)[0]
     cum = np.cumsum(np.asarray(q, dtype=float))
     origins = []
@@ -103,10 +104,13 @@ def ray_cast_scan(env, arm, q, spec) -> CloudObservation:
     n_rays = origins.shape[0]
     best_t = np.full(n_rays, np.inf)
     best_n = np.zeros((n_rays, 2))
-    for hits, centers, sizes in (
-            (geometry_oracle.ray_circles, env._circle_centers, env._circle_radii),
-            (geometry_oracle.ray_rects, env._rect_centers, env._rect_halves)):
-        if centers.shape[0]:
+    circles = [o for o in env.obstacles if o.kind == "circle"]
+    rects = [o for o in env.obstacles if o.kind == "rect"]
+    for hits, shapes, sizes in (
+            (geometry_oracle.ray_circles, circles, np.array([o.radius for o in circles])),
+            (geometry_oracle.ray_rects, rects, np.array([o.half_extents for o in rects]))):
+        if shapes:
+            centers = np.array([o.center for o in shapes])
             t, nrm = hits(origins, dirs, centers, sizes)
             idx = np.argmin(t, axis=1)
             tk = t[np.arange(n_rays), idx]

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import draw_oracle
 from cbfsteer import bench
 from cbfsteer.config import (
     load_config,
@@ -16,7 +17,7 @@ from cbfsteer.config import (
     seed_stream,
 )
 from cbfsteer.environment import EnvGenConfig, signed_distance
-from cbfsteer.jsonio import load_json
+from cbfsteer.jsonio import canonical_dumps, load_json
 from cbfsteer.kinematics import ArmModel, hold
 from cbfsteer.planner import PlanProblem, rrt_plan_with_tree
 
@@ -74,6 +75,36 @@ class TestGenProblems:
         loaded = bench.load_problems(tmp_path / "p.json")
         assert len(loaded) == 5
         np.testing.assert_allclose(loaded[3].q0, probs[3].q0)
+
+
+def problem_bytes(problems) -> bytes:
+    return canonical_dumps([p.to_json() for p in problems]).encode() + b"".join(
+        p.q0.tobytes() + p.qg.tobytes() for p in problems)
+
+
+class TestSharedDraws:
+    """Problem generation and dynamicization draw what the inline loops of
+    `draw_oracle` draw, bit for bit, and leave the generator where they do."""
+
+    @pytest.mark.parametrize("speed", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gen_problems_equals_the_inline_loops(self, arm, speed, seed):
+        gen = EnvGenConfig(num_obstacles=6, shapes=("rect", "circle"), obstacle_speed=speed)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = bench.gen_problems(gen, 4, rng, arm, 0.05 * seed)
+        ref = draw_oracle.gen_problems(gen, 4, ref_rng, arm, 0.05 * seed)
+        assert problem_bytes(got) == problem_bytes(ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dynamicize_equals_the_inline_loop(self, arm, seed):
+        probs = bench.gen_problems(EnvGenConfig(num_obstacles=5, shapes=("rect", "circle")), 3,
+                                   np.random.default_rng(seed), arm, 0.025)
+        rng, ref_rng = np.random.default_rng(seed + 50), np.random.default_rng(seed + 50)
+        got = bench.dynamicize_problems(probs, 0.1, rng)
+        ref = draw_oracle.dynamicize_problems(probs, 0.1, ref_rng)
+        assert problem_bytes(got) == problem_bytes(ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestDifficultySplit:

@@ -63,6 +63,7 @@ from cbfsteer.neural import (
     mlp_forward,
     save_checkpoint,
 )
+import draw_oracle
 import encoder_oracle
 import prepare_oracle
 from test_neural import encode, reference_point_records
@@ -179,6 +180,26 @@ class TestCollectDataset:
             ds.save(tmp_path / f"{name}.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
         assert (tmp_path / "a.envs.json").read_bytes() == (tmp_path / "b.envs.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["state", "cloud"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_inline_draws(self, arm, tmp_path, monkeypatch, kind, seed):
+        # the same dataset, bit for bit, and the same generator state after, as
+        # with the world, surface-cloud and free-configuration loops of
+        # draw_oracle in place of the shared draws
+        def collect(name):
+            rng = np.random.default_rng(seed)
+            ds = collect_dataset(arm, EnvGenConfig(shapes=("rect", "circle")), DatasetCounts(3, 60),
+                                 NominalPolicy(), rng, observation_kind=kind,
+                                 **collect_settings(cloud_points=16))
+            ds.save(tmp_path / f"{name}.jsonl")
+            return (rng.bit_generator.state, (tmp_path / f"{name}.jsonl").read_bytes(),
+                    (tmp_path / f"{name}.envs.json").read_bytes())
+
+        got = collect("shared")
+        for name in ("random_environment", "sample_surface_points", "sample_free_config"):
+            monkeypatch.setattr(cbf_module, name, getattr(draw_oracle, name))
+        assert got == collect("inline")
 
     def test_save_load_round_trip(self, arm, tmp_path):
         for kind in ("state", "cloud"):

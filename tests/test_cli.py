@@ -258,6 +258,16 @@ class TestEvalControllerObstacleSpeed:
         assert "obstacles already move" in capsys.readouterr().err
         assert not (tmp_path / "controller.json").exists()
 
+    @pytest.mark.parametrize("speed", ["0.5", "0.05", "0"])
+    def test_a_speed_under_static_full_fails(self, pipeline_dir, mini_config, tmp_path, capsys,
+                                             speed):
+        # static-full moves no obstacle, so a given speed would be ignored
+        static = str(pipeline_dir / "problems.json")
+        assert self.eval_controller(mini_config, tmp_path, static, "--obstacle-speed", speed,
+                                    "--setting", "static-full") == 2
+        assert "static-full moves no obstacle" in capsys.readouterr().err
+        assert not (tmp_path / "controller.json").exists()
+
     def test_moving_problems_run_without_the_flag(self, moving, mini_config, tmp_path):
         assert self.eval_controller(mini_config, tmp_path, moving) == 0
         assert (tmp_path / "controller.json").exists()

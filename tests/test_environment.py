@@ -1,14 +1,16 @@
 """Obstacle-world tests: signed distance against closed forms and sampling
 oracles, labels, observation models, stepping and generation."""
 
+import copy
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import draw_oracle
 import rollout_oracle
 from geometry_oracle import point_segment_distance
-from cbfsteer import geometry
+from cbfsteer import environment, geometry
 from cbfsteer.environment import (
     CloudSource,
     EnvGenConfig,
@@ -21,6 +23,7 @@ from cbfsteer.environment import (
     random_environment,
     ray_cast_scan,
     safety_label,
+    sample_free_config,
     sample_surface_points,
     signed_distance,
     signed_distance_batch,
@@ -262,6 +265,22 @@ class TestSurfaceSampling:
     def test_empty_environment_error(self):
         with pytest.raises(ValueError):
             sample_surface_points(Environment(), 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shapes", [("rect",), ("circle",), ("rect", "circle")])
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_equals_the_per_point_oracle(self, shapes, steps):
+        # bit for bit, and the generator ends where the per-point loop leaves
+        # it: data collection and the bench observer keep drawing from it
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            env = random_environment(EnvGenConfig(num_obstacles=1 + seed % 8, shapes=shapes,
+                                                  obstacle_speed=0.4), rng)
+            env = environment._environment_at(env, 1.0 / 120, steps)[0]
+            ref_rng = copy.deepcopy(rng)
+            got = sample_surface_points(env, 64, rng)
+            ref = draw_oracle.sample_surface_points(env, 64, ref_rng)
+            assert same_bits(got.points, ref.points) and same_bits(got.normals, ref.normals)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestRayCast:
@@ -581,6 +600,38 @@ class TestRandomEnvironment:
                            min_clearance_from_base=0.25)
         with pytest.raises(GenerationError):
             random_environment(cfg, np.random.default_rng(2))
+
+    @pytest.mark.parametrize("speed", [0.0, 0.3])
+    def test_equals_the_inline_velocity_draw(self, speed):
+        cfg = EnvGenConfig(num_obstacles=6, shapes=("rect", "circle"), obstacle_speed=speed)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(10):
+            got = random_environment(cfg, rng)
+            ref = draw_oracle.random_environment(cfg, ref_rng)
+            assert canonical_dumps(got.to_json()) == canonical_dumps(ref.to_json())
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestSampleFreeConfig:
+    @pytest.mark.parametrize("clearance", [0.0, 0.05, 0.15])
+    def test_honours_the_clearance(self, arm, clearance):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            env = random_environment(EnvGenConfig(num_obstacles=6, shapes=("rect", "circle")),
+                                     rng)
+            d = signed_distance(env, arm, sample_free_config(env, arm, rng, clearance))
+            assert d > 0.0 and d >= clearance
+
+    def test_an_unreachable_clearance_raises_after_max_gen_attempts(self, arm, monkeypatch):
+        monkeypatch.setattr(environment, "MAX_GEN_ATTEMPTS", 5)
+        env = random_environment(EnvGenConfig(), np.random.default_rng(12))
+        rng = np.random.default_rng(13)
+        ref_rng = copy.deepcopy(rng)
+        with pytest.raises(GenerationError, match="clearance 10.0 after 5 draws in environment"):
+            sample_free_config(env, arm, rng, clearance=10.0)
+        for _ in range(5):
+            sample_config(arm, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestEnvGenConfigValidation:
