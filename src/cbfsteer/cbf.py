@@ -10,6 +10,7 @@ grad_h . u + alpha_h * h <= -eps (drift-free system, so the drift term drops).
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import time
@@ -39,8 +40,11 @@ from .neural import (
     Mlp,
     adam_step,
     AdamState,
+    cloud_terms,
     encoder_backward_batch,
     encoder_forward_batch,
+    encoder_forward_one,
+    link_table,
     mlp_backward,
     mlp_forward,
 )
@@ -288,8 +292,8 @@ def _stencil_blocks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass
 class _Prepared:
-    """Stencil arrays of a sample set, shared by inference, loss, training
-    and constraint evaluation; the label masks only where labels exist."""
+    """Stencil arrays of a sample set, shared by loss, training and
+    constraint evaluation; the label masks only where labels exist."""
 
     # state variant: stencil network inputs (B, S, n+1)
     x: np.ndarray | None = None
@@ -554,6 +558,16 @@ class NeuralBarrier:
     net: object
     arm: ArmModel
     hyper: CbfHyper
+    _blocks: tuple = field(default=(), init=False, repr=False)  # a cloud net's per-net constants
+    _seen: tuple = field(default=(None, None), init=False, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.net, Mlp):  # a read-only copy, out of a training step's reach
+            self.__dict__.update(net=copy.deepcopy(self.net))
+            for a in (a for layer in self.net.all_params() for a in layer):
+                a.flags.writeable = False
+            frames, links, slots = _stencil_blocks(self.arm.n_links)
+            self.__dict__.update(_blocks=(link_table(self.net.per_point, links), frames, slots))
 
     @property
     def kind(self) -> str:
@@ -565,34 +579,32 @@ class NeuralBarrier:
         return self.hyper.alpha_h
 
     def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray]:
-        """Barrier value and forward-difference q-gradient, through the
-        training forward pass on a one-sample stencil batch.
-
-        A state net reads the world's signed distance at every stencil
-        configuration, as the hand-crafted barrier does, and ignores any
-        observation. A cloud net holds its observed cloud fixed across the
-        stencil.
-
-        With layers 32 or more wide the values match the same sample's in a
-        batched pass to rounding, not bit for bit: BLAS libraries run the
-        small products of a one-sample stencil through kernels that sum in
-        another order (OpenBLAS does so for the default 64-wide state net). A
-        cloud net's per-point products run block by block, the same size in
-        any batch, so only its trunk can differ so.
-        """
+        """Barrier value and forward-difference q-gradient on a one-sample
+        stencil. A state net reads the world's signed distance at every
+        stencil configuration and runs the training forward pass, whose small
+        products BLAS may sum in another order than a batch's. A cloud net
+        holds its observed cloud fixed across the stencil and runs
+        `encoder_forward_one`, equal bit for bit to the training pass. It
+        keeps the `cloud_terms` of the last observation it saw, keyed by that
+        object, which it holds; they cannot go stale, since an observation's
+        arrays and the barrier's copy of the net are read-only."""
         qs = _stencil_configs(q, self.hyper.fd_step)
         if isinstance(self.net, Mlp):
             if env is None:
                 raise ValueError("a state barrier needs the environment")
             ds = signed_distance_batch(env, self.arm, qs)
-            prep = _Prepared(x=np.concatenate([qs, ds[:, None]], axis=1)[None])
+            h = mlp_forward(self.net, np.concatenate([qs, ds[:, None]], axis=1))[0][:, 0]
         else:
             if observation is None:
                 raise ValueError("a cloud barrier needs its observed cloud")
-            prep = _Prepared(qs=qs[None], points=observation.points[None],
-                             normals=observation.normals[None], cloud=np.zeros(1, dtype=int))
-        h, _ = _forward_stencil(self.net, prep, self.arm)
-        return float(h[0, 0]), (h[0, 1:] - h[0, 0]) / self.hyper.fd_step
+            if not np.isfinite(qs).all():  # before the link frames take their cos and sin
+                raise ValueError("non-finite network input")
+            if self._seen[0] is not observation:
+                self.__dict__.update(_seen=(observation, cloud_terms(
+                    self.net.per_point, observation.points[None], observation.normals[None])))
+            h = encoder_forward_one(self.net, self._seen[1], *self._blocks,
+                                    *batch_link_frames(self.arm, qs), qs)
+        return float(h[0]), (h[1:] - h[0]) / self.hyper.fd_step
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry
 from .jsonio import Record
-from .kinematics import ArmModel, batch_joint_positions, joint_positions, sample_config
+from .kinematics import ArmModel, _read_only, batch_joint_positions, joint_positions, sample_config
 
 
 class SafetyLabel(str, enum.Enum):
@@ -38,15 +38,15 @@ class StateObservation:
 
 @dataclass(frozen=True)
 class CloudObservation(Record):
-    """Fixed-size set of (point, unit normal) records in the world frame."""
+    """Fixed-size set of (point, unit normal) records in the world frame, read-only."""
 
     points: np.ndarray  # (N, 2)
     normals: np.ndarray  # (N, 2)
     source: CloudSource
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "normals", np.asarray(self.normals, dtype=float))
+        for name in ("points", "normals"):  # copies, so that freezing does not reach the caller's
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
         if self.points.shape != self.normals.shape or self.points.ndim != 2:
             raise ValueError("points and normals must both be (N, 2)")
         if self.points.shape[0] == 0:

@@ -255,11 +255,11 @@ POINT_ALIGN = 8
 _TURN, _TURN_SIGN = np.array([1, 0, 3, 2]), np.array([[-1.0], [1.0], [-1.0], [1.0]])
 
 
-def _cloud_terms(per_point: Mlp, blocks: CloudBlocks, ws: BatchWorkspace = FRESH) -> np.ndarray:
-    """The first layer's cloud terms of each distinct cloud, feature-major
-    (C, 2, H, N'): A = W_p p + W_n n and B = W_p Jp + W_n Jn with J a
-    quarter turn, over the cloud's points padded to N' (`POINT_ALIGN`)."""
-    cloud_in = np.concatenate([blocks.points, blocks.normals], axis=2)  # (C, N, 4)
+def cloud_terms(per_point: Mlp, points, normals, ws: BatchWorkspace = FRESH) -> np.ndarray:
+    """The first layer's cloud terms of clouds points, normals (C, N, 2),
+    feature-major (C, 2, H, N'): A = W_p p + W_n n and B = W_p Jp + W_n Jn
+    with J a quarter turn, over the cloud's points padded to N' (`POINT_ALIGN`)."""
+    cloud_in = np.concatenate([points, normals], axis=2)  # (C, N, 4)
     if not np.isfinite(cloud_in).all():
         raise ValueError("non-finite network input")
     pad = -cloud_in.shape[1] % POINT_ALIGN
@@ -273,13 +273,20 @@ def _cloud_terms(per_point: Mlp, blocks: CloudBlocks, ws: BatchWorkspace = FRESH
     return np.matmul(w, both, out=ws.out("terms", both.shape[:2] + (len(w), both.shape[3])))
 
 
-def _point_features(per_point: Mlp, blocks: CloudBlocks, terms: np.ndarray, part: slice,
-                    ws: BatchWorkspace = FRESH) -> np.ndarray:
-    """The per-point net's output on every block of the samples `part`,
+def link_table(per_point: Mlp, links: np.ndarray) -> np.ndarray:
+    """The first layer's link term of each block (K, H), bias included unless the pool adds it."""
+    w, bias = per_point.params[0]
+    link = w[:, 4:][:, links].T
+    return link + bias if len(per_point.params) > 1 else link
+
+
+def _point_features(per_point: Mlp, pair: np.ndarray, link: np.ndarray, origins: np.ndarray,
+                    angles: np.ndarray, ws: BatchWorkspace = FRESH) -> np.ndarray:
+    """The per-point net's output on the blocks (B, K) of B samples,
     feature-major (B, K, F, N'), with no record built: the first layer is
     linear in a record [Rᵀ(p - o), Rᵀn, e_l], and Rᵀv = cos θ·v - sin θ·Jv,
-    so block k (angle θ, origin o, link l) gets cos θ·A - sin θ·B + g_k from
-    the cloud terms (`_cloud_terms`) and g_k = W_e e_l + b - W_p Rᵀo. Every
+    so block k (angle θ, origin o) gets cos θ·A - sin θ·B + g_k from its
+    sample's cloud terms `pair` and g_k = `link`[k] - W_p Rᵀo. Every
     product is feature-major with its points contiguous, so a block's max
     pool runs along them. The output layer's bias is left out: adding a
     constant commutes with a max, since rounding is monotone, so the caller
@@ -287,20 +294,15 @@ def _point_features(per_point: Mlp, blocks: CloudBlocks, terms: np.ndarray, part
     features are the per-point net's layer arrays in the workspace `ws`,
     which the next call overwrites."""
     layers = per_point.params
-    w, bias = layers[0]
-    turn = np.exp(blocks.angles[part] * -1j)  # cos θ - i sin θ
+    w = layers[0][0]
+    turn = np.exp(angles * -1j)  # cos θ - i sin θ
     b, k = turn.shape
-    n_pts = terms.shape[3]
+    n_pts = pair.shape[3]
     rot = turn.view(float).reshape(b, k, 2)
-    pair = terms.take(blocks.cloud[part], axis=0, out=ws.out("pair", (b,) + terms.shape[1:]),
-                      mode="clip").reshape(b, 2, -1)
-    z = np.matmul(rot, pair, out=ws.out(("a", 0), (b, k, len(w) * n_pts)))
+    z = np.matmul(rot, pair.reshape(b, 2, -1), out=ws.out(("a", 0), (b, k, len(w) * n_pts)))
     z = z.reshape(b, k, len(w), n_pts)
     # Rᵀo = (cos θ - i sin θ)(o_x + i o_y)
-    local = (turn * blocks.origins[part].view(complex)[..., 0]).view(float).reshape(b, k, 2)
-    link = w[:, 4:][:, blocks.links].T
-    if len(layers) > 1:  # an output layer's bias is added after the pool
-        link = link + bias
+    local = (turn * origins.view(complex)[..., 0]).view(float).reshape(b, k, 2)
     z += (link - local @ w[:, :2].T)[..., None]
     for i in range(1, len(layers)):
         w, bias = layers[i]
@@ -325,12 +327,17 @@ def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, blocks: CloudBlo
     b, k = blocks.angles.shape
     s = len(blocks.slot_blocks)
     f = enc.feature_width
-    terms = _cloud_terms(enc.per_point, blocks, ws)
+    terms = cloud_terms(enc.per_point, blocks.points, blocks.normals, ws)
+    link = link_table(enc.per_point, blocks.links)
     point = ws.get("point", (b, k, f), np.intp)
     block_max = ws.get("block_max", (b, k, f))
+    pws = ws.sub("per_point")
     for start in range(0, b, CHUNK_SAMPLES):
         part = slice(start, start + CHUNK_SAMPLES)
-        phi = _point_features(enc.per_point, blocks, terms, part, ws.sub("per_point"))
+        pair = terms.take(blocks.cloud[part], axis=0, mode="clip",
+                          out=pws.out("pair", blocks.cloud[part].shape + terms.shape[1:]))
+        phi = _point_features(enc.per_point, pair, link, blocks.origins[part],
+                              blocks.angles[part], pws)
         phi.argmax(axis=3, out=point[part])
         phi = phi.reshape(-1, phi.shape[3])
         block_max[part] = phi[np.arange(len(phi)), point[part].reshape(-1)].reshape(-1, k, f)
@@ -343,6 +350,27 @@ def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, blocks: CloudBlo
     y, trunk_tape = mlp_forward(enc.trunk, trunk_in, ws.sub("trunk"))
     return y[:, 0], EncoderTape(enc=enc, blocks=blocks, point=point, block_max=block_max,
                                 trunk_tape=trunk_tape, ws=ws)
+
+
+def encoder_forward_one(enc: PointSetEncoder, terms: np.ndarray, link: np.ndarray,
+                        frames: np.ndarray, slot_blocks: np.ndarray, origins: np.ndarray,
+                        angles: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """`encoder_forward_batch` on one sample, with no tape or workspace and each
+    product that pass's shape, so h (S,) is equal bit for bit: from the cloud's
+    `cloud_terms`, the blocks' `link_table`, frames and slots, the link frames."""
+    phi = _point_features(enc.per_point, terms, link,
+                          origins.reshape(1, -1, 2).take(frames, axis=1),
+                          angles.reshape(1, -1).take(frames, axis=1))
+    phi = phi.reshape(-1, phi.shape[3])
+    block_max = phi[np.arange(len(phi)), phi.argmax(axis=1)].reshape(len(frames), -1)
+    block_max += enc.per_point.params[-1][1]
+    a = np.concatenate([block_max[slot_blocks].max(axis=1), qs], axis=1)
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite network input")
+    for w, b in enc.trunk.params[:-1]:
+        a = np.tanh(np.matmul(a, w.T) + b)
+    w, b = enc.trunk.params[-1]
+    return (np.matmul(a, w.T) + b)[:, 0]
 
 
 def _slot_max(block_max: np.ndarray, slot_blocks: np.ndarray, ws: BatchWorkspace) -> np.ndarray:

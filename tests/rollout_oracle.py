@@ -19,6 +19,10 @@ merges), the two breakpoint walks
 merges, and the safety QP and its walk as numpy array code, before their
 scalar steps moved to Python floats.
 
+Cloud barriers: the one-sample route that `NeuralBarrier` took before it
+had its own inference path, the training forward pass on a one-sample
+`_Prepared` with nothing kept between calls (`OneSampleBarrier`).
+
 They are slow and simple, and the tests hold the fast paths to them bit for
 bit.
 """
@@ -26,10 +30,11 @@ bit.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from cbfsteer.cbf import CbfHyper, _forward_stencil, _Prepared, _stencil_configs
 from cbfsteer.controller import QpDiagnostics, QpMode, RolloutRecord, solve_safety_qp
 from cbfsteer.environment import (
     CloudObservation,
@@ -122,6 +127,29 @@ def ray_cast_scan(env, arm, q, spec) -> CloudObservation:
     points = origins + t_hit[:, None] * dirs
     normals = np.where(miss[:, None], -dirs, best_n)
     return CloudObservation(points=points, normals=normals, source=CloudSource.RAY_CAST)
+
+
+@dataclass(frozen=True, eq=False)
+class OneSampleBarrier:
+    """A cloud barrier that runs `cbf._forward_stencil`, the training forward
+    pass, on a one-sample `_Prepared` at every call: a tape, a workspace and
+    the cloud's first-layer terms each time."""
+
+    net: object
+    arm: ArmModel
+    hyper: CbfHyper
+    kind = "cloud"
+
+    @property
+    def alpha(self) -> float:
+        return self.hyper.alpha_h
+
+    def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray]:
+        qs = _stencil_configs(q, self.hyper.fd_step)
+        prep = _Prepared(qs=qs[None], points=observation.points[None],
+                         normals=observation.normals[None], cloud=np.zeros(1, dtype=int))
+        h, _ = _forward_stencil(self.net, prep, self.arm)
+        return float(h[0, 0]), (h[0, 1:] - h[0, 0]) / self.hyper.fd_step
 
 
 def safe_rollout(bundle, q0, q_goal, env) -> RolloutRecord:

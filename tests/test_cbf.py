@@ -2,7 +2,9 @@
 the control-term infimum against brute force, loss plumbing and training."""
 
 import copy
+import gc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -53,12 +55,13 @@ from cbfsteer.neural import (
     BatchWorkspace,
     Mlp,
     PointSetEncoder,
-    _cloud_terms,
     _point_features,
     _winner_rows,
     _winner_upstream,
     adam_step,
+    cloud_terms,
     encoder_backward_batch,
+    link_table,
     mlp_backward,
     mlp_forward,
     save_checkpoint,
@@ -66,6 +69,7 @@ from cbfsteer.neural import (
 import draw_oracle
 import encoder_oracle
 import prepare_oracle
+import rollout_oracle
 from test_neural import encode, reference_point_records
 
 
@@ -1145,9 +1149,10 @@ def own_winners(net, tape):
     the first argmax of each slot's n*N link-major records in the features
     with it, as flat rows (B, S, F)."""
     blocks = tape.blocks
-    terms = _cloud_terms(net.per_point, blocks)
+    terms = cloud_terms(net.per_point, blocks.points, blocks.normals)
     n_pts = blocks.points.shape[1]
-    phi = _point_features(net.per_point, blocks, terms, slice(None))[..., :n_pts]
+    phi = _point_features(net.per_point, terms[blocks.cloud], link_table(net.per_point, blocks.links),
+                          blocks.origins, blocks.angles)[..., :n_pts]
     b, k, f, _ = phi.shape
     s, n = blocks.slot_blocks.shape
     full = phi + net.per_point.params[-1][1][:, None]
@@ -1428,6 +1433,132 @@ class TestBlockForwardOracle:
         check_training_against_oracle(ds, net, hyper, monkeypatch)
 
 
+def inference_net(n_links, widths, rng):
+    """A cloud net of the default widths (7, 16, 32)/(35, 48, 48, 1) at three
+    links, or a small one."""
+    if widths == "default":
+        return PointSetEncoder.create(n_links, *cloud_widths(load_config(), ORACLE_ARMS[n_links]),
+                                      rng=rng)
+    return PointSetEncoder.create(n_links, per_point_widths=(4 + n_links, 8, 6),
+                                  trunk_widths=(6 + n_links, 8, 1), rng=rng)
+
+
+def assert_same_h_and_grad(got, ref):
+    assert got[0] == ref[0]
+    assert got[1].tobytes() == ref[1].tobytes()
+
+
+def counting_cloud_terms(monkeypatch):
+    """A list that grows by one at each `cloud_terms` call of the barrier."""
+    calls = []
+    real = cbf_module.cloud_terms
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cbf_module, "cloud_terms", counted)
+    return calls
+
+
+class TestCloudInference:
+    """A cloud barrier's one-sample path (`encoder_forward_one`, with the
+    cloud's first-layer terms kept per observation) against the route it
+    replaced, the training pass on a one-sample `_Prepared`
+    (`rollout_oracle.OneSampleBarrier`): h and grad h bit for bit."""
+
+    @pytest.mark.parametrize("n_links", [2, 3, 5])
+    @pytest.mark.parametrize("widths", ["default", "small"])
+    def test_bit_equal_to_the_one_sample_training_pass(self, n_links, widths):
+        arm = ORACLE_ARMS[n_links]
+        rng = np.random.default_rng(60 + n_links)
+        net = inference_net(n_links, widths, rng)
+        barrier = NeuralBarrier(net, arm, CbfHyper())
+        oracle = rollout_oracle.OneSampleBarrier(net, arm, CbfHyper())
+        misses = 0
+        # point counts off the POINT_ALIGN multiple pad their clouds
+        for kind, n_points in [("surface", 64), ("surface", 13), ("surface", 37),
+                               ("raycast", 64), ("raycast", 37)]:
+            cloud, n_miss = oracle_cloud(kind, oracle_world(rng), arm, n_points, rng)
+            misses += n_miss
+            for _ in range(10):
+                q = sample_config(arm, rng)
+                assert_same_h_and_grad(barrier.value_and_grad(q, cloud, None),
+                                       oracle.value_and_grad(q, cloud, None))
+        assert misses > 0
+
+    def test_cache_use(self, monkeypatch):
+        arm = ORACLE_ARMS[3]
+        rng = np.random.default_rng(70)
+        net = inference_net(3, "default", rng)
+        barrier = NeuralBarrier(net, arm, CbfHyper())
+        oracle = rollout_oracle.OneSampleBarrier(net, arm, CbfHyper())
+        calls = counting_cloud_terms(monkeypatch)
+        env = oracle_world(rng)
+        first, second = (sample_surface_points(env, 64, rng) for _ in range(2))
+
+        def check(cloud):
+            q = sample_config(arm, rng)
+            assert_same_h_and_grad(barrier.value_and_grad(q, cloud, None),
+                                   oracle.value_and_grad(q, cloud, None))
+
+        for _ in range(20):  # one observation over many configurations: its terms once
+            check(first)
+        assert len(calls) == 1
+        for cloud in [second, first] * 4:  # alternating: new terms at every switch
+            check(cloud)
+        assert len(calls) == 9
+        # a new object with equal arrays is a new observation, and equal values
+        fresh = CloudObservation(points=first.points, normals=first.normals, source=first.source)
+        check(fresh)
+        check(fresh)
+        assert len(calls) == 10
+
+    def test_an_observation_is_read_only_and_copies_the_callers_arrays(self):
+        pts, nrm = np.zeros((3, 2)), np.ones((3, 2))
+        cloud = CloudObservation(points=pts, normals=nrm, source=CloudSource.RAY_CAST)
+        for a in (cloud.points, cloud.normals):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 5.0
+        pts[0, 0] = nrm[0, 0] = 7.0  # the caller's arrays stay its own, and writeable
+        assert cloud.points[0, 0] == 0.0 and cloud.normals[0, 0] == 1.0
+
+    def test_the_barrier_keeps_one_observation(self):
+        arm = ORACLE_ARMS[3]
+        rng = np.random.default_rng(71)
+        barrier = NeuralBarrier(inference_net(3, "small", rng), arm, CbfHyper())
+        env = oracle_world(rng)
+        first = sample_surface_points(env, 16, rng)
+        barrier.value_and_grad(sample_config(arm, rng), first, None)
+        ref = weakref.ref(first)
+        del first
+        gc.collect()
+        assert ref() is not None  # held while it is the last one seen
+        barrier.value_and_grad(sample_config(arm, rng), sample_surface_points(env, 16, rng), None)
+        gc.collect()
+        assert ref() is None
+
+    def test_training_the_source_net_does_not_reach_the_barrier(self):
+        arm = ORACLE_ARMS[3]
+        rng = np.random.default_rng(72)
+        net = inference_net(3, "default", rng)
+        barrier = NeuralBarrier(net, arm, CbfHyper())
+        oracle = rollout_oracle.OneSampleBarrier(copy.deepcopy(net), arm, CbfHyper())
+        cloud = sample_surface_points(oracle_world(rng), 64, rng)
+        qs = [sample_config(arm, rng) for _ in range(5)]
+        before = [barrier.value_and_grad(q, cloud, None) for q in qs]
+        params = net.all_params()
+        grads = [(np.ones_like(w), np.ones_like(b)) for w, b in params]
+        adam_step(params, grads, AdamState.for_params(params), lr=0.1)
+        assert not np.array_equal(net.per_point.params[0][0], oracle.net.per_point.params[0][0])
+        for q, got in zip(qs, before):
+            assert_same_h_and_grad(barrier.value_and_grad(q, cloud, None), got)
+            assert_same_h_and_grad(got, oracle.value_and_grad(q, cloud, None))
+        for w, b in barrier.net.all_params():
+            with pytest.raises(ValueError, match="read-only"):
+                w += 1.0
+
+
 class TestNonFiniteInput:
     """The cloud net checks its inputs, not records it never builds: a NaN
     or an inf in a cloud point, a normal or a configuration is rejected
@@ -1452,10 +1583,16 @@ class TestNonFiniteInput:
         bad = CloudObservation(source=cloud.source, **fields)
         samples[2] = LabeledSample(q=q, observation=bad, label=samples[2].label, env_id=0)
         prep = _prepare(samples, arm, hyper)
+        # a barrier that has kept a finite cloud's terms: a bad cloud is a new
+        # observation, and a bad q meets the kept cloud itself
+        cached = NeuralBarrier(net, arm, hyper)
+        kept = cached.value_and_grad(samples[0].q, cloud, None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in (lambda: NeuralBarrier(net, arm, hyper).value_and_grad(q, bad, None),
+                         lambda: cached.value_and_grad(q, cloud if where == "q" else bad, None),
                          lambda: _forward_stencil(net, prep, arm),
                          lambda: _forward_stencil(net, prep.take(np.array([2, 4])), arm)):
                 with pytest.raises(ValueError, match="non-finite network input"):
                     call()
+        assert_same_h_and_grad(cached.value_and_grad(samples[0].q, cloud, None), kept)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rollout_oracle
+from cbfsteer import bench
 from cbfsteer.cbf import CbfHyper, HandcraftedBarrier, NeuralBarrier
 from cbfsteer.controller import (
     ControllerBundle,
@@ -691,3 +692,30 @@ class TestStaticRolloutOracle:
         ref = rollout_oracle.safe_rollout_static(*args)
         assert ref.steps_used > 0
         assert_same_record(safe_rollout(*args), ref)
+
+
+class TestCloudRolloutOracle:
+    """Rollouts among moving obstacles with ray-cast scans (a fresh cloud
+    every tick) are the same with the cloud barrier's own one-sample path as
+    with the training pass it replaced (`rollout_oracle.OneSampleBarrier`),
+    bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dynamic_partial(self, seed):
+        from test_planner import cloud_plan_setting
+
+        cfg, arm, problems, hyper, net = cloud_plan_setting(seed)
+        moving = bench.dynamicize_problems(problems, 0.05, np.random.default_rng(seed))
+        method = {"name": "cbf-cloud", "checkpoint": "net"}
+        ticks = 0
+        for prob in moving:
+            recs = []
+            for barrier in (NeuralBarrier(net, arm, hyper),
+                            rollout_oracle.OneSampleBarrier(net, arm, hyper)):
+                bundle = bench._controller(method, arm, cfg, {"net": barrier}, horizon_s=3.0)
+                observe = bench._observer(barrier, prob, "dynamic_partial", cfg, seed)
+                recs.append(safe_rollout(replace(bundle, observe=observe), prob.q0, prob.qg,
+                                         prob.environment))
+            assert_same_record(*recs)
+            ticks += recs[0].steps_used
+        assert ticks > 20

@@ -5,9 +5,11 @@ independent reference RRT built from the documented sampling contract."""
 import numpy as np
 import pytest
 
+import plan_fingerprint
 import rollout_oracle
-from cbfsteer import planner
+from cbfsteer import bench, planner
 from cbfsteer.cbf import CbfHyper, HandcraftedBarrier, NeuralBarrier
+from cbfsteer.config import cloud_widths, load_config, make_arm, make_env_gen, make_hyper
 from cbfsteer.controller import (
     ControllerBundle,
     NominalPolicy,
@@ -828,3 +830,47 @@ class TestEarlyStop:
                 assert len(ticks) == 1
                 assert len(edge.configs) <= SUBSTEPS and len(edge.controls) <= 1
         assert 3 <= cut_at_once < 12  # and some steers run on past tick 1
+
+
+def cloud_plan_setting(seed, count=4):
+    """The benchmark's plan settings (8 obstacles, a 16-node budget, 30-tick
+    steers), `count` generated problems and a cloud net of the default
+    widths: (config, arm, problems, barrier hyperparameters, net)."""
+    cfg = load_config()
+    cfg["env_gen"].update(num_obstacles=8, shapes=["rect", "circle"])
+    cfg["planner"].update(max_nodes=16, max_ctrl_steps=30)
+    arm = make_arm(cfg)
+    clearance = cfg["hyper"]["r_thres"] * cfg["bench"]["clearance_factor"]
+    rng = np.random.default_rng(seed)
+    problems = bench.gen_problems(make_env_gen(cfg), count, rng, arm, clearance)
+    net = PointSetEncoder.create(arm.n_links, *cloud_widths(cfg, arm), rng=rng)
+    return cfg, arm, problems, make_hyper(cfg, "cloud"), net
+
+
+class TestCloudPlanOracle:
+    """RRT with a cbf-cloud steer plans the same with the cloud barrier's own
+    one-sample path as with the training pass it replaced
+    (`rollout_oracle.OneSampleBarrier`): status, explored nodes, and every
+    stored edge and plan (`plan_fingerprint`), bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_plans(self, seed):
+        cfg, arm, problems, hyper, net = cloud_plan_setting(seed)
+        method = {"name": "cbf-cloud", "checkpoint": "net"}
+        runs = [plan_fingerprint.plan_queries(problems, method, cfg, seed, {"net": barrier}, arm)
+                for barrier in (NeuralBarrier(net, arm, hyper),
+                                rollout_oracle.OneSampleBarrier(net, arm, hyper))]
+        for (got, _), (ref, _) in zip(*runs):
+            assert (got.status, got.explored_nodes, got.tree_size) == (
+                ref.status, ref.explored_nodes, ref.tree_size)
+        assert plan_fingerprint.fingerprint(runs[0]) == plan_fingerprint.fingerprint(runs[1])
+        assert sum(len(tree.nodes) - 1 for _, tree in runs[0]) > 2 * len(problems)
+
+    def test_the_fingerprint_sees_one_ulp(self):
+        cfg, arm, problems, hyper, net = cloud_plan_setting(2, count=2)
+        runs = plan_fingerprint.plan_queries(problems, {"name": "hand-cbf"}, cfg, 0, {}, arm)
+        before = plan_fingerprint.fingerprint(runs)
+        edge = next(node.edge for _, tree in runs for node in tree.nodes[1:] if node.edge.controls)
+        edge.controls[0] = np.nextafter(edge.controls[0], np.inf)
+        after = plan_fingerprint.fingerprint(runs)
+        assert after["edges"] != before["edges"] and after["plans"] == before["plans"]
