@@ -946,8 +946,9 @@ def random_world_samples(arm, rng, kind, count):
 
 
 class TestSharedStencilForwardPass:
-    """`NeuralBarrier.value_and_grad` runs the training forward pass on a
-    one-sample batch."""
+    """`NeuralBarrier.value_and_grad` equals the training forward pass on a
+    one-sample batch: a state net runs it, a cloud net its own one-sample
+    path (`TestCloudInference`)."""
 
     @pytest.mark.parametrize("case", ["state-observed", "state-unobserved", "cloud"])
     def test_bit_equal_to_the_parent_implementation(self, arm, case):
