@@ -32,7 +32,7 @@ from .environment import (
     signed_distance_batch,
 )
 from .jsonio import Record, canonical_dumps, dump_json, load_json, load_jsonl
-from .kinematics import ArmModel, batch_link_frames, hold
+from .kinematics import ArmModel, _read_only, batch_link_frames, hold
 from .neural import (
     FRESH,
     BatchWorkspace,
@@ -292,8 +292,8 @@ def _stencil_blocks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass
 class _Prepared:
-    """Stencil arrays of a sample set, shared by loss, training and
-    constraint evaluation; the label masks only where labels exist."""
+    """Stencil arrays of a sample set, shared by inference, loss, training
+    and constraint evaluation; the label masks only where labels exist."""
 
     # state variant: stencil network inputs (B, S, n+1)
     x: np.ndarray | None = None
@@ -365,17 +365,23 @@ def _forward_stencil(net, prep: _Prepared, arm: ArmModel, ws: BatchWorkspace = F
         b, s, d_in = prep.x.shape
         y, tape = mlp_forward(net, prep.x.reshape(b * s, d_in))
         return y[:, 0].reshape(b, s), tape
-    if not np.isfinite(prep.qs).all():  # before the link frames take their cos and sin
-        raise ValueError("non-finite network input")
     b, s, n = prep.qs.shape
     frames, links, slot_blocks = _stencil_blocks(n)
-    origins, angles = batch_link_frames(arm, prep.qs.reshape(b * s, n))
+    origins, angles = _stencil_frames(arm, prep.qs, frames)
     blocks = CloudBlocks(points=prep.points, normals=prep.normals, cloud=prep.cloud,
-                         origins=origins.reshape(b, s * n, 2).take(frames, axis=1),
-                         angles=angles.reshape(b, s * n).take(frames, axis=1), links=links,
-                         slot_blocks=slot_blocks)
+                         origins=origins, angles=angles, links=links, slot_blocks=slot_blocks)
     h, tape = encoder_forward_batch(net, prep.qs.reshape(b * s, n), blocks, ws)
     return h.reshape(b, s), tape
+
+
+def _stencil_frames(arm: ArmModel, qs: np.ndarray, frames: np.ndarray):
+    """Link frames of stencil configs qs (B, S, n) per block: origins (B, K, 2), angles (B, K)."""
+    if not np.isfinite(qs).all():  # before the link frames take their cos and sin
+        raise ValueError("non-finite network input")
+    b, s, n = qs.shape
+    origins, angles = batch_link_frames(arm, qs.reshape(b * s, n))
+    return (origins.reshape(b, s * n, 2).take(frames, axis=1),
+            angles.reshape(b, s * n).take(frames, axis=1))
 
 
 def _condition_values(h: np.ndarray, arm: ArmModel, hyper: CbfHyper):
@@ -564,8 +570,8 @@ class NeuralBarrier:
     def __post_init__(self):
         if not isinstance(self.net, Mlp):  # a read-only copy, out of a training step's reach
             self.__dict__.update(net=copy.deepcopy(self.net))
-            for a in (a for layer in self.net.all_params() for a in layer):
-                a.flags.writeable = False
+            for mlp in (self.net.per_point, self.net.trunk):  # no layer is replaced or written
+                mlp.params = tuple((_read_only(w), _read_only(b)) for w, b in mlp.params)
             frames, links, slots = _stencil_blocks(self.arm.n_links)
             self.__dict__.update(_blocks=(link_table(self.net.per_point, links), frames, slots))
 
@@ -581,29 +587,30 @@ class NeuralBarrier:
     def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray]:
         """Barrier value and forward-difference q-gradient on a one-sample
         stencil. A state net reads the world's signed distance at every
-        stencil configuration and runs the training forward pass, whose small
-        products BLAS may sum in another order than a batch's. A cloud net
-        holds its observed cloud fixed across the stencil and runs
-        `encoder_forward_one`, equal bit for bit to the training pass. It
-        keeps the `cloud_terms` of the last observation it saw, keyed by that
-        object, which it holds; they cannot go stale, since an observation's
-        arrays and the barrier's copy of the net are read-only."""
+        stencil configuration, as the hand-crafted barrier does, and runs the
+        training forward pass on a one-sample batch, whose small products BLAS
+        may sum in another order than a batch's (OpenBLAS does for the default
+        64-wide state net). A cloud net holds its observed cloud fixed and runs
+        `encoder_forward_one`, equal bit for bit to that pass. It keeps the last
+        observation it saw, keyed by that object, which it holds, with its
+        `cloud_terms`; they cannot go stale, as an observation's arrays and the
+        barrier's copy of the net (layers in tuples) are read-only."""
         qs = _stencil_configs(q, self.hyper.fd_step)
         if isinstance(self.net, Mlp):
             if env is None:
                 raise ValueError("a state barrier needs the environment")
             ds = signed_distance_batch(env, self.arm, qs)
-            h = mlp_forward(self.net, np.concatenate([qs, ds[:, None]], axis=1))[0][:, 0]
+            prep = _Prepared(x=np.concatenate([qs, ds[:, None]], axis=1)[None])
+            h = _forward_stencil(self.net, prep, self.arm)[0][0]
         else:
             if observation is None:
                 raise ValueError("a cloud barrier needs its observed cloud")
-            if not np.isfinite(qs).all():  # before the link frames take their cos and sin
-                raise ValueError("non-finite network input")
+            link, frames, slots = self._blocks
+            origins, angles = _stencil_frames(self.arm, qs[None], frames)
             if self._seen[0] is not observation:
                 self.__dict__.update(_seen=(observation, cloud_terms(
                     self.net.per_point, observation.points[None], observation.normals[None])))
-            h = encoder_forward_one(self.net, self._seen[1], *self._blocks,
-                                    *batch_link_frames(self.arm, qs), qs)
+            h = encoder_forward_one(self.net, self._seen[1], link, slots, origins, angles, qs)
         return float(h[0]), (h[1:] - h[0]) / self.hyper.fd_step
 
 

@@ -353,24 +353,17 @@ def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, blocks: CloudBlo
 
 
 def encoder_forward_one(enc: PointSetEncoder, terms: np.ndarray, link: np.ndarray,
-                        frames: np.ndarray, slot_blocks: np.ndarray, origins: np.ndarray,
-                        angles: np.ndarray, qs: np.ndarray) -> np.ndarray:
+                        slot_blocks: np.ndarray, origins: np.ndarray, angles: np.ndarray,
+                        qs: np.ndarray) -> np.ndarray:
     """`encoder_forward_batch` on one sample, with no tape or workspace and each
     product that pass's shape, so h (S,) is equal bit for bit: from the cloud's
-    `cloud_terms`, the blocks' `link_table`, frames and slots, the link frames."""
-    phi = _point_features(enc.per_point, terms, link,
-                          origins.reshape(1, -1, 2).take(frames, axis=1),
-                          angles.reshape(1, -1).take(frames, axis=1))
+    `cloud_terms`, the blocks' `link_table`, slots and frames (1, K, 2), (1, K)."""
+    phi = _point_features(enc.per_point, terms, link, origins, angles)
     phi = phi.reshape(-1, phi.shape[3])
-    block_max = phi[np.arange(len(phi)), phi.argmax(axis=1)].reshape(len(frames), -1)
+    block_max = phi[np.arange(len(phi)), phi.argmax(axis=1)].reshape(len(link), -1)
     block_max += enc.per_point.params[-1][1]
-    a = np.concatenate([block_max[slot_blocks].max(axis=1), qs], axis=1)
-    if not np.isfinite(a).all():
-        raise ValueError("non-finite network input")
-    for w, b in enc.trunk.params[:-1]:
-        a = np.tanh(np.matmul(a, w.T) + b)
-    w, b = enc.trunk.params[-1]
-    return (np.matmul(a, w.T) + b)[:, 0]
+    trunk_in = np.concatenate([block_max[slot_blocks].max(axis=1), qs], axis=1)
+    return mlp_forward(enc.trunk, trunk_in)[0][:, 0]
 
 
 def _slot_max(block_max: np.ndarray, slot_blocks: np.ndarray, ws: BatchWorkspace) -> np.ndarray:

@@ -1559,6 +1559,14 @@ class TestCloudInference:
             with pytest.raises(ValueError, match="read-only"):
                 w += 1.0
 
+    def test_the_barriers_copy_refuses_a_new_layer(self):
+        barrier = NeuralBarrier(inference_net(3, "small", np.random.default_rng(73)),
+                                ORACLE_ARMS[3], CbfHyper())
+        for mlp in (barrier.net.per_point, barrier.net.trunk):
+            w, b = mlp.params[0]
+            with pytest.raises(TypeError):
+                mlp.params[0] = (w.copy(), b.copy())
+
 
 class TestNonFiniteInput:
     """The cloud net checks its inputs, not records it never builds: a NaN

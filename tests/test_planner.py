@@ -2,6 +2,8 @@
 invariants, edge safety audits, and node-for-node agreement with an
 independent reference RRT built from the documented sampling contract."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -781,13 +783,14 @@ def loose_bundles(arm, env, rng):
     loose = CbfHyper(alpha_h=1e3)
     state = distance_barrier(arm, offset=0.0)
     cloud = cloud_bundle(arm, env, rng)
-    w, b = cloud.barrier.net.trunk.params[-1]
-    cloud.barrier.net.trunk.params[-1] = (w, b - 10.0)
+    shifted = copy.deepcopy(cloud.barrier.net)  # the barrier's own copy refuses a new layer
+    w, b = shifted.trunk.params[-1]
+    shifted.trunk.params = shifted.trunk.params[:-1] + ((w, b - 10.0),)
     return {
         "hand": ControllerBundle(barrier=HandcraftedBarrier(arm, margin=0.0, hyper=loose),
                                  observe=None),
         "state": ControllerBundle(barrier=NeuralBarrier(state.net, arm, loose), observe=None),
-        "cloud": ControllerBundle(barrier=NeuralBarrier(cloud.barrier.net, arm, loose),
+        "cloud": ControllerBundle(barrier=NeuralBarrier(shifted, arm, loose),
                                   observe=cloud.observe),
     }
 
