@@ -355,7 +355,7 @@ def encoder_forward_batch(enc: PointSetEncoder, qs: np.ndarray, blocks: CloudBlo
 def encoder_forward_one(enc: PointSetEncoder, terms: np.ndarray, link: np.ndarray,
                         slot_blocks: np.ndarray, origins: np.ndarray, angles: np.ndarray,
                         qs: np.ndarray) -> np.ndarray:
-    """`encoder_forward_batch` on one sample, with no tape or workspace and each
+    """`encoder_forward_batch` on one sample, with no encoder tape or workspace and each
     product that pass's shape, so h (S,) is equal bit for bit: from the cloud's
     `cloud_terms`, the blocks' `link_table`, slots and frames (1, K, 2), (1, K)."""
     phi = _point_features(enc.per_point, terms, link, origins, angles)
