@@ -110,7 +110,7 @@ def gen_problems(gen_cfg: EnvGenConfig, count: int, rng: np.random.Generator,
 
 
 def difficulty_split(problems: list, proxy_runs: int, rng: np.random.Generator,
-                     arm: ArmModel, limits: PlannerLimits, r_goal: float = 0.1) -> list:
+                     arm: ArmModel, limits: PlannerLimits, r_goal: float) -> list:
     """Tag problems by a vanilla-RRT hardness proxy.
 
     Score = median explored nodes over proxy_runs straight-line RRT runs

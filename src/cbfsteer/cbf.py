@@ -10,7 +10,6 @@ grad_h . u + alpha_h * h <= -eps (drift-free system, so the drift term drops).
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import time
@@ -292,8 +291,8 @@ def _stencil_blocks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass
 class _Prepared:
-    """Stencil arrays of a sample set, shared by inference, loss, training
-    and constraint evaluation; the label masks only where labels exist."""
+    """Stencil arrays of a sample set, shared by loss, training and
+    constraint evaluation; the label masks only where labels exist."""
 
     # state variant: stencil network inputs (B, S, n+1)
     x: np.ndarray | None = None
@@ -397,15 +396,14 @@ def _condition_values(h: np.ndarray, arm: ArmModel, hyper: CbfHyper):
     return h0, grad, inf_vals, argmin
 
 
-def loss(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, want_grads: bool = True,
-         ws: BatchWorkspace = FRESH):
+def loss(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, ws: BatchWorkspace = FRESH):
     """Three-term hinge loss on a prepared batch of labeled samples.
 
     term1 penalizes safe samples with h > -gamma, term2 unsafe samples with
     h <= gamma, term3 every sample whose best-case control cannot push the
     margined derivative condition below zero. Empty classes contribute zero.
-    Returns (total, components dict, parameter grads or None); the grads
-    live in the workspace `ws` until its next pass.
+    Returns (total, components dict, parameter grads); the grads live in
+    the workspace `ws` until its next pass.
     """
     if not prep.safe_mask.size:
         raise ValueError("empty batch")
@@ -426,8 +424,6 @@ def loss(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, want_grads: bool 
     term3 = a3 / b * deriv_viol.sum()
     components = {"safe": float(term1), "unsafe": float(term2), "deriv": float(term3)}
     total = float(term1 + term2 + term3)
-    if not want_grads:
-        return total, components, None
 
     # Upstream weights per stencil slot. Term 3 flows through the base value
     # (alpha_h minus the stencil contributions folded back) and through each
@@ -452,9 +448,9 @@ def loss(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, want_grads: bool 
 def _audit(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, batch_size: int = 128,
            ws: BatchWorkspace | None = None) -> dict:
     """Satisfaction rates of the three barrier conditions on a prepared set,
-    evaluated in batches of the cloud training size, whose passes share the
+    evaluated in slices of `batch_size` samples, whose passes share the
     workspace `ws` (a new one by default); the encoder runs its per-point
-    net on chunks of samples whatever the batch size."""
+    net on chunks of samples whatever the slice size."""
     ws = ws or BatchWorkspace()
     n_total = prep.safe_mask.size
     ok_safe = ok_unsafe = ok_deriv = 0
@@ -477,9 +473,9 @@ def _audit(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, batch_size: int
     }
 
 
-def evaluate_constraints(net, dataset: Dataset, hyper: CbfHyper, batch_size: int = 128) -> dict:
+def evaluate_constraints(net, dataset: Dataset, hyper: CbfHyper) -> dict:
     """Empirical satisfaction rates of the three barrier conditions on a dataset."""
-    return _audit(net, dataset.prepared(hyper), dataset.arm, hyper, batch_size)
+    return _audit(net, dataset.prepared(hyper), dataset.arm, hyper)
 
 
 @dataclass(frozen=True)
@@ -535,7 +531,7 @@ def train(dataset: Dataset, net_init, hyper: CbfHyper, schedule: TrainSchedule,
                 report.aborted = True
                 report.wall_seconds = time.perf_counter() - t0
                 return net, report
-            adam_step(params, grads, state, lr=schedule.lr)
+            adam_step(params, grads, state, schedule.lr)
             w = len(idx)
             epoch_loss += total * w
             for k in epoch_comps:
@@ -569,9 +565,11 @@ class NeuralBarrier:
 
     def __post_init__(self):
         if not isinstance(self.net, Mlp):  # a read-only copy, out of a training step's reach
-            self.__dict__.update(net=copy.deepcopy(self.net))
-            for mlp in (self.net.per_point, self.net.trunk):  # no layer is replaced or written
-                mlp.params = tuple((_read_only(w), _read_only(b)) for w, b in mlp.params)
+            def frozen(mlp):  # no layer is replaced or written
+                return replace(mlp, params=tuple((_read_only(np.array(w)), _read_only(np.array(b)))
+                                                 for w, b in mlp.params))
+            self.__dict__.update(net=replace(self.net, per_point=frozen(self.net.per_point),
+                                             trunk=frozen(self.net.trunk)))
             frames, links, slots = _stencil_blocks(self.arm.n_links)
             self.__dict__.update(_blocks=(link_table(self.net.per_point, links), frames, slots))
 
@@ -587,21 +585,21 @@ class NeuralBarrier:
     def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray]:
         """Barrier value and forward-difference q-gradient on a one-sample
         stencil. A state net reads the world's signed distance at every
-        stencil configuration, as the hand-crafted barrier does, and runs the
-        training forward pass on a one-sample batch, whose small products BLAS
-        may sum in another order than a batch's (OpenBLAS does for the default
-        64-wide state net). A cloud net holds its observed cloud fixed and runs
-        `encoder_forward_one`, equal bit for bit to that pass. It keeps the last
+        stencil configuration, as the hand-crafted barrier does, and runs
+        `mlp_forward` on the stencil's rows, the array training builds for the
+        sample; BLAS may sum its small products in another order than a
+        batch's (OpenBLAS does for the default 64-wide state net). A cloud net
+        holds its observed cloud fixed and runs `encoder_forward_one`, equal bit
+        for bit to the training pass on a one-sample batch. It keeps the last
         observation it saw, keyed by that object, which it holds, with its
         `cloud_terms`; they cannot go stale, as an observation's arrays and the
-        barrier's copy of the net (layers in tuples) are read-only."""
+        barrier's copy of the net (frozen records, layers in tuples) are read-only."""
         qs = _stencil_configs(q, self.hyper.fd_step)
         if isinstance(self.net, Mlp):
             if env is None:
                 raise ValueError("a state barrier needs the environment")
             ds = signed_distance_batch(env, self.arm, qs)
-            prep = _Prepared(x=np.concatenate([qs, ds[:, None]], axis=1)[None])
-            h = _forward_stencil(self.net, prep, self.arm)[0][0]
+            h = mlp_forward(self.net, np.concatenate([qs, ds[:, None]], axis=1))[0][:, 0]
         else:
             if observation is None:
                 raise ValueError("a cloud barrier needs its observed cloud")

@@ -52,7 +52,7 @@ DEFAULTS: dict = {
         "cloud": {"epochs": 25, "batch_size": 128, "lr": 2e-3},
     },
     "controller": {
-        "kp": 1.0,
+        "kp": NominalPolicy.gain,
         "hand_margin": HandcraftedBarrier.margin,
         **SafeControllerConfig().to_json(),
         **RolloutLimits().to_json(),

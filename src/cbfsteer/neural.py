@@ -80,9 +80,10 @@ class _Fresh(BatchWorkspace):
 FRESH = _Fresh()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mlp:
-    """Fully-connected net: tanh on hidden layers, linear output."""
+    """Fully-connected net: tanh on hidden layers, linear output. Frozen: Adam
+    writes its arrays in place, and no holder of a net sees a layer list replaced."""
 
     layer_widths: tuple
     params: Params
@@ -162,7 +163,7 @@ def mlp_backward(tape: MlpTape, upstream: np.ndarray, input_grad: bool = True
     return param_grads, delta
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointSetEncoder:
     """Shared per-point MLP, coordinate-wise max pool, trunk MLP on (feature, q).
 
@@ -175,12 +176,9 @@ class PointSetEncoder:
     n_links: int
 
     @classmethod
-    def create(cls, n_links: int, per_point_widths=None, trunk_widths=None,
-               rng: np.random.Generator = None) -> "PointSetEncoder":
-        if per_point_widths is None:
-            per_point_widths = (4 + n_links, 32, 64)
-        if trunk_widths is None:
-            trunk_widths = (per_point_widths[-1] + n_links, 64, 64, 1)
+    def create(cls, n_links: int, per_point_widths, trunk_widths,
+               rng: np.random.Generator) -> "PointSetEncoder":
+        """A new encoder; callers take the widths from the config (`config.cloud_widths`)."""
         if per_point_widths[0] != 4 + n_links:
             raise ValueError("per-point input width must be 4 + n_links")
         if trunk_widths[0] != per_point_widths[-1] + n_links:
@@ -437,11 +435,10 @@ class AdamState:
         )
 
 
-def adam_step(params: Params, grads: Params, state: AdamState, lr: float = 1e-3,
-              betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8
+def adam_step(params: Params, grads: Params, state: AdamState, lr: float
               ) -> tuple[Params, AdamState]:
     """Standard Adam update; mutates the parameter arrays in place."""
-    b1, b2 = betas
+    b1, b2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
     bc1 = 1.0 - b1 ** t

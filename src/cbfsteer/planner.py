@@ -117,7 +117,7 @@ class PlanProblem:
     env: Environment
     q0: np.ndarray
     qg: np.ndarray
-    r_goal: float = 0.1
+    r_goal: float
 
 
 @dataclass

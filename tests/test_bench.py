@@ -112,7 +112,8 @@ class TestDifficultySplit:
         probs = bench.gen_problems(EnvGenConfig(num_obstacles=0), 6,
                                    np.random.default_rng(3), arm, 0.025)
         tagged = bench.difficulty_split(probs, 2, np.random.default_rng(4), arm,
-                                        make_planner_limits(cfg, max_nodes=60))
+                                        make_planner_limits(cfg, max_nodes=60),
+                                        r_goal=cfg["controller"]["r_goal"])
         # trivially solvable worlds: scores tie, the median split still halves them
         assert sum(1 for p in tagged if p.difficulty == "easy") == 3
         assert sum(1 for p in tagged if p.difficulty == "hard") == 3
@@ -121,7 +122,8 @@ class TestDifficultySplit:
         gen = make_env_gen(cfg)
         probs = bench.gen_problems(gen, 11, np.random.default_rng(5), arm, 0.025)
         tagged = bench.difficulty_split(probs, 1, np.random.default_rng(6), arm,
-                                        make_planner_limits(cfg, max_nodes=60))
+                                        make_planner_limits(cfg, max_nodes=60),
+                                        r_goal=cfg["controller"]["r_goal"])
         n_easy = sum(1 for p in tagged if p.difficulty == "easy")
         n_hard = sum(1 for p in tagged if p.difficulty == "hard")
         assert abs(n_easy - n_hard) <= 1
@@ -146,7 +148,8 @@ class TestDifficultySplit:
                     from cbfsteer.planner import PlanProblem, SteerStraightLine, rrt_plan
 
                     res = rrt_plan(PlanProblem(arm=arm, env=prob.environment, q0=prob.q0,
-                                               qg=prob.qg), SteerStraightLine(), limits, rng)
+                                               qg=prob.qg, r_goal=0.1),
+                                   SteerStraightLine(), limits, rng)
                     counts.append(res.explored_nodes if res.status == "solved"
                                   else limits.max_nodes + 1)
                 out.append(np.median(counts))
@@ -173,7 +176,8 @@ class TestRunBench:
         gen = make_env_gen(cfg, num_obstacles=2)
         probs = bench.gen_problems(gen, 4, np.random.default_rng(8), arm, 0.025)
         tagged = bench.difficulty_split(probs, 1, np.random.default_rng(9), arm,
-                                        make_planner_limits(cfg, max_nodes=40))
+                                        make_planner_limits(cfg, max_nodes=40),
+                                        r_goal=cfg["controller"]["r_goal"])
         cfg2 = dict(cfg)
         rows = bench.run_bench(tagged, [{"name": "straight"}], [0, 1], arm, cfg2,
                                tmp_path, root_seed=0, report_timing=True)
@@ -477,7 +481,7 @@ class TestConfiguredRates:
             steer = bench.build_steer({"name": "hand-cbf"}, arm, prob, slow_cfg, 0, {})
             assert steer.bundle.limits == make_rollout_limits(slow_cfg)
             _, tree = rrt_plan_with_tree(
-                PlanProblem(arm=arm, env=prob.environment, q0=prob.q0, qg=prob.qg),
+                PlanProblem(arm=arm, env=prob.environment, q0=prob.q0, qg=prob.qg, r_goal=0.1),
                 steer, limits, np.random.default_rng(prob.id))
             for node in tree.nodes[1:]:
                 assert_three_substeps_per_tick(arm, node.edge.configs, node.edge.controls)

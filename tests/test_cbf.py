@@ -5,7 +5,7 @@ import copy
 import gc
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -70,7 +70,7 @@ import draw_oracle
 import encoder_oracle
 import prepare_oracle
 import rollout_oracle
-from test_neural import encode, reference_point_records
+from test_neural import encode, reference_point_records, wide_encoder
 
 
 # one circle near the default arm: a state net reads its signed distance
@@ -93,18 +93,14 @@ def arm():
 
 def constant_net(n_inputs, value):
     """Single linear layer with zero weights: h = value everywhere."""
-    net = Mlp.create((n_inputs, 1), np.random.default_rng(0))
-    net.params = [(np.zeros((1, n_inputs)), np.array([float(value)]))]
-    return net
+    return Mlp((n_inputs, 1), [(np.zeros((1, n_inputs)), np.array([float(value)]))])
 
 
 def distance_net(n_links, scale=1.0, offset=0.0):
     """Linear net returning scale * d + offset for state inputs (q, d)."""
-    net = Mlp.create((n_links + 1, 1), np.random.default_rng(0))
     w = np.zeros((1, n_links + 1))
     w[0, -1] = scale
-    net.params = [(w, np.array([float(offset)]))]
-    return net
+    return Mlp((n_links + 1, 1), [(w, np.array([float(offset)]))])
 
 
 def collect_settings(**overrides):
@@ -241,7 +237,7 @@ class TestHValue:
         d = signed_distance(WORLD, arm, q)
         expected, _ = mlp_forward(net, np.concatenate([q, [d]])[None])
         assert h_value(net, q, arm) == pytest.approx(float(expected[0, 0]), abs=1e-15)
-        enc = PointSetEncoder.create(3, rng=rng)
+        enc = wide_encoder(3, rng)
         pts = rng.uniform(-1, 1, (8, 2))
         nrm = rng.normal(size=(8, 2))
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
@@ -320,7 +316,7 @@ class TestGradHq:
 
     def test_cloud_variant_gradient_runs(self, arm):
         rng = np.random.default_rng(6)
-        enc = PointSetEncoder.create(3, rng=rng)
+        enc = wide_encoder(3, rng)
         pts = rng.uniform(-1, 1, (12, 2))
         nrm = rng.normal(size=(12, 2))
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
@@ -447,7 +443,7 @@ class TestLoss:
         prep = _prepare(samples, arm, hyper, envs)
 
         def run():
-            total, _, _ = loss(net, prep, arm, hyper, want_grads=False)
+            total, _, _ = loss(net, prep, arm, hyper)
             return total
 
         _, _, grads = loss(net, prep, arm, hyper)
@@ -474,7 +470,7 @@ class TestLoss:
         prep = _prepare(samples, arm, hyper)
 
         def run():
-            total, _, _ = loss(enc, prep, arm, hyper, want_grads=False)
+            total, _, _ = loss(enc, prep, arm, hyper)
             return total
 
         _, _, grads = loss(enc, prep, arm, hyper)
@@ -557,7 +553,8 @@ class TestEvaluateConstraints:
         h = [np.concatenate([_forward_stencil(net, prep.take(slice(i, i + size)), arm)[0]
                              for i in range(0, n, size)]) for size in (128, 512)]
         assert h[0].tobytes() == h[1].tobytes()
-        assert evaluate_constraints(net, ds, hyper) == evaluate_constraints(net, ds, hyper, 512)
+        assert (evaluate_constraints(net, ds, hyper)
+                == _audit(net, ds.prepared(hyper), arm, hyper, 512))
 
 
 class TestCbfHyper:
@@ -616,7 +613,7 @@ class TestTrain:
         for name in ("a", "b"):
             ds = small_dataset(arm, seed=3, uniform=120, kind="cloud")
             hyper = make_hyper(load_config(), "cloud")
-            net = PointSetEncoder.create(arm.n_links, rng=np.random.default_rng(17))
+            net = wide_encoder(arm.n_links, np.random.default_rng(17))
             net, _ = train(ds, net, hyper, TrainSchedule(epochs=2, batch_size=32),
                            np.random.default_rng(99))
             p = tmp_path / f"{name}.json"
@@ -1235,7 +1232,7 @@ def check_training_against_oracle(ds, net_init, hyper, monkeypatch):
         trained.append(net)
         epochs.append(report.epochs)
         # one fixed net, the first run's, audited through each path
-        audits.append(evaluate_constraints(trained[0], ds, hyper=hyper, batch_size=40))
+        audits.append(_audit(trained[0], ds.prepared(hyper), ds.arm, hyper, batch_size=40))
     assert audits[0] == audits[1]
     # the grads differ in the last bits, and a dozen Adam steps of size
     # lr = 2e-3 carry that to about 1e-14 in the parameters; 1e-10 bounds it
@@ -1345,7 +1342,7 @@ class TestBlockForwardOracle:
     def test_h_and_grad(self, n_links, n_points, kind):
         arm = ORACLE_ARMS[n_links]
         rng = np.random.default_rng(100 * n_links + n_points)
-        net = PointSetEncoder.create(n_links, rng=rng)
+        net = wide_encoder(n_links, rng)
         hyper = CbfHyper()
         misses = 0
         for trial in range(12):
@@ -1378,7 +1375,7 @@ class TestBlockForwardOracle:
     def test_batch_forward_backward_and_loss(self, n_links, n_points, kind, monkeypatch):
         arm = ORACLE_ARMS[n_links]
         rng = np.random.default_rng(1000 + 10 * n_links + n_points)
-        net = PointSetEncoder.create(n_links, rng=rng)
+        net = wide_encoder(n_links, rng)
         hyper = CbfHyper()
         prep = _prepare(cloud_batch(arm, rng, kind, n_points), arm, hyper)
         check_against_oracle(net, prep, arm, hyper, rng, monkeypatch)
@@ -1388,7 +1385,7 @@ class TestBlockForwardOracle:
         # is tied, within a block and (for the constant feature) across links
         arm = ORACLE_ARMS[3]
         rng = np.random.default_rng(5)
-        net = PointSetEncoder.create(3, rng=rng)
+        net = wide_encoder(3, rng)
         w, b = net.per_point.params[-1]
         w[:8] = 0.0
         b[:8] = np.linspace(-1.0, 1.0, 8)
@@ -1411,7 +1408,7 @@ class TestBlockForwardOracle:
         ds = collect_dataset(arm, EnvGenConfig(), DatasetCounts(rollout_trajs=1, uniform_samples=90),
                              NominalPolicy(), np.random.default_rng(8), observation_kind="cloud",
                              **collect_settings(cloud_points=64))
-        net = PointSetEncoder.create(3, rng=np.random.default_rng(4))
+        net = wide_encoder(3, np.random.default_rng(4))
         check_training_against_oracle(ds, net, make_hyper(load_config(), "cloud"), monkeypatch)
 
     @pytest.mark.parametrize("hidden", [(16, 24), ()], ids=["two_hidden", "no_hidden"])
@@ -1566,6 +1563,21 @@ class TestCloudInference:
             w, b = mlp.params[0]
             with pytest.raises(TypeError):
                 mlp.params[0] = (w.copy(), b.copy())
+
+    @pytest.mark.parametrize("kind", ["state", "cloud"])
+    def test_no_field_of_the_barriers_net_can_be_rebound(self, kind):
+        # the net records are frozen, so neither a net nor a cloud net's
+        # per-point or trunk net can be swapped under the kept link table
+        # and cloud terms
+        rng = np.random.default_rng(74)
+        net = Mlp.create((4, 6, 1), rng) if kind == "state" else inference_net(3, "small", rng)
+        barrier = NeuralBarrier(net, ORACLE_ARMS[3], CbfHyper())
+        records = [barrier.net] if kind == "state" else [
+            barrier.net, barrier.net.per_point, barrier.net.trunk]
+        for record in records:
+            for f in fields(record):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(record, f.name, getattr(record, f.name))
 
 
 class TestNonFiniteInput:

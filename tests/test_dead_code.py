@@ -11,6 +11,12 @@ Exempt are the entry point `cli.main`, `cli._Parser.error` (argparse calls
 it) and dunder names (Python reads them). The definitions only `perfbench/`
 mentions are listed in `TRACER_ONLY`, so that a new one fails and a deleted
 one must be struck from the list.
+
+Every defaulted parameter of a package function or method is also passed
+by some call in `src/cbfsteer/` or `perfbench/`, positionally, by keyword
+or through `*`/`**`, with calls matched by the callee's name as above. The
+few no call passes are listed in `UNSET_KEPT`, each with its reason, and an
+entry that no longer applies fails as in `TRACER_ONLY`.
 """
 
 import ast
@@ -158,3 +164,89 @@ def test_benchmark_tracer_resolves_every_layer():
         del sys.modules[spec.name]
     patched = {original for _, _, _, original in tracer._patches}
     assert len(patched) == len(tracing.LAYERS)
+
+
+# defaulted parameters no call in the package or the benchmark passes, and
+# why each stays
+UNSET_KEPT = {
+    "bench.eval_controller.barrier_cache":
+        "the benchmark's control-dynamic pass will share one cache per run",
+    "geometry._strict_sign_flip.tol": "tracer-only scalar geometry; it goes with that layer",
+    "cli.main.argv": "the entry point; tests pass their own argument lists",
+    "cbf._audit.batch_size": "a test hook: audits in other slice sizes must count the same",
+}
+
+
+def defaulted_parameters(tree):
+    """(qualified name, parameter name, positional index or None) of every
+    defaulted parameter of a top-level function or of a method of a
+    top-level class. The index counts the call's own arguments, so a
+    method's `self` or `cls` is left out; a keyword-only parameter has none."""
+    defs = [("", node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    defs += [(f"{node.name}.", member) for node in tree.body if isinstance(node, ast.ClassDef)
+             for member in node.body if isinstance(member, ast.FunctionDef)]
+    for prefix, fn in defs:
+        a = fn.args
+        bound = bool(prefix) and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                         for d in fn.decorator_list)
+        positional = a.posonlyargs + a.args
+        for i, arg in enumerate(positional[len(positional) - len(a.defaults):],
+                                len(positional) - len(a.defaults)):
+            yield prefix + fn.name, arg.arg, i - bound
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield prefix + fn.name, arg.arg, None
+
+
+def calls_by_name():
+    """name -> every call to that name in the package and the benchmark, the
+    callee named by its last identifier (`a.b.f(...)` calls f)."""
+    calls: dict = {}
+    for directory in (PACKAGE, BENCHMARK):
+        for path in directory.glob("*.py"):
+            for node in ast.walk(parse(path)):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def sets(call, param, index):
+    """Whether `call` passes the parameter: by keyword, through `**`, at its
+    position, or through a `*` at or before it."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return any(i == index or isinstance(arg, ast.Starred)
+               for i, arg in enumerate(call.args[:index + 1]))
+
+
+def unset_parameters():
+    calls = calls_by_name()
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for qualname, param, index in defaulted_parameters(parse(path)):
+            # a class is called by its own name for its __init__
+            name = qualname.removesuffix(".__init__").rsplit(".", 1)[-1]
+            if not any(sets(call, param, index) for call in calls.get(name, ())):
+                found.add(f"{path.stem}.{qualname}.{param}")
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    assert unset_parameters() == set(UNSET_KEPT)
+
+
+def test_the_parameter_scan_reads_calls():
+    sig = ast.parse("class C:\n    def f(self, a, b=1, *, c=2): pass\n"
+                    "def g(x, y=0): pass\n")
+    assert list(defaulted_parameters(sig)) == [("g", "y", 1), ("C.f", "b", 1), ("C.f", "c", None)]
+    def call(src):
+        return ast.parse(src).body[0].value
+
+    assert sets(call("o.f(0, 1)"), "b", 1) and not sets(call("o.f(0)"), "b", 1)
+    assert sets(call("o.f(0, c=3)"), "c", None) and not sets(call("o.f(0, 1)"), "c", None)
+    assert sets(call("o.f(**kw)"), "c", None) and sets(call("o.f(*args)"), "b", 1)
+    assert not sets(call("o.f(0, 1, *args)"), "c", None)

@@ -74,8 +74,8 @@ def max_rel_err(analytic, numeric):
 class TestMlpForward:
     def test_zero_params_zero_output(self):
         rng = np.random.default_rng(0)
-        net = Mlp.create((3, 5, 1), rng)
-        net.params = [(np.zeros_like(w), np.zeros_like(b)) for w, b in net.params]
+        params = Mlp.create((3, 5, 1), rng).params
+        net = Mlp((3, 5, 1), [(np.zeros_like(w), np.zeros_like(b)) for w, b in params])
         y, _ = mlp_forward(net, np.array([[0.3, -1.0, 2.0]]))
         assert y[0, 0] == 0.0
 
@@ -206,6 +206,12 @@ def encode(enc, q, cloud, arm):
     return float(h[0]), tape
 
 
+def wide_encoder(n_links, rng):
+    """An encoder at the widths these tests were written with, per-point 32
+    and 64 and trunk 64 and 64, wider than the config's."""
+    return PointSetEncoder.create(n_links, (4 + n_links, 32, 64), (64 + n_links, 64, 64, 1), rng)
+
+
 @pytest.fixture
 def arm():
     return ArmModel()
@@ -214,7 +220,7 @@ def arm():
 class TestEncoder:
     def test_permutation_invariance_exhaustive(self, arm):
         rng = np.random.default_rng(9)
-        enc = PointSetEncoder.create(3, rng=rng)
+        enc = wide_encoder(3, rng)
         q = rng.uniform(-1, 1, 3)
         for n_points in (4, 8):
             cloud = random_cloud(rng, n_points)
@@ -230,7 +236,7 @@ class TestEncoder:
 
     def test_duplicating_points_unchanged(self, arm):
         rng = np.random.default_rng(10)
-        enc = PointSetEncoder.create(3, rng=rng)
+        enc = wide_encoder(3, rng)
         q = rng.uniform(-1, 1, 3)
         cloud = random_cloud(rng, 12)
         doubled = CloudObservation(points=np.vstack([cloud.points, cloud.points]),
@@ -244,7 +250,7 @@ class TestEncoder:
         # translating obstacles, cloud and arm base together leaves the
         # link-frame records, hence the output, unchanged
         rng = np.random.default_rng(11)
-        enc = PointSetEncoder.create(3, rng=rng)
+        enc = wide_encoder(3, rng)
         q = rng.uniform(-1, 1, 3)
         cloud = random_cloud(rng, 16)
         shift = np.array([0.7, -1.3])
@@ -335,7 +341,7 @@ class TestAdam:
         params = [(np.ones((1, 1)), np.zeros(1))]
         state = AdamState.for_params(params)
         with pytest.raises(FloatingPointError):
-            adam_step(params, [(np.array([[np.nan]]), np.zeros(1))], state)
+            adam_step(params, [(np.array([[np.nan]]), np.zeros(1))], state, 1e-3)
 
 
 class TestInit:
@@ -377,7 +383,7 @@ class TestCheckpoint:
 
     def test_cloud_round_trip(self, tmp_path):
         rng = np.random.default_rng(17)
-        enc = PointSetEncoder.create(3, rng=rng)
+        enc = wide_encoder(3, rng)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, "cloud", enc, {})
         variant, enc2, _ = load_checkpoint(path)

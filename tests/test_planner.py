@@ -2,7 +2,7 @@
 invariants, edge safety audits, and node-for-node agreement with an
 independent reference RRT built from the documented sampling contract."""
 
-import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,11 +56,9 @@ def blocked_env():
 
 def distance_barrier(arm, offset=0.025):
     """State barrier h = offset - d built from explicit linear weights."""
-    net = Mlp.create((arm.n_links + 1, 1), np.random.default_rng(0))
     w = np.zeros((1, arm.n_links + 1))
     w[0, -1] = -1.0
-    net.params = [(w, np.array([offset]))]
-    return NeuralBarrier(net, arm, CbfHyper())
+    return NeuralBarrier(Mlp((arm.n_links + 1, 1), [(w, np.array([offset]))]), arm, CbfHyper())
 
 
 def hand_bundle(arm, margin=0.08):
@@ -116,7 +114,8 @@ class TestSteerRolloutSwitch:
 
         monkeypatch.setattr(planner, "steer_cbf_inc", spy)
         env = Environment(obstacles=(Obstacle(kind="circle", center=(5.0, 5.0), radius=0.1),))
-        problem = PlanProblem(arm=arm, env=env, q0=np.zeros(3), qg=np.array([2.0, -1.5, 1.0]))
+        problem = PlanProblem(arm=arm, env=env, q0=np.zeros(3), qg=np.array([2.0, -1.5, 1.0]),
+                              r_goal=0.1)
         res = rrt_plan(problem, SteerRollout(bundle=hand_bundle(arm),
                                              activation_after=activation_after),
                        PlannerLimits(max_nodes=12, max_ctrl_steps=5), np.random.default_rng(1))
@@ -325,7 +324,8 @@ def reference_straight_rrt(problem, limits, rng):
 class TestRrtPlan:
     def test_trivial_goal_nearby(self, arm):
         env = Environment(obstacles=(Obstacle(kind="circle", center=(5.0, 5.0), radius=0.1),))
-        problem = PlanProblem(arm=arm, env=env, q0=np.zeros(3), qg=np.array([0.3, 0.0, 0.0]))
+        problem = PlanProblem(arm=arm, env=env, q0=np.zeros(3), qg=np.array([0.3, 0.0, 0.0]),
+                              r_goal=0.1)
         res = rrt_plan(problem, SteerStraightLine(), PlannerLimits(),
                        np.random.default_rng(0))
         assert res.status == "solved"
@@ -335,7 +335,7 @@ class TestRrtPlan:
         env = blocked_env()
         qg = np.array([0.35, 0.0, 0.0])  # reaches into the rectangle
         assert signed_distance(env, arm, qg) < 0
-        problem = PlanProblem(arm=arm, env=env, q0=np.zeros(3), qg=qg)
+        problem = PlanProblem(arm=arm, env=env, q0=np.zeros(3), qg=qg, r_goal=0.1)
         with pytest.raises(ValueError):
             rrt_plan(problem, SteerStraightLine(), PlannerLimits(), np.random.default_rng(0))
 
@@ -343,7 +343,7 @@ class TestRrtPlan:
         rng = np.random.default_rng(3)
         env = random_environment(EnvGenConfig(), rng)
         problem = PlanProblem(arm=arm, env=env, q0=np.zeros(3),
-                              qg=np.array([1.5, -1.0, 0.5]))
+                              qg=np.array([1.5, -1.0, 0.5]), r_goal=0.1)
         r1 = rrt_plan(problem, SteerStraightLine(), PlannerLimits(), np.random.default_rng(7))
         r2 = rrt_plan(problem, SteerStraightLine(), PlannerLimits(), np.random.default_rng(7))
         d1 = r1.to_json()
@@ -360,7 +360,7 @@ class TestRrtPlan:
             env = random_environment(EnvGenConfig(), rng_envs)
             q0 = _free_config(env, arm, rng_envs)
             qg = _free_config(env, arm, rng_envs)
-            problem = PlanProblem(arm=arm, env=env, q0=q0, qg=qg)
+            problem = PlanProblem(arm=arm, env=env, q0=q0, qg=qg, r_goal=0.1)
             res, tree = rrt_plan_with_tree(problem, SteerStraightLine(), limits,
                                            np.random.default_rng(100 + trial))
             status, explored, nodes = reference_straight_rrt(
@@ -379,7 +379,7 @@ class TestRrtPlan:
         q0 = _free_config(env, arm, rng)
         qg = _free_config(env, arm, rng)
         res, tree = rrt_plan_with_tree(
-            PlanProblem(arm=arm, env=env, q0=q0, qg=qg), SteerStraightLine(),
+            PlanProblem(arm=arm, env=env, q0=q0, qg=qg, r_goal=0.1), SteerStraightLine(),
             PlannerLimits(max_nodes=80), np.random.default_rng(6))
         assert res.explored_nodes >= len(tree) - 1
 
@@ -388,7 +388,7 @@ class TestRrtPlan:
         env = random_environment(EnvGenConfig(), rng)
         q0 = _free_config(env, arm, rng)
         qg = _free_config(env, arm, rng)
-        res = rrt_plan(PlanProblem(arm=arm, env=env, q0=q0, qg=qg), SteerStraightLine(),
+        res = rrt_plan(PlanProblem(arm=arm, env=env, q0=q0, qg=qg, r_goal=0.1), SteerStraightLine(),
                        PlannerLimits(), np.random.default_rng(9))
         if res.status == "solved":
             np.testing.assert_allclose(res.path[0], q0)
@@ -548,7 +548,7 @@ class TestEdgeSafetyContract:
             steer = SteerRollout(bundle=ControllerBundle(
                 barrier=distance_barrier(arm), observe=None), activation_after=20)
         res, tree = rrt_plan_with_tree(
-            PlanProblem(arm=arm, env=env, q0=q0, qg=qg), steer, limits,
+            PlanProblem(arm=arm, env=env, q0=q0, qg=qg, r_goal=0.1), steer, limits,
             np.random.default_rng(11))
         checked = 0
         for node in tree.nodes[1:]:
@@ -563,7 +563,7 @@ class TestEdgeSafetyContract:
         q0 = _free_config(env, arm, rng)
         qg = _free_config(env, arm, rng)
         res, tree = rrt_plan_with_tree(
-            PlanProblem(arm=arm, env=env, q0=q0, qg=qg), SteerStraightLine(),
+            PlanProblem(arm=arm, env=env, q0=q0, qg=qg, r_goal=0.1), SteerStraightLine(),
             PlannerLimits(max_nodes=60), np.random.default_rng(13))
         for i, node in enumerate(tree.nodes):
             assert node.parent < i  # parents precede children: acyclic
@@ -653,7 +653,7 @@ class TestSteerOracle:
         rng = np.random.default_rng(22)
         env = random_environment(EnvGenConfig(num_obstacles=5), rng)
         problem = PlanProblem(arm=arm, env=env, q0=_free_config(env, arm, rng),
-                              qg=_free_config(env, arm, rng))
+                              qg=_free_config(env, arm, rng), r_goal=0.1)
         steer = SteerRollout(bundle=hand_bundle(arm), activation_after=3)
         limits = PlannerLimits(max_nodes=30, max_ctrl_steps=30)
         res, tree = rrt_plan_with_tree(problem, steer, limits, np.random.default_rng(23))
@@ -783,9 +783,9 @@ def loose_bundles(arm, env, rng):
     loose = CbfHyper(alpha_h=1e3)
     state = distance_barrier(arm, offset=0.0)
     cloud = cloud_bundle(arm, env, rng)
-    shifted = copy.deepcopy(cloud.barrier.net)  # the barrier's own copy refuses a new layer
-    w, b = shifted.trunk.params[-1]
-    shifted.trunk.params = shifted.trunk.params[:-1] + ((w, b - 10.0),)
+    net = cloud.barrier.net  # the barrier's own copy refuses a new layer: build a shifted one
+    w, b = net.trunk.params[-1]
+    shifted = replace(net, trunk=replace(net.trunk, params=(*net.trunk.params[:-1], (w, b - 10.0))))
     return {
         "hand": ControllerBundle(barrier=HandcraftedBarrier(arm, margin=0.0, hyper=loose),
                                  observe=None),
