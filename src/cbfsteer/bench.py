@@ -53,6 +53,9 @@ from .planner import (
 
 DIFFICULTIES = ("easy", "hard", "untagged")
 SETTINGS = ("static_full", "dynamic_partial")
+# each steering method and the checkpoint variant it steers with ("any": either)
+METHODS = {"straight": None, "cbf-state": "state", "cbf-cloud": "cloud", "hand-cbf": None,
+           "filter-lqr": "any"}
 
 
 @dataclass
@@ -144,22 +147,22 @@ def _controller(method: dict, arm: ArmModel, cfg: dict, barrier_cache: dict,
                 **limit_overrides) -> ControllerBundle:
     """The method's controller from the config's `controller` section, with
     no observer yet. Its barrier is the hand-crafted one, with the config's
-    `hyper` block, or the method's network, loaded once per checkpoint path,
-    which carries the hyperparameters it was trained with. `cbf-state` and
-    `cbf-cloud` take only their own variant."""
+    `hyper` block, or the method's network of its `METHODS` variant, loaded
+    once per checkpoint path, which carries the hyperparameters it was
+    trained with."""
     name = method["name"]
     if name == "hand-cbf":
         barrier = HandcraftedBarrier(arm, cfg["controller"]["hand_margin"], make_hyper(cfg))
-    elif "checkpoint" not in method:
+    elif not METHODS.get(name) or "checkpoint" not in method:
         raise ValueError(f"method {name} has no controller")
     else:
-        path = method["checkpoint"]
+        variant, path = METHODS[name], method["checkpoint"]
         if path not in barrier_cache:
             _, net, hyper_doc = load_checkpoint(path)
             barrier_cache[path] = NeuralBarrier(net, arm, checkpoint_hyper(cfg, hyper_doc))
         barrier = barrier_cache[path]
-        if name.startswith("cbf-") and barrier.kind != name.removeprefix("cbf-"):
-            raise ValueError(f"method {name} needs a {name.removeprefix('cbf-')} checkpoint, "
+        if variant not in ("any", barrier.kind):
+            raise ValueError(f"method {name} needs a {variant} checkpoint, "
                              f"but {path} holds a {barrier.kind} net")
     return ControllerBundle(barrier=barrier, observe=None, policy=make_policy(cfg),
                             qp_cfg=make_qp_cfg(cfg),
@@ -187,7 +190,7 @@ def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
     name = method["name"]
     if name == "straight":
         return SteerStraightLine()
-    if name not in ("hand-cbf", "cbf-state", "cbf-cloud", "filter-lqr"):
+    if name not in METHODS:
         raise ValueError(f"unknown method {name!r}")
     bundle = _controller(method, arm, cfg, barrier_cache)
     bundle = replace(bundle, observe=_observer(bundle.barrier, problem, "static_full", cfg,

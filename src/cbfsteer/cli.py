@@ -85,7 +85,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="compare steering methods over a problem file")
     p.add_argument("--problems", type=str, required=True)
     p.add_argument("--methods", type=str, default="straight",
-                   help="comma-separated: straight,cbf-state,cbf-cloud,hand-cbf,filter-lqr")
+                   help="comma-separated, each once: " + ",".join(bench_mod.METHODS))
     p.add_argument("--checkpoint-state", type=str, default=None)
     p.add_argument("--checkpoint-cloud", type=str, default=None)
     p.add_argument("--activation-after", type=int, default=None,
@@ -111,31 +111,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _method_spec(name: str, args) -> dict:
+def _method_spec(name: str, flags: dict, activation_after=None) -> dict:
+    """A method's spec. `flags` maps each checkpoint variant, state first, to the
+    command's flag for it and its path; a method of "any" variant takes the first given."""
     name = name.strip()
-    if name in ("straight", "hand-cbf"):
+    if name not in bench_mod.METHODS:
+        raise _UsageError(f"unknown method {name!r}")
+    variant = bench_mod.METHODS[name]
+    if variant is None:
         return {"name": name}
-    if name in ("cbf-state", "cbf-cloud"):
-        kind = name.removeprefix("cbf-")
-        ckpt = getattr(args, f"checkpoint_{kind}")
-        if not ckpt:
-            raise _UsageError(f"method {name} needs --checkpoint-{kind}")
-        return {"name": name, "checkpoint": ckpt}
-    if name == "filter-lqr":
-        ckpt = args.checkpoint_state or args.checkpoint_cloud
-        if not ckpt:
-            raise _UsageError("method filter-lqr needs a checkpoint flag")
-        spec = {"name": "filter-lqr", "checkpoint": ckpt}
-        if args.activation_after is not None:
-            spec["activation_after"] = args.activation_after
-        return spec
-    raise _UsageError(f"unknown method {name!r}")
-
-
-def _single_checkpoint_method(args) -> dict:
-    """Method spec for the commands that take one --checkpoint for any method."""
-    return _method_spec(args.method, argparse.Namespace(
-        checkpoint_state=args.checkpoint, checkpoint_cloud=args.checkpoint, activation_after=None))
+    kinds = list(flags) if variant == "any" else [variant]
+    ckpt = next((flags[k][1] for k in kinds if flags[k][1]), None)
+    if not ckpt:
+        wanted = dict.fromkeys(flags[k][0] for k in kinds)
+        raise _UsageError(f"method {name} needs {' or '.join(wanted)}")
+    spec = {"name": name, "checkpoint": ckpt}
+    if name == "filter-lqr" and activation_after is not None:
+        spec["activation_after"] = activation_after
+    return spec
 
 
 def _cmd_gen_problems(args, cfg, out_dir):
@@ -243,7 +236,8 @@ def _cmd_plan(args, cfg, out_dir):
     if not 0 <= args.index < len(problems):
         raise _UsageError(f"problem index {args.index} out of range (0..{len(problems) - 1})")
     prob = problems[args.index]
-    method = _single_checkpoint_method(args)
+    method = _method_spec(args.method, dict.fromkeys(("state", "cloud"),
+                                                     ("--checkpoint", args.checkpoint)))
     steer = bench_mod.build_steer(method, arm, prob, cfg, args.seed, {})
     rng = seed_stream(args.seed, "planner", prob.id, 0)
     result = rrt_plan(
@@ -262,7 +256,12 @@ def _cmd_plan(args, cfg, out_dir):
 def _cmd_bench(args, cfg, out_dir):
     arm = make_arm(cfg)
     problems = bench_mod.load_problems(args.problems)
-    methods = [_method_spec(m, args) for m in args.methods.split(",") if m.strip()]
+    flags = {"state": ("--checkpoint-state", args.checkpoint_state),
+             "cloud": ("--checkpoint-cloud", args.checkpoint_cloud)}
+    names = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if len(set(names)) < len(names):
+        raise _UsageError(f"--methods names a method more than once: {args.methods}")
+    methods = [_method_spec(m, flags, args.activation_after) for m in names]
     rows = bench_mod.run_bench(
         problems, methods, list(cfg["bench"]["seeds"]), arm, cfg, out_dir,
         root_seed=args.seed, report_timing=not args.no_timing, svg=args.svg)
@@ -288,7 +287,8 @@ def _cmd_eval_controller(args, cfg, out_dir):
         speed = 0.05 if args.obstacle_speed is None else args.obstacle_speed
         dyn_rng = seed_stream(args.seed, "dynamics")
         problems = bench_mod.dynamicize_problems(problems, speed, dyn_rng)
-    method = _single_checkpoint_method(args)
+    method = _method_spec(args.method, dict.fromkeys(("state", "cloud"),
+                                                     ("--checkpoint", args.checkpoint)))
     row, records = bench_mod.eval_controller(
         problems, method, setting, arm, cfg, root_seed=args.seed, horizon_s=args.horizon)
     print(f"{row.method} [{row.setting}] goal={row.goal_reaching_rate:.3f} "

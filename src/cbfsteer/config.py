@@ -109,8 +109,8 @@ def deep_merge(base: dict, override: dict) -> dict:
 def load_config(path=None) -> dict:
     """DEFAULTS with the file's overrides, after building every section's
     records, the nominal policy and the hand barrier once and checking the
-    data counts and the problems' clearance factor, so a rejected value
-    stops any work."""
+    data counts, the problems' clearance factor and the bench seeds, so a
+    rejected value stops any work."""
     if path is None:
         return copy.deepcopy(DEFAULTS)
     doc = load_json(path)
@@ -130,6 +130,9 @@ def load_config(path=None) -> dict:
                             data["uniform_samples_per_env"])
     if not 0.0 <= cfg["bench"]["clearance_factor"] < math.inf:
         raise ValueError("bench.clearance_factor must be non-negative and finite")
+    seeds = cfg["bench"]["seeds"]
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise ValueError("bench.seeds must name at least one seed, each once")
     return cfg
 
 

@@ -179,12 +179,7 @@ class PointSetEncoder:
     def create(cls, n_links: int, per_point_widths, trunk_widths,
                rng: np.random.Generator) -> "PointSetEncoder":
         """A new encoder; callers take the widths from the config (`config.cloud_widths`)."""
-        if per_point_widths[0] != 4 + n_links:
-            raise ValueError("per-point input width must be 4 + n_links")
-        if trunk_widths[0] != per_point_widths[-1] + n_links:
-            raise ValueError("trunk input width must be feature width + n_links")
-        if trunk_widths[-1] != 1:
-            raise ValueError("encoder output must be scalar")
+        _check_encoder_widths(n_links, per_point_widths, trunk_widths)
         return cls(
             per_point=Mlp.create(per_point_widths, rng),
             trunk=Mlp.create(trunk_widths, rng),
@@ -197,6 +192,17 @@ class PointSetEncoder:
 
     def all_params(self) -> Params:
         return self.per_point.params + self.trunk.params
+
+
+def _check_encoder_widths(n_links: int, per_point_widths, trunk_widths) -> None:
+    if per_point_widths[0] != 4 + n_links:
+        raise ValueError(f"per-point input width {per_point_widths[0]} must be 4 + n_links "
+                         f"({n_links})")
+    if trunk_widths[0] != per_point_widths[-1] + n_links:
+        raise ValueError(f"trunk input width {trunk_widths[0]} must be feature width "
+                         f"({per_point_widths[-1]}) + n_links ({n_links})")
+    if trunk_widths[-1] != 1:
+        raise ValueError("encoder output must be scalar")
 
 
 @dataclass
@@ -463,12 +469,19 @@ def _params_to_flat(params: Params) -> list:
     return flat
 
 
-def _params_from_flat(docs) -> Params:
+def _params_from_flat(docs, widths) -> Params:
+    """The layers of a net of the given widths; ValueError if their number or
+    a shape disagrees with the widths."""
+    if len(docs) != len(widths) - 1:
+        raise ValueError(f"checkpoint has {len(docs)} layers where its shape_spec widths "
+                         f"{list(widths)} give {len(widths) - 1}")
     params = []
-    for doc in docs:
-        shape = tuple(doc["shape"])
-        w = np.array(doc["weight"], dtype=float).reshape(shape)
+    for doc, w_in, w_out in zip(docs, widths[:-1], widths[1:]):
+        w = np.array(doc["weight"], dtype=float).reshape(tuple(doc["shape"]))
         b = np.array(doc["bias"], dtype=float)
+        if w.shape != (w_out, w_in) or b.shape != (w_out,):
+            raise ValueError(f"checkpoint layer of shape {w.shape} (bias {b.shape}) where its "
+                             f"shape_spec widths {list(widths)} give ({w_out}, {w_in})")
         params.append((w, b))
     return params
 
@@ -497,24 +510,27 @@ def save_checkpoint(path: str | Path, variant: str, net, hyper: dict) -> None:
 
 
 def load_checkpoint(path: str | Path):
-    """Read a checkpoint; returns (variant, net, hyper dict)."""
+    """Read a checkpoint; returns (variant, net, hyper dict). Layers that
+    disagree with the `shape_spec`, or a cloud spec whose input widths do not
+    fit its `n_links`, raise ValueError."""
     doc = load_json(path)
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
     variant = doc["variant"]
     if variant == "state":
         widths = tuple(doc["shape_spec"]["layer_widths"])
-        net = Mlp(layer_widths=widths, params=_params_from_flat(doc["layers"]))
+        net = Mlp(layer_widths=widths, params=_params_from_flat(doc["layers"], widths))
     elif variant == "cloud":
         spec = doc["shape_spec"]
         pw = tuple(spec["per_point_widths"])
         tw = tuple(spec["trunk_widths"])
-        params = _params_from_flat(doc["layers"])
+        n_links = int(spec["n_links"])
+        _check_encoder_widths(n_links, pw, tw)
         k = len(pw) - 1
         net = PointSetEncoder(
-            per_point=Mlp(layer_widths=pw, params=params[:k]),
-            trunk=Mlp(layer_widths=tw, params=params[k:]),
-            n_links=int(spec["n_links"]),
+            per_point=Mlp(layer_widths=pw, params=_params_from_flat(doc["layers"][:k], pw)),
+            trunk=Mlp(layer_widths=tw, params=_params_from_flat(doc["layers"][k:], tw)),
+            n_links=n_links,
         )
     else:
         raise ValueError(f"unknown variant {variant!r}")

@@ -383,6 +383,16 @@ class TestEvalController:
         with pytest.raises(ValueError, match="method straight has no controller"):
             bench.eval_controller(probs, {"name": "straight"}, "static_full", arm, cfg)
 
+    @pytest.mark.parametrize("name", ["straight", "rrt"])
+    def test_a_checkpoint_gives_no_controller_to_a_method_without_a_variant(self, cfg, arm,
+                                                                            name):
+        # `METHODS` gives the method no network variant, so the path is never read
+        probs = bench.gen_problems(EnvGenConfig(num_obstacles=0), 1,
+                                   np.random.default_rng(20), arm, 0.025)
+        with pytest.raises(ValueError, match=f"method {name} has no controller"):
+            bench.eval_controller(probs, {"name": name, "checkpoint": "unread.json"},
+                                  "static_full", arm, cfg)
+
     def test_calls_sharing_a_barrier_cache_load_the_checkpoint_once(self, cfg, arm, tmp_path,
                                                                      monkeypatch):
         from cbfsteer.config import make_hyper

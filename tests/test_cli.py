@@ -2,6 +2,7 @@
 (generate, collect, train, audit, plan, bench, replay)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -404,6 +405,124 @@ class TestMethodNeedsItsController:
         assert run(["--out", str(tmp_path), "eval-controller", "--problems",
                     str(pipeline_dir / "problems.json"), "--method", "straight"]) == 2
         assert "error: method straight has no controller" in capsys.readouterr().err
+
+
+class _Handed(Exception):
+    """Raised by the harness stand-ins once a command hands them its specs."""
+
+
+# the checkpoint each method takes in `bench` from the variants whose flag is
+# given: "" for none, None for a usage error; filter-lqr prefers the state one
+BENCH_TAKES = {
+    "straight": {(): "", ("state",): "", ("cloud",): "", ("state", "cloud"): ""},
+    "hand-cbf": {(): "", ("state",): "", ("cloud",): "", ("state", "cloud"): ""},
+    "cbf-state": {(): None, ("state",): "s.json", ("cloud",): None, ("state", "cloud"): "s.json"},
+    "cbf-cloud": {(): None, ("state",): None, ("cloud",): "c.json", ("state", "cloud"): "c.json"},
+    "filter-lqr": {(): None, ("state",): "s.json", ("cloud",): "c.json",
+                   ("state", "cloud"): "s.json"},
+}
+# whether a method needs `--checkpoint` in `plan` and `eval-controller`
+NEEDS_CHECKPOINT = {"straight": False, "hand-cbf": False, "cbf-state": True,
+                    "cbf-cloud": True, "filter-lqr": True}
+
+
+class TestMethodSpecs:
+    """Every method of `bench.METHODS` in each command that takes one, with
+    and without checkpoint flags: an accepted line hands the harness the spec
+    below, and a refused one is a usage error that names only flags of the
+    command printing it. The harness is stood in for, so no path is read."""
+
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        from cbfsteer import bench
+
+        specs = []
+
+        def hand(*methods):
+            specs.extend(methods)
+            raise _Handed
+
+        monkeypatch.setattr(bench, "build_steer", lambda method, *a: hand(method))
+        monkeypatch.setattr(bench, "eval_controller", lambda probs, method, *a, **k: hand(method))
+        monkeypatch.setattr(bench, "run_bench", lambda probs, methods, *a, **k: hand(*methods))
+        return specs
+
+    @staticmethod
+    def options(command):
+        """The command's flags and the argparse action of each."""
+        import argparse
+
+        from cbfsteer.cli import _build_parser
+
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices[command]._option_string_actions
+
+    def check(self, command, args, expected, pipeline_dir, tmp_path, capsys, handed):
+        capsys.readouterr()
+        rc = run(["--out", str(tmp_path), command, "--problems",
+                  str(pipeline_dir / "problems.json"), *args])
+        err = capsys.readouterr().err
+        if expected is None:
+            assert rc == 1 and handed == []
+            named = re.findall(r"--[a-z][a-z-]*", err.removeprefix("usage error: "))
+            assert named and set(named) <= set(self.options(command)), err
+        else:
+            assert rc == 2 and "error: \n" in err  # the stand-in's exception has no text
+            assert handed == [expected]
+
+    def test_every_method_is_covered(self):
+        from cbfsteer import bench
+
+        assert set(BENCH_TAKES) == set(NEEDS_CHECKPOINT) == set(bench.METHODS)
+
+    @pytest.mark.parametrize("given", [False, True], ids=["no-flag", "checkpoint"])
+    @pytest.mark.parametrize("method", list(NEEDS_CHECKPOINT))
+    @pytest.mark.parametrize("command", ["plan", "eval-controller"])
+    def test_one_checkpoint_flag(self, pipeline_dir, tmp_path, capsys, handed, command, method,
+                                 given):
+        expected = {"name": method}
+        if NEEDS_CHECKPOINT[method]:
+            expected = dict(expected, checkpoint="k.json") if given else None
+        self.check(command, ["--method", method, *(["--checkpoint", "k.json"] if given else [])],
+                   expected, pipeline_dir, tmp_path, capsys, handed)
+
+    @pytest.mark.parametrize("given", [(), ("state",), ("cloud",), ("state", "cloud")],
+                             ids=["no-flag", "state", "cloud", "both"])
+    @pytest.mark.parametrize("method", list(BENCH_TAKES))
+    def test_bench_flags(self, pipeline_dir, tmp_path, capsys, handed, method, given):
+        path = BENCH_TAKES[method][given]
+        expected = None if path is None else {"name": method, **({"checkpoint": path} if path
+                                                                  else {})}
+        flags = [arg for kind in given for arg in (f"--checkpoint-{kind}", f"{kind[0]}.json")]
+        self.check("bench", ["--methods", method, *flags], expected, pipeline_dir, tmp_path,
+                   capsys, handed)
+
+    @pytest.mark.parametrize("method", list(BENCH_TAKES))
+    def test_only_filter_lqr_takes_a_switch_point(self, pipeline_dir, tmp_path, capsys, handed,
+                                                  method):
+        expected = {"name": method}
+        if BENCH_TAKES[method][("state", "cloud")]:
+            expected["checkpoint"] = BENCH_TAKES[method][("state", "cloud")]
+        if method == "filter-lqr":
+            expected["activation_after"] = 7
+        self.check("bench", ["--methods", method, "--checkpoint-state", "s.json",
+                             "--checkpoint-cloud", "c.json", "--activation-after", "7"],
+                   expected, pipeline_dir, tmp_path, capsys, handed)
+
+    @pytest.mark.parametrize("methods", ["straight,straight", "straight, hand-cbf,straight"])
+    def test_a_repeated_method_is_refused(self, pipeline_dir, tmp_path, capsys, handed,
+                                          methods):
+        capsys.readouterr()
+        assert run(["--out", str(tmp_path), "bench", "--problems",
+                    str(pipeline_dir / "problems.json"), "--methods", methods]) == 1
+        assert (f"usage error: --methods names a method more than once: {methods}"
+                in capsys.readouterr().err)
+        assert handed == [] and list(tmp_path.iterdir()) == []
+
+    def test_the_help_lists_the_table(self):
+        from cbfsteer import bench
+
+        assert self.options("bench")["--methods"].help.endswith(": " + ",".join(bench.METHODS))
 
 
 def test_train_with_negative_epochs_fails(pipeline_dir, tmp_path, capsys):

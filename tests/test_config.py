@@ -221,6 +221,8 @@ REJECTED_VALUES = [
     ({"data": {"uniform_samples": -10}}, "data counts must be non-negative"),
     *(({"bench": {"clearance_factor": value}}, "clearance_factor must be non-negative and finite")
       for value in (-10.0, -0.5, float("nan"), float("inf"))),
+    ({"bench": {"seeds": []}}, "bench.seeds must name at least one seed, each once"),
+    ({"bench": {"seeds": [0, 0]}}, "bench.seeds must name at least one seed, each once"),
 ]
 
 

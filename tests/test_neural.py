@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cbfsteer.environment import CloudObservation, CloudSource
+from cbfsteer.jsonio import dump_json, load_json
 from cbfsteer.kinematics import ArmModel, batch_link_frames, joint_positions
 from cbfsteer.neural import (
     AdamState,
@@ -400,3 +401,34 @@ class TestCheckpoint:
         save_checkpoint(p1, "state", net, {})
         save_checkpoint(p2, "state", net, {})
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("widths, message", [
+        ([4, 32, 1], r"checkpoint has 3 layers where its shape_spec widths \[4, 32, 1\] give 2"),
+        ([4, 64, 32, 1], r"checkpoint layer of shape \(64, 64\) \(bias \(64,\)\) where its "
+                         r"shape_spec widths \[4, 64, 32, 1\] give \(32, 64\)"),
+        ([5, 64, 64, 1], r"checkpoint layer of shape \(64, 4\)"),
+    ])
+    def test_a_state_spec_that_disagrees_with_its_layers_fails(self, tmp_path, widths, message):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, "state", Mlp.create((4, 64, 64, 1), np.random.default_rng(19)), {})
+        doc = load_json(path)
+        doc["shape_spec"]["layer_widths"] = widths
+        dump_json(path, doc)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"n_links": 5}, r"per-point input width 7 must be 4 \+ n_links \(5\)"),
+        ({"n_links": 5, "per_point_widths": [9, 32, 64], "trunk_widths": [69, 64, 64, 1]},
+         r"checkpoint layer of shape \(32, 7\)"),
+        ({"trunk_widths": [67, 64, 1]}, "checkpoint has 3 layers where its shape_spec widths "
+                                        r"\[67, 64, 1\] give 2"),
+    ])
+    def test_a_cloud_spec_that_disagrees_with_its_layers_fails(self, tmp_path, edit, message):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, "cloud", wide_encoder(3, np.random.default_rng(20)), {})
+        doc = load_json(path)
+        doc["shape_spec"].update(edit)
+        dump_json(path, doc)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)

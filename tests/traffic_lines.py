@@ -127,7 +127,7 @@ def run_pipeline(work: Path) -> None:
         "--checkpoint-state", checkpoint["cbf-state"], "--checkpoint-cloud",
         checkpoint["cbf-cloud"], "--svg")
     for setting in ("static-full", "dynamic-partial"):
-        for method in ("hand-cbf", "cbf-state", "cbf-cloud"):
+        for method in ("hand-cbf", "cbf-state", "cbf-cloud", "filter-lqr"):
             run("eval-controller", "--problems", str(out / "problems.json"), "--method", method,
                 "--checkpoint", checkpoint[method], "--setting", setting, "--horizon", "2.0")
     run("gen-problems", "--count", "2", "--obstacle-speed", "0.05",
