@@ -259,8 +259,8 @@ def _cmd_bench(args, cfg, out_dir):
     flags = {"state": ("--checkpoint-state", args.checkpoint_state),
              "cloud": ("--checkpoint-cloud", args.checkpoint_cloud)}
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if len(set(names)) < len(names):
-        raise _UsageError(f"--methods names a method more than once: {args.methods}")
+    if not names or len(set(names)) < len(names):
+        raise _UsageError(f"--methods must name at least one method, each once: {args.methods}")
     methods = [_method_spec(m, flags, args.activation_after) for m in names]
     rows = bench_mod.run_bench(
         problems, methods, list(cfg["bench"]["seeds"]), arm, cfg, out_dir,

@@ -509,13 +509,14 @@ class TestMethodSpecs:
                              "--checkpoint-cloud", "c.json", "--activation-after", "7"],
                    expected, pipeline_dir, tmp_path, capsys, handed)
 
-    @pytest.mark.parametrize("methods", ["straight,straight", "straight, hand-cbf,straight"])
-    def test_a_repeated_method_is_refused(self, pipeline_dir, tmp_path, capsys, handed,
-                                          methods):
+    @pytest.mark.parametrize("methods", ["straight,straight", "straight, hand-cbf,straight",
+                                         ",", ""])
+    def test_an_empty_or_repeated_method_list_is_refused(self, pipeline_dir, tmp_path, capsys,
+                                                          handed, methods):
         capsys.readouterr()
         assert run(["--out", str(tmp_path), "bench", "--problems",
                     str(pipeline_dir / "problems.json"), "--methods", methods]) == 1
-        assert (f"usage error: --methods names a method more than once: {methods}"
+        assert (f"usage error: --methods must name at least one method, each once: {methods}"
                 in capsys.readouterr().err)
         assert handed == [] and list(tmp_path.iterdir()) == []
 
