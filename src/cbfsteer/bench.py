@@ -237,6 +237,10 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
     """Run every (problem, method, seed) plan and aggregate per method and
     difficulty. Writes metrics.csv, metrics.json, runs.jsonl and optionally a
     bar-chart SVG into out_dir; returns the MetricsRow list."""
+    names = [m["name"] for m in methods]
+    for what, items in (("method", names), ("seed", seeds)):
+        if len(set(items)) < len(items):
+            raise ValueError(f"bench runs each {what} once: {items} repeats one")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # fail early on missing checkpoints, and load each one once
@@ -277,7 +281,7 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
 
     rows = []
     present = [d for d in DIFFICULTIES if any(p.difficulty == d for p in problems)]
-    for name in [m["name"] for m in methods]:
+    for name in names:
         for diff in present:
             sel = [r for r in run_rows if r["method"] == name and r["difficulty"] == diff]
             if not sel:

@@ -611,6 +611,12 @@ class NeuralBarrier:
             h = encoder_forward_one(self.net, self._seen[1], link, slots, origins, angles, qs)
         return float(h[0]), (h[1:] - h[0]) / self.hyper.fd_step
 
+    def clearance_floor(self, h: float) -> float:
+        """No proven lower bound on the clearance: a learned value proves
+        nothing about the world, so the planner never trusts it for the
+        safety of stored edges."""
+        return -math.inf
+
 
 @dataclass(frozen=True)
 class HandcraftedBarrier:
@@ -634,3 +640,9 @@ class HandcraftedBarrier:
     def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray]:
         ds = signed_distance_batch(env, self.arm, _stencil_configs(q, self.hyper.fd_step))
         return self.margin - ds[0], -(ds[1:] - ds[0]) / self.hyper.fd_step
+
+    def clearance_floor(self, h: float) -> float:
+        """A proven lower bound on the clearance d at the configuration whose
+        barrier value is h: h = margin - d is rounded once, so margin - h is
+        d within a few ulp, far inside the 1e-9 taken off."""
+        return float(self.margin - h - 1e-9)

@@ -126,7 +126,9 @@ class Environment(Record):
     # owning obstacle; the rectangles' complex centres and half extents; each
     # corner's offset from its rectangle's centre; and the largest rectangle
     # half-diagonal (-inf without rectangles). These are the one per-world
-    # obstacle layout: the ray casts and the surface sampler read views of them
+    # obstacle layout: the ray casts and the surface sampler read views of them.
+    # The kernel's offset tables, one per arm shape, are built on first use
+    # (`_offsets`); stepped snapshots share them, as shapes do not move
     _centers: np.ndarray = field(init=False, repr=False, compare=False)
     _velocities: np.ndarray = field(init=False, repr=False, compare=False)
     _circle_index: np.ndarray = field(init=False, repr=False, compare=False)
@@ -138,6 +140,7 @@ class Environment(Record):
     _point_owner: np.ndarray = field(init=False, repr=False, compare=False)
     _corner_offsets: np.ndarray = field(init=False, repr=False, compare=False)
     _rect_reach: float = field(init=False, repr=False, compare=False)
+    _offset_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = tuple(self.obstacles)
@@ -159,6 +162,15 @@ class Environment(Record):
     @property
     def is_dynamic(self) -> bool:
         return bool(np.any(self._velocities))
+
+    def _offsets(self, arm: ArmModel) -> np.ndarray:
+        """The clearance kernel's `geometry.offset_table` for this world and
+        an arm, built once per (n_links, link_radius)."""
+        key = (arm.n_links, arm.link_radius)
+        table = self._offset_tables.get(key)
+        if table is None:
+            table = self._offset_tables[key] = geometry.offset_table(self._point_offsets, *key)
+        return table
 
     def _shapes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Float views of the packed arrays, no copies: the circles' centres
@@ -211,7 +223,7 @@ def signed_distance_batch(env: Environment, arm: ArmModel, qs: np.ndarray) -> np
     if arm.n_links < 3 and not env.obstacles:
         # 2-link arm in an empty world: report workspace-boundary clearance.
         return _workspace_clearance_batch(env, joints, r)
-    world = (env._points, env._point_offsets, env._rect_cz, env._rect_hz, env._rect_reach,
+    world = (env._points, env._offsets(arm), env._rect_cz, env._rect_hz, env._rect_reach,
              arm.cross_reach)
     if joints.shape[0] <= ROW_BLOCK:
         return geometry.capsule_world_min(joints, r, *world)
@@ -234,7 +246,7 @@ def signed_distance_stepped(env: Environment, arm: ArmModel, qs: np.ndarray, dt:
     r = arm.link_radius
     if arm.n_links < 3 and not env.obstacles:
         return _workspace_clearance_batch(env, joints, r), after
-    return geometry.capsule_world_min(joints, r, points, env._point_offsets, rect_cz,
+    return geometry.capsule_world_min(joints, r, points, env._offsets(arm), rect_cz,
                                       env._rect_hz, env._rect_reach, arm.cross_reach), after
 
 

@@ -116,6 +116,20 @@ def _self_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ends, nonadj
 
 
+def offset_table(offsets: np.ndarray, n: int, radius: float) -> np.ndarray:
+    """What `capsule_world_min` subtracts from link l's point distances, (n,
+    P + n + 1), read-only: each of the P points' circle radius (`offsets`, 0
+    for a corner) plus the link radius, then 2 radius at the joints of the
+    links not adjacent to l and -inf at the others. It depends only on the
+    world's shapes and the arm, so callers build it once per pair."""
+    m = n + 1
+    table = np.empty((n, offsets.shape[0] + m))
+    table[:, :-m] = offsets + radius
+    table[:, -m:] = _self_pairs(n)[0] * radius
+    table.flags.writeable = False
+    return table
+
+
 _S1 = np.array([-1.0, -1.0, 1.0, 1.0])[:, None]
 _S2 = np.array([-1.0, 1.0, -1.0, 1.0])[:, None]
 
@@ -151,13 +165,14 @@ def capsule_world_min(joints: np.ndarray, radius: float, points: np.ndarray,
 
     All positions are complex x + iy. joints: (R, n+1) joint positions of
     chains of n links with capsule radius `radius`; points: (P,) the circle
-    centres and the four corners of each rectangle; offsets: (P,) each
-    point's circle radius, 0 for corners; rect_c, rect_h: (K,) rectangle
-    centres and half extents hx + i hy. With `points` (R, P) and `rect_c`
-    (R, K) instead, row r is checked against its own obstacle positions
-    (offsets and half extents stay shared). Returns, per row, the minimum over
-    links of the capsule's signed distance to every obstacle and to every
-    non-adjacent link of its own chain; negative iff something penetrates.
+    centres and the four corners of each rectangle; offsets: (n, P + n + 1)
+    the `offset_table` of the points' circle radii (0 for corners), n and
+    `radius`; rect_c, rect_h: (K,) rectangle centres and half extents
+    hx + i hy. With `points` (R, P) and `rect_c` (R, K) instead, row r is
+    checked against its own obstacle positions (offsets and half extents stay
+    shared). Returns, per row, the minimum over links of the capsule's signed
+    distance to every obstacle and to every non-adjacent link of its own
+    chain; negative iff something penetrates.
 
     One point-to-segment pass takes every point and every joint against every
     link; `rel * conj(d)` gives the projection on the link (real part) and the
@@ -190,11 +205,7 @@ def capsule_world_min(joints: np.ndarray, radius: float, points: np.ndarray,
     rel = pts - a  # (R, n, P + n + 1)
     w = rel * dc
     t = np.minimum(np.maximum(w.real / np.maximum((d * dc).real, _EPS), 0.0), 1.0)
-    ends, nonadj = _self_pairs(n)
-    off = np.empty((n, points.shape[-1] + m))
-    off[:, :-m] = offsets + radius
-    off[:, -m:] = ends * radius  # 2 radius at joints of non-adjacent links, else -inf
-    best = (np.abs(rel - t * d) - off).min(axis=(1, 2))
+    best = (np.abs(rel - t * d) - offsets).min(axis=(1, 2))
     k = rect_c.shape[-1]
     rc = rect_c[..., None, :]  # (1, K) or (R, 1, K)
     if k:
@@ -224,7 +235,7 @@ def capsule_world_min(joints: np.ndarray, radius: float, points: np.ndarray,
         side = w.imag[:, :, -m:]
         side = np.where(np.abs(side) > _EPS, side, 0.0)
         straddle = side[:, :, :-1] * side[:, :, 1:]
-        crossed = ((np.maximum(straddle, straddle.transpose(0, 2, 1)) < 0.0) & nonadj)
+        crossed = ((np.maximum(straddle, straddle.transpose(0, 2, 1)) < 0.0) & _self_pairs(n)[1])
         best = np.where(crossed.any(axis=(1, 2)), np.minimum(best, -2.0 * radius), best)
     return best
 

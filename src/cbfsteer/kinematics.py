@@ -77,6 +77,18 @@ class ArmModel(Record):
         return _read_only(np.array(self.action_bound))
 
     @cached_property
+    def lengths(self) -> np.ndarray:
+        return _read_only(np.array(self.link_lengths))
+
+    @cached_property
+    def joint_reach(self) -> tuple[float, ...]:
+        """rho_i = sum of L_j over j >= i, the reach from joint i to the tip.
+        Angles are cumulative, so a step dq moves any arm point, and any link
+        relative to any other, by at most sum(rho_i |dq_i|): the clearance
+        falls by no more than that."""
+        return tuple(sum(self.link_lengths[i:]) for i in range(self.n_links))
+
+    @cached_property
     def cross_reach(self) -> float:
         """Largest min(L_l, L_j)/2 over non-adjacent links (-inf with
         fewer than three): crossing links come this close to each other's
@@ -123,12 +135,13 @@ def batch_joint_positions(arm: ArmModel, qs: np.ndarray) -> tuple[np.ndarray, np
     """Base, joint and tip positions (R, n+1) as complex x + iy, and the
     absolute link angles (R, n), for R configurations."""
     qs = np.asarray(qs, dtype=float)
-    angles = np.cumsum(qs, axis=1)
-    lengths = np.array(arm.link_lengths)
-    joints = np.zeros((qs.shape[0], arm.n_links + 1), dtype=complex)
-    np.multiply(lengths, np.cos(angles), out=joints.real[:, 1:])
-    np.multiply(lengths, np.sin(angles), out=joints.imag[:, 1:])
-    np.cumsum(joints, axis=1, out=joints)
+    angles = np.add.accumulate(qs, axis=1)
+    joints = np.empty((qs.shape[0], arm.n_links + 1), dtype=complex)
+    xy = joints.view(float)  # x, y of joint k in columns 2k, 2k + 1
+    xy[:, :2] = 0.0
+    np.multiply(np.cos(angles, out=xy[:, 2::2]), arm.lengths, out=xy[:, 2::2])
+    np.multiply(np.sin(angles, out=xy[:, 3::2]), arm.lengths, out=xy[:, 3::2])
+    np.add.accumulate(joints, axis=1, out=joints)
     joints += complex(*arm.base_position)
     return joints, angles
 

@@ -6,9 +6,10 @@ Tree edges always pass geometric collision validation at the configured
 resolution before they are stored; the learned barrier is never trusted for
 the safety of stored edges. A rollout steer validates its first tick's states
 before it runs the rest, so a steer that collides at once stops there; its
-edge equals one validation of the whole rollout. The sampling order is part
-of the contract: each iteration draws the goal-bias coin first and only on
-failure draws a uniform configuration.
+edge equals one validation of the whole rollout, less the ticks that the
+hand-crafted barrier's clearance readings prove free. The sampling order is
+part of the contract: each iteration draws the goal-bias coin first and only
+on failure draws a uniform configuration.
 """
 
 from __future__ import annotations
@@ -132,13 +133,24 @@ class PlanResult(Record):
 
 
 def validate_and_truncate(env: Environment, arm: ArmModel, configs: list,
-                          check_resolution: float, start: int = 0) -> list:
+                          check_resolution: float, start: int = 0,
+                          skip: list | None = None) -> list:
     """Longest collision-free prefix of a waypoint list, checked at the given
     resolution along every inter-waypoint segment (endpoints included).
 
     With `start` > 0, configs[:start + 1] already passed: only the segments
     after waypoint `start` are checked, not that waypoint again (a ladder's
-    last point prev + seg * 1.0 can differ from it by an ulp)."""
+    last point prev + seg * 1.0 can differ from it by an ulp).
+
+    `skip` (a bool per waypoint) leaves out the ladder points of each
+    waypoint w where skip[w] holds: those of the segment that ends at w, and
+    for w = 0 the start itself. The caller must have proven them free; the
+    first colliding point checked is then the first of the whole ladder, and
+    the prefix the same."""
+    if start and not 0 < start < len(configs):
+        raise ValueError(f"start {start} is not a waypoint of {len(configs)}")
+    if skip is not None and len(skip) != len(configs):
+        raise ValueError(f"skip mask has {len(skip)} entries for {len(configs)} waypoints")
     if not configs:
         return []
     # The check-point ladder in one set of array expressions: segment w
@@ -151,12 +163,18 @@ def validate_and_truncate(env: Environment, arm: ArmModel, configs: list,
     if not np.all(np.isfinite(dist)):
         raise ValueError("waypoints must be finite")
     n_checks = np.maximum(1, np.ceil(dist / check_resolution).astype(np.int64))
-    owner = np.repeat(np.arange(1, pts.shape[0]), n_checks)  # waypoint w of each ladder point
-    k = np.arange(1, owner.size + 1) - np.repeat(np.cumsum(n_checks) - n_checks, n_checks)
+    checked = np.ones(pts.shape[0], dtype=bool)
+    if skip is not None:
+        checked = ~np.asarray(skip[start:], dtype=bool)
+    n_placed = np.where(checked[1:], n_checks, 0)  # a skipped segment places no point
+    owner = np.repeat(np.arange(1, pts.shape[0]), n_placed)  # waypoint w of each ladder point
+    k = np.arange(1, owner.size + 1) - np.repeat(np.cumsum(n_placed) - n_placed, n_placed)
     w = owner - 1
     ladder = prev[w] + seg[w] * (k / n_checks[w])[:, None]
-    if not start:
+    if not start and checked[0]:
         ladder, owner = np.concatenate([pts[:1], ladder]), np.concatenate([[0], owner])
+    if not owner.size:
+        return list(configs)
     bad = np.flatnonzero(signed_distance_batch(env, arm, ladder) < 0.0)
     if bad.size == 0:
         return list(configs)
@@ -206,13 +224,26 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
     contact), and once more on the ticks after it when the rollout ends.
     The kept prefix, and the controls of the ticks it reaches, equal one
     validation of the whole rollout.
+
+    Neither validation checks a tick that its barrier's clearance readings
+    prove free. A tick moves joint i by at most substeps*dt*|u_i| (`hold`
+    only clamps, from inside the limits), so by the reach bound of
+    `ArmModel.joint_reach` the clearance anywhere on the tick's ladder is at
+    most `move` = sum(rho_i substeps dt |u_i|) below the clearance at either
+    end of the tick. A clearance floor above `move` at the tick's start or
+    at its end (the next tick's floor) proves the tick free: its points
+    would pass the check, so the edge is the same. Only a barrier that reads
+    the true clearance gives a finite `clearance_floor`.
     """
-    arm = bundle.barrier.arm
+    barrier = bundle.barrier
+    arm = barrier.arm
     substeps = bundle.limits.sim_hz // bundle.limits.ctrl_hz
     dt_sim = 1.0 / bundle.limits.sim_hz
     q = np.asarray(q_from, dtype=float).copy()
     configs = [q]
     controls: list = []
+    proven: list = []  # per tick: its states are proven free, or passed validation
+    move = math.inf
     stalled = 0
     kept = None  # tick 1's validated prefix
     for _ in range(limits.max_ctrl_steps):
@@ -220,6 +251,9 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
         if math.sqrt(dq @ dq) <= r_goal:
             break
         u, u_nom, h, diag = control_tick(bundle, env, q, q_toward)
+        floor = barrier.clearance_floor(h)
+        if floor > move:  # the tick before, proven from its end
+            proven[-1] = True
         if discard:
             if h > 0.0 or diag.constraint_active:
                 break
@@ -229,22 +263,36 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
             if stalled >= limits.stall_ticks:
                 break
         controls.append(u)
+        move = math.inf  # no proof for this tick
+        if floor > -math.inf and (len(controls) > 1 or _within_limits(arm, q)):
+            reach = sum(r * abs(ui) for r, ui in zip(arm.joint_reach, u.tolist()))
+            move = substeps * dt_sim * reach
+            move += 1e-9 * move + 1e-9  # roundoff of the states and the ladder
+        proven.append(floor > move)
         states = hold(arm, q, u, substeps, dt_sim)
         configs.extend(states)
         q = states[-1]
-        if len(controls) == 1:
+        if len(controls) == 1 and not proven[0]:
             kept = validate_and_truncate(env, arm, configs, limits.check_resolution)
             if len(kept) < len(configs):
                 break
+            proven[0] = True
         if discard and math.sqrt(u @ u) < limits.stall_threshold:
             break
-    if kept is None:  # the loop ended before tick 1
+    if not controls:  # the loop ended before tick 1
         kept = validate_and_truncate(env, arm, configs, limits.check_resolution)
-    elif len(kept) == substeps + 1 < len(configs):  # tick 1 passed; check the ticks after it
-        kept = validate_and_truncate(env, arm, configs, limits.check_resolution, start=substeps)
+    elif kept is None or len(kept) == substeps + 1:  # tick 1 is free: check the unproven rest
+        skip = proven[:1] + [p for p in proven for _ in range(substeps)]
+        kept = configs if all(skip) else validate_and_truncate(
+            env, arm, configs, limits.check_resolution, 0 if kept is None else substeps, skip)
     kept = kept or configs[:1]
     n_ticks_kept = (len(kept) - 1 + substeps - 1) // substeps  # ticks the kept states reach
     return Edge(configs=kept, controls=controls[:n_ticks_kept])
+
+
+def _within_limits(arm: ArmModel, q: np.ndarray) -> bool:
+    """Whether every joint of q is inside its limits (not for NaN)."""
+    return all(lo <= x <= hi for lo, x, hi in zip(arm.joint_lower, q.tolist(), arm.joint_upper))
 
 
 # the filtered-LQR steer on its own, by the name the benchmark tracer times

@@ -151,6 +151,9 @@ class OneSampleBarrier:
         h, _ = _forward_stencil(self.net, prep, self.arm)
         return float(h[0, 0]), (h[0, 1:] - h[0, 0]) / self.hyper.fd_step
 
+    def clearance_floor(self, h: float) -> float:
+        return -math.inf
+
 
 def safe_rollout(bundle, q0, q_goal, env) -> RolloutRecord:
     """Closed-loop rollout that takes every simulation substep on its own:

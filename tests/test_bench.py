@@ -232,6 +232,49 @@ class TestRunBench:
         for fname in ("runs.jsonl", "metrics.json"):
             assert (outputs[0] / fname).read_bytes() == (outputs[1] / fname).read_bytes(), fname
 
+    @pytest.mark.parametrize("methods, seeds", [([{"name": "straight"}] * 2, [0]),
+                                                ([{"name": "straight"}], [0, 0]),
+                                                ([{"name": "straight"}] * 2, [0, 0])])
+    def test_a_repeated_method_or_seed_fails_before_writing(self, cfg, arm, tmp_path,
+                                                           methods, seeds):
+        # each run would count twice in the rows
+        probs = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 1,
+                                   np.random.default_rng(13), arm, 0.025)
+        with pytest.raises(ValueError, match="repeats one"):
+            bench.run_bench(probs, methods, seeds, arm, cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_solved_runs_revalidate(self, cfg, arm, tmp_path, capsys):
+        # the re-validation CI runs on its pipeline's bench: every solved
+        # path passes the full check ladder, and one bent into an obstacle fails
+        import json
+
+        import revalidate_bench
+
+        cfg = dict(cfg, planner=dict(cfg["planner"], max_nodes=60))
+        probs = bench.gen_problems(make_env_gen(cfg, num_obstacles=3), 3,
+                                   np.random.default_rng(14), arm, 0.025)
+        bench.run_bench(probs, [{"name": "straight"}, {"name": "hand-cbf"}], [0, 1], arm, cfg,
+                        tmp_path, report_timing=False)
+        bench.save_problems(tmp_path / "problems.json", probs)
+        (tmp_path / "config.json").write_text(json.dumps({"planner": {"max_nodes": 60}}))
+        argv = ["--config", str(tmp_path / "config.json"), "--problems",
+                str(tmp_path / "problems.json"), "--runs", str(tmp_path / "runs.jsonl")]
+        assert revalidate_bench.main(argv) == 0
+        runs = [json.loads(line) for line in (tmp_path / "runs.jsonl").open()]
+        n_solved, bad = revalidate_bench.invalid_runs(probs, runs, cfg)
+        assert n_solved >= 4 and bad == []
+        assert capsys.readouterr().out.startswith(f"{n_solved} solved runs re-validated, 0")
+        run = next(r for r in runs if r["result"]["status"] == "solved"
+                   and len(r["result"]["path"]) > 2)
+        env = probs[[p.id for p in probs].index(run["problem_id"])].environment
+        rng = np.random.default_rng(15)
+        hit = next(q for q in rng.uniform(arm.lower, arm.upper, (1000, arm.n_links))
+                   if signed_distance(env, arm, q) < 0.0)
+        run["result"]["path"][1] = hit.tolist()
+        assert revalidate_bench.invalid_runs(probs, runs, cfg)[1] == [
+            (run["method"], run["problem_id"], run["seed"])]
+
     def test_missing_checkpoint_fails_before_running(self, cfg, arm, tmp_path):
         with pytest.raises(FileNotFoundError):
             bench.run_bench([], [{"name": "cbf-state", "checkpoint": "/nonexistent.json"}],

@@ -722,6 +722,27 @@ class TestHandcrafted:
         assert grad.tobytes() == (-(ds[1:] - ds[0]) / 2.5e-4).tobytes()
 
 
+class TestClearanceFloor:
+    """The floor a barrier hands the planner's proof never exceeds the true
+    clearance; a learned barrier hands none."""
+
+    @pytest.mark.parametrize("margin", [0.0, 0.15])
+    def test_hand_floor_is_below_the_clearance(self, arm, margin):
+        rng = np.random.default_rng(29)
+        barrier = HandcraftedBarrier(arm, margin)
+        for shapes in (("rect",), ("circle",), ("rect", "circle")):
+            env = random_environment(EnvGenConfig(num_obstacles=6, shapes=shapes), rng)
+            for q in rng.uniform(arm.lower, arm.upper, (100, arm.n_links)):
+                h, _ = barrier.value_and_grad(q, None, env)
+                d = signed_distance(env, arm, q)
+                floor = barrier.clearance_floor(h)
+                assert type(floor) is float and d - 1e-8 < floor <= d
+
+    def test_learned_barriers_give_no_floor(self, arm):
+        barrier = NeuralBarrier(distance_net(arm.n_links), arm, CbfHyper())
+        assert barrier.clearance_floor(-1.0) == -np.inf
+
+
 class TestStencilDistances:
     def test_matches_direct_computation(self, arm):
         hyper = make_hyper(load_config(), "state")

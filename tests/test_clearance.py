@@ -101,6 +101,33 @@ class TestAgainstOracle:
         assert (d < 0).any() and (d > 0).any()
 
 
+class TestReachBound:
+    """A joint step dq lowers the clearance by at most sum(rho_i |dq_i|),
+    rho = `ArmModel.joint_reach`: the bound behind the rollout steer's
+    proven ticks. Obstacle pairs, self pairs (empty worlds of 3 or more
+    links) and the 2-link workspace fallback (empty worlds of 2)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("shapes", [("rect",), ("circle",), ()], ids=["rect", "circle", "empty"])
+    def test_random_arms_and_steps(self, n, shapes):
+        rng = np.random.default_rng(n * 7 + len(shapes) + 3 * ("circle" in shapes))
+        closer = 0
+        for _ in range(3):
+            arm = ArmModel(link_lengths=tuple(rng.uniform(0.15, 0.6, n)),
+                           link_radius=float(rng.uniform(0.01, 0.08)))
+            env = random_environment(EnvGenConfig(num_obstacles=len(shapes) and 6,
+                                                  shapes=shapes or ("rect",)), rng)
+            reach = np.array(arm.joint_reach)
+            for scale in (1e-3, 1e-2, 0.1, 0.5):
+                qs = rng.uniform(arm.lower, arm.upper, (200, n))
+                dq = rng.uniform(-scale, scale, (200, n))
+                d0 = signed_distance_batch(env, arm, qs)
+                d1 = signed_distance_batch(env, arm, qs + dq)
+                assert np.all(d1 >= d0 - np.abs(dq) @ reach - 1e-12)
+                closer += int(np.count_nonzero(d1 < d0))
+        assert closer > 500  # steps that do approach something
+
+
 class TestRowBlocks:
     @pytest.mark.parametrize("b", [1, 4, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
     def test_batch_equals_per_row_calls(self, arm, b):
@@ -206,7 +233,7 @@ def kernel(env, arm, qs, rect_reach=None, cross_reach=None):
     """The clearance kernel on env's packed arrays; the reaches default to
     the real ones."""
     return KERNEL(batch_joint_positions(arm, np.asarray(qs, dtype=float))[0], arm.link_radius,
-                  env._points, env._point_offsets, env._rect_cz, env._rect_hz,
+                  env._points, env._offsets(arm), env._rect_cz, env._rect_hz,
                   env._rect_reach if rect_reach is None else rect_reach,
                   arm.cross_reach if cross_reach is None else cross_reach)
 

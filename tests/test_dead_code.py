@@ -17,6 +17,10 @@ by some call in `src/cbfsteer/` or `perfbench/`, positionally, by keyword
 or through `*`/`**`, with calls matched by the callee's name as above. The
 few no call passes are listed in `UNSET_KEPT`, each with its reason, and an
 entry that no longer applies fails as in `TRACER_ONLY`.
+
+Every parameter of a package function or method is read by its body. The
+ones that only fill a shared signature are listed in `UNREAD_KEPT`, each
+with its reason, and checked the same way.
 """
 
 import ast
@@ -250,3 +254,62 @@ def test_the_parameter_scan_reads_calls():
     assert sets(call("o.f(0, c=3)"), "c", None) and not sets(call("o.f(0, 1)"), "c", None)
     assert sets(call("o.f(**kw)"), "c", None) and sets(call("o.f(*args)"), "b", 1)
     assert not sets(call("o.f(0, 1, *args)"), "c", None)
+
+
+# parameters no body reads, and why each stays
+UNREAD_KEPT = {
+    "cbf.HandcraftedBarrier.value_and_grad.observation":
+        "barriers share one signature; the hand barrier reads the world, not an observation",
+    "cbf.NeuralBarrier.clearance_floor.h":
+        "barriers share one signature; a learned value proves no clearance",
+    "cli._cmd_replay.out_dir": "every command takes (args, cfg, out_dir); replay writes no file",
+    "neural._Fresh.get.key": "a BatchWorkspace method; with no workspace nothing is keyed",
+    "neural._Fresh.out.key": "a BatchWorkspace method; with no workspace nothing is keyed",
+    "neural._Fresh.out.shape": "a BatchWorkspace method; numpy sizes the result itself",
+    "neural._Fresh.out.dtype": "a BatchWorkspace method; numpy types the result itself",
+    "neural._Fresh.sub.name": "a BatchWorkspace method; with no workspace nothing is keyed",
+    "config.make_hyper.kind":
+        "the benchmark workloads pass it, until the benchmark change of ROADMAP item 6",
+}
+
+
+def functions(tree):
+    """(qualified name, node, whether it is bound) of every top-level
+    function and every method of a top-level class; a bound method's first
+    parameter is its `self` or `cls`."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    bound = not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                    for d in member.decorator_list)
+                    yield f"{node.name}.{member.name}", member, bound
+
+
+def unread(tree):
+    """Qualified name and parameter name of every parameter that its
+    function's body does not read (defaults are not the body)."""
+    for qualname, fn, bound in functions(tree):
+        a = fn.args
+        params = a.posonlyargs + a.args + [a.vararg] + a.kwonlyargs + [a.kwarg]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for p in [p.arg for p in params if p is not None][int(bound):]:
+            if p not in read:
+                yield f"{qualname}.{p}"
+
+
+def test_every_parameter_is_read():
+    found = {f"{path.stem}.{name}" for path in PACKAGE.glob("*.py") for name in unread(parse(path))}
+    assert found == set(UNREAD_KEPT)
+
+
+def test_the_read_scan_sees_bodies_only():
+    tree = ast.parse("class C:\n    def f(self, a, b=1, *c, d, **e):\n        return a + c\n"
+                     "    @staticmethod\n    def g(x):\n        x = 1\n"
+                     "def h(y=z):\n    return lambda: y\n")
+    assert {(q, bound) for q, _, bound in functions(tree)} == {
+        ("C.f", True), ("C.g", False), ("h", False)}
+    assert set(unread(tree)) == {"C.f.b", "C.f.d", "C.f.e", "C.g.x"}

@@ -494,9 +494,22 @@ class TestStepObstacles:
 
 
 def packed_fields_equal(got: Environment, ref: Environment) -> bool:
-    """Every cached array of two environments, bit for bit."""
+    """Every cached array of two environments, bit for bit; the offset
+    tables, built on first use, are compared through `_offsets`."""
     return all(same_bits(getattr(got, f.name), getattr(ref, f.name))
-               for f in fields(Environment) if not f.init)
+               for f in fields(Environment) if not f.init and f.name != "_offset_tables")
+
+
+class TestOffsetTables:
+    def test_built_once_per_arm_shape(self, arm):
+        env = mixed_moving_env(2)
+        table = env._offsets(arm)
+        assert table is env._offsets(ArmModel())  # an equal arm shares it
+        assert same_bits(table, geometry.offset_table(env._point_offsets, 3, arm.link_radius))
+        thick = ArmModel(link_radius=0.06)
+        assert env._offsets(thick) is not table
+        assert same_bits(env._offsets(thick), geometry.offset_table(env._point_offsets, 3, 0.06))
+        assert len(env._offset_tables) == 2
 
 
 class TestSteppedSnapshot:
@@ -517,6 +530,9 @@ class TestSteppedSnapshot:
                                 workspace=after.workspace, time=after.time)
             assert after == fresh and same_bits(after.time, fresh.time)
             assert packed_fields_equal(after, fresh)
+            # the snapshot shares its world's offset tables, which equal a fresh build's
+            assert after._offset_tables is env._offset_tables
+            assert same_bits(after._offsets(arm), fresh._offsets(arm))
             stepped = step_obstacles(env, 1.0 / 120)
             assert packed_fields_equal(stepped, Environment(
                 obstacles=stepped.obstacles, workspace=stepped.workspace, time=stepped.time))
@@ -569,7 +585,8 @@ class TestSignedDistanceStepped:
                              for w, q in zip(worlds, qs)])
         assert (expected < 0).sum() >= 32
         got = geometry.capsule_world_min(
-            batch_joint_positions(arm, qs)[0], arm.link_radius, np.stack([w._points for w in worlds]), base._point_offsets,
+            batch_joint_positions(arm, qs)[0], arm.link_radius, np.stack([w._points for w in worlds]),
+            base._offsets(arm),
             np.stack([w._rect_cz for w in worlds]), base._rect_hz, base._rect_reach,
             arm.cross_reach)
         assert same_bits(got, expected)

@@ -29,6 +29,23 @@ class TestPointRectSdf:
         assert d == pytest.approx(-0.8)
 
 
+class TestOffsetTable:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("n_points", [0, 4, 9])
+    def test_equals_the_per_call_construction_bit_for_bit(self, n, n_points):
+        # the table capsule_world_min built on every call before it took one
+        rng = np.random.default_rng(n * 10 + n_points)
+        offsets = np.where(rng.random(n_points) < 0.5, 0.0, rng.uniform(0.05, 0.3, n_points))
+        radius = float(rng.uniform(0.01, 0.08))
+        m = n + 1
+        ref = np.empty((n, n_points + m))
+        ref[:, :-m] = offsets + radius
+        ref[:, -m:] = geometry._self_pairs(n)[0] * radius
+        got = geometry.offset_table(offsets, n, radius)
+        assert got.tobytes() == ref.tobytes() and got.shape == ref.shape
+        assert not got.flags.writeable
+
+
 class TestSegmentRect:
     def test_disjoint_matches_sampling(self):
         rng = np.random.default_rng(3)
@@ -78,7 +95,9 @@ class TestSegmentRect:
         for k in range(8):
             cz, (hx, hy) = complex(*centers[k]), halves[k]
             corners = cz + np.array([-hx - 1j * hy, hx - 1j * hy, hx + 1j * hy, -hx + 1j * hy])
-            vec = geometry.capsule_world_min(joints, 0.04, corners, np.zeros(4), np.array([cz]),
+            vec = geometry.capsule_world_min(joints, 0.04, corners,
+                                             geometry.offset_table(np.zeros(4), 1, 0.04),
+                                             np.array([cz]),
                                              np.array([complex(hx, hy)]), np.inf, -np.inf)
             assert vec[0] + 0.04 == pytest.approx(
                 geometry.segment_rect_signed_distance(a, b, centers[k], halves[k]), abs=1e-12)

@@ -115,6 +115,25 @@ class TestBatchJointPositions:
             assert pts.tobytes() == real_chain_joint_positions(arm, q).tobytes()
             assert angles.tobytes() == np.cumsum(q).tobytes()
 
+    @pytest.mark.parametrize("base", [(0.0, 0.0), (0.25, -0.4)])
+    def test_equals_the_cumsum_construction_bit_for_bit(self, base):
+        # the construction the cached lengths and the one complex array
+        # replaced; -0.0 angles, and zero rows, keep their bits
+        arm = ArmModel(link_lengths=(0.5, 0.4, 0.3, 0.2), base_position=base)
+        rng = np.random.default_rng(11)
+        qs = rng.uniform(arm.lower, arm.upper, (64, arm.n_links))
+        qs[:8] = -0.0
+        qs[8:16, ::2] = -0.0
+        qs[16:24] = 0.0
+        angles = np.cumsum(qs, axis=1)
+        ref = np.zeros((qs.shape[0], arm.n_links + 1), dtype=complex)
+        np.multiply(np.array(arm.link_lengths), np.cos(angles), out=ref.real[:, 1:])
+        np.multiply(np.array(arm.link_lengths), np.sin(angles), out=ref.imag[:, 1:])
+        np.cumsum(ref, axis=1, out=ref)
+        ref += complex(*base)
+        joints, got_angles = batch_joint_positions(arm, qs)
+        assert joints.tobytes() == ref.tobytes() and got_angles.tobytes() == angles.tobytes()
+
     def test_link_frames_are_the_first_n_joints(self, arm):
         qs = np.random.default_rng(9).uniform(arm.lower, arm.upper, (5, 3))
         joints, angles = batch_joint_positions(arm, qs)
@@ -246,3 +265,10 @@ class TestArmModel:
             with pytest.raises(ValueError):
                 got[0] = 0.0
         assert arm == ArmModel.from_json(arm.to_json())
+
+    def test_lengths_and_joint_reach(self):
+        arm = ArmModel(link_lengths=(0.5, 0.4, 0.3, 0.25))
+        assert arm.lengths is arm.lengths and not arm.lengths.flags.writeable
+        assert tuple(arm.lengths) == arm.link_lengths
+        assert arm.joint_reach is arm.joint_reach
+        assert arm.joint_reach == pytest.approx((1.45, 0.95, 0.55, 0.25), abs=1e-15)

@@ -26,6 +26,7 @@ from cbfsteer.environment import (
     random_environment,
     sample_surface_points,
     signed_distance,
+    signed_distance_batch,
 )
 from cbfsteer.kinematics import ArmModel, hold, sample_config
 from cbfsteer.neural import Mlp, PointSetEncoder
@@ -421,6 +422,43 @@ class TestValidateAndTruncate:
         assert len(validate_and_truncate(Environment(), arm, configs, 0.02)) == 3
         assert calls == [1 + 3 + 3]  # the start plus each segment's ladder
 
+    def test_start_must_be_a_waypoint(self, arm):
+        env = Environment(obstacles=(
+            Obstacle(kind="circle", center=(0.25, 0.0), radius=0.1),))
+        configs = [np.zeros(3), np.array([0.0, 0.0, 0.5]), np.array([0.0, 0.0, 1.0])]
+        assert validate_and_truncate(env, arm, configs, 0.02) == []  # the start collides
+        for start in (-1, 3, 4):
+            with pytest.raises(ValueError, match="not a waypoint"):
+                validate_and_truncate(env, arm, configs, 0.02, start=start)
+        with pytest.raises(ValueError, match="not a waypoint"):
+            validate_and_truncate(env, arm, [], 0.02, start=1)
+
+    def test_skip_mask_needs_one_entry_per_waypoint(self, arm):
+        configs = [np.zeros(3), np.array([0.05, 0.0, 0.0])]
+        for skip in ([], [False], [False] * 3):
+            with pytest.raises(ValueError, match="skip mask"):
+                validate_and_truncate(Environment(), arm, configs, 0.02, skip=skip)
+
+    def test_skip_mask_leaves_out_whole_segments(self, arm, monkeypatch):
+        # waypoint 0 is the start row; waypoint w owns the ladder of the
+        # segment that ends at it
+        calls = []
+        recording(monkeypatch, "signed_distance_batch", calls)
+        configs = [np.zeros(3), np.array([0.05, 0.0, 0.0]), np.array([0.1, 0.0, 0.0])]
+        validate_and_truncate(Environment(), arm, configs, 0.02)
+        (_, _, full), _, _ = calls.pop()
+        for skip, rows in (([True, False, False], full[1:]), ([False, True, False],
+                                                              np.concatenate([full[:1], full[4:]])),
+                           ([True, True, False], full[4:]), ([False] * 3, full)):
+            assert validate_and_truncate(Environment(), arm, configs, 0.02, skip=skip) == configs
+            (_, _, got), _, _ = calls.pop()
+            assert got.tobytes() == rows.tobytes()
+        # nothing left to check: no geometry call
+        assert validate_and_truncate(Environment(), arm, configs, 0.02, skip=[True] * 3) == configs
+        assert validate_and_truncate(Environment(), arm, configs, 0.02, start=1,
+                                     skip=[False, False, True]) == configs
+        assert calls == []
+
     def test_colliding_start_gives_empty_prefix(self, arm):
         env = Environment(obstacles=(
             Obstacle(kind="circle", center=(0.25, 0.0), radius=0.1),))
@@ -795,6 +833,21 @@ def loose_bundles(arm, env, rng):
     }
 
 
+def skipped_rows(checked, full):
+    """The rows of `full` (one validation's rows) left out of `checked` (the
+    arrays of the calls a steer made), which must be a subsequence of them."""
+    checked = [row.tobytes() for qs in checked for row in qs]
+    i = 0
+    skipped = []
+    for row in full:
+        if i < len(checked) and row.tobytes() == checked[i]:
+            i += 1
+        else:
+            skipped.append(row)
+    assert i == len(checked)
+    return np.array(skipped).reshape(-1, full.shape[1])
+
+
 class TestEarlyStop:
     """A steer whose first tick's states already cut the edge runs no further
     tick, and its edge equals the one-validation oracle's."""
@@ -819,11 +872,15 @@ class TestEarlyStop:
             clearances.clear()
             args = (env, q_from, q_toward, bundle, limits, 0.1)
             edge = steer_cbf_inc(*args, discard=discard)
-            # the steer checked the rows of one validation of its rollout, once
-            steer_rows = np.concatenate([qs for (_, _, qs), _, _ in clearances])
+            # the steer checked the unproven rows of one validation of its
+            # rollout, in order, once (a steer that checked nothing kept it all)
+            steer_rows = [qs for (_, _, qs), _, _ in clearances]
             clearances.clear()
-            validate_and_truncate(env, arm, validations[-1][0][2], limits.check_resolution)
-            assert steer_rows.tobytes() == clearances[0][0][2].tobytes()
+            rollout = validations[-1][0][2] if validations else edge.configs
+            validate_and_truncate(env, arm, rollout, limits.check_resolution)
+            skipped = skipped_rows(steer_rows, clearances[0][0][2])
+            assert np.all(signed_distance_batch(env, arm, skipped) >= 0.0)
+            assert kind == "hand" or not len(skipped)  # a learned barrier proves nothing
             assert_same_edge(edge, ref_steer(*args))
             # (the log holds the steer's own list, as it was when the steer returned)
             (first_args, first_kwargs, first_kept), *rest = validations
@@ -833,6 +890,49 @@ class TestEarlyStop:
                 assert len(ticks) == 1
                 assert len(edge.configs) <= SUBSTEPS and len(edge.controls) <= 1
         assert 3 <= cut_at_once < 12  # and some steers run on past tick 1
+
+
+class TestProvenTicks:
+    """Hand-barrier steers leave out the ticks their clearance readings prove
+    free, and their edges still equal the one-validation oracles' bit for
+    bit, in free space and near contact."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_equal_to_the_oracles(self, arm, monkeypatch, seed):
+        rng = np.random.default_rng(900 + seed)
+        env = random_environment(EnvGenConfig(num_obstacles=8, shapes=("rect", "circle"),
+                                              size_range=(0.08, 0.3)), rng)
+        limits = PlannerLimits(max_ctrl_steps=30)
+        pairs = [(_free_config(env, arm, rng), sample_config(arm, rng)) for _ in range(6)]
+        pairs += contact_pairs(env, arm, rng, 6)
+        validations = []
+        recording(monkeypatch, "validate_and_truncate", validations)
+        counts = {"none": 0, "some": 0}
+        for margin in (0.0, 0.15):
+            bundle = hand_bundle(arm, margin=margin)
+            for q_from, q_toward in pairs:
+                for steer, ref in ((steer_cbf_inc, rollout_oracle.rollout_edge),
+                                   (steer_filter_lqr, rollout_oracle.steer_filter_lqr)):
+                    args = (env, q_from, q_toward, bundle, limits, 0.1)
+                    validations.clear()
+                    edge = steer(*args)
+                    counts["some" if validations else "none"] += 1
+                    assert_same_edge(edge, ref(*args))
+        assert counts["none"] >= 10 and counts["some"] >= 10
+
+    def test_no_proof_from_outside_the_joint_limits(self, arm, monkeypatch):
+        # hold's first step clamps a start outside the limits, a jump the
+        # reach bound does not cover: tick 1 is validated, not proven
+        validations = []
+        recording(monkeypatch, "validate_and_truncate", validations)
+        q_from = np.array([arm.joint_upper[0] + 0.3, 0.0, 0.0])
+        args = (Environment(), q_from, np.zeros(3), hand_bundle(arm), PlannerLimits(), 0.1)
+        edge = steer_cbf_inc(*args)
+        assert len(validations[0][2]) == SUBSTEPS + 1  # tick 1's states, kept
+        assert_same_edge(edge, rollout_oracle.rollout_edge(*args))
+        validations.clear()
+        edge = steer_cbf_inc(args[0], q_from - 0.6 * (q_from > 0), *args[2:])
+        assert len(edge.controls) > 1 and validations == []  # from inside, all proven
 
 
 def cloud_plan_setting(seed, count=4):
