@@ -447,9 +447,11 @@ class TestValidateAndTruncate:
         configs = [np.zeros(3), np.array([0.05, 0.0, 0.0]), np.array([0.1, 0.0, 0.0])]
         validate_and_truncate(Environment(), arm, configs, 0.02)
         (_, _, full), _, _ = calls.pop()
-        for skip, rows in (([True, False, False], full[1:]), ([False, True, False],
-                                                              np.concatenate([full[:1], full[4:]])),
-                           ([True, True, False], full[4:]), ([False] * 3, full)):
+        cases = [([True, False, False], full[1:]),
+                 ([False, True, False], np.concatenate([full[:1], full[4:]])),
+                 ([True, True, False], full[4:]),
+                 ([False] * 3, full)]
+        for skip, rows in cases:
             assert validate_and_truncate(Environment(), arm, configs, 0.02, skip=skip) == configs
             (_, _, got), _, _ = calls.pop()
             assert got.tobytes() == rows.tobytes()
