@@ -231,6 +231,15 @@ def _run_task(task):
     return prob.id, prob.difficulty, method["name"], seed, res.to_json()
 
 
+def _check_each_once(what: str, items: list) -> None:
+    """Refuse an empty list and a repeated item: a table of runs needs one
+    run at least and counts each run once."""
+    if not items:
+        raise ValueError(f"no {what} to run")
+    if len(set(items)) < len(items):
+        raise ValueError(f"each {what} runs once: {items} repeats one")
+
+
 def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: dict,
               out_dir, root_seed: int = 0, report_timing: bool = True,
               svg: bool = False) -> list:
@@ -238,9 +247,9 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
     difficulty. Writes metrics.csv, metrics.json, runs.jsonl and optionally a
     bar-chart SVG into out_dir; returns the MetricsRow list."""
     names = [m["name"] for m in methods]
-    for what, items in (("method", names), ("seed", seeds)):
-        if len(set(items)) < len(items):
-            raise ValueError(f"bench runs each {what} once: {items} repeats one")
+    for what, items in (("problem", [p.id for p in problems]), ("method", names),
+                        ("seed", seeds)):
+        _check_each_once(what, items)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # fail early on missing checkpoints, and load each one once
@@ -284,8 +293,6 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
     for name in names:
         for diff in present:
             sel = [r for r in run_rows if r["method"] == name and r["difficulty"] == diff]
-            if not sel:
-                continue
             solved = [1.0 if r["result"]["status"] == "solved" else 0.0 for r in sel]
             nodes = [r["result"]["explored_nodes"] for r in sel]
             times = [r["result"]["planning_seconds"] for r in sel]
@@ -371,6 +378,7 @@ def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, c
     """
     if setting not in SETTINGS:
         raise ValueError(f"unknown setting {setting!r}")
+    _check_each_once("problem", [p.id for p in problems])
     bundle = _controller(method, arm, cfg, {} if barrier_cache is None else barrier_cache,
                          **({} if horizon_s is None else {"horizon_s": horizon_s}))
     records = []
@@ -396,8 +404,8 @@ def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, c
     row = ControllerMetricsRow(
         method=method["name"],
         setting=setting,
-        goal_reaching_rate=float(np.mean(reached)) if reached else 0.0,
-        safety_rate=float(np.mean(safety)) if safety else 1.0,
+        goal_reaching_rate=float(np.mean(reached)),
+        safety_rate=float(np.mean(safety)),
         mean_makespan=float(np.mean(makespans)) if makespans else None,
         n_problems=len(problems),
     )

@@ -133,52 +133,43 @@ class PlanResult(Record):
 
 
 def validate_and_truncate(env: Environment, arm: ArmModel, configs: list,
-                          check_resolution: float, start: int = 0,
-                          skip: list | None = None) -> list:
+                          check_resolution: float, skip: list | None = None) -> list:
     """Longest collision-free prefix of a waypoint list, checked at the given
     resolution along every inter-waypoint segment (endpoints included).
 
-    With `start` > 0, configs[:start + 1] already passed: only the segments
-    after waypoint `start` are checked, not that waypoint again (a ladder's
-    last point prev + seg * 1.0 can differ from it by an ulp).
-
     `skip` (a bool per waypoint) leaves out the ladder points of each
     waypoint w where skip[w] holds: those of the segment that ends at w, and
-    for w = 0 the start itself. The caller must have proven them free; the
-    first colliding point checked is then the first of the whole ladder, and
-    the prefix the same."""
-    if start and not 0 < start < len(configs):
-        raise ValueError(f"start {start} is not a waypoint of {len(configs)}")
+    for w = 0 the start itself. The caller must know them free, proven or
+    already checked; the first colliding point checked is then the first of
+    the whole ladder, and the prefix the same."""
     if skip is not None and len(skip) != len(configs):
         raise ValueError(f"skip mask has {len(skip)} entries for {len(configs)} waypoints")
     if not configs:
         return []
     # The check-point ladder in one set of array expressions: segment w
     # (waypoint w-1 to w) gets the points prev + seg * (k / n_w), k = 1..n_w.
-    # Row 0 of the one batched geometry query is the start, if start is 0.
-    pts = np.asarray(configs[start:], dtype=float)
+    # Row 0 of the one batched geometry query is the start.
+    pts = np.asarray(configs, dtype=float)
     prev = pts[:-1]
     seg = pts[1:] - prev
     dist = np.sqrt(np.vecdot(seg, seg))  # np.linalg.norm of each segment, bit for bit
     if not np.all(np.isfinite(dist)):
         raise ValueError("waypoints must be finite")
     n_checks = np.maximum(1, np.ceil(dist / check_resolution).astype(np.int64))
-    checked = np.ones(pts.shape[0], dtype=bool)
-    if skip is not None:
-        checked = ~np.asarray(skip[start:], dtype=bool)
+    checked = np.ones(pts.shape[0], dtype=bool) if skip is None else ~np.asarray(skip, dtype=bool)
     n_placed = np.where(checked[1:], n_checks, 0)  # a skipped segment places no point
     owner = np.repeat(np.arange(1, pts.shape[0]), n_placed)  # waypoint w of each ladder point
     k = np.arange(1, owner.size + 1) - np.repeat(np.cumsum(n_placed) - n_placed, n_placed)
     w = owner - 1
     ladder = prev[w] + seg[w] * (k / n_checks[w])[:, None]
-    if not start and checked[0]:
+    if checked[0]:
         ladder, owner = np.concatenate([pts[:1], ladder]), np.concatenate([[0], owner])
     if not owner.size:
         return list(configs)
     bad = np.flatnonzero(signed_distance_batch(env, arm, ladder) < 0.0)
     if bad.size == 0:
         return list(configs)
-    return list(configs[:start + int(owner[bad[0]])])
+    return list(configs[:int(owner[bad[0]])])
 
 
 def steer_straight(arm: ArmModel, env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
@@ -219,21 +210,22 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
     stalled nominal action once kept, ends it.
 
     The rollout is not checked tick by tick (the barrier does that job
-    online). Its validation runs twice: on tick 1's states, which stops a
-    steer that collides at once (most truncated steers start at a node in
-    contact), and once more on the ticks after it when the rollout ends.
-    The kept prefix, and the controls of the ticks it reaches, equal one
-    validation of the whole rollout.
+    online). One mask records which waypoints are known collision-free,
+    proven or checked, and validation leaves them out. Tick 1, unless
+    proven, is checked at once, which stops a steer that collides there
+    (most truncated steers start at a node in contact); the rest is checked
+    once when the rollout ends. The kept prefix, and the controls of the
+    ticks it reaches, equal one validation of the whole rollout.
 
-    Neither validation checks a tick that its barrier's clearance readings
-    prove free. A tick moves joint i by at most substeps*dt*|u_i| (`hold`
-    only clamps, from inside the limits), so by the reach bound of
-    `ArmModel.joint_reach` the clearance anywhere on the tick's ladder is at
-    most `move` = sum(rho_i substeps dt |u_i|) below the clearance at either
-    end of the tick. A clearance floor above `move` at the tick's start or
-    at its end (the next tick's floor) proves the tick free: its points
-    would pass the check, so the edge is the same. Only a barrier that reads
-    the true clearance gives a finite `clearance_floor`.
+    A tick is proven from its barrier's clearance readings. `hold` moves
+    each joint one way within a tick, a clamp onto the limits included, so
+    by the reach bound of `ArmModel.joint_reach` the clearance anywhere on
+    the tick's ladder is at most `move` = sum(rho_i |q_end,i - q_i|) below
+    the clearance at either end of the tick. A clearance floor above `move`
+    at the tick's start or at its end (the next tick's floor) proves the
+    tick free: its points would pass the check, so the edge is the same.
+    Only a barrier that reads the true clearance gives a finite
+    `clearance_floor`.
     """
     barrier = bundle.barrier
     arm = barrier.arm
@@ -242,10 +234,11 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
     q = np.asarray(q_from, dtype=float).copy()
     configs = [q]
     controls: list = []
-    proven: list = []  # per tick: its states are proven free, or passed validation
-    move = math.inf
+    known = [False]  # per waypoint: known collision-free, proven or checked
+    move = math.inf  # the last tick's motion bound
+    first = 0  # the last tick's first waypoint (tick 1 owns the start)
     stalled = 0
-    kept = None  # tick 1's validated prefix
+    kept = None  # tick 1's checked prefix, once it cuts the edge
     for _ in range(limits.max_ctrl_steps):
         dq = q - q_toward
         if math.sqrt(dq @ dq) <= r_goal:
@@ -253,7 +246,7 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
         u, u_nom, h, diag = control_tick(bundle, env, q, q_toward)
         floor = barrier.clearance_floor(h)
         if floor > move:  # the tick before, proven from its end
-            proven[-1] = True
+            known[first:] = [True] * (len(known) - first)
         if discard:
             if h > 0.0 or diag.constraint_active:
                 break
@@ -263,36 +256,27 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
             if stalled >= limits.stall_ticks:
                 break
         controls.append(u)
-        move = math.inf  # no proof for this tick
-        if floor > -math.inf and (len(controls) > 1 or _within_limits(arm, q)):
-            reach = sum(r * abs(ui) for r, ui in zip(arm.joint_reach, u.tolist()))
-            move = substeps * dt_sim * reach
-            move += 1e-9 * move + 1e-9  # roundoff of the states and the ladder
-        proven.append(floor > move)
         states = hold(arm, q, u, substeps, dt_sim)
+        move = sum(r * abs(b - a) for r, a, b in zip(arm.joint_reach, q.tolist(),
+                                                     states[-1].tolist()))
+        move += 1e-9 * move + 1e-9  # roundoff of the states and the ladder
+        first = len(configs) if len(configs) > 1 else 0
         configs.extend(states)
+        known[first:] = [floor > move] * (len(configs) - first)
         q = states[-1]
-        if len(controls) == 1 and not proven[0]:
+        if not known[0]:  # tick 1, not proven: check it before running on
             kept = validate_and_truncate(env, arm, configs, limits.check_resolution)
             if len(kept) < len(configs):
-                break
-            proven[0] = True
+                break  # with no closing check
+            kept, known = None, [True] * len(configs)
         if discard and math.sqrt(u @ u) < limits.stall_threshold:
             break
-    if not controls:  # the loop ended before tick 1
-        kept = validate_and_truncate(env, arm, configs, limits.check_resolution)
-    elif kept is None or len(kept) == substeps + 1:  # tick 1 is free: check the unproven rest
-        skip = proven[:1] + [p for p in proven for _ in range(substeps)]
-        kept = configs if all(skip) else validate_and_truncate(
-            env, arm, configs, limits.check_resolution, 0 if kept is None else substeps, skip)
+    if kept is None:  # the closing check, of what is not known free
+        kept = configs if all(known) else validate_and_truncate(
+            env, arm, configs, limits.check_resolution, known)
     kept = kept or configs[:1]
     n_ticks_kept = (len(kept) - 1 + substeps - 1) // substeps  # ticks the kept states reach
     return Edge(configs=kept, controls=controls[:n_ticks_kept])
-
-
-def _within_limits(arm: ArmModel, q: np.ndarray) -> bool:
-    """Whether every joint of q is inside its limits (not for NaN)."""
-    return all(lo <= x <= hi for lo, x, hi in zip(arm.joint_lower, q.tolist(), arm.joint_upper))
 
 
 # the filtered-LQR steer on its own, by the name the benchmark tracer times
@@ -324,6 +308,8 @@ def rrt_plan(problem: PlanProblem, steer: SteerKind, limits: PlannerLimits,
     ties). After a successful expansion whose endpoint is within
     connect_radius of the goal, one direct steer to the goal is attempted
     (also counted); a node within r_goal of the goal solves the problem.
+    Endpoints must be finite, inside the joint limits and collision-free,
+    and r_goal positive and finite (else ValueError).
     """
     result, _ = rrt_plan_with_tree(problem, steer, limits, rng, seed=seed)
     return result
@@ -337,10 +323,13 @@ def rrt_plan_with_tree(problem: PlanProblem, steer: SteerKind, limits: PlannerLi
     env = problem.env
     q0 = np.asarray(problem.q0, dtype=float)
     qg = np.asarray(problem.qg, dtype=float)
-    if signed_distance(env, arm, q0) < 0.0:
-        raise ValueError("start configuration is in collision")
-    if signed_distance(env, arm, qg) < 0.0:
-        raise ValueError("goal configuration is in collision")
+    for name, q in (("start", q0), ("goal", qg)):
+        if not (np.all(np.isfinite(q)) and np.all((arm.lower <= q) & (q <= arm.upper))):
+            raise ValueError(f"{name} configuration must be finite and inside the joint limits")
+        if signed_distance(env, arm, q) < 0.0:
+            raise ValueError(f"{name} configuration is in collision")
+    if not 0.0 < problem.r_goal < math.inf:
+        raise ValueError("r_goal must be positive and finite")
 
     t0 = time.perf_counter()
     tree = SearchTree(q0)

@@ -2,6 +2,7 @@
 determinism, and end-to-end controller evaluation."""
 
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -244,6 +245,28 @@ class TestRunBench:
             bench.run_bench(probs, methods, seeds, arm, cfg, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", ["no problem", "no method", "no seed", "problem twice"])
+    def test_an_empty_list_or_a_repeated_problem_fails_before_writing(self, cfg, arm, tmp_path,
+                                                                     case):
+        # an empty list gave header-only tables; a repeated problem id ran
+        # twice from the same planner stream and counted twice in the rows
+        probs = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 2,
+                                   np.random.default_rng(13), arm, 0.025)
+        methods, seeds = [{"name": "straight"}], [0]
+        message = f"no {case.split()[1]} to run"
+        if case == "no problem":
+            probs = []
+        elif case == "no method":
+            methods = []
+        elif case == "no seed":
+            seeds = []
+        else:
+            probs = [probs[0], replace(probs[1], id=probs[0].id)]
+            message = "repeats one"
+        with pytest.raises(ValueError, match=message):
+            bench.run_bench(probs, methods, seeds, arm, cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_solved_runs_revalidate(self, cfg, arm, tmp_path, capsys):
         # the re-validation CI runs on its pipeline's bench: every solved
         # path passes the full check ladder, and one bent into an obstacle fails
@@ -276,9 +299,12 @@ class TestRunBench:
             (run["method"], run["problem_id"], run["seed"])]
 
     def test_missing_checkpoint_fails_before_running(self, cfg, arm, tmp_path):
+        probs = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 1,
+                                   np.random.default_rng(13), arm, 0.025)
         with pytest.raises(FileNotFoundError):
-            bench.run_bench([], [{"name": "cbf-state", "checkpoint": "/nonexistent.json"}],
+            bench.run_bench(probs, [{"name": "cbf-state", "checkpoint": "/nonexistent.json"}],
                             [0], arm, cfg, tmp_path)
+        assert not (tmp_path / "runs.jsonl").exists()
 
     def test_checkpoint_shared_by_methods_loads_once(self, cfg, arm, tmp_path, monkeypatch):
         from cbfsteer.config import make_hyper
@@ -346,6 +372,14 @@ class TestEvalController:
         assert row.safety_rate == 1.0
         assert row.mean_makespan is not None
         assert len(records) == 5
+
+    def test_an_empty_or_repeated_problem_list_rejected(self, cfg, arm):
+        # an empty list read goal 0 and safety 1; a repeated id counts twice
+        probs = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 1,
+                                   np.random.default_rng(15), arm, 0.025)
+        for given, message in (([], "no problem to run"), (probs * 2, "repeats one")):
+            with pytest.raises(ValueError, match=message):
+                bench.eval_controller(given, {"name": "hand-cbf"}, "static_full", arm, cfg)
 
     def test_makespan_counts_successes_only(self, cfg, arm):
         gen = make_env_gen(cfg, num_obstacles=6)

@@ -43,6 +43,24 @@ class TestExitCodes:
         assert f"config key {key} must be an object" in capsys.readouterr().err
         assert not (tmp_path / "out" / "problems.json").exists()
 
+    @pytest.mark.parametrize("problems, message", [([], "no problem to run"),
+                                                   ("twice", "repeats one")])
+    def test_an_empty_or_repeated_problem_list_fails_before_writing(self, tmp_path, capsys,
+                                                                    problems, message):
+        # bench wrote header-only tables, or ran a repeated problem twice, and
+        # eval-controller printed goal 0 and safety 1 for an empty list
+        out = tmp_path / "out"
+        if problems == "twice":
+            assert run(["--out", str(tmp_path), "gen-problems", "--count", "1"]) == 0
+            problems = load_json(tmp_path / "problems.json") * 2
+        dump_json(tmp_path / "given.json", problems)
+        for command in (["bench", "--methods", "straight"],
+                        ["eval-controller", "--method", "hand-cbf"]):
+            assert run(["--out", str(out), *command,
+                        "--problems", str(tmp_path / "given.json")]) == 2
+            assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 @pytest.fixture(scope="module")
 def mini_config(tmp_path_factory):

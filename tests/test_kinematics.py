@@ -5,6 +5,8 @@ integration, in the zero-order hold and in the per-step reference that
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbfsteer.kinematics import (
     ArmModel,
@@ -231,6 +233,23 @@ class TestIntegrate:
             clamped += int(np.any((step == arm.upper) | (step == arm.lower)))
             negative_zeros += int(np.any((step == 0.0) & np.signbit(step)))
         assert clamped > 1000 and negative_zeros > 100
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_hold_moves_each_joint_one_way(self, data):
+        # the premise of a rollout steer's motion bound: within a tick each
+        # joint moves one way, the first step's clamp from outside the limits
+        # included, so no state or ladder point of the tick lies farther from
+        # either end than the tick's whole motion
+        arm = ArmModel()
+        q = np.array([data.draw(st.floats(lo - 0.5, hi + 0.5), label=f"q{i}")
+                      for i, (lo, hi) in enumerate(zip(arm.joint_lower, arm.joint_upper))])
+        u = np.array([data.draw(st.floats(-b, b), label=f"u{i}")
+                      for i, b in enumerate(arm.action_bound)])
+        substeps = data.draw(st.integers(1, 6), label="substeps")
+        dt = data.draw(st.sampled_from([1.0 / 120, 1.0 / 30, 0.1]), label="dt")
+        steps = np.diff(np.vstack([q, hold(arm, q, u, substeps, dt)]), axis=0)
+        assert np.all(np.all(steps >= 0.0, axis=0) | np.all(steps <= 0.0, axis=0))
 
 
 class TestArmModel:

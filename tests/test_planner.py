@@ -2,6 +2,7 @@
 invariants, edge safety audits, and node-for-node agreement with an
 independent reference RRT built from the documented sampling contract."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -340,6 +341,26 @@ class TestRrtPlan:
         with pytest.raises(ValueError):
             rrt_plan(problem, SteerStraightLine(), PlannerLimits(), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("which", ["q0", "qg"])
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (3.5, 0.0, 0.0),
+                                     (0.0, 0.0, -2.9)])
+    def test_a_non_finite_or_out_of_limits_endpoint_rejected(self, arm, which, bad):
+        # a NaN start passed the collision check (its clearance is NaN) and
+        # failed deep in the steer; a goal outside the limits was "solved"
+        # by a path that left the joint box
+        endpoints = {"q0": np.zeros(3), "qg": np.array([0.3, 0.0, 0.0]), which: np.array(bad)}
+        problem = PlanProblem(arm=arm, env=Environment(), r_goal=0.1, **endpoints)
+        name = "start" if which == "q0" else "goal"
+        with pytest.raises(ValueError, match=f"{name} configuration must be finite and inside"):
+            rrt_plan(problem, SteerStraightLine(), PlannerLimits(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("r_goal", [0.0, -0.1, np.nan, np.inf])
+    def test_a_non_positive_or_non_finite_goal_radius_rejected(self, arm, r_goal):
+        problem = PlanProblem(arm=arm, env=Environment(), q0=np.zeros(3),
+                              qg=np.array([0.3, 0.0, 0.0]), r_goal=r_goal)
+        with pytest.raises(ValueError, match="r_goal must be positive and finite"):
+            rrt_plan(problem, SteerStraightLine(), PlannerLimits(), np.random.default_rng(0))
+
     def test_seed_determinism(self, arm):
         rng = np.random.default_rng(3)
         env = random_environment(EnvGenConfig(), rng)
@@ -422,17 +443,6 @@ class TestValidateAndTruncate:
         assert len(validate_and_truncate(Environment(), arm, configs, 0.02)) == 3
         assert calls == [1 + 3 + 3]  # the start plus each segment's ladder
 
-    def test_start_must_be_a_waypoint(self, arm):
-        env = Environment(obstacles=(
-            Obstacle(kind="circle", center=(0.25, 0.0), radius=0.1),))
-        configs = [np.zeros(3), np.array([0.0, 0.0, 0.5]), np.array([0.0, 0.0, 1.0])]
-        assert validate_and_truncate(env, arm, configs, 0.02) == []  # the start collides
-        for start in (-1, 3, 4):
-            with pytest.raises(ValueError, match="not a waypoint"):
-                validate_and_truncate(env, arm, configs, 0.02, start=start)
-        with pytest.raises(ValueError, match="not a waypoint"):
-            validate_and_truncate(env, arm, [], 0.02, start=1)
-
     def test_skip_mask_needs_one_entry_per_waypoint(self, arm):
         configs = [np.zeros(3), np.array([0.05, 0.0, 0.0])]
         for skip in ([], [False], [False] * 3):
@@ -457,8 +467,8 @@ class TestValidateAndTruncate:
             assert got.tobytes() == rows.tobytes()
         # nothing left to check: no geometry call
         assert validate_and_truncate(Environment(), arm, configs, 0.02, skip=[True] * 3) == configs
-        assert validate_and_truncate(Environment(), arm, configs, 0.02, start=1,
-                                     skip=[False, False, True]) == configs
+        assert validate_and_truncate(Environment(), arm, configs[:1], 0.02,
+                                     skip=[True]) == configs[:1]
         assert calls == []
 
     def test_colliding_start_gives_empty_prefix(self, arm):
@@ -770,8 +780,9 @@ def recording(monkeypatch, name, log):
 
 
 class TestSplitValidation:
-    """Validating a prefix, then the rest from its last waypoint, equals one
-    validation of the whole list: the same kept prefix, from the same rows."""
+    """Validating a prefix, then the whole list with the prefix's waypoints
+    marked known free, equals one validation of the whole list: the same kept
+    prefix, from the same rows."""
 
     def test_every_split_point(self, arm, monkeypatch):
         rng = np.random.default_rng(31)
@@ -794,7 +805,8 @@ class TestSplitValidation:
             for s in range(1, len(configs)):
                 kept = validate_and_truncate(env, arm, configs[:s + 1], 0.02)
                 if len(kept) == s + 1:
-                    kept = validate_and_truncate(env, arm, configs, 0.02, start=s)
+                    known = [True] * (s + 1) + [False] * (len(configs) - s - 1)
+                    kept = validate_and_truncate(env, arm, configs, 0.02, skip=known)
                     cut_rest += len(kept) < len(configs)
                     whole += len(kept) == len(configs)
                 else:
@@ -812,8 +824,8 @@ class TestSplitValidation:
         configs = [np.zeros(3), np.array([0.05, 0.0, 0.0])]
         env = Environment(obstacles=(Obstacle(kind="circle", center=(0.25, 0.0), radius=0.1),))
         assert validate_and_truncate(env, arm, configs, 0.02) == []
-        # waypoints up to the start passed already; nothing after it is left
-        assert validate_and_truncate(env, arm, configs, 0.02, start=1) == configs
+        # every waypoint is known free already: nothing is left to check
+        assert validate_and_truncate(env, arm, configs, 0.02, skip=[True, True]) == configs
 
 
 def loose_bundles(arm, env, rng):
@@ -922,19 +934,37 @@ class TestProvenTicks:
                     assert_same_edge(edge, ref(*args))
         assert counts["none"] >= 10 and counts["some"] >= 10
 
-    def test_no_proof_from_outside_the_joint_limits(self, arm, monkeypatch):
-        # hold's first step clamps a start outside the limits, a jump the
-        # reach bound does not cover: tick 1 is validated, not proven
+    def test_outside_start_bounded_by_its_own_motion(self, arm, monkeypatch):
+        # hold's first step clamps a start outside the limits onto them, a
+        # jump that tick 1's motion bound includes: the tick is proven when
+        # the clearance at its start exceeds that motion, and checked otherwise
         validations = []
         recording(monkeypatch, "validate_and_truncate", validations)
-        q_from = np.array([arm.joint_upper[0] + 0.3, 0.0, 0.0])
-        args = (Environment(), q_from, np.zeros(3), hand_bundle(arm), PlannerLimits(), 0.1)
-        edge = steer_cbf_inc(*args)
-        assert len(validations[0][2]) == SUBSTEPS + 1  # tick 1's states, kept
-        assert_same_edge(edge, rollout_oracle.rollout_edge(*args))
-        validations.clear()
-        edge = steer_cbf_inc(args[0], q_from - 0.6 * (q_from > 0), *args[2:])
-        assert len(edge.controls) > 1 and validations == []  # from inside, all proven
+        upper = arm.joint_upper[0]
+        angle = upper + 0.05  # a circle that the clamp from upper + 0.3 sweeps through
+        circle = Environment(obstacles=(Obstacle(kind="circle", radius=0.05, center=(
+            math.cos(angle), math.sin(angle))),))
+        # the largest motion of a tick without a clamp: a clearance above it
+        # would prove tick 1 under a bound that left the clamp jump out
+        most = SUBSTEPS / 120 * sum(arm.joint_reach)
+        cases = [(Environment(), 0.1, "proven"), (Environment(), 0.3, "checked"),
+                 (circle, 0.3, "cut")]
+        for env, jump, expected in cases:
+            q_from = np.array([upper + jump, 0.0, 0.0])
+            jump_move = arm.joint_reach[0] * jump
+            d = signed_distance(env, arm, q_from)
+            assert (d > jump_move + most) if expected == "proven" else (most < d < jump_move)
+            args = (env, q_from, np.zeros(3), hand_bundle(arm), PlannerLimits(), 0.1)
+            validations.clear()
+            edge = steer_cbf_inc(*args)
+            assert_same_edge(edge, rollout_oracle.rollout_edge(*args))
+            if expected == "proven":
+                assert validations == [] and len(edge.controls) > 1
+            elif expected == "checked":
+                assert len(validations[0][2]) == SUBSTEPS + 1  # tick 1's states, kept
+            else:  # the clamp into the circle collides: tick 1's check cuts the edge
+                assert len(validations) == 1 and len(validations[0][0][2]) == SUBSTEPS + 1
+                assert edge.empty
 
 
 def cloud_plan_setting(seed, count=4):

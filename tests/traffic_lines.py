@@ -1,8 +1,9 @@
 """The package's executable lines that no run reaches.
 
 Under `sys.settrace` it runs the command-line pipeline of CI's
-whole-pipeline step, with that step's miniature config, and one set-up and
-one pass of each benchmark workload at a seed. For each module of
+whole-pipeline step, with that step's miniature config and its strict-QP
+variant, and one set-up and one pass of each benchmark workload at a seed.
+For each module of
 `src/cbfsteer/` it then prints the executable lines that no run reached, as
 ranges over the module's executable lines:
 
@@ -35,6 +36,8 @@ CI_CONFIG = {"data": {"rollout_trajs": 2, "uniform_samples": 300},
                        "cloud": {"epochs": 1, "batch_size": 32, "lr": 2e-3}},
              "cloud": {"num_points": 16}, "planner": {"max_nodes": 60},
              "bench": {"seeds": [0], "proxy_runs": 1, "problems_per_class": 2}}
+# and the second config of that step, with the strict safety QP
+STRICT_CONFIG = {**CI_CONFIG, "controller": {"mode": "strict"}}
 METHODS = ("straight", "hand-cbf", "cbf-state", "cbf-cloud", "filter-lqr")
 WORKLOADS = ("plan-hand", "plan-cloud", "control-dynamic", "learn")
 
@@ -98,10 +101,11 @@ def run_pipeline(work: Path) -> None:
 
     work.mkdir()
     (work / "config.json").write_text(json.dumps(CI_CONFIG))
+    (work / "config-strict.json").write_text(json.dumps(STRICT_CONFIG))
     out = work / "out"
 
-    def run(*args):
-        argv = ["--seed", "3", "--config", str(work / "config.json"), "--out", str(out),
+    def run(*args, config="config.json"):
+        argv = ["--seed", "3", "--config", str(work / config), "--out", str(out),
                 "--no-timing", *args]
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
@@ -135,6 +139,13 @@ def run_pipeline(work: Path) -> None:
     run("eval-controller", "--problems", str(out / "problems-moving.json"), "--method",
         "cbf-cloud", "--checkpoint", checkpoint["cbf-cloud"], "--setting", "dynamic-partial",
         "--horizon", "2.0", "--out-file", "controller-cbf-cloud-moving.json")
+    strict = "config-strict.json"
+    run("plan", "--problems", str(out / "problems.json"), "--index", "2", "--method", "hand-cbf",
+        "--out-file", "plan-hand-cbf-strict.json", config=strict)
+    for setting in ("static-full", "dynamic-partial"):
+        run("eval-controller", "--problems", str(out / "problems.json"), "--method", "hand-cbf",
+            "--setting", setting, "--horizon", "2.0",
+            "--out-file", f"controller-hand-cbf-{setting}-strict.json", config=strict)
 
 
 def run_workload(name: str, seed: int, work: Path) -> None:
