@@ -20,6 +20,7 @@ import numpy as np
 from .cbf import HandcraftedBarrier, NeuralBarrier
 from .config import (
     checkpoint_hyper,
+    is_int_at_least,
     make_hyper,
     make_planner_limits,
     make_policy,
@@ -38,7 +39,7 @@ from .environment import (
     sample_free_config,
     sample_surface_points,
 )
-from .jsonio import Record, canonical_dumps, dump_json, load_json
+from .jsonio import Record, dump_json, dump_jsonl, load_json
 from .kinematics import ArmModel
 from .neural import load_checkpoint
 from .planner import (
@@ -197,10 +198,13 @@ def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
                                                root_seed))
     act = None
     if name == "filter-lqr":
-        # a spec without a switch point (or with a negative one) switches to
-        # the discard-style steer halfway through the node budget
-        act = int(method.get("activation_after", -1))
-        if act < 0:
+        # a spec without a switch point, or with -1, switches to the
+        # discard-style steer halfway through the node budget
+        act = method.get("activation_after", -1)
+        if not is_int_at_least(act, -1):
+            raise ValueError("filter-lqr activation_after must be an integer >= 0, or -1 for "
+                             f"half the node budget, not {act!r}")
+        if act == -1:
             act = int(cfg["planner"]["max_nodes"]) // 2
     return SteerRollout(bundle=bundle, activation_after=act)
 
@@ -250,6 +254,8 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
     for what, items in (("problem", [p.id for p in problems]), ("method", names),
                         ("seed", seeds)):
         _check_each_once(what, items)
+    if not all(is_int_at_least(s, 0) for s in seeds):
+        raise ValueError(f"bench seeds must be non-negative integers: {seeds!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # fail early on missing checkpoints, and load each one once
@@ -262,7 +268,7 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
             _controller(method, arm, cfg, cache)
 
     tasks = [(p.to_json(), m, s) for m in methods for p in problems for s in seeds]
-    workers = int(cfg["bench"].get("workers", 1))
+    workers = cfg["bench"]["workers"]
     if workers > 1:
         with multiprocessing.Pool(workers, initializer=_init_worker,
                                   initargs=(cfg, arm.to_json(), root_seed)) as pool:
@@ -284,9 +290,7 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
             "seed": seed,
             "result": res,
         })
-    with open(out_dir / "runs.jsonl", "w") as f:
-        for row in run_rows:
-            f.write(canonical_dumps(row) + "\n")
+    dump_jsonl(out_dir / "runs.jsonl", run_rows)
 
     rows = []
     present = [d for d in DIFFICULTIES if any(p.difficulty == d for p in problems)]

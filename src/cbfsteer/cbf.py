@@ -30,7 +30,7 @@ from .environment import (
     sample_surface_points,
     signed_distance_batch,
 )
-from .jsonio import Record, canonical_dumps, dump_json, load_json, load_jsonl
+from .jsonio import Record, dump_json, dump_jsonl, load_json, load_jsonl
 from .kinematics import ArmModel, _read_only, batch_link_frames, hold
 from .neural import (
     FRESH,
@@ -121,7 +121,8 @@ class Dataset:
             "environments": [env.to_json() for env in self.environments],
             "clouds": {str(k): c.to_json() for k, c in self.clouds.items()},
         })
-        with open(path, "w") as f:
+
+        def rows():
             for s in self.samples:
                 if isinstance(s.observation, StateObservation):
                     obs = {"d": s.observation.min_signed_distance}
@@ -129,9 +130,9 @@ class Dataset:
                     obs = {"cloud_env": s.env_id}
                 else:
                     obs = {"cloud": s.observation.to_json()}
-                row = {"q": np.asarray(s.q).tolist(), "label": s.label.value,
+                yield {"q": np.asarray(s.q).tolist(), "label": s.label.value,
                        "env_id": s.env_id, "obs": obs}
-                f.write(canonical_dumps(row) + "\n")
+        dump_jsonl(path, rows())
 
     @classmethod
     def load(cls, path) -> "Dataset":

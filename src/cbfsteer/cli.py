@@ -185,7 +185,7 @@ def _cmd_collect_data(args, cfg, out_dir):
 def _cmd_train(args, cfg, out_dir):
     dataset = Dataset.load(args.data)
     arm = dataset.arm
-    hyper = make_hyper(cfg, dataset.kind)
+    hyper = make_hyper(cfg)
     schedule = make_schedule(cfg, dataset.kind)
     if args.epochs is not None:
         schedule = replace(schedule, epochs=args.epochs)

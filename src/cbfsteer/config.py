@@ -109,8 +109,7 @@ def deep_merge(base: dict, override: dict) -> dict:
 def load_config(path=None) -> dict:
     """DEFAULTS with the file's overrides, after building every section's
     records, the nominal policy and the hand barrier once and checking the
-    data counts, the problems' clearance factor and the bench seeds, so a
-    rejected value stops any work."""
+    data counts and the `bench` section, so a rejected value stops any work."""
     if path is None:
         return copy.deepcopy(DEFAULTS)
     doc = load_json(path)
@@ -128,12 +127,23 @@ def load_config(path=None) -> dict:
     data = cfg["data"]
     check_collection_counts(DatasetCounts(data["rollout_trajs"], data["uniform_samples"]),
                             data["uniform_samples_per_env"])
-    if not 0.0 <= cfg["bench"]["clearance_factor"] < math.inf:
+    bench = cfg["bench"]
+    if not 0.0 <= bench["clearance_factor"] < math.inf:
         raise ValueError("bench.clearance_factor must be non-negative and finite")
-    seeds = cfg["bench"]["seeds"]
+    seeds = bench["seeds"]
+    if not isinstance(seeds, list) or not all(is_int_at_least(s, 0) for s in seeds):
+        raise ValueError(f"bench.seeds must be a list of non-negative integers: {seeds!r}")
     if not seeds or len(set(seeds)) < len(seeds):
         raise ValueError("bench.seeds must name at least one seed, each once")
+    for key in ("workers", "proxy_runs", "problems_per_class"):
+        if not is_int_at_least(bench[key], 1):
+            raise ValueError(f"bench.{key} must be an integer >= 1, not {bench[key]!r}")
     return cfg
+
+
+def is_int_at_least(value, low: int) -> bool:
+    """Whether `value` is an int, not a bool, and at least `low`."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 def seed_stream(root_seed: int, name: str, *indices: int) -> np.random.Generator:
@@ -154,8 +164,8 @@ def make_env_gen(cfg: dict, **overrides) -> EnvGenConfig:
 
 def make_hyper(cfg: dict, kind: str | None = None) -> CbfHyper:
     """The barrier hyperparameters of the config's `hyper` block, which both
-    variants share. `kind` is not read; callers such as the benchmark
-    workloads pass the variant, as they do to `make_schedule`."""
+    variants share. `kind` is not read; the benchmark workloads pass the
+    variant, as they do to `make_schedule`."""
     return CbfHyper.from_json(cfg["hyper"])
 
 

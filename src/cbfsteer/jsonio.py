@@ -32,6 +32,12 @@ def load_json(path: str | Path) -> Any:
     return json.loads(Path(path).read_text())
 
 
+def dump_jsonl(path: str | Path, rows) -> None:
+    with open(path, "w") as f:
+        for row in rows:
+            f.write(canonical_dumps(row) + "\n")
+
+
 def load_jsonl(path: str | Path):
     with open(path) as f:
         return [json.loads(line) for line in f if line.strip()]

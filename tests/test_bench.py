@@ -245,6 +245,16 @@ class TestRunBench:
             bench.run_bench(probs, methods, seeds, arm, cfg, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seeds", [[0, 0.5], [True], [-1]])
+    def test_a_seed_that_is_not_a_non_negative_int_fails_before_writing(self, cfg, arm,
+                                                                        tmp_path, seeds):
+        # seed_stream reads 0.5 as 0: seeds [0, 0.5] planned one run twice
+        probs = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 1,
+                                   np.random.default_rng(13), arm, 0.025)
+        with pytest.raises(ValueError, match="bench seeds must be non-negative integers"):
+            bench.run_bench(probs, [{"name": "straight"}], seeds, arm, cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("case", ["no problem", "no method", "no seed", "problem twice"])
     def test_an_empty_list_or_a_repeated_problem_fails_before_writing(self, cfg, arm, tmp_path,
                                                                      case):
@@ -313,7 +323,7 @@ class TestRunBench:
         (tmp_path / "out").mkdir()
         net = Mlp.create((arm.n_links + 1, 4, 1), np.random.default_rng(18))
         save_checkpoint(tmp_path / "out" / "checkpoint-state.json", "state", net,
-                        make_hyper(cfg, "state").to_json())
+                        make_hyper(cfg).to_json())
         monkeypatch.chdir(tmp_path)
         loads = []
 
@@ -426,7 +436,7 @@ class TestEvalController:
         net = Mlp.create((arm.n_links + 1, 4, 1), np.random.default_rng(17))
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, "state", net,
-                        replace(make_hyper(load_config(), "state"), alpha_h=2.0).to_json())
+                        replace(make_hyper(load_config()), alpha_h=2.0).to_json())
         method = {"name": "cbf-state", "checkpoint": str(path)}
         if entry == "build_steer":
             bundle = bench.build_steer(method, arm, probs[0], cfg, 0, {}).bundle
@@ -478,7 +488,7 @@ class TestEvalController:
         path = str(tmp_path / "checkpoint-state.json")
         save_checkpoint(path, "state", Mlp.create((arm.n_links + 1, 4, 1),
                                                   np.random.default_rng(22)),
-                        make_hyper(cfg, "state").to_json())
+                        make_hyper(cfg).to_json())
         loads = []
 
         def counting_load(path):
@@ -615,7 +625,7 @@ class TestObserver:
         nets = {"state": Mlp.create(state_widths(cfg, arm), rng),
                 "cloud": PointSetEncoder.create(arm.n_links, *cloud_widths(cfg, arm), rng=rng)}
         for kind, net in nets.items():
-            save_checkpoint(tmp_path / f"{kind}.json", kind, net, make_hyper(cfg, kind).to_json())
+            save_checkpoint(tmp_path / f"{kind}.json", kind, net, make_hyper(cfg).to_json())
         return {"hand-cbf": {"name": "hand-cbf"},
                 "cbf-state": {"name": "cbf-state", "checkpoint": str(tmp_path / "state.json")},
                 "cbf-cloud": {"name": "cbf-cloud", "checkpoint": str(tmp_path / "cloud.json")}}
@@ -700,3 +710,24 @@ class TestObserver:
                                   np.random.default_rng(28), arm, 0.025)[0]
         steer = bench.build_steer(method, arm, prob, cfg, 0, {})
         assert steer.bundle.barrier.kind == kind and steer.activation_after is not None
+
+    @pytest.mark.parametrize("given, expected", [(None, 30), (-1, 30), (0, 0)])
+    def test_filter_lqr_switch_point(self, cfg, arm, methods, given, expected):
+        # none, or -1, switches halfway through the node budget
+        cfg = dict(cfg, planner=dict(cfg["planner"], max_nodes=60))
+        method = {"name": "filter-lqr", "checkpoint": methods["cbf-state"]["checkpoint"]}
+        if given is not None:
+            method["activation_after"] = given
+        prob = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 1,
+                                  np.random.default_rng(28), arm, 0.025)[0]
+        assert bench.build_steer(method, arm, prob, cfg, 0, {}).activation_after == expected
+
+    @pytest.mark.parametrize("given", [-7, -2, 2.5, True, "3"])
+    def test_filter_lqr_refuses_another_switch_point(self, cfg, arm, methods, given):
+        # a negative one ran the default switch point, and 2.5 ran as 2
+        method = {"name": "filter-lqr", "checkpoint": methods["cbf-state"]["checkpoint"],
+                  "activation_after": given}
+        prob = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 1,
+                                  np.random.default_rng(28), arm, 0.025)[0]
+        with pytest.raises(ValueError, match="activation_after must be an integer >= 0, or -1"):
+            bench.build_steer(method, arm, prob, cfg, 0, {})

@@ -321,7 +321,7 @@ class TestGradHq:
         nrm = rng.normal(size=(12, 2))
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
         cloud = CloudObservation(points=pts, normals=nrm, source=CloudSource.SURFACE_SAMPLED)
-        hyper = make_hyper(load_config(), "cloud")
+        hyper = make_hyper(load_config())
         h, g = NeuralBarrier(enc, arm, hyper).value_and_grad(np.zeros(3), cloud, None)
         assert np.isfinite(h)
         assert g.shape == (3,)
@@ -453,7 +453,7 @@ class TestLoss:
         assert max_rel_err(grads, fd) < 1e-3
 
     def test_cloud_variant_grads_match_finite_differences(self, arm):
-        hyper = make_hyper(load_config(), "cloud")
+        hyper = make_hyper(load_config())
         rng = np.random.default_rng(11)
         env = Environment(obstacles=(Obstacle(kind="rect", center=(0.7, 0.5),
                                               half_extents=(0.25, 0.25)),))
@@ -540,7 +540,7 @@ class TestEvaluateConstraints:
         ds = collect_dataset(arm, EnvGenConfig(), DatasetCounts(rollout_trajs=2, uniform_samples=600),
                              NominalPolicy(), np.random.default_rng(21), observation_kind=kind,
                              **collect_settings(cloud_points=64))
-        hyper = make_hyper(cfg, kind)
+        hyper = make_hyper(cfg)
         rng = np.random.default_rng(22)
         if kind == "cloud":
             per_point, trunk = cloud_widths(cfg, arm)
@@ -585,7 +585,7 @@ class TestTrainSchedule:
 class TestTrain:
     def test_zero_epochs_identity(self, arm):
         ds = small_dataset(arm, uniform=60)
-        hyper = make_hyper(load_config(), "state")
+        hyper = make_hyper(load_config())
         net = Mlp.create((4, 8, 1), np.random.default_rng(16))
         before = [(w.copy(), b.copy()) for w, b in net.params]
         net2, report = train(ds, net, hyper, TrainSchedule(epochs=0), np.random.default_rng(0))
@@ -599,7 +599,7 @@ class TestTrain:
         paths = []
         for name in ("a", "b"):
             ds = small_dataset(arm, seed=3, uniform=300)
-            hyper = make_hyper(load_config(), "state")
+            hyper = make_hyper(load_config())
             net = Mlp.create((4, 16, 1), np.random.default_rng(17))
             net, _ = train(ds, net, hyper, TrainSchedule(epochs=3, batch_size=64),
                            np.random.default_rng(99))
@@ -612,7 +612,7 @@ class TestTrain:
         paths = []
         for name in ("a", "b"):
             ds = small_dataset(arm, seed=3, uniform=120, kind="cloud")
-            hyper = make_hyper(load_config(), "cloud")
+            hyper = make_hyper(load_config())
             net = wide_encoder(arm.n_links, np.random.default_rng(17))
             net, _ = train(ds, net, hyper, TrainSchedule(epochs=2, batch_size=32),
                            np.random.default_rng(99))
@@ -623,7 +623,7 @@ class TestTrain:
 
     def test_training_improves_rates(self, arm):
         ds = small_dataset(arm, seed=5, uniform=2000, rollouts=4)
-        hyper = make_hyper(load_config(), "state")
+        hyper = make_hyper(load_config())
         net = Mlp.create((4, 32, 32, 1), np.random.default_rng(18))
         net, report = train(ds, net, hyper, TrainSchedule(epochs=12, batch_size=128, lr=3e-3),
                             np.random.default_rng(5))
@@ -745,7 +745,7 @@ class TestClearanceFloor:
 
 class TestStencilDistances:
     def test_matches_direct_computation(self, arm):
-        hyper = make_hyper(load_config(), "state")
+        hyper = make_hyper(load_config())
         rng = np.random.default_rng(20)
         samples, envs = synthetic_state_batch(arm, hyper, rng, n=10)
         table = stencil_distances(samples, arm, hyper, envs)
@@ -825,7 +825,7 @@ class TestPrepareOnce:
                 if i % 50 == 0 else s for i, s in enumerate(ds.samples)))
         ds.save(tmp_path / "data.jsonl")
         loaded = Dataset.load(tmp_path / "data.jsonl")
-        prep = check_prepare_once(loaded.samples, arm, make_hyper(load_config(), kind),
+        prep = check_prepare_once(loaded.samples, arm, make_hyper(load_config()),
                                   loaded.environments, rng)
         if kind == "cloud":
             assert prep.points.shape[0] == len(loaded.clouds) + len(ds.samples[::50])
@@ -855,7 +855,7 @@ class TestPreparedOncePerDataset:
     def test_audit_after_training_matches_a_fresh_prepare(self, arm, kind, tmp_path):
         ds = small_dataset(arm, seed=8, uniform=200, kind=kind)
         copied = reloaded(ds, tmp_path / "data.jsonl")
-        hyper = make_hyper(load_config(), kind)
+        hyper = make_hyper(load_config())
         net, _ = train(ds, small_net(kind, arm, np.random.default_rng(3)), hyper,
                        TrainSchedule(epochs=2, batch_size=48), np.random.default_rng(4))
         ref = _prepare(copied.samples, arm, hyper, copied.environments)
@@ -877,7 +877,7 @@ class TestPreparedOncePerDataset:
     def test_another_fd_step_is_prepared_afresh(self, arm, kind, tmp_path):
         ds = small_dataset(arm, seed=9, uniform=150, kind=kind)
         copied = reloaded(ds, tmp_path / "data.jsonl")
-        hyper = make_hyper(load_config(), kind)
+        hyper = make_hyper(load_config())
         other = replace(hyper, fd_step=4 * hyper.fd_step)
         net = small_net(kind, arm, np.random.default_rng(5))
         evaluate_constraints(net, ds, hyper)
@@ -894,7 +894,7 @@ class TestPreparedOncePerDataset:
         monkeypatch.setattr(cbf_module, "stencil_distances",
                             lambda *args: calls.append(len(args[0])) or real(*args))
         ds = small_dataset(arm, uniform=100)
-        hyper = make_hyper(load_config(), "state")
+        hyper = make_hyper(load_config())
         net, _ = train(ds, small_net("state", arm, np.random.default_rng(6)), hyper,
                        TrainSchedule(epochs=2, batch_size=32), np.random.default_rng(7))
         for _ in range(2):
@@ -917,7 +917,7 @@ class TestPreparedOncePerDataset:
         ds = small_dataset(arm, uniform=30, rollouts=1, kind=kind)
         loaded = reloaded(ds, tmp_path / "data.jsonl")
         for d in (ds, loaded):
-            prep = d.prepared(make_hyper(load_config(), kind))
+            prep = d.prepared(make_hyper(load_config()))
             before = d.samples[0].q.tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 d.samples[0].q[:] = 0.5
@@ -926,7 +926,7 @@ class TestPreparedOncePerDataset:
             with pytest.raises(AttributeError):
                 d.samples[0].observation = d.samples[1].observation
             assert d.samples[0].q.tobytes() == before
-            assert d.prepared(make_hyper(load_config(), kind)) is prep
+            assert d.prepared(make_hyper(load_config())) is prep
 
 
 def parent_h_and_grad(net, q, env, arm, fd_step, observation=None):
@@ -1321,7 +1321,7 @@ class TestWorkspace:
         ds = collect_dataset(arm, EnvGenConfig(), DatasetCounts(1, 260), NominalPolicy(),
                              np.random.default_rng(30), observation_kind="cloud",
                              **collect_settings(cloud_points=64))
-        hyper = make_hyper(load_config(), "cloud")
+        hyper = make_hyper(load_config())
         schedule = TrainSchedule(epochs=3, batch_size=64, lr=2e-3)
         n_train = len(ds) - len(ds) // 10
         assert n_train > schedule.batch_size and n_train % schedule.batch_size  # a partial batch
@@ -1336,7 +1336,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("name", list(NETS))
     def test_audit_slices_of_unequal_size(self, arm, name):
         ds = small_dataset(arm, seed=33, uniform=110, kind="cloud")
-        hyper = make_hyper(load_config(), "cloud")
+        hyper = make_hyper(load_config())
         net = self.make(name, arm, np.random.default_rng(34))
         prep = _prepare(ds.samples, arm, hyper, ds.environments)
         ws = BatchWorkspace()
@@ -1430,7 +1430,7 @@ class TestBlockForwardOracle:
                              NominalPolicy(), np.random.default_rng(8), observation_kind="cloud",
                              **collect_settings(cloud_points=64))
         net = wide_encoder(3, np.random.default_rng(4))
-        check_training_against_oracle(ds, net, make_hyper(load_config(), "cloud"), monkeypatch)
+        check_training_against_oracle(ds, net, make_hyper(load_config()), monkeypatch)
 
     @pytest.mark.parametrize("hidden", [(16, 24), ()], ids=["two_hidden", "no_hidden"])
     def test_per_point_depths(self, arm, monkeypatch, hidden):
@@ -1442,7 +1442,7 @@ class TestBlockForwardOracle:
         n = arm.n_links
         net = PointSetEncoder.create(n, per_point_widths=(4 + n, *hidden, 32),
                                      trunk_widths=(32 + n, 16, 1), rng=rng)
-        hyper = make_hyper(load_config(), "cloud")
+        hyper = make_hyper(load_config())
         for kind in ("surface", "duplicated"):
             prep = _prepare(cloud_batch(arm, rng, kind, 64, size=24), arm, hyper)
             check_against_oracle(net, prep, arm, hyper, rng, monkeypatch)

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import pipeline
 from cbfsteer.cli import main
 from cbfsteer.jsonio import dump_json, load_json
 
@@ -64,18 +65,10 @@ class TestExitCodes:
 
 @pytest.fixture(scope="module")
 def mini_config(tmp_path_factory):
-    """Desk-scale-but-tiny overrides so the pipeline runs in seconds."""
+    """The whole-pipeline check's miniature config, so the pipeline runs in
+    seconds."""
     path = tmp_path_factory.mktemp("cfg") / "config.json"
-    dump_json(path, {
-        "data": {"rollout_trajs": 2, "uniform_samples": 300},
-        "train": {
-            "state": {"epochs": 3, "batch_size": 64, "lr": 3e-3},
-            "cloud": {"epochs": 1, "batch_size": 32, "lr": 2e-3},
-        },
-        "cloud": {"num_points": 16},
-        "planner": {"max_nodes": 60},
-        "bench": {"seeds": [0], "proxy_runs": 1, "problems_per_class": 2},
-    })
+    dump_json(path, pipeline.CONFIG)
     return str(path)
 
 
@@ -186,6 +179,21 @@ class TestPipeline:
         assert plan_barrier.hyper == bench_barrier.hyper
         for (w0, b0), (w1, b1) in zip(plan_barrier.net.params, bench_barrier.net.params):
             assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
+
+    def test_bench_switch_point(self, pipeline_dir, mini_config, tmp_path, capsys):
+        # -1 asks for the default switch point; another negative ran it silently
+        dump_json(tmp_path / "one.json", load_json(pipeline_dir / "problems.json")[:1])
+        outs = {flag: tmp_path / f"out{flag}" for flag in ("", "-1", "-7")}
+        codes = {flag: run(["--config", mini_config, "--out", str(out), "--no-timing", "bench",
+                            "--problems", str(tmp_path / "one.json"), "--methods", "filter-lqr",
+                            "--checkpoint-state", str(pipeline_dir / "checkpoint-state.json"),
+                            *(["--activation-after", flag] if flag else [])])
+                 for flag, out in outs.items()}
+        assert codes == {"": 0, "-1": 0, "-7": 2}
+        assert "activation_after must be an integer >= 0, or -1" in capsys.readouterr().err
+        assert not (outs["-7"] / "runs.jsonl").exists()
+        for name in ("runs.jsonl", "metrics.csv", "metrics.json"):
+            assert (outs[""] / name).read_bytes() == (outs["-1"] / name).read_bytes(), name
 
     @pytest.mark.parametrize("command", ["plan", "replay"])
     def test_a_zero_check_resolution_fails(self, pipeline_dir, mini_config, tmp_path, capsys,
@@ -342,7 +350,7 @@ class TestCheckpointWithoutHyper:
         problem = bench.gen_problems(EnvGenConfig(), 1, rng, arm, 0.025)[0]
         method = {"name": f"cbf-{kind}", "checkpoint": str(ckpt)}
         steer = bench.build_steer(method, arm, problem, cfg, 0, {})
-        assert seen == [steer.bundle.barrier.hyper] == [make_hyper(cfg, kind)]
+        assert seen == [steer.bundle.barrier.hyper] == [make_hyper(cfg)]
         # the default config holds the CbfHyper defaults
         assert seen[0] == CbfHyper()
 
@@ -402,7 +410,7 @@ class TestMethodNeedsItsController:
         nets = {"state": Mlp.create(state_widths(cfg, arm), rng),
                 "cloud": PointSetEncoder.create(arm.n_links, *cloud_widths(cfg, arm), rng=rng)}
         for kind, net in nets.items():
-            save_checkpoint(out / f"{kind}.json", kind, net, make_hyper(cfg, kind).to_json())
+            save_checkpoint(out / f"{kind}.json", kind, net, make_hyper(cfg).to_json())
         return out
 
     @pytest.mark.parametrize("name, other", [("cbf-state", "cloud"), ("cbf-cloud", "state")])

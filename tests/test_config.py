@@ -33,7 +33,7 @@ SECTIONS = [
         "obstacle_speed": 0.05, "shapes": ["rect", "circle"], "fixed_size": 0.125}),
     (("cloud",), ScanSpec, config.make_scan_spec, {
         "mount_links": [1], "rays_per_mount": 8, "max_range": 1.5}),
-    (("hyper",), CbfHyper, lambda cfg: config.make_hyper(cfg, "state"), {
+    (("hyper",), CbfHyper, config.make_hyper, {
         "gamma": 0.1, "eps_margin": 0.03, "alpha_h": 2.0, "loss_weights": [1.0, 0.5, 0.25],
         "fd_step": 1e-4, "r_thres": 0.04}),
     (("controller",), SafeControllerConfig, config.make_qp_cfg, {
@@ -193,6 +193,14 @@ def test_the_benchmark_config_is_accepted(tmp_path):
     assert load_doc(tmp_path, cfg) == cfg
 
 
+# seed_stream reads 0.5 as 0, so bench planned and counted one run twice, and
+# `workers` 2.5 ran as 2
+BENCH_REJECTED = [
+    *(({"bench": {"seeds": value}}, "bench.seeds must be a list of non-negative integers")
+      for value in ([0, 0.5], [True], [-1], ["0"], 0)),
+    *(({"bench": {key: value}}, f"bench.{key} must be an integer >= 1")
+      for key in ("workers", "proxy_runs", "problems_per_class") for value in (0, 2.5, True)),
+]
 # (config file, the rejection's message): values a record cannot use, which
 # `load_config` rejects before any command runs
 REJECTED_VALUES = [
@@ -223,6 +231,7 @@ REJECTED_VALUES = [
       for value in (-10.0, -0.5, float("nan"), float("inf"))),
     ({"bench": {"seeds": []}}, "bench.seeds must name at least one seed, each once"),
     ({"bench": {"seeds": [0, 0]}}, "bench.seeds must name at least one seed, each once"),
+    *BENCH_REJECTED,
 ]
 
 
@@ -233,6 +242,17 @@ def test_a_value_its_record_rejects_fails_at_load(doc, message, tmp_path):
     (tmp_path / "config.json").write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(message)):
         config.load_config(tmp_path / "config.json")
+
+
+@pytest.mark.parametrize("doc, message", BENCH_REJECTED,
+                         ids=[json.dumps(doc, separators=(",", ":")) for doc, _ in BENCH_REJECTED])
+def test_an_unusable_bench_value_stops_bench(doc, message, tmp_path, capsys):
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(tmp_path / "config.json"), "--out", str(out), "bench",
+                     "--problems", "p.json"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # what each command needs to parse; no file is read, since the config loads

@@ -979,7 +979,7 @@ def cloud_plan_setting(seed, count=4):
     rng = np.random.default_rng(seed)
     problems = bench.gen_problems(make_env_gen(cfg), count, rng, arm, clearance)
     net = PointSetEncoder.create(arm.n_links, *cloud_widths(cfg, arm), rng=rng)
-    return cfg, arm, problems, make_hyper(cfg, "cloud"), net
+    return cfg, arm, problems, make_hyper(cfg), net
 
 
 class TestCloudPlanOracle:

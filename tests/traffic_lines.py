@@ -1,10 +1,9 @@
 """The package's executable lines that no run reaches.
 
-Under `sys.settrace` it runs the command-line pipeline of CI's
-whole-pipeline step, with that step's miniature config and its strict-QP
-variant, and one set-up and one pass of each benchmark workload at a seed.
-For each module of
-`src/cbfsteer/` it then prints the executable lines that no run reached, as
+Under `sys.settrace` it runs the whole-pipeline check of `tests/pipeline.py`
+(its commands in this process rather than each in a fresh interpreter), and
+one set-up and one pass of each benchmark workload at a seed. For each module
+of `src/cbfsteer/` it then prints the executable lines that no run reached, as
 ranges over the module's executable lines:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/traffic_lines.py --seed 1
@@ -21,7 +20,6 @@ import argparse
 import contextlib
 import dis
 import io
-import json
 import sys
 import tempfile
 import types
@@ -30,15 +28,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cbfsteer"
 
-# the config of CI's whole-pipeline step (.github/workflows/tests.yml)
-CI_CONFIG = {"data": {"rollout_trajs": 2, "uniform_samples": 300},
-             "train": {"state": {"epochs": 3, "batch_size": 64, "lr": 3e-3},
-                       "cloud": {"epochs": 1, "batch_size": 32, "lr": 2e-3}},
-             "cloud": {"num_points": 16}, "planner": {"max_nodes": 60},
-             "bench": {"seeds": [0], "proxy_runs": 1, "problems_per_class": 2}}
-# and the second config of that step, with the strict safety QP
-STRICT_CONFIG = {**CI_CONFIG, "controller": {"mode": "strict"}}
-METHODS = ("straight", "hand-cbf", "cbf-state", "cbf-cloud", "filter-lqr")
 WORKLOADS = ("plan-hand", "plan-cloud", "control-dynamic", "learn")
 
 
@@ -95,59 +84,6 @@ class LineTracer:
             sys.settrace(None)
 
 
-def run_pipeline(work: Path) -> None:
-    """CI's whole-pipeline step, once, into `work`."""
-    from cbfsteer import cli
-
-    work.mkdir()
-    (work / "config.json").write_text(json.dumps(CI_CONFIG))
-    (work / "config-strict.json").write_text(json.dumps(STRICT_CONFIG))
-    out = work / "out"
-
-    def run(*args, config="config.json"):
-        argv = ["--seed", "3", "--config", str(work / config), "--out", str(out),
-                "--no-timing", *args]
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv)
-        if code != 0:
-            raise RuntimeError(f"cbfsteer {' '.join(args)} exited {code}")
-
-    run("gen-problems", "--split")
-    for kind in ("state", "cloud"):
-        run("collect-data", "--kind", kind)
-        run("train", "--data", str(out / f"dataset-{kind}.jsonl"))
-        run("eval-cbf", "--checkpoint", str(out / f"checkpoint-{kind}.json"),
-            "--data", str(out / f"dataset-{kind}.jsonl"), "--out-file", f"eval-cbf-{kind}.json")
-    checkpoint = {m: str(out / f"checkpoint-{'state' if m == 'cbf-state' else 'cloud'}.json")
-                  for m in METHODS}
-    for method in METHODS:
-        run("plan", "--problems", str(out / "problems.json"), "--index", "1", "--method", method,
-            "--checkpoint", checkpoint[method], "--out-file", f"plan-{method}.json")
-    for method in METHODS:
-        plan = out / f"plan-{method}.json"
-        if json.loads(plan.read_text())["plan"]["status"] == "solved":
-            run("replay", "--problems", str(out / "problems.json"), "--plan", str(plan))
-    run("bench", "--problems", str(out / "problems.json"), "--methods", ",".join(METHODS),
-        "--checkpoint-state", checkpoint["cbf-state"], "--checkpoint-cloud",
-        checkpoint["cbf-cloud"], "--svg")
-    for setting in ("static-full", "dynamic-partial"):
-        for method in ("hand-cbf", "cbf-state", "cbf-cloud", "filter-lqr"):
-            run("eval-controller", "--problems", str(out / "problems.json"), "--method", method,
-                "--checkpoint", checkpoint[method], "--setting", setting, "--horizon", "2.0")
-    run("gen-problems", "--count", "2", "--obstacle-speed", "0.05",
-        "--out-file", "problems-moving.json")
-    run("eval-controller", "--problems", str(out / "problems-moving.json"), "--method",
-        "cbf-cloud", "--checkpoint", checkpoint["cbf-cloud"], "--setting", "dynamic-partial",
-        "--horizon", "2.0", "--out-file", "controller-cbf-cloud-moving.json")
-    strict = "config-strict.json"
-    run("plan", "--problems", str(out / "problems.json"), "--index", "2", "--method", "hand-cbf",
-        "--out-file", "plan-hand-cbf-strict.json", config=strict)
-    for setting in ("static-full", "dynamic-partial"):
-        run("eval-controller", "--problems", str(out / "problems.json"), "--method", "hand-cbf",
-            "--setting", setting, "--horizon", "2.0",
-            "--out-file", f"controller-hand-cbf-{setting}-strict.json", config=strict)
-
-
 def run_workload(name: str, seed: int, work: Path) -> None:
     """One set-up and one untraced-benchmark pass of workload `name`."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -168,7 +104,11 @@ def main(argv=None) -> int:
     files = sorted(PACKAGE.glob("*.py"))
     tracer = LineTracer(files)
     with tempfile.TemporaryDirectory() as tmp, tracer.running():
-        run_pipeline(Path(tmp) / "pipeline")
+        import pipeline  # under the tracer, so the package's module-level lines count
+        from cbfsteer import cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            pipeline.run_pipeline(Path(tmp) / "pipeline", cli.main)
         for name in WORKLOADS:
             run_workload(name, args.seed, Path(tmp) / name)
     total_exec = total_missed = 0
