@@ -578,14 +578,10 @@ class NeuralBarrier:
     def kind(self) -> str:
         return "state" if isinstance(self.net, Mlp) else "cloud"
 
-    @property
-    def alpha(self) -> float:
-        """The class-K gain of the barrier condition the net was trained with."""
-        return self.hyper.alpha_h
-
-    def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray]:
-        """Barrier value and forward-difference q-gradient on a one-sample
-        stencil. A state net reads the world's signed distance at every
+    def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray, float]:
+        """Barrier value, forward-difference q-gradient on a one-sample
+        stencil, and the clearance read at q: -inf for a cloud net, which reads
+        none. A state net reads the world's signed distance at every
         stencil configuration, as the hand-crafted barrier does, and runs
         `mlp_forward` on the stencil's rows, the array training builds for the
         sample; BLAS may sum its small products in another order than a
@@ -601,6 +597,7 @@ class NeuralBarrier:
                 raise ValueError("a state barrier needs the environment")
             ds = signed_distance_batch(env, self.arm, qs)
             h = mlp_forward(self.net, np.concatenate([qs, ds[:, None]], axis=1))[0][:, 0]
+            d = float(ds[0])
         else:
             if observation is None:
                 raise ValueError("a cloud barrier needs its observed cloud")
@@ -610,13 +607,8 @@ class NeuralBarrier:
                 self.__dict__.update(_seen=(observation, cloud_terms(
                     self.net.per_point, observation.points[None], observation.normals[None])))
             h = encoder_forward_one(self.net, self._seen[1], link, slots, origins, angles, qs)
-        return float(h[0]), (h[1:] - h[0]) / self.hyper.fd_step
-
-    def clearance_floor(self, h: float) -> float:
-        """No proven lower bound on the clearance: a learned value proves
-        nothing about the world, so the planner never trusts it for the
-        safety of stored edges."""
-        return -math.inf
+            d = -math.inf
+        return float(h[0]), (h[1:] - h[0]) / self.hyper.fd_step, d
 
 
 @dataclass(frozen=True)
@@ -634,16 +626,7 @@ class HandcraftedBarrier:
         if not 0.0 <= self.margin < math.inf:
             raise ValueError("hand barrier margin must be non-negative and finite")
 
-    @property
-    def alpha(self) -> float:
-        return self.hyper.alpha_h
-
-    def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray]:
+    def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray, float]:
+        """h, its forward-difference gradient and the clearance d read at q."""
         ds = signed_distance_batch(env, self.arm, _stencil_configs(q, self.hyper.fd_step))
-        return self.margin - ds[0], -(ds[1:] - ds[0]) / self.hyper.fd_step
-
-    def clearance_floor(self, h: float) -> float:
-        """A proven lower bound on the clearance d at the configuration whose
-        barrier value is h: h = margin - d is rounded once, so margin - h is
-        d within a few ulp, far inside the 1e-9 taken off."""
-        return float(self.margin - h - 1e-9)
+        return self.margin - ds[0], -(ds[1:] - ds[0]) / self.hyper.fd_step, float(ds[0])

@@ -2,7 +2,8 @@
 rollouts at split simulation/control rates.
 
 The filter solves min ||u - u_nom||^2 over the action box subject to
-grad_h . u + alpha*h <= 0 (drift-free dynamics; the barrier carries alpha).
+grad_h . u + alpha_h*h <= 0 (drift-free dynamics; the barrier's `hyper`
+carries alpha_h).
 Strict mode is exact and can signal infeasibility; relaxed mode trades the
 constraint for a quadratic penalty on its excess and always returns a control.
 """
@@ -213,18 +214,19 @@ class RolloutRecord:
 
 
 def control_tick(bundle: ControllerBundle, env: Environment, q: np.ndarray, q_goal: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, float, QpDiagnostics]:
+                 ) -> tuple[np.ndarray, np.ndarray, float, float, QpDiagnostics]:
     """One control tick of the barrier-filtered controller: observe (if there
-    is an observer), barrier value and gradient, nominal control toward q_goal,
-    safety QP with b = alpha*h. Returns (u, u_nom, h, diagnostics)."""
+    is an observer), barrier value, gradient and clearance reading, nominal
+    control toward q_goal, safety QP with b = alpha_h*h. Returns
+    (u, u_nom, h, d, diagnostics), d being the clearance the barrier read at q."""
     barrier, observe = bundle.barrier, bundle.observe
     arm = barrier.arm
     obs = None if observe is None else observe(env, arm, q)
-    h, grad = barrier.value_and_grad(q, obs, env)
+    h, grad, d = barrier.value_and_grad(q, obs, env)
     u_nom = bundle.policy.control(q, q_goal, arm.action_lower, arm.action_upper)
-    u, diag = solve_safety_qp(u_nom, grad, barrier.alpha * h, bundle.qp_cfg,
+    u, diag = solve_safety_qp(u_nom, grad, barrier.hyper.alpha_h * h, bundle.qp_cfg,
                               arm.action_lower, arm.action_upper)
-    return u, u_nom, h, diag
+    return u, u_nom, h, d, diag
 
 
 def safe_rollout(bundle: ControllerBundle, q0: np.ndarray, q_goal: np.ndarray,
@@ -256,7 +258,7 @@ def safe_rollout(bundle: ControllerBundle, q0: np.ndarray, q_goal: np.ndarray,
         return rec
 
     for _ in range(limits.n_ticks):
-        u, _, _, diag = control_tick(bundle, env, q, q_goal)
+        u, _, _, _, diag = control_tick(bundle, env, q, q_goal)
         if diag.infeasible:
             rec.qp_infeasible_count += 1
         rec.controls.append(u)

@@ -432,6 +432,8 @@ class EnvGenConfig(Record):
             raise ValueError("fixed_size must be positive and finite")
         if not 0 <= self.obstacle_speed < np.inf:
             raise ValueError("obstacle_speed must be non-negative and finite")
+        if not np.isfinite(self.min_clearance_from_base):  # NaN fails every draw
+            raise ValueError("min_clearance_from_base must be finite")
 
 
 MAX_GEN_ATTEMPTS = 10_000

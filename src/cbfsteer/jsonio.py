@@ -53,7 +53,8 @@ class Record:
     field is annotated with (floats, ints and strings converted, arrays as
     float arrays, enums by value, records recursively) and leaves missing
     keys to the field defaults, so files written before a field existed
-    still load.
+    still load. An int field refuses a bool and a number with a fraction,
+    and a float field a bool, rather than truncate or convert them.
     """
 
     def to_json(self) -> dict:
@@ -66,7 +67,7 @@ class Record:
 
     @classmethod
     def from_json(cls, doc: dict):
-        return cls(**{f.name: _decode(tp, doc[f.name])
+        return cls(**{f.name: _decode(tp, doc[f.name], f.name)
                       for f, tp in _schema(cls) if f.name in doc})
 
 
@@ -91,19 +92,23 @@ def _encode(value):
     return value
 
 
-def _decode(tp, value):
+def _decode(tp, value, name: str):
     if value is None:
         return None
     origin = typing.get_origin(tp)
     if origin in (typing.Union, types.UnionType):  # `X | None`
         (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
-        return _decode(tp, value)
+        return _decode(tp, value, name)
     if origin in (tuple, list):  # homogeneous: tuple[X, ...], tuple[X, X], list[X]
-        return origin(_decode(typing.get_args(tp)[0], v) for v in value)
+        return origin(_decode(typing.get_args(tp)[0], v, name) for v in value)
     if tp is np.ndarray:
         return np.array(value, dtype=float)
     if isinstance(tp, type) and issubclass(tp, Record):
         return tp.from_json(value)
+    if tp in (int, float) and (isinstance(value, bool) or (
+            tp is int and isinstance(value, float) and not value.is_integer())):
+        kind = "an integer" if tp is int else "a number"
+        raise ValueError(f"field {name} needs {kind}, not {value!r}")
     if isinstance(tp, type) and issubclass(tp, (enum.Enum, float, int, str)):
         return tp(value)
     return value

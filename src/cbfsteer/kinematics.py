@@ -45,10 +45,12 @@ class ArmModel(Record):
         object.__setattr__(self, "base_position", tuple(float(v) for v in self.base_position))
         if n < 2:
             raise ValueError("arm needs at least 2 links")
-        if any(l <= 0 for l in self.link_lengths) or self.link_radius <= 0:
-            raise ValueError("link lengths and radius must be positive")
+        if not all(0.0 < v < np.inf for v in (*self.link_lengths, self.link_radius)):
+            raise ValueError("link lengths and radius must be positive and finite")
         if len(self.joint_lower) != n or len(self.joint_upper) != n or len(self.action_bound) != n:
             raise ValueError("per-joint bounds must match the number of links")
+        if not np.all(np.isfinite(self.joint_lower + self.joint_upper + self.base_position)):
+            raise ValueError("joint limits and base position must be finite")
         if any(lo >= hi for lo, hi in zip(self.joint_lower, self.joint_upper)):
             raise ValueError("joint_lower must be strictly below joint_upper")
         if not all(0.0 < u < np.inf for u in self.action_bound):

@@ -3,13 +3,13 @@ rollout steering (learned or hand-crafted barrier) with its
 completeness-preserving filtered-LQR variant.
 
 Tree edges always pass geometric collision validation at the configured
-resolution before they are stored; the learned barrier is never trusted for
-the safety of stored edges. A rollout steer validates its first tick's states
-before it runs the rest, so a steer that collides at once stops there; its
-edge equals one validation of the whole rollout, less the ticks that the
-hand-crafted barrier's clearance readings prove free. The sampling order is
-part of the contract: each iteration draws the goal-bias coin first and only
-on failure draws a uniform configuration.
+resolution before they are stored; a learned barrier value is never trusted
+for the safety of stored edges. A rollout steer validates its first tick's
+states before it runs the rest, so a steer that collides at once stops there;
+its edge equals one validation of the whole rollout, less the ticks that the
+barrier's clearance readings prove free. The sampling order is part of the
+contract: each iteration draws the goal-bias coin first and only on failure
+draws a uniform configuration.
 """
 
 from __future__ import annotations
@@ -106,6 +106,9 @@ class PlannerLimits(Record):
                 raise ValueError(f"planner {name} must be positive and finite")
         if not 0.0 <= self.goal_bias <= 1.0:
             raise ValueError("planner goal_bias must be in [0, 1]")
+        for name in ("connect_radius", "stall_threshold"):
+            if not getattr(self, name) >= 0.0:  # a NaN radius turned goal connection off
+                raise ValueError(f"planner {name} must be non-negative")
         if self.stall_ticks < 1:
             raise ValueError("planner stall_ticks must be >= 1")
         if self.max_nodes < 0 or self.max_ctrl_steps < 0:
@@ -217,18 +220,18 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
     once when the rollout ends. The kept prefix, and the controls of the
     ticks it reaches, equal one validation of the whole rollout.
 
-    A tick is proven from its barrier's clearance readings. `hold` moves
-    each joint one way within a tick, a clamp onto the limits included, so
-    by the reach bound of `ArmModel.joint_reach` the clearance anywhere on
-    the tick's ladder is at most `move` = sum(rho_i |q_end,i - q_i|) below
-    the clearance at either end of the tick. A clearance floor above `move`
-    at the tick's start or at its end (the next tick's floor) proves the
-    tick free: its points would pass the check, so the edge is the same.
-    Only a barrier that reads the true clearance gives a finite
-    `clearance_floor`.
+    A tick is proven from the clearance d its barrier read at each tick's
+    start (`value_and_grad`'s third value, row 0 of the barrier's own
+    clearance call, so exactly what validation computes there). `hold`
+    moves each joint one way within a tick, a clamp onto the limits
+    included, so by the reach bound of `ArmModel.joint_reach` the clearance
+    anywhere on the tick's ladder is at most `move` = sum(rho_i |q_end,i -
+    q_i|) below the clearance at either end of the tick. A reading above
+    `move` at the tick's start or at its end (the next tick's reading)
+    proves the tick free: its points would pass the check, so the edge is
+    the same. A cloud net reads no clearance (-inf) and proves nothing.
     """
-    barrier = bundle.barrier
-    arm = barrier.arm
+    arm = bundle.barrier.arm
     substeps = bundle.limits.sim_hz // bundle.limits.ctrl_hz
     dt_sim = 1.0 / bundle.limits.sim_hz
     q = np.asarray(q_from, dtype=float).copy()
@@ -243,9 +246,8 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
         dq = q - q_toward
         if math.sqrt(dq @ dq) <= r_goal:
             break
-        u, u_nom, h, diag = control_tick(bundle, env, q, q_toward)
-        floor = barrier.clearance_floor(h)
-        if floor > move:  # the tick before, proven from its end
+        u, u_nom, h, d, diag = control_tick(bundle, env, q, q_toward)
+        if d > move:  # the tick before, proven from its end
             known[first:] = [True] * (len(known) - first)
         if discard:
             if h > 0.0 or diag.constraint_active:
@@ -262,7 +264,7 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
         move += 1e-9 * move + 1e-9  # roundoff of the states and the ladder
         first = len(configs) if len(configs) > 1 else 0
         configs.extend(states)
-        known[first:] = [floor > move] * (len(configs) - first)
+        known[first:] = [d > move] * (len(configs) - first)
         q = states[-1]
         if not known[0]:  # tick 1, not proven: check it before running on
             kept = validate_and_truncate(env, arm, configs, limits.check_resolution)

@@ -6,8 +6,11 @@ method, re-validates every solved bench run, runs eval-controller in both
 settings and among moving obstacles, and runs hand-cbf under a second config
 with the strict safety QP. `fingerprints.json` holds `plan_fingerprint`'s
 edge and plan digests of each problem's bench query, so tree edges and the
-controls of unsolved plans are compared too. Each command runs in a fresh
-interpreter, so output that depends on the per-process hash seed shows. Two
+controls of unsolved plans are compared too, and a digest of each problem's
+rollout controls and configs for every eval-controller run, so a change to
+what a controller computes shows where the run's records, which hold only
+outcomes, do not. Each command runs in a fresh interpreter, so output that
+depends on the per-process hash seed shows. Two
 runs into one `--out` (so the paths written into the artifacts agree), the
 first moved aside, must match byte for byte; with another checkout's `src/`
 on `PYTHONPATH` for one of them, they compare two builds:
@@ -21,13 +24,16 @@ on `PYTHONPATH` for one of them, they compare two builds:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import plan_fingerprint
 import revalidate_bench
 from cbfsteer import bench, config
+from cbfsteer.controller import safe_rollout
 from cbfsteer.jsonio import dump_json, load_json, load_jsonl
 
 # the miniature config: desk-scale but tiny, so the pipeline runs in seconds
@@ -42,6 +48,8 @@ SEED = 3
 METHODS = ("straight", "hand-cbf", "cbf-state", "cbf-cloud", "filter-lqr")
 CONTROLLED = METHODS[1:]  # the methods with a controller
 SETTINGS = ("static-full", "dynamic-partial")
+HORIZON = "2.0"  # eval-controller's --horizon
+DYNAMIC_SPEED = 0.05  # eval-controller's obstacle speed for static problems in dynamic-partial
 
 
 def run_pipeline(out: Path, run) -> None:
@@ -89,26 +97,38 @@ def run_pipeline(out: Path, run) -> None:
     for setting in SETTINGS:
         for method in CONTROLLED:
             cli("eval-controller", "--problems", str(problems), "--method", method,
-                "--checkpoint", checkpoint[method], "--setting", setting, "--horizon", "2.0")
+                "--checkpoint", checkpoint[method], "--setting", setting, "--horizon", HORIZON)
     cli("gen-problems", "--count", "2", "--obstacle-speed", "0.05",
         "--out-file", "problems-moving.json")
     cli("eval-controller", "--problems", str(out / "problems-moving.json"), "--method",
         "cbf-cloud", "--checkpoint", checkpoint["cbf-cloud"], "--setting", "dynamic-partial",
-        "--horizon", "2.0", "--out-file", "controller-cbf-cloud-moving.json")
+        "--horizon", HORIZON, "--out-file", "controller-cbf-cloud-moving.json")
     # problem 2's hand-cbf steers meet infeasible QPs
     cli("plan", "--problems", str(problems), "--index", "2", "--method", "hand-cbf",
         "--out-file", "plan-hand-cbf-strict.json", cfg=strict_config)
     for setting in SETTINGS:
         cli("eval-controller", "--problems", str(problems), "--method", "hand-cbf",
-            "--setting", setting, "--horizon", "2.0",
+            "--setting", setting, "--horizon", HORIZON,
             "--out-file", f"controller-hand-cbf-{setting}-strict.json", cfg=strict_config)
 
     specs = {m: {"name": m, "checkpoint": checkpoint[m]} if bench.METHODS[m] else {"name": m}
              for m in METHODS}  # as `bench` builds them
-    fingerprints = {m: plan_digests(planned, specs[m], cfg) for m in METHODS}
-    fingerprints["hand-cbf-strict"] = plan_digests(planned, {"name": "hand-cbf"},
-                                                   config.load_config(strict_config))
-    dump_json(out / "fingerprints.json", fingerprints)
+    strict = config.load_config(strict_config)
+    plans = {m: plan_digests(planned, specs[m], cfg) for m in METHODS}
+    plans["hand-cbf-strict"] = plan_digests(planned, specs["hand-cbf"], strict)
+    # the eval-controller runs above, each in the worlds its setting rolls out in
+    worlds = {"static-full": planned, "dynamic-partial": bench.dynamicize_problems(
+        planned, DYNAMIC_SPEED, config.seed_stream(SEED, "dynamics"))}
+    rollouts = {f"{m} {s}": rollout_digests(
+        worlds[s], specs[m], s, cfg, out / f"controller-{m}-{s.replace('-', '_')}.json")
+        for s in SETTINGS for m in CONTROLLED}
+    rollouts["cbf-cloud moving"] = rollout_digests(
+        bench.load_problems(out / "problems-moving.json"), specs["cbf-cloud"], "dynamic-partial",
+        cfg, out / "controller-cbf-cloud-moving.json")
+    for s in SETTINGS:
+        rollouts[f"hand-cbf {s} strict"] = rollout_digests(
+            worlds[s], specs["hand-cbf"], s, strict, out / f"controller-hand-cbf-{s}-strict.json")
+    dump_json(out / "fingerprints.json", {"plans": plans, "rollouts": rollouts})
 
 
 def plan_digests(problems: list, method: dict, cfg: dict) -> dict:
@@ -116,6 +136,32 @@ def plan_digests(problems: list, method: dict, cfg: dict) -> dict:
     at the pipeline's seed plans it, by problem id."""
     runs = plan_fingerprint.plan_queries(problems, method, cfg, SEED, {})
     return {str(p.id): plan_fingerprint.fingerprint([r]) for p, r in zip(problems, runs)}
+
+
+OUTCOMES = ("reached_goal", "collided", "steps_used", "qp_infeasible_count")
+
+
+def rollout_digests(problems: list, method: dict, setting: str, cfg: dict,
+                    written=None) -> dict:
+    """sha256 of each problem's rollout controls and configs, by problem id,
+    as an eval-controller run at the pipeline's seed and horizon rolls it
+    out: `bench.eval_controller`'s controller, observer and `safe_rollout`.
+    With `written`, the run's output file, each rollout's outcome must be
+    the one it records, else RuntimeError."""
+    setting = setting.replace("-", "_")
+    bundle = bench._controller(method, config.make_arm(cfg), cfg, {}, horizon_s=float(HORIZON))
+    records = {} if written is None else {r["problem_id"]: r for r in load_json(written)["records"]}
+    digests = {}
+    for prob in problems:
+        observe = bench._observer(bundle.barrier, prob, setting, cfg, SEED)
+        rec = safe_rollout(replace(bundle, observe=observe), prob.q0, prob.qg, prob.environment)
+        if written is not None and any(getattr(rec, k) != records[prob.id][k] for k in OUTCOMES):
+            raise RuntimeError(f"{written}: problem {prob.id}'s rollout is not the one recorded")
+        h = hashlib.sha256()
+        plan_fingerprint.hash_arrays(h, rec.controls)
+        plan_fingerprint.hash_arrays(h, rec.configs)
+        digests[str(prob.id)] = h.hexdigest()
+    return digests
 
 
 def main(argv=None) -> int:

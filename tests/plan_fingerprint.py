@@ -51,7 +51,8 @@ def plan_queries(problems, method: dict, cfg: dict, root_seed: int, barriers: di
     return runs
 
 
-def _arrays(h, arrays) -> None:
+def hash_arrays(h, arrays) -> None:
+    """Feed a list of arrays, and its length, to the hash `h`."""
     h.update(len(arrays).to_bytes(8, "little"))
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
@@ -65,11 +66,11 @@ def fingerprint(runs) -> dict:
     for result, tree in runs:
         for node in tree.nodes[1:]:
             edges.update(node.parent.to_bytes(8, "little"))
-            _arrays(edges, node.edge.configs)
-            _arrays(edges, node.edge.controls)
+            hash_arrays(edges, node.edge.configs)
+            hash_arrays(edges, node.edge.controls)
         plans.update(f"{result.status} {result.explored_nodes} {result.tree_size};".encode())
-        _arrays(plans, result.path)
-        _arrays(plans, result.controls)
+        hash_arrays(plans, result.path)
+        hash_arrays(plans, result.controls)
     return {"edges": edges.hexdigest(), "plans": plans.hexdigest()}
 
 

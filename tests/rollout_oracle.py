@@ -140,19 +140,12 @@ class OneSampleBarrier:
     hyper: CbfHyper
     kind = "cloud"
 
-    @property
-    def alpha(self) -> float:
-        return self.hyper.alpha_h
-
-    def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray]:
+    def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray, float]:
         qs = _stencil_configs(q, self.hyper.fd_step)
         prep = _Prepared(qs=qs[None], points=observation.points[None],
                          normals=observation.normals[None], cloud=np.zeros(1, dtype=int))
         h, _ = _forward_stencil(self.net, prep, self.arm)
-        return float(h[0, 0]), (h[0, 1:] - h[0, 0]) / self.hyper.fd_step
-
-    def clearance_floor(self, h: float) -> float:
-        return -math.inf
+        return float(h[0, 0]), (h[0, 1:] - h[0, 0]) / self.hyper.fd_step, -math.inf
 
 
 def safe_rollout(bundle, q0, q_goal, env) -> RolloutRecord:
@@ -175,9 +168,9 @@ def safe_rollout(bundle, q0, q_goal, env) -> RolloutRecord:
         return rec
     for _ in range(int(round(limits.horizon_s * limits.ctrl_hz))):
         obs = None if observe is None else observe(env, arm, q)
-        h, grad = barrier.value_and_grad(q, obs, env)
+        h, grad, _ = barrier.value_and_grad(q, obs, env)
         u_nom = bundle.policy.control(q, q_goal, arm.action_lower, arm.action_upper)
-        u, diag = solve_safety_qp(u_nom, grad, barrier.alpha * h, bundle.qp_cfg,
+        u, diag = solve_safety_qp(u_nom, grad, barrier.hyper.alpha_h * h, bundle.qp_cfg,
                                   arm.action_lower, arm.action_upper)
         if diag.infeasible:
             rec.qp_infeasible_count += 1
@@ -219,9 +212,9 @@ def safe_rollout_static(bundle, q0, q_goal, env) -> RolloutRecord:
         return rec
     for _ in range(int(round(limits.horizon_s * limits.ctrl_hz))):
         obs = None if observe is None else observe(env, arm, q)
-        h, grad = barrier.value_and_grad(q, obs, env)
+        h, grad, _ = barrier.value_and_grad(q, obs, env)
         u_nom = bundle.policy.control(q, q_goal, arm.action_lower, arm.action_upper)
-        u, diag = solve_safety_qp(u_nom, grad, barrier.alpha * h, bundle.qp_cfg,
+        u, diag = solve_safety_qp(u_nom, grad, barrier.hyper.alpha_h * h, bundle.qp_cfg,
                                   arm.action_lower, arm.action_upper)
         if diag.infeasible:
             rec.qp_infeasible_count += 1
@@ -257,9 +250,9 @@ def rollout_edge(env, q_from, q_toward, bundle, limits, r_goal) -> Edge:
         if np.linalg.norm(q - q_toward) <= r_goal:
             break
         obs = None if bundle.observe is None else bundle.observe(env, arm, q)
-        h, grad = barrier.value_and_grad(q, obs, env)
+        h, grad, _ = barrier.value_and_grad(q, obs, env)
         u_nom = bundle.policy.control(q, q_toward, arm.action_lower, arm.action_upper)
-        u, _ = solve_safety_qp(u_nom, grad, barrier.alpha * h, bundle.qp_cfg,
+        u, _ = solve_safety_qp(u_nom, grad, barrier.hyper.alpha_h * h, bundle.qp_cfg,
                                arm.action_lower, arm.action_upper)
         stalled = stalled + 1 if float(np.linalg.norm(u)) < limits.stall_threshold else 0
         if stalled >= limits.stall_ticks:
@@ -280,7 +273,7 @@ def steer_filter_lqr(env, q_from, q_toward, bundle, limits, r_goal) -> Edge:
     the first tick with h > 0 or grad_h . u_nom + alpha*h > 0."""
     barrier = bundle.barrier
     arm = barrier.arm
-    alpha = barrier.alpha
+    alpha = barrier.hyper.alpha_h
     substeps = bundle.limits.sim_hz // bundle.limits.ctrl_hz
     dt_sim = 1.0 / bundle.limits.sim_hz
     q = np.asarray(q_from, dtype=float).copy()
@@ -290,7 +283,7 @@ def steer_filter_lqr(env, q_from, q_toward, bundle, limits, r_goal) -> Edge:
         if np.linalg.norm(q - q_toward) <= r_goal:
             break
         obs = None if bundle.observe is None else bundle.observe(env, arm, q)
-        h, grad = barrier.value_and_grad(q, obs, env)
+        h, grad, _ = barrier.value_and_grad(q, obs, env)
         u_nom = bundle.policy.control(q, q_toward, arm.action_lower, arm.action_upper)
         if h > 0.0 or float(grad @ u_nom) + alpha * h > 0.0:
             break

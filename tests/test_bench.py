@@ -451,10 +451,10 @@ class TestEvalController:
             monkeypatch.setattr(bench, "safe_rollout", recording_rollout)
             bench.eval_controller(probs, method, "static_full", arm, cfg, horizon_s=0.2)
             (bundle,) = seen
-        assert bundle.barrier.alpha == 2.0
+        assert bundle.barrier.hyper.alpha_h == 2.0
         q, env = probs[0].q0, probs[0].environment
-        u, u_nom, h, diag = control_tick(bundle, env, q, probs[0].qg)
-        _, grad = bundle.barrier.value_and_grad(q, None, env)
+        u, u_nom, h, _, diag = control_tick(bundle, env, q, probs[0].qg)
+        _, grad, _ = bundle.barrier.value_and_grad(q, None, env)
         u_ref, diag_ref = solve_safety_qp(u_nom, grad, 2.0 * h, bundle.qp_cfg,
                                           arm.action_lower, arm.action_upper)
         assert u.tobytes() == u_ref.tobytes() and diag == diag_ref
@@ -462,7 +462,7 @@ class TestEvalController:
     def test_hand_cbf_takes_the_configured_alpha_h(self, cfg, arm):
         cfg["hyper"]["alpha_h"] = 3.0
         bundle = bench._controller({"name": "hand-cbf"}, arm, cfg, {})
-        assert bundle.barrier.alpha == 3.0
+        assert bundle.barrier.hyper.alpha_h == 3.0
 
     def test_straight_has_no_controller(self, cfg, arm):
         probs = bench.gen_problems(EnvGenConfig(num_obstacles=0), 1,
@@ -533,10 +533,10 @@ class TestEvalController:
                                   np.random.default_rng(21), arm, 0.025)[0]
         barrier = bench.build_steer({"name": "hand-cbf"}, arm, prob, cfg, 0, {}).bundle.barrier
         assert barrier.hyper.fd_step == 2.5e-4
-        h, grad = barrier.value_and_grad(prob.q0, None, prob.environment)
+        h, grad, _ = barrier.value_and_grad(prob.q0, None, prob.environment)
         margin = cfg["controller"]["hand_margin"]
-        h_ref, grad_ref = HandcraftedBarrier(arm, margin, CbfHyper(fd_step=2.5e-4)).value_and_grad(
-            prob.q0, None, prob.environment)
+        fine = HandcraftedBarrier(arm, margin, CbfHyper(fd_step=2.5e-4))
+        h_ref, grad_ref, _ = fine.value_and_grad(prob.q0, None, prob.environment)
         assert h == h_ref
         np.testing.assert_array_equal(grad, grad_ref)
         assert not np.array_equal(grad, HandcraftedBarrier(arm, margin).value_and_grad(

@@ -322,7 +322,7 @@ class TestGradHq:
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
         cloud = CloudObservation(points=pts, normals=nrm, source=CloudSource.SURFACE_SAMPLED)
         hyper = make_hyper(load_config())
-        h, g = NeuralBarrier(enc, arm, hyper).value_and_grad(np.zeros(3), cloud, None)
+        h, g, _ = NeuralBarrier(enc, arm, hyper).value_and_grad(np.zeros(3), cloud, None)
         assert np.isfinite(h)
         assert g.shape == (3,)
         # forward-difference cross-check against direct encoder evaluations
@@ -659,14 +659,14 @@ class TestHandcrafted:
                                               half_extents=(0.2, 0.2)),))
         for _ in range(10):
             q = sample_config(arm, rng)
-            h, grad = HandcraftedBarrier(arm, 0.1).value_and_grad(q, None, env)
+            h, grad, _ = HandcraftedBarrier(arm, 0.1).value_and_grad(q, None, env)
             assert h == pytest.approx(0.1 - signed_distance(env, arm, q), abs=1e-12)
             assert grad.shape == (3,)
 
     def test_penetration_gives_h_above_margin(self, arm):
         env = Environment(obstacles=(Obstacle(kind="rect", center=(1.15, 0.0),
                                               half_extents=(0.1, 0.1)),))
-        h, _ = HandcraftedBarrier(arm, 0.1).value_and_grad(np.zeros(3), None, env)
+        h, _, _ = HandcraftedBarrier(arm, 0.1).value_and_grad(np.zeros(3), None, env)
         assert h > 0.1
 
     def test_sign_flips_where_distance_crosses_margin(self, arm):
@@ -715,32 +715,38 @@ class TestHandcrafted:
         q = np.array([0.3, -0.2, 0.4])
         hyper = CbfHyper(fd_step=2.5e-4, alpha_h=3.0)
         barrier = HandcraftedBarrier(arm, 0.1, hyper)
-        assert barrier.alpha == 3.0
-        h, grad = barrier.value_and_grad(q, None, env)
+        assert barrier.hyper.alpha_h == 3.0
+        h, grad, d = barrier.value_and_grad(q, None, env)
         ds = signed_distance_batch(env, arm, prepare_oracle.eye_stencil(q, 2.5e-4))
-        assert h == 0.1 - ds[0]
+        assert h == 0.1 - ds[0] and d == ds[0]
         assert grad.tobytes() == (-(ds[1:] - ds[0]) / 2.5e-4).tobytes()
 
 
-class TestClearanceFloor:
-    """The floor a barrier hands the planner's proof never exceeds the true
-    clearance; a learned barrier hands none."""
+class TestClearanceReading:
+    """The clearance a barrier hands the planner's proof is the signed
+    distance at q, bit for bit, for the barriers that read the world; a
+    cloud net reads none."""
 
-    @pytest.mark.parametrize("margin", [0.0, 0.15])
-    def test_hand_floor_is_below_the_clearance(self, arm, margin):
+    @pytest.mark.parametrize("kind", ["hand-0.0", "hand-0.15", "state"])
+    def test_the_reading_is_the_clearance(self, arm, kind):
         rng = np.random.default_rng(29)
-        barrier = HandcraftedBarrier(arm, margin)
+        barrier = (NeuralBarrier(Mlp.create((4, 16, 16, 1), rng), arm, CbfHyper())
+                   if kind == "state" else HandcraftedBarrier(arm, float(kind[5:])))
         for shapes in (("rect",), ("circle",), ("rect", "circle")):
             env = random_environment(EnvGenConfig(num_obstacles=6, shapes=shapes), rng)
             for q in rng.uniform(arm.lower, arm.upper, (100, arm.n_links)):
-                h, _ = barrier.value_and_grad(q, None, env)
-                d = signed_distance(env, arm, q)
-                floor = barrier.clearance_floor(h)
-                assert type(floor) is float and d - 1e-8 < floor <= d
+                _, _, d = barrier.value_and_grad(q, None, env)
+                assert type(d) is float and d == signed_distance(env, arm, q)
 
-    def test_learned_barriers_give_no_floor(self, arm):
-        barrier = NeuralBarrier(distance_net(arm.n_links), arm, CbfHyper())
-        assert barrier.clearance_floor(-1.0) == -np.inf
+    def test_cloud_nets_read_none(self, arm):
+        rng = np.random.default_rng(30)
+        env = random_environment(EnvGenConfig(num_obstacles=4, shapes=("rect", "circle")), rng)
+        net = PointSetEncoder.create(3, per_point_widths=(7, 8, 6), trunk_widths=(9, 8, 1),
+                                     rng=rng)
+        barrier = NeuralBarrier(net, arm, CbfHyper())
+        _, _, d = barrier.value_and_grad(sample_config(arm, rng),
+                                         sample_surface_points(env, 16, rng), env)
+        assert d == -np.inf
 
 
 class TestStencilDistances:
@@ -981,7 +987,7 @@ class TestSharedStencilForwardPass:
             env, samples = random_world_samples(arm, rng, case[:5], 3)
             for s in samples:
                 obs = None if case == "state-unobserved" else s.observation
-                h, g = NeuralBarrier(net, arm, hyper).value_and_grad(s.q, obs, env)
+                h, g, _ = NeuralBarrier(net, arm, hyper).value_and_grad(s.q, obs, env)
                 if case == "cloud":
                     # the folded first layer sums in another order: to rounding
                     assert_h_and_grad_close(h, g, oracle_stencil_h(net, s.q, arm, hyper, obs),
@@ -1006,7 +1012,7 @@ class TestSharedStencilForwardPass:
             h_batch, _ = _forward_stencil(net, prep, arm)
             h0, grad, _, _ = _condition_values(h_batch, arm, hyper)
             for i, s in enumerate(samples):
-                h, g = NeuralBarrier(net, arm, hyper).value_and_grad(s.q, s.observation, env)
+                h, g, _ = NeuralBarrier(net, arm, hyper).value_and_grad(s.q, s.observation, env)
                 assert h == h0[i]
                 assert g.tobytes() == grad[i].tobytes()
 
@@ -1025,8 +1031,8 @@ class TestSharedStencilForwardPass:
         one = [NeuralBarrier(net, arm, hyper).value_and_grad(s.q, s.observation, env)
                for s in samples]
         scale = float(np.abs(h_batch).max())
-        np.testing.assert_allclose([h for h, _ in one], h0, rtol=1e-12, atol=1e-12 * scale)
-        np.testing.assert_allclose(np.array([g for _, g in one]), grad, rtol=1e-12,
+        np.testing.assert_allclose([h for h, _, _ in one], h0, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(np.array([g for _, g, _ in one]), grad, rtol=1e-12,
                                    atol=2e-12 * scale / hyper.fd_step)
 
 
@@ -1059,8 +1065,8 @@ class TestStateBarrierReadsTheWorld:
         barrier = NeuralBarrier(net, arm, hyper)
         for s in loaded.samples:
             env = loaded.environments[s.env_id]
-            h, g = barrier.value_and_grad(s.q, None, env)
-            h_obs, g_obs = barrier.value_and_grad(s.q, s.observation, env)
+            h, g, _ = barrier.value_and_grad(s.q, None, env)
+            h_obs, g_obs, _ = barrier.value_and_grad(s.q, s.observation, env)
             # the training pass on this sample alone, slot 0 from the observation
             prep = _prepare([s], arm, hyper, loaded.environments)
             h0, grad, _, _ = _condition_values(_forward_stencil(net, prep, arm)[0], arm, hyper)
@@ -1374,7 +1380,7 @@ class TestBlockForwardOracle:
             if trial == 0:
                 q[::2] = -0.0  # signed zeros: the stencil rows turn them into +0.0
                 q[1::2] = 0.0
-            h, g = NeuralBarrier(net, arm, hyper).value_and_grad(q, cloud, None)
+            h, g, _ = NeuralBarrier(net, arm, hyper).value_and_grad(q, cloud, None)
             assert_h_and_grad_close(h, g, oracle_stencil_h(net, q, arm, hyper, cloud),
                                     hyper.fd_step)
         if kind == "raycast":
@@ -1465,6 +1471,7 @@ def inference_net(n_links, widths, rng):
 def assert_same_h_and_grad(got, ref):
     assert got[0] == ref[0]
     assert got[1].tobytes() == ref[1].tobytes()
+    assert got[2] == ref[2] == -np.inf  # a cloud net reads no clearance
 
 
 def counting_cloud_terms(monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pipeline
+from cbfsteer import bench, config
 from cbfsteer.cli import main
 from cbfsteer.jsonio import dump_json, load_json
 
@@ -144,6 +145,27 @@ class TestPipeline:
             csvs.append((out / "metrics.csv").read_bytes())
             assert (out / "metrics.svg").exists()
         assert csvs[0] == csvs[1]
+
+    def test_rollout_digests_tell_the_strict_qp_from_the_relaxed(self, pipeline_dir, mini_config,
+                                                                 tmp_path):
+        # the whole-pipeline check's problems and seed: the strict and relaxed
+        # hand-cbf runs record the same outcomes, and only the digests of
+        # their controls and configs tell them apart
+        dump_json(tmp_path / "strict.json", pipeline.STRICT_CONFIG)
+        cfgs = {"relaxed": config.load_config(mini_config),
+                "strict": config.load_config(tmp_path / "strict.json")}
+        problems = bench.load_problems(pipeline_dir / "problems.json")
+        worlds = {"static-full": problems, "dynamic-partial": bench.dynamicize_problems(
+            problems, pipeline.DYNAMIC_SPEED, config.seed_stream(pipeline.SEED, "dynamics"))}
+        for setting, world in worlds.items():
+            digests, records = {}, {}
+            for mode, cfg in cfgs.items():
+                digests[mode] = pipeline.rollout_digests(world, {"name": "hand-cbf"}, setting, cfg)
+                records[mode] = bench.eval_controller(
+                    world, {"name": "hand-cbf"}, setting.replace("-", "_"), config.make_arm(cfg),
+                    cfg, pipeline.SEED, float(pipeline.HORIZON))[1]
+            assert records["relaxed"] == records["strict"]
+            assert sum(digests["relaxed"][i] != digests["strict"][i] for i in digests["strict"]) >= 2
 
     def test_plan_and_bench_build_the_same_filter_lqr_steer(self, pipeline_dir, mini_config,
                                                             tmp_path, monkeypatch):

@@ -201,6 +201,17 @@ BENCH_REJECTED = [
     *(({"bench": {key: value}}, f"bench.{key} must be an integer >= 1")
       for key in ("workers", "proxy_runs", "problems_per_class") for value in (0, 2.5, True)),
 ]
+# an int field took 16.7 as 16, 0.9 as 0 and true as 1, and a float field
+# true as 1.0
+DECODE_REJECTED = [
+    ({"planner": {"max_nodes": 16.7}}, "field max_nodes needs an integer, not 16.7"),
+    ({"cloud": {"mount_links": [0.9, 2]}}, "field mount_links needs an integer, not 0.9"),
+    ({"planner": {"max_ctrl_steps": True}}, "field max_ctrl_steps needs an integer, not True"),
+    ({"controller": {"sim_hz": float("inf")}}, "field sim_hz needs an integer, not inf"),
+    ({"train": {"state": {"epochs": float("nan")}}}, "field epochs needs an integer, not nan"),
+    ({"hyper": {"gamma": True}}, "field gamma needs a number, not True"),
+    ({"arm": {"link_lengths": [0.5, False, 0.3]}}, "field link_lengths needs a number, not False"),
+]
 # (config file, the rejection's message): values a record cannot use, which
 # `load_config` rejects before any command runs
 REJECTED_VALUES = [
@@ -232,6 +243,21 @@ REJECTED_VALUES = [
     ({"bench": {"seeds": []}}, "bench.seeds must name at least one seed, each once"),
     ({"bench": {"seeds": [0, 0]}}, "bench.seeds must name at least one seed, each once"),
     *BENCH_REJECTED,
+    *DECODE_REJECTED,
+    *(({"arm": doc}, "link lengths and radius must be positive and finite")
+      for doc in ({"link_lengths": [0.5, float("nan"), 0.3]}, {"link_radius": float("nan")},
+                  {"link_lengths": [0.5, 0.4, float("inf")]})),
+    *(({"arm": {key: value}}, "joint limits and base position must be finite")
+      for key, value in (("joint_lower", [float("nan"), -2.8, -2.8]),
+                         ("joint_upper", [2.8, float("nan"), 2.8]),
+                         ("joint_upper", [2.8, 2.8, float("inf")]),
+                         ("base_position", [0.0, float("nan")]))),
+    # a NaN clearance failed every obstacle draw, 10,000 attempts per obstacle
+    ({"env_gen": {"min_clearance_from_base": float("nan")}},
+     "min_clearance_from_base must be finite"),
+    # a NaN connect_radius turned goal connection off
+    *(({"planner": {key: value}}, f"planner {key} must be non-negative")
+      for key in ("connect_radius", "stall_threshold") for value in (float("nan"), -1.0)),
 ]
 
 
@@ -250,6 +276,17 @@ def test_an_unusable_bench_value_stops_bench(doc, message, tmp_path, capsys):
     (tmp_path / "config.json").write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert cli.main(["--config", str(tmp_path / "config.json"), "--out", str(out), "bench",
+                     "--problems", "p.json"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, message", DECODE_REJECTED,
+                         ids=[json.dumps(doc, separators=(",", ":")) for doc, _ in DECODE_REJECTED])
+def test_a_value_its_field_type_refuses_stops_plan(doc, message, tmp_path, capsys):
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(tmp_path / "config.json"), "--out", str(out), "plan",
                      "--problems", "p.json"]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -260,8 +260,6 @@ def test_the_parameter_scan_reads_calls():
 UNREAD_KEPT = {
     "cbf.HandcraftedBarrier.value_and_grad.observation":
         "barriers share one signature; the hand barrier reads the world, not an observation",
-    "cbf.NeuralBarrier.clearance_floor.h":
-        "barriers share one signature; a learned value proves no clearance",
     "cli._cmd_replay.out_dir": "every command takes (args, cfg, out_dir); replay writes no file",
     "neural._Fresh.get.key": "a BatchWorkspace method; with no workspace nothing is keyed",
     "neural._Fresh.out.key": "a BatchWorkspace method; with no workspace nothing is keyed",

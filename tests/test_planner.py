@@ -3,7 +3,7 @@ invariants, edge safety audits, and node-for-node agreement with an
 independent reference RRT built from the documented sampling contract."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -268,7 +268,7 @@ class TestSteerFilterLqr:
                                     PlannerLimits(max_ctrl_steps=40), 0.1)
             # audit at tick boundaries (acceptance happens per tick)
             for q in edge.configs[::4][:-1]:
-                h, _ = barrier.value_and_grad(q, None, env)
+                h, _, _ = barrier.value_and_grad(q, None, env)
                 assert h <= 0.0 + 1e-12
 
 
@@ -894,7 +894,7 @@ class TestEarlyStop:
             validate_and_truncate(env, arm, rollout, limits.check_resolution)
             skipped = skipped_rows(steer_rows, clearances[0][0][2])
             assert np.all(signed_distance_batch(env, arm, skipped) >= 0.0)
-            assert kind == "hand" or not len(skipped)  # a learned barrier proves nothing
+            assert kind != "cloud" or not len(skipped)  # a cloud net reads no clearance
             assert_same_edge(edge, ref_steer(*args))
             # (the log holds the steer's own list, as it was when the steer returned)
             (first_args, first_kwargs, first_kept), *rest = validations
@@ -906,10 +906,24 @@ class TestEarlyStop:
         assert 3 <= cut_at_once < 12  # and some steers run on past tick 1
 
 
+@dataclass(frozen=True)
+class InflatedReading:
+    """A barrier that reports the clearance its hand barrier read, plus 1e-3."""
+
+    inner: HandcraftedBarrier
+    kind = "handcrafted"
+    arm = property(lambda self: self.inner.arm)
+    hyper = property(lambda self: self.inner.hyper)
+
+    def value_and_grad(self, q, observation, env):
+        h, grad, d = self.inner.value_and_grad(q, observation, env)
+        return h, grad, d + 1e-3
+
+
 class TestProvenTicks:
-    """Hand-barrier steers leave out the ticks their clearance readings prove
-    free, and their edges still equal the one-validation oracles' bit for
-    bit, in free space and near contact."""
+    """Hand-barrier and state-net steers leave out the ticks their clearance
+    readings prove free, and their edges still equal the one-validation
+    oracles' bit for bit, in free space and near contact."""
 
     @pytest.mark.parametrize("seed", range(2))
     def test_equal_to_the_oracles(self, arm, monkeypatch, seed):
@@ -921,18 +935,47 @@ class TestProvenTicks:
         pairs += contact_pairs(env, arm, rng, 6)
         validations = []
         recording(monkeypatch, "validate_and_truncate", validations)
-        counts = {"none": 0, "some": 0}
-        for margin in (0.0, 0.15):
-            bundle = hand_bundle(arm, margin=margin)
+        # steers by (barrier kind, whether they validated anything): each
+        # kind proves some rollouts whole and checks others
+        counts = dict.fromkeys([(k, v) for k in ("hand", "state") for v in (False, True)], 0)
+        state = NeuralBarrier(Mlp.create((4, 16, 16, 1), np.random.default_rng(950 + seed)), arm,
+                              CbfHyper())
+        for kind, bundle in (("hand", hand_bundle(arm, margin=0.0)),
+                             ("hand", hand_bundle(arm, margin=0.15)),
+                             ("state", ControllerBundle(barrier=state, observe=None))):
             for q_from, q_toward in pairs:
                 for steer, ref in ((steer_cbf_inc, rollout_oracle.rollout_edge),
                                    (steer_filter_lqr, rollout_oracle.steer_filter_lqr)):
                     args = (env, q_from, q_toward, bundle, limits, 0.1)
                     validations.clear()
                     edge = steer(*args)
-                    counts["some" if validations else "none"] += 1
+                    counts[kind, bool(validations)] += 1
                     assert_same_edge(edge, ref(*args))
-        assert counts["none"] >= 10 and counts["some"] >= 10
+        assert min(counts.values()) >= 4
+
+    def test_an_inflated_reading_fails_the_oracle(self, arm):
+        # slow approaches into contact move less than 1e-3 a tick, so a
+        # reading 1e-3 too high proves the tick that collides, and the edge
+        # keeps its states: the oracle comparison catches the unsound proof
+        rng = np.random.default_rng(41)
+        env = random_environment(EnvGenConfig(num_obstacles=8, shapes=("rect", "circle"),
+                                              size_range=(0.08, 0.3)), rng)
+        honest = ControllerBundle(barrier=HandcraftedBarrier(arm, 0.0, CbfHyper(alpha_h=1e3)),
+                                  observe=None)
+        inflated = replace(honest, barrier=InflatedReading(honest.barrier))
+        limits = PlannerLimits(stall_threshold=1e-9)
+        failed = 0
+        for q_from, q_hit in contact_pairs(env, arm, rng, 4):
+            q_toward = q_from + 0.01 * (q_hit - q_from) / np.linalg.norm(q_hit - q_from)
+            ref = rollout_oracle.rollout_edge(env, q_from, q_toward, honest, limits, 1e-6)
+            assert_same_edge(steer_cbf_inc(env, q_from, q_toward, honest, limits, 1e-6), ref)
+            edge = steer_cbf_inc(env, q_from, q_toward, inflated, limits, 1e-6)
+            try:
+                assert_same_edge(edge, ref)
+            except AssertionError:
+                failed += 1
+                assert min(signed_distance_batch(env, arm, np.array(edge.configs))) < 0.0
+        assert failed >= 2
 
     def test_outside_start_bounded_by_its_own_motion(self, arm, monkeypatch):
         # hold's first step clamps a start outside the limits onto them, a

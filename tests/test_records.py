@@ -156,6 +156,29 @@ def test_fields_come_back_with_their_annotated_types():
     assert problem.q0.dtype == float
 
 
+class TestFieldTypes:
+    """`from_json` refuses a value its field's type would change: an int
+    field a bool or a number with a fraction, a float field a bool."""
+
+    @pytest.mark.parametrize("record, doc", [
+        (PlannerLimits, {"max_nodes": 16.7}), (PlannerLimits, {"max_ctrl_steps": True}),
+        (ScanSpec, {"mount_links": [0.9, 2]}), (RolloutLimits, {"ctrl_hz": float("nan")}),
+        (PlanResult, {"status": "solved", "path": [], "controls": [], "explored_nodes": False,
+                      "planning_seconds": 0.0, "seed": None}),
+        (CbfHyper, {"alpha_h": True}), (ArmModel, {"link_lengths": [0.5, True]}),
+        (Workspace, {"center": [False, 0.0]}),
+    ])
+    def test_refused(self, record, doc):
+        with pytest.raises(ValueError, match=r"field \w+ needs an? (integer|number), not "):
+            record.from_json(doc)
+
+    def test_whole_numbers_still_load(self):
+        limits = PlannerLimits.from_json({"max_nodes": 16.0, "step_size": 1})
+        assert limits.max_nodes == 16 and type(limits.max_nodes) is int
+        assert limits.step_size == 1.0 and type(limits.step_size) is float
+        assert TrainReport.from_json({"aborted": True}).aborted is True
+
+
 class TestOldFiles:
     def test_obstacle_without_velocity_stands_still(self):
         obs = Obstacle.from_json(
