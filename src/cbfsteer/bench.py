@@ -54,6 +54,7 @@ from .planner import (
 
 DIFFICULTIES = ("easy", "hard", "untagged")
 SETTINGS = ("static_full", "dynamic_partial")
+DYNAMIC_PARTIAL_SPEED = 0.05  # the speed dynamic_partial gives static problems' obstacles
 # each steering method and the checkpoint variant it steers with ("any": either)
 METHODS = {"straight": None, "cbf-state": "state", "cbf-cloud": "cloud", "hand-cbf": None,
            "filter-lqr": "any"}

@@ -100,7 +100,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--setting", choices=[s.replace("_", "-") for s in bench_mod.SETTINGS],
                    default="static-full")
     p.add_argument("--obstacle-speed", type=float, default=None,
-                   help="dynamic-partial speed for static problems' obstacles (default 0.05)")
+                   help="dynamic-partial speed for static problems' obstacles "
+                        f"(default {bench_mod.DYNAMIC_PARTIAL_SPEED})")
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--out-file", type=str, default=None)
 
@@ -284,7 +285,8 @@ def _cmd_eval_controller(args, cfg, out_dir):
         if setting == "static_full":
             raise ValueError("--obstacle-speed is refused: static-full moves no obstacle")
     if setting == "dynamic_partial" and not moving:
-        speed = 0.05 if args.obstacle_speed is None else args.obstacle_speed
+        speed = (bench_mod.DYNAMIC_PARTIAL_SPEED if args.obstacle_speed is None
+                 else args.obstacle_speed)
         dyn_rng = seed_stream(args.seed, "dynamics")
         problems = bench_mod.dynamicize_problems(problems, speed, dyn_rng)
     method = _method_spec(args.method, dict.fromkeys(("state", "cloud"),

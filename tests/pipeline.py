@@ -49,7 +49,6 @@ METHODS = ("straight", "hand-cbf", "cbf-state", "cbf-cloud", "filter-lqr")
 CONTROLLED = METHODS[1:]  # the methods with a controller
 SETTINGS = ("static-full", "dynamic-partial")
 HORIZON = "2.0"  # eval-controller's --horizon
-DYNAMIC_SPEED = 0.05  # eval-controller's obstacle speed for static problems in dynamic-partial
 
 
 def run_pipeline(out: Path, run) -> None:
@@ -118,7 +117,7 @@ def run_pipeline(out: Path, run) -> None:
     plans["hand-cbf-strict"] = plan_digests(planned, specs["hand-cbf"], strict)
     # the eval-controller runs above, each in the worlds its setting rolls out in
     worlds = {"static-full": planned, "dynamic-partial": bench.dynamicize_problems(
-        planned, DYNAMIC_SPEED, config.seed_stream(SEED, "dynamics"))}
+        planned, bench.DYNAMIC_PARTIAL_SPEED, config.seed_stream(SEED, "dynamics"))}
     rollouts = {f"{m} {s}": rollout_digests(
         worlds[s], specs[m], s, cfg, out / f"controller-{m}-{s.replace('-', '_')}.json")
         for s in SETTINGS for m in CONTROLLED}

@@ -156,7 +156,7 @@ class TestPipeline:
                 "strict": config.load_config(tmp_path / "strict.json")}
         problems = bench.load_problems(pipeline_dir / "problems.json")
         worlds = {"static-full": problems, "dynamic-partial": bench.dynamicize_problems(
-            problems, pipeline.DYNAMIC_SPEED, config.seed_stream(pipeline.SEED, "dynamics"))}
+            problems, bench.DYNAMIC_PARTIAL_SPEED, config.seed_stream(pipeline.SEED, "dynamics"))}
         for setting, world in worlds.items():
             digests, records = {}, {}
             for mode, cfg in cfgs.items():

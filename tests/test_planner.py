@@ -951,7 +951,8 @@ class TestProvenTicks:
                     edge = steer(*args)
                     counts[kind, bool(validations)] += 1
                     assert_same_edge(edge, ref(*args))
-        assert min(counts.values()) >= 4
+        assert counts["hand", False] >= 10 and counts["hand", True] >= 10
+        assert counts["state", False] >= 4 and counts["state", True] >= 4
 
     def test_an_inflated_reading_fails_the_oracle(self, arm):
         # slow approaches into contact move less than 1e-3 a tick, so a
