@@ -49,6 +49,7 @@ from .planner import (
     SteerRollout,
     SteerStraightLine,
     rrt_plan,
+    rrt_plan_with_tree,
     validate_and_truncate,
 )
 
@@ -67,6 +68,10 @@ class ProblemSpec(Record):
     q0: np.ndarray
     qg: np.ndarray
     difficulty: str = "untagged"
+
+    def __post_init__(self):
+        if self.difficulty not in DIFFICULTIES:
+            raise ValueError(f"problem {self.id}: unknown difficulty {self.difficulty!r}")
 
 
 def save_problems(path, problems: list) -> None:
@@ -210,30 +215,31 @@ def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
     return SteerRollout(bundle=bundle, activation_after=act)
 
 
-_WORKER_STATE: dict = {}
+def plan_query(prob: ProblemSpec, method: dict, arm: ArmModel, cfg: dict, root_seed: int,
+               stream: int, barrier_cache: dict, seed: int) -> tuple:
+    """Plan one problem with one method: its `build_steer` steer and the
+    planner stream (root_seed, problem id, stream); the result records
+    `seed`. Returns (PlanResult, SearchTree)."""
+    steer = build_steer(method, arm, prob, cfg, root_seed, barrier_cache)
+    problem = PlanProblem(arm=arm, env=prob.environment, q0=prob.q0, qg=prob.qg,
+                          r_goal=cfg["controller"]["r_goal"])
+    rng = seed_stream(root_seed, "planner", prob.id, stream)
+    return rrt_plan_with_tree(problem, steer, make_planner_limits(cfg), rng, seed=seed)
 
 
-def _init_worker(cfg, arm_doc, root_seed):
-    _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["arm"] = ArmModel.from_json(arm_doc)
-    _WORKER_STATE["root_seed"] = root_seed
-    _WORKER_STATE["barriers"] = {}
+_WORKER_STATE: list = []  # a pool worker's (arm, cfg, root_seed, barrier cache)
 
 
-def _run_task(task):
-    problem_doc, method, seed = task
-    cfg = _WORKER_STATE["cfg"]
-    arm = _WORKER_STATE["arm"]
-    root_seed = _WORKER_STATE["root_seed"]
-    prob = ProblemSpec.from_json(problem_doc)
-    steer = build_steer(method, arm, prob, cfg, root_seed, _WORKER_STATE["barriers"])
-    limits = make_planner_limits(cfg)
-    rng = seed_stream(root_seed, "planner", prob.id, seed)
-    res = rrt_plan(
-        PlanProblem(arm=arm, env=prob.environment, q0=prob.q0, qg=prob.qg,
-                    r_goal=cfg["controller"]["r_goal"]),
-        steer, limits, rng, seed=seed)
-    return prob.id, prob.difficulty, method["name"], seed, res.to_json()
+def _init_worker(*state):
+    _WORKER_STATE[:] = state
+
+
+def _run_task(task, state=None):
+    """A bench run's row: `plan_query` on planner stream `seed`."""
+    (prob, method, seed), (arm, cfg, root_seed, barriers) = task, state or _WORKER_STATE
+    res, _ = plan_query(prob, method, arm, cfg, root_seed, seed, barriers, seed)
+    return {"problem_id": prob.id, "difficulty": prob.difficulty, "method": method["name"],
+            "seed": seed, "result": res.to_json()}
 
 
 def _check_each_once(what: str, items: list) -> None:
@@ -268,29 +274,20 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
                 raise FileNotFoundError(f"checkpoint for {method['name']} not found: {path}")
             _controller(method, arm, cfg, cache)
 
-    tasks = [(p.to_json(), m, s) for m in methods for p in problems for s in seeds]
+    tasks = [(p, m, s) for m in methods for p in problems for s in seeds]
     workers = cfg["bench"]["workers"]
     if workers > 1:
         with multiprocessing.Pool(workers, initializer=_init_worker,
-                                  initargs=(cfg, arm.to_json(), root_seed)) as pool:
+                                  initargs=(arm, cfg, root_seed, {})) as pool:
             results = list(pool.imap(_run_task, tasks, chunksize=4))
     else:
-        _init_worker(cfg, arm.to_json(), root_seed)
-        _WORKER_STATE["barriers"] = cache
-        results = [_run_task(t) for t in tasks]
+        results = [_run_task(t, (arm, cfg, root_seed, cache)) for t in tasks]
 
-    results.sort(key=lambda r: (r[2], r[0], r[3]))  # canonical order: method, problem, seed
-    run_rows = []
-    for pid, difficulty, name, seed, res in results:
-        if not report_timing:
-            res = dict(res, planning_seconds=0.0)
-        run_rows.append({
-            "problem_id": pid,
-            "difficulty": difficulty,
-            "method": name,
-            "seed": seed,
-            "result": res,
-        })
+    # canonical order: method, problem, seed
+    run_rows = sorted(results, key=lambda r: (r["method"], r["problem_id"], r["seed"]))
+    if not report_timing:
+        for r in run_rows:
+            r["result"]["planning_seconds"] = 0.0
     dump_jsonl(out_dir / "runs.jsonl", run_rows)
 
     rows = []
@@ -370,20 +367,40 @@ def dynamicize_problems(problems: list, speed: float, rng: np.random.Generator) 
     return out
 
 
+def setting_worlds(problems: list, setting: str, root_seed: int,
+                   obstacle_speed: float | None = None) -> list:
+    """The worlds a controller run in `setting` rolls out in: under
+    "dynamic_partial" static problems' obstacles move at `obstacle_speed`
+    (default DYNAMIC_PARTIAL_SPEED) on the stream "dynamics". A list with a
+    moving obstacle, and any under "static_full", comes back as given and
+    refuses a speed."""
+    moving = any(p.environment.is_dynamic for p in problems)
+    if obstacle_speed is not None and (moving or setting == "static_full"):
+        why = "the problems' obstacles already move" if moving else "static-full moves no obstacle"
+        raise ValueError(f"an obstacle speed is refused: {why}")
+    if setting != "dynamic_partial" or moving:
+        return problems
+    speed = DYNAMIC_PARTIAL_SPEED if obstacle_speed is None else obstacle_speed
+    return dynamicize_problems(problems, speed, seed_stream(root_seed, "dynamics"))
+
+
 def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, cfg: dict,
                     root_seed: int = 0, horizon_s: float | None = None,
-                    barrier_cache: dict | None = None) -> tuple:
-    """Unroll the controller end to end on every problem (no planner).
+                    barrier_cache: dict | None = None,
+                    obstacle_speed: float | None = None) -> tuple:
+    """Unroll the controller end to end on every problem (no planner), in
+    the setting's worlds (`setting_worlds`, with `obstacle_speed`).
 
-    The setting, one of SETTINGS, picks what the barrier sees (`_observer`).
-    Calls may share a `barrier_cache` of loaded checkpoints, as a caller
-    evaluating one problem per call would; the benchmark's control-dynamic
-    pass passes none, so it loads the checkpoint on every call. Returns
-    (ControllerMetricsRow, per-problem records).
+    The setting, one of SETTINGS, also picks what the barrier sees
+    (`_observer`). Calls may share a `barrier_cache` of loaded checkpoints,
+    as a caller evaluating one problem per call would; the benchmark's
+    control-dynamic pass passes none, so it loads the checkpoint on every
+    call. Returns (ControllerMetricsRow, per-problem records).
     """
     if setting not in SETTINGS:
         raise ValueError(f"unknown setting {setting!r}")
     _check_each_once("problem", [p.id for p in problems])
+    problems = setting_worlds(problems, setting, root_seed, obstacle_speed)
     bundle = _controller(method, arm, cfg, {} if barrier_cache is None else barrier_cache,
                          **({} if horizon_s is None else {"horizon_s": horizon_s}))
     records = []

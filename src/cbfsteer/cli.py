@@ -30,7 +30,7 @@ from .config import (
 )
 from .jsonio import dump_json, load_json
 from .neural import Mlp, PointSetEncoder, load_checkpoint, save_checkpoint
-from .planner import PlanProblem, PlanResult, rrt_plan
+from .planner import PlanResult
 
 
 class _UsageError(Exception):
@@ -239,12 +239,7 @@ def _cmd_plan(args, cfg, out_dir):
     prob = problems[args.index]
     method = _method_spec(args.method, dict.fromkeys(("state", "cloud"),
                                                      ("--checkpoint", args.checkpoint)))
-    steer = bench_mod.build_steer(method, arm, prob, cfg, args.seed, {})
-    rng = seed_stream(args.seed, "planner", prob.id, 0)
-    result = rrt_plan(
-        PlanProblem(arm=arm, env=prob.environment, q0=prob.q0, qg=prob.qg,
-                    r_goal=cfg["controller"]["r_goal"]),
-        steer, make_planner_limits(cfg), rng, seed=args.seed)
+    result, _ = bench_mod.plan_query(prob, method, arm, cfg, args.seed, 0, {}, args.seed)
     if args.no_timing:
         result.planning_seconds = 0.0
     path = out_dir / args.out_file
@@ -277,22 +272,11 @@ def _cmd_eval_controller(args, cfg, out_dir):
     arm = make_arm(cfg)
     problems = bench_mod.load_problems(args.problems)
     setting = args.setting.replace("-", "_")
-    moving = any(p.environment.is_dynamic for p in problems)
-    if args.obstacle_speed is not None:
-        make_env_gen(cfg, obstacle_speed=args.obstacle_speed)  # the obstacle_speed rule
-        if moving:
-            raise ValueError("--obstacle-speed is refused: the problems' obstacles already move")
-        if setting == "static_full":
-            raise ValueError("--obstacle-speed is refused: static-full moves no obstacle")
-    if setting == "dynamic_partial" and not moving:
-        speed = (bench_mod.DYNAMIC_PARTIAL_SPEED if args.obstacle_speed is None
-                 else args.obstacle_speed)
-        dyn_rng = seed_stream(args.seed, "dynamics")
-        problems = bench_mod.dynamicize_problems(problems, speed, dyn_rng)
     method = _method_spec(args.method, dict.fromkeys(("state", "cloud"),
                                                      ("--checkpoint", args.checkpoint)))
     row, records = bench_mod.eval_controller(
-        problems, method, setting, arm, cfg, root_seed=args.seed, horizon_s=args.horizon)
+        problems, method, setting, arm, cfg, root_seed=args.seed, horizon_s=args.horizon,
+        obstacle_speed=args.obstacle_speed)
     print(f"{row.method} [{row.setting}] goal={row.goal_reaching_rate:.3f} "
           f"safety={row.safety_rate:.4f} makespan={row.mean_makespan}")
     out = {"row": row.to_json(), "records": records}

@@ -187,8 +187,8 @@ def make_rollout_limits(cfg: dict, **overrides) -> RolloutLimits:
     return RolloutLimits.from_json({**cfg["controller"], **overrides})
 
 
-def make_planner_limits(cfg: dict, **overrides) -> PlannerLimits:
-    return PlannerLimits.from_json({**cfg["planner"], **overrides})
+def make_planner_limits(cfg: dict) -> PlannerLimits:
+    return PlannerLimits.from_json(cfg["planner"])
 
 
 def make_scan_spec(cfg: dict) -> ScanSpec:

@@ -419,7 +419,6 @@ class EnvGenConfig(Record):
     min_clearance_from_base: float = 0.25
     obstacle_speed: float = 0.0
     shapes: tuple[str, ...] = ("rect",)
-    fixed_size: float | None = None
 
     def __post_init__(self):
         if not self.shapes or not set(self.shapes) <= {"rect", "circle"}:
@@ -428,8 +427,6 @@ class EnvGenConfig(Record):
             raise ValueError("num_obstacles must be non-negative")
         if not 0 < self.size_range[0] <= self.size_range[1] < np.inf:
             raise ValueError("size_range must be finite with 0 < low <= high")
-        if self.fixed_size is not None and not 0 < self.fixed_size < np.inf:
-            raise ValueError("fixed_size must be positive and finite")
         if not 0 <= self.obstacle_speed < np.inf:
             raise ValueError("obstacle_speed must be non-negative and finite")
         if not np.isfinite(self.min_clearance_from_base):  # NaN fails every draw
@@ -456,10 +453,7 @@ def random_environment(
         for attempt in range(MAX_GEN_ATTEMPTS):
             center = rng.uniform(lo, hi)
             kind = gen_cfg.shapes[int(rng.integers(len(gen_cfg.shapes)))]
-            if gen_cfg.fixed_size is not None:
-                size = (gen_cfg.fixed_size, gen_cfg.fixed_size)
-            else:
-                size = tuple(rng.uniform(gen_cfg.size_range[0], gen_cfg.size_range[1], size=2))
+            size = tuple(rng.uniform(gen_cfg.size_range[0], gen_cfg.size_range[1], size=2))
             speed = gen_cfg.obstacle_speed
             vel = random_velocity(speed, rng) if speed > 0.0 else (0.0, 0.0)
             shape = {"radius": size[0]} if kind == "circle" else {"half_extents": size}

@@ -53,8 +53,9 @@ class Record:
     field is annotated with (floats, ints and strings converted, arrays as
     float arrays, enums by value, records recursively) and leaves missing
     keys to the field defaults, so files written before a field existed
-    still load. An int field refuses a bool and a number with a fraction,
-    and a float field a bool, rather than truncate or convert them.
+    still load. An int field refuses a bool and a number with a fraction, a
+    float field a bool, and a tuple field of fixed length (no `...`) a list
+    of another length, rather than truncate, convert or misread them.
     """
 
     def to_json(self) -> dict:
@@ -99,8 +100,11 @@ def _decode(tp, value, name: str):
     if origin in (typing.Union, types.UnionType):  # `X | None`
         (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
         return _decode(tp, value, name)
-    if origin in (tuple, list):  # homogeneous: tuple[X, ...], tuple[X, X], list[X]
-        return origin(_decode(typing.get_args(tp)[0], v, name) for v in value)
+    if origin in (tuple, list):  # homogeneous: tuple[X, ...], list[X], or tuple[X, X] of two
+        args = typing.get_args(tp)
+        if origin is tuple and ... not in args and len(value) != len(args):
+            raise ValueError(f"field {name} needs {len(args)} entries, not {len(value)}")
+        return origin(_decode(args[0], v, name) for v in value)
     if tp is np.ndarray:
         return np.array(value, dtype=float)
     if isinstance(tp, type) and issubclass(tp, Record):

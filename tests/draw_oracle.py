@@ -83,10 +83,7 @@ def random_environment(gen_cfg, rng: np.random.Generator, base_position=(0.0, 0.
         while True:
             center = rng.uniform(lo, hi)
             kind = gen_cfg.shapes[int(rng.integers(len(gen_cfg.shapes)))]
-            if gen_cfg.fixed_size is not None:
-                size = (gen_cfg.fixed_size, gen_cfg.fixed_size)
-            else:
-                size = tuple(rng.uniform(gen_cfg.size_range[0], gen_cfg.size_range[1], size=2))
+            size = tuple(rng.uniform(gen_cfg.size_range[0], gen_cfg.size_range[1], size=2))
             if gen_cfg.obstacle_speed > 0.0:
                 ang = rng.uniform(0.0, 2.0 * np.pi)
                 vel = (gen_cfg.obstacle_speed * np.cos(ang), gen_cfg.obstacle_speed * np.sin(ang))

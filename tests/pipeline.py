@@ -116,8 +116,7 @@ def run_pipeline(out: Path, run) -> None:
     plans = {m: plan_digests(planned, specs[m], cfg) for m in METHODS}
     plans["hand-cbf-strict"] = plan_digests(planned, specs["hand-cbf"], strict)
     # the eval-controller runs above, each in the worlds its setting rolls out in
-    worlds = {"static-full": planned, "dynamic-partial": bench.dynamicize_problems(
-        planned, bench.DYNAMIC_PARTIAL_SPEED, config.seed_stream(SEED, "dynamics"))}
+    worlds = {s: bench.setting_worlds(planned, s.replace("-", "_"), SEED) for s in SETTINGS}
     rollouts = {f"{m} {s}": rollout_digests(
         worlds[s], specs[m], s, cfg, out / f"controller-{m}-{s.replace('-', '_')}.json")
         for s in SETTINGS for m in CONTROLLED}

@@ -28,27 +28,19 @@ from pathlib import Path
 
 import numpy as np
 
-from cbfsteer import bench, config, planner
+from cbfsteer import bench, config
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def plan_queries(problems, method: dict, cfg: dict, root_seed: int, barriers: dict,
                  arm=None) -> list:
-    """(PlanResult, SearchTree) of each problem, planned as one `bench` run
-    with seed `root_seed` plans it: the method's steer (`barriers` maps a
-    checkpoint path to its barrier, loaded into it if missing) and the
-    planner stream of (root_seed, problem id, 0)."""
+    """(PlanResult, SearchTree) of each problem, planned as `plan` with
+    seed `root_seed` plans it (`bench.plan_query` on stream 0; `barriers`
+    maps a checkpoint path to its barrier, loaded into it if missing)."""
     arm = config.make_arm(cfg) if arm is None else arm
-    limits = config.make_planner_limits(cfg)
-    runs = []
-    for prob in problems:
-        steer = bench.build_steer(method, arm, prob, cfg, root_seed, barriers)
-        problem = planner.PlanProblem(arm=arm, env=prob.environment, q0=prob.q0, qg=prob.qg,
-                                      r_goal=cfg["controller"]["r_goal"])
-        rng = config.seed_stream(root_seed, "planner", prob.id, 0)
-        runs.append(planner.rrt_plan_with_tree(problem, steer, limits, rng, seed=root_seed))
-    return runs
+    return [bench.plan_query(prob, method, arm, cfg, root_seed, 0, barriers, root_seed)
+            for prob in problems]
 
 
 def hash_arrays(h, arrays) -> None:

@@ -18,7 +18,7 @@ from cbfsteer.config import (
     seed_stream,
 )
 from cbfsteer.environment import EnvGenConfig, signed_distance
-from cbfsteer.jsonio import canonical_dumps, load_json
+from cbfsteer.jsonio import canonical_dumps, load_json, load_jsonl
 from cbfsteer.kinematics import ArmModel, hold
 from cbfsteer.planner import PlanProblem, rrt_plan_with_tree
 
@@ -113,7 +113,7 @@ class TestDifficultySplit:
         probs = bench.gen_problems(EnvGenConfig(num_obstacles=0), 6,
                                    np.random.default_rng(3), arm, 0.025)
         tagged = bench.difficulty_split(probs, 2, np.random.default_rng(4), arm,
-                                        make_planner_limits(cfg, max_nodes=60),
+                                        replace(make_planner_limits(cfg), max_nodes=60),
                                         r_goal=cfg["controller"]["r_goal"])
         # trivially solvable worlds: scores tie, the median split still halves them
         assert sum(1 for p in tagged if p.difficulty == "easy") == 3
@@ -123,7 +123,7 @@ class TestDifficultySplit:
         gen = make_env_gen(cfg)
         probs = bench.gen_problems(gen, 11, np.random.default_rng(5), arm, 0.025)
         tagged = bench.difficulty_split(probs, 1, np.random.default_rng(6), arm,
-                                        make_planner_limits(cfg, max_nodes=60),
+                                        replace(make_planner_limits(cfg), max_nodes=60),
                                         r_goal=cfg["controller"]["r_goal"])
         n_easy = sum(1 for p in tagged if p.difficulty == "easy")
         n_hard = sum(1 for p in tagged if p.difficulty == "hard")
@@ -138,7 +138,7 @@ class TestDifficultySplit:
 
         gen = make_env_gen(cfg, num_obstacles=3)
         probs = bench.gen_problems(gen, 16, np.random.default_rng(7), arm, 0.05)
-        limits = make_planner_limits(cfg, max_nodes=80)
+        limits = replace(make_planner_limits(cfg), max_nodes=80)
 
         def scores(problems, root):
             out = []
@@ -177,7 +177,7 @@ class TestRunBench:
         gen = make_env_gen(cfg, num_obstacles=2)
         probs = bench.gen_problems(gen, 4, np.random.default_rng(8), arm, 0.025)
         tagged = bench.difficulty_split(probs, 1, np.random.default_rng(9), arm,
-                                        make_planner_limits(cfg, max_nodes=40),
+                                        replace(make_planner_limits(cfg), max_nodes=40),
                                         r_goal=cfg["controller"]["r_goal"])
         cfg2 = dict(cfg)
         rows = bench.run_bench(tagged, [{"name": "straight"}], [0, 1], arm, cfg2,
@@ -232,6 +232,21 @@ class TestRunBench:
         assert len((outputs[1] / "runs.jsonl").read_text().splitlines()) == 2 * 2
         for fname in ("runs.jsonl", "metrics.json"):
             assert (outputs[0] / fname).read_bytes() == (outputs[1] / fname).read_bytes(), fname
+
+    def test_each_run_is_its_plan_query(self, cfg, arm, tmp_path):
+        # run (problem, seed) is the query on planner stream `seed` that records `seed`
+        cfg = dict(cfg, planner=dict(cfg["planner"], max_nodes=20))
+        probs = bench.gen_problems(make_env_gen(cfg, num_obstacles=3), 2,
+                                   np.random.default_rng(13), arm, 0.025)
+        bench.run_bench(probs, [{"name": "hand-cbf"}], [0, 4], arm, cfg, tmp_path,
+                        root_seed=5, report_timing=False)
+        runs = load_jsonl(tmp_path / "runs.jsonl")
+        assert [(r["problem_id"], r["seed"]) for r in runs] == [(0, 0), (0, 4), (1, 0), (1, 4)]
+        for run in runs:
+            res, tree = bench.plan_query(probs[run["problem_id"]], {"name": "hand-cbf"}, arm, cfg,
+                                         5, run["seed"], {}, run["seed"])
+            assert run["result"] == dict(res.to_json(), planning_seconds=0.0)
+            assert res.seed == run["seed"] and len(tree.nodes) == res.tree_size
 
     @pytest.mark.parametrize("methods, seeds", [([{"name": "straight"}] * 2, [0]),
                                                 ([{"name": "straight"}], [0, 0]),
@@ -572,7 +587,7 @@ class TestConfiguredRates:
 
     def test_rollout_steer(self, slow_cfg, arm, problems):
         # every edge a planner stores with the steer build_steer made
-        limits = make_planner_limits(slow_cfg, max_nodes=8)
+        limits = replace(make_planner_limits(slow_cfg), max_nodes=8)
         ticks = 0
         for prob in problems:
             steer = bench.build_steer({"name": "hand-cbf"}, arm, prob, slow_cfg, 0, {})
@@ -613,22 +628,24 @@ def cloud_bytes(cloud):
     return cloud.points.tobytes() + cloud.normals.tobytes() + cloud.source.value.encode()
 
 
+@pytest.fixture
+def methods(cfg, arm, tmp_path):
+    """The controlled methods, the networks' with small random checkpoints."""
+    from cbfsteer.config import cloud_widths, make_hyper, state_widths
+    from cbfsteer.neural import Mlp, PointSetEncoder, save_checkpoint
+
+    rng = np.random.default_rng(25)
+    nets = {"state": Mlp.create(state_widths(cfg, arm), rng),
+            "cloud": PointSetEncoder.create(arm.n_links, *cloud_widths(cfg, arm), rng=rng)}
+    for kind, net in nets.items():
+        save_checkpoint(tmp_path / f"{kind}.json", kind, net, make_hyper(cfg).to_json())
+    return {"hand-cbf": {"name": "hand-cbf"},
+            "cbf-state": {"name": "cbf-state", "checkpoint": str(tmp_path / "state.json")},
+            "cbf-cloud": {"name": "cbf-cloud", "checkpoint": str(tmp_path / "cloud.json")}}
+
+
 class TestObserver:
     """The one observation rule, for each barrier kind in each setting."""
-
-    @pytest.fixture
-    def methods(self, cfg, arm, tmp_path):
-        from cbfsteer.config import cloud_widths, make_hyper, state_widths
-        from cbfsteer.neural import Mlp, PointSetEncoder, save_checkpoint
-
-        rng = np.random.default_rng(25)
-        nets = {"state": Mlp.create(state_widths(cfg, arm), rng),
-                "cloud": PointSetEncoder.create(arm.n_links, *cloud_widths(cfg, arm), rng=rng)}
-        for kind, net in nets.items():
-            save_checkpoint(tmp_path / f"{kind}.json", kind, net, make_hyper(cfg).to_json())
-        return {"hand-cbf": {"name": "hand-cbf"},
-                "cbf-state": {"name": "cbf-state", "checkpoint": str(tmp_path / "state.json")},
-                "cbf-cloud": {"name": "cbf-cloud", "checkpoint": str(tmp_path / "cloud.json")}}
 
     @pytest.mark.parametrize("setting", bench.SETTINGS)
     @pytest.mark.parametrize("name", ["hand-cbf", "cbf-state", "cbf-cloud"])
@@ -731,3 +748,84 @@ class TestObserver:
                                   np.random.default_rng(28), arm, 0.025)[0]
         with pytest.raises(ValueError, match="activation_after must be an integer >= 0, or -1"):
             bench.build_steer(method, arm, prob, cfg, 0, {})
+
+
+class TestSettingWorlds:
+    """The one rule for the worlds a controller run rolls out in, which
+    `eval_controller` applies: static problems move under dynamic_partial."""
+
+    @pytest.fixture
+    def static(self, cfg, arm):
+        return bench.gen_problems(make_env_gen(cfg, num_obstacles=3), 3,
+                                  np.random.default_rng(29), arm, 0.025)
+
+    def test_static_full_and_moving_problems_come_back_as_given(self, static):
+        moving = bench.dynamicize_problems(static, 0.1, np.random.default_rng(30))
+        assert bench.setting_worlds(static, "static_full", 4) is static
+        assert bench.setting_worlds(moving, "dynamic_partial", 4) is moving
+
+    @pytest.mark.parametrize("speed", [None, 0.0, 0.2])
+    def test_dynamic_partial_moves_static_problems(self, static, speed):
+        got = bench.setting_worlds(static, "dynamic_partial", 4, speed)
+        ref = bench.dynamicize_problems(
+            static, bench.DYNAMIC_PARTIAL_SPEED if speed is None else speed,
+            seed_stream(4, "dynamics"))
+        assert [p.to_json() for p in got] == [p.to_json() for p in ref]
+        assert all(p.environment.is_dynamic for p in got) == (speed != 0.0)
+
+    @pytest.mark.parametrize("setting, moves, message", [
+        ("static_full", False, "static-full moves no obstacle"),
+        ("static_full", True, "obstacles already move"),
+        ("dynamic_partial", True, "obstacles already move"),
+    ])
+    @pytest.mark.parametrize("speed", [0.0, 0.05])
+    def test_a_speed_is_refused_where_no_static_problem_moves(self, cfg, arm, static, setting,
+                                                              moves, message, speed,
+                                                              monkeypatch):
+        problems = (bench.dynamicize_problems(static, 0.1, np.random.default_rng(30))
+                    if moves else static)
+        with pytest.raises(ValueError, match=message):
+            bench.setting_worlds(problems, setting, 0, speed)
+        monkeypatch.setattr(bench, "safe_rollout", None)  # refused before any rollout
+        with pytest.raises(ValueError, match=message):
+            bench.eval_controller(problems, {"name": "hand-cbf"}, setting, arm, cfg,
+                                  obstacle_speed=speed)
+
+    @pytest.mark.parametrize("speed", [-0.05, np.inf, np.nan])
+    def test_an_unusable_speed_is_refused(self, cfg, arm, static, speed):
+        with pytest.raises(ValueError, match="obstacle_speed must be non-negative and finite"):
+            bench.eval_controller(static, {"name": "hand-cbf"}, "dynamic_partial", arm, cfg,
+                                  obstacle_speed=speed)
+
+    @pytest.mark.parametrize("setting", bench.SETTINGS)
+    def test_eval_controller_rolls_out_in_the_setting_worlds(self, cfg, arm, static, methods,
+                                                             setting, monkeypatch):
+        worlds = []
+        rollout = bench.safe_rollout
+
+        def recording_rollout(bundle, q0, qg, env):
+            worlds.append(env)
+            return rollout(bundle, q0, qg, env)
+
+        monkeypatch.setattr(bench, "safe_rollout", recording_rollout)
+        bench.eval_controller(static, methods["cbf-cloud"], setting, arm, cfg, root_seed=4,
+                              horizon_s=0.2)
+        expected = bench.setting_worlds(static, setting, 4)
+        assert [w.to_json() for w in worlds] == [p.environment.to_json() for p in expected]
+
+    @pytest.mark.parametrize("name", ["hand-cbf", "cbf-cloud"])
+    def test_speed_zero_rolls_out_in_the_static_worlds(self, cfg, arm, static, methods, name):
+        # the rollouts eval_controller ran under dynamic_partial before it
+        # applied the setting's worlds: the given static worlds, with ray casts
+        _, records = bench.eval_controller(static, methods[name], "dynamic_partial", arm, cfg,
+                                           root_seed=4, horizon_s=0.5, obstacle_speed=0.0)
+        bundle = bench._controller(methods[name], arm, cfg, {}, horizon_s=0.5)
+        for prob, record in zip(static, records):
+            observe = bench._observer(bundle.barrier, prob, "dynamic_partial", cfg, 4)
+            rec = bench.safe_rollout(replace(bundle, observe=observe), prob.q0, prob.qg,
+                                     prob.environment)
+            assert (record["reached_goal"], record["collided"], record["steps_used"],
+                    record["qp_infeasible_count"]) == (rec.reached_goal, rec.collided,
+                                                       rec.steps_used, rec.qp_infeasible_count)
+            assert record["safety_ratio"] == float(np.mean(
+                np.asarray(rec.min_signed_distance) >= 0.0))

@@ -522,11 +522,7 @@ class TestEarlyOutsEndToEnd:
         cfg, arm, prob = hard_problem(1)
 
         def plan():
-            steer = bench.build_steer({"name": "hand-cbf"}, arm, prob, cfg, 1, {})
-            problem = planner.PlanProblem(arm=arm, env=prob.environment, q0=prob.q0,
-                                          qg=prob.qg, r_goal=cfg["controller"]["r_goal"])
-            return planner.rrt_plan(problem, steer, config.make_planner_limits(cfg),
-                                    config.seed_stream(1, "planner", prob.id, 0), seed=1)
+            return bench.plan_query(prob, {"name": "hand-cbf"}, arm, cfg, 1, 0, {}, 1)[0]
 
         skips = {"rect": 0, "cross": 0}
         with counting_skips(skips):

@@ -63,6 +63,35 @@ class TestExitCodes:
             assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("moved", ["every", "one"])
+    def test_an_obstacle_centre_of_three_coordinates_fails_before_writing(self, tmp_path,
+                                                                           capsys, moved):
+        # with every centre 3 long the file loaded, `Environment` held six
+        # rows of centres for four obstacles and plan exited 0; with one, the
+        # load failed on a numpy shape error
+        assert run(["--out", str(tmp_path), "gen-problems", "--count", "1"]) == 0
+        doc = load_json(tmp_path / "problems.json")
+        obstacles = doc[0]["environment"]["obstacles"]
+        for obs in obstacles if moved == "every" else obstacles[:1]:
+            obs["center"].append(0.0)
+        dump_json(tmp_path / "given.json", doc)
+        out = tmp_path / "out"
+        assert run(["--out", str(out), "plan", "--problems", str(tmp_path / "given.json")]) == 2
+        assert "field center needs 2 entries, not 3" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_a_problem_of_unknown_difficulty_fails_before_writing(self, tmp_path, capsys):
+        # bench planned a "medium" problem, wrote its runs and left it out of
+        # the tables
+        assert run(["--out", str(tmp_path), "gen-problems", "--count", "3"]) == 0
+        doc = load_json(tmp_path / "problems.json")
+        doc[1]["difficulty"] = "medium"
+        dump_json(tmp_path / "given.json", doc)
+        out = tmp_path / "out"
+        assert run(["--out", str(out), "bench", "--problems", str(tmp_path / "given.json")]) == 2
+        assert "problem 1: unknown difficulty 'medium'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 @pytest.fixture(scope="module")
 def mini_config(tmp_path_factory):
@@ -155,8 +184,8 @@ class TestPipeline:
         cfgs = {"relaxed": config.load_config(mini_config),
                 "strict": config.load_config(tmp_path / "strict.json")}
         problems = bench.load_problems(pipeline_dir / "problems.json")
-        worlds = {"static-full": problems, "dynamic-partial": bench.dynamicize_problems(
-            problems, bench.DYNAMIC_PARTIAL_SPEED, config.seed_stream(pipeline.SEED, "dynamics"))}
+        worlds = {s: bench.setting_worlds(problems, s.replace("-", "_"), pipeline.SEED)
+                  for s in pipeline.SETTINGS}
         for setting, world in worlds.items():
             digests, records = {}, {}
             for mode, cfg in cfgs.items():
@@ -166,6 +195,19 @@ class TestPipeline:
                     cfg, pipeline.SEED, float(pipeline.HORIZON))[1]
             assert records["relaxed"] == records["strict"]
             assert sum(digests["relaxed"][i] != digests["strict"][i] for i in digests["strict"]) >= 2
+
+    @pytest.mark.parametrize("method", ["straight", "hand-cbf"])
+    def test_plan_is_the_query_on_stream_zero(self, pipeline_dir, mini_config, tmp_path,
+                                              method):
+        assert run(["--seed", "5", "--config", mini_config, "--out", str(tmp_path), "--no-timing",
+                    "plan", "--problems", str(pipeline_dir / "problems.json"), "--index", "1",
+                    "--method", method]) == 0
+        cfg = config.load_config(mini_config)
+        prob = bench.load_problems(pipeline_dir / "problems.json")[1]
+        result, _ = bench.plan_query(prob, {"name": method}, config.make_arm(cfg), cfg, 5, 0, {},
+                                     5)
+        assert load_json(tmp_path / "plan.json")["plan"] == dict(result.to_json(),
+                                                                 planning_seconds=0.0)
 
     def test_plan_and_bench_build_the_same_filter_lqr_steer(self, pipeline_dir, mini_config,
                                                             tmp_path, monkeypatch):
@@ -320,6 +362,21 @@ class TestEvalControllerObstacleSpeed:
     def test_moving_problems_run_without_the_flag(self, moving, mini_config, tmp_path):
         assert self.eval_controller(mini_config, tmp_path, moving) == 0
         assert (tmp_path / "controller.json").exists()
+
+    @pytest.mark.parametrize("flags", [(), ("--obstacle-speed", "2")])
+    def test_the_command_writes_eval_controllers_records(self, pipeline_dir, mini_config,
+                                                          tmp_path, flags):
+        # the command hands its speed to eval_controller, which makes the
+        # static problems move
+        static = str(pipeline_dir / "problems.json")
+        assert self.eval_controller(mini_config, tmp_path, static, *flags) == 0
+        cfg = config.load_config(mini_config)
+        row, records = bench.eval_controller(
+            bench.load_problems(static), {"name": "hand-cbf"}, "dynamic_partial",
+            config.make_arm(cfg), cfg, horizon_s=0.5,
+            obstacle_speed=float(flags[1]) if flags else None)
+        assert load_json(tmp_path / "controller.json") == {"row": row.to_json(),
+                                                           "records": records}
 
     def test_the_default_is_005(self, pipeline_dir, mini_config, tmp_path):
         static = str(pipeline_dir / "problems.json")

@@ -30,7 +30,7 @@ SECTIONS = [
         "center": [0.5, -0.25], "half_extents": [2.0, 1.0]}),
     (("env_gen",), EnvGenConfig, config.make_env_gen, {
         "num_obstacles": 7, "size_range": [0.05, 0.1], "min_clearance_from_base": 0.3,
-        "obstacle_speed": 0.05, "shapes": ["rect", "circle"], "fixed_size": 0.125}),
+        "obstacle_speed": 0.05, "shapes": ["rect", "circle"]}),
     (("cloud",), ScanSpec, config.make_scan_spec, {
         "mount_links": [1], "rays_per_mount": 8, "max_range": 1.5}),
     (("hyper",), CbfHyper, config.make_hyper, {
@@ -121,7 +121,6 @@ def test_env_gen_cannot_override_the_workspace():
 
 def test_factory_overrides_win_over_the_section():
     cfg = config.load_config()
-    assert config.make_planner_limits(cfg, max_nodes=60) == PlannerLimits(max_nodes=60)
     assert config.make_rollout_limits(cfg, horizon_s=3.0) == RolloutLimits(horizon_s=3.0)
     assert config.make_env_gen(cfg, num_obstacles=8).num_obstacles == 8
 
@@ -163,7 +162,8 @@ def test_a_section_that_is_not_an_object_is_rejected_by_path(path, value, tmp_pa
 @pytest.mark.parametrize("doc, where", [
     ({"controller": {"alpha": 2.0}}, "controller.alpha"),  # the barrier carries hyper.alpha_h
     ({"bench": {"report_timing": False}}, "bench.report_timing"),  # the --no-timing flag
-], ids=["controller.alpha", "bench.report_timing"])
+    ({"env_gen": {"fixed_size": 0.125}}, "env_gen.fixed_size"),  # size_range [s, s]
+], ids=["controller.alpha", "bench.report_timing", "env_gen.fixed_size"])
 def test_keys_with_another_single_source_are_rejected(doc, where, tmp_path):
     with pytest.raises(ValueError, match=f"unknown config key {where}$"):
         load_doc(tmp_path, doc)
@@ -173,10 +173,7 @@ def test_every_table_key_and_every_default_key_is_accepted(tmp_path):
     doc = config.DEFAULTS
     for path, _, _, key, value in KEY_CASES:
         doc = config.deep_merge(doc, nested(path, {key: value}))
-    # env_gen.fixed_size is a record field that DEFAULTS leaves out
-    assert "fixed_size" not in config.DEFAULTS["env_gen"]
     assert load_doc(tmp_path, doc) == doc
-    assert config.make_env_gen(load_doc(tmp_path, doc)).fixed_size == 0.125
 
 
 def test_the_benchmark_config_is_accepted(tmp_path):
@@ -211,6 +208,12 @@ DECODE_REJECTED = [
     ({"train": {"state": {"epochs": float("nan")}}}, "field epochs needs an integer, not nan"),
     ({"hyper": {"gamma": True}}, "field gamma needs a number, not True"),
     ({"arm": {"link_lengths": [0.5, False, 0.3]}}, "field link_lengths needs a number, not False"),
+    # a fixed-length tuple took any length: a one-entry base position put
+    # the base at (0.3, 0), and two loss weights failed at the first batch
+    ({"arm": {"base_position": [0.3]}}, "field base_position needs 2 entries, not 1"),
+    ({"workspace": {"center": [0.0]}}, "field center needs 2 entries, not 1"),
+    ({"hyper": {"loss_weights": [1, 1]}}, "field loss_weights needs 3 entries, not 2"),
+    ({"env_gen": {"size_range": [0.1, 0.2, 0.3]}}, "field size_range needs 2 entries, not 3"),
 ]
 # (config file, the rejection's message): values a record cannot use, which
 # `load_config` rejects before any command runs

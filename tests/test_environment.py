@@ -674,13 +674,6 @@ class TestEnvGenConfigValidation:
             EnvGenConfig(size_range=size_range)
         assert EnvGenConfig(size_range=(0.1, 0.1)).size_range == (0.1, 0.1)
 
-    @pytest.mark.parametrize("fixed_size", [0.0, -0.1, np.inf, np.nan])
-    def test_fixed_size_must_be_none_or_positive_and_finite(self, fixed_size):
-        with pytest.raises(ValueError, match="fixed_size"):
-            EnvGenConfig(fixed_size=fixed_size)
-        assert EnvGenConfig(fixed_size=0.1).fixed_size == 0.1
-        assert EnvGenConfig(fixed_size=None).fixed_size is None
-
     @pytest.mark.parametrize("speed", [-0.05, np.inf, np.nan])
     def test_obstacle_speed_must_be_non_negative_and_finite(self, speed):
         with pytest.raises(ValueError, match="obstacle_speed"):

@@ -172,6 +172,26 @@ class TestFieldTypes:
         with pytest.raises(ValueError, match=r"field \w+ needs an? (integer|number), not "):
             record.from_json(doc)
 
+    # a fixed-length tuple took any length: four 3-coordinate obstacle
+    # centres gave `Environment` six rows of centres, and a one-entry base
+    # position put the base at (0.3, 0)
+    @pytest.mark.parametrize("record, doc", [
+        (Obstacle, {"kind": "rect", "center": [0.9, -0.5, 0.0], "half_extents": [0.1, 0.2]}),
+        (Obstacle, {"kind": "rect", "center": [0.9, -0.5], "half_extents": [0.1]}),
+        (ArmModel, {"base_position": [0.3]}), (Workspace, {"center": [0.0]}),
+        (CbfHyper, {"loss_weights": [1, 1]}), (EnvGenConfig, {"size_range": [0.1, 0.2, 0.3]}),
+    ])
+    def test_a_fixed_length_tuple_refuses_another_length(self, record, doc):
+        with pytest.raises(ValueError, match=r"field \w+ needs [23] entries, not [0-9]+$"):
+            record.from_json(doc)
+
+    def test_tuples_of_any_length_still_load(self):
+        arm = ArmModel.from_json({"link_lengths": [0.5, 0.4, 0.3, 0.2],
+                                  "joint_lower": [-1.0] * 4, "joint_upper": [1.0] * 4})
+        assert arm.n_links == 4
+        assert ScanSpec.from_json({"mount_links": [1]}).mount_links == (1,)
+        assert EnvGenConfig.from_json({"shapes": ["rect", "circle"]}).shapes == ("rect", "circle")
+
     def test_whole_numbers_still_load(self):
         limits = PlannerLimits.from_json({"max_nodes": 16.0, "step_size": 1})
         assert limits.max_nodes == 16 and type(limits.max_nodes) is int
