@@ -150,13 +150,16 @@ def difficulty_split(problems: list, proxy_runs: int, rng: np.random.Generator,
     return tagged
 
 
-def _controller(method: dict, arm: ArmModel, cfg: dict, barrier_cache: dict,
-                **limit_overrides) -> ControllerBundle:
-    """The method's controller from the config's `controller` section, with
-    no observer yet. Its barrier is the hand-crafted one, with the config's
-    `hyper` block, or the method's network of its `METHODS` variant, loaded
-    once per checkpoint path, which carries the hyperparameters it was
-    trained with."""
+def _controller(method: dict, arm: ArmModel, problem: ProblemSpec, setting: str, cfg: dict,
+                root_seed: int, barrier_cache: dict, **limit_overrides) -> ControllerBundle:
+    """The method's controller for one problem in `setting`, from the
+    config's `controller` section. Its barrier is the hand-crafted one, with
+    the config's `hyper` block, or the method's network of its `METHODS`
+    variant, loaded once per checkpoint path, which carries the
+    hyperparameters it was trained with. What the barrier sees: nothing
+    unless it is a cloud net; a cloud net in "static_full" sees the
+    problem's surface cloud (seeded by problem id), in "dynamic_partial"
+    ray-cast fans of the world it is given."""
     name = method["name"]
     if name == "hand-cbf":
         barrier = HandcraftedBarrier(arm, cfg["controller"]["hand_margin"], make_hyper(cfg))
@@ -171,23 +174,17 @@ def _controller(method: dict, arm: ArmModel, cfg: dict, barrier_cache: dict,
         if variant not in ("any", barrier.kind):
             raise ValueError(f"method {name} needs a {variant} checkpoint, "
                              f"but {path} holds a {barrier.kind} net")
-    return ControllerBundle(barrier=barrier, observe=None, policy=make_policy(cfg),
+    observe = None
+    if barrier.kind == "cloud" and setting == "dynamic_partial":
+        spec = make_scan_spec(cfg)
+        observe = lambda env, arm, q: ray_cast_scan(env, arm, q, spec)
+    elif barrier.kind == "cloud":
+        cloud_rng = seed_stream(root_seed, "problem-cloud", problem.id)
+        cloud = sample_surface_points(problem.environment, cfg["cloud"]["num_points"], cloud_rng)
+        observe = lambda env, arm, q: cloud
+    return ControllerBundle(barrier=barrier, observe=observe, policy=make_policy(cfg),
                             qp_cfg=make_qp_cfg(cfg),
                             limits=make_rollout_limits(cfg, **limit_overrides))
-
-
-def _observer(barrier, problem: ProblemSpec, setting: str, cfg: dict, root_seed: int):
-    """What a barrier sees: nothing unless it is a cloud net; a cloud net in
-    "static_full" sees the problem's surface cloud (seeded by problem id), in
-    "dynamic_partial" ray-cast fans of the world it is given."""
-    if barrier.kind != "cloud":
-        return None
-    if setting == "dynamic_partial":
-        spec = make_scan_spec(cfg)
-        return lambda env, arm, q: ray_cast_scan(env, arm, q, spec)
-    cloud_rng = seed_stream(root_seed, "problem-cloud", problem.id)
-    cloud = sample_surface_points(problem.environment, cfg["cloud"]["num_points"], cloud_rng)
-    return lambda env, arm, q: cloud
 
 
 def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
@@ -199,9 +196,7 @@ def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
         return SteerStraightLine()
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}")
-    bundle = _controller(method, arm, cfg, barrier_cache)
-    bundle = replace(bundle, observe=_observer(bundle.barrier, problem, "static_full", cfg,
-                                               root_seed))
+    bundle = _controller(method, arm, problem, "static_full", cfg, root_seed, barrier_cache)
     act = None
     if name == "filter-lqr":
         # a spec without a switch point, or with -1, switches to the
@@ -272,7 +267,7 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
             path = Path(method["checkpoint"])
             if not path.exists():
                 raise FileNotFoundError(f"checkpoint for {method['name']} not found: {path}")
-            _controller(method, arm, cfg, cache)
+            _controller(method, arm, problems[0], "static_full", cfg, root_seed, cache)
 
     tasks = [(p, m, s) for m in methods for p in problems for s in seeds]
     workers = cfg["bench"]["workers"]
@@ -371,17 +366,39 @@ def setting_worlds(problems: list, setting: str, root_seed: int,
                    obstacle_speed: float | None = None) -> list:
     """The worlds a controller run in `setting` rolls out in: under
     "dynamic_partial" static problems' obstacles move at `obstacle_speed`
-    (default DYNAMIC_PARTIAL_SPEED) on the stream "dynamics". A list with a
-    moving obstacle, and any under "static_full", comes back as given and
-    refuses a speed."""
-    moving = any(p.environment.is_dynamic for p in problems)
-    if obstacle_speed is not None and (moving or setting == "static_full"):
-        why = "the problems' obstacles already move" if moving else "static-full moves no obstacle"
+    (default DYNAMIC_PARTIAL_SPEED) on the stream "dynamics". A list of
+    moving problems, and a list of static ones under "static_full", comes
+    back as given and refuses a speed. "static_full" refuses a moving
+    problem, and "dynamic_partial" a list that mixes moving and static
+    ones."""
+    moved = [p.id for p in problems if p.environment.is_dynamic]
+    if obstacle_speed is not None and (moved or setting == "static_full"):
+        why = "the problems' obstacles already move" if moved else "static-full moves no obstacle"
         raise ValueError(f"an obstacle speed is refused: {why}")
-    if setting != "dynamic_partial" or moving:
+    if moved and setting == "static_full":
+        raise ValueError(f"static-full moves no obstacle, but those of problems {moved} move")
+    if moved and len(moved) < len(problems):
+        raise ValueError("dynamic-partial takes moving or static problems, not both: only "
+                         f"problems {moved} of {len(problems)} move")
+    if setting != "dynamic_partial" or moved:
         return problems
     speed = DYNAMIC_PARTIAL_SPEED if obstacle_speed is None else obstacle_speed
     return dynamicize_problems(problems, speed, seed_stream(root_seed, "dynamics"))
+
+
+def control_query(prob: ProblemSpec, method: dict, arm: ArmModel, cfg: dict, root_seed: int,
+                  setting: str, barrier_cache: dict, horizon_s: float | None = None):
+    """Roll one problem out with the method's controller in `setting`
+    (`_controller`; `horizon_s` overrides the config's horizon). The problem
+    is already in its setting's world (`setting_worlds`). filter-lqr is
+    refused: its discard switch lives only in the planner's steer, so its
+    rollout is its checkpoint's cbf method. Returns the RolloutRecord."""
+    if method["name"] == "filter-lqr":
+        raise ValueError("method filter-lqr has no controller of its own: outside the planner "
+                         "it is cbf-state or cbf-cloud")
+    bundle = _controller(method, arm, prob, setting, cfg, root_seed, barrier_cache,
+                         **({} if horizon_s is None else {"horizon_s": horizon_s}))
+    return safe_rollout(bundle, prob.q0, prob.qg, prob.environment)
 
 
 def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, cfg: dict,
@@ -389,40 +406,29 @@ def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, c
                     barrier_cache: dict | None = None,
                     obstacle_speed: float | None = None) -> tuple:
     """Unroll the controller end to end on every problem (no planner), in
-    the setting's worlds (`setting_worlds`, with `obstacle_speed`).
+    the setting's worlds (`setting_worlds`, with `obstacle_speed`), one
+    `control_query` per problem.
 
-    The setting, one of SETTINGS, also picks what the barrier sees
-    (`_observer`). Calls may share a `barrier_cache` of loaded checkpoints,
-    as a caller evaluating one problem per call would; the benchmark's
-    control-dynamic pass passes none, so it loads the checkpoint on every
-    call. Returns (ControllerMetricsRow, per-problem records).
+    The setting, one of SETTINGS, also picks what the barrier sees. Calls
+    may share a `barrier_cache` of loaded checkpoints, as a caller
+    evaluating one problem per call would; the benchmark's control-dynamic
+    pass passes none, so it loads the checkpoint on every call. Returns
+    (ControllerMetricsRow, per-problem records).
     """
     if setting not in SETTINGS:
         raise ValueError(f"unknown setting {setting!r}")
     _check_each_once("problem", [p.id for p in problems])
     problems = setting_worlds(problems, setting, root_seed, obstacle_speed)
-    bundle = _controller(method, arm, cfg, {} if barrier_cache is None else barrier_cache,
-                         **({} if horizon_s is None else {"horizon_s": horizon_s}))
-    records = []
-    reached = []
-    safety = []
-    makespans = []
-    for prob in problems:
-        observe = _observer(bundle.barrier, prob, setting, cfg, root_seed)
-        rec = safe_rollout(replace(bundle, observe=observe), prob.q0, prob.qg, prob.environment)
-        ok_states = float(np.mean(np.asarray(rec.min_signed_distance) >= 0.0))
-        reached.append(1.0 if rec.reached_goal and not rec.collided else 0.0)
-        safety.append(ok_states)
-        if rec.reached_goal and not rec.collided:
-            makespans.append(rec.steps_used)
-        records.append({
-            "problem_id": prob.id,
-            "reached_goal": rec.reached_goal,
-            "collided": rec.collided,
-            "safety_ratio": ok_states,
-            "steps_used": rec.steps_used,
-            "qp_infeasible_count": rec.qp_infeasible_count,
-        })
+    cache = {} if barrier_cache is None else barrier_cache
+    rollouts = [control_query(p, method, arm, cfg, root_seed, setting, cache, horizon_s)
+                for p in problems]
+    reached = [1.0 if r.reached_goal and not r.collided else 0.0 for r in rollouts]
+    safety = [float(np.mean(np.asarray(r.min_signed_distance) >= 0.0)) for r in rollouts]
+    makespans = [r.steps_used for r, ok in zip(rollouts, reached) if ok]
+    records = [{"problem_id": p.id, "reached_goal": r.reached_goal, "collided": r.collided,
+                "safety_ratio": ok_states, "steps_used": r.steps_used,
+                "qp_infeasible_count": r.qp_infeasible_count}
+               for p, r, ok_states in zip(problems, rollouts, safety)]
     row = ControllerMetricsRow(
         method=method["name"],
         setting=setting,

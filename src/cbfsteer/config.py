@@ -19,8 +19,7 @@ import zlib
 
 import numpy as np
 
-from .cbf import (CbfHyper, DatasetCounts, HandcraftedBarrier, TrainSchedule,
-                  check_collection_counts)
+from .cbf import CbfHyper, HandcraftedBarrier, TrainSchedule
 from .controller import NominalPolicy, RolloutLimits, SafeControllerConfig
 from .environment import EnvGenConfig, ScanSpec, Workspace
 from .jsonio import load_json
@@ -78,6 +77,16 @@ SECTION_RECORDS = {
 }
 
 
+# the literal keys that hold counts and widths, each an integer at least its
+# low, and the `net` hidden-layer widths, each a list of integers >= 1
+INT_KEYS = {("cloud", "num_points"): 1, ("net", "feature_width"): 1,
+            ("data", "rollout_trajs"): 0, ("data", "uniform_samples"): 0,
+            ("data", "uniform_samples_per_env"): 1, ("data", "rollout_ticks"): 1,
+            ("bench", "workers"): 1, ("bench", "proxy_runs"): 1,
+            ("bench", "problems_per_class"): 1}
+WIDTH_LISTS = ("state_hidden", "point_hidden", "trunk_hidden")
+
+
 def _check_keys(doc: dict, defaults: dict = DEFAULTS, path: tuple = ()) -> None:
     """Reject, naming the key's path: a key that is neither in DEFAULTS nor a
     field of a record its section builds, a section that is not an object,
@@ -109,7 +118,7 @@ def deep_merge(base: dict, override: dict) -> dict:
 def load_config(path=None) -> dict:
     """DEFAULTS with the file's overrides, after building every section's
     records, the nominal policy and the hand barrier once and checking the
-    data counts and the `bench` section, so a rejected value stops any work."""
+    literal keys and the `bench` section, so a rejected value stops any work."""
     if path is None:
         return copy.deepcopy(DEFAULTS)
     doc = load_json(path)
@@ -122,11 +131,24 @@ def load_config(path=None) -> dict:
                 make_env_gen(cfg)  # as commands build it, with the top-level workspace
             else:
                 rec.from_json(section)
+    for key in ("kp", "hand_margin"):
+        if isinstance(cfg["controller"][key], bool):
+            raise ValueError(f"controller.{key} needs a number, not {cfg['controller'][key]!r}")
     make_policy(cfg)
-    HandcraftedBarrier(make_arm(cfg), cfg["controller"]["hand_margin"])
-    data = cfg["data"]
-    check_collection_counts(DatasetCounts(data["rollout_trajs"], data["uniform_samples"]),
-                            data["uniform_samples_per_env"])
+    arm = make_arm(cfg)
+    HandcraftedBarrier(arm, cfg["controller"]["hand_margin"])
+    for link in cfg["cloud"]["mount_links"]:
+        if not 0 <= link < arm.n_links:
+            raise ValueError(f"cloud.mount_links names link {link}, but the arm's links are "
+                             f"0 to {arm.n_links - 1}")
+    for (section, key), low in INT_KEYS.items():
+        value = cfg[section][key]
+        if not is_int_at_least(value, low):
+            raise ValueError(f"{section}.{key} must be an integer >= {low}, not {value!r}")
+    for key in WIDTH_LISTS:
+        value = cfg["net"][key]
+        if not isinstance(value, list) or not all(is_int_at_least(v, 1) for v in value):
+            raise ValueError(f"net.{key} must be a list of integers >= 1, not {value!r}")
     bench = cfg["bench"]
     if not 0.0 <= bench["clearance_factor"] < math.inf:
         raise ValueError("bench.clearance_factor must be non-negative and finite")
@@ -135,9 +157,6 @@ def load_config(path=None) -> dict:
         raise ValueError(f"bench.seeds must be a list of non-negative integers: {seeds!r}")
     if not seeds or len(set(seeds)) < len(seeds):
         raise ValueError("bench.seeds must name at least one seed, each once")
-    for key in ("workers", "proxy_runs", "problems_per_class"):
-        if not is_int_at_least(bench[key], 1):
-            raise ValueError(f"bench.{key} must be an integer >= 1, not {bench[key]!r}")
     return cfg
 
 
@@ -205,7 +224,7 @@ def state_widths(cfg: dict, arm: ArmModel) -> tuple:
 
 def cloud_widths(cfg: dict, arm: ArmModel) -> tuple[tuple, tuple]:
     n = arm.n_links
-    f = int(cfg["net"]["feature_width"])
+    f = cfg["net"]["feature_width"]
     per_point = (4 + n, *cfg["net"]["point_hidden"], f)
     trunk = (f + n, *cfg["net"]["trunk_hidden"], 1)
     return per_point, trunk

@@ -27,13 +27,11 @@ import argparse
 import hashlib
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import plan_fingerprint
 import revalidate_bench
 from cbfsteer import bench, config
-from cbfsteer.controller import safe_rollout
 from cbfsteer.jsonio import dump_json, load_json, load_jsonl
 
 # the miniature config: desk-scale but tiny, so the pipeline runs in seconds
@@ -46,7 +44,7 @@ CONFIG = {"data": {"rollout_trajs": 2, "uniform_samples": 300},
 STRICT_CONFIG = {**CONFIG, "controller": {"mode": "strict"}}
 SEED = 3
 METHODS = ("straight", "hand-cbf", "cbf-state", "cbf-cloud", "filter-lqr")
-CONTROLLED = METHODS[1:]  # the methods with a controller
+CONTROLLED = METHODS[1:4]  # the methods with a controller of their own
 SETTINGS = ("static-full", "dynamic-partial")
 HORIZON = "2.0"  # eval-controller's --horizon
 
@@ -143,16 +141,13 @@ def rollout_digests(problems: list, method: dict, setting: str, cfg: dict,
                     written=None) -> dict:
     """sha256 of each problem's rollout controls and configs, by problem id,
     as an eval-controller run at the pipeline's seed and horizon rolls it
-    out: `bench.eval_controller`'s controller, observer and `safe_rollout`.
-    With `written`, the run's output file, each rollout's outcome must be
-    the one it records, else RuntimeError."""
-    setting = setting.replace("-", "_")
-    bundle = bench._controller(method, config.make_arm(cfg), cfg, {}, horizon_s=float(HORIZON))
+    out: `bench.control_query`. With `written`, the run's output file, each
+    rollout's outcome must be the one it records, else RuntimeError."""
+    setting, arm, barriers = setting.replace("-", "_"), config.make_arm(cfg), {}
     records = {} if written is None else {r["problem_id"]: r for r in load_json(written)["records"]}
     digests = {}
     for prob in problems:
-        observe = bench._observer(bundle.barrier, prob, setting, cfg, SEED)
-        rec = safe_rollout(replace(bundle, observe=observe), prob.q0, prob.qg, prob.environment)
+        rec = bench.control_query(prob, method, arm, cfg, SEED, setting, barriers, float(HORIZON))
         if written is not None and any(getattr(rec, k) != records[prob.id][k] for k in OUTCOMES):
             raise RuntimeError(f"{written}: problem {prob.id}'s rollout is not the one recorded")
         h = hashlib.sha256()

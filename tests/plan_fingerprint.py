@@ -12,7 +12,9 @@ directory; `--checkpoint` for the network methods):
 or for the queries one pass of a benchmark plan workload runs at a seed, its
 inputs rebuilt from the seed as `perfbench/run.py` builds them (this trains
 the cloud checkpoint into a temporary directory), on the benchmark's one
-BLAS thread:
+BLAS thread. The workload's own copy of the query then plans each of them
+too, and the script exits 1 if a PlanResult, timing aside, differs from
+`bench.plan_query`'s:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/plan_fingerprint.py \\
         --workload plan-cloud --seed 1
@@ -66,15 +68,29 @@ def fingerprint(runs) -> dict:
     return {"edges": edges.hexdigest(), "plans": plans.hexdigest()}
 
 
-def workload_runs(name: str, seed: int, workdir: Path) -> list:
-    """The runs of one pass of the benchmark plan workload `name` at `seed`."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
+def benchmark_workloads():
+    """The benchmark's `workloads` module, from `perfbench/`."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
+    return workloads
+
+
+def workload_runs(name: str, seed: int, workdir: Path) -> tuple[list, list]:
+    """The runs of one pass of the benchmark plan workload `name` at `seed`,
+    planned by `plan_queries`, and the ids of the problems whose PlanResult
+    (timing zeroed) the workload's own query, `workloads._plan_query`,
+    plans otherwise."""
+    workloads = benchmark_workloads()
     method = {"plan-hand": "hand-cbf", "plan-cloud": "cbf-cloud"}[name]
     inputs = workloads.setup_plan(method, seed, workdir)
-    return plan_queries(inputs.problems, inputs.method, inputs.cfg, inputs.seed,
+    runs = plan_queries(inputs.problems, inputs.method, inputs.cfg, inputs.seed,
                         inputs.barriers, inputs.arm)
+    untimed = [dict(r.to_json(), planning_seconds=0.0) for r, _ in runs]
+    differ = [p.id for p, ours in zip(inputs.problems, untimed)
+              if dict(workloads._plan_query(inputs, p).to_json(), planning_seconds=0.0) != ours]
+    return runs, differ
 
 
 def main(argv=None) -> int:
@@ -88,9 +104,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if (args.workload is None) == (args.problems is None):
         ap.error("give one of --workload and --problems")
+    differ = []
     if args.workload:
         with tempfile.TemporaryDirectory() as tmp:
-            runs = workload_runs(args.workload, args.seed, Path(tmp))
+            runs, differ = workload_runs(args.workload, args.seed, Path(tmp))
     else:
         cfg = config.load_config(args.config)
         method = {"name": args.method}
@@ -100,6 +117,10 @@ def main(argv=None) -> int:
     for key, value in fingerprint(runs).items():
         print(f"{key} {value}")
     print(f"queries {len(runs)} solved {sum(r.status == 'solved' for r, _ in runs)}")
+    if differ:
+        print(f"the workload's own query plans problems {differ} otherwise than "
+              "bench.plan_query", file=sys.stderr)
+        return 1
     return 0
 
 

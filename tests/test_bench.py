@@ -476,7 +476,9 @@ class TestEvalController:
 
     def test_hand_cbf_takes_the_configured_alpha_h(self, cfg, arm):
         cfg["hyper"]["alpha_h"] = 3.0
-        bundle = bench._controller({"name": "hand-cbf"}, arm, cfg, {})
+        prob = bench.gen_problems(EnvGenConfig(num_obstacles=0), 1,
+                                  np.random.default_rng(20), arm, 0.025)[0]
+        bundle = bench._controller({"name": "hand-cbf"}, arm, prob, "static_full", cfg, 0, {})
         assert bundle.barrier.hyper.alpha_h == 3.0
 
     def test_straight_has_no_controller(self, cfg, arm):
@@ -484,6 +486,21 @@ class TestEvalController:
                                    np.random.default_rng(20), arm, 0.025)
         with pytest.raises(ValueError, match="method straight has no controller"):
             bench.eval_controller(probs, {"name": "straight"}, "static_full", arm, cfg)
+
+    @pytest.mark.parametrize("kind", ["state", "cloud"])
+    def test_filter_lqr_has_no_controller_of_its_own(self, cfg, arm, methods, kind,
+                                                     monkeypatch):
+        # its discard switch lives in the planner's steer, so its rollout
+        # was the checkpoint's cbf method under another name
+        probs = bench.gen_problems(EnvGenConfig(num_obstacles=0), 1,
+                                   np.random.default_rng(20), arm, 0.025)
+        method = {"name": "filter-lqr", "checkpoint": methods[f"cbf-{kind}"]["checkpoint"]}
+        monkeypatch.setattr(bench, "safe_rollout", None)
+        for setting in bench.SETTINGS:
+            with pytest.raises(ValueError, match="method filter-lqr has no controller of its own"):
+                bench.eval_controller(probs, method, setting, arm, cfg)
+            with pytest.raises(ValueError, match="method filter-lqr has no controller of its own"):
+                bench.control_query(probs[0], method, arm, cfg, 0, setting, {})
 
     @pytest.mark.parametrize("name", ["straight", "rrt"])
     def test_a_checkpoint_gives_no_controller_to_a_method_without_a_variant(self, cfg, arm,
@@ -657,8 +674,8 @@ class TestObserver:
         root_seed = 7
         prob = bench.gen_problems(make_env_gen(cfg, num_obstacles=4), 2,
                                   np.random.default_rng(26), arm, 0.025)[1]
-        barrier = bench._controller(methods[name], arm, cfg, {}).barrier
-        observe = bench._observer(barrier, prob, setting, cfg, root_seed)
+        observe = bench._controller(methods[name], arm, prob, setting, cfg, root_seed,
+                                    {}).observe
 
         # eval_controller hands safe_rollout the observer of the same rule
         seen = []
@@ -706,8 +723,7 @@ class TestObserver:
                                                                  name, setting):
         prob = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 1,
                                   np.random.default_rng(28), arm, 0.025)[0]
-        barrier = bench._controller(methods[name], arm, cfg, {}).barrier
-        assert bench._observer(barrier, prob, setting, cfg, 0) is None
+        assert bench._controller(methods[name], arm, prob, setting, cfg, 0, {}).observe is None
 
     @pytest.mark.parametrize("name, other", [("cbf-state", "cloud"), ("cbf-cloud", "state")])
     def test_method_rejects_the_other_variant(self, cfg, arm, methods, tmp_path, name, other):
@@ -791,6 +807,45 @@ class TestSettingWorlds:
             bench.eval_controller(problems, {"name": "hand-cbf"}, setting, arm, cfg,
                                   obstacle_speed=speed)
 
+    def test_static_full_refuses_a_moving_problem(self, cfg, arm, static, monkeypatch):
+        # its rollouts ran among moving obstacles while a cloud net saw the
+        # surface cloud of time 0
+        given = [static[0], *bench.dynamicize_problems(static[1:], 0.1,
+                                                       np.random.default_rng(30))]
+        message = r"static-full moves no obstacle, but those of problems \[1, 2\] move"
+        with pytest.raises(ValueError, match=message):
+            bench.setting_worlds(given, "static_full", 0)
+        monkeypatch.setattr(bench, "safe_rollout", None)  # refused before any rollout
+        with pytest.raises(ValueError, match=message):
+            bench.eval_controller(given, {"name": "hand-cbf"}, "static_full", arm, cfg)
+
+    @pytest.mark.parametrize("order", ["moving first", "static first"])
+    def test_dynamic_partial_refuses_a_mixed_list(self, cfg, arm, static, order, monkeypatch):
+        # the static problems stayed still while the rest moved
+        moving = bench.dynamicize_problems(static[:1], 0.1, np.random.default_rng(30))
+        given = [*moving, *static[1:]] if order == "moving first" else [*static[1:], *moving]
+        message = r"dynamic-partial takes moving or static problems, not both: only " \
+                  r"problems \[0\] of 3 move"
+        with pytest.raises(ValueError, match=message):
+            bench.setting_worlds(given, "dynamic_partial", 0)
+        monkeypatch.setattr(bench, "safe_rollout", None)
+        with pytest.raises(ValueError, match=message):
+            bench.eval_controller(given, {"name": "hand-cbf"}, "dynamic_partial", arm, cfg)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_the_control_workload_rolls_out_in_the_setting_worlds(self, tmp_path, seed):
+        # the benchmark's control-dynamic workload keeps its own copy of the
+        # rule, which must make the worlds `setting_worlds` makes
+        import plan_fingerprint
+
+        workloads = plan_fingerprint.benchmark_workloads()
+        inputs = workloads.setup_control(seed, tmp_path)
+        generated = workloads._gen_problems(inputs.cfg, inputs.arm, seed,
+                                            workloads.CTRL_ROLLOUTS)
+        expected = bench.setting_worlds(generated, "dynamic_partial", seed)
+        assert [p.to_json() for p in inputs.problems] == [p.to_json() for p in expected]
+        assert all(p.environment.is_dynamic for p in inputs.problems)
+
     @pytest.mark.parametrize("speed", [-0.05, np.inf, np.nan])
     def test_an_unusable_speed_is_refused(self, cfg, arm, static, speed):
         with pytest.raises(ValueError, match="obstacle_speed must be non-negative and finite"):
@@ -819,11 +874,9 @@ class TestSettingWorlds:
         # applied the setting's worlds: the given static worlds, with ray casts
         _, records = bench.eval_controller(static, methods[name], "dynamic_partial", arm, cfg,
                                            root_seed=4, horizon_s=0.5, obstacle_speed=0.0)
-        bundle = bench._controller(methods[name], arm, cfg, {}, horizon_s=0.5)
         for prob, record in zip(static, records):
-            observe = bench._observer(bundle.barrier, prob, "dynamic_partial", cfg, 4)
-            rec = bench.safe_rollout(replace(bundle, observe=observe), prob.q0, prob.qg,
-                                     prob.environment)
+            rec = bench.control_query(prob, methods[name], arm, cfg, 4, "dynamic_partial", {},
+                                      horizon_s=0.5)
             assert (record["reached_goal"], record["collided"], record["steps_used"],
                     record["qp_infeasible_count"]) == (rec.reached_goal, rec.collided,
                                                        rec.steps_used, rec.qp_infeasible_count)

@@ -363,6 +363,25 @@ class TestEvalControllerObstacleSpeed:
         assert self.eval_controller(mini_config, tmp_path, moving) == 0
         assert (tmp_path / "controller.json").exists()
 
+    def test_static_full_of_moving_problems_fails(self, moving, mini_config, tmp_path, capsys):
+        assert self.eval_controller(mini_config, tmp_path, moving, "--setting", "static-full") == 2
+        assert ("static-full moves no obstacle, but those of problems [0, 1] move"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "controller.json").exists()
+
+    def test_dynamic_partial_of_a_mixed_file_fails(self, pipeline_dir, moving, mini_config,
+                                                   tmp_path, capsys):
+        from dataclasses import replace
+
+        static = bench.load_problems(pipeline_dir / "problems.json")[:2]
+        mixed = [*static, *(replace(p, id=p.id + 2) for p in bench.load_problems(moving))]
+        bench.save_problems(tmp_path / "mixed.json", mixed)
+        out = tmp_path / "out"
+        assert self.eval_controller(mini_config, out, str(tmp_path / "mixed.json")) == 2
+        assert ("dynamic-partial takes moving or static problems, not both: only problems "
+                "[2, 3] of 4 move" in capsys.readouterr().err)
+        assert not (out / "controller.json").exists()
+
     @pytest.mark.parametrize("flags", [(), ("--obstacle-speed", "2")])
     def test_the_command_writes_eval_controllers_records(self, pipeline_dir, mini_config,
                                                           tmp_path, flags):
@@ -511,6 +530,14 @@ class TestMethodNeedsItsController:
                     str(pipeline_dir / "problems.json"), "--method", "straight"]) == 2
         assert "error: method straight has no controller" in capsys.readouterr().err
 
+    def test_eval_controller_of_filter_lqr_fails_by_name(self, pipeline_dir, tmp_path, capsys):
+        # filter-lqr's rollout was cbf-state's or cbf-cloud's under another name
+        assert run(["--out", str(tmp_path), "eval-controller", "--problems",
+                    str(pipeline_dir / "problems.json"), "--method", "filter-lqr",
+                    "--checkpoint", str(pipeline_dir / "checkpoint-state.json")]) == 2
+        assert "error: method filter-lqr has no controller of its own" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class _Handed(Exception):
     """Raised by the harness stand-ins once a command hands them its specs."""
@@ -631,6 +658,17 @@ class TestMethodSpecs:
         assert self.options("bench")["--methods"].help.endswith(": " + ",".join(bench.METHODS))
 
 
+def test_train_with_a_fractional_feature_width_fails(tmp_path, capsys):
+    # it trained a cloud net of feature width 2 and exited 0; the config
+    # loads first, so the data file is never read
+    dump_json(tmp_path / "config.json", {"net": {"feature_width": 2.5}})
+    out = tmp_path / "out"
+    assert run(["--config", str(tmp_path / "config.json"), "--out", str(out), "train",
+                "--data", str(tmp_path / "dataset-cloud.jsonl")]) == 2
+    assert "net.feature_width must be an integer >= 1, not 2.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_with_negative_epochs_fails(pipeline_dir, tmp_path, capsys):
     assert run(["--out", str(tmp_path), "train", "--data",
                 str(pipeline_dir / "dataset-state.jsonl"), "--epochs", "-1"]) == 2
@@ -679,7 +717,7 @@ class TestConfigValuesCheckedAtLoad:
          "sim_hz must be an integer multiple of ctrl_hz", "dataset-state.jsonl"),
         ({"data": {"uniform_samples_per_env": 0}},
          ["collect-data", "--uniform-samples", "10", "--rollout-trajs", "0"],
-         "uniform_samples_per_env must be >= 1", "dataset-state.jsonl"),
+         "data.uniform_samples_per_env must be an integer >= 1", "dataset-state.jsonl"),
         ({"bench": {"clearance_factor": -10}}, ["gen-problems", "--count", "12"],
          "clearance_factor must be non-negative and finite", "problems.json"),
     ], ids=["negative-r_thres", "negative-rates", "zero-samples-per-env",

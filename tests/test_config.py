@@ -215,6 +215,32 @@ DECODE_REJECTED = [
     ({"hyper": {"loss_weights": [1, 1]}}, "field loss_weights needs 3 entries, not 2"),
     ({"env_gen": {"size_range": [0.1, 0.2, 0.3]}}, "field size_range needs 2 entries, not 3"),
 ]
+# the keys no record reads: a feature width of 2.5 trained a net of width 2,
+# true ran as 1 and 1.0, a cloud of 2.5 points or a hidden width of 0 failed
+# mid-command, and a mount link the arm lacks failed at the first scan
+LITERAL_REJECTED = [
+    *(({"net": {"feature_width": value}}, "net.feature_width must be an integer >= 1")
+      for value in (2.5, True, 0)),
+    *(({"net": {key: value}}, f"net.{key} must be a list of integers >= 1")
+      for key, value in (("state_hidden", [64.7, 64]), ("state_hidden", [0]),
+                         ("point_hidden", [-4]), ("trunk_hidden", [48, "48"]),
+                         ("trunk_hidden", 48))),
+    *(({"cloud": {"num_points": value}}, "cloud.num_points must be an integer >= 1")
+      for value in (0, 2.5, True)),
+    *(({"data": {"rollout_ticks": value}}, "data.rollout_ticks must be an integer >= 1")
+      for value in (0, 2.5)),
+    *(({"data": {key: value}}, f"data.{key} must be an integer >= ")
+      for key, value in (("rollout_trajs", 2.5), ("uniform_samples_per_env", 2.5),
+                         ("uniform_samples", True))),
+    *(({"controller": {key: True}}, f"controller.{key} needs a number, not True")
+      for key in ("kp", "hand_margin")),
+    ({"cloud": {"mount_links": [5]}}, "cloud.mount_links names link 5, but the arm's links "
+                                      "are 0 to 2"),
+    ({"cloud": {"mount_links": [0, -1]}}, "cloud.mount_links names link -1"),
+    ({"arm": {"link_lengths": [0.5, 0.4], "joint_lower": [-2.0, -2.0],
+              "joint_upper": [2.0, 2.0], "action_bound": [1.0, 1.0]}},
+     "cloud.mount_links names link 2, but the arm's links are 0 to 1"),
+]
 # (config file, the rejection's message): values a record cannot use, which
 # `load_config` rejects before any command runs
 REJECTED_VALUES = [
@@ -237,10 +263,10 @@ REJECTED_VALUES = [
       for value in ([0, 1], [-1, 1], [1.0, float("nan")], [float("inf"), 1.0])),
     ({"workspace": {"center": [float("nan"), 0.0]}}, "workspace center must be finite"),
     ({"train": {"cloud": {"lr": float("inf")}}}, "train lr must be positive and finite"),
-    *(({"data": {"uniform_samples_per_env": value}}, "uniform_samples_per_env must be >= 1")
-      for value in (0, -5)),
-    ({"data": {"rollout_trajs": -1}}, "data counts must be non-negative"),
-    ({"data": {"uniform_samples": -10}}, "data counts must be non-negative"),
+    *(({"data": {"uniform_samples_per_env": value}},
+       "data.uniform_samples_per_env must be an integer >= 1") for value in (0, -5)),
+    ({"data": {"rollout_trajs": -1}}, "data.rollout_trajs must be an integer >= 0"),
+    ({"data": {"uniform_samples": -10}}, "data.uniform_samples must be an integer >= 0"),
     *(({"bench": {"clearance_factor": value}}, "clearance_factor must be non-negative and finite")
       for value in (-10.0, -0.5, float("nan"), float("inf"))),
     ({"bench": {"seeds": []}}, "bench.seeds must name at least one seed, each once"),
@@ -255,6 +281,7 @@ REJECTED_VALUES = [
                          ("joint_upper", [2.8, float("nan"), 2.8]),
                          ("joint_upper", [2.8, 2.8, float("inf")]),
                          ("base_position", [0.0, float("nan")]))),
+    *LITERAL_REJECTED,
     # a NaN clearance failed every obstacle draw, 10,000 attempts per obstacle
     ({"env_gen": {"min_clearance_from_base": float("nan")}},
      "min_clearance_from_base must be finite"),

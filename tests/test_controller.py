@@ -712,10 +712,8 @@ class TestCloudRolloutOracle:
             recs = []
             for barrier in (NeuralBarrier(net, arm, hyper),
                             rollout_oracle.OneSampleBarrier(net, arm, hyper)):
-                bundle = bench._controller(method, arm, cfg, {"net": barrier}, horizon_s=3.0)
-                observe = bench._observer(barrier, prob, "dynamic_partial", cfg, seed)
-                recs.append(safe_rollout(replace(bundle, observe=observe), prob.q0, prob.qg,
-                                         prob.environment))
+                recs.append(bench.control_query(prob, method, arm, cfg, seed, "dynamic_partial",
+                                                {"net": barrier}, horizon_s=3.0))
             assert_same_record(*recs)
             ticks += recs[0].steps_used
         assert ticks > 20

@@ -86,9 +86,9 @@ class LineTracer:
 
 def run_workload(name: str, seed: int, work: Path) -> None:
     """One set-up and one untraced-benchmark pass of workload `name`."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
+    import plan_fingerprint
 
+    workloads = plan_fingerprint.benchmark_workloads()
     setup, run_pass, _ = workloads.WORKLOADS[name]
     work.mkdir()
     meter = workloads.Meter()
