@@ -10,6 +10,7 @@ byte-stable outputs).
 
 from __future__ import annotations
 
+import enum
 import math
 import multiprocessing
 from dataclasses import dataclass, replace
@@ -54,11 +55,17 @@ from .planner import (
 )
 
 DIFFICULTIES = ("easy", "hard", "untagged")
-SETTINGS = ("static_full", "dynamic_partial")
 DYNAMIC_PARTIAL_SPEED = 0.05  # the speed dynamic_partial gives static problems' obstacles
 # each steering method and the checkpoint variant it steers with ("any": either)
 METHODS = {"straight": None, "cbf-state": "state", "cbf-cloud": "cloud", "hand-cbf": None,
            "filter-lqr": "any"}
+
+
+class Setting(str, enum.Enum):
+    """A controller run's setting: records hold its value, the command line its `cli`."""
+    STATIC_FULL = "static_full"
+    DYNAMIC_PARTIAL = "dynamic_partial"
+    cli = property(lambda self: self.value.replace("_", "-"))
 
 
 @dataclass
@@ -95,7 +102,7 @@ class MetricsRow(Record):
 @dataclass
 class ControllerMetricsRow(Record):
     method: str
-    setting: str
+    setting: Setting
     goal_reaching_rate: float
     safety_rate: float
     mean_makespan: float | None
@@ -150,17 +157,17 @@ def difficulty_split(problems: list, proxy_runs: int, rng: np.random.Generator,
     return tagged
 
 
-def _controller(method: dict, arm: ArmModel, problem: ProblemSpec, setting: str, cfg: dict,
+def _controller(method: dict, arm: ArmModel, problem: ProblemSpec, setting: Setting, cfg: dict,
                 root_seed: int, barrier_cache: dict, **limit_overrides) -> ControllerBundle:
-    """The method's controller for one problem in `setting`, from the
-    config's `controller` section. Its barrier is the hand-crafted one, with
-    the config's `hyper` block, or the method's network of its `METHODS`
-    variant, loaded once per checkpoint path, which carries the
-    hyperparameters it was trained with. What the barrier sees: nothing
-    unless it is a cloud net; a cloud net in "static_full" sees the
-    problem's surface cloud (seeded by problem id), in "dynamic_partial"
-    ray-cast fans of the world it is given."""
-    name = method["name"]
+    """The method's controller for one problem in `setting`, a `Setting` or
+    its value (another name raises ValueError), from the config's
+    `controller` section: the hand-crafted barrier with the config's `hyper`
+    block, or the method's network of its `METHODS` variant, loaded once per
+    checkpoint path, with the hyperparameters it was trained with. What the
+    barrier sees: nothing unless it is a cloud net; a cloud net in
+    STATIC_FULL sees the problem's surface cloud (seeded by problem id), in
+    DYNAMIC_PARTIAL ray-cast fans of the world it is given."""
+    setting, name = Setting(setting), method["name"]
     if name == "hand-cbf":
         barrier = HandcraftedBarrier(arm, cfg["controller"]["hand_margin"], make_hyper(cfg))
     elif not METHODS.get(name) or "checkpoint" not in method:
@@ -175,7 +182,7 @@ def _controller(method: dict, arm: ArmModel, problem: ProblemSpec, setting: str,
             raise ValueError(f"method {name} needs a {variant} checkpoint, "
                              f"but {path} holds a {barrier.kind} net")
     observe = None
-    if barrier.kind == "cloud" and setting == "dynamic_partial":
+    if barrier.kind == "cloud" and setting is Setting.DYNAMIC_PARTIAL:
         spec = make_scan_spec(cfg)
         observe = lambda env, arm, q: ray_cast_scan(env, arm, q, spec)
     elif barrier.kind == "cloud":
@@ -196,7 +203,7 @@ def build_steer(method: dict, arm: ArmModel, problem: ProblemSpec, cfg: dict,
         return SteerStraightLine()
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}")
-    bundle = _controller(method, arm, problem, "static_full", cfg, root_seed, barrier_cache)
+    bundle = _controller(method, arm, problem, Setting.STATIC_FULL, cfg, root_seed, barrier_cache)
     act = None
     if name == "filter-lqr":
         # a spec without a switch point, or with -1, switches to the
@@ -267,7 +274,7 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
             path = Path(method["checkpoint"])
             if not path.exists():
                 raise FileNotFoundError(f"checkpoint for {method['name']} not found: {path}")
-            _controller(method, arm, problems[0], "static_full", cfg, root_seed, cache)
+            _controller(method, arm, problems[0], Setting.STATIC_FULL, cfg, root_seed, cache)
 
     tasks = [(p, m, s) for m in methods for p in problems for s in seeds]
     workers = cfg["bench"]["workers"]
@@ -362,32 +369,32 @@ def dynamicize_problems(problems: list, speed: float, rng: np.random.Generator) 
     return out
 
 
-def setting_worlds(problems: list, setting: str, root_seed: int,
+def setting_worlds(problems: list, setting: Setting, root_seed: int,
                    obstacle_speed: float | None = None) -> list:
-    """The worlds a controller run in `setting` rolls out in: under
-    "dynamic_partial" static problems' obstacles move at `obstacle_speed`
-    (default DYNAMIC_PARTIAL_SPEED) on the stream "dynamics". A list of
-    moving problems, and a list of static ones under "static_full", comes
-    back as given and refuses a speed. "static_full" refuses a moving
-    problem, and "dynamic_partial" a list that mixes moving and static
-    ones."""
-    moved = [p.id for p in problems if p.environment.is_dynamic]
-    if obstacle_speed is not None and (moved or setting == "static_full"):
+    """The worlds a controller run in `setting` (a `Setting` or its value;
+    another name raises ValueError) rolls out in: under DYNAMIC_PARTIAL
+    static problems' obstacles move at `obstacle_speed` (default
+    DYNAMIC_PARTIAL_SPEED) on the stream "dynamics". A list of moving
+    problems, and a list of static ones under STATIC_FULL, comes back as
+    given and refuses a speed. STATIC_FULL refuses a moving problem, and
+    DYNAMIC_PARTIAL a list that mixes moving and static ones."""
+    setting, moved = Setting(setting), [p.id for p in problems if p.environment.is_dynamic]
+    if obstacle_speed is not None and (moved or setting is Setting.STATIC_FULL):
         why = "the problems' obstacles already move" if moved else "static-full moves no obstacle"
         raise ValueError(f"an obstacle speed is refused: {why}")
-    if moved and setting == "static_full":
+    if moved and setting is Setting.STATIC_FULL:
         raise ValueError(f"static-full moves no obstacle, but those of problems {moved} move")
     if moved and len(moved) < len(problems):
         raise ValueError("dynamic-partial takes moving or static problems, not both: only "
                          f"problems {moved} of {len(problems)} move")
-    if setting != "dynamic_partial" or moved:
+    if setting is Setting.STATIC_FULL or moved:
         return problems
     speed = DYNAMIC_PARTIAL_SPEED if obstacle_speed is None else obstacle_speed
     return dynamicize_problems(problems, speed, seed_stream(root_seed, "dynamics"))
 
 
 def control_query(prob: ProblemSpec, method: dict, arm: ArmModel, cfg: dict, root_seed: int,
-                  setting: str, barrier_cache: dict, horizon_s: float | None = None):
+                  setting: Setting, barrier_cache: dict, horizon_s: float | None = None):
     """Roll one problem out with the method's controller in `setting`
     (`_controller`; `horizon_s` overrides the config's horizon). The problem
     is already in its setting's world (`setting_worlds`). filter-lqr is
@@ -401,7 +408,7 @@ def control_query(prob: ProblemSpec, method: dict, arm: ArmModel, cfg: dict, roo
     return safe_rollout(bundle, prob.q0, prob.qg, prob.environment)
 
 
-def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, cfg: dict,
+def eval_controller(problems: list, method: dict, setting: Setting, arm: ArmModel, cfg: dict,
                     root_seed: int = 0, horizon_s: float | None = None,
                     barrier_cache: dict | None = None,
                     obstacle_speed: float | None = None) -> tuple:
@@ -409,14 +416,13 @@ def eval_controller(problems: list, method: dict, setting: str, arm: ArmModel, c
     the setting's worlds (`setting_worlds`, with `obstacle_speed`), one
     `control_query` per problem.
 
-    The setting, one of SETTINGS, also picks what the barrier sees. Calls
-    may share a `barrier_cache` of loaded checkpoints, as a caller
-    evaluating one problem per call would; the benchmark's control-dynamic
+    The setting, a `Setting` or its value (another name raises ValueError
+    before any rollout), also picks what the barrier sees. Calls may share
+    a `barrier_cache` of loaded checkpoints; the benchmark's control-dynamic
     pass passes none, so it loads the checkpoint on every call. Returns
     (ControllerMetricsRow, per-problem records).
     """
-    if setting not in SETTINGS:
-        raise ValueError(f"unknown setting {setting!r}")
+    setting = Setting(setting)
     _check_each_once("problem", [p.id for p in problems])
     problems = setting_worlds(problems, setting, root_seed, obstacle_speed)
     cache = {} if barrier_cache is None else barrier_cache

@@ -625,6 +625,9 @@ class HandcraftedBarrier:
     def __post_init__(self):
         if not 0.0 <= self.margin < math.inf:
             raise ValueError("hand barrier margin must be non-negative and finite")
+        if self.margin >= self.arm.clearance_cap:
+            raise ValueError(f"hand barrier margin {self.margin} is not below the arm's "
+                             f"clearance cap {self.arm.clearance_cap}, so h < 0 nowhere")
 
     def value_and_grad(self, q, observation, env) -> tuple[float, np.ndarray, float]:
         """h, its forward-difference gradient and the clearance d read at q."""

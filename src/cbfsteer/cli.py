@@ -97,8 +97,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--problems", type=str, required=True)
     p.add_argument("--method", type=str, default="cbf-cloud")
     p.add_argument("--checkpoint", type=str, default=None)
-    p.add_argument("--setting", choices=[s.replace("_", "-") for s in bench_mod.SETTINGS],
-                   default="static-full")
+    p.add_argument("--setting", choices=[s.cli for s in bench_mod.Setting],
+                   default=bench_mod.Setting.STATIC_FULL.cli)
     p.add_argument("--obstacle-speed", type=float, default=None,
                    help="dynamic-partial speed for static problems' obstacles "
                         f"(default {bench_mod.DYNAMIC_PARTIAL_SPEED})")
@@ -271,16 +271,16 @@ def _cmd_bench(args, cfg, out_dir):
 def _cmd_eval_controller(args, cfg, out_dir):
     arm = make_arm(cfg)
     problems = bench_mod.load_problems(args.problems)
-    setting = args.setting.replace("-", "_")
+    setting = {s.cli: s for s in bench_mod.Setting}[args.setting]
     method = _method_spec(args.method, dict.fromkeys(("state", "cloud"),
                                                      ("--checkpoint", args.checkpoint)))
     row, records = bench_mod.eval_controller(
         problems, method, setting, arm, cfg, root_seed=args.seed, horizon_s=args.horizon,
         obstacle_speed=args.obstacle_speed)
-    print(f"{row.method} [{row.setting}] goal={row.goal_reaching_rate:.3f} "
+    print(f"{row.method} [{row.setting.value}] goal={row.goal_reaching_rate:.3f} "
           f"safety={row.safety_rate:.4f} makespan={row.mean_makespan}")
     out = {"row": row.to_json(), "records": records}
-    path = out_dir / (args.out_file or f"controller-{row.method}-{setting}.json")
+    path = out_dir / (args.out_file or f"controller-{row.method}-{setting.value}.json")
     dump_json(path, out)
     return 0
 

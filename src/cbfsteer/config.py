@@ -85,6 +85,8 @@ INT_KEYS = {("cloud", "num_points"): 1, ("net", "feature_width"): 1,
             ("bench", "workers"): 1, ("bench", "proxy_runs"): 1,
             ("bench", "problems_per_class"): 1}
 WIDTH_LISTS = ("state_hidden", "point_hidden", "trunk_hidden")
+# the literal keys that hold real numbers: each an int or a float, not a bool
+FLOAT_KEYS = (("controller", "kp"), ("controller", "hand_margin"), ("bench", "clearance_factor"))
 
 
 def _check_keys(doc: dict, defaults: dict = DEFAULTS, path: tuple = ()) -> None:
@@ -131,9 +133,10 @@ def load_config(path=None) -> dict:
                 make_env_gen(cfg)  # as commands build it, with the top-level workspace
             else:
                 rec.from_json(section)
-    for key in ("kp", "hand_margin"):
-        if isinstance(cfg["controller"][key], bool):
-            raise ValueError(f"controller.{key} needs a number, not {cfg['controller'][key]!r}")
+    for section, key in FLOAT_KEYS:
+        value = cfg[section][key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{section}.{key} needs a number, not {value!r}")
     make_policy(cfg)
     arm = make_arm(cfg)
     HandcraftedBarrier(arm, cfg["controller"]["hand_margin"])

@@ -99,6 +99,12 @@ class ArmModel(Record):
         return max((min(lengths[l], lengths[j]) / 2 for l in range(len(lengths))
                     for j in range(l + 2, len(lengths))), default=-np.inf)
 
+    @cached_property
+    def clearance_cap(self) -> float:
+        """Smallest L_l - 2 link_radius over inner links l (+inf with fewer than
+        three): links l-1 and l+1 end at link l's joints, so no clearance passes it."""
+        return min((L - 2 * self.link_radius for L in self.link_lengths[1:-1]), default=np.inf)
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False

@@ -4,7 +4,8 @@ with `--no-timing`, once, into one output directory.
 It makes problems, data and both nets, plans, replays and benches with every
 method, re-validates every solved bench run, runs eval-controller in both
 settings and among moving obstacles, and runs hand-cbf under a second config
-with the strict safety QP. `fingerprints.json` holds `plan_fingerprint`'s
+with the strict safety QP. With `--links 7` both configs take a 7-link arm of
+the default's reach (`ARMS`). `fingerprints.json` holds `plan_fingerprint`'s
 edge and plan digests of each problem's bench query, so tree edges and the
 controls of unsolved plans are compared too, and a digest of each problem's
 rollout controls and configs for every eval-controller run, so a change to
@@ -19,6 +20,7 @@ on `PYTHONPATH` for one of them, they compare two builds:
     mv work/out work/first
     PYTHONPATH=src python tests/pipeline.py --out work/out
     diff -r work/first work/out
+    PYTHONPATH=src python tests/pipeline.py --links 7 --out work/seven
 """
 
 from __future__ import annotations
@@ -45,19 +47,25 @@ STRICT_CONFIG = {**CONFIG, "controller": {"mode": "strict"}}
 SEED = 3
 METHODS = ("straight", "hand-cbf", "cbf-state", "cbf-cloud", "filter-lqr")
 CONTROLLED = METHODS[1:4]  # the methods with a controller of their own
-SETTINGS = ("static-full", "dynamic-partial")
 HORIZON = "2.0"  # eval-controller's --horizon
+# the overrides both configs take, by the arm's link count: 7 links of the
+# default arm's reach, 1.2, and a hand margin under their clearance cap,
+# 1.2/7 - 2 * 0.04 = 0.091 (the default margin, 0.15, is refused there)
+ARMS = {3: {}, 7: {"arm": {"link_lengths": [1.2 / 7] * 7, "joint_lower": [-2.8] * 7,
+                           "joint_upper": [2.8] * 7, "action_bound": [1.0] * 7},
+                   "controller": {"hand_margin": 0.05}}}
 
 
-def run_pipeline(out: Path, run) -> None:
-    """The check, once, into `out`: the two configs, every command's
-    artifacts and the fingerprints. `run(argv)` runs the command line
-    `cbfsteer argv` and returns its exit code. A command that fails and a
-    solved bench run that fails re-validation raise RuntimeError."""
+def run_pipeline(out: Path, run, links: int = 3) -> None:
+    """The check, once, into `out`: the two configs, with the arm of `links`
+    links, every command's artifacts and the fingerprints. `run(argv)` runs
+    the command line `cbfsteer argv` and returns its exit code. A command
+    that fails and a solved bench run that fails re-validation raise
+    RuntimeError."""
     out.mkdir(parents=True, exist_ok=True)
     main_config, strict_config = out / "config.json", out / "config-strict.json"
-    dump_json(main_config, CONFIG)
-    dump_json(strict_config, STRICT_CONFIG)
+    dump_json(main_config, config.deep_merge(CONFIG, ARMS[links]))
+    dump_json(strict_config, config.deep_merge(STRICT_CONFIG, ARMS[links]))
     problems = out / "problems.json"
     checkpoint = {m: str(out / f"checkpoint-{'state' if m == 'cbf-state' else 'cloud'}.json")
                   for m in METHODS}
@@ -91,22 +99,23 @@ def run_pipeline(out: Path, run) -> None:
     _, bad = revalidate_bench.invalid_runs(planned, load_jsonl(out / "runs.jsonl"), cfg)
     if bad:
         raise RuntimeError(f"bench runs (method, problem id, seed) failed re-validation: {bad}")
-    for setting in SETTINGS:
+    for setting in bench.Setting:
         for method in CONTROLLED:
             cli("eval-controller", "--problems", str(problems), "--method", method,
-                "--checkpoint", checkpoint[method], "--setting", setting, "--horizon", HORIZON)
+                "--checkpoint", checkpoint[method], "--setting", setting.cli, "--horizon", HORIZON)
     cli("gen-problems", "--count", "2", "--obstacle-speed", "0.05",
         "--out-file", "problems-moving.json")
     cli("eval-controller", "--problems", str(out / "problems-moving.json"), "--method",
-        "cbf-cloud", "--checkpoint", checkpoint["cbf-cloud"], "--setting", "dynamic-partial",
-        "--horizon", HORIZON, "--out-file", "controller-cbf-cloud-moving.json")
+        "cbf-cloud", "--checkpoint", checkpoint["cbf-cloud"], "--setting",
+        bench.Setting.DYNAMIC_PARTIAL.cli, "--horizon", HORIZON,
+        "--out-file", "controller-cbf-cloud-moving.json")
     # problem 2's hand-cbf steers meet infeasible QPs
     cli("plan", "--problems", str(problems), "--index", "2", "--method", "hand-cbf",
         "--out-file", "plan-hand-cbf-strict.json", cfg=strict_config)
-    for setting in SETTINGS:
+    for setting in bench.Setting:
         cli("eval-controller", "--problems", str(problems), "--method", "hand-cbf",
-            "--setting", setting, "--horizon", HORIZON,
-            "--out-file", f"controller-hand-cbf-{setting}-strict.json", cfg=strict_config)
+            "--setting", setting.cli, "--horizon", HORIZON,
+            "--out-file", f"controller-hand-cbf-{setting.cli}-strict.json", cfg=strict_config)
 
     specs = {m: {"name": m, "checkpoint": checkpoint[m]} if bench.METHODS[m] else {"name": m}
              for m in METHODS}  # as `bench` builds them
@@ -114,16 +123,17 @@ def run_pipeline(out: Path, run) -> None:
     plans = {m: plan_digests(planned, specs[m], cfg) for m in METHODS}
     plans["hand-cbf-strict"] = plan_digests(planned, specs["hand-cbf"], strict)
     # the eval-controller runs above, each in the worlds its setting rolls out in
-    worlds = {s: bench.setting_worlds(planned, s.replace("-", "_"), SEED) for s in SETTINGS}
-    rollouts = {f"{m} {s}": rollout_digests(
-        worlds[s], specs[m], s, cfg, out / f"controller-{m}-{s.replace('-', '_')}.json")
-        for s in SETTINGS for m in CONTROLLED}
+    worlds = {s: bench.setting_worlds(planned, s, SEED) for s in bench.Setting}
+    rollouts = {f"{m} {s.cli}": rollout_digests(
+        worlds[s], specs[m], s, cfg, out / f"controller-{m}-{s.value}.json")
+        for s in bench.Setting for m in CONTROLLED}
     rollouts["cbf-cloud moving"] = rollout_digests(
-        bench.load_problems(out / "problems-moving.json"), specs["cbf-cloud"], "dynamic-partial",
-        cfg, out / "controller-cbf-cloud-moving.json")
-    for s in SETTINGS:
-        rollouts[f"hand-cbf {s} strict"] = rollout_digests(
-            worlds[s], specs["hand-cbf"], s, strict, out / f"controller-hand-cbf-{s}-strict.json")
+        bench.load_problems(out / "problems-moving.json"), specs["cbf-cloud"],
+        bench.Setting.DYNAMIC_PARTIAL, cfg, out / "controller-cbf-cloud-moving.json")
+    for s in bench.Setting:
+        rollouts[f"hand-cbf {s.cli} strict"] = rollout_digests(
+            worlds[s], specs["hand-cbf"], s, strict,
+            out / f"controller-hand-cbf-{s.cli}-strict.json")
     dump_json(out / "fingerprints.json", {"plans": plans, "rollouts": rollouts})
 
 
@@ -137,13 +147,13 @@ def plan_digests(problems: list, method: dict, cfg: dict) -> dict:
 OUTCOMES = ("reached_goal", "collided", "steps_used", "qp_infeasible_count")
 
 
-def rollout_digests(problems: list, method: dict, setting: str, cfg: dict,
+def rollout_digests(problems: list, method: dict, setting: bench.Setting, cfg: dict,
                     written=None) -> dict:
     """sha256 of each problem's rollout controls and configs, by problem id,
     as an eval-controller run at the pipeline's seed and horizon rolls it
     out: `bench.control_query`. With `written`, the run's output file, each
     rollout's outcome must be the one it records, else RuntimeError."""
-    setting, arm, barriers = setting.replace("-", "_"), config.make_arm(cfg), {}
+    arm, barriers = config.make_arm(cfg), {}
     records = {} if written is None else {r["problem_id"]: r for r in load_json(written)["records"]}
     digests = {}
     for prob in problems:
@@ -160,8 +170,11 @@ def rollout_digests(problems: list, method: dict, setting: str, cfg: dict,
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="output directory")
-    run_pipeline(Path(ap.parse_args(argv).out), lambda cli_argv: subprocess.run(
-        [sys.executable, "-m", "cbfsteer.cli", *cli_argv]).returncode)
+    ap.add_argument("--links", type=int, choices=sorted(ARMS), default=3,
+                    help="the arm's link count (default 3, the default arm)")
+    args = ap.parse_args(argv)
+    run_pipeline(Path(args.out), lambda cli_argv: subprocess.run(
+        [sys.executable, "-m", "cbfsteer.cli", *cli_argv]).returncode, args.links)
     return 0
 
 

@@ -496,7 +496,7 @@ class TestEvalController:
                                    np.random.default_rng(20), arm, 0.025)
         method = {"name": "filter-lqr", "checkpoint": methods[f"cbf-{kind}"]["checkpoint"]}
         monkeypatch.setattr(bench, "safe_rollout", None)
-        for setting in bench.SETTINGS:
+        for setting in bench.Setting:
             with pytest.raises(ValueError, match="method filter-lqr has no controller of its own"):
                 bench.eval_controller(probs, method, setting, arm, cfg)
             with pytest.raises(ValueError, match="method filter-lqr has no controller of its own"):
@@ -664,7 +664,7 @@ def methods(cfg, arm, tmp_path):
 class TestObserver:
     """The one observation rule, for each barrier kind in each setting."""
 
-    @pytest.mark.parametrize("setting", bench.SETTINGS)
+    @pytest.mark.parametrize("setting", bench.Setting)
     @pytest.mark.parametrize("name", ["hand-cbf", "cbf-state", "cbf-cloud"])
     def test_observation_by_barrier_and_setting(self, cfg, arm, methods, monkeypatch,
                                                 name, setting):
@@ -691,11 +691,11 @@ class TestObserver:
         q = prob.q0
         if name != "cbf-cloud":
             assert observe is None and seen == [None]
-            if setting == "static_full":
+            if setting is bench.Setting.STATIC_FULL:
                 assert bench.build_steer(methods[name], arm, prob, cfg, root_seed,
                                          {}).bundle.observe is None
             return
-        if setting == "static_full":
+        if setting is bench.Setting.STATIC_FULL:
             # the problem's surface cloud, seeded by problem id, whatever
             # world the rollout is in
             expected = cloud_bytes(sample_surface_points(
@@ -717,7 +717,7 @@ class TestObserver:
             assert (cloud_bytes(observe(moved, arm, q))
                     != cloud_bytes(observe(prob.environment, arm, q)))
 
-    @pytest.mark.parametrize("setting", bench.SETTINGS)
+    @pytest.mark.parametrize("setting", bench.Setting)
     @pytest.mark.parametrize("name", ["hand-cbf", "cbf-state"])
     def test_observer_is_none_unless_the_barrier_is_a_cloud_net(self, cfg, arm, methods,
                                                                  name, setting):
@@ -852,7 +852,7 @@ class TestSettingWorlds:
             bench.eval_controller(static, {"name": "hand-cbf"}, "dynamic_partial", arm, cfg,
                                   obstacle_speed=speed)
 
-    @pytest.mark.parametrize("setting", bench.SETTINGS)
+    @pytest.mark.parametrize("setting", bench.Setting)
     def test_eval_controller_rolls_out_in_the_setting_worlds(self, cfg, arm, static, methods,
                                                              setting, monkeypatch):
         worlds = []
@@ -882,3 +882,47 @@ class TestSettingWorlds:
                                                        rec.steps_used, rec.qp_infeasible_count)
             assert record["safety_ratio"] == float(np.mean(
                 np.asarray(rec.min_signed_distance) >= 0.0))
+
+
+def rollout_bytes(rec) -> tuple:
+    """A RolloutRecord as comparable bytes and values."""
+    return (np.asarray(rec.configs).tobytes(), np.asarray(rec.controls).tobytes(),
+            np.asarray(rec.min_signed_distance).tobytes(), rec.reached_goal, rec.collided,
+            rec.qp_infeasible_count, rec.steps_used)
+
+
+@pytest.mark.parametrize("entry", ["_controller", "control_query", "setting_worlds",
+                                   "eval_controller"])
+def test_each_entry_takes_a_setting_or_its_value_and_refuses_any_other_name(
+        cfg, arm, methods, entry, monkeypatch):
+    # `_controller` ran "dynamic-partial" as static_full: a cloud net saw the
+    # surface cloud, and `control_query` passed the name on unchecked
+    prob = bench.gen_problems(make_env_gen(cfg, num_obstacles=3), 1,
+                              np.random.default_rng(31), arm, 0.025)[0]
+    method, moved = methods["cbf-cloud"], bench.Setting.DYNAMIC_PARTIAL
+    rollout = bench.safe_rollout
+
+    def run(setting):
+        if entry == "_controller":
+            bundle = bench._controller(method, arm, prob, setting, cfg, 4, {}, horizon_s=0.3)
+            return rollout(bundle, prob.q0, prob.qg, prob.environment)
+        if entry == "control_query":
+            return bench.control_query(prob, method, arm, cfg, 4, setting, {}, 0.3)
+        if entry == "setting_worlds":
+            (world,) = bench.setting_worlds([prob], setting, 4)
+            return bench.control_query(world, method, arm, cfg, 4, moved, {}, 0.3)
+        seen = []
+
+        def recording_rollout(*args):
+            seen.append(rollout(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(bench, "safe_rollout", recording_rollout)
+        bench.eval_controller([prob], method, setting, arm, cfg, 4, 0.3)
+        return seen[0]
+
+    for name in ("dynamic-partial", "bogus"):
+        with pytest.raises(ValueError, match=f"'{name}' is not a valid Setting"):
+            run(name)
+    assert rollout_bytes(run("dynamic_partial")) == rollout_bytes(run(moved))
+    assert rollout_bytes(run(moved)) != rollout_bytes(run(bench.Setting.STATIC_FULL))

@@ -710,6 +710,22 @@ class TestHandcrafted:
         with pytest.raises(ValueError, match="margin"):
             HandcraftedBarrier(arm, margin)
 
+    @pytest.mark.parametrize("lengths", [(0.5, 0.4, 0.3), (1.2 / 7,) * 7])
+    def test_a_margin_at_or_above_the_clearance_cap_is_refused(self, lengths):
+        # links l and l+2 are no farther apart than link l+1's length less two
+        # radii, so no configuration's clearance passes the cap: 7 links of
+        # the default reach took the default margin, 0.15, with h > 0 everywhere
+        arm = ArmModel(link_lengths=lengths)
+        qs = np.random.default_rng(32).uniform(arm.lower, arm.upper, size=(2000, arm.n_links))
+        d = signed_distance_batch(Environment(obstacles=()), arm, qs)
+        assert arm.clearance_cap - 1e-3 < d.max() <= arm.clearance_cap + 1e-12
+        for margin in (arm.clearance_cap, 0.15 if arm.n_links == 7 else 0.4):
+            with pytest.raises(ValueError, match=f"margin {margin} is not below the arm's "
+                                                 f"clearance cap {arm.clearance_cap}"):
+                HandcraftedBarrier(arm, margin)
+        below = np.nextafter(arm.clearance_cap, 0.0)
+        assert HandcraftedBarrier(arm, below).margin == below
+
     def test_fd_step_and_alpha_come_from_the_hyper_block(self, arm):
         env = Environment(obstacles=(Obstacle(kind="circle", center=(0.9, 0.4), radius=0.2),))
         q = np.array([0.3, -0.2, 0.4])

@@ -184,15 +184,14 @@ class TestPipeline:
         cfgs = {"relaxed": config.load_config(mini_config),
                 "strict": config.load_config(tmp_path / "strict.json")}
         problems = bench.load_problems(pipeline_dir / "problems.json")
-        worlds = {s: bench.setting_worlds(problems, s.replace("-", "_"), pipeline.SEED)
-                  for s in pipeline.SETTINGS}
+        worlds = {s: bench.setting_worlds(problems, s, pipeline.SEED) for s in bench.Setting}
         for setting, world in worlds.items():
             digests, records = {}, {}
             for mode, cfg in cfgs.items():
                 digests[mode] = pipeline.rollout_digests(world, {"name": "hand-cbf"}, setting, cfg)
                 records[mode] = bench.eval_controller(
-                    world, {"name": "hand-cbf"}, setting.replace("-", "_"), config.make_arm(cfg),
-                    cfg, pipeline.SEED, float(pipeline.HORIZON))[1]
+                    world, {"name": "hand-cbf"}, setting, config.make_arm(cfg), cfg, pipeline.SEED,
+                    float(pipeline.HORIZON))[1]
             assert records["relaxed"] == records["strict"]
             assert sum(digests["relaxed"][i] != digests["strict"][i] for i in digests["strict"]) >= 2
 

@@ -232,8 +232,10 @@ LITERAL_REJECTED = [
     *(({"data": {key: value}}, f"data.{key} must be an integer >= ")
       for key, value in (("rollout_trajs", 2.5), ("uniform_samples_per_env", 2.5),
                          ("uniform_samples", True))),
-    *(({"controller": {key: True}}, f"controller.{key} needs a number, not True")
-      for key in ("kp", "hand_margin")),
+    # a string stopped on a comparison that named no key, and true ran as 1
+    *(({section: {key: value}}, f"{section}.{key} needs a number, not {value!r}")
+      for section, key in (("controller", "kp"), ("controller", "hand_margin"),
+                           ("bench", "clearance_factor")) for value in (True, "2")),
     ({"cloud": {"mount_links": [5]}}, "cloud.mount_links names link 5, but the arm's links "
                                       "are 0 to 2"),
     ({"cloud": {"mount_links": [0, -1]}}, "cloud.mount_links names link -1"),

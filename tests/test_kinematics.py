@@ -291,3 +291,13 @@ class TestArmModel:
         assert tuple(arm.lengths) == arm.link_lengths
         assert arm.joint_reach is arm.joint_reach
         assert arm.joint_reach == pytest.approx((1.45, 0.95, 0.55, 0.25), abs=1e-15)
+
+    @pytest.mark.parametrize("lengths, cap", [((0.5, 0.4, 0.3), 0.32),
+                                              ((0.5, 0.2, 0.4, 0.3), 0.12),
+                                              ((1.2 / 7,) * 7, 1.2 / 7 - 0.08),
+                                              ((0.5, 0.4), np.inf)])
+    def test_clearance_cap(self, lengths, cap):
+        # the shortest inner link less two radii; no inner link, no cap
+        arm = ArmModel(link_lengths=lengths)
+        assert arm.clearance_cap is arm.clearance_cap
+        assert arm.clearance_cap == pytest.approx(cap, abs=1e-15)
