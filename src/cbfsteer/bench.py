@@ -41,7 +41,7 @@ from .environment import (
     sample_surface_points,
 )
 from .jsonio import Record, dump_json, dump_jsonl, load_json
-from .kinematics import ArmModel
+from .kinematics import ArmModel, check_endpoints
 from .neural import load_checkpoint
 from .planner import (
     PlannerLimits,
@@ -397,9 +397,10 @@ def control_query(prob: ProblemSpec, method: dict, arm: ArmModel, cfg: dict, roo
                   setting: Setting, barrier_cache: dict, horizon_s: float | None = None):
     """Roll one problem out with the method's controller in `setting`
     (`_controller`; `horizon_s` overrides the config's horizon). The problem
-    is already in its setting's world (`setting_worlds`). filter-lqr is
-    refused: its discard switch lives only in the planner's steer, so its
-    rollout is its checkpoint's cbf method. Returns the RolloutRecord."""
+    is already in its setting's world (`setting_worlds`). It refuses unusable
+    endpoints, and filter-lqr, whose discard switch lives only in the
+    planner's steer: its rollout is its checkpoint's cbf method."""
+    check_endpoints(arm, prob.q0, prob.qg, f"problem {prob.id}: ")
     if method["name"] == "filter-lqr":
         raise ValueError("method filter-lqr has no controller of its own: outside the planner "
                          "it is cbf-state or cbf-cloud")
@@ -424,6 +425,8 @@ def eval_controller(problems: list, method: dict, setting: Setting, arm: ArmMode
     """
     setting = Setting(setting)
     _check_each_once("problem", [p.id for p in problems])
+    for p in problems:  # every problem's endpoints, before any rollout
+        check_endpoints(arm, p.q0, p.qg, f"problem {p.id}: ")
     problems = setting_worlds(problems, setting, root_seed, obstacle_speed)
     cache = {} if barrier_cache is None else barrier_cache
     rollouts = [control_query(p, method, arm, cfg, root_seed, setting, cache, horizon_s)

@@ -229,54 +229,73 @@ def control_tick(bundle: ControllerBundle, env: Environment, q: np.ndarray, q_go
     return u, u_nom, h, d, diag
 
 
-def safe_rollout(bundle: ControllerBundle, q0: np.ndarray, q_goal: np.ndarray,
-                 env: Environment) -> RolloutRecord:
-    """Closed-loop rollout: control recomputed at ctrl_hz and held (zero-order
-    hold) across sim_hz substeps; dynamic obstacles advance at the sim rate.
+def rollout_ticks(bundle: ControllerBundle, q: np.ndarray, q_goal: np.ndarray, env: Environment,
+                  n_ticks: int, r_goal: float, nominal: bool = False):
+    """The tick loop of rollouts and rollout steers: at most `n_ticks` ticks
+    from q, ending at the start of one whose q is within r_goal of q_goal.
+    Each tick runs `control_tick`, holds u (u_nom if `nominal`, the
+    filtered-LQR steer) and yields (u held, h, diagnostics, states, ds,
+    proven, proves_last). Among moving obstacles ds are the states'
+    clearances, each against the obstacles at its own simulation step, from
+    the one call that also steps the world; in a static world ds is None.
 
-    Terminates on goal (joint-space ball), collision (ground-truth signed
-    distance), or horizon, all three from the bundle's limits. Among moving
-    obstacles a tick's substeps are checked in one clearance call, each
-    against the obstacles at its own simulation step.
+    The proof rule: `hold` moves each joint one way within a tick, a clamp
+    onto the limits included, so by the reach bound of `ArmModel.joint_reach`
+    no point of the tick's ladder has a clearance more than move =
+    sum(rho_i |q_end,i - q_i|) below either end's. The barrier's reading d at
+    a tick's start (`value_and_grad`'s third value, what validation computes
+    at q) proves the tick (`proven`) and the tick before (`proves_last`)
+    when it exceeds that tick's move. A cloud net reads -inf; among moving
+    obstacles, whose travel the bound leaves out, no tick is proven.
     """
     arm, limits = bundle.barrier.arm, bundle.limits
     substeps = limits.sim_hz // limits.ctrl_hz
     dt_sim = 1.0 / limits.sim_hz
     dynamic = env.is_dynamic
+    move = math.inf  # the last tick's motion bound
+    for _ in range(n_ticks):
+        dq = q - q_goal
+        if math.sqrt(dq @ dq) <= r_goal:
+            return
+        u, u_nom, h, d, diag = control_tick(bundle, env, q, q_goal)
+        u = u_nom if nominal else u
+        states = hold(arm, q, u, substeps, dt_sim)
+        proves_last, ds = d > move, None
+        if dynamic:
+            ds, env = signed_distance_stepped(env, arm, states, dt_sim)
+        else:
+            move = sum(r * abs(b - a) for r, a, b in zip(arm.joint_reach, q.tolist(),
+                                                         states[-1].tolist()))
+            move += 1e-9 * move + 1e-9  # roundoff of the states and the ladder
+        yield u, h, diag, states, ds, d > move, proves_last
+        q = states[-1]
 
-    q = np.asarray(q0, dtype=float).copy()
-    rec = RolloutRecord()
-    rec.configs.append(q.copy())
+
+def safe_rollout(bundle: ControllerBundle, q0: np.ndarray, q_goal: np.ndarray,
+                 env: Environment) -> RolloutRecord:
+    """Closed-loop rollout (`rollout_ticks`) that ends on goal (joint-space
+    ball), collision (ground-truth clearance of every state) or horizon, all
+    three from the bundle's limits; moving obstacles advance at the
+    simulation rate."""
+    arm, limits = bundle.barrier.arm, bundle.limits
+    q = np.array(q0, dtype=float)
     d0 = signed_distance(env, arm, q)
-    rec.min_signed_distance.append(d0)
-    if d0 < 0.0:
-        rec.collided = True
+    rec = RolloutRecord(configs=[q], min_signed_distance=[d0], collided=d0 < 0.0)
+    if rec.collided:
         return rec
-    dq = q - q_goal
-    if math.sqrt(dq @ dq) <= limits.r_goal:
-        rec.reached_goal = True
-        return rec
-
-    for _ in range(limits.n_ticks):
-        u, _, _, _, diag = control_tick(bundle, env, q, q_goal)
-        if diag.infeasible:
-            rec.qp_infeasible_count += 1
+    for u, _, diag, states, ds, _, _ in rollout_ticks(bundle, q, q_goal, env, limits.n_ticks,
+                                                     limits.r_goal):
+        rec.qp_infeasible_count += diag.infeasible
         rec.controls.append(u)
         rec.steps_used += 1
-        tick_configs = hold(arm, q, u, substeps, dt_sim)
-        if dynamic:
-            ds, env = signed_distance_stepped(env, arm, tick_configs, dt_sim)
-        else:
-            ds = signed_distance_batch(env, arm, tick_configs)
-        for qk, d in zip(tick_configs, ds):
+        if ds is None:
+            ds = signed_distance_batch(env, arm, states)
+        for qk, d in zip(states, ds):
             rec.configs.append(qk)
             rec.min_signed_distance.append(float(d))
             if d < 0.0:
                 rec.collided = True
                 return rec
-        q = tick_configs[-1]
-        dq = q - q_goal
-        if math.sqrt(dq @ dq) <= limits.r_goal:
-            rec.reached_goal = True
-            return rec
+    dq = rec.configs[-1] - q_goal
+    rec.reached_goal = math.sqrt(dq @ dq) <= limits.r_goal
     return rec

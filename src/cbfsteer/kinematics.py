@@ -111,6 +111,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_endpoints(arm: ArmModel, q0, qg, who: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """(q0, qg) as float arrays, each of n entries inside the joint limits, else ValueError."""
+    qs = tuple(np.asarray(q, dtype=float) for q in (q0, qg))
+    for name, q in zip(("start", "goal"), qs):
+        if q.shape != (arm.n_links,) or not np.all((arm.lower <= q) & (q <= arm.upper)):
+            raise ValueError(f"{who}{name} configuration must be finite and inside the joint "
+                             f"limits, with {arm.n_links} entries, not {q.tolist()}")
+    return qs
+
+
 def _check_config(arm: ArmModel, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (arm.n_links,):

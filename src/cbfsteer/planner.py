@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ControllerBundle, control_tick
+from .controller import ControllerBundle, rollout_ticks
 from .environment import Environment, signed_distance, signed_distance_batch
 from .jsonio import Record
-from .kinematics import ArmModel, hold
+from .kinematics import ArmModel, check_endpoints
 
 
 @dataclass
@@ -214,58 +214,37 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
 
     The rollout is not checked tick by tick (the barrier does that job
     online). One mask records which waypoints are known collision-free,
-    proven or checked, and validation leaves them out. Tick 1, unless
-    proven, is checked at once, which stops a steer that collides there
-    (most truncated steers start at a node in contact); the rest is checked
-    once when the rollout ends. The kept prefix, and the controls of the
-    ticks it reaches, equal one validation of the whole rollout.
-
-    A tick is proven from the clearance d its barrier read at each tick's
-    start (`value_and_grad`'s third value, row 0 of the barrier's own
-    clearance call, so exactly what validation computes there). `hold`
-    moves each joint one way within a tick, a clamp onto the limits
-    included, so by the reach bound of `ArmModel.joint_reach` the clearance
-    anywhere on the tick's ladder is at most `move` = sum(rho_i |q_end,i -
-    q_i|) below the clearance at either end of the tick. A reading above
-    `move` at the tick's start or at its end (the next tick's reading)
-    proves the tick free: its points would pass the check, so the edge is
-    the same. A cloud net reads no clearance (-inf) and proves nothing.
+    proven by the proof rule of `controller.rollout_ticks` or checked, and
+    validation leaves them out. Tick 1, unless proven, is checked at once,
+    which stops a steer that collides there (most truncated steers start at
+    a node in contact); the rest is checked once when the rollout ends. A
+    proven tick's points would pass the check, so the kept prefix, and the
+    controls of the ticks it reaches, equal one validation of the whole
+    rollout.
     """
     arm = bundle.barrier.arm
     substeps = bundle.limits.sim_hz // bundle.limits.ctrl_hz
-    dt_sim = 1.0 / bundle.limits.sim_hz
-    q = np.asarray(q_from, dtype=float).copy()
-    configs = [q]
+    configs = [np.array(q_from, dtype=float)]
     controls: list = []
     known = [False]  # per waypoint: known collision-free, proven or checked
-    move = math.inf  # the last tick's motion bound
     first = 0  # the last tick's first waypoint (tick 1 owns the start)
     stalled = 0
     kept = None  # tick 1's checked prefix, once it cuts the edge
-    for _ in range(limits.max_ctrl_steps):
-        dq = q - q_toward
-        if math.sqrt(dq @ dq) <= r_goal:
-            break
-        u, u_nom, h, d, diag = control_tick(bundle, env, q, q_toward)
-        if d > move:  # the tick before, proven from its end
+    for u, h, diag, states, _, proven, proves_last in rollout_ticks(
+            bundle, configs[0], q_toward, env, limits.max_ctrl_steps, r_goal, discard):
+        if proves_last:
             known[first:] = [True] * (len(known) - first)
         if discard:
             if h > 0.0 or diag.constraint_active:
                 break
-            u = u_nom
         else:
             stalled = stalled + 1 if math.sqrt(u @ u) < limits.stall_threshold else 0
             if stalled >= limits.stall_ticks:
                 break
         controls.append(u)
-        states = hold(arm, q, u, substeps, dt_sim)
-        move = sum(r * abs(b - a) for r, a, b in zip(arm.joint_reach, q.tolist(),
-                                                     states[-1].tolist()))
-        move += 1e-9 * move + 1e-9  # roundoff of the states and the ladder
         first = len(configs) if len(configs) > 1 else 0
         configs.extend(states)
-        known[first:] = [d > move] * (len(configs) - first)
-        q = states[-1]
+        known[first:] = [proven] * (len(configs) - first)
         if not known[0]:  # tick 1, not proven: check it before running on
             kept = validate_and_truncate(env, arm, configs, limits.check_resolution)
             if len(kept) < len(configs):
@@ -310,8 +289,8 @@ def rrt_plan(problem: PlanProblem, steer: SteerKind, limits: PlannerLimits,
     ties). After a successful expansion whose endpoint is within
     connect_radius of the goal, one direct steer to the goal is attempted
     (also counted); a node within r_goal of the goal solves the problem.
-    Endpoints must be finite, inside the joint limits and collision-free,
-    and r_goal positive and finite (else ValueError).
+    Endpoints must be usable (`kinematics.check_endpoints`) and
+    collision-free, and r_goal positive and finite (else ValueError).
     """
     result, _ = rrt_plan_with_tree(problem, steer, limits, rng, seed=seed)
     return result
@@ -323,11 +302,8 @@ def rrt_plan_with_tree(problem: PlanProblem, steer: SteerKind, limits: PlannerLi
     """rrt_plan, additionally returning the search tree for edge audits."""
     arm = problem.arm
     env = problem.env
-    q0 = np.asarray(problem.q0, dtype=float)
-    qg = np.asarray(problem.qg, dtype=float)
+    q0, qg = check_endpoints(arm, problem.q0, problem.qg)
     for name, q in (("start", q0), ("goal", qg)):
-        if not (np.all(np.isfinite(q)) and np.all((arm.lower <= q) & (q <= arm.upper))):
-            raise ValueError(f"{name} configuration must be finite and inside the joint limits")
         if signed_distance(env, arm, q) < 0.0:
             raise ValueError(f"{name} configuration is in collision")
     if not 0.0 < problem.r_goal < math.inf:

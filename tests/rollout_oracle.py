@@ -11,10 +11,11 @@ by ray and cast with the pairwise kernels of `geometry_oracle`, and a rollout
 that integrates, steps the world and checks the clearance once per
 simulation substep.
 
-Control ticks: the hand-written loops that `controller.control_tick` and
-`kinematics.hold` replaced (the static-world rollout, the barrier-filtered
-rollout steer and the filtered-LQR steer, which `planner.steer_cbf_inc`
-merges), the two breakpoint walks
+Control ticks: the hand-written loops that `controller.control_tick`,
+`kinematics.hold` and the one tick loop `controller.rollout_ticks` replaced
+(the static-world rollout, the barrier-filtered rollout steer and the
+filtered-LQR steer, which `controller.safe_rollout` and
+`planner.steer_cbf_inc` now run through that loop), the two breakpoint walks
 (strict projection, relaxed penalty) that `controller._breakpoint_walk`
 merges, and the safety QP and its walk as numpy array code, before their
 scalar steps moved to Python floats.

@@ -406,6 +406,26 @@ class TestEvalController:
             with pytest.raises(ValueError, match=message):
                 bench.eval_controller(given, {"name": "hand-cbf"}, "static_full", arm, cfg)
 
+    @pytest.mark.parametrize("which, bad", [("qg", (0.4,)), ("qg", (9.0, 0.0, 0.0)),
+                                            ("q0", (np.nan, 0.0, 0.0)), ("q0", (0.1, 0.0))])
+    def test_an_unusable_endpoint_refused_before_any_rollout(self, cfg, arm, monkeypatch,
+                                                             which, bad):
+        # a one-entry goal broadcast over the joints and a goal outside the
+        # limits were rolled out toward; the colliding start of a rollout
+        # stays a run recorded as collided
+        from dataclasses import replace
+
+        probs = bench.gen_problems(make_env_gen(cfg, num_obstacles=2), 2,
+                                   np.random.default_rng(15), arm, 0.025)
+        probs[1] = replace(probs[1], **{which: np.array(bad)})
+        monkeypatch.setattr(bench, "safe_rollout", None)  # problem 0 must not roll out
+        message = f"problem 1: {'start' if which == 'q0' else 'goal'} configuration must be"
+        for setting in bench.Setting:
+            with pytest.raises(ValueError, match=message):
+                bench.eval_controller(probs, {"name": "hand-cbf"}, setting, arm, cfg)
+            with pytest.raises(ValueError, match=message):
+                bench.control_query(probs[1], {"name": "hand-cbf"}, arm, cfg, 0, setting, {})
+
     def test_makespan_counts_successes_only(self, cfg, arm):
         gen = make_env_gen(cfg, num_obstacles=6)
         probs = bench.gen_problems(gen, 8, np.random.default_rng(13), arm, 0.025)

@@ -63,6 +63,27 @@ class TestExitCodes:
             assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("which, bad", [("qg", [0.4]), ("qg", [9.0, 0.0, 0.0]),
+                                            ("q0", [0.1, 0.0])])
+    def test_an_unusable_endpoint_fails_before_writing(self, tmp_path, capsys, which, bad):
+        # eval-controller broadcast a one-entry goal over the joints (goal
+        # 0.500) and rolled toward a goal outside the limits (goal 0.000),
+        # exiting 0; plan failed on a wrong length inside the clearance call,
+        # naming no endpoint
+        assert run(["--out", str(tmp_path), "gen-problems", "--count", "2"]) == 0
+        problems = load_json(tmp_path / "problems.json")
+        problems[1][which] = bad
+        dump_json(tmp_path / "given.json", problems)
+        out = tmp_path / "out"
+        name = "start" if which == "q0" else "goal"
+        for command, who in ((["eval-controller", "--method", "hand-cbf"], "problem 1: "),
+                             (["plan", "--index", "1"], "")):
+            assert run(["--out", str(out), *command,
+                        "--problems", str(tmp_path / "given.json")]) == 2
+            assert f"{who}{name} configuration must be finite and inside" in (
+                capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("moved", ["every", "one"])
     def test_an_obstacle_centre_of_three_coordinates_fails_before_writing(self, tmp_path,
                                                                            capsys, moved):

@@ -16,6 +16,7 @@ from cbfsteer.controller import (
     RolloutLimits,
     SafeControllerConfig,
     _breakpoint_walk,
+    rollout_ticks,
     safe_rollout,
     solve_safety_qp,
 )
@@ -29,9 +30,11 @@ from cbfsteer.environment import (
     ray_cast_scan,
     sample_surface_points,
     signed_distance,
+    signed_distance_batch,
 )
 from cbfsteer.kinematics import ArmModel, hold, sample_config
 from cbfsteer.neural import PointSetEncoder
+from test_planner import ARMS, HAND_MARGIN, InflatedReading, contact_pairs, over_links
 
 
 def hyperplane_grid_oracle(u_nom, a, b, lo, hi, coarse=15, zooms=8):
@@ -238,14 +241,14 @@ class TestSafeControllerConfig:
 
 class TestBreakpointWalk:
     """The one walk against the strict-projection and relaxed-penalty walks
-    it replaced, bit for bit, on random active instances."""
+    it replaced, bit for bit, on random active instances of 1 to 7 joints."""
 
     @staticmethod
     def active_instances(seed, count=3000):
         rng = np.random.default_rng(seed)
         done = 0
         while done < count:
-            n = int(rng.integers(1, 7))
+            n = int(rng.integers(1, 8))
             lo = -rng.uniform(0.2, 2.0, n)
             hi = rng.uniform(0.2, 2.0, n)
             u_nom = rng.uniform(lo, hi)
@@ -277,12 +280,12 @@ class TestBreakpointWalk:
 
 
 def qp_instances(seed, count):
-    """Random safety-QP inputs, n = 1..6: zero and -0.0 gradient entries,
+    """Random safety-QP inputs, n = 1..7: zero and -0.0 gradient entries,
     u_nom coordinates on a bound, coordinate pairs whose breakpoints tie, and
     u_nom exactly on the constraint boundary at alpha = 1."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        n = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 8))
         lo = -rng.uniform(0.2, 2.0, n)
         hi = rng.uniform(0.2, 2.0, n)
         u_nom = rng.uniform(lo, hi)
@@ -565,9 +568,9 @@ class TestDynamicRolloutOracle:
     """`safe_rollout` among moving obstacles against the per-substep loop
     (`integrate`, `step_obstacles`, `signed_distance` once per substep)."""
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_mixed_worlds(self, seed):
-        arm = ArmModel()
+    @over_links("seed", range(6))
+    def test_random_mixed_worlds(self, seed, links):
+        arm = ARMS[links]
         rng = np.random.default_rng(300 + seed)
         world = random_environment(
             EnvGenConfig(num_obstacles=6, shapes=("rect", "circle"), obstacle_speed=0.3), rng)
@@ -637,9 +640,9 @@ class TestStaticRolloutOracle:
     """`safe_rollout` in static worlds against the loop with the tick and its
     `integrate` substeps written out."""
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_worlds_hand_barrier(self, seed):
-        arm = ArmModel()
+    @over_links("seed", range(5))
+    def test_random_worlds_hand_barrier(self, seed, links):
+        arm = ARMS[links]
         rng = np.random.default_rng(500 + seed)
         env = random_environment(EnvGenConfig(num_obstacles=6, shapes=("rect", "circle")), rng)
         q0 = sample_config(arm, rng)
@@ -647,7 +650,8 @@ class TestStaticRolloutOracle:
             q0 = sample_config(arm, rng)
         limits = RolloutLimits(horizon_s=2.0)
         mode = QpMode.STRICT if seed == 4 else QpMode.RELAXED
-        args = (ControllerBundle(HandcraftedBarrier(arm, margin=0.1), None,
+        margin = 0.1 if links == 3 else HAND_MARGIN[links]  # under the clearance cap
+        args = (ControllerBundle(HandcraftedBarrier(arm, margin=margin), None,
                                  qp_cfg=SafeControllerConfig(mode=mode), limits=limits),
                 q0, sample_config(arm, rng), env)
         got = safe_rollout(*args)
@@ -717,3 +721,78 @@ class TestCloudRolloutOracle:
             assert_same_record(*recs)
             ticks += recs[0].steps_used
         assert ticks > 20
+
+
+def dense_path(q, states, per=16):
+    """`per` evenly spaced points on each straight segment from q through a
+    tick's states, then the last state: finer than validation's ladder."""
+    pts = np.vstack([q, states])
+    t = (np.arange(per) / per)[None, :, None]
+    seg = pts[:-1, None, :] + t * (pts[1:] - pts[:-1])[:, None, :]
+    return np.vstack([seg.reshape(-1, pts.shape[1]), pts[-1:]])
+
+
+def loose_barrier(arm):
+    """A hand barrier that lets a rollout run into contact: no margin and a
+    large class-K gain."""
+    return HandcraftedBarrier(arm, 0.0, CbfHyper(alpha_h=1e3))
+
+
+class TestProofRule:
+    """Every tick that `rollout_ticks` proves free, from the reading at its
+    start or the one at its end, has no colliding configuration on its
+    substep path resampled at 16 points a segment, on random worlds at both
+    arms of `ARMS`, from free starts, starts outside the joint limits and
+    slow approaches into contact; a barrier that reads 1e-3 too much fails
+    this."""
+
+    @staticmethod
+    def proven_ticks(make_barrier, links, seed, n_ticks=90):
+        """(clearance minimum over each proven tick's resampled path, ticks run)."""
+        arm = ARMS[links]
+        rng = np.random.default_rng(1300 + seed)
+        env = random_environment(EnvGenConfig(num_obstacles=8, shapes=("rect", "circle"),
+                                              size_range=(0.08, 0.3)), rng)
+        cases = []
+        while len(cases) < 4:  # every other start has a joint outside its limits
+            q0 = sample_config(arm, rng)
+            if len(cases) % 2:
+                i, out = int(rng.integers(arm.n_links)), rng.uniform(0.01, 0.3)
+                q0[i] = arm.upper[i] + out if rng.random() < 0.5 else arm.lower[i] - out
+            if signed_distance(env, arm, q0) > 0.0:
+                cases.append((q0, sample_config(arm, rng)))
+        for q, q_hit in contact_pairs(env, arm, rng, 4):  # toward contact, 0.01 away
+            cases.append((q, q + 0.01 * (q_hit - q) / np.linalg.norm(q_hit - q)))
+        bundle = ControllerBundle(make_barrier(arm), None)
+        proven_paths, ticks = [], 0
+        for q0, q_goal in cases:
+            paths, proofs, q = [], [], q0
+            for _, _, _, states, _, proven, proves_last in rollout_ticks(
+                    bundle, q0, q_goal, env, n_ticks, 1e-6):
+                if proves_last:  # the tick before, from its end
+                    proofs[-1] = True
+                paths.append(dense_path(q, states))
+                proofs.append(proven)
+                q = states[-1]
+            proven_paths += [path for path, ok in zip(paths, proofs) if ok]
+            ticks += len(paths)
+        ds = signed_distance_batch(env, arm, np.concatenate(proven_paths))
+        return ds.reshape(len(proven_paths), -1).min(axis=1), ticks
+
+    @over_links("seed", range(2))
+    def test_proven_ticks_are_free(self, seed, links):
+        near = 0
+        for make_barrier in (loose_barrier,
+                             lambda arm: HandcraftedBarrier(arm, HAND_MARGIN[links])):
+            d, ticks = self.proven_ticks(make_barrier, links, seed)
+            assert np.all(d >= 0.0)
+            assert len(d) >= ticks // 4
+            near += np.sum(d < 0.01)
+        assert near >= 50  # proofs of ticks that come within 0.01 of contact
+
+    @pytest.mark.parametrize("links", sorted(ARMS))
+    def test_an_inflated_reading_fails_it(self, links):
+        # a reading 1e-3 too high proves slow ticks into contact
+        colliding = sum(np.sum(self.proven_ticks(lambda arm: InflatedReading(loose_barrier(arm)),
+                                                 links, seed)[0] < 0.0) for seed in range(2))
+        assert colliding > 0

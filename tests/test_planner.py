@@ -10,7 +10,7 @@ import pytest
 
 import plan_fingerprint
 import rollout_oracle
-from cbfsteer import bench, planner
+from cbfsteer import bench, controller, planner
 from cbfsteer.cbf import CbfHyper, HandcraftedBarrier, NeuralBarrier
 from cbfsteer.config import cloud_widths, load_config, make_arm, make_env_gen, make_hyper
 from cbfsteer.controller import (
@@ -65,6 +65,22 @@ def distance_barrier(arm, offset=0.025):
 
 def hand_bundle(arm, margin=0.08):
     return ControllerBundle(barrier=HandcraftedBarrier(arm, margin=margin), observe=None)
+
+
+# the default arm and a 7-link arm of the same reach (tests/pipeline.py ARMS),
+# with a hand margin under each one's clearance cap
+ARMS = {3: ArmModel(), 7: ArmModel(link_lengths=(1.2 / 7,) * 7)}
+HAND_MARGIN = {3: 0.15, 7: 0.05}
+
+
+def over_links(names, values):
+    """`pytest.mark.parametrize(names, values)` with each case at both arms of
+    `ARMS`, the link count passed as `links`. The 3-link cases keep the ids
+    of `values` alone, so a test keeps its name when it gains the axis."""
+    rows = [v if isinstance(v, tuple) else (v,) for v in values]
+    return pytest.mark.parametrize(f"{names}, links", [
+        pytest.param(*row, n, id="-".join(map(str, row)) + ("" if n == 3 else f"-{n}links"))
+        for n in ARMS for row in rows])
 
 
 class TestControllerBundle:
@@ -343,11 +359,12 @@ class TestRrtPlan:
 
     @pytest.mark.parametrize("which", ["q0", "qg"])
     @pytest.mark.parametrize("bad", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (3.5, 0.0, 0.0),
-                                     (0.0, 0.0, -2.9)])
+                                     (0.0, 0.0, -2.9), (0.4,), (0.1, 0.0), (0.1, 0.0, 0.0, 0.0)])
     def test_a_non_finite_or_out_of_limits_endpoint_rejected(self, arm, which, bad):
         # a NaN start passed the collision check (its clearance is NaN) and
         # failed deep in the steer; a goal outside the limits was "solved"
-        # by a path that left the joint box
+        # by a path that left the joint box; one of the wrong length failed
+        # inside the clearance call or the broadcast, naming no endpoint
         endpoints = {"q0": np.zeros(3), "qg": np.array([0.3, 0.0, 0.0]), which: np.array(bad)}
         problem = PlanProblem(arm=arm, env=Environment(), r_goal=0.1, **endpoints)
         name = "start" if which == "q0" else "goal"
@@ -628,7 +645,9 @@ def assert_same_edge(got, ref):
 
 
 def cloud_bundle(arm, env, rng):
-    enc = PointSetEncoder.create(3, per_point_widths=(7, 5, 4), trunk_widths=(7, 5, 1), rng=rng)
+    w = 4 + arm.n_links
+    enc = PointSetEncoder.create(arm.n_links, per_point_widths=(w, 5, 4), trunk_widths=(w, 5, 1),
+                                 rng=rng)
     barrier = NeuralBarrier(enc, arm, CbfHyper())
     cloud = sample_surface_points(env, 24, rng)
     return ControllerBundle(barrier=barrier, observe=lambda env, arm, q: cloud)
@@ -767,16 +786,16 @@ def rollout_into_contact(env, arm, rng):
     return configs
 
 
-def recording(monkeypatch, name, log):
-    """Replace planner.<name> with a wrapper that logs its calls."""
-    real = getattr(planner, name)
+def recording(monkeypatch, name, log, module=planner):
+    """Replace module.<name> with a wrapper that logs its calls."""
+    real = getattr(module, name)
 
     def spy(*args, **kwargs):
         out = real(*args, **kwargs)
         log.append((args, kwargs, out))
         return out
 
-    monkeypatch.setattr(planner, name, spy)
+    monkeypatch.setattr(module, name, spy)
 
 
 class TestSplitValidation:
@@ -866,9 +885,10 @@ class TestEarlyStop:
     """A steer whose first tick's states already cut the edge runs no further
     tick, and its edge equals the one-validation oracle's."""
 
-    @pytest.mark.parametrize("discard", [False, True])
-    @pytest.mark.parametrize("kind", ["hand", "state", "cloud"])
-    def test_near_contact_starts(self, arm, monkeypatch, kind, discard):
+    @over_links("kind, discard",
+                [(k, d) for k in ("hand", "state", "cloud") for d in (False, True)])
+    def test_near_contact_starts(self, monkeypatch, kind, discard, links):
+        arm = ARMS[links]
         rng = np.random.default_rng(41)
         env = random_environment(EnvGenConfig(num_obstacles=8, shapes=("rect", "circle"),
                                               size_range=(0.08, 0.3)), rng)
@@ -876,7 +896,7 @@ class TestEarlyStop:
         ref_steer = rollout_oracle.steer_filter_lqr if discard else rollout_oracle.rollout_edge
         limits = PlannerLimits(max_ctrl_steps=30)
         ticks, validations, clearances = [], [], []
-        recording(monkeypatch, "control_tick", ticks)
+        recording(monkeypatch, "control_tick", ticks, controller)  # the tick loop's lookup
         recording(monkeypatch, "validate_and_truncate", validations)
         recording(monkeypatch, "signed_distance_batch", clearances)
         cut_at_once = 0
@@ -923,36 +943,53 @@ class InflatedReading:
 class TestProvenTicks:
     """Hand-barrier and state-net steers leave out the ticks their clearance
     readings prove free, and their edges still equal the one-validation
-    oracles' bit for bit, in free space and near contact."""
+    oracles' bit for bit, in free space and near contact, at both arms of
+    `ARMS`."""
 
-    @pytest.mark.parametrize("seed", range(2))
-    def test_equal_to_the_oracles(self, arm, monkeypatch, seed):
+    @over_links("seed", range(2))
+    def test_equal_to_the_oracles(self, monkeypatch, seed, links):
+        arm = ARMS[links]
         rng = np.random.default_rng(900 + seed)
         env = random_environment(EnvGenConfig(num_obstacles=8, shapes=("rect", "circle"),
                                               size_range=(0.08, 0.3)), rng)
         limits = PlannerLimits(max_ctrl_steps=30)
         pairs = [(_free_config(env, arm, rng), sample_config(arm, rng)) for _ in range(6)]
         pairs += contact_pairs(env, arm, rng, 6)
-        validations = []
+        validations, clearances = [], []
         recording(monkeypatch, "validate_and_truncate", validations)
+        recording(monkeypatch, "signed_distance_batch", clearances)
         # steers by (barrier kind, whether they validated anything): each
-        # kind proves some rollouts whole and checks others
+        # kind proves some rollouts whole and checks others; and by kind, the
+        # steers whose proofs left rows of one validation of the rollout out
         counts = dict.fromkeys([(k, v) for k in ("hand", "state") for v in (False, True)], 0)
-        state = NeuralBarrier(Mlp.create((4, 16, 16, 1), np.random.default_rng(950 + seed)), arm,
-                              CbfHyper())
+        left_out = dict.fromkeys(("hand", "state"), 0)
+        state = NeuralBarrier(Mlp.create((arm.n_links + 1, 16, 16, 1),
+                                         np.random.default_rng(950 + seed)), arm, CbfHyper())
         for kind, bundle in (("hand", hand_bundle(arm, margin=0.0)),
-                             ("hand", hand_bundle(arm, margin=0.15)),
+                             ("hand", hand_bundle(arm, margin=HAND_MARGIN[links])),
                              ("state", ControllerBundle(barrier=state, observe=None))):
             for q_from, q_toward in pairs:
                 for steer, ref in ((steer_cbf_inc, rollout_oracle.rollout_edge),
                                    (steer_filter_lqr, rollout_oracle.steer_filter_lqr)):
                     args = (env, q_from, q_toward, bundle, limits, 0.1)
                     validations.clear()
+                    clearances.clear()
                     edge = steer(*args)
                     counts[kind, bool(validations)] += 1
+                    steer_rows = [qs for (_, _, qs), _, _ in clearances]
+                    rollout = validations[-1][0][2] if validations else edge.configs
                     assert_same_edge(edge, ref(*args))
-        assert counts["hand", False] >= 10 and counts["hand", True] >= 10
-        assert counts["state", False] >= 4 and counts["state", True] >= 4
+                    clearances.clear()
+                    validate_and_truncate(env, arm, rollout, limits.check_resolution)
+                    skipped = skipped_rows(steer_rows, clearances[0][0][2])
+                    assert np.all(signed_distance_batch(env, arm, skipped) >= 0.0)
+                    left_out[kind] += len(skipped) > 0
+        if links == 3:
+            assert counts["hand", False] >= 10 and counts["hand", True] >= 10
+            assert counts["state", False] >= 4 and counts["state", True] >= 4
+        # a 7-link tick at full speed can move more than the arm's clearance
+        # cap, so few of its rollouts are proven whole, but ticks still are
+        assert left_out["hand"] >= 5 and left_out["state"] >= 2
 
     def test_an_inflated_reading_fails_the_oracle(self, arm):
         # slow approaches into contact move less than 1e-3 a tick, so a
