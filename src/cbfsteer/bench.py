@@ -265,6 +265,8 @@ def run_bench(problems: list, methods: list, seeds: list, arm: ArmModel, cfg: di
         _check_each_once(what, items)
     if not all(is_int_at_least(s, 0) for s in seeds):
         raise ValueError(f"bench seeds must be non-negative integers: {seeds!r}")
+    for p in problems:
+        check_endpoints(arm, p.q0, p.qg, f"problem {p.id}: ")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # fail early on missing checkpoints, and load each one once

@@ -230,14 +230,15 @@ def control_tick(bundle: ControllerBundle, env: Environment, q: np.ndarray, q_go
 
 
 def rollout_ticks(bundle: ControllerBundle, q: np.ndarray, q_goal: np.ndarray, env: Environment,
-                  n_ticks: int, r_goal: float, nominal: bool = False):
+                  n_ticks: int, r_goal: float, nominal: bool = False, moving: bool = False):
     """The tick loop of rollouts and rollout steers: at most `n_ticks` ticks
     from q, ending at the start of one whose q is within r_goal of q_goal.
     Each tick runs `control_tick`, holds u (u_nom if `nominal`, the
     filtered-LQR steer) and yields (u held, h, diagnostics, states, ds,
-    proven, proves_last). Among moving obstacles ds are the states'
-    clearances, each against the obstacles at its own simulation step, from
-    the one call that also steps the world; in a static world ds is None.
+    proven, proves_last). With `moving` the world steps at the simulation
+    rate, and ds are the states' clearances, each against the obstacles at
+    its own step, from the one call that also steps it; else env stays put
+    (a steer plans in its time-0 snapshot) and ds is None.
 
     The proof rule: `hold` moves each joint one way within a tick, a clamp
     onto the limits included, so by the reach bound of `ArmModel.joint_reach`
@@ -245,13 +246,12 @@ def rollout_ticks(bundle: ControllerBundle, q: np.ndarray, q_goal: np.ndarray, e
     sum(rho_i |q_end,i - q_i|) below either end's. The barrier's reading d at
     a tick's start (`value_and_grad`'s third value, what validation computes
     at q) proves the tick (`proven`) and the tick before (`proves_last`)
-    when it exceeds that tick's move. A cloud net reads -inf; among moving
-    obstacles, whose travel the bound leaves out, no tick is proven.
+    when it exceeds that tick's move. A cloud net reads -inf; with `moving`,
+    as the bound leaves the obstacles' travel out, no tick is proven.
     """
     arm, limits = bundle.barrier.arm, bundle.limits
     substeps = limits.sim_hz // limits.ctrl_hz
     dt_sim = 1.0 / limits.sim_hz
-    dynamic = env.is_dynamic
     move = math.inf  # the last tick's motion bound
     for _ in range(n_ticks):
         dq = q - q_goal
@@ -261,7 +261,7 @@ def rollout_ticks(bundle: ControllerBundle, q: np.ndarray, q_goal: np.ndarray, e
         u = u_nom if nominal else u
         states = hold(arm, q, u, substeps, dt_sim)
         proves_last, ds = d > move, None
-        if dynamic:
+        if moving:
             ds, env = signed_distance_stepped(env, arm, states, dt_sim)
         else:
             move = sum(r * abs(b - a) for r, a, b in zip(arm.joint_reach, q.tolist(),
@@ -284,7 +284,7 @@ def safe_rollout(bundle: ControllerBundle, q0: np.ndarray, q_goal: np.ndarray,
     if rec.collided:
         return rec
     for u, _, diag, states, ds, _, _ in rollout_ticks(bundle, q, q_goal, env, limits.n_ticks,
-                                                     limits.r_goal):
+                                                     limits.r_goal, moving=env.is_dynamic):
         rec.qp_infeasible_count += diag.infeasible
         rec.controls.append(u)
         rec.steps_used += 1

@@ -112,19 +112,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def check_endpoints(arm: ArmModel, q0, qg, who: str = "") -> tuple[np.ndarray, np.ndarray]:
-    """(q0, qg) as float arrays, each of n entries inside the joint limits, else ValueError."""
-    qs = tuple(np.asarray(q, dtype=float) for q in (q0, qg))
-    for name, q in zip(("start", "goal"), qs):
-        if q.shape != (arm.n_links,) or not np.all((arm.lower <= q) & (q <= arm.upper)):
-            raise ValueError(f"{who}{name} configuration must be finite and inside the joint "
-                             f"limits, with {arm.n_links} entries, not {q.tolist()}")
-    return qs
+    """(q0, qg) as configurations inside the joint limits (`_check_config`), else ValueError."""
+    return tuple(_check_config(arm, q, f"{who}{name} configuration", in_limits=True)
+                 for name, q in (("start", q0), ("goal", qg)))
 
 
-def _check_config(arm: ArmModel, q: np.ndarray) -> np.ndarray:
+def _check_config(arm: ArmModel, q: np.ndarray, what: str = "configuration",
+                  in_limits: bool = False) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (arm.n_links,):
-        raise ValueError(f"configuration has shape {q.shape}, expected ({arm.n_links},)")
+        raise ValueError(f"{what} has shape {q.shape}, expected ({arm.n_links},)")
+    if in_limits and not np.all((arm.lower <= q) & (q <= arm.upper)):
+        raise ValueError(f"{what} must be finite and inside the joint limits, not {q.tolist()}")
     return q
 
 

@@ -212,8 +212,9 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
     and an inactive safety constraint): the first rejection, or the first
     stalled nominal action once kept, ends it.
 
-    The rollout is not checked tick by tick (the barrier does that job
-    online). One mask records which waypoints are known collision-free,
+    The steer plans in env as a snapshot: obstacles that have a velocity
+    stay put, as in validation. The rollout is not checked tick by tick (the
+    barrier does that job online). One mask records which waypoints are known collision-free,
     proven by the proof rule of `controller.rollout_ticks` or checked, and
     validation leaves them out. Tick 1, unless proven, is checked at once,
     which stops a steer that collides there (most truncated steers start at

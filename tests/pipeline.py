@@ -5,7 +5,7 @@ It makes problems, data and both nets, plans, replays and benches with every
 method, re-validates every solved bench run, runs eval-controller in both
 settings and among moving obstacles, and runs hand-cbf under a second config
 with the strict safety QP. With `--links 7` both configs take a 7-link arm of
-the default's reach (`ARMS`). `fingerprints.json` holds `plan_fingerprint`'s
+the default's reach (`arms.ARMS`). `fingerprints.json` holds `plan_fingerprint`'s
 edge and plan digests of each problem's bench query, so tree edges and the
 controls of unsolved plans are compared too, and a digest of each problem's
 rollout controls and configs for every eval-controller run, so a change to
@@ -33,6 +33,7 @@ from pathlib import Path
 
 import plan_fingerprint
 import revalidate_bench
+from arms import ARMS, config_overrides
 from cbfsteer import bench, config
 from cbfsteer.jsonio import dump_json, load_json, load_jsonl
 
@@ -48,12 +49,6 @@ SEED = 3
 METHODS = ("straight", "hand-cbf", "cbf-state", "cbf-cloud", "filter-lqr")
 CONTROLLED = METHODS[1:4]  # the methods with a controller of their own
 HORIZON = "2.0"  # eval-controller's --horizon
-# the overrides both configs take, by the arm's link count: 7 links of the
-# default arm's reach, 1.2, and a hand margin under their clearance cap,
-# 1.2/7 - 2 * 0.04 = 0.091 (the default margin, 0.15, is refused there)
-ARMS = {3: {}, 7: {"arm": {"link_lengths": [1.2 / 7] * 7, "joint_lower": [-2.8] * 7,
-                           "joint_upper": [2.8] * 7, "action_bound": [1.0] * 7},
-                   "controller": {"hand_margin": 0.05}}}
 
 
 def run_pipeline(out: Path, run, links: int = 3) -> None:
@@ -64,8 +59,8 @@ def run_pipeline(out: Path, run, links: int = 3) -> None:
     RuntimeError."""
     out.mkdir(parents=True, exist_ok=True)
     main_config, strict_config = out / "config.json", out / "config-strict.json"
-    dump_json(main_config, config.deep_merge(CONFIG, ARMS[links]))
-    dump_json(strict_config, config.deep_merge(STRICT_CONFIG, ARMS[links]))
+    dump_json(main_config, config.deep_merge(CONFIG, config_overrides(links)))
+    dump_json(strict_config, config.deep_merge(STRICT_CONFIG, config_overrides(links)))
     problems = out / "problems.json"
     checkpoint = {m: str(out / f"checkpoint-{'state' if m == 'cbf-state' else 'cloud'}.json")
                   for m in METHODS}

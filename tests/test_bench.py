@@ -419,7 +419,7 @@ class TestEvalController:
                                    np.random.default_rng(15), arm, 0.025)
         probs[1] = replace(probs[1], **{which: np.array(bad)})
         monkeypatch.setattr(bench, "safe_rollout", None)  # problem 0 must not roll out
-        message = f"problem 1: {'start' if which == 'q0' else 'goal'} configuration must be"
+        message = f"problem 1: {'start' if which == 'q0' else 'goal'} configuration (must|has)"
         for setting in bench.Setting:
             with pytest.raises(ValueError, match=message):
                 bench.eval_controller(probs, {"name": "hand-cbf"}, setting, arm, cfg)

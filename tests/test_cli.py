@@ -69,7 +69,7 @@ class TestExitCodes:
         # eval-controller broadcast a one-entry goal over the joints (goal
         # 0.500) and rolled toward a goal outside the limits (goal 0.000),
         # exiting 0; plan failed on a wrong length inside the clearance call,
-        # naming no endpoint
+        # naming no endpoint; bench planned the problems before it first
         assert run(["--out", str(tmp_path), "gen-problems", "--count", "2"]) == 0
         problems = load_json(tmp_path / "problems.json")
         problems[1][which] = bad
@@ -77,11 +77,13 @@ class TestExitCodes:
         out = tmp_path / "out"
         name = "start" if which == "q0" else "goal"
         for command, who in ((["eval-controller", "--method", "hand-cbf"], "problem 1: "),
+                             (["bench", "--methods", "straight"], "problem 1: "),
                              (["plan", "--index", "1"], "")):
             assert run(["--out", str(out), *command,
                         "--problems", str(tmp_path / "given.json")]) == 2
-            assert f"{who}{name} configuration must be finite and inside" in (
-                capsys.readouterr().err)
+            err = capsys.readouterr().err
+            assert f"{who}{name} configuration " in err
+            assert ("has shape" if len(bad) != 3 else "must be finite and inside") in err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("moved", ["every", "one"])

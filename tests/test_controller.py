@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rollout_oracle
+from arms import ARMS, HAND_MARGIN, InflatedReading, contact_pairs, over_links
 from cbfsteer import bench
 from cbfsteer.cbf import CbfHyper, HandcraftedBarrier, NeuralBarrier
 from cbfsteer.controller import (
@@ -34,7 +35,6 @@ from cbfsteer.environment import (
 )
 from cbfsteer.kinematics import ArmModel, hold, sample_config
 from cbfsteer.neural import PointSetEncoder
-from test_planner import ARMS, HAND_MARGIN, InflatedReading, contact_pairs, over_links
 
 
 def hyperplane_grid_oracle(u_nom, a, b, lo, hi, coarse=15, zooms=8):

@@ -3,13 +3,14 @@ invariants, edge safety audits, and node-for-node agreement with an
 independent reference RRT built from the documented sampling contract."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import plan_fingerprint
 import rollout_oracle
+from arms import ARMS, HAND_MARGIN, InflatedReading, contact_pairs, over_links
 from cbfsteer import bench, controller, planner
 from cbfsteer.cbf import CbfHyper, HandcraftedBarrier, NeuralBarrier
 from cbfsteer.config import cloud_widths, load_config, make_arm, make_env_gen, make_hyper
@@ -65,22 +66,6 @@ def distance_barrier(arm, offset=0.025):
 
 def hand_bundle(arm, margin=0.08):
     return ControllerBundle(barrier=HandcraftedBarrier(arm, margin=margin), observe=None)
-
-
-# the default arm and a 7-link arm of the same reach (tests/pipeline.py ARMS),
-# with a hand margin under each one's clearance cap
-ARMS = {3: ArmModel(), 7: ArmModel(link_lengths=(1.2 / 7,) * 7)}
-HAND_MARGIN = {3: 0.15, 7: 0.05}
-
-
-def over_links(names, values):
-    """`pytest.mark.parametrize(names, values)` with each case at both arms of
-    `ARMS`, the link count passed as `links`. The 3-link cases keep the ids
-    of `values` alone, so a test keeps its name when it gains the axis."""
-    rows = [v if isinstance(v, tuple) else (v,) for v in values]
-    return pytest.mark.parametrize(f"{names}, links", [
-        pytest.param(*row, n, id="-".join(map(str, row)) + ("" if n == 3 else f"-{n}links"))
-        for n in ARMS for row in rows])
 
 
 class TestControllerBundle:
@@ -368,7 +353,8 @@ class TestRrtPlan:
         endpoints = {"q0": np.zeros(3), "qg": np.array([0.3, 0.0, 0.0]), which: np.array(bad)}
         problem = PlanProblem(arm=arm, env=Environment(), r_goal=0.1, **endpoints)
         name = "start" if which == "q0" else "goal"
-        with pytest.raises(ValueError, match=f"{name} configuration must be finite and inside"):
+        with pytest.raises(ValueError,
+                           match=f"{name} configuration (must be finite and inside|has shape)"):
             rrt_plan(problem, SteerStraightLine(), PlannerLimits(), np.random.default_rng(0))
 
     @pytest.mark.parametrize("r_goal", [0.0, -0.1, np.nan, np.inf])
@@ -744,30 +730,6 @@ class TestSteerOracle:
 SUBSTEPS = 4  # the default rates: 120 Hz simulation, 30 Hz control
 
 
-def near_contact(env, arm, q_free, q_hit):
-    """Bisect from a free configuration toward a colliding one until the
-    clearance is in [0, 0.01)."""
-    lo, hi = 0.0, 1.0
-    while True:
-        t = 0.5 * (lo + hi)
-        q = q_free + t * (q_hit - q_free)
-        d = signed_distance(env, arm, q)
-        if 0.0 <= d < 0.01:
-            return q
-        lo, hi = (lo, t) if d < 0.0 else (t, hi)
-
-
-def contact_pairs(env, arm, rng, count):
-    """(near-contact start, a target beyond the obstacle it touches)."""
-    pairs = []
-    while len(pairs) < count:
-        q_free, q_hit = sample_config(arm, rng), sample_config(arm, rng)
-        if signed_distance(env, arm, q_free) > 0.05 and signed_distance(env, arm, q_hit) < 0.0:
-            q = near_contact(env, arm, q_free, q_hit)
-            pairs.append((q, q + 2.0 * (q_hit - q)))
-    return pairs
-
-
 def rollout_into_contact(env, arm, rng):
     """A constant-control rollout from a free configuration toward a colliding
     one, held at the default rates, that ends past the first contact."""
@@ -926,20 +888,6 @@ class TestEarlyStop:
         assert 3 <= cut_at_once < 12  # and some steers run on past tick 1
 
 
-@dataclass(frozen=True)
-class InflatedReading:
-    """A barrier that reports the clearance its hand barrier read, plus 1e-3."""
-
-    inner: HandcraftedBarrier
-    kind = "handcrafted"
-    arm = property(lambda self: self.inner.arm)
-    hyper = property(lambda self: self.inner.hyper)
-
-    def value_and_grad(self, q, observation, env):
-        h, grad, d = self.inner.value_and_grad(q, observation, env)
-        return h, grad, d + 1e-3
-
-
 class TestProvenTicks:
     """Hand-barrier and state-net steers leave out the ticks their clearance
     readings prove free, and their edges still equal the one-validation
@@ -1090,3 +1038,25 @@ class TestCloudPlanOracle:
         edge.controls[0] = np.nextafter(edge.controls[0], np.inf)
         after = plan_fingerprint.fingerprint(runs)
         assert after["edges"] != before["edges"] and after["plans"] == before["plans"]
+
+
+class TestMovingProblems:
+    """Planning keeps a problem's time-0 snapshot: a problem whose obstacles
+    move plans as its still copy, every stored edge and plan bit for bit."""
+
+    @pytest.mark.parametrize("method", ["hand-cbf", "cbf-state", "cbf-cloud", "filter-lqr"])
+    def test_plans_as_its_still_copy(self, method):
+        # steers stepped the world they plan in, so every tick after the
+        # first read obstacles that validation never saw
+        cfg, arm, still, hyper, net = cloud_plan_setting(5, count=3)
+        moving = bench.dynamicize_problems(still, 0.3, np.random.default_rng(6))
+        state = NeuralBarrier(Mlp.create((arm.n_links + 1, 16, 16, 1), np.random.default_rng(7)),
+                              arm, hyper)
+        barriers = {"cloud": NeuralBarrier(net, arm, hyper), "state": state}
+        spec = {"name": method, **({} if method == "hand-cbf" else
+                                   {"checkpoint": "cloud" if method == "cbf-cloud" else "state"})}
+        runs = [plan_fingerprint.plan_queries(problems, spec, cfg, 0, barriers, arm)
+                for problems in (still, moving)]
+        assert all(p.environment.is_dynamic for p in moving)
+        assert plan_fingerprint.fingerprint(runs[1]) == plan_fingerprint.fingerprint(runs[0])
+        assert sum(len(tree.nodes) - 1 for _, tree in runs[0]) > len(still)
