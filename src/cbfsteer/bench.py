@@ -434,17 +434,16 @@ def eval_controller(problems: list, method: dict, setting: Setting, arm: ArmMode
     rollouts = [control_query(p, method, arm, cfg, root_seed, setting, cache, horizon_s)
                 for p in problems]
     reached = [1.0 if r.reached_goal and not r.collided else 0.0 for r in rollouts]
-    safety = [float(np.mean(np.asarray(r.min_signed_distance) >= 0.0)) for r in rollouts]
     makespans = [r.steps_used for r, ok in zip(rollouts, reached) if ok]
     records = [{"problem_id": p.id, "reached_goal": r.reached_goal, "collided": r.collided,
-                "safety_ratio": ok_states, "steps_used": r.steps_used,
+                "safety_ratio": r.safety_ratio, "steps_used": r.steps_used,
                 "qp_infeasible_count": r.qp_infeasible_count}
-               for p, r, ok_states in zip(problems, rollouts, safety)]
+               for p, r in zip(problems, rollouts)]
     row = ControllerMetricsRow(
         method=method["name"],
         setting=setting,
         goal_reaching_rate=float(np.mean(reached)),
-        safety_rate=float(np.mean(safety)),
+        safety_rate=float(np.mean([r.safety_ratio for r in rollouts])),
         mean_makespan=float(np.mean(makespans)) if makespans else None,
         n_problems=len(problems),
     )

@@ -565,6 +565,10 @@ class NeuralBarrier:
     _seen: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
+        n = self.net.in_width - 1 if isinstance(self.net, Mlp) else self.net.n_links
+        if n != self.arm.n_links:  # a state net reads (q, d), a cloud net one-hot links
+            raise ValueError(f"the {self.kind} net is built for a {n}-link arm, "
+                             f"not this {self.arm.n_links}-link one")
         if not isinstance(self.net, Mlp):  # a read-only copy, out of a training step's reach
             def frozen(mlp):  # no layer is replaced or written
                 return replace(mlp, params=tuple((_read_only(np.array(w)), _read_only(np.array(b)))

@@ -204,13 +204,15 @@ class ControllerBundle:
 
 @dataclass
 class RolloutRecord:
+    """A rollout's start and states up to a first colliding one, its controls and how it ended."""
+
     configs: list = field(default_factory=list)
     controls: list = field(default_factory=list)
-    min_signed_distance: list = field(default_factory=list)
     reached_goal: bool = False
     collided: bool = False
     qp_infeasible_count: int = 0
-    steps_used: int = 0
+    steps_used = property(lambda self: len(self.controls))
+    safety_ratio = property(lambda self: (len(self.configs) - self.collided) / len(self.configs))
 
 
 def control_tick(bundle: ControllerBundle, env: Environment, q: np.ndarray, q_goal: np.ndarray
@@ -274,28 +276,26 @@ def rollout_ticks(bundle: ControllerBundle, q: np.ndarray, q_goal: np.ndarray, e
 def safe_rollout(bundle: ControllerBundle, q0: np.ndarray, q_goal: np.ndarray,
                  env: Environment) -> RolloutRecord:
     """Closed-loop rollout (`rollout_ticks`) that ends on goal (joint-space
-    ball), collision (ground-truth clearance of every state) or horizon, all
-    three from the bundle's limits; moving obstacles advance at the
-    simulation rate."""
+    ball), collision (negative ground-truth clearance at the start or in a
+    tick the loop does not prove, as a proven one's states have d > 0) or
+    horizon, all three from the bundle's limits, in a world that may move."""
     arm, limits = bundle.barrier.arm, bundle.limits
     q = np.array(q0, dtype=float)
-    d0 = signed_distance(env, arm, q)
-    rec = RolloutRecord(configs=[q], min_signed_distance=[d0], collided=d0 < 0.0)
+    rec = RolloutRecord(configs=[q], collided=signed_distance(env, arm, q) < 0.0)
     if rec.collided:
         return rec
-    for u, _, diag, states, ds, _, _ in rollout_ticks(bundle, q, q_goal, env, limits.n_ticks,
-                                                     limits.r_goal, moving=env.is_dynamic):
+    for u, _, diag, states, ds, proven, _ in rollout_ticks(
+            bundle, q, q_goal, env, limits.n_ticks, limits.r_goal, moving=env.is_dynamic):
         rec.qp_infeasible_count += diag.infeasible
         rec.controls.append(u)
-        rec.steps_used += 1
-        if ds is None:
-            ds = signed_distance_batch(env, arm, states)
-        for qk, d in zip(states, ds):
-            rec.configs.append(qk)
-            rec.min_signed_distance.append(float(d))
-            if d < 0.0:
+        if not proven:
+            hits = np.flatnonzero((signed_distance_batch(env, arm, states) if ds is None
+                                   else ds) < 0.0)
+            if hits.size:
+                rec.configs.extend(states[:hits[0] + 1])
                 rec.collided = True
                 return rec
+        rec.configs.extend(states)
     dq = rec.configs[-1] - q_goal
     rec.reached_goal = math.sqrt(dq @ dq) <= limits.r_goal
     return rec

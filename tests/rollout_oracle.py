@@ -20,6 +20,10 @@ filtered-LQR steer, which `controller.safe_rollout` and
 merges, and the safety QP and its walk as numpy array code, before their
 scalar steps moved to Python floats.
 
+Ground truth: both rollouts here check every state's clearance and keep it
+(`CheckedRollout.distances`), where `controller.safe_rollout` checks only
+the ticks its loop does not prove and keeps no distances.
+
 Cloud barriers: the one-sample route that `NeuralBarrier` took before it
 had its own inference path, the training forward pass on a one-sample
 `_Prepared` with nothing kept between calls (`OneSampleBarrier`).
@@ -31,7 +35,7 @@ bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -149,7 +153,15 @@ class OneSampleBarrier:
         return float(h[0, 0]), (h[0, 1:] - h[0, 0]) / self.hyper.fd_step, -math.inf
 
 
-def safe_rollout(bundle, q0, q_goal, env) -> RolloutRecord:
+@dataclass
+class CheckedRollout(RolloutRecord):
+    """A `RolloutRecord` with the ground-truth clearance of each of its
+    configs, which the rollout oracles check at every state."""
+
+    distances: list = field(default_factory=list)
+
+
+def safe_rollout(bundle, q0, q_goal, env) -> CheckedRollout:
     """Closed-loop rollout that takes every simulation substep on its own:
     `integrate`, then `step_obstacles`, then `signed_distance`."""
     barrier, observe, limits = bundle.barrier, bundle.observe, bundle.limits
@@ -157,10 +169,10 @@ def safe_rollout(bundle, q0, q_goal, env) -> RolloutRecord:
     substeps = limits.sim_hz // limits.ctrl_hz
     dt_sim = 1.0 / limits.sim_hz
     q = np.asarray(q0, dtype=float).copy()
-    rec = RolloutRecord()
+    rec = CheckedRollout()
     rec.configs.append(q.copy())
     d0 = signed_distance(env, arm, q)
-    rec.min_signed_distance.append(d0)
+    rec.distances.append(d0)
     if d0 < 0.0:
         rec.collided = True
         return rec
@@ -176,13 +188,12 @@ def safe_rollout(bundle, q0, q_goal, env) -> RolloutRecord:
         if diag.infeasible:
             rec.qp_infeasible_count += 1
         rec.controls.append(u.copy())
-        rec.steps_used += 1
         for _ in range(substeps):
             q, _ = integrate(arm, q, u, dt_sim)
             env = step_obstacles(env, dt_sim)
             d = signed_distance(env, arm, q)
             rec.configs.append(q.copy())
-            rec.min_signed_distance.append(d)
+            rec.distances.append(d)
             if d < 0.0:
                 rec.collided = True
                 return rec
@@ -192,19 +203,19 @@ def safe_rollout(bundle, q0, q_goal, env) -> RolloutRecord:
     return rec
 
 
-def safe_rollout_static(bundle, q0, q_goal, env) -> RolloutRecord:
+def safe_rollout_static(bundle, q0, q_goal, env) -> CheckedRollout:
     """Closed-loop rollout in a static world with the tick written out:
     observe, barrier, nominal control, QP, then the tick's `integrate`
-    substeps checked in one batched clearance call."""
+    substeps checked in one batched clearance call, every tick."""
     barrier, observe, limits = bundle.barrier, bundle.observe, bundle.limits
     arm = barrier.arm
     substeps = limits.sim_hz // limits.ctrl_hz
     dt_sim = 1.0 / limits.sim_hz
     q = np.asarray(q0, dtype=float).copy()
-    rec = RolloutRecord()
+    rec = CheckedRollout()
     rec.configs.append(q.copy())
     d0 = signed_distance(env, arm, q)
-    rec.min_signed_distance.append(d0)
+    rec.distances.append(d0)
     if d0 < 0.0:
         rec.collided = True
         return rec
@@ -220,12 +231,11 @@ def safe_rollout_static(bundle, q0, q_goal, env) -> RolloutRecord:
         if diag.infeasible:
             rec.qp_infeasible_count += 1
         rec.controls.append(u.copy())
-        rec.steps_used += 1
         tick_configs = iterated_hold(arm, q, u, substeps, dt_sim)
         ds = signed_distance_batch(env, arm, np.array(tick_configs))
         for qk, d in zip(tick_configs, ds):
             rec.configs.append(qk)
-            rec.min_signed_distance.append(float(d))
+            rec.distances.append(float(d))
             if d < 0.0:
                 rec.collided = True
                 return rec

@@ -17,7 +17,7 @@ from cbfsteer.config import (
     make_rollout_limits,
     seed_stream,
 )
-from cbfsteer.environment import EnvGenConfig, signed_distance
+from cbfsteer.environment import EnvGenConfig, signed_distance, signed_distance_batch
 from cbfsteer.jsonio import canonical_dumps, load_json, load_jsonl
 from cbfsteer.kinematics import ArmModel, hold
 from cbfsteer.planner import PlanProblem, rrt_plan_with_tree
@@ -900,15 +900,14 @@ class TestSettingWorlds:
             assert (record["reached_goal"], record["collided"], record["steps_used"],
                     record["qp_infeasible_count"]) == (rec.reached_goal, rec.collided,
                                                        rec.steps_used, rec.qp_infeasible_count)
-            assert record["safety_ratio"] == float(np.mean(
-                np.asarray(rec.min_signed_distance) >= 0.0))
+            ds = signed_distance_batch(prob.environment, arm, np.array(rec.configs))
+            assert record["safety_ratio"] == float(np.mean(ds >= 0.0))
 
 
 def rollout_bytes(rec) -> tuple:
     """A RolloutRecord as comparable bytes and values."""
     return (np.asarray(rec.configs).tobytes(), np.asarray(rec.controls).tobytes(),
-            np.asarray(rec.min_signed_distance).tobytes(), rec.reached_goal, rec.collided,
-            rec.qp_infeasible_count, rec.steps_used)
+            rec.reached_goal, rec.collided, rec.qp_infeasible_count)
 
 
 @pytest.mark.parametrize("entry", ["_controller", "control_query", "setting_worlds",

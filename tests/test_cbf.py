@@ -1090,13 +1090,44 @@ class TestStateBarrierReadsTheWorld:
             assert g.tobytes() == g_obs.tobytes() == grad[0].tobytes()
 
 
+class TestNetFitsTheArm:
+    """A barrier refuses a net built for an arm of another link count,
+    naming both counts: a state net reads n + 1 inputs, a cloud net one-hot
+    codes n links. Before, a state net failed at its first tick on the input
+    width, and a cloud net raised IndexError."""
+
+    ARM4 = ArmModel(link_lengths=(0.3,) * 4)
+
+    @staticmethod
+    def nets(n_links):
+        rng = np.random.default_rng(50 + n_links)
+        return {"state": Mlp.create((n_links + 1, 8, 1), rng),
+                "cloud": PointSetEncoder.create(n_links, (4 + n_links, 8), (8 + n_links, 8, 1),
+                                                rng)}
+
+    @pytest.mark.parametrize("kind", ["state", "cloud"])
+    @pytest.mark.parametrize("net_links, arm_links", [(3, 4), (4, 3)])
+    def test_a_net_for_another_arm_is_refused(self, kind, net_links, arm_links):
+        arm = self.ARM4 if arm_links == 4 else ArmModel()
+        with pytest.raises(ValueError, match=f"the {kind} net is built for a {net_links}-link "
+                                             f"arm, not this {arm_links}-link one"):
+            NeuralBarrier(self.nets(net_links)[kind], arm, CbfHyper())
+
+    @pytest.mark.parametrize("kind", ["state", "cloud"])
+    def test_a_net_for_the_arm_is_taken(self, kind):
+        barrier = NeuralBarrier(self.nets(4)[kind], self.ARM4, CbfHyper())
+        assert barrier.kind == kind and barrier.arm.n_links == 4
+
+
 # -- the block forward against the full-row stencil forward ------------------
 
-# arms of 2, 3 and 5 links, none based at the origin
+# arms of 2, 3, 5 and 7 links, none based at the origin; the 7-link one has
+# the reach of `arms.ARMS[7]`
 ORACLE_ARMS = {
     2: ArmModel(link_lengths=(0.6, 0.5), base_position=(0.2, -0.3)),
     3: ArmModel(base_position=(-0.4, 0.25)),
     5: ArmModel(link_lengths=(0.35, 0.3, 0.25, 0.2, 0.15), base_position=(0.1, 0.4)),
+    7: ArmModel(link_lengths=(1.2 / 7,) * 7, base_position=(-0.15, -0.2)),
 }
 
 
@@ -1379,7 +1410,7 @@ class TestBlockForwardOracle:
     and gradients agree to rounding; winners, the records rebuilt at them
     and audits agree bit for bit."""
 
-    @pytest.mark.parametrize("n_links", [2, 3, 5])
+    @pytest.mark.parametrize("n_links", [2, 3, 5, 7])
     @pytest.mark.parametrize("n_points", [1, 2, 64])
     @pytest.mark.parametrize("kind", ["surface", "raycast", "duplicated"])
     def test_h_and_grad(self, n_links, n_points, kind):
@@ -1412,7 +1443,7 @@ class TestBlockForwardOracle:
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1
 
-    @pytest.mark.parametrize("n_links", [2, 3, 5])
+    @pytest.mark.parametrize("n_links", [2, 3, 5, 7])
     @pytest.mark.parametrize("n_points,kind", [(1, "surface"), (2, "duplicated"),
                                                (64, "raycast"), (64, "duplicated")])
     def test_batch_forward_backward_and_loss(self, n_links, n_points, kind, monkeypatch):

@@ -547,6 +547,23 @@ class TestMethodNeedsItsController:
                 f"{other} net") in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_checkpoint_for_another_arm_fails_by_its_link_count(self, pipeline_dir, tmp_path,
+                                                                  capsys):
+        # a 4-link state net under the default 3-link arm failed at its first
+        # tick on the input width
+        from cbfsteer.neural import Mlp, save_checkpoint
+
+        ckpt = tmp_path / "state-4links.json"
+        save_checkpoint(ckpt, "state", Mlp.create((5, 8, 1), np.random.default_rng(31)),
+                        config.make_hyper(config.load_config()).to_json())
+        out = tmp_path / "out"
+        assert run(["--out", str(out), "--no-timing", "eval-controller", "--problems",
+                    str(pipeline_dir / "problems.json"), "--method", "cbf-state",
+                    "--checkpoint", str(ckpt)]) == 2
+        assert ("error: the state net is built for a 4-link arm, not this 3-link one"
+                in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
     def test_eval_controller_of_straight_fails_by_name(self, pipeline_dir, tmp_path, capsys):
         assert run(["--out", str(tmp_path), "eval-controller", "--problems",
                     str(pipeline_dir / "problems.json"), "--method", "straight"]) == 2

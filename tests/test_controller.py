@@ -8,7 +8,7 @@ import pytest
 
 import rollout_oracle
 from arms import ARMS, HAND_MARGIN, InflatedReading, contact_pairs, over_links
-from cbfsteer import bench
+from cbfsteer import bench, controller
 from cbfsteer.cbf import CbfHyper, HandcraftedBarrier, NeuralBarrier
 from cbfsteer.controller import (
     ControllerBundle,
@@ -34,7 +34,7 @@ from cbfsteer.environment import (
     signed_distance_batch,
 )
 from cbfsteer.kinematics import ArmModel, hold, sample_config
-from cbfsteer.neural import PointSetEncoder
+from cbfsteer.neural import Mlp, PointSetEncoder
 
 
 def hyperplane_grid_oracle(u_nom, a, b, lo, hi, coarse=15, zooms=8):
@@ -468,8 +468,6 @@ class TestSafeRollout:
                            np.zeros(3), np.array([2.0, 2.0, 2.0]), far_world())
         substeps = limits.sim_hz // limits.ctrl_hz
         assert len(rec.configs) == 1 + rec.steps_used * substeps
-        assert len(rec.min_signed_distance) == len(rec.configs)
-        assert len(rec.controls) == rec.steps_used
         # zero-order hold: each tick's substep displacements are equal
         for t, u in enumerate(rec.controls):
             for k in range(substeps):
@@ -488,7 +486,8 @@ class TestSafeRollout:
         rec = safe_rollout(ControllerBundle(barrier, None, qp_cfg=cfg,
                                             limits=RolloutLimits(horizon_s=6.0)),
                            np.zeros(3), np.array([0.9, 0.0, 0.0]), env)
-        assert rec.collided == any(d < 0 for d in rec.min_signed_distance)
+        ds = signed_distance_batch(env, arm, np.array(rec.configs))
+        assert np.flatnonzero(ds < 0.0).tolist() == ([len(ds) - 1] if rec.collided else [])
 
     def test_dynamic_obstacles_step_during_rollout(self):
         arm = ArmModel()
@@ -528,16 +527,22 @@ class TestSafeRollout:
 
 
 def assert_same_record(got, ref):
-    """Records equal bit for bit: configs, controls, distances and flags."""
+    """Records equal bit for bit: configs, controls and flags. Against an
+    oracle's, which checks every state: by its ground truth each state but a
+    collided rollout's last is free, and the safety ratio is the share of
+    free states."""
     def bits(xs):
         return np.asarray(xs, dtype=float).tobytes()
 
     assert len(got.configs) == len(ref.configs)
     assert bits(got.configs) == bits(ref.configs)
     assert bits(got.controls) == bits(ref.controls)
-    assert bits(got.min_signed_distance) == bits(ref.min_signed_distance)
     assert (got.collided, got.reached_goal, got.steps_used, got.qp_infeasible_count) == (
         ref.collided, ref.reached_goal, ref.steps_used, ref.qp_infeasible_count)
+    if isinstance(ref, rollout_oracle.CheckedRollout):
+        d = np.asarray(ref.distances)
+        assert np.all(d[:-1] >= 0.0) and (d[-1] < 0.0) == ref.collided
+        assert got.safety_ratio == float(np.mean(d >= 0.0))
 
 
 def collision_substep(rec, substeps=4):
@@ -738,31 +743,40 @@ def loose_barrier(arm):
     return HandcraftedBarrier(arm, 0.0, CbfHyper(alpha_h=1e3))
 
 
+def proof_cases(links, seed):
+    """A random world for the arm of `links` links and eight (start, goal)
+    pairs in it: four free starts, every other one with a joint outside its
+    limits, then four slow approaches into contact."""
+    arm = ARMS[links]
+    rng = np.random.default_rng(1300 + seed)
+    env = random_environment(EnvGenConfig(num_obstacles=8, shapes=("rect", "circle"),
+                                          size_range=(0.08, 0.3)), rng)
+    cases = []
+    while len(cases) < 4:
+        q0 = sample_config(arm, rng)
+        if len(cases) % 2:
+            i, out = int(rng.integers(arm.n_links)), rng.uniform(0.01, 0.3)
+            q0[i] = arm.upper[i] + out if rng.random() < 0.5 else arm.lower[i] - out
+        if signed_distance(env, arm, q0) > 0.0:
+            cases.append((q0, sample_config(arm, rng)))
+    for q, q_hit in contact_pairs(env, arm, rng, 4):  # toward contact, 0.01 away
+        cases.append((q, q + 0.01 * (q_hit - q) / np.linalg.norm(q_hit - q)))
+    return env, cases
+
+
 class TestProofRule:
     """Every tick that `rollout_ticks` proves free, from the reading at its
     start or the one at its end, has no colliding configuration on its
     substep path resampled at 16 points a segment, on random worlds at both
     arms of `ARMS`, from free starts, starts outside the joint limits and
-    slow approaches into contact; a barrier that reads 1e-3 too much fails
-    this."""
+    slow approaches into contact (`proof_cases`); a barrier that reads 1e-3
+    too much fails this."""
 
     @staticmethod
     def proven_ticks(make_barrier, links, seed, n_ticks=90):
         """(clearance minimum over each proven tick's resampled path, ticks run)."""
         arm = ARMS[links]
-        rng = np.random.default_rng(1300 + seed)
-        env = random_environment(EnvGenConfig(num_obstacles=8, shapes=("rect", "circle"),
-                                              size_range=(0.08, 0.3)), rng)
-        cases = []
-        while len(cases) < 4:  # every other start has a joint outside its limits
-            q0 = sample_config(arm, rng)
-            if len(cases) % 2:
-                i, out = int(rng.integers(arm.n_links)), rng.uniform(0.01, 0.3)
-                q0[i] = arm.upper[i] + out if rng.random() < 0.5 else arm.lower[i] - out
-            if signed_distance(env, arm, q0) > 0.0:
-                cases.append((q0, sample_config(arm, rng)))
-        for q, q_hit in contact_pairs(env, arm, rng, 4):  # toward contact, 0.01 away
-            cases.append((q, q + 0.01 * (q_hit - q) / np.linalg.norm(q_hit - q)))
+        env, cases = proof_cases(links, seed)
         bundle = ControllerBundle(make_barrier(arm), None)
         proven_paths, ticks = [], 0
         for q0, q_goal in cases:
@@ -796,3 +810,71 @@ class TestProofRule:
         colliding = sum(np.sum(self.proven_ticks(lambda arm: InflatedReading(loose_barrier(arm)),
                                                  links, seed)[0] < 0.0) for seed in range(2))
         assert colliding > 0
+
+
+def state_barrier(arm):
+    """An untrained state net's barrier: it reads the world's clearance."""
+    net = Mlp.create((arm.n_links + 1, 16, 1), np.random.default_rng(40 + arm.n_links))
+    return NeuralBarrier(net, arm, CbfHyper())
+
+
+class TestSkippedChecks:
+    """In a static world `safe_rollout` checks the clearance of a tick's
+    states only when `rollout_ticks` does not prove the tick, in one call;
+    its records still equal those of the oracle that checks every state
+    (`assert_same_record`: configs, controls and flags bit for bit, every
+    state but a collided rollout's last free by the oracle's ground truth,
+    and the safety ratio its share of free states), with hand and state
+    barriers, on `proof_cases` at both arms of `ARMS`. A barrier that reads
+    1e-3 too much fails this."""
+
+    @staticmethod
+    def check(make_barrier, links, seed, monkeypatch):
+        """Run and check every case; returns (each tick's proof, rollouts
+        that collided, rollouts that reached the goal)."""
+        arm = ARMS[links]
+        env, cases = proof_cases(links, seed)
+        proofs, calls = [], []
+
+        def spied_ticks(*args, **kwargs):
+            for tick in rollout_ticks(*args, **kwargs):
+                proofs.append(tick[5])
+                yield tick
+
+        def spied_check(*args):
+            calls.append(len(proofs))  # the tick it checks, counted from 1
+            return signed_distance_batch(*args)
+
+        monkeypatch.setattr(controller, "rollout_ticks", spied_ticks)
+        monkeypatch.setattr(controller, "signed_distance_batch", spied_check)
+        bundle = ControllerBundle(make_barrier(arm), None,
+                                  limits=RolloutLimits(horizon_s=3.0, r_goal=1e-3))
+        collided = reached = 0
+        for q0, q_goal in cases:
+            got = safe_rollout(bundle, q0, q_goal, env)
+            assert_same_record(got, rollout_oracle.safe_rollout_static(bundle, q0, q_goal, env))
+            collided += got.collided
+            reached += got.reached_goal
+        assert calls == [k + 1 for k, ok in enumerate(proofs) if not ok]
+        return proofs, collided, reached
+
+    @over_links("seed", range(2))
+    def test_hand_and_state_barriers(self, seed, links, monkeypatch):
+        proven = checked = collided = reached = 0
+        for make_barrier in (loose_barrier, state_barrier,
+                             lambda arm: HandcraftedBarrier(arm, HAND_MARGIN[links])):
+            proofs, hit, arrived = self.check(make_barrier, links, seed, monkeypatch)
+            proven += sum(proofs)
+            checked += len(proofs) - sum(proofs)
+            collided += hit
+            reached += arrived
+        assert proven > 0 and checked > 0 and collided > 0 and reached > 0
+
+    @pytest.mark.parametrize("links", sorted(ARMS))
+    def test_an_inflated_reading_fails_it(self, links, monkeypatch):
+        # a reading 1e-3 too high proves a slow tick into contact, which then
+        # goes unchecked: the rollout runs on where the oracle stops
+        with pytest.raises(AssertionError):
+            for seed in range(2):
+                self.check(lambda arm: InflatedReading(loose_barrier(arm)), links, seed,
+                           monkeypatch)
