@@ -41,7 +41,7 @@ from .environment import (
     sample_surface_points,
 )
 from .jsonio import Record, dump_json, dump_jsonl, load_json
-from .kinematics import ArmModel, check_endpoints
+from .kinematics import ArmModel, check_endpoints, within
 from .neural import load_checkpoint
 from .planner import (
     PlannerLimits,
@@ -458,6 +458,4 @@ def validate_plan(problem: ProblemSpec, plan: PlanResult, arm: ArmModel,
     if plan.status != "solved" or not plan.path or not np.array_equal(plan.path[0], problem.q0):
         return False
     kept = validate_and_truncate(problem.environment, arm, plan.path, check_resolution)
-    if len(kept) != len(plan.path):
-        return False
-    return bool(np.linalg.norm(np.asarray(plan.path[-1]) - np.asarray(problem.qg)) <= r_goal)
+    return len(kept) == len(plan.path) and within(plan.path[-1], problem.qg, r_goal)

@@ -23,7 +23,6 @@ from .environment import (
     EnvGenConfig,
     Environment,
     SafetyLabel,
-    StateObservation,
     random_environment,
     safety_label,
     sample_free_config,
@@ -31,7 +30,7 @@ from .environment import (
     signed_distance_batch,
 )
 from .jsonio import Record, dump_json, dump_jsonl, load_json, load_jsonl
-from .kinematics import ArmModel, _read_only, batch_link_frames, hold
+from .kinematics import ArmModel, _read_only, batch_link_frames, hold, within
 from .neural import (
     FRESH,
     BatchWorkspace,
@@ -71,7 +70,7 @@ class LabeledSample:
     rows as `q`, so a dataset's kept stencil arrays cannot go stale."""
 
     q: np.ndarray
-    observation: StateObservation | CloudObservation
+    observation: float | CloudObservation  # a state sample's clearance, a cloud sample's cloud
     label: SafetyLabel
     env_id: int
 
@@ -124,8 +123,8 @@ class Dataset:
 
         def rows():
             for s in self.samples:
-                if isinstance(s.observation, StateObservation):
-                    obs = {"d": s.observation.min_signed_distance}
+                if isinstance(s.observation, float):
+                    obs = {"d": s.observation}
                 elif s.env_id in self.clouds and s.observation is self.clouds[s.env_id]:
                     obs = {"cloud_env": s.env_id}
                 else:
@@ -147,7 +146,7 @@ class Dataset:
         for row, q in zip(rows, qs):
             obs_doc = row["obs"]
             if "d" in obs_doc:
-                obs = StateObservation(float(obs_doc["d"]))
+                obs = float(obs_doc["d"])
             elif "cloud_env" in obs_doc:
                 obs = clouds[int(obs_doc["cloud_env"])]
             else:
@@ -170,6 +169,14 @@ class TrainReport(Record):
 class DatasetCounts:
     rollout_trajs: int = 0
     uniform_samples: int = 0
+
+
+def check_net_fits(net, arm: ArmModel) -> None:
+    """Refuse a net built for an arm of another link count, naming both counts."""
+    kind, n = ("state", net.in_width - 1) if isinstance(net, Mlp) else ("cloud", net.n_links)
+    if n != arm.n_links:  # a state net reads (q, d), a cloud net one-hot codes links
+        raise ValueError(f"the {kind} net is built for a {n}-link arm, "
+                         f"not this {arm.n_links}-link one")
 
 
 def check_collection_counts(counts: DatasetCounts, uniform_samples_per_env: int) -> None:
@@ -225,7 +232,7 @@ def collect_dataset(
         ds = signed_distance_batch(envs[env_id], arm, qs)
         qs.flags.writeable = False
         for q, d in zip(qs, ds):
-            obs = StateObservation(float(d)) if observation_kind == "state" else clouds[env_id]
+            obs = float(d) if observation_kind == "state" else clouds[env_id]
             samples.append(LabeledSample(q=q, observation=obs, label=safety_label(d, r_thres),
                                          env_id=env_id))
 
@@ -236,7 +243,7 @@ def collect_dataset(
         q_goal = sample_free_config(env, arm, rng)
         traj = [q]
         for _ in range(rollout_ticks - 1):
-            if np.linalg.norm(q - q_goal) <= r_goal:
+            if within(q, q_goal, r_goal):
                 break
             u = nominal_policy.control(q, q_goal, arm.action_lower, arm.action_upper)
             q = hold(arm, q, u, 1, dt)[0]
@@ -318,15 +325,15 @@ class _Prepared:
 
 
 def stencil_distances(samples, arm: ArmModel, hyper: CbfHyper, envs) -> np.ndarray:
-    """Refreshed stencil observations for state samples: (B, n+1) with the
-    stored observation in column 0 and signed distances at the perturbed
+    """Stencil clearances of state samples: (B, n+1) with each sample's
+    stored clearance in column 0 and signed distances at the perturbed
     configurations after it. Groups samples by environment so the geometric
     queries run batched."""
     if envs is None:
         raise ValueError("state samples need their environments")
     n = arm.n_links
     out = np.empty((len(samples), n + 1))
-    out[:, 0] = [s.observation.min_signed_distance for s in samples]
+    out[:, 0] = [s.observation for s in samples]
     by_env: dict[int, list[int]] = {}
     for i, s in enumerate(samples):
         by_env.setdefault(s.env_id, []).append(i)
@@ -346,7 +353,7 @@ def _prepare(samples, arm: ArmModel, hyper: CbfHyper, envs=None) -> _Prepared:
              "unsafe_mask": np.array([lab is SafetyLabel.UNSAFE for lab in labels], dtype=bool)}
     q = np.array([s.q for s in samples], dtype=float).reshape(len(samples), arm.n_links)
     qs = _stencil_configs(q, hyper.fd_step)  # (B, S, n)
-    if not samples or isinstance(samples[0].observation, StateObservation):
+    if not samples or isinstance(samples[0].observation, float):
         d = stencil_distances(samples, arm, hyper, envs)
         return _Prepared(x=np.concatenate([qs, d[:, :, None]], axis=2), **masks)
     clouds = list({id(s.observation): s.observation for s in samples}.values())
@@ -476,6 +483,7 @@ def _audit(net, prep: _Prepared, arm: ArmModel, hyper: CbfHyper, batch_size: int
 
 def evaluate_constraints(net, dataset: Dataset, hyper: CbfHyper) -> dict:
     """Empirical satisfaction rates of the three barrier conditions on a dataset."""
+    check_net_fits(net, dataset.arm)
     return _audit(net, dataset.prepared(hyper), dataset.arm, hyper)
 
 
@@ -503,6 +511,7 @@ def train(dataset: Dataset, net_init, hyper: CbfHyper, schedule: TrainSchedule,
     stencil arrays (`Dataset.prepared`), and all their passes share one
     workspace. Divergence aborts with the report collected so far.
     """
+    check_net_fits(net_init, dataset.arm)
     t0 = time.perf_counter()
     report = TrainReport()
     net = net_init
@@ -565,10 +574,7 @@ class NeuralBarrier:
     _seen: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
-        n = self.net.in_width - 1 if isinstance(self.net, Mlp) else self.net.n_links
-        if n != self.arm.n_links:  # a state net reads (q, d), a cloud net one-hot links
-            raise ValueError(f"the {self.kind} net is built for a {n}-link arm, "
-                             f"not this {self.arm.n_links}-link one")
+        check_net_fits(self.net, self.arm)
         if not isinstance(self.net, Mlp):  # a read-only copy, out of a training step's reach
             def frozen(mlp):  # no layer is replaced or written
                 return replace(mlp, params=tuple((_read_only(np.array(w)), _read_only(np.array(b)))

@@ -23,7 +23,7 @@ from .environment import (
     signed_distance_stepped,
 )
 from .jsonio import Record
-from .kinematics import hold
+from .kinematics import hold, within
 
 
 @dataclass(frozen=True)
@@ -256,8 +256,7 @@ def rollout_ticks(bundle: ControllerBundle, q: np.ndarray, q_goal: np.ndarray, e
     dt_sim = 1.0 / limits.sim_hz
     move = math.inf  # the last tick's motion bound
     for _ in range(n_ticks):
-        dq = q - q_goal
-        if math.sqrt(dq @ dq) <= r_goal:
+        if within(q, q_goal, r_goal):
             return
         u, u_nom, h, d, diag = control_tick(bundle, env, q, q_goal)
         u = u_nom if nominal else u
@@ -296,6 +295,5 @@ def safe_rollout(bundle: ControllerBundle, q0: np.ndarray, q_goal: np.ndarray,
                 rec.collided = True
                 return rec
         rec.configs.extend(states)
-    dq = rec.configs[-1] - q_goal
-    rec.reached_goal = math.sqrt(dq @ dq) <= limits.r_goal
+    rec.reached_goal = within(rec.configs[-1], q_goal, limits.r_goal)
     return rec

@@ -1,9 +1,8 @@
 """Obstacle worlds: collision and signed-distance queries, safety labels, and
-the two observation models (minimum signed distance; surface/ray-cast point
-clouds). Environments are immutable snapshots; stepping returns a new one.
-Moving obstacles advance on packed arrays: `signed_distance_stepped` checks
-a run of configurations against the obstacle snapshots of successive time
-steps in one clearance call.
+point-cloud observations (surface-sampled or ray-cast). Environments are
+immutable snapshots; stepping returns a new one. Moving obstacles advance on
+packed arrays: `signed_distance_stepped` checks a run of configurations
+against the obstacle snapshots of successive time steps in one clearance call.
 """
 
 from __future__ import annotations
@@ -27,13 +26,6 @@ class SafetyLabel(str, enum.Enum):
 class CloudSource(str, enum.Enum):
     SURFACE_SAMPLED = "surface"
     RAY_CAST = "raycast"
-
-
-@dataclass(frozen=True)
-class StateObservation:
-    """Minimum signed distance between the arm and everything it can hit."""
-
-    min_signed_distance: float
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,9 @@ class Record:
     field is annotated with (floats, ints and strings converted, arrays as
     float arrays, enums by value, records recursively) and leaves missing
     keys to the field defaults, so files written before a field existed
-    still load. An int field refuses a bool and a number with a fraction, a
-    float field a bool, and a tuple field of fixed length (no `...`) a list
-    of another length, rather than truncate, convert or misread them.
+    still load. A number field refuses a bool and a string, an int field also
+    a number with a fraction, and a tuple field of fixed length (no `...`) a
+    list of another length, rather than truncate, convert or misread them.
     """
 
     def to_json(self) -> dict:
@@ -109,7 +109,7 @@ def _decode(tp, value, name: str):
         return np.array(value, dtype=float)
     if isinstance(tp, type) and issubclass(tp, Record):
         return tp.from_json(value)
-    if tp in (int, float) and (isinstance(value, bool) or (
+    if tp in (int, float) and (isinstance(value, (bool, str)) or (
             tp is int and isinstance(value, float) and not value.is_integer())):
         kind = "an integer" if tp is int else "a number"
         raise ValueError(f"field {name} needs {kind}, not {value!r}")

@@ -7,6 +7,7 @@ float arrays of length n. Links are capsules (segment plus radius).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -125,6 +126,12 @@ def _check_config(arm: ArmModel, q: np.ndarray, what: str = "configuration",
     if in_limits and not np.all((arm.lower <= q) & (q <= arm.upper)):
         raise ValueError(f"{what} must be finite and inside the joint limits, not {q.tolist()}")
     return q
+
+
+def within(q: np.ndarray, center: np.ndarray, radius: float) -> bool:
+    """The goal-ball test, by `np.linalg.norm(q - center)` bit for bit."""
+    dq = np.subtract(q, center)
+    return math.sqrt(dq @ dq) <= radius
 
 
 def hold(arm: ArmModel, q: np.ndarray, u: np.ndarray, substeps: int, dt_sim: float

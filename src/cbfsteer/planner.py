@@ -24,7 +24,7 @@ import numpy as np
 from .controller import ControllerBundle, rollout_ticks
 from .environment import Environment, signed_distance, signed_distance_batch
 from .jsonio import Record
-from .kinematics import ArmModel, check_endpoints
+from .kinematics import ArmModel, check_endpoints, within
 
 
 @dataclass
@@ -214,27 +214,26 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
 
     The steer plans in env as a snapshot: obstacles that have a velocity
     stay put, as in validation. The rollout is not checked tick by tick (the
-    barrier does that job online). One mask records which waypoints are known collision-free,
-    proven by the proof rule of `controller.rollout_ticks` or checked, and
-    validation leaves them out. Tick 1, unless proven, is checked at once,
-    which stops a steer that collides there (most truncated steers start at
-    a node in contact); the rest is checked once when the rollout ends. A
-    proven tick's points would pass the check, so the kept prefix, and the
-    controls of the ticks it reaches, equal one validation of the whole
-    rollout.
+    barrier does that job online). One bool per tick says whether its states
+    are known collision-free, proven by the proof rule of
+    `controller.rollout_ticks` or checked, and validation leaves them out.
+    Tick 1 and the start it owns, unless proven, are checked at once, which
+    stops a steer that collides there (most truncated steers start at a node
+    in contact); the rest is checked once when the rollout ends. A proven
+    tick's points would pass the check, so the kept prefix, and the controls
+    of the ticks it reaches, equal one validation of the whole rollout.
     """
     arm = bundle.barrier.arm
     substeps = bundle.limits.sim_hz // bundle.limits.ctrl_hz
     configs = [np.array(q_from, dtype=float)]
     controls: list = []
-    known = [False]  # per waypoint: known collision-free, proven or checked
-    first = 0  # the last tick's first waypoint (tick 1 owns the start)
+    free: list = []  # per tick: its states known collision-free, proven or checked
     stalled = 0
     kept = None  # tick 1's checked prefix, once it cuts the edge
     for u, h, diag, states, _, proven, proves_last in rollout_ticks(
             bundle, configs[0], q_toward, env, limits.max_ctrl_steps, r_goal, discard):
         if proves_last:
-            known[first:] = [True] * (len(known) - first)
+            free[-1] = True
         if discard:
             if h > 0.0 or diag.constraint_active:
                 break
@@ -243,20 +242,19 @@ def steer_cbf_inc(env: Environment, q_from: np.ndarray, q_toward: np.ndarray,
             if stalled >= limits.stall_ticks:
                 break
         controls.append(u)
-        first = len(configs) if len(configs) > 1 else 0
         configs.extend(states)
-        known[first:] = [proven] * (len(configs) - first)
-        if not known[0]:  # tick 1, not proven: check it before running on
-            kept = validate_and_truncate(env, arm, configs, limits.check_resolution)
+        free.append(proven)
+        if not free[0]:  # tick 1, not proven: check it before running on
+            kept = validate_and_truncate(env, arm, configs, limits.check_resolution) or configs[:1]
             if len(kept) < len(configs):
                 break  # with no closing check
-            kept, known = None, [True] * len(configs)
+            kept, free[0] = None, True
         if discard and math.sqrt(u @ u) < limits.stall_threshold:
             break
     if kept is None:  # the closing check, of what is not known free
-        kept = configs if all(known) else validate_and_truncate(
-            env, arm, configs, limits.check_resolution, known)
-    kept = kept or configs[:1]
+        kept = configs if all(free) else validate_and_truncate(
+            env, arm, configs, limits.check_resolution,
+            np.concatenate([free[:1], np.repeat(free, substeps)]))
     n_ticks_kept = (len(kept) - 1 + substeps - 1) // substeps  # ticks the kept states reach
     return Edge(configs=kept, controls=controls[:n_ticks_kept])
 
@@ -313,7 +311,7 @@ def rrt_plan_with_tree(problem: PlanProblem, steer: SteerKind, limits: PlannerLi
     t0 = time.perf_counter()
     tree = SearchTree(q0)
     explored = 0
-    goal_node = 0 if np.linalg.norm(q0 - qg) <= problem.r_goal else None
+    goal_node = 0 if within(q0, qg, problem.r_goal) else None
 
     def try_add(parent: int, q_toward: np.ndarray) -> int | None:
         nonlocal explored
@@ -333,15 +331,14 @@ def rrt_plan_with_tree(problem: PlanProblem, steer: SteerKind, limits: PlannerLi
         new_idx = try_add(parent, q_rand)
         if new_idx is None:
             continue
-        if np.linalg.norm(tree.nodes[new_idx].config - qg) <= problem.r_goal:
+        if within(tree.nodes[new_idx].config, qg, problem.r_goal):
             goal_node = new_idx
             break
         # goal connection: direct steer when the new node is close enough
-        if (np.linalg.norm(tree.nodes[new_idx].config - qg) <= limits.connect_radius
+        if (within(tree.nodes[new_idx].config, qg, limits.connect_radius)
                 and explored < limits.max_nodes):
             conn_idx = try_add(new_idx, qg)
-            if conn_idx is not None and np.linalg.norm(
-                    tree.nodes[conn_idx].config - qg) <= problem.r_goal:
+            if conn_idx is not None and within(tree.nodes[conn_idx].config, qg, problem.r_goal):
                 goal_node = conn_idx
                 break
 

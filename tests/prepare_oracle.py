@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cbfsteer.environment import SafetyLabel, StateObservation, signed_distance_batch
+from cbfsteer.environment import CloudObservation, SafetyLabel, signed_distance_batch
 
 
 @dataclass
@@ -38,11 +38,11 @@ def eye_stencil(q, fd_step) -> np.ndarray:
 
 
 def stencil_distances(batch, arm, fd_step, envs) -> np.ndarray:
-    """(B, n+1): the stored observation, then the signed distance at each
+    """(B, n+1): the stored clearance, then the signed distance at each
     perturbed configuration, queried per environment."""
     n = arm.n_links
     out = np.empty((len(batch), n + 1))
-    out[:, 0] = [s.observation.min_signed_distance for s in batch]
+    out[:, 0] = [s.observation for s in batch]
     by_env: dict[int, list[int]] = {}
     for i, s in enumerate(batch):
         by_env.setdefault(s.env_id, []).append(i)
@@ -59,7 +59,7 @@ def prepare_batch(batch, arm, fd_step, envs=None) -> Batch:
     safe_mask = np.array([s.label is SafetyLabel.SAFE for s in batch])
     unsafe_mask = np.array([s.label is SafetyLabel.UNSAFE for s in batch])
     qs = np.stack([eye_stencil(s.q, fd_step) for s in batch])
-    if isinstance(batch[0].observation, StateObservation):
+    if not isinstance(batch[0].observation, CloudObservation):
         d = stencil_distances(batch, arm, fd_step, envs)
         return Batch(safe_mask, unsafe_mask, x=np.concatenate([qs, d[:, :, None]], axis=2))
     return Batch(safe_mask, unsafe_mask, qs=qs,

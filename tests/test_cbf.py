@@ -41,7 +41,6 @@ from cbfsteer.environment import (
     Obstacle,
     SafetyLabel,
     ScanSpec,
-    StateObservation,
     random_environment,
     ray_cast_scan,
     safety_label,
@@ -125,7 +124,7 @@ class TestCollectDataset:
         ds = collect_dataset(arm, EnvGenConfig(), DatasetCounts(0, 123), NominalPolicy(),
                              np.random.default_rng(0), **collect_settings())
         assert len(ds) == 123
-        assert all(isinstance(s.observation, StateObservation) for s in ds.samples)
+        assert all(isinstance(s.observation, float) for s in ds.samples)
 
     def test_label_histogram_covers_all_classes(self, arm):
         ds = collect_dataset(arm, EnvGenConfig(), DatasetCounts(0, 10_000), NominalPolicy(),
@@ -251,7 +250,7 @@ class TestGradHq:
     def test_constant_network_zero_gradient(self, arm):
         env = Environment(obstacles=(Obstacle(kind="circle", center=(1.0, 0.5), radius=0.2),))
         net = constant_net(4, 3.0)
-        for obs in (StateObservation(0.26), None):
+        for obs in (0.26, None):
             g = grad_h_q(net, np.zeros(3), env, arm, CbfHyper(), observation=obs)
             np.testing.assert_array_equal(g, np.zeros(3))
 
@@ -396,7 +395,7 @@ def synthetic_state_batch(arm, hyper, rng, n=60):
         d = signed_distance(env, arm, q)
         label = (SafetyLabel.UNSAFE if d <= 0
                  else SafetyLabel.SAFE if d >= hyper.r_thres else SafetyLabel.BOUNDARY)
-        samples.append(LabeledSample(q=q, observation=StateObservation(d), label=label,
+        samples.append(LabeledSample(q=q, observation=d, label=label,
                                      env_id=0))
     return samples, [env]
 
@@ -423,7 +422,7 @@ class TestLoss:
     def test_empty_class_terms_zero(self, arm):
         hyper = CbfHyper()
         # only Safe samples, network far below -gamma
-        samples = [LabeledSample(q=np.zeros(3), observation=StateObservation(1.0),
+        samples = [LabeledSample(q=np.zeros(3), observation=1.0,
                                  label=SafetyLabel.SAFE, env_id=0)] * 8
         net = constant_net(4, -1.0)
         total, comps, _ = loss(net, _prepare(samples, arm, hyper, [Environment()]), arm, hyper)
@@ -772,7 +771,7 @@ class TestStencilDistances:
         samples, envs = synthetic_state_batch(arm, hyper, rng, n=10)
         table = stencil_distances(samples, arm, hyper, envs)
         for i, s in enumerate(samples):
-            assert table[i, 0] == s.observation.min_signed_distance
+            assert table[i, 0] == s.observation
             for j in range(3):
                 qj = np.asarray(s.q, float).copy()
                 qj[j] += hyper.fd_step
@@ -961,7 +960,7 @@ def parent_h_and_grad(net, q, env, arm, fd_step, observation=None):
     qs[1:] += np.eye(n) * fd_step
     if observation is not None:
         ds = np.empty(n + 1)
-        ds[0] = observation.min_signed_distance
+        ds[0] = observation
         ds[1:] = signed_distance_batch(env, arm, qs[1:])
     else:
         ds = signed_distance_batch(env, arm, qs)
@@ -979,7 +978,7 @@ def random_world_samples(arm, rng, kind, count):
     for _ in range(count):
         q = sample_config(arm, rng)
         d = signed_distance(env, arm, q)
-        obs = StateObservation(d) if kind == "state" else cloud
+        obs = d if kind == "state" else cloud
         samples.append(LabeledSample(q=q, observation=obs, label=safety_label(d, 0.05),
                                      env_id=0))
     return env, samples
@@ -1068,7 +1067,7 @@ class TestStateBarrierReadsTheWorld:
     def test_stored_distance_is_the_worlds(self, datasets):
         for ds in datasets:
             assert len(ds) > 600
-            stored = np.array([s.observation.min_signed_distance for s in ds.samples])
+            stored = np.array([s.observation for s in ds.samples])
             world = np.array([signed_distance(ds.environments[s.env_id], ds.arm, s.q)
                               for s in ds.samples])
             assert stored.tobytes() == world.tobytes()
@@ -1117,6 +1116,23 @@ class TestNetFitsTheArm:
     def test_a_net_for_the_arm_is_taken(self, kind):
         barrier = NeuralBarrier(self.nets(4)[kind], self.ARM4, CbfHyper())
         assert barrier.kind == kind and barrier.arm.n_links == 4
+
+    # training and auditing a 3-link net on a 4-link dataset failed on
+    # "input shape (B, 5), expected (B, 4)" (state) or an IndexError (cloud)
+    @pytest.mark.parametrize("kind", ["state", "cloud"])
+    @pytest.mark.parametrize("net_links, arm_links", [(3, 4), (4, 3)])
+    def test_training_and_auditing_refuse_it(self, kind, net_links, arm_links):
+        arm = self.ARM4 if arm_links == 4 else ArmModel()
+        data = collect_dataset(arm, EnvGenConfig(), DatasetCounts(0, 12), NominalPolicy(),
+                               np.random.default_rng(52), observation_kind=kind,
+                               **collect_settings(cloud_points=16))
+        net = self.nets(net_links)[kind]
+        message = (f"the {kind} net is built for a {net_links}-link arm, "
+                   f"not this {arm_links}-link one")
+        with pytest.raises(ValueError, match=message):
+            evaluate_constraints(net, data, CbfHyper())
+        with pytest.raises(ValueError, match=message):
+            train(data, net, CbfHyper(), TrainSchedule(epochs=1), np.random.default_rng(53))
 
 
 # -- the block forward against the full-row stencil forward ------------------

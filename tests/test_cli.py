@@ -45,6 +45,23 @@ class TestExitCodes:
         assert f"config key {key} must be an object" in capsys.readouterr().err
         assert not (tmp_path / "out" / "problems.json").exists()
 
+    # a numeric string loaded as its number while the commands read the
+    # string: gen-problems exited 0 on r_goal "0.1" (and plan then 2 on
+    # "'<' not supported between instances of 'float' and 'str'"), and 2 on
+    # r_thres "0.05" by multiplying a sequence, collect-data on a division
+    @pytest.mark.parametrize("doc, key, command", [
+        ({"controller": {"r_goal": "0.1"}}, "r_goal", "gen-problems"),
+        ({"hyper": {"r_thres": "0.05"}}, "r_thres", "gen-problems"),
+        ({"controller": {"ctrl_hz": "30"}}, "ctrl_hz", "collect-data")])
+    def test_a_numeric_string_fails_at_load_by_its_key(self, tmp_path, capsys, doc, key,
+                                                       command):
+        dump_json(tmp_path / "config.json", doc)
+        out = tmp_path / "out"
+        assert run(["--config", str(tmp_path / "config.json"), "--out", str(out), command]) == 2
+        captured = capsys.readouterr()
+        assert f"field {key} needs" in captured.err and captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("problems, message", [([], "no problem to run"),
                                                    ("twice", "repeats one")])
     def test_an_empty_or_repeated_problem_list_fails_before_writing(self, tmp_path, capsys,
@@ -563,6 +580,37 @@ class TestMethodNeedsItsController:
         assert ("error: the state net is built for a 4-link arm, not this 3-link one"
                 in capsys.readouterr().err)
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["state", "cloud"])
+    def test_eval_cbf_of_a_checkpoint_for_another_arm_fails_by_its_link_count(
+            self, tmp_path, capsys, kind):
+        # a 3-link checkpoint on a 4-link dataset failed on "input shape
+        # (550, 5), expected (B, 4)" (state) or "index 3 is out of bounds for
+        # axis 1 with size 3" (cloud)
+        from cbfsteer.cbf import DatasetCounts, collect_dataset
+        from cbfsteer.controller import NominalPolicy
+        from cbfsteer.environment import EnvGenConfig
+        from cbfsteer.kinematics import ArmModel
+        from cbfsteer.neural import Mlp, PointSetEncoder, save_checkpoint
+
+        arm4 = ArmModel(link_lengths=(0.3,) * 4)
+        data = tmp_path / f"dataset-{kind}.jsonl"
+        collect_dataset(arm4, EnvGenConfig(), DatasetCounts(0, 12), NominalPolicy(),
+                        np.random.default_rng(54), observation_kind=kind, r_thres=0.05,
+                        cloud_points=16, rollout_ticks=2, ctrl_hz=30,
+                        uniform_samples_per_env=12, r_goal=0.1).save(data)
+        rng = np.random.default_rng(55)
+        net = (Mlp.create((4, 8, 1), rng) if kind == "state"
+               else PointSetEncoder.create(3, (7, 8), (11, 8, 1), rng))
+        ckpt = tmp_path / f"{kind}-3links.json"
+        save_checkpoint(ckpt, kind, net, config.make_hyper(config.load_config()).to_json())
+        out = tmp_path / "out"
+        assert run(["--out", str(out), "eval-cbf", "--checkpoint", str(ckpt), "--data", str(data),
+                    "--out-file", "audit.json"]) == 2
+        captured = capsys.readouterr()
+        assert (f"error: the {kind} net is built for a 3-link arm, not this 4-link one"
+                in captured.err)
+        assert captured.out == "" and list(out.iterdir()) == []
 
     def test_eval_controller_of_straight_fails_by_name(self, pipeline_dir, tmp_path, capsys):
         assert run(["--out", str(tmp_path), "eval-controller", "--problems",

@@ -208,6 +208,12 @@ DECODE_REJECTED = [
     ({"train": {"state": {"epochs": float("nan")}}}, "field epochs needs an integer, not nan"),
     ({"hyper": {"gamma": True}}, "field gamma needs a number, not True"),
     ({"arm": {"link_lengths": [0.5, False, 0.3]}}, "field link_lengths needs a number, not False"),
+    # a numeric string loaded, and then plan failed on "'<' not supported
+    # between instances of 'float' and 'str'", gen-problems on multiplying a
+    # sequence, collect-data on a division
+    ({"controller": {"r_goal": "0.1"}}, "field r_goal needs a number, not '0.1'"),
+    ({"hyper": {"r_thres": "0.05"}}, "field r_thres needs a number, not '0.05'"),
+    ({"controller": {"ctrl_hz": "30"}}, "field ctrl_hz needs an integer, not '30'"),
     # a fixed-length tuple took any length: a one-entry base position put
     # the base at (0.3, 0), and two loss weights failed at the first batch
     ({"arm": {"base_position": [0.3]}}, "field base_position needs 2 entries, not 1"),

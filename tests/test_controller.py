@@ -26,7 +26,6 @@ from cbfsteer.environment import (
     Environment,
     Obstacle,
     ScanSpec,
-    StateObservation,
     random_environment,
     ray_cast_scan,
     sample_surface_points,
@@ -514,7 +513,7 @@ class TestSafeRollout:
 
         def observe(env, a, q):
             calls.append(q.copy())
-            return StateObservation(signed_distance(env, a, q))
+            return signed_distance(env, a, q)
 
         barrier = HandcraftedBarrier(arm, margin=0.1)
         rec = safe_rollout(ControllerBundle(barrier, observe,

@@ -15,6 +15,7 @@ from cbfsteer.kinematics import (
     hold,
     joint_positions,
     sample_config,
+    within,
 )
 from geometry_oracle import real_chain_joint_positions
 from rollout_oracle import clamp_to_limits, integrate
@@ -250,6 +251,34 @@ class TestIntegrate:
         dt = data.draw(st.sampled_from([1.0 / 120, 1.0 / 30, 0.1]), label="dt")
         steps = np.diff(np.vstack([q, hold(arm, q, u, substeps, dt)]), axis=0)
         assert np.all(np.all(steps >= 0.0, axis=0) | np.all(steps <= 0.0, axis=0))
+
+
+class TestWithin:
+    """`within`, the one goal-ball test, decides as `np.linalg.norm(q - c)
+    <= r`, the test it replaced, did: at a radius equal to the norm itself
+    and one float either side of it too."""
+
+    @staticmethod
+    def assert_decides_as_the_norm(q, c, r):
+        norm = float(np.linalg.norm(q - c))
+        for radius in (r, norm, np.nextafter(norm, -np.inf), np.nextafter(norm, np.inf)):
+            assert within(q, c, radius) is (norm <= radius)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_drawn_vectors(self, data):
+        n = data.draw(st.sampled_from([2, 3, 7]), label="n")
+        coords = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
+        q, c = (np.array(data.draw(coords, label=name)) for name in ("q", "c"))
+        self.assert_decides_as_the_norm(q, c, data.draw(st.floats(0.0, 2e3), label="r"))
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_random_vectors(self, n):
+        rng = np.random.default_rng(60 + n)
+        for _ in range(3000):
+            scale = 10.0 ** rng.uniform(-6, 3)
+            q, c = rng.normal(0.0, scale, (2, n))
+            self.assert_decides_as_the_norm(q, c, rng.uniform(0.0, 3.0 * scale * n))
 
 
 class TestArmModel:

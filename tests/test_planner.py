@@ -845,7 +845,8 @@ def skipped_rows(checked, full):
 
 class TestEarlyStop:
     """A steer whose first tick's states already cut the edge runs no further
-    tick, and its edge equals the one-validation oracle's."""
+    tick, one that runs no tick checks nothing, and each edge equals the
+    one-validation oracle's."""
 
     @over_links("kind, discard",
                 [(k, d) for k in ("hand", "state", "cloud") for d in (False, True)])
@@ -857,17 +858,26 @@ class TestEarlyStop:
         bundle = loose_bundles(arm, env, rng)[kind]
         ref_steer = rollout_oracle.steer_filter_lqr if discard else rollout_oracle.rollout_edge
         limits = PlannerLimits(max_ctrl_steps=30)
-        ticks, validations, clearances = [], [], []
+        ticks, validations, clearances, oracle_validations = [], [], [], []
         recording(monkeypatch, "control_tick", ticks, controller)  # the tick loop's lookup
         recording(monkeypatch, "validate_and_truncate", validations)
         recording(monkeypatch, "signed_distance_batch", clearances)
-        cut_at_once = 0
+        recording(monkeypatch, "validate_and_truncate", oracle_validations, rollout_oracle)
+        cut_at_once = no_tick = 0
         for q_from, q_toward in contact_pairs(env, arm, rng, 12):
+            args = (env, q_from, q_toward, bundle, limits, 0.1)
+            ref = ref_steer(*args)
             ticks.clear()
             validations.clear()
             clearances.clear()
-            args = (env, q_from, q_toward, bundle, limits, 0.1)
             edge = steer_cbf_inc(*args, discard=discard)
+            if len(oracle_validations[-1][0][2]) == 1:  # the oracle's rollout ran no tick
+                # nor did the steer: it checked nothing and its edge is q_from
+                no_tick += 1
+                assert not validations and not clearances
+                assert np.asarray(edge.configs).tobytes() == np.asarray([q_from], float).tobytes()
+                assert_same_edge(edge, ref)
+                continue
             # the steer checked the unproven rows of one validation of its
             # rollout, in order, once (a steer that checked nothing kept it all)
             steer_rows = [qs for (_, _, qs), _, _ in clearances]
@@ -877,7 +887,7 @@ class TestEarlyStop:
             skipped = skipped_rows(steer_rows, clearances[0][0][2])
             assert np.all(signed_distance_batch(env, arm, skipped) >= 0.0)
             assert kind != "cloud" or not len(skipped)  # a cloud net reads no clearance
-            assert_same_edge(edge, ref_steer(*args))
+            assert_same_edge(edge, ref)
             # (the log holds the steer's own list, as it was when the steer returned)
             (first_args, first_kwargs, first_kept), *rest = validations
             if len(first_args[2]) == SUBSTEPS + 1 and len(first_kept) <= SUBSTEPS:
@@ -886,6 +896,7 @@ class TestEarlyStop:
                 assert len(ticks) == 1
                 assert len(edge.configs) <= SUBSTEPS and len(edge.controls) <= 1
         assert 3 <= cut_at_once < 12  # and some steers run on past tick 1
+        assert no_tick == (links == 7)  # one 7-link start lies within r_goal of its target
 
 
 class TestProvenTicks:

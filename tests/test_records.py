@@ -158,7 +158,8 @@ def test_fields_come_back_with_their_annotated_types():
 
 class TestFieldTypes:
     """`from_json` refuses a value its field's type would change: an int
-    field a bool or a number with a fraction, a float field a bool."""
+    field a bool, a string or a number with a fraction, a float field a bool
+    or a string."""
 
     @pytest.mark.parametrize("record, doc", [
         (PlannerLimits, {"max_nodes": 16.7}), (PlannerLimits, {"max_ctrl_steps": True}),
@@ -167,6 +168,10 @@ class TestFieldTypes:
                       "planning_seconds": 0.0, "seed": None}),
         (CbfHyper, {"alpha_h": True}), (ArmModel, {"link_lengths": [0.5, True]}),
         (Workspace, {"center": [False, 0.0]}),
+        # a numeric string loaded as its number, while commands read the
+        # string from the config and failed naming no key
+        (RolloutLimits, {"r_goal": "0.1"}), (RolloutLimits, {"ctrl_hz": "30"}),
+        (CbfHyper, {"r_thres": "0.05"}), (ArmModel, {"link_lengths": [0.5, "0.4"]}),
     ])
     def test_refused(self, record, doc):
         with pytest.raises(ValueError, match=r"field \w+ needs an? (integer|number), not "):
