@@ -21,6 +21,7 @@ from .environment import (
     signed_distance,
     signed_distance_batch,
     signed_distance_stepped,
+    step_obstacles,
 )
 from .jsonio import Record
 from .kinematics import hold, within
@@ -232,68 +233,74 @@ def control_tick(bundle: ControllerBundle, env: Environment, q: np.ndarray, q_go
 
 
 def rollout_ticks(bundle: ControllerBundle, q: np.ndarray, q_goal: np.ndarray, env: Environment,
-                  n_ticks: int, r_goal: float, nominal: bool = False, moving: bool = False):
+                  n_ticks: int, r_goal: float, nominal: bool = False, checked: bool = False):
     """The tick loop of rollouts and rollout steers: at most `n_ticks` ticks
     from q, ending at the start of one whose q is within r_goal of q_goal.
     Each tick runs `control_tick`, holds u (u_nom if `nominal`, the
     filtered-LQR steer) and yields (u held, h, diagnostics, states, ds,
-    proven, proves_last). With `moving` the world steps at the simulation
-    rate, and ds are the states' clearances, each against the obstacles at
-    its own step, from the one call that also steps it; else env stays put
-    (a steer plans in its time-0 snapshot) and ds is None.
+    proven, proves_last). A rollout passes `checked`: a moving world steps at
+    the simulation rate, and a tick not proven gets one clearance call, ds,
+    each state against the obstacles at its own step. A proven tick, and a
+    steer's (it plans in the time-0 snapshot), has ds None.
 
-    The proof rule: `hold` moves each joint one way within a tick, a clamp
-    onto the limits included, so by the reach bound of `ArmModel.joint_reach`
-    no point of the tick's ladder has a clearance more than move =
-    sum(rho_i |q_end,i - q_i|) below either end's. The barrier's reading d at
-    a tick's start (`value_and_grad`'s third value, what validation computes
-    at q) proves the tick (`proven`) and the tick before (`proves_last`)
-    when it exceeds that tick's move. A cloud net reads -inf; with `moving`,
-    as the bound leaves the obstacles' travel out, no tick is proven.
+    The proof rule, conservative advancement: `hold` moves each joint one way
+    within a tick, a clamp onto the limits included, so by the reach bound of
+    `ArmModel.joint_reach` no point of the tick's ladder has a clearance more
+    than sum(rho_i |q_end,i - q_i|) below either end's, plus the obstacles'
+    travel substeps * dt_sim * `max_speed` when the world steps: the tick's
+    bound. The larger of the barrier's reading d at its start (what
+    validation computes at q; -inf for a cloud net) and what is left of the
+    last check's reading (its last state's clearance, less the bounds since)
+    proves the tick (`proven`) when it exceeds that bound, and d the tick
+    before (`proves_last`) when it exceeds that tick's.
     """
     arm, limits = bundle.barrier.arm, bundle.limits
     substeps = limits.sim_hz // limits.ctrl_hz
     dt_sim = 1.0 / limits.sim_hz
-    move = math.inf  # the last tick's motion bound
+    moving = checked and env.is_dynamic
+    travel = substeps * dt_sim * env.max_speed if moving else 0.0
+    move, rest = math.inf, -math.inf  # the last tick's bound; what is left of the last check
     for _ in range(n_ticks):
         if within(q, q_goal, r_goal):
             return
         u, u_nom, h, d, diag = control_tick(bundle, env, q, q_goal)
         u = u_nom if nominal else u
         states = hold(arm, q, u, substeps, dt_sim)
-        proves_last, ds = d > move, None
-        if moving:
-            ds, env = signed_distance_stepped(env, arm, states, dt_sim)
-        else:
-            move = sum(r * abs(b - a) for r, a, b in zip(arm.joint_reach, q.tolist(),
-                                                         states[-1].tolist()))
-            move += 1e-9 * move + 1e-9  # roundoff of the states and the ladder
-        yield u, h, diag, states, ds, d > move, proves_last
+        proves_last = d > move
+        move = travel + sum(r * abs(b - a) for r, a, b in zip(arm.joint_reach, q.tolist(),
+                                                              states[-1].tolist()))
+        move += 1e-9 * move + 1e-9  # roundoff of the states, the ladder and the steps
+        proven, rest, ds = max(d, rest) > move, rest - move, None
+        if checked and not proven:
+            ds, env = (signed_distance_stepped(env, arm, states, dt_sim) if moving
+                       else (signed_distance_batch(env, arm, states), env))
+            rest = float(ds[-1])
+        elif moving:
+            env = step_obstacles(env, dt_sim, substeps)
+        yield u, h, diag, states, ds, proven, proves_last
         q = states[-1]
 
 
 def safe_rollout(bundle: ControllerBundle, q0: np.ndarray, q_goal: np.ndarray,
                  env: Environment) -> RolloutRecord:
-    """Closed-loop rollout (`rollout_ticks`) that ends on goal (joint-space
-    ball), collision (negative ground-truth clearance at the start or in a
-    tick the loop does not prove, as a proven one's states have d > 0) or
-    horizon, all three from the bundle's limits, in a world that may move."""
+    """Closed-loop rollout (`rollout_ticks`, checked) that ends on goal
+    (joint-space ball), collision (negative ground-truth clearance at the
+    start or in a tick the loop checks, as a proven one's states have d > 0)
+    or horizon, all three from the bundle's limits, in a world that may move."""
     arm, limits = bundle.barrier.arm, bundle.limits
     q = np.array(q0, dtype=float)
     rec = RolloutRecord(configs=[q], collided=signed_distance(env, arm, q) < 0.0)
     if rec.collided:
         return rec
-    for u, _, diag, states, ds, proven, _ in rollout_ticks(
-            bundle, q, q_goal, env, limits.n_ticks, limits.r_goal, moving=env.is_dynamic):
+    for u, _, diag, states, ds, _, _ in rollout_ticks(
+            bundle, q, q_goal, env, limits.n_ticks, limits.r_goal, checked=True):
         rec.qp_infeasible_count += diag.infeasible
         rec.controls.append(u)
-        if not proven:
-            hits = np.flatnonzero((signed_distance_batch(env, arm, states) if ds is None
-                                   else ds) < 0.0)
-            if hits.size:
-                rec.configs.extend(states[:hits[0] + 1])
-                rec.collided = True
-                return rec
+        hits = () if ds is None else np.flatnonzero(ds < 0.0)
+        if len(hits):
+            rec.configs.extend(states[:hits[0] + 1])
+            rec.collided = True
+            return rec
         rec.configs.extend(states)
     rec.reached_goal = within(rec.configs[-1], q_goal, limits.r_goal)
     return rec

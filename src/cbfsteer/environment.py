@@ -117,10 +117,12 @@ class Environment(Record):
     # corners per rectangle), each with its circle radius (0 for a corner) and
     # owning obstacle; the rectangles' complex centres and half extents; each
     # corner's offset from its rectangle's centre; and the largest rectangle
-    # half-diagonal (-inf without rectangles). These are the one per-world
+    # half extent (-inf without rectangles). These are the one per-world
     # obstacle layout: the ray casts and the surface sampler read views of them.
     # The kernel's offset tables, one per arm shape, are built on first use
-    # (`_offsets`); stepped snapshots share them, as shapes do not move
+    # (`_offsets`); stepped snapshots share them, as shapes do not move, and
+    # the time-0 obstacle records (`_templates`), from which a stepped
+    # snapshot builds its own on first read (`__getattr__`)
     _centers: np.ndarray = field(init=False, repr=False, compare=False)
     _velocities: np.ndarray = field(init=False, repr=False, compare=False)
     _circle_index: np.ndarray = field(init=False, repr=False, compare=False)
@@ -133,6 +135,7 @@ class Environment(Record):
     _corner_offsets: np.ndarray = field(init=False, repr=False, compare=False)
     _rect_reach: float = field(init=False, repr=False, compare=False)
     _offset_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _templates: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = tuple(self.obstacles)
@@ -142,8 +145,8 @@ class Environment(Record):
         radii = np.array([obs[i].radius for i in circle], dtype=float)
         hz = halves[:, 0] + 1j * halves[:, 1]
         self.__dict__.update(
-            obstacles=obs, _circle_index=circle, _rect_index=rect, _rect_hz=hz,
-            _rect_reach=float(np.abs(hz).max(initial=-np.inf)),
+            obstacles=obs, _templates=obs, _circle_index=circle, _rect_index=rect, _rect_hz=hz,
+            _rect_reach=float(halves.max(initial=-np.inf)),
             _velocities=np.array([o.velocity for o in obs], dtype=float).reshape(-1, 2),
             _point_offsets=np.concatenate([radii, np.zeros(4 * rect.size)]),
             _point_owner=np.concatenate([circle, np.repeat(rect, 4)]),
@@ -151,9 +154,21 @@ class Environment(Record):
         self.__dict__.update(_placed(self, np.array([o.center for o in obs],
                                                     dtype=float).reshape(-1, 2)))
 
+    def __getattr__(self, name):
+        if name != "obstacles" or "_templates" not in self.__dict__:
+            raise AttributeError(name)
+        obs = self.__dict__["obstacles"] = tuple(  # a stepped snapshot's, on first read
+            o._at(tuple(c)) for o, c in zip(self._templates, self._centers.tolist()))
+        return obs
+
     @property
     def is_dynamic(self) -> bool:
         return bool(np.any(self._velocities))
+
+    @property
+    def max_speed(self) -> float:
+        """The fastest obstacle's speed, 0 in a static world."""
+        return float(np.hypot(*self._velocities.T).max(initial=0.0))
 
     def _offsets(self, arm: ArmModel) -> np.ndarray:
         """The clearance kernel's `geometry.offset_table` for this world and
@@ -170,6 +185,9 @@ class Environment(Record):
         n_c = self._circle_index.size
         return (self._points[:n_c].view(float).reshape(-1, 2), self._point_offsets[:n_c],
                 self._rect_cz.view(float).reshape(-1, 2), self._rect_hz.view(float).reshape(-1, 2))
+
+
+del Environment.obstacles  # the class default would hide a stepped snapshot's from `__getattr__`
 
 
 def _workspace_clearance_batch(env: Environment, joints: np.ndarray, radius: float) -> np.ndarray:
@@ -230,8 +248,8 @@ def signed_distance_stepped(env: Environment, arm: ArmModel, qs: np.ndarray, dt:
 
     Bit for bit the same as S rounds of `step_obstacles` then
     `signed_distance`, in one clearance call: each kernel row carries its own
-    obstacle snapshot. Meant for the few substeps of one control tick (no row
-    blocks).
+    obstacle snapshot. Meant for the substeps of a control tick that a
+    rollout does not prove (no row blocks); a proven tick only steps.
     """
     joints = _joints(arm, qs)
     after, rect_cz, points = _environment_at(env, dt, joints.shape[0])
@@ -366,16 +384,18 @@ def _placed(env: Environment, centers: np.ndarray) -> dict:
     return {"_centers": centers, "_rect_cz": cz.take(env._rect_index, axis=-1), "_points": points}
 
 
-def _environment_at(env: Environment, dt: float, steps: int
+def _environment_at(env: Environment, dt: float, steps: int, last_only: bool = False
                     ) -> tuple[Environment, np.ndarray, np.ndarray]:
     """The environment after `steps` steps of dt, and the packed obstacle
-    arrays of every step: complex rectangle centres (steps, K) and clearance
-    kernel points (steps, P), as `Environment.__post_init__` packs them.
+    arrays of every step (of the last alone with `last_only`): complex
+    rectangle centres (steps, K) and clearance kernel points (steps, P), as
+    `Environment.__post_init__` packs them.
 
     Each step adds velocity*dt to the previous centre and dt to the previous
     time, the float order of single steps taken in turn. The last step's
     snapshot is built from those arrays: shapes do not move, so what depends
-    only on them is shared with `env`, and no obstacle is re-validated.
+    only on them is shared with `env`, no obstacle is re-validated, and its
+    obstacle records are built on first read.
     """
     if not 0.0 <= dt < np.inf:
         raise ValueError("dt must be finite and non-negative")
@@ -383,22 +403,23 @@ def _environment_at(env: Environment, dt: float, steps: int
     centers[0] = env._centers
     centers[1:] = env._velocities * dt
     np.add.accumulate(centers, axis=0, out=centers)
-    placed = _placed(env, centers[1:])
+    placed = _placed(env, centers[steps if last_only else 1:])
     if not steps:
         return env, placed["_rect_cz"], placed["_points"]
     time = env.time
     for _ in range(steps):
         time += dt
     after = object.__new__(Environment)
-    after.__dict__.update(env.__dict__, time=float(time), obstacles=tuple(
-        o._at(tuple(c)) for o, c in zip(env.obstacles, centers[-1].tolist())),
-        **{name: value[-1] for name, value in placed.items()})
+    after.__dict__.update(env.__dict__, time=float(time),
+                          **{name: value[-1] for name, value in placed.items()})
+    after.__dict__.pop("obstacles", None)
     return after, placed["_rect_cz"], placed["_points"]
 
 
-def step_obstacles(env: Environment, dt: float) -> Environment:
-    """Advance obstacle centers by velocity*dt; shapes unchanged, time accumulates."""
-    return _environment_at(env, dt, 1)[0]
+def step_obstacles(env: Environment, dt: float, steps: int = 1) -> Environment:
+    """Advance obstacle centers by velocity*dt, `steps` times; shapes
+    unchanged, time accumulates. Only the last snapshot is packed."""
+    return _environment_at(env, dt, steps, last_only=True)[0]
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ feeds it row blocks of bounded size.
 
 The overlap and self-crossing passes are skipped for a whole call when the
 point distances prove them empty, with the same result bit for bit: a link
-that meets a rectangle passes within its half-diagonal of a corner, and
-crossing links each have an endpoint within half their length of the other
-(each test allows `_SKIP_SLACK` for roundoff).
+that meets a rectangle has a joint inside it or crosses an edge within half
+its length of a corner, and crossing links each have an endpoint within half
+their length of the other (each test allows `_SKIP_SLACK` for roundoff).
 """
 
 from __future__ import annotations
@@ -185,14 +185,14 @@ def capsule_world_min(joints: np.ndarray, radius: float, points: np.ndarray,
     joint-to-link distance, or zero where each link strictly straddles the
     other's line.
 
-    rect_reach is the largest rectangle half-diagonal |hx + i hy|, and
+    rect_reach is the largest rectangle half extent max(hx, hy), and
     cross_reach the largest min(L_l, L_j)/2 over non-adjacent links (-inf for
-    none). Every point of a rectangle lies within its half-diagonal of a
-    corner, so a link meeting one leaves a corner candidate of at most
-    rect_reach - radius; of two crossing links, each has an endpoint within
-    half its length of the other, a candidate of at most cross_reach -
-    2 radius. Above those (plus `_SKIP_SLACK`) the call skips the overlap and
-    the straddle pass; with both reaches +inf every pass runs.
+    none). A link meeting a rectangle has a joint inside it (box candidate
+    -radius) or crosses an edge within half its length of a corner (corner
+    candidate at most rect_reach - radius); of two crossing links, each has
+    an endpoint within half its length of the other, a candidate of at most
+    cross_reach - 2 radius. Above those (plus `_SKIP_SLACK`) the call skips
+    the overlap and the straddle pass; with both reaches +inf every pass runs.
     """
     b, m = joints.shape
     n = m - 1

@@ -6,8 +6,11 @@ For each tree in turn it runs the whole-pipeline check (`tests/pipeline.py`)
 at 3 and at 7 links, each time into one `--out` path that the run is then
 moved away from, so the paths written into the artifacts agree; and it
 prints `plan_fingerprint.py`'s digests of the plan-hand and plan-cloud
-workloads at seed 1, on one BLAS thread. Each tree runs its own scripts on
-its own `src/`. It prints `identical` or `different` for every file of the
+workloads' plans and of the control-dynamic workload's rollouts at seed 1,
+on one BLAS thread. Each tree runs its own pipeline check on its own
+`src/`; the digests come from this tree's `plan_fingerprint.py` and
+benchmark workloads on each tree's `src/`, so that they digest the same
+things in both. It prints `identical` or `different` for every file of the
 pipeline runs (and names a file only one tree wrote) and for each workload's
 digests, and exits 1 on any difference, 2 if a run fails:
 
@@ -29,19 +32,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LINKS = (3, 7)
-WORKLOADS = ("plan-hand", "plan-cloud")
+WORKLOADS = ("plan-hand", "plan-cloud", "control-dynamic")
 
 
 class RunFailed(RuntimeError):
     pass
 
 
-def run_script(tree: Path, argv: list, log: Path, env: dict | None = None) -> str:
-    """Run `python <tree>/tests/<argv...>` with the tree's `src/` on the
-    path, in the tree; its stderr goes to `log`. Returns its stdout."""
+def run_script(tree: Path, argv: list, log: Path, env: dict | None = None,
+               scripts: Path | None = None) -> str:
+    """Run `python <scripts>/tests/<argv...>` (the tree's own by default)
+    with the tree's `src/` on the path, in the tree; its stderr goes to
+    `log`. Returns its stdout."""
     env = {**os.environ, **(env or {}), "PYTHONPATH": str(tree / "src")}
     with open(log, "a") as err:
-        done = subprocess.run([sys.executable, str(tree / "tests" / argv[0]), *argv[1:]],
+        done = subprocess.run([sys.executable, str((scripts or tree) / "tests" / argv[0]),
+                               *argv[1:]],
                               cwd=tree, env=env, stdout=subprocess.PIPE, stderr=err, text=True)
     if done.returncode != 0:
         raise RunFailed(f"{argv[0]} in {tree} exited {done.returncode}; see {log}")
@@ -107,7 +113,7 @@ def main(argv=None) -> int:
         for workload in WORKLOADS:
             digests = {name: run_script(tree, ["plan_fingerprint.py", "--workload", workload,
                                                "--seed", "1"], work / f"{name}.log",
-                                        {"OPENBLAS_NUM_THREADS": "1"})
+                                        {"OPENBLAS_NUM_THREADS": "1"}, ROOT)
                        for name, tree in trees.items()}
             same = digests["this"] == digests["other"]
             print(f"fingerprints {workload} seed 1: {'identical' if same else 'different'}")

@@ -139,9 +139,6 @@ def plan_digests(problems: list, method: dict, cfg: dict) -> dict:
     return {str(p.id): plan_fingerprint.fingerprint([r]) for p, r in zip(problems, runs)}
 
 
-OUTCOMES = ("reached_goal", "collided", "steps_used", "qp_infeasible_count")
-
-
 def rollout_digests(problems: list, method: dict, setting: bench.Setting, cfg: dict,
                     written=None) -> dict:
     """sha256 of each problem's rollout controls and configs, by problem id,
@@ -153,7 +150,8 @@ def rollout_digests(problems: list, method: dict, setting: bench.Setting, cfg: d
     digests = {}
     for prob in problems:
         rec = bench.control_query(prob, method, arm, cfg, SEED, setting, barriers, float(HORIZON))
-        if written is not None and any(getattr(rec, k) != records[prob.id][k] for k in OUTCOMES):
+        if written is not None and any(getattr(rec, k) != records[prob.id][k]
+                                       for k in plan_fingerprint.OUTCOMES):
             raise RuntimeError(f"{written}: problem {prob.id}'s rollout is not the one recorded")
         h = hashlib.sha256()
         plan_fingerprint.hash_arrays(h, rec.controls)

@@ -1,6 +1,8 @@
 """sha256 fingerprints of RRT plans: one over every stored tree edge's
 configs and controls, one over each plan's status, explored nodes, tree
-size, path and controls.
+size, path and controls; and of controller rollouts: one over each
+rollout's outcome (reached_goal, collided, qp_infeasible_count), configs
+and controls.
 
 Two builds that plan the same queries bit for bit print the same digests.
 For the queries of a problem file (paths relative to the working
@@ -18,6 +20,12 @@ too, and the script exits 1 if a PlanResult, timing aside, differs from
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/plan_fingerprint.py \\
         --workload plan-cloud --seed 1
+
+With `--workload control-dynamic` it digests the rollouts of one pass of
+that workload (cloud barrier, moving obstacles, `bench.control_query`), and
+those of the hand-crafted barrier on the same problems, which the workload
+does not run. It exits 1 if the workload's own call, `eval_controller` on
+one problem, records an outcome that its rollout does not have.
 """
 
 from __future__ import annotations
@@ -68,6 +76,21 @@ def fingerprint(runs) -> dict:
     return {"edges": edges.hexdigest(), "plans": plans.hexdigest()}
 
 
+# what `bench.eval_controller` records of a rollout, besides the problem id
+OUTCOMES = ("reached_goal", "collided", "steps_used", "qp_infeasible_count", "safety_ratio")
+
+
+def rollout_fingerprint(records) -> str:
+    """sha256 of RolloutRecords, in order: each one's outcome, configs and
+    controls."""
+    h = hashlib.sha256()
+    for rec in records:
+        h.update(f"{rec.reached_goal} {rec.collided} {rec.qp_infeasible_count};".encode())
+        hash_arrays(h, rec.configs)
+        hash_arrays(h, rec.controls)
+    return h.hexdigest()
+
+
 def benchmark_workloads():
     """The benchmark's `workloads` module, from `perfbench/`."""
     if str(ROOT / "perfbench") not in sys.path:
@@ -93,9 +116,36 @@ def workload_runs(name: str, seed: int, workdir: Path) -> tuple[list, list]:
     return runs, differ
 
 
+def workload_rollouts(seed: int, workdir: Path) -> tuple[dict, list]:
+    """The digests of the control-dynamic workload's rollouts at `seed`, its
+    cloud barrier's (one pass) and the hand-crafted barrier's, with their
+    counts, and the ids of the problems whose record from the workload's own
+    call (`bench.eval_controller` on that problem alone) differs."""
+    workloads = benchmark_workloads()
+    inputs = workloads.setup_control(seed, workdir)
+    setting, horizon = bench.Setting.DYNAMIC_PARTIAL, workloads.CTRL_HORIZON_S
+    problems = bench.setting_worlds(inputs.problems, setting, inputs.seed)
+    cache = {}
+    runs = {name: [bench.control_query(p, method, inputs.arm, inputs.cfg, inputs.seed, setting,
+                                       cache, horizon) for p in problems]
+            for name, method in (("rollouts", inputs.method),
+                                 ("hand-cbf-rollouts", {"name": "hand-cbf"}))}
+    digests = {}
+    for name, records in runs.items():
+        digests[name] = rollout_fingerprint(records)
+        digests[f"{name}-counts"] = (f"{len(records)} ticks {sum(r.steps_used for r in records)} "
+                                     f"reached {sum(r.reached_goal for r in records)} "
+                                     f"collided {sum(r.collided for r in records)}")
+    differ = [p.id for p, rec in zip(problems, runs["rollouts"])
+              if bench.eval_controller([p], inputs.method, setting, inputs.arm, inputs.cfg,
+                                       root_seed=inputs.seed, horizon_s=horizon)[1][0]
+              != {"problem_id": p.id, **{k: getattr(rec, k) for k in OUTCOMES}}]
+    return digests, differ
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", choices=["plan-hand", "plan-cloud"])
+    ap.add_argument("--workload", choices=["plan-hand", "plan-cloud", "control-dynamic"])
     ap.add_argument("--problems")
     ap.add_argument("--method", default="cbf-cloud")
     ap.add_argument("--checkpoint")
@@ -105,6 +155,15 @@ def main(argv=None) -> int:
     if (args.workload is None) == (args.problems is None):
         ap.error("give one of --workload and --problems")
     differ = []
+    if args.workload == "control-dynamic":
+        with tempfile.TemporaryDirectory() as tmp:
+            digests, differ = workload_rollouts(args.seed, Path(tmp))
+        for key, value in digests.items():
+            print(f"{key} {value}")
+        if differ:
+            print(f"eval_controller records problems {differ} otherwise than "
+                  "bench.control_query rolls them out", file=sys.stderr)
+        return 1 if differ else 0
     if args.workload:
         with tempfile.TemporaryDirectory() as tmp:
             runs, differ = workload_runs(args.workload, args.seed, Path(tmp))

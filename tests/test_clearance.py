@@ -375,14 +375,13 @@ class TestEarlyOutsExact:
             Obstacle(kind="rect", center=(1.0, 1.0), half_extents=(0.3, 0.4)),
             Obstacle(kind="circle", center=(0.0, 1.0), radius=0.9),
             Obstacle(kind="rect", center=(-1.0, 1.0), half_extents=(0.1, 0.2))))
-        assert env._rect_reach == pytest.approx(0.5, abs=1e-15)
+        assert env._rect_reach == 0.4  # the largest half extent, not a half-diagonal
 
 
-def far_rect(half_diagonal):
-    """A square far from everything, whose half-diagonal sets the world's
+def far_rect(half_extent):
+    """A square far from everything, whose half extent sets the world's
     rectangle reach."""
-    h = half_diagonal / np.sqrt(2.0)
-    return Obstacle(kind="rect", center=(50.0, 50.0), half_extents=(h, h))
+    return Obstacle(kind="rect", center=(50.0, 50.0), half_extents=(half_extent, half_extent))
 
 
 class TestThresholds:
@@ -415,10 +414,11 @@ class TestThresholds:
         assert_early_outs_exact(env, arm, self.STRAIGHT)
 
     def test_link_across_a_thin_rectangle_is_the_tight_case(self):
-        # the first link crosses a 0.4 x 0.002 rectangle at its centre: the
-        # nearest corner is 0.2 away and the half-diagonal 0.2000025, so the
-        # smallest candidate sits 2.5e-6 below the threshold and the overlap
-        # pass must run to find the depth
+        # the first link crosses a 0.4 x 0.002 rectangle at its centre, the
+        # middle of its long edges: the nearest corner is 0.2 away, the
+        # largest half extent, so the smallest candidate sits on the threshold
+        # (below it by the slack) and the overlap pass must run to find the
+        # depth
         arm2 = ArmModel(link_lengths=(0.5, 0.4), link_radius=self.R)
         env = Environment(obstacles=(
             Obstacle(kind="rect", center=(0.0, 0.25), half_extents=(0.2, 0.001)),))
@@ -461,14 +461,18 @@ LEMMA = settings(max_examples=400, deadline=None, derandomize=True, database=Non
 class TestLemmas:
     @LEMMA
     @given(coords, coords, sizes, sizes, unit, unit, turn, st.floats(0.0, 2.0), st.floats(0.0, 2.0))
-    def test_a_segment_meeting_a_box_passes_within_its_half_diagonal_of_a_corner(
+    def test_a_segment_meeting_a_box_ends_inside_or_nears_a_corner(
             self, cx, cy, hx, hy, u, v, angle, before, after):
+        # near: within the box's largest half extent, as a crossed edge is
+        # crossed within half its length of one of its corners
         c, h = np.array([cx, cy]), np.array([hx, hy])
         inside = c + (2.0 * np.array([u, v]) - 1.0) * h  # a point of the box
         a, b = _offset_segment(inside, np.array([np.cos(angle), np.sin(angle)]), before, after)
+        if any(np.all(np.abs(p - c) <= h) for p in (a, b)):
+            return  # its box candidate is -radius
         corners = c + h * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
         nearest = min(float(point_segment_distance(k, a, b)) for k in corners)
-        assert nearest <= np.hypot(hx, hy) + 1e-12
+        assert nearest <= max(hx, hy) + 1e-12
 
     @LEMMA
     @given(coords, coords, turn, turn, unit, unit, st.floats(0.05, 1.0), st.floats(0.05, 1.0))

@@ -8,7 +8,7 @@ import pytest
 
 import rollout_oracle
 from arms import ARMS, HAND_MARGIN, InflatedReading, contact_pairs, over_links
-from cbfsteer import bench, controller
+from cbfsteer import bench, controller, environment, geometry
 from cbfsteer.cbf import CbfHyper, HandcraftedBarrier, NeuralBarrier
 from cbfsteer.controller import (
     ControllerBundle,
@@ -27,12 +27,14 @@ from cbfsteer.environment import (
     Obstacle,
     ScanSpec,
     random_environment,
+    random_velocity,
     ray_cast_scan,
     sample_surface_points,
     signed_distance,
     signed_distance_batch,
+    signed_distance_stepped,
 )
-from cbfsteer.kinematics import ArmModel, hold, sample_config
+from cbfsteer.kinematics import ArmModel, batch_joint_positions, hold, sample_config
 from cbfsteer.neural import Mlp, PointSetEncoder
 
 
@@ -817,57 +819,99 @@ def state_barrier(arm):
     return NeuralBarrier(net, arm, CbfHyper())
 
 
+def cloud_barrier(arm):
+    """An untrained cloud net's barrier: it reads -inf, so only the loop's
+    own checks prove its ticks."""
+    n = arm.n_links
+    enc = PointSetEncoder.create(n, per_point_widths=(4 + n, 5, 4), trunk_widths=(4 + n, 5, 1),
+                                 rng=np.random.default_rng(50 + n))
+    return NeuralBarrier(enc, arm, CbfHyper())
+
+
+SCAN = ScanSpec(rays_per_mount=8)
+
+
+def rollout_bundle(barrier):
+    """A 3 s rollout of `barrier` with a 1e-3 goal ball; a cloud barrier
+    sees ray-cast scans."""
+    observe = (lambda env, arm, q: ray_cast_scan(env, arm, q, SCAN)) if barrier.kind == "cloud" \
+        else None
+    return ControllerBundle(barrier, observe, limits=RolloutLimits(horizon_s=3.0, r_goal=1e-3))
+
+
+def counted_rollouts(bundle, cases, oracle, monkeypatch):
+    """Roll out every (world, start, goal) case with `safe_rollout`, each
+    record equal to the oracle's (`assert_same_record`), and count the
+    loop's clearance calls: exactly one per tick it does not prove, made
+    before that tick is yielded. Returns (each tick's proof, the records)."""
+    proofs, calls = [], []
+
+    def spied_ticks(*args, **kwargs):
+        for tick in rollout_ticks(*args, **kwargs):
+            proofs.append(tick[5])
+            yield tick
+
+    def spied(check):
+        def call(*args):
+            calls.append(len(proofs) + 1)  # the tick it checks, counted from 1
+            return check(*args)
+        return call
+
+    monkeypatch.setattr(controller, "rollout_ticks", spied_ticks)
+    monkeypatch.setattr(controller, "signed_distance_batch", spied(signed_distance_batch))
+    monkeypatch.setattr(controller, "signed_distance_stepped", spied(signed_distance_stepped))
+    records = []
+    for env, q0, q_goal in cases:
+        records.append(safe_rollout(bundle, q0, q_goal, env))
+        assert_same_record(records[-1], oracle(bundle, q0, q_goal, env))
+    assert calls == [k + 1 for k, ok in enumerate(proofs) if not ok]
+    return proofs, records
+
+
+def skipped_checks(barriers, cases, oracle, monkeypatch) -> dict:
+    """`counted_rollouts` of each barrier on the cases; returns the counts
+    of proven and checked ticks, by barrier, and of rollouts that collided
+    and that reached the goal."""
+    counts = {"proven": {}, "checked": {}, "collided": 0, "reached": 0}
+    for name, barrier in barriers.items():
+        proofs, records = counted_rollouts(rollout_bundle(barrier), cases, oracle, monkeypatch)
+        counts["proven"][name] = sum(proofs)
+        counts["checked"][name] = len(proofs) - sum(proofs)
+        counts["collided"] += sum(r.collided for r in records)
+        counts["reached"] += sum(r.reached_goal for r in records)
+    return counts
+
+
+def checked_barriers(arm) -> dict:
+    """The barriers whose rollouts the skipped-check tests run: loose and
+    margined hand barriers, which read the clearance, a state net and a
+    cloud net, which reads -inf."""
+    return {"loose": loose_barrier(arm), "state": state_barrier(arm), "cloud": cloud_barrier(arm),
+            "hand": HandcraftedBarrier(arm, HAND_MARGIN[arm.n_links])}
+
+
 class TestSkippedChecks:
     """In a static world `safe_rollout` checks the clearance of a tick's
-    states only when `rollout_ticks` does not prove the tick, in one call;
-    its records still equal those of the oracle that checks every state
-    (`assert_same_record`: configs, controls and flags bit for bit, every
-    state but a collided rollout's last free by the oracle's ground truth,
-    and the safety ratio its share of free states), with hand and state
-    barriers, on `proof_cases` at both arms of `ARMS`. A barrier that reads
-    1e-3 too much fails this."""
+    states only when `rollout_ticks` does not prove the tick, in one call
+    the loop makes; its records still equal those of the oracle that checks
+    every state (`assert_same_record`: configs, controls and flags bit for
+    bit, every state but a collided rollout's last free by the oracle's
+    ground truth, and the safety ratio its share of free states), with hand,
+    state and cloud barriers, on `proof_cases` at both arms of `ARMS`. The
+    cloud barrier reads -inf, so its proven ticks all rest on the reading
+    of a check. A barrier that reads 1e-3 too much fails this."""
 
     @staticmethod
-    def check(make_barrier, links, seed, monkeypatch):
-        """Run and check every case; returns (each tick's proof, rollouts
-        that collided, rollouts that reached the goal)."""
-        arm = ARMS[links]
+    def cases(links, seed):
         env, cases = proof_cases(links, seed)
-        proofs, calls = [], []
-
-        def spied_ticks(*args, **kwargs):
-            for tick in rollout_ticks(*args, **kwargs):
-                proofs.append(tick[5])
-                yield tick
-
-        def spied_check(*args):
-            calls.append(len(proofs))  # the tick it checks, counted from 1
-            return signed_distance_batch(*args)
-
-        monkeypatch.setattr(controller, "rollout_ticks", spied_ticks)
-        monkeypatch.setattr(controller, "signed_distance_batch", spied_check)
-        bundle = ControllerBundle(make_barrier(arm), None,
-                                  limits=RolloutLimits(horizon_s=3.0, r_goal=1e-3))
-        collided = reached = 0
-        for q0, q_goal in cases:
-            got = safe_rollout(bundle, q0, q_goal, env)
-            assert_same_record(got, rollout_oracle.safe_rollout_static(bundle, q0, q_goal, env))
-            collided += got.collided
-            reached += got.reached_goal
-        assert calls == [k + 1 for k, ok in enumerate(proofs) if not ok]
-        return proofs, collided, reached
+        return [(env, q0, q_goal) for q0, q_goal in cases]
 
     @over_links("seed", range(2))
     def test_hand_and_state_barriers(self, seed, links, monkeypatch):
-        proven = checked = collided = reached = 0
-        for make_barrier in (loose_barrier, state_barrier,
-                             lambda arm: HandcraftedBarrier(arm, HAND_MARGIN[links])):
-            proofs, hit, arrived = self.check(make_barrier, links, seed, monkeypatch)
-            proven += sum(proofs)
-            checked += len(proofs) - sum(proofs)
-            collided += hit
-            reached += arrived
-        assert proven > 0 and checked > 0 and collided > 0 and reached > 0
+        counts = skipped_checks(checked_barriers(ARMS[links]), self.cases(links, seed),
+                                rollout_oracle.safe_rollout_static, monkeypatch)
+        assert all(counts["proven"].values()) and sum(counts["checked"].values())
+        assert counts["collided"] > 0 and counts["reached"] > 0
 
     @pytest.mark.parametrize("links", sorted(ARMS))
     def test_an_inflated_reading_fails_it(self, links, monkeypatch):
@@ -875,5 +919,135 @@ class TestSkippedChecks:
         # goes unchecked: the rollout runs on where the oracle stops
         with pytest.raises(AssertionError):
             for seed in range(2):
-                self.check(lambda arm: InflatedReading(loose_barrier(arm)), links, seed,
-                           monkeypatch)
+                counted_rollouts(rollout_bundle(InflatedReading(loose_barrier(ARMS[links]))),
+                                 self.cases(links, seed), rollout_oracle.safe_rollout_static,
+                                 monkeypatch)
+
+
+def moving_cases(links, seed):
+    """(world, start, goal) cases among moving obstacles: `proof_cases` with
+    every other obstacle of its world drifting at 0.02 (0.00067 a tick, less
+    than the 1e-3 an inflated reading adds, so that its slow approaches into
+    contact still catch that), then
+    `crossing_world`'s circle, at 1.5 the fastest obstacle, coming head-on at
+    the outstretched arm from two distances (two others at the other seed),
+    while the arm creeps toward a goal 0.01 away in each joint: there the
+    obstacle's travel is most of a tick's bound."""
+    env, cases = proof_cases(links, seed)
+    rng = np.random.default_rng(1400 + seed)
+    drifting = Environment(obstacles=tuple(
+        replace(o, velocity=random_velocity(0.02, rng)) if i % 2 else o
+        for i, o in enumerate(env.obstacles)), workspace=env.workspace)
+    return ([(drifting, q0, q_goal) for q0, q_goal in cases]
+            + [(crossing_world(x0), np.zeros(links), np.full(links, 0.01))
+               for x0 in ((1.6, 1.655), (1.62, 1.68))[seed]])
+
+
+def half_speed(monkeypatch):
+    """Plant a fault: every world reads its fastest obstacle at half speed."""
+    speed = Environment.max_speed
+    monkeypatch.setattr(Environment, "max_speed", property(lambda env: 0.5 * speed.fget(env)))
+
+
+class TestMovingSkippedChecks:
+    """Among moving obstacles `safe_rollout` steps the world through a tick
+    the loop proves, with no clearance call, and checks any other in one
+    stepped call; its records equal those of the per-substep oracle
+    (`rollout_oracle.safe_rollout`: step, then check, every substep) bit for
+    bit, with hand, state and cloud barriers, on `moving_cases` at both arms
+    of `ARMS`. A barrier that reads 1e-3 too much fails this, and so does a
+    world that reads its fastest obstacle at half speed."""
+
+    @over_links("seed", range(2))
+    def test_hand_state_and_cloud_barriers(self, seed, links, monkeypatch):
+        counts = skipped_checks(checked_barriers(ARMS[links]), moving_cases(links, seed),
+                                rollout_oracle.safe_rollout, monkeypatch)
+        assert all(counts["proven"].values()) and all(counts["checked"].values())
+        assert counts["collided"] > 0 and counts["reached"] > 0
+
+    @pytest.mark.parametrize("links", sorted(ARMS))
+    def test_an_inflated_reading_fails_it(self, links, monkeypatch):
+        with pytest.raises(AssertionError):
+            for seed in range(2):
+                counted_rollouts(rollout_bundle(InflatedReading(loose_barrier(ARMS[links]))),
+                                 moving_cases(links, seed), rollout_oracle.safe_rollout,
+                                 monkeypatch)
+
+    @pytest.mark.parametrize("links", sorted(ARMS))
+    def test_a_halved_max_speed_fails_it(self, links, monkeypatch):
+        # the head-on circle closes 0.05 a tick; read at half that, a tick
+        # into it is proven and goes unchecked
+        half_speed(monkeypatch)
+        with pytest.raises(AssertionError):
+            for seed in range(2):
+                counted_rollouts(rollout_bundle(loose_barrier(ARMS[links])),
+                                 moving_cases(links, seed), rollout_oracle.safe_rollout,
+                                 monkeypatch)
+
+
+def clearance_at_times(env, arm, qs, times):
+    """Clearance of each configuration of qs against env's obstacles moved
+    on to its own time (centre + velocity * (time - env.time)), with every
+    pass of the kernel run."""
+    centers = env._centers + env._velocities * (np.asarray(times) - env.time)[:, None, None]
+    placed = environment._placed(env, centers)
+    return geometry.capsule_world_min(
+        batch_joint_positions(arm, qs)[0], arm.link_radius, placed["_points"], env._offsets(arm),
+        placed["_rect_cz"], env._rect_hz, np.inf, np.inf)
+
+
+class TestMovingProofRule:
+    """Every tick that a checked `rollout_ticks` proves among moving
+    obstacles, from the budget at its start or the reading at its end, is
+    free on its substep path resampled at 16 points a segment, each point
+    against the obstacles where they are at its time, on `moving_cases` at
+    both arms of `ARMS`. A barrier that reads 1e-3 too much fails this, and
+    so does a world that reads its fastest obstacle at half speed."""
+
+    @staticmethod
+    def proven_ticks(make_barrier, links, seed, per=16):
+        """(clearance minimum over each proven tick's resampled path, ticks run)."""
+        arm = ARMS[links]
+        bundle = ControllerBundle(make_barrier(arm), None)
+        substeps = bundle.limits.sim_hz // bundle.limits.ctrl_hz
+        dt = 1.0 / bundle.limits.sim_hz
+        offsets = dt * np.append(np.arange(substeps * per) / per, substeps)  # in a tick
+        mins, ticks = [], 0
+        for env, q0, q_goal in moving_cases(links, seed):
+            paths, proofs, q = [], [], q0
+            for _, _, _, states, _, proven, proves_last in rollout_ticks(
+                    bundle, q0, q_goal, env, 90, 1e-6, checked=True):
+                if proves_last:  # the tick before, from its end
+                    proofs[-1] = True
+                paths.append(dense_path(q, states, per))
+                proofs.append(proven)
+                q = states[-1]
+            starts = env.time + substeps * dt * np.arange(len(paths))  # each tick's time
+            mins += [clearance_at_times(env, arm, path, start + offsets).min()
+                     for start, path, ok in zip(starts, paths, proofs) if ok]
+            ticks += len(paths)
+        return np.array(mins), ticks
+
+    @over_links("seed", range(2))
+    def test_proven_ticks_are_free(self, seed, links):
+        near = 0
+        for make_barrier in (loose_barrier,
+                             lambda arm: HandcraftedBarrier(arm, HAND_MARGIN[links])):
+            d, ticks = self.proven_ticks(make_barrier, links, seed)
+            assert np.all(d >= 0.0)
+            assert len(d) >= ticks // 4
+            near += np.sum(d < 0.01)
+        assert near >= 50  # proofs of ticks that come within 0.01 of contact
+
+    @pytest.mark.parametrize("links", sorted(ARMS))
+    def test_an_inflated_reading_fails_it(self, links):
+        colliding = sum(np.sum(self.proven_ticks(lambda arm: InflatedReading(loose_barrier(arm)),
+                                                 links, seed)[0] < 0.0) for seed in range(2))
+        assert colliding > 0
+
+    @pytest.mark.parametrize("links", sorted(ARMS))
+    def test_a_halved_max_speed_fails_it(self, links, monkeypatch):
+        half_speed(monkeypatch)
+        colliding = sum(np.sum(self.proven_ticks(loose_barrier, links, seed)[0] < 0.0)
+                        for seed in range(2))
+        assert colliding > 0

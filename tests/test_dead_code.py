@@ -37,8 +37,7 @@ ENTRY_POINTS = {("cli", "main"), ("cli", "_Parser.error")}
 BENCHMARK = ROOT / "perfbench"
 # definitions with no user in the package that the benchmark tracer times by
 # name; they go with their tracer layers
-TRACER_ONLY = {"environment.step_obstacles", "geometry.segment_rect_signed_distance",
-               "planner.steer_filter_lqr"}
+TRACER_ONLY = {"geometry.segment_rect_signed_distance", "planner.steer_filter_lqr"}
 
 
 def mentions(node, skip=None):

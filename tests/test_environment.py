@@ -495,9 +495,11 @@ class TestStepObstacles:
 
 def packed_fields_equal(got: Environment, ref: Environment) -> bool:
     """Every cached array of two environments, bit for bit; the offset
-    tables, built on first use, are compared through `_offsets`."""
+    tables, built on first use, are compared through `_offsets`, and the
+    time-0 obstacle records a stepped snapshot keeps are not arrays."""
     return all(same_bits(getattr(got, f.name), getattr(ref, f.name))
-               for f in fields(Environment) if not f.init and f.name != "_offset_tables")
+               for f in fields(Environment)
+               if not f.init and f.name not in ("_offset_tables", "_templates"))
 
 
 class TestOffsetTables:
@@ -537,6 +539,28 @@ class TestSteppedSnapshot:
             assert packed_fields_equal(stepped, Environment(
                 obstacles=stepped.obstacles, workspace=stepped.workspace, time=stepped.time))
             env = after
+
+    @pytest.mark.parametrize("steps", [1, 4, 9])
+    def test_n_steps_at_once_equal_n_single_steps(self, arm, steps):
+        # a proven rollout tick steps the world alone: only its last snapshot
+        # is packed, and its obstacle records are built on first read
+        dt = 1.0 / 120
+        for seed in range(4):
+            env = mixed_moving_env(seed)
+            after = step_obstacles(env, dt, steps)
+            chained = step_obstacles(step_obstacles(env, dt, 1), dt, steps - 1)
+            assert "obstacles" not in after.__dict__ and "obstacles" not in chained.__dict__
+            iterated = reference = env
+            for _ in range(steps):
+                iterated = step_obstacles(iterated, dt)
+                reference = rollout_oracle.step_obstacles(reference, dt)
+            _, swept = signed_distance_stepped(env, arm, np.zeros((steps, 3)), dt)
+            for got in (after, chained):
+                for ref in (iterated, swept, reference):
+                    assert got == ref and same_bits(got.time, ref.time)
+                    assert canonical_dumps(got.to_json()) == canonical_dumps(ref.to_json())
+                    assert packed_fields_equal(got, ref)
+            assert after.obstacles is after.obstacles  # built once
 
     def test_empty_world_and_zero_steps(self, arm):
         env = Environment(time=0.5)
